@@ -82,9 +82,9 @@ def load_config(path: Optional[str]) -> ReportConfig:
 # Feature extraction with caching
 
 
-def feature_cache_key(path: str, size: int, cfg: AudioConfig) -> str:
-    raw = f"{path}|{size}|{cfg.cache_key()}".encode("utf-8")
-    return hashlib.sha256(raw).hexdigest()
+def feature_cache_key(data: bytes, cfg: AudioConfig) -> str:
+    """Name of a cached row: the file's bytes and the front-end config."""
+    return f"{hashlib.sha256(data).hexdigest()}-{cfg.cache_key()}"
 
 
 def features_for_manifest(
@@ -98,8 +98,9 @@ def features_for_manifest(
     """Extract one feature row per manifest record, in manifest order.
 
     Missing audio files are enumerated in a single error.  With a cache
-    directory, rows are re-used when (path, byte size, config) match, so
-    large runs are restartable.  Results do not depend on thread count.
+    directory, rows are re-used when the file's bytes (by SHA-256) and the
+    front-end config match, so large runs are restartable and a rewritten
+    file is never served its old row.  Results do not depend on thread count.
     """
     paths = []
     missing = []
@@ -119,16 +120,13 @@ def features_for_manifest(
         os.makedirs(cache_dir, exist_ok=True)
 
     def one(path: str) -> np.ndarray:
-        key = None
-        if cache_dir is not None:
-            size = os.path.getsize(path)
-            key = os.path.join(
-                cache_dir, feature_cache_key(path, size, cfg) + ".vatf"
-            )
-            if os.path.isfile(key):
-                return read_vatf(key)[0]
         with open(path, "rb") as fh:
             data = fh.read()
+        key = None
+        if cache_dir is not None:
+            key = os.path.join(cache_dir, feature_cache_key(data, cfg) + ".vatf")
+            if os.path.isfile(key):
+                return read_vatf(key)[0]
         try:
             vec = extract_features(data, cfg)
         except InputError as exc:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scenevat import audio
 from scenevat.audio import (
     AudioClip,
     AudioConfig,
@@ -169,6 +170,70 @@ def test_resample_empty_and_bad_rate():
         resample(AudioClip(np.zeros(4), 8000), 0)
 
 
+def _resample_per_sample(clip, target_rate, taps=32, chunk=4096):
+    """Reference: the windowed-sinc kernel evaluated anew for every output."""
+    native = clip.rate
+    x = clip.samples
+    n_in = len(x)
+    n_out = (2 * n_in * target_rate + native) // (2 * native)
+    cutoff = min(1.0, target_rate / native)
+    radius = int(np.ceil(taps / cutoff))
+    rel = np.arange(-radius, radius + 1)
+    out = np.empty(n_out)
+    for c0 in range(0, n_out, chunk):
+        center = np.arange(c0, min(c0 + chunk, n_out)) * (native / target_rate)
+        idx = np.floor(center).astype(np.int64)[:, None] + rel[None, :]
+        offset = idx - center[:, None]
+        h = cutoff * np.sinc(cutoff * offset)
+        h *= np.where(
+            np.abs(offset) <= radius,
+            0.5 + 0.5 * np.cos(np.pi * offset / radius),
+            0.0,
+        )
+        h *= (idx >= 0) & (idx < n_in)
+        gathered = x[np.clip(idx, 0, n_in - 1)]
+        out[c0 : c0 + len(center)] = (gathered * h).sum(axis=1) / h.sum(axis=1)
+    return out
+
+
+def _white_noise(n, seed):
+    return np.random.default_rng(seed).standard_normal(n)
+
+
+@pytest.mark.parametrize("native,target", [(44100, 22050), (22050, 44100)])
+def test_resample_matches_per_sample_kernel_exact_phase(native, target):
+    # one or two phases whose offsets (0, 1/2) are exact in floating point
+    x = _white_noise(2 * native, seed=native)
+    got = resample(AudioClip(x, native), target).samples
+    ref = _resample_per_sample(AudioClip(x, native), target)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("native,target", [(48000, 22050), (8000, 48000)])
+def test_resample_matches_per_sample_kernel_many_phases(native, target):
+    # the reference rounds k * native / target; the phase table is exact
+    x = _white_noise(10 * native, seed=native)
+    got = resample(AudioClip(x, native), target).samples
+    ref = _resample_per_sample(AudioClip(x, native), target)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n_in", [1, 2, 3, 5, 100])
+@pytest.mark.parametrize(
+    "native,target", [(44100, 22050), (48000, 22050), (8000, 48000)]
+)
+def test_resample_matches_per_sample_kernel_at_edges(n_in, native, target):
+    # inputs shorter than the kernel radius: every output is an edge output
+    x = _white_noise(n_in, seed=n_in)
+    got = resample(AudioClip(x, native), target).samples
+    ref = _resample_per_sample(AudioClip(x, native), target)
+    assert got.shape == ref.shape
+    if ref.size:
+        assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
 # --------------------------------------------------------------------------
 # STFT
 
@@ -318,12 +383,15 @@ def test_config_validation():
         AudioConfig(log_floor=0.0).validate()
 
 
-def test_cache_key_tracks_parameters():
+def test_cache_key_tracks_parameters(monkeypatch):
     base = AudioConfig().cache_key()
     assert len(base) == 16 and int(base, 16) >= 0
     assert AudioConfig(n_mels=64).cache_key() != base
     assert AudioConfig(htk_mel=True).cache_key() != base
     assert AudioConfig().cache_key() == base
+    # rows cached by an earlier front end are never served by this one
+    monkeypatch.setattr(audio, "FRONTEND_VERSION", audio.FRONTEND_VERSION - 1)
+    assert AudioConfig().cache_key() != base
 
 
 def test_extract_features_end_to_end():

@@ -120,7 +120,7 @@ def test_missing_files_enumerated_in_one_error(tmp_path):
     assert "gone1.wav" in msg and "gone2.wav" in msg
 
 
-def test_cache_reuses_rows_by_path_size_config(tmp_path):
+def test_cache_rewritten_file_yields_fresh_features(tmp_path):
     _write_clips(tmp_path, {"a.wav": 440.0, "b.wav": 880.0})
     mf = parse_manifest("path,scene,city\na.wav,park,paris\nb.wav,bus,london\n")
     cache = tmp_path / "cache"
@@ -128,14 +128,18 @@ def test_cache_reuses_rows_by_path_size_config(tmp_path):
         mf, FAST_AUDIO, audio_root=str(tmp_path), cache_dir=str(cache)
     )
     assert len(list(cache.glob("*.vatf"))) == 2
-    # same byte size, different contents: a cache hit returns the old row
-    swapped = sine_wav(880.0, 0.25, 44100)
+    # same path and byte size, different contents: the key follows the bytes
+    swapped = sine_wav(660.0, 0.25, 44100)
     assert len(swapped) == (tmp_path / "a.wav").stat().st_size
     (tmp_path / "a.wav").write_bytes(swapped)
     second = features_for_manifest(
         mf, FAST_AUDIO, audio_root=str(tmp_path), cache_dir=str(cache)
     )
-    assert np.array_equal(first, second)
+    fresh = features_for_manifest(mf, FAST_AUDIO, audio_root=str(tmp_path))
+    assert np.array_equal(second, fresh)
+    assert not np.array_equal(second[0], first[0])
+    assert np.array_equal(second[1], first[1])
+    assert len(list(cache.glob("*.vatf"))) == 3
 
 
 def test_thread_count_does_not_change_result(tmp_path):
