@@ -32,7 +32,6 @@ from .manifest import (
 from .matrix import (
     check_dissim,
     euclidean_dissim,
-    pairwise_dissim,
     permute_matrix,
     validate_dissim,
     zscore,
@@ -103,7 +102,6 @@ __all__ = [
     "ordering_to_json",
     "otsu_effectiveness",
     "otsu_threshold",
-    "pairwise_dissim",
     "parse_dcase_filename",
     "parse_manifest",
     "permute_matrix",

@@ -18,42 +18,40 @@ from dataclasses import replace
 from .cce import cce_count
 from .errors import InputError, NumericError
 from .manifest import CITIES, SCENES, read_manifest
-from .matrix import check_dissim, euclidean_dissim
+from .matrix import euclidean_dissim
 from .report import (
     GROUPINGS,
     METHODS,
+    analyze,
     features_for_manifest,
     load_config,
     run_report,
 )
-from .specvat import a_specvat_select_k, specvat
 from .stacks import label_stack, stack_csv, stack_svg
 from .synth import BlobSpec, block_dissim, gaussian_blobs
-from .vat import (
-    odi_from,
-    ordering_from_json,
-    ordering_to_json,
-    read_pgm,
-    vat_order,
-    write_pgm,
-)
+from .vat import ordering_from_json, ordering_to_json, read_pgm, write_pgm
 from .vatf import atomic_write_text, read_vatf, write_vatf
 
 
-def _add_shared(p):
-    p.add_argument("--config", metavar="JSON", default=None,
-                   help="JSON config with audio/specvat/cce sections")
+_SHARED = {
+    "--config": dict(metavar="JSON", default=None,
+                     help="JSON config with audio/specvat/cce sections"),
+    "--threads": dict(type=int, default=1, metavar="N"),
+}
+
+
+def _add_shared(p, *flags):
+    """Add --out plus those of --config/--threads the subcommand reads."""
+    for flag in flags:
+        p.add_argument(flag, **_SHARED[flag])
     p.add_argument("--out", metavar="DIR", required=True,
                    help="output directory")
-    p.add_argument("--threads", type=int, default=1, metavar="N")
 
 
 def _load_matrix(args):
-    """Resolve --features/--dissim into a validated dissimilarity matrix."""
+    """Resolve --features/--dissim into a dissimilarity matrix."""
     if args.dissim is not None:
-        m = read_vatf(args.dissim)
-        check_dissim(m)
-        return m
+        return read_vatf(args.dissim)
     feats = read_vatf(args.features)
     return euclidean_dissim(feats, standardize=args.standardize)
 
@@ -88,37 +86,26 @@ def cmd_features(args) -> int:
     return 0
 
 
-def cmd_vat(args) -> int:
+def cmd_matrix(args) -> int:
+    """``vat`` and ``specvat``: order one matrix and render its image."""
+    spec_cfg = load_config(args.config).spec
     m = _load_matrix(args)
-    ordering = vat_order(m)
-    image = odi_from(m, ordering)
-    os.makedirs(args.out, exist_ok=True)
-    write_pgm(image, os.path.join(args.out, "odi.pgm"))
-    atomic_write_text(os.path.join(args.out, "ordering.json"),
-                      ordering_to_json(ordering))
-    print(f"ordered {len(ordering)} records -> {args.out}")
-    return 0
-
-
-def cmd_specvat(args) -> int:
-    cfg = load_config(args.config).spec
-    m = _load_matrix(args)
-    n = m.shape[0]
-    if args.k is not None:
-        k = args.k
-    else:
-        k, scores = a_specvat_select_k(m, cfg)
-        shown = ", ".join(f"k={kk}: {s:.4f}" for kk, s in sorted(scores.items()))
-        print(f"selected k={k} ({shown})")
-    if not 1 <= k <= n - 1:
-        raise InputError(f"k={k} out of range for {n} records")
-    result = specvat(m, replace(cfg, k=k))
+    result = analyze(m, args.method, spec_cfg, args.k)
+    if result.k_scores is not None:
+        shown = ", ".join(
+            f"k={kk}: {s:.4f}" for kk, s in sorted(result.k_scores.items())
+        )
+        print(f"selected k={result.k} ({shown})")
     os.makedirs(args.out, exist_ok=True)
     write_pgm(result.image, os.path.join(args.out, "odi.pgm"))
     atomic_write_text(os.path.join(args.out, "ordering.json"),
                       ordering_to_json(result.ordering))
-    write_vatf(os.path.join(args.out, "d_prime.vatf"), result.d_prime)
-    print(f"ordered {n} records with k={k} -> {args.out}")
+    n = len(result.ordering)
+    if result.d_prime is None:
+        print(f"ordered {n} records -> {args.out}")
+    else:
+        write_vatf(os.path.join(args.out, "d_prime.vatf"), result.d_prime)
+        print(f"ordered {n} records with k={result.k} -> {args.out}")
     return 0
 
 
@@ -224,20 +211,20 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--manifest", required=True, metavar="CSV")
     f.add_argument("--audio-root", default=None, metavar="DIR")
     f.add_argument("--cache", default=None, metavar="DIR")
-    _add_shared(f)
+    _add_shared(f, "--config", "--threads")
     f.set_defaults(func=cmd_features)
 
     v = sub.add_parser("vat", help="reorder a matrix and render the image")
     _matrix_inputs(v)
     _add_shared(v)
-    v.set_defaults(func=cmd_vat)
+    v.set_defaults(func=cmd_matrix, method="vat", config=None, k=None)
 
     s = sub.add_parser("specvat", help="spectral embedding before reordering")
     _matrix_inputs(s)
     s.add_argument("--k", type=int, default=None,
                    help="eigenvector count (default: automatic scan)")
-    _add_shared(s)
-    s.set_defaults(func=cmd_specvat)
+    _add_shared(s, "--config")
+    s.set_defaults(func=cmd_matrix, method="specvat")
 
     c = sub.add_parser("cce", help="count dark blocks in an ordered image")
     c.add_argument("--image", required=True, metavar="PGM")
@@ -246,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None)
     c.add_argument("--b", type=int, default=None,
                    help="explicit cutoff, overrides threshold mode")
-    _add_shared(c)
+    _add_shared(c, "--config")
     c.set_defaults(func=cmd_cce)
 
     t = sub.add_parser("stack", help="label stack for an existing ordering")
@@ -285,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--method", choices=METHODS, default="vat")
     r.add_argument("--k", type=int, default=None)
     r.add_argument("--standardize", action="store_true")
-    _add_shared(r)
+    _add_shared(r, "--config", "--threads")
     r.set_defaults(func=cmd_report)
     return p
 

@@ -8,18 +8,15 @@ index order that every downstream ordering permutes.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import pdist, squareform
 
 from .errors import InputError
 
-# Tile edge for the blocked pairwise kernel.  Keeps the scratch buffer a few
-# MB so peak memory stays at the output matrix plus one feature copy.
-DEFAULT_TILE = 1024
-
-SYMMETRY_ATOL = 1e-12
+# Symmetry tolerance, relative to the largest magnitude in the matrix.
+SYMMETRY_RTOL = 1e-12
 
 
 def as_features(values) -> np.ndarray:
@@ -52,70 +49,25 @@ def zscore(features: np.ndarray) -> np.ndarray:
     return (x - mean) / sd
 
 
-def pairwise_dissim(
-    features,
-    pair_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
-    *,
-    standardize: bool = False,
-    tile: int = DEFAULT_TILE,
-) -> np.ndarray:
-    """Full pairwise distance matrix, computed tile by tile.
+def euclidean_dissim(features, *, standardize: bool = False) -> np.ndarray:
+    """Euclidean distance matrix of the feature rows.
 
-    Only upper-triangle tiles are evaluated and then mirrored, so the result
-    is exactly symmetric and the diagonal is exactly zero.  ``pair_fn`` is a
-    pluggable metric hook ``(rows_a, rows_b) -> distances``; the default is
-    Euclidean.  Output is independent of the tile size.
+    Exactly symmetric with an exactly-zero diagonal by construction.
+    ``standardize=True`` applies per-dimension z-scoring first (off by
+    default; features are used raw).
     """
     x = as_features(features)
     if standardize:
         x = zscore(x)
-    if pair_fn is None:
-        pair_fn = _euclidean_block
-    if tile < 1:
-        raise InputError(f"tile must be positive, got {tile}")
-    n = x.shape[0]
-    out = np.empty((n, n), dtype=np.float64)
-    for i0 in range(0, n, tile):
-        i1 = min(i0 + tile, n)
-        for j0 in range(i0, n, tile):
-            j1 = min(j0 + tile, n)
-            block = np.asarray(pair_fn(x[i0:i1], x[j0:j1]), dtype=np.float64)
-            if block.shape != (i1 - i0, j1 - j0):
-                raise InputError(
-                    f"pair_fn returned shape {block.shape}, "
-                    f"expected {(i1 - i0, j1 - j0)}"
-                )
-            if i0 == j0:
-                # Keep only the tile's upper triangle and mirror it so the
-                # matrix is symmetric by construction.
-                block = np.triu(block)
-                block = block + block.T - np.diag(np.diagonal(block))
-            out[i0:i1, j0:j1] = block
-            if i0 != j0:
-                out[j0:j1, i0:i1] = block.T
-    np.fill_diagonal(out, 0.0)
-    return out
+    return squareform(pdist(x, "euclidean"))
 
 
-def _euclidean_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return cdist(a, b, metric="euclidean")
-
-
-def euclidean_dissim(features, *, standardize: bool = False,
-                     tile: int = DEFAULT_TILE) -> np.ndarray:
-    """Euclidean distance matrix of the feature rows.
-
-    ``standardize=True`` applies per-dimension z-scoring first (off by
-    default; features are used raw).
-    """
-    return pairwise_dissim(features, standardize=standardize, tile=tile)
-
-
-def validate_dissim(m, atol: float = SYMMETRY_ATOL) -> Optional[str]:
+def validate_dissim(m) -> Optional[str]:
     """Check dissimilarity-matrix invariants.
 
     Returns ``None`` when the matrix passes, otherwise a message describing
-    the first violated invariant and where it occurs.
+    the first violated invariant and where it occurs.  Symmetry is checked
+    to ``SYMMETRY_RTOL`` times the largest magnitude in the matrix.
     """
     x = np.asarray(m, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
@@ -130,25 +82,26 @@ def validate_dissim(m, atol: float = SYMMETRY_ATOL) -> Optional[str]:
     nz = np.flatnonzero(diag != 0.0)
     if nz.size:
         i = int(nz[0])
-        return f"diagonal entry at ({i}, {i}) is {diag[i]!r}, expected exactly 0"
+        return f"diagonal entry at ({i}, {i}) is {float(diag[i])}, expected exactly 0"
+    tol = SYMMETRY_RTOL * max(float(x.max()), -float(x.min()))
     asym = np.abs(x - x.T)
-    if asym.max(initial=0.0) > atol:
-        i, j = np.argwhere(asym > atol)[0]
+    if asym.max() > tol:
+        i, j = np.argwhere(asym > tol)[0]
         return (
             f"asymmetric entry at ({i}, {j}): "
-            f"{x[i, j]!r} vs {x[j, i]!r} (tolerance {atol})"
+            f"{float(x[i, j])} vs {float(x[j, i])} (tolerance {tol})"
         )
     neg = np.argwhere(x < 0)
     if neg.size:
         i, j = neg[0]
-        return f"negative entry at ({i}, {j}): {x[i, j]!r}"
+        return f"negative entry at ({i}, {j}): {float(x[i, j])}"
     return None
 
 
-def check_dissim(m, atol: float = SYMMETRY_ATOL) -> np.ndarray:
+def check_dissim(m) -> np.ndarray:
     """Return ``m`` as a float64 array, raising InputError if invalid."""
     x = np.asarray(m, dtype=np.float64)
-    problem = validate_dissim(x, atol=atol)
+    problem = validate_dissim(x)
     if problem is not None:
         raise InputError(f"invalid dissimilarity matrix: {problem}")
     return x

@@ -22,10 +22,10 @@ from .audio import AudioConfig, extract_features
 from .cce import CceConfig, cce_count
 from .errors import InputError
 from .manifest import CITIES, CITY_PALETTE, SCENE_PALETTE, SCENES, LabeledManifest
-from .matrix import euclidean_dissim
-from .specvat import SpecVatConfig, a_specvat_select_k, specvat
+from .matrix import check_dissim, euclidean_dissim
+from .specvat import SpecVatConfig, _select_k, _specvat
 from .stacks import label_stack, stack_csv, stack_svg
-from .vat import odi_from, ordering_to_json, vat_order, write_pgm
+from .vat import VatOrdering, _odi, _vat_order, ordering_to_json, write_pgm
 from .vatf import atomic_write_text, read_vatf, write_vatf
 
 GROUPINGS = ("by_scene", "by_city", "all", "single_subset")
@@ -198,6 +198,43 @@ def _stack_artifacts(kind, manifest, idx, ordering, subset_dir):
     return out
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """One subset's VAT or SpecVAT result.
+
+    ``k``, ``k_scores`` and ``d_prime`` are set for SpecVAT only;
+    ``k_scores`` only when k was picked by the scan.
+    """
+
+    ordering: VatOrdering
+    image: np.ndarray
+    k: Optional[int] = None
+    k_scores: Optional[dict] = None
+    d_prime: Optional[np.ndarray] = None
+
+
+def analyze(dissim, method: str, spec_cfg: SpecVatConfig,
+            k: Optional[int] = None) -> Analysis:
+    """Order and render one dissimilarity matrix with VAT or SpecVAT.
+
+    SpecVAT uses ``k`` eigenvectors, or picks k with the scan when ``k`` is
+    None.  The matrix is validated here and nowhere below.
+    """
+    if method not in METHODS:
+        raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
+    d = check_dissim(dissim)
+    if method == "vat":
+        ordering = _vat_order(d)
+        return Analysis(ordering, _odi(d, ordering.order))
+    scores = None
+    if k is None:
+        k, scores = _select_k(d, spec_cfg)
+    cfg = replace(spec_cfg, k=k)
+    cfg.validate(d.shape[0])
+    result = _specvat(d, cfg)
+    return Analysis(result.ordering, result.image, k, scores, result.d_prime)
+
+
 def run_report(
     manifest: LabeledManifest,
     features: np.ndarray,
@@ -216,8 +253,8 @@ def run_report(
     link distances (JSON), label stacks (SVG + CSV), and a cluster-count
     report (JSON).  A summary table of counts per subset is returned and
     written to ``report.json``.  SpecVAT subsets pick k automatically unless
-    ``k`` is given.  Subsets with fewer than 2 records are skipped with a
-    warning.
+    ``k`` is given, which is clamped to n-1.  Subsets with fewer than 2
+    records, or 3 when SpecVAT scans k, are skipped with a warning.
     """
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -237,8 +274,10 @@ def run_report(
         "skipped": [],
         "summary": {},
     }
+    # The k scan needs k >= 2, so at least 3 records.
+    min_n = 3 if method == "specvat" and k is None else 2
     for name, idx, stack_kind in subsets:
-        if idx.size < 2:
+        if idx.size < min_n:
             warnings.warn(
                 f"subset {name!r} has {idx.size} record(s); skipping",
                 stacklevel=2,
@@ -249,23 +288,16 @@ def run_report(
         os.makedirs(subset_dir, exist_ok=True)
 
         dissim = euclidean_dissim(features[idx], standardize=standardize)
+        result = analyze(dissim, method, config.spec,
+                         None if k is None else min(k, idx.size - 1))
+        ordering, image = result.ordering, result.image
         entry: dict = {"subset": name, "n": int(idx.size)}
-        if method == "vat":
-            ordering = vat_order(dissim)
-            image = odi_from(dissim, ordering)
-        else:
-            spec_cfg = config.spec
-            if k is not None:
-                chosen = k
-            else:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    chosen, scores = a_specvat_select_k(dissim, spec_cfg)
-                entry["k_scores"] = {str(kk): v for kk, v in sorted(scores.items())}
-            chosen = min(chosen, idx.size - 1)
-            result = specvat(dissim, replace(spec_cfg, k=chosen))
-            ordering, image = result.ordering, result.image
-            entry["k"] = int(chosen)
+        if result.k is not None:
+            entry["k"] = int(result.k)
+        if result.k_scores is not None:
+            entry["k_scores"] = {
+                str(kk): v for kk, v in sorted(result.k_scores.items())
+            }
 
         write_pgm(image, os.path.join(subset_dir, "odi.pgm"))
         atomic_write_text(

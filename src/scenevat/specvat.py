@@ -21,7 +21,7 @@ import numpy as np
 from .cce import otsu_effectiveness
 from .errors import DegenerateImageError, InputError, NumericError
 from .matrix import check_dissim, euclidean_dissim
-from .vat import VatOrdering, odi_from, vat_order
+from .vat import VatOrdering, _odi, _vat_order
 
 EIGEN_SYMMETRY_ATOL = 1e-10
 SIGN_TOL = 1e-12
@@ -68,7 +68,11 @@ def local_scale_affinity(m, cfg: SpecVatConfig = SpecVatConfig()) -> np.ndarray:
         raise InputError(f"knn_scale={cfg.knn_scale} must be at least 1")
     if not cfg.sigma_floor > 0:
         raise InputError(f"sigma_floor={cfg.sigma_floor} must be positive")
-    kth = min(cfg.knn_scale, n - 1)
+    return _affinity(d, cfg)
+
+
+def _affinity(d: np.ndarray, cfg: SpecVatConfig) -> np.ndarray:
+    kth = min(cfg.knn_scale, d.shape[0] - 1)
     offdiag = d.copy()
     np.fill_diagonal(offdiag, np.inf)
     sigma = np.partition(offdiag, kth - 1, axis=1)[:, kth - 1]
@@ -92,6 +96,10 @@ def normalized_affinity(a) -> np.ndarray:
         raise InputError("affinity must be symmetric")
     if (x < 0).any():
         raise InputError("affinity must be nonnegative")
+    return _normalize(x)
+
+
+def _normalize(x: np.ndarray) -> np.ndarray:
     s = x.sum(axis=1)
     inv_sqrt = np.where(s > 0, 1.0 / np.sqrt(np.where(s > 0, s, 1.0)), 0.0)
     return x * np.outer(inv_sqrt, inv_sqrt)
@@ -112,6 +120,10 @@ def sym_eigen_topk(n_mat, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise InputError(f"k={k} must satisfy 1 <= k <= n (n={n})")
     if np.abs(x - x.T).max(initial=0.0) > EIGEN_SYMMETRY_ATOL:
         raise InputError("matrix is not symmetric within 1e-10")
+    return _eigen_topk(x, k)
+
+
+def _eigen_topk(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     sym = 0.5 * (x + x.T)
     try:
         vals, vecs = np.linalg.eigh(sym)
@@ -135,16 +147,18 @@ def spectral_embedding(m, cfg: SpecVatConfig) -> np.ndarray:
     """
     d = check_dissim(m)
     cfg.validate(d.shape[0])
-    a = local_scale_affinity(d, cfg)
-    n_mat = normalized_affinity(a)
-    _, vecs = sym_eigen_topk(n_mat, cfg.k)
+    return _embed(d, cfg)
+
+
+def _embed(d: np.ndarray, cfg: SpecVatConfig) -> np.ndarray:
+    _, vecs = _eigen_topk(_normalize(_affinity(d, cfg)), cfg.k)
     norms = np.linalg.norm(vecs, axis=1)
     zero_rows = norms == 0.0
     if zero_rows.any():
         warnings.warn(
             f"{int(zero_rows.sum())} embedding row(s) are identically zero "
             "(isolated points); left unnormalized",
-            stacklevel=2,
+            stacklevel=3,
         )
     scale = np.where(zero_rows, 1.0, norms)
     return vecs / scale[:, np.newaxis]
@@ -152,11 +166,16 @@ def spectral_embedding(m, cfg: SpecVatConfig) -> np.ndarray:
 
 def specvat(m, cfg: SpecVatConfig = SpecVatConfig()) -> SpecVatResult:
     """Embed, re-measure distances, and run VAT on the embedded space."""
-    embedding = spectral_embedding(m, cfg)
+    d = check_dissim(m)
+    cfg.validate(d.shape[0])
+    return _specvat(d, cfg)
+
+
+def _specvat(d: np.ndarray, cfg: SpecVatConfig) -> SpecVatResult:
+    embedding = _embed(d, cfg)
     d_prime = euclidean_dissim(embedding)
-    ordering = vat_order(d_prime)
-    image = odi_from(d_prime, ordering)
-    return SpecVatResult(embedding, d_prime, ordering, image)
+    ordering = _vat_order(d_prime)
+    return SpecVatResult(embedding, d_prime, ordering, _odi(d_prime, ordering.order))
 
 
 def a_specvat_select_k(
@@ -172,13 +191,15 @@ def a_specvat_select_k(
     Structureless input -- constant distances, or images with a single
     intensity -- scores 0 and falls back to k = 2 with a warning.
     """
-    d = check_dissim(m)
+    return _select_k(check_dissim(m), cfg, score_fn)
+
+
+def _select_k(d: np.ndarray, cfg: SpecVatConfig, score_fn=None):
     n = d.shape[0]
-    if cfg.k_max < 2:
-        raise InputError(f"k_max={cfg.k_max} must be at least 2")
-    k_hi = min(cfg.k_max, n - 1)
-    if k_hi < 2:
+    if n < 3:
         raise InputError(f"need at least 3 points to scan k >= 2, got n={n}")
+    replace(cfg, k=2).validate(n)  # once for the scan; k <= k_hi <= n-1
+    k_hi = min(cfg.k_max, n - 1)
     if score_fn is None:
         score_fn = otsu_effectiveness
 
@@ -188,13 +209,13 @@ def a_specvat_select_k(
         warnings.warn(
             "constant-distance matrix has no spectral structure; "
             "k selection is degenerate, returning k=2",
-            stacklevel=2,
+            stacklevel=3,
         )
         return 2, {k: 0.0 for k in ks}
 
     scores: dict[int, float] = {}
     for k in ks:
-        image = specvat(d, replace(cfg, k=k)).image
+        image = _specvat(d, replace(cfg, k=k)).image
         try:
             scores[k] = float(score_fn(image))
         except DegenerateImageError:
@@ -206,6 +227,6 @@ def a_specvat_select_k(
     if all(v == 0.0 for v in scores.values()):
         warnings.warn(
             "every candidate k produced a degenerate image; returning k=2",
-            stacklevel=2,
+            stacklevel=3,
         )
     return best_k, scores

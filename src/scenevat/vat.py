@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .matrix import check_dissim, check_permutation, permute_matrix
+from .matrix import check_dissim, check_permutation
 from .vatf import atomic_write_bytes
 
 
@@ -49,7 +49,10 @@ class VatOrdering:
 
 def vat_order(m) -> VatOrdering:
     """Reorder a dissimilarity matrix so similar records become neighbours."""
-    d = check_dissim(m)
+    return _vat_order(check_dissim(m))
+
+
+def _vat_order(d: np.ndarray) -> VatOrdering:
     n = d.shape[0]
     order = np.empty(n, dtype=np.int64)
     link = np.zeros(n, dtype=np.float64)
@@ -84,11 +87,11 @@ def odi_from(m, ordering: VatOrdering) -> np.ndarray:
     zero-range matrix renders all black.
     """
     d = check_dissim(m)
-    if len(ordering) != d.shape[0]:
-        raise InputError(
-            f"ordering length {len(ordering)} does not match matrix size {d.shape[0]}"
-        )
-    ordered = permute_matrix(d, ordering.order)
+    return _odi(d, check_permutation(ordering.order, d.shape[0]))
+
+
+def _odi(d: np.ndarray, order: np.ndarray) -> np.ndarray:
+    ordered = d[np.ix_(order, order)]
     dmax = ordered.max()
     if dmax <= 0:
         return np.zeros(ordered.shape, dtype=np.uint8)
@@ -98,8 +101,9 @@ def odi_from(m, ordering: VatOrdering) -> np.ndarray:
 
 def vat_image(m) -> tuple[VatOrdering, np.ndarray]:
     """Convenience: reorder and render in one call."""
-    ordering = vat_order(m)
-    return ordering, odi_from(m, ordering)
+    d = check_dissim(m)
+    ordering = _vat_order(d)
+    return ordering, _odi(d, ordering.order)
 
 
 def check_image(img) -> np.ndarray:

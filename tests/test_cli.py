@@ -224,3 +224,32 @@ def test_module_entry_point(tmp_path):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_flags_only_on_subcommands_that_read_them(tmp_path):
+    syn = tmp_path / "syn"
+    assert main(["synth", "--mode", "blocks", "--sizes", "4,4",
+                 "--out", str(syn)]) == 0
+    for extra in (["--threads", "2"], ["--config", "c.json"]):
+        with pytest.raises(SystemExit) as err:
+            main(["vat", "--dissim", str(syn / "dissim.vatf"),
+                  "--out", str(tmp_path / "o")] + extra)
+        assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["specvat", "--dissim", str(syn / "dissim.vatf"),
+              "--threads", "2", "--out", str(tmp_path / "o")])
+    assert err.value.code == 2
+
+
+def test_specvat_k_out_of_range_and_too_few_records_exit_2(tmp_path, capsys):
+    syn = tmp_path / "syn"
+    assert main(["synth", "--mode", "blocks", "--sizes", "1,1",
+                 "--out", str(syn)]) == 0
+    two = str(syn / "dissim.vatf")
+    assert main(["specvat", "--dissim", two, "--out", str(tmp_path / "a")]) == 2
+    assert "at least 3 points" in capsys.readouterr().err
+    assert main(["specvat", "--dissim", two, "--k", "2",
+                 "--out", str(tmp_path / "b")]) == 2
+    assert main(["specvat", "--dissim", two, "--k", "1",
+                 "--out", str(tmp_path / "c")]) == 0
+    assert read_vatf(tmp_path / "c" / "d_prime.vatf").shape == (2, 2)

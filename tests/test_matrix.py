@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from scenevat.errors import InputError
 from scenevat.matrix import (
+    as_features,
     check_dissim,
     check_permutation,
     euclidean_dissim,
     invert_permutation,
-    pairwise_dissim,
     permute_matrix,
     validate_dissim,
     zscore,
@@ -129,23 +130,35 @@ def test_check_permutation_rejects_repeats():
         check_permutation([0, 1, 1], 3)
 
 
-def test_tiled_path_matches_untiled_bitwise():
+def _tiled_euclidean(features, standardize=False, tile=1024):
+    """The former tiled kernel: cdist on upper-triangle tiles, mirrored."""
+    x = as_features(features)
+    if standardize:
+        x = zscore(x)
+    n = x.shape[0]
+    out = np.empty((n, n))
+    for i0 in range(0, n, tile):
+        i1 = min(i0 + tile, n)
+        for j0 in range(i0, n, tile):
+            j1 = min(j0 + tile, n)
+            block = cdist(x[i0:i1], x[j0:j1], metric="euclidean")
+            if i0 == j0:
+                block = np.triu(block)
+                block = block + block.T - np.diag(np.diagonal(block))
+            out[i0:i1, j0:j1] = block
+            if i0 != j0:
+                out[j0:j1, i0:i1] = block.T
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+@pytest.mark.parametrize("n", [1, 137, 1100])
+def test_euclidean_matches_tiled_kernel_bitwise(n, standardize):
     rng = np.random.Generator(np.random.Philox(key=8))
-    f = rng.normal(size=(137, 23))
-    full = euclidean_dissim(f, tile=4096)
-    for tile in (7, 16, 137):
-        assert np.array_equal(euclidean_dissim(f, tile=tile), full)
-
-
-def test_pairwise_custom_metric_hook():
-    # pluggable pair function: L1 on a toy set
-    def l1(a, b):
-        return np.abs(a[:, None, :] - b[None, :, :]).sum(axis=2)
-
-    f = np.array([[0.0, 0.0], [1.0, 2.0]])
-    m = pairwise_dissim(f, pair_fn=l1)
-    assert m[0, 1] == 3.0
-    assert validate_dissim(m) is None
+    f = rng.normal(loc=2.0, scale=5.0, size=(n, 23))
+    got = euclidean_dissim(f, standardize=standardize)
+    assert np.array_equal(got, _tiled_euclidean(f, standardize))
 
 
 def test_zscore_standardizes_and_keeps_constant_dims():
@@ -169,3 +182,12 @@ def test_standardize_flag_changes_distances():
 def test_check_dissim_raises_with_message():
     with pytest.raises(InputError):
         check_dissim(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+
+def test_symmetry_tolerance_scales_with_magnitude():
+    m = np.array([[0.0, 1e7], [np.nextafter(1e7, np.inf), 0.0]])
+    assert validate_dissim(m) is None  # 1 ulp at 1e7
+    m[1, 0] = 1e7 * (1.0 + 1e-9)
+    msg = validate_dissim(m)
+    assert msg is not None and "asymmetric" in msg
+    assert "np.float64" not in msg and "10000000.0 vs" in msg

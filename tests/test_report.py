@@ -290,3 +290,59 @@ def test_run_report_input_validation(tmp_path):
         run_report(mf, feats, "all", str(tmp_path / "b"), method="tsne")
     with pytest.raises(InputError, match="do not match manifest"):
         run_report(mf, feats[:-1], "all", str(tmp_path / "c"))
+
+
+def test_run_report_specvat_scan_skips_two_record_subset(tmp_path):
+    # London has exactly 2 records: too few for the k scan (k >= 2 needs 3).
+    feats, labels = gaussian_blobs(BlobSpec(3, 8, 8, 10.0, seed=2))
+    scenes = ["airport", "bus", "park"]
+    lines = ["path,scene,city"]
+    for i, lab in enumerate(labels):
+        lines.append(f"clip{i}.wav,{scenes[lab]},{'london' if i < 2 else 'paris'}")
+    mf = parse_manifest("\n".join(lines) + "\n")
+    cfg = ReportConfig(AudioConfig(), SpecVatConfig(k_max=5), CceConfig())
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning) as rec:
+        report = run_report(mf, feats, "by_city", str(out), method="specvat",
+                            config=cfg)
+    assert any("'london' has 2 record" in str(w.message) for w in rec)
+    assert {"subset": "london", "n": 2} in report["skipped"]
+    assert [e["subset"] for e in report["subsets"]] == ["paris"]
+    assert set(report["summary"]) == {"paris"}
+    for rel in ["paris/odi.pgm", "paris/cce.json", "report.json"]:
+        assert (out / rel).is_file(), rel
+    assert not (out / "london").exists()
+
+
+def test_run_report_k_scan_warnings_reach_the_caller(tmp_path):
+    # Six equidistant records: the scan warns that k selection is degenerate.
+    lines = ["path,scene,city"] + [f"a{i}.wav,airport,paris" for i in range(6)]
+    mf = parse_manifest("\n".join(lines) + "\n")
+    feats = 3.0 * np.eye(6)
+    with pytest.warns(UserWarning, match="constant-distance matrix"):
+        report = run_report(mf, feats, "all", str(tmp_path / "out"),
+                            method="specvat")
+    assert report["subsets"][0]["k"] == 2
+
+
+@pytest.mark.parametrize("method", ["vat", "specvat"])
+def test_run_report_validates_each_matrix_once(tmp_path, monkeypatch, method):
+    import scenevat
+
+    calls = []
+    original = scenevat.matrix.check_dissim
+
+    def counting(m):
+        calls.append(np.shape(m))
+        return original(m)
+
+    for mod in (scenevat.matrix, scenevat.vat, scenevat.specvat,
+                scenevat.report):
+        if getattr(mod, "check_dissim", None) is original:
+            monkeypatch.setattr(mod, "check_dissim", counting)
+    mf, feats = _blob_manifest_and_features()
+    cfg = ReportConfig(AudioConfig(), SpecVatConfig(k_max=4), CceConfig())
+    with pytest.warns(UserWarning, match="skipping"):
+        report = run_report(mf, feats, "by_scene", str(tmp_path / "out"),
+                            method=method, config=cfg)
+    assert len(calls) == len(report["subsets"]) == 3
