@@ -84,7 +84,8 @@ def validate_dissim(m) -> Optional[str]:
         i = int(nz[0])
         return f"diagonal entry at ({i}, {i}) is {float(diag[i])}, expected exactly 0"
     tol = SYMMETRY_RTOL * max(float(x.max()), -float(x.min()))
-    asym = np.abs(x - x.T)
+    asym = x - x.T
+    np.abs(asym, out=asym)
     if asym.max() > tol:
         i, j = np.argwhere(asym > tol)[0]
         return (

@@ -23,7 +23,7 @@ from .cce import CceConfig, cce_count
 from .errors import InputError
 from .manifest import CITIES, CITY_PALETTE, SCENE_PALETTE, SCENES, LabeledManifest
 from .matrix import check_dissim, euclidean_dissim
-from .specvat import SpecVatConfig, _select_k, _specvat
+from .specvat import SpecVatConfig, _embed, _select_k, _specvat
 from .stacks import label_stack, stack_csv, stack_svg
 from .vat import VatOrdering, _odi, _vat_order, ordering_to_json, write_pgm
 from .vatf import atomic_write_text, read_vatf, write_vatf
@@ -226,12 +226,12 @@ def analyze(dissim, method: str, spec_cfg: SpecVatConfig,
     if method == "vat":
         ordering = _vat_order(d)
         return Analysis(ordering, _odi(d, ordering.order))
-    scores = None
     if k is None:
-        k, scores = _select_k(d, spec_cfg)
-    cfg = replace(spec_cfg, k=k)
-    cfg.validate(d.shape[0])
-    result = _specvat(d, cfg)
+        k, scores, result = _select_k(d, spec_cfg)
+    else:
+        scores, cfg = None, replace(spec_cfg, k=k)
+        cfg.validate(d.shape[0])
+        result = _specvat(_embed(d, cfg))
     return Analysis(result.ordering, result.image, k, scores, result.d_prime)
 
 
@@ -254,7 +254,7 @@ def run_report(
     report (JSON).  A summary table of counts per subset is returned and
     written to ``report.json``.  SpecVAT subsets pick k automatically unless
     ``k`` is given, which is clamped to n-1.  Subsets with fewer than 2
-    records, or 3 when SpecVAT scans k, are skipped with a warning.
+    records, or 3 for SpecVAT, are skipped with a warning.
     """
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -274,8 +274,8 @@ def run_report(
         "skipped": [],
         "summary": {},
     }
-    # The k scan needs k >= 2, so at least 3 records.
-    min_n = 3 if method == "specvat" and k is None else 2
+    # SpecVAT needs k >= 2, so 3 records: with k = 1 every record maps to +1.
+    min_n = 3 if method == "specvat" else 2
     for name, idx, stack_kind in subsets:
         if idx.size < min_n:
             warnings.warn(

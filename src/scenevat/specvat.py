@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -151,14 +150,17 @@ def spectral_embedding(m, cfg: SpecVatConfig) -> np.ndarray:
 
 
 def _embed(d: np.ndarray, cfg: SpecVatConfig) -> np.ndarray:
-    _, vecs = _eigen_topk(_normalize(_affinity(d, cfg)), cfg.k)
+    return _unit_rows(_eigen_topk(_normalize(_affinity(d, cfg)), cfg.k)[1])
+
+
+def _unit_rows(vecs: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(vecs, axis=1)
     zero_rows = norms == 0.0
     if zero_rows.any():
         warnings.warn(
             f"{int(zero_rows.sum())} embedding row(s) are identically zero "
             "(isolated points); left unnormalized",
-            stacklevel=3,
+            stacklevel=4,
         )
     scale = np.where(zero_rows, 1.0, norms)
     return vecs / scale[:, np.newaxis]
@@ -168,42 +170,38 @@ def specvat(m, cfg: SpecVatConfig = SpecVatConfig()) -> SpecVatResult:
     """Embed, re-measure distances, and run VAT on the embedded space."""
     d = check_dissim(m)
     cfg.validate(d.shape[0])
-    return _specvat(d, cfg)
+    return _specvat(_embed(d, cfg))
 
 
-def _specvat(d: np.ndarray, cfg: SpecVatConfig) -> SpecVatResult:
-    embedding = _embed(d, cfg)
+def _specvat(embedding: np.ndarray) -> SpecVatResult:
     d_prime = euclidean_dissim(embedding)
     ordering = _vat_order(d_prime)
     return SpecVatResult(embedding, d_prime, ordering, _odi(d_prime, ordering.order))
 
 
 def a_specvat_select_k(
-    m,
-    cfg: SpecVatConfig = SpecVatConfig(),
-    score_fn: Optional[Callable[[np.ndarray], float]] = None,
+    m, cfg: SpecVatConfig = SpecVatConfig()
 ) -> tuple[int, dict[int, float]]:
     """Pick the eigenvector count whose image binarizes most cleanly.
 
-    Scans k = 2 .. k_max (capped at n-1), scoring each SpecVAT image with
-    ``score_fn`` (default: Otsu between-class variance over total variance,
-    in [0, 1]).  Returns the best k (smallest on ties) and all scores.
-    Structureless input -- constant distances, or images with a single
-    intensity -- scores 0 and falls back to k = 2 with a warning.
+    Scans k = 2 .. k_max (capped at n-1), scoring each SpecVAT image by
+    Otsu's between-class variance over total variance, in [0, 1].  Returns
+    the best k (smallest on ties) and all scores.  Structureless input --
+    constant distances, or images with a single intensity -- scores 0 and
+    falls back to k = 2 with a warning.
     """
-    return _select_k(check_dissim(m), cfg, score_fn)
+    return _select_k(check_dissim(m), cfg)[:2]
 
 
-def _select_k(d: np.ndarray, cfg: SpecVatConfig, score_fn=None):
+def _select_k(d: np.ndarray, cfg: SpecVatConfig):
+    # Also returns the winner's SpecVatResult.  One spectrum serves every k:
+    # the affinity does not depend on k and the sign rule is per column.
     n = d.shape[0]
     if n < 3:
         raise InputError(f"need at least 3 points to scan k >= 2, got n={n}")
-    replace(cfg, k=2).validate(n)  # once for the scan; k <= k_hi <= n-1
-    k_hi = min(cfg.k_max, n - 1)
-    if score_fn is None:
-        score_fn = otsu_effectiveness
-
-    ks = range(2, k_hi + 1)
+    replace(cfg, k=2).validate(n)  # once for the scan; k <= n-1
+    ks = range(2, min(cfg.k_max, n - 1) + 1)
+    vecs = _eigen_topk(_normalize(_affinity(d, cfg)), ks[-1])[1]
     offdiag = d[~np.eye(n, dtype=bool)]
     if offdiag.size and offdiag.max() == offdiag.min():
         warnings.warn(
@@ -211,22 +209,20 @@ def _select_k(d: np.ndarray, cfg: SpecVatConfig, score_fn=None):
             "k selection is degenerate, returning k=2",
             stacklevel=3,
         )
-        return 2, {k: 0.0 for k in ks}
+        return 2, dict.fromkeys(ks, 0.0), _specvat(_unit_rows(vecs[:, :2]))
 
     scores: dict[int, float] = {}
-    for k in ks:
-        image = _specvat(d, replace(cfg, k=k)).image
+    for k in ks:  # keep only the best result: n x n images add up over k
+        result = _specvat(_unit_rows(vecs[:, :k]))
         try:
-            scores[k] = float(score_fn(image))
+            scores[k] = float(otsu_effectiveness(result.image))
         except DegenerateImageError:
             scores[k] = 0.0
-    best_k = min(ks)
-    for k in ks:
-        if scores[k] > scores[best_k]:
-            best_k = k
+        if k == 2 or scores[k] > scores[best_k]:
+            best_k, best = k, result
     if all(v == 0.0 for v in scores.values()):
         warnings.warn(
             "every candidate k produced a degenerate image; returning k=2",
             stacklevel=3,
         )
-    return best_k, scores
+    return best_k, scores, best

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 
@@ -292,8 +293,7 @@ def test_run_report_input_validation(tmp_path):
         run_report(mf, feats[:-1], "all", str(tmp_path / "c"))
 
 
-def test_run_report_specvat_scan_skips_two_record_subset(tmp_path):
-    # London has exactly 2 records: too few for the k scan (k >= 2 needs 3).
+def _specvat_report_with_two_record_london(out, k=None):
     feats, labels = gaussian_blobs(BlobSpec(3, 8, 8, 10.0, seed=2))
     scenes = ["airport", "bus", "park"]
     lines = ["path,scene,city"]
@@ -301,14 +301,33 @@ def test_run_report_specvat_scan_skips_two_record_subset(tmp_path):
         lines.append(f"clip{i}.wav,{scenes[lab]},{'london' if i < 2 else 'paris'}")
     mf = parse_manifest("\n".join(lines) + "\n")
     cfg = ReportConfig(AudioConfig(), SpecVatConfig(k_max=5), CceConfig())
-    out = tmp_path / "out"
     with pytest.warns(UserWarning) as rec:
         report = run_report(mf, feats, "by_city", str(out), method="specvat",
-                            config=cfg)
+                            config=cfg, k=k)
+    return report, rec
+
+
+def test_run_report_specvat_scan_skips_two_record_subset(tmp_path):
+    # London has exactly 2 records: too few for the k scan (k >= 2 needs 3).
+    out = tmp_path / "out"
+    report, rec = _specvat_report_with_two_record_london(out)
     assert any("'london' has 2 record" in str(w.message) for w in rec)
     assert {"subset": "london", "n": 2} in report["skipped"]
     assert [e["subset"] for e in report["subsets"]] == ["paris"]
     assert set(report["summary"]) == {"paris"}
+    for rel in ["paris/odi.pgm", "paris/cce.json", "report.json"]:
+        assert (out / rel).is_file(), rel
+    assert not (out / "london").exists()
+
+
+def test_run_report_specvat_explicit_k_skips_two_record_subset(tmp_path):
+    # k=3 would be clamped to 1 on London's 2 records, and one eigenvector
+    # maps both to +1: a constant image that used to end the whole report.
+    out = tmp_path / "out"
+    report, rec = _specvat_report_with_two_record_london(out, k=3)
+    assert any("'london' has 2 record" in str(w.message) for w in rec)
+    assert {"subset": "london", "n": 2} in report["skipped"]
+    assert [(e["subset"], e["k"]) for e in report["subsets"]] == [("paris", 3)]
     for rel in ["paris/odi.pgm", "paris/cce.json", "report.json"]:
         assert (out / rel).is_file(), rel
     assert not (out / "london").exists()
@@ -327,17 +346,17 @@ def test_run_report_k_scan_warnings_reach_the_caller(tmp_path):
 
 @pytest.mark.parametrize("method", ["vat", "specvat"])
 def test_run_report_validates_each_matrix_once(tmp_path, monkeypatch, method):
-    import scenevat
-
+    # by name: the package attribute ``scenevat.specvat`` is the function
+    mods = [importlib.import_module(f"scenevat.{m}")
+            for m in ("matrix", "vat", "specvat", "report")]
     calls = []
-    original = scenevat.matrix.check_dissim
+    original = mods[0].check_dissim
 
     def counting(m):
         calls.append(np.shape(m))
         return original(m)
 
-    for mod in (scenevat.matrix, scenevat.vat, scenevat.specvat,
-                scenevat.report):
+    for mod in mods:
         if getattr(mod, "check_dissim", None) is original:
             monkeypatch.setattr(mod, "check_dissim", counting)
     mf, feats = _blob_manifest_and_features()
@@ -346,3 +365,21 @@ def test_run_report_validates_each_matrix_once(tmp_path, monkeypatch, method):
         report = run_report(mf, feats, "by_scene", str(tmp_path / "out"),
                             method=method, config=cfg)
     assert len(calls) == len(report["subsets"]) == 3
+
+
+def test_run_report_k_scan_runs_one_eigh_per_subset(tmp_path, monkeypatch):
+    calls = []
+    original = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)  # as in specvat._eigen_topk
+    mf, feats = _blob_manifest_and_features()
+    cfg = ReportConfig(AudioConfig(), SpecVatConfig(k_max=4), CceConfig())
+    with pytest.warns(UserWarning, match="skipping"):
+        report = run_report(mf, feats, "by_scene", str(tmp_path / "out"),
+                            method="specvat", config=cfg)
+    assert [set(e["k_scores"]) for e in report["subsets"]] == [{"2", "3", "4"}] * 3
+    assert calls == [(10, 10)] * 3

@@ -1,9 +1,14 @@
+import importlib
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from scenevat.cce import cce_count
-from scenevat.errors import InputError
-from scenevat.matrix import permute_matrix, validate_dissim
+from scenevat.cce import cce_count, otsu_effectiveness
+from scenevat.errors import DegenerateImageError, InputError
+from scenevat.matrix import euclidean_dissim, permute_matrix, validate_dissim
+from scenevat.report import analyze
 from scenevat.specvat import (
     SpecVatConfig,
     a_specvat_select_k,
@@ -13,7 +18,7 @@ from scenevat.specvat import (
     specvat,
     sym_eigen_topk,
 )
-from scenevat.synth import block_dissim
+from scenevat.synth import BlobSpec, block_dissim, gaussian_blobs
 
 from conftest import random_dissim
 
@@ -220,12 +225,13 @@ def test_select_k_constant_distances_degenerate():
     assert all(v == 0.0 for v in scores.values())
 
 
-def test_select_k_smallest_on_ties():
-    # score hook forcing a tie across every k
+def test_select_k_smallest_on_ties(monkeypatch):
+    # a scorer forcing a tie across every k
+    # (``scenevat.specvat`` is the function; the module is imported by name)
+    module = importlib.import_module("scenevat.specvat")
+    monkeypatch.setattr(module, "otsu_effectiveness", lambda img: 0.5)
     m = block_dissim([6, 6, 6], 0.01, 1.0)
-    k, scores = a_specvat_select_k(
-        m, SpecVatConfig(k_max=5), score_fn=lambda img: 0.5
-    )
+    k, scores = a_specvat_select_k(m, SpecVatConfig(k_max=5))
     assert k == 2
     assert all(v == 0.5 for v in scores.values())
 
@@ -235,6 +241,89 @@ def test_select_k_cap_at_n_minus_1():
     k, scores = a_specvat_select_k(m, SpecVatConfig(k_max=10, knn_scale=2))
     assert set(scores) <= {2, 3}
     assert k in scores
+
+
+def _isolated_blocks():
+    # two far points whose affinities underflow: zero embedding rows
+    m = np.full((20, 20), 50.0)
+    m[:18, :18] = block_dissim([6, 6, 6], 0.01, 1.0)
+    np.fill_diagonal(m, 0.0)
+    return m
+
+
+SCAN_FIXTURES = {
+    "three_ideal_blocks": (
+        lambda: block_dissim([10, 10, 10], 0.01, 1.0),
+        SpecVatConfig(k_max=6, knn_scale=10),
+    ),
+    "isolated_points": (_isolated_blocks, SpecVatConfig(k_max=6, knn_scale=3)),
+    "n4_capped": (
+        lambda: block_dissim([2, 2], 0.01, 1.0),
+        SpecVatConfig(k_max=10, knn_scale=2),
+    ),
+    "blobs_240": (
+        lambda: euclidean_dissim(gaussian_blobs(BlobSpec(4, 60, 8, 4.0, seed=5))[0]),
+        SpecVatConfig(),
+    ),
+    "constant": (lambda: np.ones((8, 8)) - np.eye(8), SpecVatConfig()),
+}
+
+
+def _per_k_specvat(m, cfg):
+    """Public specvat at each k of the scan, as the reference."""
+    n = m.shape[0]
+    return {k: specvat(m, replace(cfg, k=k))
+            for k in range(2, min(cfg.k_max, n - 1) + 1)}
+
+
+def _score(image):
+    try:
+        return float(otsu_effectiveness(image))
+    except DegenerateImageError:
+        return 0.0
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("name", sorted(SCAN_FIXTURES))
+def test_select_k_scan_equals_per_k_specvat(name):
+    make, cfg = SCAN_FIXTURES[name]
+    m = make()
+    k, scores = a_specvat_select_k(m, cfg)
+    if name == "constant":
+        expect = {kk: 0.0 for kk in _per_k_specvat(m, cfg)}
+    else:
+        expect = {kk: _score(r.image) for kk, r in _per_k_specvat(m, cfg).items()}
+    assert scores == expect
+    assert k == max(expect, key=expect.get)  # first, so smallest, of the best
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("name", sorted(SCAN_FIXTURES))
+def test_analyze_scan_winner_matches_specvat_bitwise(name):
+    make, cfg = SCAN_FIXTURES[name]
+    m = make()
+    got = analyze(m, "specvat", cfg)
+    ref = specvat(m, replace(cfg, k=got.k))
+    for a, b in [(got.ordering.order, ref.ordering.order),
+                 (got.ordering.link_dist, ref.ordering.link_dist),
+                 (got.image, ref.image),
+                 (got.d_prime, ref.d_prime)]:
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_select_k_warns_zero_rows_once_per_candidate():
+    m, cfg = _isolated_blocks(), SpecVatConfig(k_max=6, knn_scale=3)
+
+    def zero_row_messages(fn):
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            fn()
+        return [str(w.message) for w in rec if "identically zero" in str(w.message)]
+
+    scan = zero_row_messages(lambda: a_specvat_select_k(m, cfg))
+    per_k = zero_row_messages(lambda: _per_k_specvat(m, cfg))
+    assert scan and scan == per_k
 
 
 def test_config_validation_bounds():
