@@ -17,6 +17,8 @@ from .errors import InputError
 
 # Symmetry tolerance, relative to the largest magnitude in the matrix.
 SYMMETRY_RTOL = 1e-12
+# Rows per band of the symmetry check, which needs no n x n temporary.
+SYMMETRY_BAND = 256
 
 
 def as_features(values) -> np.ndarray:
@@ -74,27 +76,31 @@ def validate_dissim(m) -> Optional[str]:
         return f"matrix is not square: shape {x.shape}"
     if x.shape[0] < 1:
         return "matrix is empty"
-    bad = np.argwhere(~np.isfinite(x))
-    if bad.size:
-        i, j = bad[0]
+    if not np.isfinite(x).all():
+        i, j = np.argwhere(~np.isfinite(x))[0]
         return f"non-finite value at ({i}, {j})"
     diag = np.diagonal(x)
     nz = np.flatnonzero(diag != 0.0)
     if nz.size:
         i = int(nz[0])
         return f"diagonal entry at ({i}, {i}) is {float(diag[i])}, expected exactly 0"
-    tol = SYMMETRY_RTOL * max(float(x.max()), -float(x.min()))
-    asym = x - x.T
-    np.abs(asym, out=asym)
-    if asym.max() > tol:
-        i, j = np.argwhere(asym > tol)[0]
-        return (
-            f"asymmetric entry at ({i}, {j}): "
-            f"{float(x[i, j])} vs {float(x[j, i])} (tolerance {tol})"
-        )
-    neg = np.argwhere(x < 0)
-    if neg.size:
-        i, j = neg[0]
+    x_min = float(x.min())
+    tol = SYMMETRY_RTOL * max(float(x.max()), -x_min)
+    # |x - x.T| is symmetric, so the first offender in row-major order lies
+    # above the diagonal: scan bands of rows against their mirror columns.
+    n = x.shape[0]
+    for i0 in range(0, n, SYMMETRY_BAND):
+        i1 = min(i0 + SYMMETRY_BAND, n)
+        asym = x[i0:i1, i0:] - x[i0:, i0:i1].T
+        np.abs(asym, out=asym)
+        if asym.max() > tol:
+            i, j = np.argwhere(asym > tol)[0] + i0
+            return (
+                f"asymmetric entry at ({i}, {j}): "
+                f"{float(x[i, j])} vs {float(x[j, i])} (tolerance {tol})"
+            )
+    if x_min < 0:
+        i, j = np.argwhere(x < 0)[0]
         return f"negative entry at ({i}, {j}): {float(x[i, j])}"
     return None
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .audio import AudioConfig, extract_features
 from .cce import CceConfig, cce_count
-from .errors import InputError
+from .errors import DegenerateImageError, InputError
 from .manifest import CITIES, CITY_PALETTE, SCENE_PALETTE, SCENES, LabeledManifest
 from .matrix import check_dissim, euclidean_dissim
 from .specvat import SpecVatConfig, _embed, _select_k, _specvat
@@ -254,7 +254,11 @@ def run_report(
     report (JSON).  A summary table of counts per subset is returned and
     written to ``report.json``.  SpecVAT subsets pick k automatically unless
     ``k`` is given, which is clamped to n-1.  Subsets with fewer than 2
-    records, or 3 for SpecVAT, are skipped with a warning.
+    records, or 3 for SpecVAT, are skipped with a warning, and so are
+    subsets whose image is degenerate (a single intensity), which are
+    listed under ``skipped`` with a ``reason``.  DegenerateImageError is
+    raised, after ``report.json`` is written, only when no subset could be
+    analysed.
     """
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -284,13 +288,19 @@ def run_report(
             )
             report["skipped"].append({"subset": name, "n": int(idx.size)})
             continue
-        subset_dir = os.path.join(out_dir, name)
-        os.makedirs(subset_dir, exist_ok=True)
-
         dissim = euclidean_dissim(features[idx], standardize=standardize)
-        result = analyze(dissim, method, config.spec,
-                         None if k is None else min(k, idx.size - 1))
-        ordering, image = result.ordering, result.image
+        try:
+            result = analyze(dissim, method, config.spec,
+                             None if k is None else min(k, idx.size - 1))
+            cce = cce_count(result.image, config.cce)
+        except DegenerateImageError as exc:
+            warnings.warn(f"subset {name!r} is degenerate ({exc}); skipping",
+                          stacklevel=2)
+            report["skipped"].append(
+                {"subset": name, "n": int(idx.size), "reason": str(exc)}
+            )
+            continue
+        ordering = result.ordering
         entry: dict = {"subset": name, "n": int(idx.size)}
         if result.k is not None:
             entry["k"] = int(result.k)
@@ -299,13 +309,13 @@ def run_report(
                 str(kk): v for kk, v in sorted(result.k_scores.items())
             }
 
-        write_pgm(image, os.path.join(subset_dir, "odi.pgm"))
+        subset_dir = os.path.join(out_dir, name)
+        os.makedirs(subset_dir, exist_ok=True)
+        write_pgm(result.image, os.path.join(subset_dir, "odi.pgm"))
         atomic_write_text(
             os.path.join(subset_dir, "ordering.json"), ordering_to_json(ordering)
         )
         write_vatf(os.path.join(subset_dir, "dissim.vatf"), dissim)
-
-        cce = cce_count(image, config.cce)
         atomic_write_text(os.path.join(subset_dir, "cce.json"), cce.to_json())
         entry["cluster_count"] = cce.cluster_count
         entry["otsu_threshold"] = cce.otsu_threshold
@@ -328,4 +338,8 @@ def run_report(
         os.path.join(out_dir, "report.json"),
         json.dumps(report, sort_keys=True, indent=2) + "\n",
     )
+    if not report["subsets"] and any("reason" in e for e in report["skipped"]):
+        raise DegenerateImageError(
+            f"no subset could be analysed; see {os.path.join(out_dir, 'report.json')}"
+        )
     return report

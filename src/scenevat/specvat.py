@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 
 from .cce import otsu_effectiveness
 from .errors import DegenerateImageError, InputError, NumericError
@@ -71,12 +72,15 @@ def local_scale_affinity(m, cfg: SpecVatConfig = SpecVatConfig()) -> np.ndarray:
 
 
 def _affinity(d: np.ndarray, cfg: SpecVatConfig) -> np.ndarray:
+    # The diagonal is exactly 0 and no entry is negative, so the kth entry
+    # of a sorted row is its kth nearest neighbour other than itself.
     kth = min(cfg.knn_scale, d.shape[0] - 1)
-    offdiag = d.copy()
-    np.fill_diagonal(offdiag, np.inf)
-    sigma = np.partition(offdiag, kth - 1, axis=1)[:, kth - 1]
+    sigma = np.partition(d, kth, axis=1)[:, kth]
     sigma = np.maximum(sigma, cfg.sigma_floor)
-    a = np.exp(-(d * d) / np.outer(sigma, sigma))
+    a = d * d
+    np.negative(a, out=a)
+    a /= np.outer(sigma, sigma)
+    np.exp(a, out=a)
     np.fill_diagonal(a, 0.0)
     return a
 
@@ -107,6 +111,10 @@ def _normalize(x: np.ndarray) -> np.ndarray:
 def sym_eigen_topk(n_mat, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k eigenpairs of a symmetric matrix, eigenvalues descending.
 
+    Only the top k pairs are solved for (LAPACK's ``evr`` driver through
+    ``scipy.linalg.eigh(subset_by_index=...)``).  When that solver returns
+    fewer than k pairs -- the subset boundary splits a cluster of exactly
+    tied eigenvalues -- the full ``np.linalg.eigh`` is sliced instead.
     Eigenvectors are orthonormal columns with a deterministic sign: the
     first component larger than 1e-12 in magnitude is made positive.
     Residuals satisfy ``|N v - lambda v| <= 1e-8 * |N|_F``.
@@ -123,9 +131,16 @@ def sym_eigen_topk(n_mat, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eigen_topk(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    # The subset solve's last bits depend on k: callers that must agree
+    # with each other ask for the same k and slice.
     sym = 0.5 * (x + x.T)
+    n = sym.shape[0]
     try:
-        vals, vecs = np.linalg.eigh(sym)
+        vals, vecs = scipy.linalg.eigh(
+            sym, subset_by_index=[n - k, n - 1], check_finite=False
+        )
+        if vecs.shape[1] < k:  # tied eigenvalues across the boundary
+            vals, vecs = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
     vals = vals[::-1][:k].copy()
@@ -150,7 +165,11 @@ def spectral_embedding(m, cfg: SpecVatConfig) -> np.ndarray:
 
 
 def _embed(d: np.ndarray, cfg: SpecVatConfig) -> np.ndarray:
-    return _unit_rows(_eigen_topk(_normalize(_affinity(d, cfg)), cfg.k)[1])
+    # As many pairs as the k scan solves for, so an explicit k and the
+    # scan's candidate at that k embed the same columns bit for bit.
+    k_hi = max(cfg.k, min(cfg.k_max, d.shape[0] - 1))
+    vecs = _eigen_topk(_normalize(_affinity(d, cfg)), k_hi)[1]
+    return _unit_rows(vecs[:, :cfg.k])
 
 
 def _unit_rows(vecs: np.ndarray) -> np.ndarray:

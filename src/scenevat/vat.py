@@ -95,8 +95,13 @@ def _odi(d: np.ndarray, order: np.ndarray) -> np.ndarray:
     dmax = ordered.max()
     if dmax <= 0:
         return np.zeros(ordered.shape, dtype=np.uint8)
-    # floor(x + 0.5) is round-half-away-from-zero for nonnegative x.
-    return np.floor(255.0 * ordered / dmax + 0.5).astype(np.uint8)
+    # floor(x + 0.5) is round-half-away-from-zero for nonnegative x; in
+    # place, in the order of floor(255 * x / dmax + 0.5).
+    ordered *= 255.0
+    ordered /= dmax
+    ordered += 0.5
+    np.floor(ordered, out=ordered)
+    return ordered.astype(np.uint8)
 
 
 def vat_image(m) -> tuple[VatOrdering, np.ndarray]:

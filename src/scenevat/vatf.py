@@ -23,11 +23,16 @@ _HEADER = struct.Struct("<4sIII")
 
 
 def vatf_bytes(values) -> bytes:
+    header, x = _vatf_parts(values)
+    return header + x.tobytes(order="C")
+
+
+def _vatf_parts(values) -> tuple[bytes, np.ndarray]:
     x = np.ascontiguousarray(values, dtype="<f8")
     if x.ndim != 2:
         raise InputError(f"VATF stores 2-D matrices, got {x.ndim}-D")
     n, d = x.shape
-    return _HEADER.pack(MAGIC, VERSION, n, d) + x.tobytes(order="C")
+    return _HEADER.pack(MAGIC, VERSION, n, d), x
 
 
 def parse_vatf(data: bytes) -> np.ndarray:
@@ -48,9 +53,9 @@ def parse_vatf(data: bytes) -> np.ndarray:
 
 
 def write_vatf(path, values) -> None:
-    """Write atomically (temp file + rename)."""
-    data = vatf_bytes(values)
-    atomic_write_bytes(path, data)
+    """Write atomically (temp file + rename), without copying the values."""
+    header, x = _vatf_parts(values)
+    atomic_write_bytes(path, header, x.reshape(-1).view(np.uint8))
 
 
 def read_vatf(path) -> np.ndarray:
@@ -65,14 +70,16 @@ def read_vatf(path) -> np.ndarray:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
+def atomic_write_bytes(path, *chunks) -> None:
+    """Write the chunks (bytes-like) to a temp file, then rename it to path."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
+                for chunk in chunks:
+                    fh.write(chunk)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

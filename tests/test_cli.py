@@ -253,3 +253,47 @@ def test_specvat_k_out_of_range_and_too_few_records_exit_2(tmp_path, capsys):
     assert main(["specvat", "--dissim", two, "--k", "1",
                  "--out", str(tmp_path / "c")]) == 0
     assert read_vatf(tmp_path / "c" / "d_prime.vatf").shape == (2, 2)
+
+
+def _degenerate_city_inputs(tmp_path, paris_rows):
+    """London: 3 identical feature rows; Paris: ``paris_rows``."""
+    feats = np.vstack([np.ones((3, 4)), paris_rows])
+    write_vatf(tmp_path / "f.vatf", feats)
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(
+        "path,scene,city\n"
+        + "".join(f"l{i}.wav,airport,london\n" for i in range(3))
+        + "".join(f"p{i}.wav,bus,paris\n" for i in range(len(paris_rows)))
+    )
+    return ["report", "--manifest", str(manifest),
+            "--features", str(tmp_path / "f.vatf"), "--group", "by_city",
+            "--method", "vat", "--out", str(tmp_path / "o")]
+
+
+@pytest.mark.filterwarnings("ignore:subset .* has 0 record")
+def test_report_degenerate_subset_does_not_end_the_report(tmp_path, capsys):
+    # London's identical rows render a constant image with no Otsu threshold.
+    blobs = np.repeat([[0.0, 0.0, 0.0, 0.0], [9.0, 9.0, 9.0, 9.0]], 5, axis=0)
+    blobs += np.linspace(0.0, 0.1, 10)[:, np.newaxis]
+    argv = _degenerate_city_inputs(tmp_path, blobs)
+    with pytest.warns(UserWarning, match="'london' is degenerate"):
+        assert main(argv) == 0
+    assert "paris: 2" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert doc["summary"] == {"paris": 2}
+    [london] = [e for e in doc["skipped"] if e["subset"] == "london"]
+    assert london["n"] == 3 and "single intensity" in london["reason"]
+    assert (tmp_path / "o" / "paris" / "odi.pgm").is_file()
+    assert not (tmp_path / "o" / "london").exists()
+
+
+@pytest.mark.filterwarnings("ignore:subset .* has 0 record")
+def test_report_exits_3_only_when_no_subset_is_analysed(tmp_path, capsys):
+    argv = _degenerate_city_inputs(tmp_path, np.full((4, 4), 2.0))
+    with pytest.warns(UserWarning, match="is degenerate"):
+        assert main(argv) == 3
+    assert "no subset could be analysed" in capsys.readouterr().err
+    doc = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert doc["subsets"] == [] and doc["summary"] == {}
+    assert {e["subset"] for e in doc["skipped"] if "reason" in e} == {
+        "london", "paris"}

@@ -191,3 +191,66 @@ def test_symmetry_tolerance_scales_with_magnitude():
     msg = validate_dissim(m)
     assert msg is not None and "asymmetric" in msg
     assert "np.float64" not in msg and "10000000.0 vs" in msg
+
+
+def _validate_dissim_reference(m):
+    """The full-matrix check (one n x n ``x - x.T``), as the reference."""
+    x = np.asarray(m, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        return f"matrix is not square: shape {x.shape}"
+    if x.shape[0] < 1:
+        return "matrix is empty"
+    bad = np.argwhere(~np.isfinite(x))
+    if bad.size:
+        i, j = bad[0]
+        return f"non-finite value at ({i}, {j})"
+    diag = np.diagonal(x)
+    nz = np.flatnonzero(diag != 0.0)
+    if nz.size:
+        i = int(nz[0])
+        return f"diagonal entry at ({i}, {i}) is {float(diag[i])}, expected exactly 0"
+    tol = 1e-12 * max(float(x.max()), -float(x.min()))
+    asym = np.abs(x - x.T)
+    if asym.max() > tol:
+        i, j = np.argwhere(asym > tol)[0]
+        return (
+            f"asymmetric entry at ({i}, {j}): "
+            f"{float(x[i, j])} vs {float(x[j, i])} (tolerance {tol})"
+        )
+    neg = np.argwhere(x < 0)
+    if neg.size:
+        i, j = neg[0]
+        return f"negative entry at ({i}, {j}): {float(x[i, j])}"
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 256, 257, 600])
+def test_validate_messages_match_full_matrix_check(n):
+    # Bands of 256 rows: 257 and 600 put offenders in later bands and
+    # mirror pairs across band boundaries.
+    rng = np.random.Generator(np.random.Philox(key=500 + n))
+    base = random_dissim(rng, n)
+    strided = np.zeros((2 * n, 2 * n))
+    strided[::2, ::2] = base
+    cases = [base, base.T.copy(order="F"), strided[::2, ::2]]
+    for _ in range(12):
+        m = base.copy()
+        for _ in range(int(rng.integers(1, 4))):
+            i, j = rng.integers(0, n, size=2)
+            kind = rng.integers(0, 5)
+            if kind == 0 and i != j:
+                m[i, j] += 1e-3  # asymmetric pair (i, j) / (j, i)
+            elif kind == 1 and i != j:
+                m[i, j] = m[j, i] = -m[i, j]  # symmetric but negative
+            elif kind == 2:
+                m[i, i] = 0.5
+            elif kind == 3:
+                m[i, j] = [np.nan, np.inf, -np.inf][int(rng.integers(0, 3))]
+            elif i != j:
+                m[i, j] *= 1.0 + 1e-13  # within the symmetry tolerance
+        cases.append(m)
+    for m in cases:
+        assert validate_dissim(m) == _validate_dissim_reference(m)
+    hit = [validate_dissim(m) for m in cases]
+    if n >= 7:
+        assert any(h and "asymmetric" in h for h in hit)

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from scenevat.audio import AudioConfig
 from scenevat.cce import CceConfig
@@ -368,18 +369,21 @@ def test_run_report_validates_each_matrix_once(tmp_path, monkeypatch, method):
 
 
 def test_run_report_k_scan_runs_one_eigh_per_subset(tmp_path, monkeypatch):
-    calls = []
-    original = np.linalg.eigh
+    calls = {"subset": [], "full": []}
 
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return original(a, *args, **kwargs)
+    def counting(kind, original):
+        def wrapper(a, *args, **kwargs):
+            calls[kind].append(np.shape(a))
+            return original(a, *args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)  # as in specvat._eigen_topk
+    # as in specvat._eigen_topk: the subset solve, and its full fallback
+    monkeypatch.setattr(scipy.linalg, "eigh", counting("subset", scipy.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigh", counting("full", np.linalg.eigh))
     mf, feats = _blob_manifest_and_features()
     cfg = ReportConfig(AudioConfig(), SpecVatConfig(k_max=4), CceConfig())
     with pytest.warns(UserWarning, match="skipping"):
         report = run_report(mf, feats, "by_scene", str(tmp_path / "out"),
                             method="specvat", config=cfg)
     assert [set(e["k_scores"]) for e in report["subsets"]] == [{"2", "3", "4"}] * 3
-    assert calls == [(10, 10)] * 3
+    assert calls == {"subset": [(10, 10)] * 3, "full": []}

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from scenevat.cce import cce_count, otsu_effectiveness
 from scenevat.errors import DegenerateImageError, InputError
@@ -334,3 +335,93 @@ def test_config_validation_bounds():
         SpecVatConfig(knn_scale=0).validate(10)
     with pytest.raises(InputError):
         SpecVatConfig(sigma_floor=0.0).validate(10)
+
+
+# --------------------------------------------------------------------------
+# references: the affinity with copies, and the full eigensolve
+
+
+def _affinity_reference(d, cfg):
+    """The affinity as computed with an ``offdiag`` copy, as the reference."""
+    kth = min(cfg.knn_scale, d.shape[0] - 1)
+    offdiag = d.copy()
+    np.fill_diagonal(offdiag, np.inf)
+    sigma = np.partition(offdiag, kth - 1, axis=1)[:, kth - 1]
+    sigma = np.maximum(sigma, cfg.sigma_floor)
+    a = np.exp(-(d * d) / np.outer(sigma, sigma))
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+def test_affinity_matches_reference_bitwise():
+    rng = np.random.Generator(np.random.Philox(key=90))
+    signed_zero_diag = random_dissim(rng, 12)
+    np.fill_diagonal(signed_zero_diag, -0.0)
+    cases = [
+        (random_dissim(rng, 2), SpecVatConfig()),
+        (random_dissim(rng, 40), SpecVatConfig()),
+        (random_dissim(rng, 40), SpecVatConfig(knn_scale=1)),
+        (random_dissim(rng, 9), SpecVatConfig(knn_scale=50)),  # clamped
+        (signed_zero_diag, SpecVatConfig(knn_scale=3)),
+        (block_dissim([6, 6, 6], 0.01, 1.0), SpecVatConfig(knn_scale=5)),
+        (block_dissim([4, 4], 0.0, 1.0), SpecVatConfig(knn_scale=2)),  # floor
+        (np.ones((5, 5)) - np.eye(5), SpecVatConfig()),
+        (1e100 * (np.ones((4, 4)) - np.eye(4)), SpecVatConfig(knn_scale=1)),
+        (euclidean_dissim(gaussian_blobs(BlobSpec(3, 30, 8, 4.0, seed=3))[0]),
+         SpecVatConfig()),
+    ]
+    for d, cfg in cases:
+        got = local_scale_affinity(d, cfg)
+        ref = _affinity_reference(d, cfg)
+        assert got.tobytes() == ref.tobytes()
+
+
+def _three_block_permutations():
+    """The 100 permuted three-block matrices of acceptance 5, normalized."""
+    base = block_dissim([15, 15, 15], 0.01, 1.0)
+    rng = np.random.Generator(np.random.Philox(key=123))
+    for _ in range(100):
+        m = permute_matrix(base, rng.permutation(45))
+        yield normalized_affinity(local_scale_affinity(m, SpecVatConfig(k=3)))
+
+
+def test_eigen_topk_tied_boundary_returns_k_pairs():
+    # Eigenvalue -1/14 has multiplicity 42, so the top 10 split a tied
+    # cluster; the subset solver may then return fewer than 10 pairs.
+    for x in _three_block_permutations():
+        vals, vecs = sym_eigen_topk(x, 10)
+        assert vals.shape == (10,) and vecs.shape == (45, 10)
+        full = np.linalg.eigvalsh(x)[::-1][:10]
+        assert np.abs(vals - full).max() <= 1e-12
+        assert np.abs(vecs.T @ vecs - np.eye(10)).max() <= 1e-8
+
+
+def test_eigen_topk_short_subset_falls_back_to_full_eigh(monkeypatch):
+    x = next(_three_block_permutations())
+    original = scipy.linalg.eigh
+
+    def short(a, *args, **kwargs):
+        vals, vecs = original(a, *args, **kwargs)
+        return vals[1:], vecs[:, 1:]  # one pair short, as at a tied boundary
+
+    monkeypatch.setattr(scipy.linalg, "eigh", short)
+    vals, vecs = sym_eigen_topk(x, 10)
+    full_vals, full_vecs = np.linalg.eigh(x)
+    assert vals.tobytes() == full_vals[::-1][:10].tobytes()
+    assert np.array_equal(np.abs(vecs), np.abs(full_vecs[:, ::-1][:, :10]))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("name", sorted(SCAN_FIXTURES))
+def test_explicit_k_embeds_first_columns_of_scan_spectrum(name):
+    # The scan solves for min(k_max, n-1) pairs once; an explicit k solves
+    # for as many and slices, so the two agree bit for bit.
+    make, cfg = SCAN_FIXTURES[name]
+    m = make()
+    k_hi = min(cfg.k_max, m.shape[0] - 1)
+    top = sym_eigen_topk(normalized_affinity(local_scale_affinity(m, cfg)), k_hi)[1]
+    for k in range(1, k_hi + 1):
+        cols = top[:, :k]
+        norms = np.linalg.norm(cols, axis=1)
+        expect = cols / np.where(norms == 0.0, 1.0, norms)[:, np.newaxis]
+        assert spectral_embedding(m, replace(cfg, k=k)).tobytes() == expect.tobytes()

@@ -264,3 +264,34 @@ def test_ordering_json_rejects_garbage():
         ordering_from_json("{}")
     with pytest.raises(InputError):
         ordering_from_json('{"order": [0, 0], "link_dist": [0, 0]}')
+
+
+def _odi_reference(d, order):
+    """The out-of-place rendering, as the reference."""
+    ordered = d[np.ix_(order, order)]
+    dmax = ordered.max()
+    if dmax <= 0:
+        return np.zeros(ordered.shape, dtype=np.uint8)
+    return np.floor(255.0 * ordered / dmax + 0.5).astype(np.uint8)
+
+
+def test_odi_matches_out_of_place_rendering_bitwise():
+    rng = np.random.Generator(np.random.Philox(key=77))
+    # points on a line spanning 510: odd distances land on exact half steps
+    pos = np.array([0.0, 1.0, 3.0, 7.0, 510.0])
+    halves = np.abs(pos[:, None] - pos[None, :])
+    # entries near (m + 0.5) * dmax / 255: the rounding depends on the order
+    # of the multiply and the divide
+    near_half = np.zeros((24, 24))
+    iu = np.triu_indices(24, 1)
+    near_half[iu] = np.minimum((np.arange(iu[0].size) + 0.5) * 3.7 / 255.0, 3.7)
+    near_half += near_half.T
+    cases = [random_dissim(rng, n) for n in (1, 2, 3, 50, 301)]
+    cases += [halves, near_half, np.zeros((4, 4)),
+              1e300 * (np.ones((3, 3)) - np.eye(3))]
+    for d in cases:
+        ordering = vat_order(d)
+        got = odi_from(d, ordering)
+        ref = _odi_reference(d, ordering.order)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()

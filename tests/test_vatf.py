@@ -66,3 +66,13 @@ def test_write_is_atomic_no_partial_file(tmp_path):
     assert read_vatf(target).shape == (3, 3)
     leftovers = [p for p in tmp_path.iterdir() if p != target]
     assert leftovers == []
+
+
+def test_write_matches_vatf_bytes_for_any_layout(tmp_path):
+    rng = np.random.Generator(np.random.Philox(key=12))
+    m = rng.normal(size=(9, 6))
+    for values in (m, np.asfortranarray(m), m[::2, ::3], m.astype(">f8"),
+                   np.arange(6).reshape(2, 3), np.zeros((0, 4))):
+        path = tmp_path / "m.vatf"
+        write_vatf(path, values)
+        assert path.read_bytes() == vatf_bytes(values)
