@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateImageError, InputError
+from .matrix import SYMMETRY_BAND
 from .vat import check_image
 
 THRESHOLD_MODES = ("half_max", "zero")
@@ -77,8 +78,7 @@ def otsu_threshold(img) -> int:
     search is exhaustive over all 256 split points and the comparison is
     done in exact integer arithmetic, so plateaus resolve deterministically.
     """
-    x = check_image(img)
-    hist = np.bincount(x.reshape(-1), minlength=256).astype(np.int64)
+    hist = _histogram(check_image(img))
     if np.count_nonzero(hist) < 2:
         raise DegenerateImageError(
             "image has a single intensity level; no Otsu threshold exists"
@@ -105,6 +105,14 @@ def otsu_threshold(img) -> int:
         if num * best_den > best_num * den:
             best_t, best_num, best_den = t, num, den
     return best_t
+
+
+def _histogram(x: np.ndarray) -> np.ndarray:
+    # Row bands: bincount casts its input to intp, 8 bytes per pixel.
+    hist = np.zeros(256, dtype=np.int64)
+    for i0 in range(0, x.shape[0], SYMMETRY_BAND):
+        hist += np.bincount(x[i0:i0 + SYMMETRY_BAND].reshape(-1), minlength=256)
+    return hist
 
 
 def otsu_effectiveness(img) -> float:
@@ -137,10 +145,9 @@ def offdiag_signal(img, t: int, cfg: CceConfig = CceConfig()) -> np.ndarray:
     if x.shape[0] != x.shape[1]:
         raise InputError(f"expected a square image, got {x.shape}")
     w = cfg.resolve_band(n)
-    dark = x <= t
     signal = np.zeros(n - w, dtype=np.int64)
     for u in range(1, w + 1):
-        signal += np.diagonal(dark, offset=-u)[: n - w]
+        signal += np.diagonal(x, offset=-u)[: n - w] <= t
     return signal
 
 

@@ -17,7 +17,8 @@ from .errors import InputError
 
 # Symmetry tolerance, relative to the largest magnitude in the matrix.
 SYMMETRY_RTOL = 1e-12
-# Rows per band of the symmetry check, which needs no n x n temporary.
+# Rows per band of every banded n x n pass (the symmetry check, affinity,
+# normalization, ODI and Otsu histogram), so none needs an n x n temporary.
 SYMMETRY_BAND = 256
 
 

@@ -218,7 +218,8 @@ def analyze(dissim, method: str, spec_cfg: SpecVatConfig,
     """Order and render one dissimilarity matrix with VAT or SpecVAT.
 
     SpecVAT uses ``k`` eigenvectors, or picks k with the scan when ``k`` is
-    None.  The matrix is validated here and nowhere below.
+    None.  The matrix is validated here and nowhere below, and never
+    changed: the spectral steps work in a buffer of their own.
     """
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}; expected one of {METHODS}")

@@ -17,10 +17,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+from scipy.spatial.distance import cdist
 
 from .cce import otsu_effectiveness
 from .errors import DegenerateImageError, InputError, NumericError
-from .matrix import check_dissim, euclidean_dissim
+from .matrix import SYMMETRY_BAND, check_dissim
 from .vat import VatOrdering, _odi, _vat_order
 
 EIGEN_SYMMETRY_ATOL = 1e-10
@@ -73,14 +74,22 @@ def local_scale_affinity(m, cfg: SpecVatConfig = SpecVatConfig()) -> np.ndarray:
 
 def _affinity(d: np.ndarray, cfg: SpecVatConfig) -> np.ndarray:
     # The diagonal is exactly 0 and no entry is negative, so the kth entry
-    # of a sorted row is its kth nearest neighbour other than itself.
-    kth = min(cfg.knn_scale, d.shape[0] - 1)
-    sigma = np.partition(d, kth, axis=1)[:, kth]
-    sigma = np.maximum(sigma, cfg.sigma_floor)
-    a = d * d
-    np.negative(a, out=a)
-    a /= np.outer(sigma, sigma)
-    np.exp(a, out=a)
+    # of a sorted row is its kth nearest neighbour other than itself.  Row
+    # bands keep every temporary at SYMMETRY_BAND x n.
+    n = d.shape[0]
+    kth = min(cfg.knn_scale, n - 1)
+    bands = [slice(i0, i0 + SYMMETRY_BAND) for i0 in range(0, n, SYMMETRY_BAND)]
+    sigma = np.empty(n)
+    for rows in bands:
+        sigma[rows] = np.partition(d[rows], kth, axis=1)[:, kth]
+    np.maximum(sigma, cfg.sigma_floor, out=sigma)
+    a = np.empty((n, n))
+    for rows in bands:
+        band = a[rows]
+        np.multiply(d[rows], d[rows], out=band)
+        np.negative(band, out=band)
+        band /= np.outer(sigma[rows], sigma)
+        np.exp(band, out=band)
     np.fill_diagonal(a, 0.0)
     return a
 
@@ -92,9 +101,11 @@ def normalized_affinity(a) -> np.ndarray:
     largest eigenvectors of the result are the smallest eigenvectors of the
     normalized Laplacian ``I - S^(-1/2) A S^(-1/2)``.
     """
-    x = np.asarray(a, dtype=np.float64)
+    x = np.array(a, dtype=np.float64)  # a copy: _normalize scales in place
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise InputError(f"affinity must be square, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise InputError("affinity must be finite")
     if np.abs(x - x.T).max(initial=0.0) > EIGEN_SYMMETRY_ATOL:
         raise InputError("affinity must be symmetric")
     if (x < 0).any():
@@ -103,21 +114,34 @@ def normalized_affinity(a) -> np.ndarray:
 
 
 def _normalize(x: np.ndarray) -> np.ndarray:
+    # Scales x in place, one row band at a time, and returns it.
     s = x.sum(axis=1)
+    # Kernel entries lie in [0, 1], so a row sum is non-finite exactly when
+    # its row holds a NaN: _affinity's inf / inf once d*d overflows.
+    if not np.isfinite(s).all():
+        i = int(np.flatnonzero(~np.isfinite(s))[0])
+        raise NumericError(
+            f"affinity row {i} is not finite: distances above about 1.3e154 "
+            "overflow when squared"
+        )
     inv_sqrt = np.where(s > 0, 1.0 / np.sqrt(np.where(s > 0, s, 1.0)), 0.0)
-    return x * np.outer(inv_sqrt, inv_sqrt)
+    for i0 in range(0, x.shape[0], SYMMETRY_BAND):
+        rows = slice(i0, i0 + SYMMETRY_BAND)
+        x[rows] *= np.outer(inv_sqrt[rows], inv_sqrt)
+    return x
 
 
 def sym_eigen_topk(n_mat, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k eigenpairs of a symmetric matrix, eigenvalues descending.
 
-    Only the top k pairs are solved for (LAPACK's ``evr`` driver through
-    ``scipy.linalg.eigh(subset_by_index=...)``).  When that solver returns
-    fewer than k pairs -- the subset boundary splits a cluster of exactly
-    tied eigenvalues -- the full ``np.linalg.eigh`` is sliced instead.
-    Eigenvectors are orthonormal columns with a deterministic sign: the
-    first component larger than 1e-12 in magnitude is made positive.
-    Residuals satisfy ``|N v - lambda v| <= 1e-8 * |N|_F``.
+    The matrix is symmetrized as ``0.5 * (N + N.T)`` in a copy, so ``n_mat``
+    is never changed.  Only the top k pairs are solved for (LAPACK's ``evr``
+    driver through ``scipy.linalg.eigh(subset_by_index=...)``).  When that
+    solver returns fewer than k pairs -- the subset boundary splits a
+    cluster of exactly tied eigenvalues -- the full ``np.linalg.eigh`` is
+    sliced instead.  Eigenvectors are orthonormal columns with a
+    deterministic sign: the first component larger than 1e-12 in magnitude
+    is made positive.  Residuals satisfy ``|N v - lambda v| <= 1e-8 * |N|_F``.
     """
     x = np.asarray(n_mat, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
@@ -127,22 +151,46 @@ def sym_eigen_topk(n_mat, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise InputError(f"k={k} must satisfy 1 <= k <= n (n={n})")
     if np.abs(x - x.T).max(initial=0.0) > EIGEN_SYMMETRY_ATOL:
         raise InputError("matrix is not symmetric within 1e-10")
-    return _eigen_topk(x, k)
+    return _eigen_topk(lambda: 0.5 * (x + x.T), k)
 
 
-def _eigen_topk(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    # The subset solve's last bits depend on k: callers that must agree
-    # with each other ask for the same k and slice.
-    sym = 0.5 * (x + x.T)
-    n = sym.shape[0]
+def _spectrum(d: np.ndarray, cfg: SpecVatConfig, k: int):
+    # Affinity, normalization and solve share one n x n buffer.
+    return _eigen_topk(lambda: _symmetrize(_normalize(_affinity(d, cfg))), k)
+
+
+def _symmetrize(x: np.ndarray) -> np.ndarray:
+    # 0.5 * (x + x.T) in place, band by band.  It is x bit for bit when d is
+    # exactly symmetric; when d is symmetric only within check_dissim's
+    # tolerance, so is the affinity, and this keeps the solver's input.
+    n = x.shape[0]
+    for i0 in range(0, n, SYMMETRY_BAND):
+        rows = slice(i0, i0 + SYMMETRY_BAND)
+        band = x[rows, i0:] + x[i0:, rows].T
+        band *= 0.5
+        x[rows, i0:] = band
+        x[i0:, rows] = band.T
+    return x
+
+
+def _eigen_topk(build, k: int) -> tuple[np.ndarray, np.ndarray]:
+    # build() returns a new symmetric matrix.  The subset solve reads x.T,
+    # F-ordered for a C-ordered x, so scipy makes no copy and overwrites x;
+    # the fallback calls build() again, whose bits are the same.
+    x = build()
+    n = x.shape[0]
     try:
         vals, vecs = scipy.linalg.eigh(
-            sym, subset_by_index=[n - k, n - 1], check_finite=False
+            x.T, overwrite_a=True, subset_by_index=[n - k, n - 1],
+            check_finite=False,
         )
         if vecs.shape[1] < k:  # tied eigenvalues across the boundary
-            vals, vecs = np.linalg.eigh(sym)
+            x = None
+            vals, vecs = np.linalg.eigh(build())
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
+    # The subset solve's last bits depend on k: callers that must agree
+    # with each other ask for the same k and slice.
     vals = vals[::-1][:k].copy()
     vecs = vecs[:, ::-1][:, :k].copy()
     for c in range(k):
@@ -168,7 +216,7 @@ def _embed(d: np.ndarray, cfg: SpecVatConfig) -> np.ndarray:
     # As many pairs as the k scan solves for, so an explicit k and the
     # scan's candidate at that k embed the same columns bit for bit.
     k_hi = max(cfg.k, min(cfg.k_max, d.shape[0] - 1))
-    vecs = _eigen_topk(_normalize(_affinity(d, cfg)), k_hi)[1]
+    vecs = _spectrum(d, cfg, k_hi)[1]
     return _unit_rows(vecs[:, :cfg.k])
 
 
@@ -193,7 +241,9 @@ def specvat(m, cfg: SpecVatConfig = SpecVatConfig()) -> SpecVatResult:
 
 
 def _specvat(embedding: np.ndarray) -> SpecVatResult:
-    d_prime = euclidean_dissim(embedding)
+    # At k <= 10 columns cdist has the bits of squareform(pdist(...)),
+    # without pdist's condensed copy.
+    d_prime = cdist(embedding, embedding)
     ordering = _vat_order(d_prime)
     return SpecVatResult(embedding, d_prime, ordering, _odi(d_prime, ordering.order))
 
@@ -220,7 +270,7 @@ def _select_k(d: np.ndarray, cfg: SpecVatConfig):
         raise InputError(f"need at least 3 points to scan k >= 2, got n={n}")
     replace(cfg, k=2).validate(n)  # once for the scan; k <= n-1
     ks = range(2, min(cfg.k_max, n - 1) + 1)
-    vecs = _eigen_topk(_normalize(_affinity(d, cfg)), ks[-1])[1]
+    vecs = _spectrum(d, cfg, ks[-1])[1]
     offdiag = d[~np.eye(n, dtype=bool)]
     if offdiag.size and offdiag.max() == offdiag.min():
         warnings.warn(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .matrix import check_dissim, check_permutation
+from .matrix import SYMMETRY_BAND, check_dissim, check_permutation
 from .vatf import atomic_write_bytes
 
 
@@ -91,17 +91,22 @@ def odi_from(m, ordering: VatOrdering) -> np.ndarray:
 
 
 def _odi(d: np.ndarray, order: np.ndarray) -> np.ndarray:
-    ordered = d[np.ix_(order, order)]
-    dmax = ordered.max()
+    n = d.shape[0]
+    dmax = d.max()  # a permutation keeps the maximum
     if dmax <= 0:
-        return np.zeros(ordered.shape, dtype=np.uint8)
-    # floor(x + 0.5) is round-half-away-from-zero for nonnegative x; in
-    # place, in the order of floor(255 * x / dmax + 0.5).
-    ordered *= 255.0
-    ordered /= dmax
-    ordered += 0.5
-    np.floor(ordered, out=ordered)
-    return ordered.astype(np.uint8)
+        return np.zeros((n, n), dtype=np.uint8)
+    img = np.empty((n, n), dtype=np.uint8)
+    for i0 in range(0, n, SYMMETRY_BAND):
+        rows = slice(i0, i0 + SYMMETRY_BAND)
+        ordered = d[np.ix_(order[rows], order)]
+        # floor(x + 0.5) is round-half-away-from-zero for nonnegative x; in
+        # place, in the order of floor(255 * x / dmax + 0.5).
+        ordered *= 255.0
+        ordered /= dmax
+        ordered += 0.5
+        np.floor(ordered, out=ordered)
+        img[rows] = ordered
+    return img
 
 
 def vat_image(m) -> tuple[VatOrdering, np.ndarray]:
@@ -125,16 +130,21 @@ def check_image(img) -> np.ndarray:
 
 
 def pgm_bytes(img) -> bytes:
-    x = check_image(img)
+    header, x = _pgm_parts(img)
+    return header + x.tobytes()
+
+
+def _pgm_parts(img) -> tuple[bytes, np.ndarray]:
+    x = np.ascontiguousarray(check_image(img))
     h, w = x.shape
-    header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    return header + x.tobytes(order="C")
+    return f"P5\n{w} {h}\n255\n".encode("ascii"), x
 
 
 def write_pgm(img, path) -> None:
-    """Write a binary PGM (P5, maxval 255), atomically."""
+    """Write a binary PGM (P5, maxval 255), atomically, without copying it."""
     try:
-        atomic_write_bytes(path, pgm_bytes(img))
+        header, x = _pgm_parts(img)
+        atomic_write_bytes(path, header, x.reshape(-1))
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
 

@@ -6,6 +6,7 @@ import pytest
 
 from scenevat.cce import (
     CceConfig,
+    _histogram,
     cce_count,
     offdiag_signal,
     otsu_effectiveness,
@@ -68,6 +69,28 @@ def test_otsu_matches_exhaustive_oracle():
         if np.unique(img).size < 2:
             continue
         assert otsu_threshold(img) == otsu_oracle(img)
+
+
+def test_histogram_matches_one_bincount_across_band_edges():
+    rng = np.random.Generator(np.random.Philox(key=33))
+    for h, w in [(1, 1), (2, 5), (3, 3), (255, 9), (256, 256), (257, 3), (600, 600)]:
+        img = rng.integers(0, 256, size=(h, w)).astype(np.uint8)
+        for x in (img, np.asfortranarray(img)):
+            ref = np.bincount(x.reshape(-1), minlength=256).astype(np.int64)
+            got = _histogram(x)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def test_signal_matches_dark_mask_reference():
+    rng = np.random.Generator(np.random.Philox(key=34))
+    for n, w in [(2, 1), (40, 3), (257, 5)]:
+        img = rng.integers(0, 256, size=(n, n)).astype(np.uint8)
+        t = int(otsu_threshold(img))
+        dark = img <= t
+        ref = sum(np.diagonal(dark, offset=-u)[: n - w].astype(np.int64)
+                  for u in range(1, w + 1))
+        got = offdiag_signal(img, t, CceConfig(band_width=w))
+        assert got.dtype == np.int64 and np.array_equal(got, ref)
 
 
 def test_otsu_exact_ties_small_palettes():

@@ -176,6 +176,18 @@ def test_exit_code_3_on_degenerate_image(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_specvat_overflowing_distances_exit_3(tmp_path, capsys):
+    # Distances of 1e200 overflow when squared; the affinity would be NaN.
+    path = tmp_path / "huge.vatf"
+    write_vatf(path, 1e200 * (np.ones((4, 4)) - np.eye(4)))
+    code = main([
+        "specvat", "--dissim", str(path), "--k", "2", "--out", str(tmp_path / "o"),
+    ])
+    assert code == 3
+    assert "1.3e154" in capsys.readouterr().err
+
+
 def test_cce_flag_overrides(tmp_path):
     from scenevat.synth import block_dissim
     from scenevat.vat import odi_from, vat_order

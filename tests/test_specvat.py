@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.spatial.distance import pdist, squareform
 
 from scenevat.cce import cce_count, otsu_effectiveness
-from scenevat.errors import DegenerateImageError, InputError
+from scenevat.errors import DegenerateImageError, InputError, NumericError
 from scenevat.matrix import euclidean_dissim, permute_matrix, validate_dissim
 from scenevat.report import analyze
 from scenevat.specvat import (
@@ -20,6 +21,7 @@ from scenevat.specvat import (
     sym_eigen_topk,
 )
 from scenevat.synth import BlobSpec, block_dissim, gaussian_blobs
+from scenevat.vat import odi_from, vat_order
 
 from conftest import random_dissim
 
@@ -341,6 +343,14 @@ def test_config_validation_bounds():
 # references: the affinity with copies, and the full eigensolve
 
 
+BAND_EDGE_SIZES = (1, 2, 3, 255, 256, 257, 600)
+
+
+def _blobs(n, seed=7):
+    feats = gaussian_blobs(BlobSpec(4, -(-n // 4), 8, 4.0, seed=seed))[0]
+    return euclidean_dissim(feats[:n])
+
+
 def _affinity_reference(d, cfg):
     """The affinity as computed with an ``offdiag`` copy, as the reference."""
     kth = min(cfg.knn_scale, d.shape[0] - 1)
@@ -370,6 +380,9 @@ def test_affinity_matches_reference_bitwise():
         (euclidean_dissim(gaussian_blobs(BlobSpec(3, 30, 8, 4.0, seed=3))[0]),
          SpecVatConfig()),
     ]
+    # sizes around the 256-row band edge
+    cases += [(random_dissim(rng, n), SpecVatConfig()) for n in BAND_EDGE_SIZES[1:]]
+    cases += [(_blobs(600), SpecVatConfig(knn_scale=12))]
     for d, cfg in cases:
         got = local_scale_affinity(d, cfg)
         ref = _affinity_reference(d, cfg)
@@ -425,3 +438,159 @@ def test_explicit_k_embeds_first_columns_of_scan_spectrum(name):
         norms = np.linalg.norm(cols, axis=1)
         expect = cols / np.where(norms == 0.0, 1.0, norms)[:, np.newaxis]
         assert spectral_embedding(m, replace(cfg, k=k)).tobytes() == expect.tobytes()
+
+
+# --------------------------------------------------------------------------
+# the banded, in-place spectral path against out-of-place references
+
+
+def _normalize_reference(x):
+    """The out-of-place normalization, as the reference."""
+    s = x.sum(axis=1)
+    inv_sqrt = np.where(s > 0, 1.0 / np.sqrt(np.where(s > 0, s, 1.0)), 0.0)
+    return x * np.outer(inv_sqrt, inv_sqrt)
+
+
+def _sym_reference(d, cfg):
+    x = _normalize_reference(_affinity_reference(d, cfg))
+    return 0.5 * (x + x.T)
+
+
+def _descending_reference(vals, vecs, k):
+    vecs = vecs[:, ::-1][:, :k].copy()
+    for c in range(k):
+        nz = np.flatnonzero(np.abs(vecs[:, c]) > 1e-12)
+        if nz.size and vecs[nz[0], c] < 0:
+            vecs[:, c] *= -1
+    return vals[::-1][:k].copy(), vecs
+
+
+def _spectrum_reference(d, cfg, k):
+    """Affinity, normalization and solve with a copy at every step."""
+    sym = _sym_reference(d, cfg)
+    n = sym.shape[0]
+    vals, vecs = scipy.linalg.eigh(sym, subset_by_index=[n - k, n - 1],
+                                   check_finite=False)
+    if vecs.shape[1] < k:
+        vals, vecs = np.linalg.eigh(sym)
+    return _descending_reference(vals, vecs, k)
+
+
+def _embedding_reference(cols):
+    norms = np.linalg.norm(cols, axis=1)
+    return cols / np.where(norms == 0.0, 1.0, norms)[:, np.newaxis]
+
+
+def _specvat_reference(d, cfg):
+    """Explicit-k SpecVAT with a condensed pdist, as the reference."""
+    k_hi = max(cfg.k, min(cfg.k_max, d.shape[0] - 1))
+    e = _embedding_reference(_spectrum_reference(d, cfg, k_hi)[1][:, :cfg.k])
+    d_prime = squareform(pdist(e))
+    ordering = vat_order(d_prime)
+    return ordering, odi_from(d_prime, ordering), d_prime
+
+
+def _within_tolerance_asymmetric(n):
+    # Symmetric only to 1e-13 relative: check_dissim accepts it, and the
+    # affinity built from it is not exactly symmetric.
+    d = _blobs(n, seed=2)
+    rng = np.random.Generator(np.random.Philox(key=5))
+    d += np.triu(rng.uniform(-1e-13, 1e-13, d.shape) * d.max(), 1)
+    assert validate_dissim(d) is None and not np.array_equal(d, d.T)
+    return d
+
+
+def test_normalize_matches_reference_bitwise():
+    rng = np.random.Generator(np.random.Philox(key=91))
+    cases = [np.zeros((1, 1)), np.ones((2, 2)) - np.eye(2)]
+    cases += [local_scale_affinity(random_dissim(rng, n)) for n in BAND_EDGE_SIZES[2:]]
+    isolated = np.ones((5, 5)) - np.eye(5)
+    isolated[3] = isolated[:, 3] = 0.0  # a zero row stays zero
+    cases.append(isolated)
+    for a in cases:
+        assert normalized_affinity(a).tobytes() == _normalize_reference(a).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 257, 600])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_analyze_specvat_matches_copying_reference_bitwise(n, symmetric):
+    d = _blobs(n) if symmetric else _within_tolerance_asymmetric(n)
+    cfg = SpecVatConfig(k=min(3, n - 1))
+    got = analyze(d, "specvat", cfg, k=cfg.k)
+    ordering, image, d_prime = _specvat_reference(d, cfg)
+    for a, b in [(got.ordering.order, ordering.order),
+                 (got.ordering.link_dist, ordering.link_dist),
+                 (got.image, image), (got.d_prime, d_prime)]:
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", BAND_EDGE_SIZES)
+def test_embedded_distances_match_condensed_pdist_bitwise(n):
+    rng = np.random.Generator(np.random.Philox(key=n))
+    specvat_mod = importlib.import_module("scenevat.specvat")
+    for k in range(2, 11):
+        e = rng.standard_normal((n, k))
+        e /= np.linalg.norm(e, axis=1)[:, np.newaxis]
+        got = specvat_mod._specvat(e).d_prime
+        assert got.tobytes() == squareform(pdist(e)).tobytes()
+
+
+def test_private_fallback_rebuilds_the_overwritten_matrix(monkeypatch):
+    # The subset solve overwrites the matrix it is given, so the fallback
+    # must rebuild it from d.  The reference is the full eigh of a copy.
+    d = _blobs(120)
+    cfg = SpecVatConfig(k=3)
+    k_hi = min(cfg.k_max, d.shape[0] - 1)
+    top = _descending_reference(*np.linalg.eigh(_sym_reference(d, cfg)), k_hi)[1]
+    d_prime = squareform(pdist(_embedding_reference(top[:, :3])))
+    ordering = vat_order(d_prime)
+    original = scipy.linalg.eigh
+    original_full = np.linalg.eigh
+    full_calls = []
+
+    def short(a, *args, **kwargs):
+        vals, vecs = original(a, *args, **kwargs)
+        return vals[1:], vecs[:, 1:]  # one pair short, as at a tied boundary
+
+    def counted_full(a, *args, **kwargs):
+        full_calls.append(a.shape)
+        return original_full(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", short)
+    monkeypatch.setattr(np.linalg, "eigh", counted_full)
+    got = analyze(d, "specvat", cfg, k=3)
+    assert full_calls == [(120, 120)]
+    assert got.d_prime.tobytes() == d_prime.tobytes()
+    assert got.ordering.order.tobytes() == ordering.order.tobytes()
+    assert got.image.tobytes() == odi_from(d_prime, ordering).tobytes()
+
+
+def test_public_steps_leave_their_inputs_unchanged():
+    d = _blobs(300)
+    d_before = d.copy()
+    a = local_scale_affinity(d)
+    a_before = a.copy()
+    x = normalized_affinity(a)
+    x_before = x.copy()
+    sym_eigen_topk(x, 4)
+    sym_eigen_topk(np.asfortranarray(x), 4)
+    assert d.tobytes() == d_before.tobytes()
+    assert a.tobytes() == a_before.tobytes()
+    assert x.tobytes() == x_before.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("k", [2, None])
+def test_overflowing_distances_raise_numeric_error(k):
+    # d*d overflows to inf and so do the local scales: inf / inf is NaN.
+    d = 1e200 * (np.ones((4, 4)) - np.eye(4))
+    with pytest.raises(NumericError, match="1.3e154"):
+        analyze(d, "specvat", SpecVatConfig(), k=k)
+
+
+def test_normalized_affinity_rejects_non_finite_input():
+    a = np.ones((3, 3)) - np.eye(3)
+    a[0, 1] = a[1, 0] = np.nan
+    with pytest.raises(InputError, match="finite"):
+        normalized_affinity(a)

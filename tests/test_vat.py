@@ -212,6 +212,17 @@ def test_pgm_single_zero_pixel():
     assert raw.endswith(b"\n\x00") and raw[-1:] == b"\x00"
 
 
+def test_write_pgm_matches_pgm_bytes_for_any_layout(tmp_path):
+    rng = np.random.Generator(np.random.Philox(key=28))
+    img = rng.integers(0, 256, size=(7, 12)).astype(np.uint8)
+    for values in (img, np.asfortranarray(img), img[::2, ::3],
+                   img.astype(np.int64), np.asfortranarray(img.astype(np.uint16))):
+        path = tmp_path / "img.pgm"
+        write_pgm(values, path)
+        assert path.read_bytes() == pgm_bytes(values)
+        assert np.array_equal(read_pgm(path), values)
+
+
 def test_pgm_round_trip(tmp_path):
     rng = np.random.Generator(np.random.Philox(key=27))
     img = rng.integers(0, 256, size=(11, 11)).astype(np.uint8)
@@ -286,7 +297,8 @@ def test_odi_matches_out_of_place_rendering_bitwise():
     iu = np.triu_indices(24, 1)
     near_half[iu] = np.minimum((np.arange(iu[0].size) + 0.5) * 3.7 / 255.0, 3.7)
     near_half += near_half.T
-    cases = [random_dissim(rng, n) for n in (1, 2, 3, 50, 301)]
+    # sizes around the 256-row band edge
+    cases = [random_dissim(rng, n) for n in (1, 2, 3, 50, 255, 256, 257, 301, 600)]
     cases += [halves, near_half, np.zeros((4, 4)),
               1e300 * (np.ones((3, 3)) - np.eye(3))]
     for d in cases:
