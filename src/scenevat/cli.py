@@ -22,12 +22,12 @@ from .matrix import euclidean_dissim
 from .report import (
     GROUPINGS,
     METHODS,
+    _stack_artifacts,
     analyze,
     features_for_manifest,
     load_config,
     run_report,
 )
-from .stacks import label_stack, stack_csv, stack_svg
 from .synth import BlobSpec, block_dissim, gaussian_blobs
 from .vat import ordering_from_json, ordering_to_json, read_pgm, write_pgm
 from .vatf import atomic_write_text, read_vatf, write_vatf
@@ -129,18 +129,11 @@ def cmd_stack(args) -> int:
     manifest = read_manifest(args.manifest)
     with open(args.ordering, encoding="utf-8") as fh:
         ordering = ordering_from_json(fh.read())
-    if args.label == "scene":
-        labels = manifest.scenes
-    else:
-        labels = manifest.cities
-    stack = label_stack(ordering.order, labels)
-    os.makedirs(args.out, exist_ok=True)
+    stack = _stack_artifacts(args.label, manifest, range(len(manifest)),
+                             ordering, args.out)[args.label]
     svg = os.path.join(args.out, f"stack_{args.label}.svg")
-    csv = os.path.join(args.out, f"stack_{args.label}.csv")
-    atomic_write_text(svg, stack_svg(stack, ordering.link_dist))
-    atomic_write_text(csv, stack_csv(stack, ordering.order))
-    print(f"{stack.run_count} runs, mean length {stack.mean_run_length:.2f} "
-          f"-> {svg}")
+    print(f"{stack['run_count']} runs, mean length "
+          f"{stack['mean_run_length']:.2f} -> {svg}")
     return 0
 
 

@@ -127,13 +127,6 @@ def check_permutation(p, n: int) -> np.ndarray:
     return idx
 
 
-def invert_permutation(p) -> np.ndarray:
-    idx = np.asarray(p, dtype=np.int64)
-    inv = np.empty_like(idx)
-    inv[idx] = np.arange(idx.shape[0])
-    return inv
-
-
 def permute_matrix(m, p) -> np.ndarray:
     """Symmetric reordering: ``out[i][j] = m[p[i]][p[j]]``."""
     x = check_dissim(m)

@@ -12,6 +12,7 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import typing
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -59,23 +60,48 @@ def load_config(path: Optional[str]) -> ReportConfig:
     if unknown:
         raise InputError(f"config {path}: unknown section(s) {sorted(unknown)}")
 
-    def build(cls, defaults, section):
+    def build(defaults, section):
         fields = doc.get(section, {})
         if not isinstance(fields, dict):
-            raise InputError(f"config section {section!r} must be an object")
-        valid = set(defaults.__dataclass_fields__)
-        bad = set(fields) - valid
+            raise InputError(f"config {path}: section {section!r} must be an object")
+        if section == "specvat" and "k" in fields:
+            raise InputError(
+                f"config {path}: specvat.k is not a config key; "
+                "pass the eigenvector count with --k"
+            )
+        hints = typing.get_type_hints(type(defaults))
+        bad = set(fields) - set(hints)
         if bad:
             raise InputError(
-                f"config section {section!r}: unknown key(s) {sorted(bad)}"
+                f"config {path}: section {section!r}: unknown key(s) {sorted(bad)}"
             )
+        for key, value in fields.items():
+            if not _fits(hints[key], value):
+                raise InputError(
+                    f"config {path}: {section}.{key} must be "
+                    f"{defaults.__dataclass_fields__[key].type}, got {value!r}"
+                )
         return replace(defaults, **fields)
 
     return ReportConfig(
-        audio=build(AudioConfig, AudioConfig(), "audio"),
-        spec=build(SpecVatConfig, SpecVatConfig(), "specvat"),
-        cce=build(CceConfig, CceConfig(), "cce"),
+        audio=build(AudioConfig(), "audio"),
+        spec=build(SpecVatConfig(), "specvat"),
+        cce=build(CceConfig(), "cce"),
     )
+
+
+def _fits(hint, value) -> bool:
+    """Whether a JSON value suits a config field's annotation.
+
+    ``bool`` is not taken for a number, and an int is taken for a float.
+    """
+    if typing.get_origin(hint) is typing.Union:
+        return any(_fits(arg, value) for arg in typing.get_args(hint))
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
 
 
 # --------------------------------------------------------------------------
@@ -174,7 +200,11 @@ def _subsets(manifest: LabeledManifest, grouping: str,
 
 
 def _stack_artifacts(kind, manifest, idx, ordering, subset_dir):
-    """Write stack SVG/CSV for the requested label kind(s); return metadata."""
+    """Write stack SVG/CSV for the requested label kind(s); return metadata.
+
+    The one stack writer: ``run_report`` and ``scenevat stack`` both call
+    it, so the fixed scene and city palettes colour every stack alike.
+    """
     out = {}
     kinds = ("scene", "city") if kind == "both" else (kind,)
     for k in kinds:
@@ -185,6 +215,7 @@ def _stack_artifacts(kind, manifest, idx, ordering, subset_dir):
             labels = [manifest.records[i].city for i in idx]
             palette = CITY_PALETTE
         stack = label_stack(ordering.order, labels, palette)
+        os.makedirs(subset_dir, exist_ok=True)
         svg_path = os.path.join(subset_dir, f"stack_{k}.svg")
         csv_path = os.path.join(subset_dir, f"stack_{k}.csv")
         atomic_write_text(svg_path, stack_svg(stack, ordering.link_dist))

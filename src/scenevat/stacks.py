@@ -8,18 +8,19 @@ class with high intra-class variation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InputError
 from .matrix import check_permutation
 
-# Fallback qualitative cycle for labels outside the scene/city vocabularies.
-AUTO_COLORS = (
-    "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b",
-    "#e377c2", "#7f7f7f", "#bcbd22", "#17becf", "#aec7e8", "#ffbb78",
-)
+# SVG layout, in pixels: the label bar, one record's height, the link
+# distance profile beside the bar, and the legend to its right.
+BAR_WIDTH = 48
+PX_PER_RECORD = 3.0
+PROFILE_WIDTH = 120
+LEGEND_WIDTH = 170
 
 
 @dataclass(frozen=True)
@@ -40,20 +41,10 @@ class LabelStack:
         return len(self.labels)
 
 
-def auto_palette(labels: Sequence[str]) -> dict:
-    distinct = sorted(set(labels))
-    return {
-        label: AUTO_COLORS[i % len(AUTO_COLORS)]
-        for i, label in enumerate(distinct)
-    }
-
-
-def label_stack(order, labels: Sequence[str], palette: Optional[dict] = None) -> LabelStack:
+def label_stack(order, labels: Sequence[str], palette: dict) -> LabelStack:
     """Permute labels by the VAT order and run-length encode them."""
     labels = list(labels)
     idx = check_permutation(order, len(labels))
-    if palette is None:
-        palette = auto_palette(labels)
     missing = sorted({lab for lab in labels if lab not in palette})
     if missing:
         raise InputError(f"palette has no colour for label(s) {missing}")
@@ -71,86 +62,65 @@ def label_stack(order, labels: Sequence[str], palette: Optional[dict] = None) ->
     )
 
 
-def stack_csv(stack: LabelStack, order=None) -> str:
-    """CSV of the stack: position, (original record index,) label."""
-    lines = []
-    if order is not None:
-        idx = check_permutation(order, len(stack))
-        lines.append("position,record,label")
-        for pos, (rec, lab) in enumerate(zip(idx, stack.labels)):
-            lines.append(f"{pos},{int(rec)},{lab}")
-    else:
-        lines.append("position,label")
-        for pos, lab in enumerate(stack.labels):
-            lines.append(f"{pos},{lab}")
+def stack_csv(stack: LabelStack, order) -> str:
+    """CSV of the stack: position, original record index, label."""
+    idx = check_permutation(order, len(stack))
+    lines = ["position,record,label"]
+    for pos, (rec, lab) in enumerate(zip(idx, stack.labels)):
+        lines.append(f"{pos},{int(rec)},{lab}")
     return "\n".join(lines) + "\n"
 
 
-def stack_svg(
-    stack: LabelStack,
-    link_dist=None,
-    *,
-    bar_width: int = 48,
-    px_per_record: float = 3.0,
-    legend: bool = True,
-    timestamp: Optional[str] = None,
-) -> str:
+def stack_svg(stack: LabelStack, link_dist) -> str:
     """Render the stack as a standalone SVG string.
 
-    One rectangle per run, top to bottom in VAT order; when ``link_dist`` is
-    given, the per-record MST link distances are drawn beside the bar as a
-    horizontal profile.  Output is deterministic: no timestamp is emitted
-    unless one is passed explicitly.
+    One rectangle per run, top to bottom in VAT order; the per-record MST
+    link distances are drawn beside the bar as a horizontal profile, and a
+    legend names the colours.  Output is deterministic.
     """
     n = len(stack)
-    height = n * px_per_record
-    profile_w = 120 if link_dist is not None else 0
-    legend_w = 170 if legend else 0
-    width = bar_width + profile_w + legend_w + 20
+    link = np.asarray(link_dist, dtype=np.float64)
+    if link.shape[0] != n:
+        raise InputError(
+            f"link_dist length {link.shape[0]} does not match stack size {n}"
+        )
+    height = n * PX_PER_RECORD
+    width = BAR_WIDTH + PROFILE_WIDTH + LEGEND_WIDTH + 20
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
         f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">'
     ]
-    if timestamp is not None:
-        parts.append(f"<!-- generated {timestamp} -->")
 
     y = 0.0
     for lab, length in stack.runs:
-        h = length * px_per_record
+        h = length * PX_PER_RECORD
         parts.append(
-            f'<rect x="0" y="{y:.2f}" width="{bar_width}" height="{h:.2f}" '
+            f'<rect x="0" y="{y:.2f}" width="{BAR_WIDTH}" height="{h:.2f}" '
             f'fill="{stack.colors[lab]}"><title>{lab} ({length})</title></rect>'
         )
         y += h
 
-    if link_dist is not None:
-        link = np.asarray(link_dist, dtype=np.float64)
-        if link.shape[0] != n:
-            raise InputError(
-                f"link_dist length {link.shape[0]} does not match stack size {n}"
-            )
-        peak = link.max() if link.size and link.max() > 0 else 1.0
-        x0 = bar_width + 10
-        for i, v in enumerate(link):
-            bar = profile_w * float(v) / peak
-            parts.append(
-                f'<rect x="{x0}" y="{i * px_per_record:.2f}" '
-                f'width="{bar:.2f}" height="{px_per_record:.2f}" fill="#444444"/>'
-            )
+    peak = link.max() if link.size and link.max() > 0 else 1.0
+    x0 = BAR_WIDTH + 10
+    for i, v in enumerate(link):
+        bar = PROFILE_WIDTH * float(v) / peak
+        parts.append(
+            f'<rect x="{x0}" y="{i * PX_PER_RECORD:.2f}" '
+            f'width="{bar:.2f}" height="{PX_PER_RECORD:.2f}" fill="#444444"/>'
+        )
 
-    if legend:
-        lx = bar_width + profile_w + 20
-        for i, lab in enumerate(sorted(stack.colors)):
-            ly = 4 + i * 16
-            parts.append(
-                f'<rect x="{lx}" y="{ly}" width="12" height="12" '
-                f'fill="{stack.colors[lab]}"/>'
-            )
-            parts.append(
-                f'<text x="{lx + 16}" y="{ly + 10}" font-size="11" '
-                f'font-family="sans-serif">{lab}</text>'
-            )
+    lx = BAR_WIDTH + PROFILE_WIDTH + 20
+    for i, lab in enumerate(sorted(stack.colors)):
+        ly = 4 + i * 16
+        parts.append(
+            f'<rect x="{lx}" y="{ly}" width="12" height="12" '
+            f'fill="{stack.colors[lab]}"/>'
+        )
+        parts.append(
+            f'<text x="{lx + 16}" y="{ly + 10}" font-size="11" '
+            f'font-family="sans-serif">{lab}</text>'
+        )
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

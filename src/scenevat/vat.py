@@ -109,13 +109,6 @@ def _odi(d: np.ndarray, order: np.ndarray) -> np.ndarray:
     return img
 
 
-def vat_image(m) -> tuple[VatOrdering, np.ndarray]:
-    """Convenience: reorder and render in one call."""
-    d = check_dissim(m)
-    ordering = _vat_order(d)
-    return ordering, _odi(d, ordering.order)
-
-
 def check_image(img) -> np.ndarray:
     x = np.asarray(img)
     if x.ndim != 2 or x.size == 0:

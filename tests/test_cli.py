@@ -96,6 +96,53 @@ def test_specvat_auto_k_prints_selection(tmp_path, capsys):
     assert "k=2:" in printed and "k=4:" in printed
 
 
+@pytest.mark.parametrize("command", ["specvat", "report"])
+@pytest.mark.parametrize("doc", [
+    '{"specvat": {"k": 500}}',
+    '{"specvat": {"k_max": "six"}}',
+    '{"specvat": {"knn_scale": 2.5}}',
+    '{"cce": {"band_width": "x"}}',
+])
+def test_bad_config_values_exit_2(tmp_path, capsys, command, doc):
+    syn = tmp_path / "syn"
+    assert main(["synth", "--mode", "blobs", "--n-per", "4",
+                 "--out", str(syn)]) == 0
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,scene,city\n"
+                        + "".join(f"r{i}.wav,bus,paris\n" for i in range(12)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(doc)
+    inputs = {"specvat": ["specvat"],
+              "report": ["report", "--manifest", str(manifest)]}[command]
+    assert main(inputs + ["--features", str(syn / "features.vatf"),
+                          "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config ") and str(cfg) in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_stack_writes_the_reports_own_stack_files(tmp_path):
+    syn = tmp_path / "syn"
+    assert main(["synth", "--mode", "blobs", "--clusters", "3", "--n-per", "8",
+                 "--seed", "2", "--out", str(syn)]) == 0
+    scenes, cities = ["airport", "bus", "park"], ["paris", "london"]
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,scene,city\n" + "".join(
+        f"r{i}.wav,{scenes[i // 8]},{cities[i % 2]}\n" for i in range(24)))
+    rep = tmp_path / "rep"
+    assert main(["report", "--manifest", str(manifest),
+                 "--features", str(syn / "features.vatf"), "--group", "all",
+                 "--out", str(rep)]) == 0
+    for label in ("scene", "city"):
+        out = tmp_path / f"stack_{label}"
+        assert main(["stack", "--manifest", str(manifest),
+                     "--ordering", str(rep / "all" / "ordering.json"),
+                     "--label", label, "--out", str(out)]) == 0
+        for ext in ("svg", "csv"):
+            name = f"stack_{label}.{ext}"
+            assert (out / name).read_bytes() == (rep / "all" / name).read_bytes()
+
+
 def test_features_and_report_from_audio(tmp_path):
     clips = tmp_path / "clips"
     clips.mkdir()

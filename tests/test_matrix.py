@@ -8,7 +8,6 @@ from scenevat.matrix import (
     check_dissim,
     check_permutation,
     euclidean_dissim,
-    invert_permutation,
     permute_matrix,
     validate_dissim,
     zscore,
@@ -107,7 +106,7 @@ def test_permute_then_inverse_is_exact():
     rng = np.random.Generator(np.random.Philox(key=5))
     m = random_dissim(rng, 17)
     p = rng.permutation(17)
-    back = permute_matrix(permute_matrix(m, p), invert_permutation(p))
+    back = permute_matrix(permute_matrix(m, p), np.argsort(p))
     assert np.array_equal(back, m)
 
 

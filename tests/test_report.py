@@ -1,4 +1,3 @@
-import importlib
 import json
 import os
 
@@ -6,6 +5,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import scenevat.matrix
+import scenevat.report
+import scenevat.specvat
+import scenevat.vat
 from scenevat.audio import AudioConfig
 from scenevat.cce import CceConfig
 from scenevat.errors import InputError
@@ -40,9 +43,10 @@ def test_load_config_sections_override(tmp_path):
     p.write_text(
         json.dumps(
             {
-                "audio": {"n_mels": 64, "db_scale": True},
+                "audio": {"n_mels": 64, "db_scale": True, "fmin": 20,
+                          "fmax": None},
                 "specvat": {"k_max": 4},
-                "cce": {"threshold_mode": "zero"},
+                "cce": {"threshold_mode": "zero", "band_width": 2},
             }
         )
     )
@@ -50,7 +54,9 @@ def test_load_config_sections_override(tmp_path):
     assert cfg.audio.n_mels == 64 and cfg.audio.db_scale is True
     assert cfg.audio.n_fft == 2048  # untouched default
     assert cfg.spec.k_max == 4
-    assert cfg.cce.threshold_mode == "zero"
+    assert cfg.cce.threshold_mode == "zero" and cfg.cce.band_width == 2
+    # an int is taken for a float field, null for an optional one
+    assert cfg.audio.fmin == 20 and cfg.audio.fmax is None
 
 
 def test_load_config_rejects_unknown_section(tmp_path):
@@ -78,6 +84,32 @@ def test_load_config_rejects_bad_json(tmp_path):
         load_config(str(p2))
     with pytest.raises(InputError, match="cannot read"):
         load_config(str(tmp_path / "absent.json"))
+
+
+def test_load_config_rejects_k_and_points_to_the_flag(tmp_path):
+    # k would be ignored: the CLI takes it from --k or scans for it.
+    p = tmp_path / "cfg.json"
+    p.write_text('{"specvat": {"k": 5}}')
+    with pytest.raises(InputError, match=r"cfg\.json.*specvat\.k.*--k"):
+        load_config(str(p))
+
+
+@pytest.mark.parametrize("doc, where", [
+    ('{"specvat": {"k_max": "six"}}', "specvat.k_max"),
+    ('{"specvat": {"knn_scale": 2.5}}', "specvat.knn_scale"),
+    ('{"specvat": {"k_max": true}}', "specvat.k_max"),
+    ('{"cce": {"band_width": "x"}}', "cce.band_width"),
+    ('{"audio": {"htk_mel": 1}}', "audio.htk_mel"),
+    ('{"audio": {"n_mels": null}}', "audio.n_mels"),
+    ('{"specvat": []}', "section 'specvat'"),
+    ('{"cce": {"bogus": 1}}', "section 'cce'"),
+])
+def test_load_config_names_file_and_key_of_a_bad_value(tmp_path, doc, where):
+    p = tmp_path / "cfg.json"
+    p.write_text(doc)
+    with pytest.raises(InputError) as err:
+        load_config(str(p))
+    assert str(p) in str(err.value) and where in str(err.value)
 
 
 # --------------------------------------------------------------------------
@@ -347,9 +379,7 @@ def test_run_report_k_scan_warnings_reach_the_caller(tmp_path):
 
 @pytest.mark.parametrize("method", ["vat", "specvat"])
 def test_run_report_validates_each_matrix_once(tmp_path, monkeypatch, method):
-    # by name: the package attribute ``scenevat.specvat`` is the function
-    mods = [importlib.import_module(f"scenevat.{m}")
-            for m in ("matrix", "vat", "specvat", "report")]
+    mods = [scenevat.matrix, scenevat.vat, scenevat.specvat, scenevat.report]
     calls = []
     original = mods[0].check_dissim
 

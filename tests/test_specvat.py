@@ -1,4 +1,4 @@
-import importlib
+import sys
 import warnings
 from dataclasses import replace
 
@@ -7,6 +7,8 @@ import pytest
 import scipy.linalg
 from scipy.spatial.distance import pdist, squareform
 
+import scenevat
+import scenevat.specvat as specvat_mod
 from scenevat.cce import cce_count, otsu_effectiveness
 from scenevat.errors import DegenerateImageError, InputError, NumericError
 from scenevat.matrix import euclidean_dissim, permute_matrix, validate_dissim
@@ -29,6 +31,13 @@ from conftest import random_dissim
 def line_dissim(points):
     p = np.asarray(points, dtype=np.float64)
     return np.abs(p[:, None] - p[None, :])
+
+
+def test_package_attribute_is_the_specvat_module():
+    # The package root re-exports nothing, so the function ``specvat`` no
+    # longer hides the submodule of the same name.
+    assert scenevat.specvat is sys.modules["scenevat.specvat"]
+    assert specvat_mod.specvat is specvat
 
 
 # --------------------------------------------------------------------------
@@ -230,9 +239,7 @@ def test_select_k_constant_distances_degenerate():
 
 def test_select_k_smallest_on_ties(monkeypatch):
     # a scorer forcing a tie across every k
-    # (``scenevat.specvat`` is the function; the module is imported by name)
-    module = importlib.import_module("scenevat.specvat")
-    monkeypatch.setattr(module, "otsu_effectiveness", lambda img: 0.5)
+    monkeypatch.setattr(specvat_mod, "otsu_effectiveness", lambda img: 0.5)
     m = block_dissim([6, 6, 6], 0.01, 1.0)
     k, scores = a_specvat_select_k(m, SpecVatConfig(k_max=5))
     assert k == 2
@@ -528,7 +535,6 @@ def test_analyze_specvat_matches_copying_reference_bitwise(n, symmetric):
 @pytest.mark.parametrize("n", BAND_EDGE_SIZES)
 def test_embedded_distances_match_condensed_pdist_bitwise(n):
     rng = np.random.Generator(np.random.Philox(key=n))
-    specvat_mod = importlib.import_module("scenevat.specvat")
     for k in range(2, 11):
         e = rng.standard_normal((n, k))
         e /= np.linalg.norm(e, axis=1)[:, np.newaxis]

@@ -5,26 +5,31 @@ from hypothesis import strategies as st
 
 from scenevat.errors import InputError
 from scenevat.matrix import euclidean_dissim
-from scenevat.stacks import auto_palette, label_stack, stack_csv, stack_svg
+from scenevat.stacks import label_stack, stack_csv, stack_svg
 from scenevat.synth import BlobSpec, gaussian_blobs
 from scenevat.vat import vat_order
 
 
+def _stack(order, labels):
+    """A stack whose palette colours every label grey."""
+    return label_stack(order, labels, {lab: "#808080" for lab in labels})
+
+
 def test_identity_order_run_length_encoding():
-    st_ = label_stack([0, 1, 2, 3], ["A", "A", "B", "B"])
+    st_ = _stack([0, 1, 2, 3], ["A", "A", "B", "B"])
     assert st_.runs == (("A", 2), ("B", 2))
     assert st_.run_count == 2
     assert st_.mean_run_length == 2.0
 
 
 def test_alternating_labels_four_runs():
-    st_ = label_stack([0, 1, 2, 3], ["A", "B", "A", "B"])
+    st_ = _stack([0, 1, 2, 3], ["A", "B", "A", "B"])
     assert st_.runs == (("A", 1), ("B", 1), ("A", 1), ("B", 1))
 
 
 def test_order_is_applied_before_encoding():
     # order gathers the two A records together
-    st_ = label_stack([0, 2, 1, 3], ["A", "B", "A", "B"])
+    st_ = _stack([0, 2, 1, 3], ["A", "B", "A", "B"])
     assert st_.runs == (("A", 2), ("B", 2))
 
 
@@ -36,7 +41,7 @@ def test_order_is_applied_before_encoding():
 def test_run_invariants_random(labels, seed):
     rng = np.random.Generator(np.random.Philox(key=seed))
     order = rng.permutation(len(labels))
-    st_ = label_stack(order, labels)
+    st_ = _stack(order, labels)
     assert sum(length for _, length in st_.runs) == len(labels)
     names = [lab for lab, _ in st_.runs]
     assert all(a != b for a, b in zip(names, names[1:]))
@@ -44,9 +49,9 @@ def test_run_invariants_random(labels, seed):
 
 
 def test_contiguous_iff_run_count_equals_distinct():
-    st_ = label_stack(range(6), ["a", "a", "b", "b", "c", "c"])
+    st_ = _stack(range(6), ["a", "a", "b", "b", "c", "c"])
     assert st_.run_count == 3
-    st_ = label_stack(range(6), ["a", "b", "a", "b", "c", "c"])
+    st_ = _stack(range(6), ["a", "b", "a", "b", "c", "c"])
     assert st_.run_count > 3
 
 
@@ -56,36 +61,28 @@ def test_blob_orderings_give_pure_runs():
         feats, labels = gaussian_blobs(BlobSpec(3, 20, 8, 10.0, seed=seed))
         d = euclidean_dissim(feats)
         ordering = vat_order(d)
-        st_ = label_stack(ordering.order, [f"c{v}" for v in labels])
+        st_ = _stack(ordering.order, [f"c{v}" for v in labels])
         hits += st_.run_count == 3
     assert hits >= 95
 
 
 def test_palette_and_errors():
-    pal = auto_palette(["b", "a", "b"])
-    assert set(pal) == {"a", "b"}
-    assert all(v.startswith("#") and len(v) == 7 for v in pal.values())
     with pytest.raises(InputError, match="no colour.*'q'"):
         label_stack([0, 1], ["a", "q"], palette={"a": "#000000"})
     with pytest.raises(InputError):
-        label_stack([0, 0], ["a", "b"])  # not a permutation
+        _stack([0, 0], ["a", "b"])  # not a permutation
     with pytest.raises(InputError):
-        label_stack([0, 1, 2], ["a", "b"])  # length mismatch
-
-
-def test_csv_without_order():
-    st_ = label_stack([1, 0], ["a", "b"])
-    assert stack_csv(st_) == "position,label\n0,b\n1,a\n"
+        _stack([0, 1, 2], ["a", "b"])  # length mismatch
 
 
 def test_csv_with_order_column():
-    st_ = label_stack([1, 0], ["a", "b"])
+    st_ = _stack([1, 0], ["a", "b"])
     out = stack_csv(st_, order=[1, 0])
     assert out == "position,record,label\n0,1,b\n1,0,a\n"
 
 
 def test_svg_deterministic_and_complete():
-    st_ = label_stack(range(4), ["a", "a", "b", "b"])
+    st_ = _stack(range(4), ["a", "a", "b", "b"])
     one = stack_svg(st_, link_dist=[0.0, 0.1, 0.9, 0.2])
     two = stack_svg(st_, link_dist=[0.0, 0.1, 0.9, 0.2])
     assert one == two
@@ -94,19 +91,7 @@ def test_svg_deterministic_and_complete():
     assert "</svg>" in one and one.startswith("<svg")
 
 
-def test_svg_timestamp_only_when_given():
-    st_ = label_stack(range(2), ["a", "b"])
-    out = stack_svg(st_, timestamp="2026-01-01T00:00:00Z")
-    assert "<!-- generated 2026-01-01T00:00:00Z -->" in out
-
-
-def test_svg_legend_toggle():
-    st_ = label_stack(range(2), ["a", "b"])
-    assert "<text" not in stack_svg(st_, legend=False)
-    assert "<text" in stack_svg(st_, legend=True)
-
-
 def test_svg_link_profile_length_checked():
-    st_ = label_stack(range(3), ["a", "b", "c"])
+    st_ = _stack(range(3), ["a", "b", "c"])
     with pytest.raises(InputError, match="link_dist length"):
         stack_svg(st_, link_dist=[0.0, 1.0])

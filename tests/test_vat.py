@@ -10,7 +10,6 @@ from scenevat.vat import (
     parse_pgm,
     pgm_bytes,
     read_pgm,
-    vat_image,
     vat_order,
     write_pgm,
 )
@@ -245,13 +244,6 @@ def test_pgm_rejects_wrong_maxval():
 def test_pgm_rejects_short_payload():
     with pytest.raises(InputError):
         parse_pgm(b"P5\n2 2\n255\n\x00\x01")
-
-
-def test_vat_image_convenience_matches_parts():
-    rng = np.random.Generator(np.random.Philox(key=28))
-    m = random_dissim(rng, 7)
-    o, img = vat_image(m)
-    assert np.array_equal(img, odi_from(m, o))
 
 
 # --------------------------------------------------------------------------
