@@ -104,9 +104,9 @@ class AudioConfig:
                 "n_fft": self.n_fft,
                 "hop": self.hop,
                 "n_mels": self.n_mels,
-                "fmin": self.fmin,
-                "fmax": self.resolved_fmax(),
-                "log_floor": self.log_floor,
+                "fmin": float(self.fmin),
+                "fmax": float(self.resolved_fmax()),
+                "log_floor": float(self.log_floor),
                 "htk_mel": self.htk_mel,
                 "db_scale": self.db_scale,
             },

@@ -78,18 +78,35 @@ def otsu_threshold(img) -> int:
     search is exhaustive over all 256 split points and the comparison is
     done in exact integer arithmetic, so plateaus resolve deterministically.
     """
-    hist = _histogram(check_image(img))
+    return _otsu(_histogram(check_image(img)))[0]
+
+
+def otsu_effectiveness(img) -> float:
+    """Between-class over total variance at the Otsu threshold, in [0, 1].
+
+    1.0 means the histogram splits into two zero-variance classes (a
+    perfectly binary image).  The ratio is exact, read from the 256-bin
+    histogram alone and rounded once, so any permutation of the pixels
+    gives the same float.  Raises DegenerateImageError on constant images.
+    """
+    return _otsu(_histogram(check_image(img)))[1]
+
+
+def _otsu(hist: np.ndarray) -> tuple[int, float]:
+    # Between-class variance is (s0*c1 - s1*c0)^2 / (N^2 * c0 * c1) and the
+    # total variance is (N*Q - S^2) / N^2; compare candidates and form the
+    # ratio with Python ints (exact), then divide once.
     if np.count_nonzero(hist) < 2:
         raise DegenerateImageError(
             "image has a single intensity level; no Otsu threshold exists"
         )
+    levels = np.arange(256, dtype=np.int64)
     counts = np.cumsum(hist)
-    sums = np.cumsum(hist * np.arange(256, dtype=np.int64))
+    sums = np.cumsum(hist * levels)
     total_n = int(counts[-1])
     total_s = int(sums[-1])
+    total_q = int((hist * levels * levels).sum())
 
-    # Between-class variance is proportional to (s0*c1 - s1*c0)^2 / (c0*c1);
-    # compare candidates by cross-multiplying with Python ints (exact).
     best_t = -1
     best_num = -1
     best_den = 1
@@ -104,7 +121,8 @@ def otsu_threshold(img) -> int:
         den = c0 * c1
         if num * best_den > best_num * den:
             best_t, best_num, best_den = t, num, den
-    return best_t
+    n2_total_var = total_n * total_q - total_s * total_s
+    return best_t, best_num / (best_den * n2_total_var)
 
 
 def _histogram(x: np.ndarray) -> np.ndarray:
@@ -115,25 +133,6 @@ def _histogram(x: np.ndarray) -> np.ndarray:
     return hist
 
 
-def otsu_effectiveness(img) -> float:
-    """Normalized between-class variance at the Otsu threshold, in [0, 1].
-
-    1.0 means the histogram splits into two zero-variance classes (a
-    perfectly binary image).  Raises DegenerateImageError on constant images.
-    """
-    x = check_image(img)
-    t = otsu_threshold(x)
-    flat = x.reshape(-1).astype(np.float64)
-    total_var = flat.var()
-    dark = flat[flat <= t]
-    light = flat[flat > t]
-    w0 = dark.size / flat.size
-    w1 = 1.0 - w0
-    between = w0 * w1 * (dark.mean() - light.mean()) ** 2
-    # rounding can push the ratio a few ulp past 1 on perfectly binary images
-    return float(min(1.0, between / total_var))
-
-
 def offdiag_signal(img, t: int, cfg: CceConfig = CceConfig()) -> np.ndarray:
     """Per-column dark-pixel count over the band just below the diagonal.
 
@@ -141,10 +140,13 @@ def offdiag_signal(img, t: int, cfg: CceConfig = CceConfig()) -> np.ndarray:
     i in [0, n-1-w]; values lie in [0, w].
     """
     x = check_image(img)
+    return _signal(x, t, cfg.resolve_band(x.shape[0]))
+
+
+def _signal(x: np.ndarray, t: int, w: int) -> np.ndarray:
     n = x.shape[0]
-    if x.shape[0] != x.shape[1]:
+    if n != x.shape[1]:
         raise InputError(f"expected a square image, got {x.shape}")
-    w = cfg.resolve_band(n)
     signal = np.zeros(n - w, dtype=np.int64)
     for u in range(1, w + 1):
         signal += np.diagonal(x, offset=-u)[: n - w] <= t
@@ -160,9 +162,9 @@ def cce_count(img, cfg: CceConfig = CceConfig()) -> CceReport:
     limit as ``min_detectable_block``.
     """
     x = check_image(img)
-    t = otsu_threshold(x)
+    t = _otsu(_histogram(x))[0]
     w = cfg.resolve_band(x.shape[0])
-    signal = offdiag_signal(x, t, cfg)
+    signal = _signal(x, t, w)
     peak = int(signal.max(initial=0))
 
     if cfg.explicit_b is not None:

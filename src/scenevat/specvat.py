@@ -254,10 +254,12 @@ def a_specvat_select_k(
     """Pick the eigenvector count whose image binarizes most cleanly.
 
     Scans k = 2 .. k_max (capped at n-1), scoring each SpecVAT image by
-    Otsu's between-class variance over total variance, in [0, 1].  Returns
-    the best k (smallest on ties) and all scores.  Structureless input --
-    constant distances, or images with a single intensity -- scores 0 and
-    falls back to k = 2 with a warning.
+    Otsu's between-class variance over total variance, in [0, 1].  The
+    score reads only the image's histogram, which a VAT order does not
+    change, so candidates are scored unordered and only the winner is
+    VAT-ordered.  Returns the best k (smallest on ties) and all scores.
+    Structureless input -- constant distances, or images with a single
+    intensity -- scores 0 and falls back to k = 2 with a warning.
     """
     return _select_k(check_dissim(m), cfg)[:2]
 
@@ -271,8 +273,8 @@ def _select_k(d: np.ndarray, cfg: SpecVatConfig):
     replace(cfg, k=2).validate(n)  # once for the scan; k <= n-1
     ks = range(2, min(cfg.k_max, n - 1) + 1)
     vecs = _spectrum(d, cfg, ks[-1])[1]
-    offdiag = d[~np.eye(n, dtype=bool)]
-    if offdiag.size and offdiag.max() == offdiag.min():
+    # Only the zero diagonal lies below the maximum of a constant matrix.
+    if np.count_nonzero(d < d.max()) <= n:
         warnings.warn(
             "constant-distance matrix has no spectral structure; "
             "k selection is degenerate, returning k=2",
@@ -281,17 +283,17 @@ def _select_k(d: np.ndarray, cfg: SpecVatConfig):
         return 2, dict.fromkeys(ks, 0.0), _specvat(_unit_rows(vecs[:, :2]))
 
     scores: dict[int, float] = {}
-    for k in ks:  # keep only the best result: n x n images add up over k
-        result = _specvat(_unit_rows(vecs[:, :k]))
+    for k in ks:  # the image in input order has the VAT image's pixels
+        e = _unit_rows(vecs[:, :k])
         try:
-            scores[k] = float(otsu_effectiveness(result.image))
+            scores[k] = otsu_effectiveness(_odi(cdist(e, e), np.arange(n)))
         except DegenerateImageError:
             scores[k] = 0.0
         if k == 2 or scores[k] > scores[best_k]:
-            best_k, best = k, result
+            best_k, best_e = k, e
     if all(v == 0.0 for v in scores.values()):
         warnings.warn(
             "every candidate k produced a degenerate image; returning k=2",
             stacklevel=3,
         )
-    return best_k, scores, best
+    return best_k, scores, _specvat(best_e)

@@ -394,6 +394,19 @@ def test_cache_key_tracks_parameters(monkeypatch):
     assert AudioConfig().cache_key() != base
 
 
+
+def test_cache_key_is_stable_and_spelling_blind():
+    # The default key names rows already cached on disk; it must not move.
+    assert AudioConfig().cache_key() == "3edd2c96814f2a87"
+    # A config file may spell a float field as an int.
+    for as_int, as_float in [
+        (AudioConfig(fmin=0), AudioConfig(fmin=0.0)),
+        (AudioConfig(fmax=11025), AudioConfig()),
+        (AudioConfig(fmin=300, fmax=8000), AudioConfig(fmin=300.0, fmax=8000.0)),
+        (AudioConfig(log_floor=1), AudioConfig(log_floor=1.0)),
+    ]:
+        assert as_int.cache_key() == as_float.cache_key()
+
 def test_extract_features_end_to_end():
     wav = sine_wav(440.0, 2.0, 44100)
     feats = extract_features(wav)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import scenevat.cce as cce_mod
 from scenevat.cce import (
     CceConfig,
     _histogram,
@@ -109,8 +110,46 @@ def test_effectiveness_bounds():
     img = rng.integers(0, 256, size=(16, 16)).astype(np.uint8)
     eta = otsu_effectiveness(img)
     assert 0.0 <= eta <= 1.0
-    two_tone = ideal_block_image([5, 5])
-    assert otsu_effectiveness(two_tone) > 0.9
+    # two levels split into two zero-variance classes: exactly 1, unclamped
+    for dark, light in ((0, 255), (10, 200), (100, 101)):
+        for sizes in ([5, 5], [3, 9, 4], [1, 30]):
+            assert otsu_effectiveness(ideal_block_image(sizes, dark, light)) == 1.0
+
+
+def effectiveness_oracle(img):
+    """Between-class over total variance from the definition, as a Fraction."""
+    px = [int(v) for v in np.asarray(img).ravel()]
+    t = otsu_oracle(img)
+    dark = [v for v in px if v <= t]
+    light = [v for v in px if v > t]
+    mean = Fraction(sum(px), len(px))
+    total = sum((v - mean) ** 2 for v in px) / len(px)
+    w0 = Fraction(len(dark), len(px))
+    gap = Fraction(sum(dark), len(dark)) - Fraction(sum(light), len(light))
+    return w0 * (1 - w0) * gap ** 2 / total
+
+
+def test_effectiveness_is_the_exact_ratio_rounded_once():
+    rng = np.random.Generator(np.random.Philox(key=36))
+    for _ in range(60):
+        h, w = (int(v) for v in rng.integers(2, 30, size=2))
+        levels = rng.choice(256, size=int(rng.integers(2, 12)), replace=False)
+        for img in (rng.integers(0, 256, size=(h, w)), rng.choice(levels, size=(h, w))):
+            img = img.astype(np.uint8)
+            if np.unique(img).size < 2:
+                continue
+            assert otsu_effectiveness(img) == float(effectiveness_oracle(img))
+
+
+def test_effectiveness_ignores_pixel_order():
+    # A VAT order only permutes pixels.  A float variance summed in pixel
+    # order differed in its last bits on 3 of these 12 images.
+    rng = np.random.Generator(np.random.Philox(key=35))
+    for _ in range(12):
+        n = int(rng.integers(200, 701))
+        img = rng.integers(0, 256, size=(n, n)).astype(np.uint8)
+        shuffled = rng.permutation(img.reshape(-1)).reshape(n, n)
+        assert otsu_effectiveness(shuffled) == otsu_effectiveness(img)
 
 
 def test_signal_all_dark_is_band_width():
@@ -219,3 +258,29 @@ def test_config_validation():
         CceConfig(threshold_mode="median")
     with pytest.raises(InputError):
         CceConfig(band_width=0)
+
+
+def test_count_checks_its_image_once(monkeypatch):
+    calls = {"image": 0, "band": 0}
+    check_image, resolve_band = cce_mod.check_image, CceConfig.resolve_band
+
+    def counting_image(img):
+        calls["image"] += 1
+        return check_image(img)
+
+    def counting_band(cfg, n):
+        calls["band"] += 1
+        return resolve_band(cfg, n)
+
+    monkeypatch.setattr(cce_mod, "check_image", counting_image)
+    monkeypatch.setattr(CceConfig, "resolve_band", counting_band)
+    rep = cce_count(ideal_block_image([10, 10, 10]), CceConfig(band_width=2))
+    assert rep.cluster_count == 3
+    assert calls == {"image": 1, "band": 1}
+
+
+def test_count_rejects_a_non_square_image():
+    img = np.zeros((6, 8), dtype=np.uint8)
+    img[0, 0] = 255
+    with pytest.raises(InputError, match="square"):
+        cce_count(img)

@@ -322,6 +322,23 @@ def test_analyze_scan_winner_matches_specvat_bitwise(name):
         assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("name", sorted(SCAN_FIXTURES))
+def test_analyze_scan_vat_orders_only_the_winner(name, monkeypatch):
+    calls = []
+    original = specvat_mod._vat_order
+
+    def counting(d):
+        calls.append(d.shape)
+        return original(d)
+
+    monkeypatch.setattr(specvat_mod, "_vat_order", counting)
+    make, cfg = SCAN_FIXTURES[name]
+    m = make()
+    analyze(m, "specvat", cfg)
+    assert calls == [m.shape]
+
+
 def test_select_k_warns_zero_rows_once_per_candidate():
     m, cfg = _isolated_blocks(), SpecVatConfig(k_max=6, knn_scale=3)
 
