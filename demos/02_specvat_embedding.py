@@ -16,7 +16,7 @@ import os
 
 from scenevat.cce import otsu_effectiveness
 from scenevat.matrix import euclidean_dissim
-from scenevat.specvat import SpecVatConfig, specvat
+from scenevat.specvat import specvat
 from scenevat.synth import BlobSpec, gaussian_blobs
 from scenevat.vat import odi_from, vat_order, write_pgm
 
@@ -33,7 +33,7 @@ def main():
     d = euclidean_dissim(feats)
 
     plain = odi_from(d, vat_order(d))
-    result = specvat(d, SpecVatConfig(k=args.k))
+    result = specvat(d, args.k)
 
     os.makedirs(args.out, exist_ok=True)
     write_pgm(plain, os.path.join(args.out, "vat.pgm"))

@@ -79,7 +79,7 @@ class AudioConfig:
     def resolved_fmax(self) -> float:
         return self.target_rate / 2 if self.fmax is None else self.fmax
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.target_rate <= 0:
             raise InputError(f"target_rate must be positive, got {self.target_rate}")
         if self.n_fft < 2:
@@ -301,7 +301,6 @@ def stft_power(clip: AudioClip, cfg: AudioConfig = AudioConfig()) -> np.ndarray:
     Frames are Hann-windowed and centered via reflect padding, one every
     ``hop`` samples; the frame count is 1 + len // hop.
     """
-    cfg.validate()
     if clip.rate != cfg.target_rate:
         raise InputError(
             f"clip rate {clip.rate} does not match configured rate "
@@ -360,7 +359,6 @@ def _mel_breakpoints(cfg: AudioConfig) -> np.ndarray:
 
 def mel_center_frequencies(cfg: AudioConfig = AudioConfig()) -> np.ndarray:
     """Center frequency in Hz of each triangular filter."""
-    cfg.validate()
     return _mel_breakpoints(cfg)[1:-1]
 
 
@@ -371,7 +369,6 @@ def mel_filterbank(cfg: AudioConfig = AudioConfig()) -> np.ndarray:
     filter is divided by its bandwidth in Hz so wide filters do not dominate.
     Raises if any filter covers no FFT bin.
     """
-    cfg.validate()
     pts = _mel_breakpoints(cfg)
     fft_freqs = np.arange(cfg.n_fft // 2 + 1) * (cfg.target_rate / cfg.n_fft)
     lower = pts[:-2]

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateImageError, InputError
-from .matrix import SYMMETRY_BAND
+from .matrix import bands
 from .vat import check_image
 
 THRESHOLD_MODES = ("half_max", "zero")
@@ -43,7 +43,7 @@ class CceConfig:
                 f"got {self.threshold_mode!r}"
             )
         if self.band_width is not None and self.band_width < 1:
-            raise InputError(f"band width must be >= 1, got {self.band_width}")
+            raise InputError(f"band_width must be >= 1, got {self.band_width}")
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,8 @@ def _otsu(hist: np.ndarray) -> tuple[int, float]:
 def _histogram(x: np.ndarray) -> np.ndarray:
     # Row bands: bincount casts its input to intp, 8 bytes per pixel.
     hist = np.zeros(256, dtype=np.int64)
-    for i0 in range(0, x.shape[0], SYMMETRY_BAND):
-        hist += np.bincount(x[i0:i0 + SYMMETRY_BAND].reshape(-1), minlength=256)
+    for rows in bands(x.shape[0]):
+        hist += np.bincount(x[rows].reshape(-1), minlength=256)
     return hist
 
 

@@ -29,7 +29,7 @@ from .report import (
     run_report,
 )
 from .synth import BlobSpec, block_dissim, gaussian_blobs
-from .vat import ordering_from_json, ordering_to_json, read_pgm, write_pgm
+from .vat import ordering_to_json, read_ordering, read_pgm, write_pgm
 from .vatf import atomic_write_text, read_vatf, write_vatf
 
 
@@ -127,8 +127,10 @@ def cmd_cce(args) -> int:
 
 def cmd_stack(args) -> int:
     manifest = read_manifest(args.manifest)
-    with open(args.ordering, encoding="utf-8") as fh:
-        ordering = ordering_from_json(fh.read())
+    ordering = read_ordering(args.ordering)
+    if len(ordering) != len(manifest):
+        raise InputError(f"ordering {args.ordering} has {len(ordering)} records "
+                         f"but manifest {args.manifest} has {len(manifest)}")
     stack = _stack_artifacts(args.label, manifest, range(len(manifest)),
                              ordering, args.out)[args.label]
     svg = os.path.join(args.out, f"stack_{args.label}.svg")

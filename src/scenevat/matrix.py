@@ -17,9 +17,14 @@ from .errors import InputError
 
 # Symmetry tolerance, relative to the largest magnitude in the matrix.
 SYMMETRY_RTOL = 1e-12
-# Rows per band of every banded n x n pass (the symmetry check, affinity,
-# normalization, ODI and Otsu histogram), so none needs an n x n temporary.
-SYMMETRY_BAND = 256
+# Rows per band of the six banded n x n passes (symmetry check, affinity,
+# normalization, symmetrization, ODI, Otsu histogram): no n x n temporary.
+BAND = 256
+
+
+def bands(n: int) -> list[slice]:
+    """Row slices of at most ``BAND`` rows that cover ``range(n)`` in order."""
+    return [slice(i0, i0 + BAND) for i0 in range(0, n, BAND)]
 
 
 def as_features(values) -> np.ndarray:
@@ -89,10 +94,9 @@ def validate_dissim(m) -> Optional[str]:
     tol = SYMMETRY_RTOL * max(float(x.max()), -x_min)
     # |x - x.T| is symmetric, so the first offender in row-major order lies
     # above the diagonal: scan bands of rows against their mirror columns.
-    n = x.shape[0]
-    for i0 in range(0, n, SYMMETRY_BAND):
-        i1 = min(i0 + SYMMETRY_BAND, n)
-        asym = x[i0:i1, i0:] - x[i0:, i0:i1].T
+    for rows in bands(x.shape[0]):
+        i0 = rows.start
+        asym = x[rows, i0:] - x[i0:, rows].T
         np.abs(asym, out=asym)
         if asym.max() > tol:
             i, j = np.argwhere(asym > tol)[0] + i0

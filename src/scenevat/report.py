@@ -81,7 +81,10 @@ def load_config(path: Optional[str]) -> ReportConfig:
                     f"config {path}: {section}.{key} must be "
                     f"{defaults.__dataclass_fields__[key].type}, got {value!r}"
                 )
-        return replace(defaults, **fields)
+        try:
+            return replace(defaults, **fields)
+        except InputError as exc:
+            raise InputError(f"config {path}: {section}: {exc}") from exc
 
     return ReportConfig(
         audio=build(AudioConfig(), "audio"),
@@ -128,6 +131,8 @@ def features_for_manifest(
     front-end config match, so large runs are restartable and a rewritten
     file is never served its old row.  Results do not depend on thread count.
     """
+    if threads < 1:
+        raise InputError(f"threads must be at least 1, got {threads}")
     paths = []
     missing = []
     for rec in manifest.records:
@@ -161,12 +166,8 @@ def features_for_manifest(
             write_vatf(key, vec[np.newaxis, :])
         return vec
 
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, paths))
-    else:
-        rows = [one(p) for p in paths]
-    return np.vstack(rows)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        return np.vstack(list(pool.map(one, paths)))
 
 
 # --------------------------------------------------------------------------
@@ -261,9 +262,7 @@ def analyze(dissim, method: str, spec_cfg: SpecVatConfig,
     if k is None:
         k, scores, result = _select_k(d, spec_cfg)
     else:
-        scores, cfg = None, replace(spec_cfg, k=k)
-        cfg.validate(d.shape[0])
-        result = _specvat(_embed(d, cfg))
+        scores, result = None, _specvat(_embed(d, spec_cfg, k))
     return Analysis(result.ordering, result.image, k, scores, result.d_prime)
 
 

@@ -13,7 +13,7 @@ cleanly, scored by Otsu's normalized between-class variance.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -21,7 +21,7 @@ from scipy.spatial.distance import cdist
 
 from .cce import otsu_effectiveness
 from .errors import DegenerateImageError, InputError, NumericError
-from .matrix import SYMMETRY_BAND, check_dissim
+from .matrix import bands, check_dissim
 from .vat import VatOrdering, _odi, _vat_order
 
 EIGEN_SYMMETRY_ATOL = 1e-10
@@ -30,14 +30,13 @@ SIGN_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SpecVatConfig:
-    k: int = 2
+    """Fixed SpecVAT settings; the eigenvector count k is an argument."""
+
     k_max: int = 10
     knn_scale: int = 7
     sigma_floor: float = 1e-12
 
-    def validate(self, n: int) -> None:
-        if not 1 <= self.k <= n - 1:
-            raise InputError(f"k={self.k} must satisfy 1 <= k <= n-1 (n={n})")
+    def __post_init__(self):
         if self.k_max < 2:
             raise InputError(f"k_max={self.k_max} must be at least 2")
         if self.knn_scale < 1:
@@ -62,29 +61,23 @@ def local_scale_affinity(m, cfg: SpecVatConfig = SpecVatConfig()) -> np.ndarray:
     available n-1 neighbours), floored at ``sigma_floor``.  Diagonal is 0.
     """
     d = check_dissim(m)
-    n = d.shape[0]
-    if n < 2:
+    if d.shape[0] < 2:
         raise InputError("affinity needs at least 2 points")
-    if cfg.knn_scale < 1:
-        raise InputError(f"knn_scale={cfg.knn_scale} must be at least 1")
-    if not cfg.sigma_floor > 0:
-        raise InputError(f"sigma_floor={cfg.sigma_floor} must be positive")
     return _affinity(d, cfg)
 
 
 def _affinity(d: np.ndarray, cfg: SpecVatConfig) -> np.ndarray:
     # The diagonal is exactly 0 and no entry is negative, so the kth entry
     # of a sorted row is its kth nearest neighbour other than itself.  Row
-    # bands keep every temporary at SYMMETRY_BAND x n.
+    # bands keep every temporary at BAND x n.
     n = d.shape[0]
     kth = min(cfg.knn_scale, n - 1)
-    bands = [slice(i0, i0 + SYMMETRY_BAND) for i0 in range(0, n, SYMMETRY_BAND)]
     sigma = np.empty(n)
-    for rows in bands:
+    for rows in bands(n):
         sigma[rows] = np.partition(d[rows], kth, axis=1)[:, kth]
     np.maximum(sigma, cfg.sigma_floor, out=sigma)
     a = np.empty((n, n))
-    for rows in bands:
+    for rows in bands(n):
         band = a[rows]
         np.multiply(d[rows], d[rows], out=band)
         np.negative(band, out=band)
@@ -125,8 +118,7 @@ def _normalize(x: np.ndarray) -> np.ndarray:
             "overflow when squared"
         )
     inv_sqrt = np.where(s > 0, 1.0 / np.sqrt(np.where(s > 0, s, 1.0)), 0.0)
-    for i0 in range(0, x.shape[0], SYMMETRY_BAND):
-        rows = slice(i0, i0 + SYMMETRY_BAND)
+    for rows in bands(x.shape[0]):
         x[rows] *= np.outer(inv_sqrt[rows], inv_sqrt)
     return x
 
@@ -163,9 +155,8 @@ def _symmetrize(x: np.ndarray) -> np.ndarray:
     # 0.5 * (x + x.T) in place, band by band.  It is x bit for bit when d is
     # exactly symmetric; when d is symmetric only within check_dissim's
     # tolerance, so is the affinity, and this keeps the solver's input.
-    n = x.shape[0]
-    for i0 in range(0, n, SYMMETRY_BAND):
-        rows = slice(i0, i0 + SYMMETRY_BAND)
+    for rows in bands(x.shape[0]):
+        i0 = rows.start
         band = x[rows, i0:] + x[i0:, rows].T
         band *= 0.5
         x[rows, i0:] = band
@@ -201,23 +192,24 @@ def _eigen_topk(build, k: int) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def spectral_embedding(m, cfg: SpecVatConfig) -> np.ndarray:
+def spectral_embedding(m, k: int, cfg: SpecVatConfig = SpecVatConfig()) -> np.ndarray:
     """Row-normalized top-k eigenvectors of the normalized affinity.
 
-    Zero rows (all eigenvector coordinates below machine zero) are kept as
-    zero rather than normalized, and flagged with a warning.
+    ``k`` must satisfy 1 <= k <= n-1.  Zero rows (all eigenvector
+    coordinates below machine zero) are kept as zero rather than
+    normalized, and flagged with a warning.
     """
-    d = check_dissim(m)
-    cfg.validate(d.shape[0])
-    return _embed(d, cfg)
+    return _embed(check_dissim(m), cfg, k)
 
 
-def _embed(d: np.ndarray, cfg: SpecVatConfig) -> np.ndarray:
-    # As many pairs as the k scan solves for, so an explicit k and the
-    # scan's candidate at that k embed the same columns bit for bit.
-    k_hi = max(cfg.k, min(cfg.k_max, d.shape[0] - 1))
-    vecs = _spectrum(d, cfg, k_hi)[1]
-    return _unit_rows(vecs[:, :cfg.k])
+def _embed(d: np.ndarray, cfg: SpecVatConfig, k: int) -> np.ndarray:
+    # Every explicit k enters here.  It solves for as many pairs as the k
+    # scan, so both embed the same columns at that k bit for bit.
+    n = d.shape[0]
+    if not 1 <= k <= n - 1:
+        raise InputError(f"k={k} must satisfy 1 <= k <= n-1 (n={n})")
+    vecs = _spectrum(d, cfg, max(k, min(cfg.k_max, n - 1)))[1]
+    return _unit_rows(vecs[:, :k])
 
 
 def _unit_rows(vecs: np.ndarray) -> np.ndarray:
@@ -233,11 +225,9 @@ def _unit_rows(vecs: np.ndarray) -> np.ndarray:
     return vecs / scale[:, np.newaxis]
 
 
-def specvat(m, cfg: SpecVatConfig = SpecVatConfig()) -> SpecVatResult:
-    """Embed, re-measure distances, and run VAT on the embedded space."""
-    d = check_dissim(m)
-    cfg.validate(d.shape[0])
-    return _specvat(_embed(d, cfg))
+def specvat(m, k: int, cfg: SpecVatConfig = SpecVatConfig()) -> SpecVatResult:
+    """Embed in k eigenvectors (1 <= k <= n-1) and run VAT on their distances."""
+    return _specvat(_embed(check_dissim(m), cfg, k))
 
 
 def _specvat(embedding: np.ndarray) -> SpecVatResult:
@@ -270,7 +260,6 @@ def _select_k(d: np.ndarray, cfg: SpecVatConfig):
     n = d.shape[0]
     if n < 3:
         raise InputError(f"need at least 3 points to scan k >= 2, got n={n}")
-    replace(cfg, k=2).validate(n)  # once for the scan; k <= n-1
     ks = range(2, min(cfg.k_max, n - 1) + 1)
     vecs = _spectrum(d, cfg, ks[-1])[1]
     # Only the zero diagonal lies below the maximum of a constant matrix.

@@ -23,7 +23,7 @@ class BlobSpec:
     sigma: float = 1.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.clusters < 1:
             raise InputError(f"clusters must be >= 1, got {self.clusters}")
         if self.n_per < 1:
@@ -49,7 +49,6 @@ def blob_centers(spec: BlobSpec) -> np.ndarray:
     resolvable in higher dimensions, where within-cluster spread grows
     like sigma*sqrt(2*dim).
     """
-    spec.validate()
     scale = spec.sep * spec.sigma
     centers = np.zeros((spec.clusters, spec.dim))
     centers[np.arange(spec.clusters), np.arange(spec.clusters)] = scale

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .matrix import SYMMETRY_BAND, check_dissim, check_permutation
+from .matrix import bands, check_dissim, check_permutation
 from .vatf import atomic_write_bytes
 
 
@@ -96,8 +96,7 @@ def _odi(d: np.ndarray, order: np.ndarray) -> np.ndarray:
     if dmax <= 0:
         return np.zeros((n, n), dtype=np.uint8)
     img = np.empty((n, n), dtype=np.uint8)
-    for i0 in range(0, n, SYMMETRY_BAND):
-        rows = slice(i0, i0 + SYMMETRY_BAND)
+    for rows in bands(n):
         ordered = d[np.ix_(order[rows], order)]
         # floor(x + 0.5) is round-half-away-from-zero for nonnegative x; in
         # place, in the order of floor(255 * x / dmax + 0.5).
@@ -196,13 +195,21 @@ def ordering_to_json(ordering: VatOrdering) -> str:
     )
 
 
-def ordering_from_json(text: str) -> VatOrdering:
+def ordering_from_json(text: str | bytes) -> VatOrdering:
     try:
         doc = json.loads(text)
-        order = doc["order"]
-        link = doc["link_dist"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        ordering = VatOrdering(np.asarray(doc["order"]), np.asarray(doc["link_dist"]))
+    except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"malformed ordering JSON: {exc}") from exc
-    ordering = VatOrdering(np.asarray(order), np.asarray(link))
     check_permutation(ordering.order, len(ordering))
     return ordering
+
+
+def read_ordering(path) -> VatOrdering:
+    try:
+        with open(path, "rb") as fh:
+            return ordering_from_json(fh.read())
+    except OSError as exc:
+        raise InputError(f"cannot read ordering file {path}: {exc}") from exc
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc

@@ -123,7 +123,7 @@ def test_acceptance_5_specvat_block_fidelity_and_k_selection():
         p = rng.permutation(45)
         m = permute_matrix(base, p)
         lab = labels[p]
-        res = specvat(m, SpecVatConfig(k=3))
+        res = specvat(m, 3)
         s = lab[:, None] == lab[None, :]
         if res.d_prime[s & off].max() < res.d_prime[~s].min():
             fidelity += 1

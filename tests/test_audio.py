@@ -372,15 +372,15 @@ def test_mel_power_scales_quadratically():
 
 def test_config_validation():
     with pytest.raises(InputError):
-        AudioConfig(hop=4096).validate()
+        AudioConfig(hop=4096)
     with pytest.raises(InputError):
-        AudioConfig(fmin=500.0, fmax=400.0).validate()
+        AudioConfig(fmin=500.0, fmax=400.0)
     with pytest.raises(InputError):
-        AudioConfig(fmax=20000.0).validate()  # above Nyquist
+        AudioConfig(fmax=20000.0)  # above Nyquist
     with pytest.raises(InputError):
-        AudioConfig(n_mels=0).validate()
+        AudioConfig(n_mels=0)
     with pytest.raises(InputError):
-        AudioConfig(log_floor=0.0).validate()
+        AudioConfig(log_floor=0.0)
 
 
 def test_cache_key_tracks_parameters(monkeypatch):

@@ -96,28 +96,79 @@ def test_specvat_auto_k_prints_selection(tmp_path, capsys):
     assert "k=2:" in printed and "k=4:" in printed
 
 
-@pytest.mark.parametrize("command", ["specvat", "report"])
+def _one_clip_inputs(tmp_path):
+    """A valid WAV and manifest, a block matrix and an image: every input
+    a config-reading command needs, none of them at fault."""
+    clips = tmp_path / "clips"
+    clips.mkdir()
+    (clips / "a0.wav").write_bytes(sine_wav(440.0, 0.25, 44100))
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,scene,city\na0.wav,bus,paris\n")
+    assert main(["synth", "--mode", "blocks", "--sizes", "3,3",
+                 "--out", str(tmp_path / "syn")]) == 0
+    image = tmp_path / "odi.pgm"
+    image.write_bytes(pgm_bytes(np.eye(6, dtype=np.uint8) * 200))
+    audio = ["--manifest", str(manifest), "--audio-root", str(clips)]
+    return {
+        "features": ["features"] + audio,
+        "report": ["report"] + audio,
+        "specvat": ["specvat", "--dissim", str(tmp_path / "syn" / "dissim.vatf")],
+        "cce": ["cce", "--image", str(image)],
+    }
+
+
+@pytest.mark.parametrize("command", ["specvat", "report", "features", "cce"])
 @pytest.mark.parametrize("doc", [
     '{"specvat": {"k": 500}}',
     '{"specvat": {"k_max": "six"}}',
     '{"specvat": {"knn_scale": 2.5}}',
     '{"cce": {"band_width": "x"}}',
+    # well-typed but out of range: each config rejects it when built
+    '{"audio": {"n_fft": 1}}',
+    '{"specvat": {"k_max": 1}}',
+    '{"cce": {"threshold_mode": "median"}}',
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, command, doc):
-    syn = tmp_path / "syn"
-    assert main(["synth", "--mode", "blobs", "--n-per", "4",
-                 "--out", str(syn)]) == 0
-    manifest = tmp_path / "m.csv"
-    manifest.write_text("path,scene,city\n"
-                        + "".join(f"r{i}.wav,bus,paris\n" for i in range(12)))
+    # Every section is checked when the file is read, before any other
+    # input, so an audio fault is not blamed on the first WAV.
+    argv = _one_clip_inputs(tmp_path)[command]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(doc)
-    inputs = {"specvat": ["specvat"],
-              "report": ["report", "--manifest", str(manifest)]}[command]
-    assert main(inputs + ["--features", str(syn / "features.vatf"),
-                          "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: config ") and str(cfg) in err
+    section = next(iter(json.loads(doc)))
+    assert err.startswith(f"error: config {cfg}: {section}") and "a0.wav" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_features_threads_below_one_exit_2(tmp_path, capsys, threads):
+    argv = _one_clip_inputs(tmp_path)["features"]
+    assert main(argv + ["--threads", threads, "--out", str(tmp_path / "o")]) == 2
+    assert f"threads must be at least 1, got {threads}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("{nope", "malformed ordering JSON"),
+    ('{"order": [1, 0], "link_dist": [0.0, 1.0]}', "has 2 records"),
+    ('{"order": [0, 0, 1], "link_dist": [0.0, 1.0, 1.0]}', "not a bijection"),
+    ('{"order": ["a", "b", "c"], "link_dist": [0.0, 1.0, 1.0]}',
+     "malformed ordering JSON"),
+])
+def test_stack_bad_ordering_exits_2_naming_the_file(tmp_path, capsys, text,
+                                                     problem):
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,scene,city\n"
+                        + "".join(f"r{i}.wav,bus,paris\n" for i in range(3)))
+    ordering = tmp_path / "ordering.json"
+    ordering.write_text(text)
+    assert main(["stack", "--manifest", str(manifest), "--ordering",
+                 str(ordering), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(ordering) in err and problem in err
+    if problem == "has 2 records":
+        assert str(manifest) in err
     assert not (tmp_path / "o").exists()
 
 

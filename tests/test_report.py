@@ -103,6 +103,13 @@ def test_load_config_rejects_k_and_points_to_the_flag(tmp_path):
     ('{"audio": {"n_mels": null}}', "audio.n_mels"),
     ('{"specvat": []}', "section 'specvat'"),
     ('{"cce": {"bogus": 1}}', "section 'cce'"),
+    # well-typed but out of range: each config rejects it when built
+    ('{"audio": {"n_fft": 1}}', "audio: n_fft"),
+    ('{"specvat": {"k_max": 1}}', "specvat: k_max"),
+    ('{"specvat": {"knn_scale": 0}}', "specvat: knn_scale"),
+    ('{"specvat": {"sigma_floor": 0}}', "specvat: sigma_floor"),
+    ('{"cce": {"threshold_mode": "median"}}', "cce: threshold_mode"),
+    ('{"cce": {"band_width": 0}}', "cce: band_width"),
 ])
 def test_load_config_names_file_and_key_of_a_bad_value(tmp_path, doc, where):
     p = tmp_path / "cfg.json"

@@ -1,6 +1,5 @@
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -161,14 +160,14 @@ def test_eigen_rejects_asymmetric():
 
 def test_embedding_rows_unit_norm():
     m = random_dissim(np.random.Generator(np.random.Philox(key=43)), 12)
-    emb = spectral_embedding(m, SpecVatConfig(k=3))
+    emb = spectral_embedding(m, 3)
     norms = np.linalg.norm(emb, axis=1)
     assert np.abs(norms - 1.0).max() <= 1e-9
 
 
 def test_embedding_components_collapse_to_identical_rows():
     m = block_dissim([6, 6, 6], 0.01, 1.0)
-    emb = spectral_embedding(m, SpecVatConfig(k=3, knn_scale=3))
+    emb = spectral_embedding(m, 3, SpecVatConfig(knn_scale=3))
     for blk in range(3):
         rows = emb[blk * 6 : (blk + 1) * 6]
         assert np.abs(rows - rows[0]).max() <= 1e-6
@@ -176,7 +175,7 @@ def test_embedding_components_collapse_to_identical_rows():
 
 def test_specvat_two_ideal_blocks_geometry():
     m = block_dissim([8, 8], 0.0, 10.0)
-    res = specvat(m, SpecVatConfig(k=2, knn_scale=3))
+    res = specvat(m, 2, SpecVatConfig(knn_scale=3))
     labels = np.repeat([0, 1], 8)
     same = labels[:, None] == labels[None, :]
     off = ~np.eye(16, dtype=bool)
@@ -189,7 +188,7 @@ def test_specvat_k1_rows_map_to_unit_scalars():
     # connected two-cluster matrix: top eigenvector is strictly positive,
     # so every row normalizes to +1 and embedded distances vanish
     m = block_dissim([5, 5], 0.01, 1.0)
-    res = specvat(m, SpecVatConfig(k=1))
+    res = specvat(m, 1)
     assert np.allclose(np.abs(res.embedding), 1.0, atol=1e-9)
     vals = np.unique(np.round(res.d_prime, 6))
     assert set(vals.tolist()) <= {0.0, 2.0}
@@ -197,13 +196,13 @@ def test_specvat_k1_rows_map_to_unit_scalars():
 
 def test_specvat_three_blocks_cce_roundtrip():
     m = block_dissim([10, 10, 10], 0.01, 1.0)
-    res = specvat(m, SpecVatConfig(k=3))
+    res = specvat(m, 3)
     assert cce_count(res.image).cluster_count == 3
 
 
 def test_specvat_d_prime_is_valid_dissim():
     m = random_dissim(np.random.Generator(np.random.Philox(key=44)), 15)
-    res = specvat(m, SpecVatConfig(k=4))
+    res = specvat(m, 4)
     assert validate_dissim(res.d_prime) is None
 
 
@@ -212,7 +211,7 @@ def test_specvat_invariant_to_input_order():
     m = block_dissim([7, 7, 7], 0.01, 1.0)
     labels = np.repeat([0, 1, 2], 7)
     p = rng.permutation(21)
-    res = specvat(permute_matrix(m, p), SpecVatConfig(k=3))
+    res = specvat(permute_matrix(m, p), 3)
     lab = labels[p][res.ordering.order]
     assert (np.diff(lab) != 0).sum() == 2  # three contiguous label blocks
 
@@ -282,7 +281,7 @@ SCAN_FIXTURES = {
 def _per_k_specvat(m, cfg):
     """Public specvat at each k of the scan, as the reference."""
     n = m.shape[0]
-    return {k: specvat(m, replace(cfg, k=k))
+    return {k: specvat(m, k, cfg)
             for k in range(2, min(cfg.k_max, n - 1) + 1)}
 
 
@@ -313,7 +312,7 @@ def test_analyze_scan_winner_matches_specvat_bitwise(name):
     make, cfg = SCAN_FIXTURES[name]
     m = make()
     got = analyze(m, "specvat", cfg)
-    ref = specvat(m, replace(cfg, k=got.k))
+    ref = specvat(m, got.k, cfg)
     for a, b in [(got.ordering.order, ref.ordering.order),
                  (got.ordering.link_dist, ref.ordering.link_dist),
                  (got.image, ref.image),
@@ -354,13 +353,14 @@ def test_select_k_warns_zero_rows_once_per_candidate():
 
 
 def test_config_validation_bounds():
-    cfg = SpecVatConfig(k=5)
+    with pytest.raises(InputError, match=r"k=5 must satisfy 1 <= k <= n-1 \(n=4\)"):
+        specvat(block_dissim([2, 2], 0.01, 1.0), 5)
+    with pytest.raises(InputError, match="k_max=1"):
+        SpecVatConfig(k_max=1)
     with pytest.raises(InputError):
-        cfg.validate(4)
+        SpecVatConfig(knn_scale=0)
     with pytest.raises(InputError):
-        SpecVatConfig(knn_scale=0).validate(10)
-    with pytest.raises(InputError):
-        SpecVatConfig(sigma_floor=0.0).validate(10)
+        SpecVatConfig(sigma_floor=0.0)
 
 
 # --------------------------------------------------------------------------
@@ -419,7 +419,7 @@ def _three_block_permutations():
     rng = np.random.Generator(np.random.Philox(key=123))
     for _ in range(100):
         m = permute_matrix(base, rng.permutation(45))
-        yield normalized_affinity(local_scale_affinity(m, SpecVatConfig(k=3)))
+        yield normalized_affinity(local_scale_affinity(m))
 
 
 def test_eigen_topk_tied_boundary_returns_k_pairs():
@@ -461,7 +461,7 @@ def test_explicit_k_embeds_first_columns_of_scan_spectrum(name):
         cols = top[:, :k]
         norms = np.linalg.norm(cols, axis=1)
         expect = cols / np.where(norms == 0.0, 1.0, norms)[:, np.newaxis]
-        assert spectral_embedding(m, replace(cfg, k=k)).tobytes() == expect.tobytes()
+        assert spectral_embedding(m, k, cfg).tobytes() == expect.tobytes()
 
 
 # --------------------------------------------------------------------------
@@ -505,10 +505,10 @@ def _embedding_reference(cols):
     return cols / np.where(norms == 0.0, 1.0, norms)[:, np.newaxis]
 
 
-def _specvat_reference(d, cfg):
+def _specvat_reference(d, cfg, k):
     """Explicit-k SpecVAT with a condensed pdist, as the reference."""
-    k_hi = max(cfg.k, min(cfg.k_max, d.shape[0] - 1))
-    e = _embedding_reference(_spectrum_reference(d, cfg, k_hi)[1][:, :cfg.k])
+    k_hi = max(k, min(cfg.k_max, d.shape[0] - 1))
+    e = _embedding_reference(_spectrum_reference(d, cfg, k_hi)[1][:, :k])
     d_prime = squareform(pdist(e))
     ordering = vat_order(d_prime)
     return ordering, odi_from(d_prime, ordering), d_prime
@@ -539,9 +539,9 @@ def test_normalize_matches_reference_bitwise():
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_analyze_specvat_matches_copying_reference_bitwise(n, symmetric):
     d = _blobs(n) if symmetric else _within_tolerance_asymmetric(n)
-    cfg = SpecVatConfig(k=min(3, n - 1))
-    got = analyze(d, "specvat", cfg, k=cfg.k)
-    ordering, image, d_prime = _specvat_reference(d, cfg)
+    cfg, k = SpecVatConfig(), min(3, n - 1)
+    got = analyze(d, "specvat", cfg, k=k)
+    ordering, image, d_prime = _specvat_reference(d, cfg, k)
     for a, b in [(got.ordering.order, ordering.order),
                  (got.ordering.link_dist, ordering.link_dist),
                  (got.image, image), (got.d_prime, d_prime)]:
@@ -563,7 +563,7 @@ def test_private_fallback_rebuilds_the_overwritten_matrix(monkeypatch):
     # The subset solve overwrites the matrix it is given, so the fallback
     # must rebuild it from d.  The reference is the full eigh of a copy.
     d = _blobs(120)
-    cfg = SpecVatConfig(k=3)
+    cfg = SpecVatConfig()
     k_hi = min(cfg.k_max, d.shape[0] - 1)
     top = _descending_reference(*np.linalg.eigh(_sym_reference(d, cfg)), k_hi)[1]
     d_prime = squareform(pdist(_embedding_reference(top[:, :3])))

@@ -49,13 +49,13 @@ def test_blob_spec_validation():
     with pytest.raises(InputError, match="dim >= clusters"):
         gaussian_blobs(BlobSpec(5, 10, 3, 10.0))
     with pytest.raises(InputError):
-        BlobSpec(0, 10, 3, 10.0).validate()
+        BlobSpec(0, 10, 3, 10.0)
     with pytest.raises(InputError):
-        BlobSpec(2, 0, 3, 10.0).validate()
+        BlobSpec(2, 0, 3, 10.0)
     with pytest.raises(InputError):
-        BlobSpec(2, 10, 3, -1.0).validate()
+        BlobSpec(2, 10, 3, -1.0)
     with pytest.raises(InputError):
-        BlobSpec(2, 10, 3, 10.0, sigma=0.0).validate()
+        BlobSpec(2, 10, 3, 10.0, sigma=0.0)
 
 
 def test_blobs_finite():
