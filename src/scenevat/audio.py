@@ -13,6 +13,7 @@ its in-range taps keeps DC gain exactly 1 at the clip edges.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -362,12 +363,15 @@ def mel_center_frequencies(cfg: AudioConfig = AudioConfig()) -> np.ndarray:
     return _mel_breakpoints(cfg)[1:-1]
 
 
+@functools.lru_cache(maxsize=16)
 def mel_filterbank(cfg: AudioConfig = AudioConfig()) -> np.ndarray:
     """Triangular filters, shape (n_mels, n_fft // 2 + 1).
 
     Centers are equally spaced on the mel scale between fmin and fmax; each
     filter is divided by its bandwidth in Hz so wide filters do not dominate.
-    Raises if any filter covers no FFT bin.
+    Raises if any filter covers no FFT bin.  The filters depend on the
+    config only, so each config's array is built once, cached and shared:
+    it is read-only.
     """
     pts = _mel_breakpoints(cfg)
     fft_freqs = np.arange(cfg.n_fft // 2 + 1) * (cfg.target_rate / cfg.n_fft)
@@ -389,6 +393,7 @@ def mel_filterbank(cfg: AudioConfig = AudioConfig()) -> np.ndarray:
             f"mel filter {int(empty[0])} covers no FFT bin; lower n_mels or "
             f"raise n_fft"
         )
+    weights.flags.writeable = False
     return weights
 
 

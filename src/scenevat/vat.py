@@ -198,8 +198,12 @@ def ordering_to_json(ordering: VatOrdering) -> str:
 def ordering_from_json(text: str | bytes) -> VatOrdering:
     try:
         doc = json.loads(text)
-        ordering = VatOrdering(np.asarray(doc["order"]), np.asarray(doc["link_dist"]))
-    except (ValueError, KeyError, TypeError) as exc:
+        order = doc["order"]
+        # VatOrdering's int64 cast would truncate 1.5 to 1 and read true as 1.
+        if not all(type(i) is int for i in order):
+            raise ValueError("order entries must be integers")
+        ordering = VatOrdering(np.asarray(order), np.asarray(doc["link_dist"]))
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise InputError(f"malformed ordering JSON: {exc}") from exc
     check_permutation(ordering.order, len(ordering))
     return ordering

@@ -8,6 +8,8 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 # GUID 00000001-0000-0010-8000-00AA00389B71 minus the leading format tag
 _SUBFORMAT_TAIL = bytes.fromhex("0000" + "0010" + "8000" + "00aa00389b71")
@@ -90,6 +92,28 @@ def random_dissim(rng, n):
     m = m + m.T
     np.fill_diagonal(m, 0.0)
     return m
+
+
+def count_solvers(monkeypatch, eigsh=None):
+    """Record the matrix shape of each eigensolver call ``_eigen_topk`` makes.
+
+    Keys: ``lanczos`` (ARPACK's ``eigsh``, replaced by ``eigsh`` when
+    given), ``subset`` (evr through ``scipy.linalg.eigh``) and ``full``
+    (``np.linalg.eigh``).  Patch a solver before this call to count the
+    patched one.
+    """
+    calls = {"lanczos": [], "subset": [], "full": []}
+    for mod, name, kind in [(scipy.sparse.linalg, "eigsh", "lanczos"),
+                            (scipy.linalg, "eigh", "subset"),
+                            (np.linalg, "eigh", "full")]:
+        solve = eigsh if kind == "lanczos" and eigsh else getattr(mod, name)
+
+        def counted(a, *args, _solve=solve, _kind=kind, **kwargs):
+            calls[_kind].append(np.shape(a))
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 # One line per acceptance criterion, echoed after the run so the verdicts

@@ -332,6 +332,13 @@ def test_filterbank_shape_and_coverage():
     assert np.all((fb > 0).any(axis=1))
 
 
+def test_filterbank_is_cached_read_only():
+    fb = mel_filterbank(AudioConfig())
+    assert mel_filterbank(AudioConfig()) is fb
+    with pytest.raises(ValueError, match="read-only"):
+        fb[0, 0] = 1.0
+
+
 def test_filterbank_too_many_mels_rejected():
     with pytest.raises(InputError, match="covers no FFT bin"):
         mel_filterbank(AudioConfig(n_mels=4000))

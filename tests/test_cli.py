@@ -155,6 +155,13 @@ def test_features_threads_below_one_exit_2(tmp_path, capsys, threads):
     ('{"order": [0, 0, 1], "link_dist": [0.0, 1.0, 1.0]}', "not a bijection"),
     ('{"order": ["a", "b", "c"], "link_dist": [0.0, 1.0, 1.0]}',
      "malformed ordering JSON"),
+    # an int64 cast would read these as [0, 1, 2] and [1, 0, 2]
+    ('{"order": [0.9, 1.5, 2.2], "link_dist": [0.0, 1.0, 1.0]}',
+     "malformed ordering JSON"),
+    ('{"order": [true, false, 2], "link_dist": [0.0, 1.0, 1.0]}',
+     "malformed ordering JSON"),
+    ('{"order": [1180591620717411303424, 0, 1], "link_dist": [0.0, 1.0, 1.0]}',
+     "malformed ordering JSON"),
 ])
 def test_stack_bad_ordering_exits_2_naming_the_file(tmp_path, capsys, text,
                                                      problem):

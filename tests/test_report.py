@@ -3,8 +3,8 @@ import os
 
 import numpy as np
 import pytest
-import scipy.linalg
 
+import scenevat.audio
 import scenevat.matrix
 import scenevat.report
 import scenevat.specvat
@@ -23,7 +23,7 @@ from scenevat.report import (
 from scenevat.specvat import SpecVatConfig
 from scenevat.synth import BlobSpec, gaussian_blobs
 
-from conftest import sine_wav
+from conftest import count_solvers, sine_wav
 
 
 # --------------------------------------------------------------------------
@@ -195,6 +195,23 @@ def test_thread_count_does_not_change_result(tmp_path):
         mf, FAST_AUDIO, audio_root=str(tmp_path), threads=3
     )
     assert np.array_equal(serial, threaded)
+
+
+def test_features_build_one_filterbank_per_config(tmp_path, monkeypatch):
+    _write_clips(tmp_path, {f"t{i}.wav": 300.0 + 100.0 * i for i in range(6)})
+    mf = parse_manifest("path,scene,city\n"
+                        + "".join(f"t{i}.wav,park,paris\n" for i in range(6)))
+    builds = []
+    original = scenevat.audio._mel_breakpoints
+
+    def counting(cfg):
+        builds.append(cfg)
+        return original(cfg)
+
+    scenevat.audio.mel_filterbank.cache_clear()
+    monkeypatch.setattr(scenevat.audio, "_mel_breakpoints", counting)
+    features_for_manifest(mf, FAST_AUDIO, audio_root=str(tmp_path))
+    assert builds == [FAST_AUDIO]
 
 
 def test_decode_errors_name_the_file(tmp_path):
@@ -406,21 +423,12 @@ def test_run_report_validates_each_matrix_once(tmp_path, monkeypatch, method):
 
 
 def test_run_report_k_scan_runs_one_eigh_per_subset(tmp_path, monkeypatch):
-    calls = {"subset": [], "full": []}
-
-    def counting(kind, original):
-        def wrapper(a, *args, **kwargs):
-            calls[kind].append(np.shape(a))
-            return original(a, *args, **kwargs)
-        return wrapper
-
-    # as in specvat._eigen_topk: the subset solve, and its full fallback
-    monkeypatch.setattr(scipy.linalg, "eigh", counting("subset", scipy.linalg.eigh))
-    monkeypatch.setattr(np.linalg, "eigh", counting("full", np.linalg.eigh))
+    # 10 records per subset, below ARPACK_MIN_N: one evr subset solve each
+    calls = count_solvers(monkeypatch)
     mf, feats = _blob_manifest_and_features()
     cfg = ReportConfig(AudioConfig(), SpecVatConfig(k_max=4), CceConfig())
     with pytest.warns(UserWarning, match="skipping"):
         report = run_report(mf, feats, "by_scene", str(tmp_path / "out"),
                             method="specvat", config=cfg)
     assert [set(e["k_scores"]) for e in report["subsets"]] == [{"2", "3", "4"}] * 3
-    assert calls == {"subset": [(10, 10)] * 3, "full": []}
+    assert calls == {"lanczos": [], "subset": [(10, 10)] * 3, "full": []}

@@ -1,9 +1,13 @@
+import hashlib
+import os
+import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from scipy.spatial.distance import pdist, squareform
 
 import scenevat
@@ -24,7 +28,7 @@ from scenevat.specvat import (
 from scenevat.synth import BlobSpec, block_dissim, gaussian_blobs
 from scenevat.vat import odi_from, vat_order
 
-from conftest import random_dissim
+from conftest import count_solvers, random_dissim
 
 
 def line_dissim(points):
@@ -253,7 +257,11 @@ def test_select_k_cap_at_n_minus_1():
 
 
 def _isolated_blocks():
-    # two far points whose affinities underflow: zero embedding rows
+    # Three ideal blocks and two far points.  The far points' affinities to
+    # the blocks underflow, but they are linked to each other (normalized
+    # affinity 1): a fourth component, so eigenvalue 1 is 4-fold.  The zero
+    # embedding rows come from the basis evr picks inside that tied
+    # eigenvalue, not from isolation.
     m = np.full((20, 20), 50.0)
     m[:18, :18] = block_dissim([6, 6, 6], 0.01, 1.0)
     np.fill_diagonal(m, 0.0)
@@ -275,6 +283,10 @@ SCAN_FIXTURES = {
         SpecVatConfig(),
     ),
     "constant": (lambda: np.ones((8, 8)) - np.eye(8), SpecVatConfig()),
+    "blobs_1024_arpack": (  # ARPACK_MIN_N records: the ARPACK path
+        lambda: euclidean_dissim(gaussian_blobs(BlobSpec(4, 256, 8, 4.0, seed=5))[0]),
+        SpecVatConfig(),
+    ),
 }
 
 
@@ -434,7 +446,7 @@ def test_eigen_topk_tied_boundary_returns_k_pairs():
 
 
 def test_eigen_topk_short_subset_falls_back_to_full_eigh(monkeypatch):
-    x = next(_three_block_permutations())
+    x = next(_three_block_permutations())  # n = 45, below ARPACK_MIN_N
     original = scipy.linalg.eigh
 
     def short(a, *args, **kwargs):
@@ -442,7 +454,9 @@ def test_eigen_topk_short_subset_falls_back_to_full_eigh(monkeypatch):
         return vals[1:], vecs[:, 1:]  # one pair short, as at a tied boundary
 
     monkeypatch.setattr(scipy.linalg, "eigh", short)
+    calls = count_solvers(monkeypatch)
     vals, vecs = sym_eigen_topk(x, 10)
+    assert calls == {"lanczos": [], "subset": [(45, 45)], "full": [(45, 45)]}
     full_vals, full_vecs = np.linalg.eigh(x)
     assert vals.tobytes() == full_vals[::-1][:10].tobytes()
     assert np.array_equal(np.abs(vecs), np.abs(full_vecs[:, ::-1][:, :10]))
@@ -562,28 +576,22 @@ def test_embedded_distances_match_condensed_pdist_bitwise(n):
 def test_private_fallback_rebuilds_the_overwritten_matrix(monkeypatch):
     # The subset solve overwrites the matrix it is given, so the fallback
     # must rebuild it from d.  The reference is the full eigh of a copy.
-    d = _blobs(120)
+    d = _blobs(120)  # below ARPACK_MIN_N
     cfg = SpecVatConfig()
     k_hi = min(cfg.k_max, d.shape[0] - 1)
     top = _descending_reference(*np.linalg.eigh(_sym_reference(d, cfg)), k_hi)[1]
     d_prime = squareform(pdist(_embedding_reference(top[:, :3])))
     ordering = vat_order(d_prime)
     original = scipy.linalg.eigh
-    original_full = np.linalg.eigh
-    full_calls = []
 
     def short(a, *args, **kwargs):
         vals, vecs = original(a, *args, **kwargs)
         return vals[1:], vecs[:, 1:]  # one pair short, as at a tied boundary
 
-    def counted_full(a, *args, **kwargs):
-        full_calls.append(a.shape)
-        return original_full(a, *args, **kwargs)
-
     monkeypatch.setattr(scipy.linalg, "eigh", short)
-    monkeypatch.setattr(np.linalg, "eigh", counted_full)
+    calls = count_solvers(monkeypatch)
     got = analyze(d, "specvat", cfg, k=3)
-    assert full_calls == [(120, 120)]
+    assert calls == {"lanczos": [], "subset": [(120, 120)], "full": [(120, 120)]}
     assert got.d_prime.tobytes() == d_prime.tobytes()
     assert got.ordering.order.tobytes() == ordering.order.tobytes()
     assert got.image.tobytes() == odi_from(d_prime, ordering).tobytes()
@@ -617,3 +625,160 @@ def test_normalized_affinity_rejects_non_finite_input():
     a[0, 1] = a[1, 0] = np.nan
     with pytest.raises(InputError, match="finite"):
         normalized_affinity(a)
+
+
+# --------------------------------------------------------------------------
+# the ARPACK path, from ARPACK_MIN_N records on, and its evr fallback
+
+LARGE_N = specvat_mod.ARPACK_MIN_N
+_EIGSH = scipy.sparse.linalg.eigsh
+arpack_path = pytest.mark.skipif(
+    not specvat_mod._SEEDABLE_ARPACK,
+    reason="this eigsh cannot seed ARPACK's restarts, so evr solves every matrix",
+)
+
+
+def _no_convergence(x, k, **kwargs):
+    raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+
+def _arpack_error(x, k, **kwargs):
+    raise scipy.sparse.linalg.ArpackError(3)  # as eigsh raised on n = 45
+
+
+def _residual_miss(x, k, **kwargs):
+    vals, vecs = _EIGSH(x, k, **kwargs)
+    return vals + 1e-6, vecs
+
+
+def _orthonormality_miss(x, k, **kwargs):
+    vals, vecs = _EIGSH(x, k, **kwargs)
+    vals[0], vecs[:, 0] = vals[1], vecs[:, 1]  # residuals still tiny
+    return vals, vecs
+
+
+@arpack_path
+@pytest.mark.parametrize("eigsh", [_no_convergence, _arpack_error,
+                                   _residual_miss, _orthonormality_miss])
+def test_refused_arpack_result_falls_back_to_evr_bitwise(monkeypatch, eigsh):
+    d, cfg = _blobs(LARGE_N), SpecVatConfig()
+    ref = _spectrum_reference(d, cfg, 10)
+    calls = count_solvers(monkeypatch, eigsh)
+    vals, vecs = specvat_mod._spectrum(d, cfg, 10)
+    shape = (LARGE_N, LARGE_N)
+    assert calls == {"lanczos": [shape], "subset": [shape], "full": []}
+    assert vals.tobytes() == ref[0].tobytes()
+    assert vecs.tobytes() == ref[1].tobytes()
+
+
+@arpack_path
+def test_arpack_spectrum_reaching_eigenvalue_0_falls_back_to_evr(monkeypatch):
+    # Four ideal blocks and an isolated record: evr's top 10 hold the
+    # record's eigenvalue 0, which ARPACK, searching the range of the
+    # matrix, never finds; it returns a fifth -1/255 instead.
+    n = 4 * 256 + 1
+    d = np.full((n, n), 1e4)
+    d[:-1, :-1] = block_dissim([256] * 4, 0.01, 1.0)
+    np.fill_diagonal(d, 0.0)
+    cfg = SpecVatConfig()
+    ref = _spectrum_reference(d, cfg, 10)
+    assert np.count_nonzero(ref[0] == 0.0) == 1
+    calls = count_solvers(monkeypatch)
+    vals, vecs = specvat_mod._spectrum(d, cfg, 10)
+    assert calls == {"lanczos": [(n, n)], "subset": [(n, n)], "full": []}
+    assert vals.tobytes() == ref[0].tobytes()
+    assert vecs.tobytes() == ref[1].tobytes()
+
+
+@arpack_path
+def test_arpack_result_meets_the_bounds_and_agrees_with_evr(monkeypatch):
+    d, cfg = _blobs(LARGE_N), SpecVatConfig()
+    x = _sym_reference(d, cfg)
+    calls = count_solvers(monkeypatch)
+    vals, vecs = specvat_mod._spectrum(d, cfg, 10)
+    assert calls == {"lanczos": [(LARGE_N, LARGE_N)], "subset": [], "full": []}
+    res = np.linalg.norm(x @ vecs - vecs * vals, axis=0)
+    assert res.max() <= 1e-8 * np.linalg.norm(x)
+    assert np.abs(vecs.T @ vecs - np.eye(10)).max() <= 1e-8
+    ref_vals, ref_vecs = _spectrum_reference(d, cfg, 10)
+    assert np.abs(vals - ref_vals).max() <= 1e-12
+    # the same signed eigenvectors: these eigenvalues are not tied
+    assert np.abs(vecs - ref_vecs).max() <= 1e-8
+
+
+@arpack_path
+def test_stalled_arpack_stays_under_the_work_cap(monkeypatch):
+    # Ideal blocks tie hundreds of eigenvalues at the 10th: without a cap,
+    # ARPACK took 56k matrix-vector products here before giving up.
+    d, cfg = block_dissim([400, 300, 500, 200], 0.01, 1.0), SpecVatConfig()
+    n, products = d.shape[0], []
+
+    def counted(x, k, **kwargs):
+        def matvec(v):
+            products.append(1)
+            return x @ v
+        op = scipy.sparse.linalg.LinearOperator(x.shape, matvec, dtype=x.dtype)
+        return _EIGSH(op, k, **kwargs)
+
+    ref = _spectrum_reference(d, cfg, 10)
+    calls = count_solvers(monkeypatch, counted)
+    vals, vecs = specvat_mod._spectrum(d, cfg, 10)
+    assert calls == {"lanczos": [(n, n)], "subset": [(n, n)], "full": []}
+    assert 0 < len(products) <= n // 3 + 21  # 21: the first Lanczos basis
+    assert vals.tobytes() == ref[0].tobytes()
+    assert vecs.tobytes() == ref[1].tobytes()
+
+
+@arpack_path
+def test_arpack_keeps_an_isolated_record_zero(monkeypatch):
+    feats = gaussian_blobs(BlobSpec(4, LARGE_N // 4, 8, 4.0, seed=7))[0]
+    d = euclidean_dissim(np.vstack([feats, np.full((1, 8), 1e5)]))
+    assert not local_scale_affinity(d)[-1].any()  # its affinities underflow
+    calls = count_solvers(monkeypatch)
+    with pytest.warns(UserWarning, match="1 embedding row"):
+        e = spectral_embedding(d, 4)
+    assert calls["lanczos"] and not calls["subset"]  # ARPACK's result kept
+    assert not e[-1].any()
+    assert np.abs(np.linalg.norm(e[:-1], axis=1) - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("k", [LARGE_N - 1, LARGE_N])
+def test_arpack_never_gets_k_of_n_minus_1(monkeypatch, k):
+    # eigsh would warn and call eigh itself, or refuse k = n.
+    x = normalized_affinity(local_scale_affinity(_blobs(LARGE_N)))
+    calls = count_solvers(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, vecs = sym_eigen_topk(x, k)
+    assert calls["lanczos"] == [] and vecs.shape == (LARGE_N, k)
+
+
+# Sixteen ideal blocks of 64: eigenvalue 1 is 16-fold, so the top 10 are
+# a basis inside it that depends on every vector ARPACK starts from.  Its
+# Krylov space goes invariant and it draws a restart vector; unseeded, the
+# bits differ from call to call.
+_DIGEST = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+from scenevat.specvat import SpecVatConfig, _spectrum
+from scenevat.synth import block_dissim
+vals, vecs = _spectrum(block_dissim([64] * 16, 0.01, 1.0), SpecVatConfig(), 10)
+print(hashlib.sha256(vals.tobytes() + vecs.tobytes()).hexdigest())
+"""
+
+
+@arpack_path
+def test_arpack_path_repeats_its_bits(monkeypatch):
+    calls = count_solvers(monkeypatch)
+    d, cfg = block_dissim([64] * 16, 0.01, 1.0), SpecVatConfig()
+    runs = [specvat_mod._spectrum(d, cfg, 10) for _ in range(2)]
+    assert calls["subset"] == [] and len(calls["lanczos"]) == 2
+    digests = {hashlib.sha256(v.tobytes() + u.tobytes()).hexdigest()
+               for v, u in runs}
+    src = os.path.dirname(os.path.dirname(specvat_mod.__file__))
+    for _ in range(2):
+        fresh = subprocess.run([sys.executable, "-c", _DIGEST, src],
+                               capture_output=True, text=True, check=True)
+        digests.add(fresh.stdout.strip())
+    assert len(digests) == 1
+    assert np.abs(runs[0][0] - 1.0).max() <= 1e-12

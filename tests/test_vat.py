@@ -267,6 +267,9 @@ def test_ordering_json_rejects_garbage():
         ordering_from_json("{}")
     with pytest.raises(InputError):
         ordering_from_json('{"order": [0, 0], "link_dist": [0, 0]}')
+    for order in ("[0.9, 1.5]", "[1.0, 0]", "[true, false]", "5", '"01"'):
+        with pytest.raises(InputError, match="malformed ordering JSON"):
+            ordering_from_json(f'{{"order": {order}, "link_dist": [0, 0]}}')
 
 
 def _odi_reference(d, order):
