@@ -41,8 +41,8 @@ def main():
 
     print(f"plain VAT image contrast:   {otsu_effectiveness(plain):.4f}")
     print(f"spectral image contrast:    {otsu_effectiveness(result.image):.4f}")
-    print(f"embedding shape: {result.embedding.shape} "
-          f"(one unit row per record)")
+    print(f"embedded distances: {result.d_prime.shape} "
+          f"from k={result.k} eigenvectors")
     print(f"images -> {args.out}/vat.pgm, {args.out}/specvat.pgm")
 
 

@@ -44,6 +44,8 @@ class CceConfig:
             )
         if self.band_width is not None and self.band_width < 1:
             raise InputError(f"band_width must be >= 1, got {self.band_width}")
+        if self.explicit_b is not None and self.explicit_b < 0:
+            raise InputError(f"explicit_b must be >= 0, got {self.explicit_b}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import replace
 from .cce import cce_count
 from .errors import InputError, NumericError
 from .manifest import CITIES, SCENES, read_manifest
-from .matrix import euclidean_dissim
+from .matrix import as_features, check_dissim, euclidean_dissim
 from .report import (
     GROUPINGS,
     METHODS,
@@ -48,12 +48,20 @@ def _add_shared(p, *flags):
                    help="output directory")
 
 
+def _checked(path, check, *args, **kwargs):
+    """``check(*args, **kwargs)`` on a file's contents; its errors name the file."""
+    try:
+        return check(*args, **kwargs)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def _load_matrix(args):
-    """Resolve --features/--dissim into a dissimilarity matrix."""
+    """Read --features/--dissim as a valid matrix, checked here where it enters."""
     if args.dissim is not None:
-        return read_vatf(args.dissim)
-    feats = read_vatf(args.features)
-    return euclidean_dissim(feats, standardize=args.standardize)
+        return _checked(args.dissim, check_dissim, read_vatf(args.dissim))
+    return _checked(args.features, euclidean_dissim, read_vatf(args.features),
+                    standardize=args.standardize)
 
 
 def _matrix_inputs(p):
@@ -166,7 +174,7 @@ def cmd_report(args) -> int:
     cfg = load_config(args.config)
     manifest = read_manifest(args.manifest)
     if args.features is not None:
-        feats = read_vatf(args.features)
+        feats = _checked(args.features, as_features, read_vatf(args.features))
     else:
         feats = features_for_manifest(
             manifest,

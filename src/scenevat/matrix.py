@@ -58,16 +58,19 @@ def zscore(features: np.ndarray) -> np.ndarray:
 
 
 def euclidean_dissim(features, *, standardize: bool = False) -> np.ndarray:
-    """Euclidean distance matrix of the feature rows.
+    """Euclidean distance matrix of the feature rows, valid as returned.
 
-    Exactly symmetric with an exactly-zero diagonal by construction.
+    Symmetric, nonnegative and zero on the diagonal by construction, so no
+    ``check_dissim`` is needed; a distance that overflows raises InputError.
     ``standardize=True`` applies per-dimension z-scoring first (off by
     default; features are used raw).
     """
-    x = as_features(features)
-    if standardize:
-        x = zscore(x)
-    return squareform(pdist(x, "euclidean"))
+    x = zscore(features) if standardize else as_features(features)
+    condensed = pdist(x, "euclidean")
+    if not np.isfinite(condensed.max(initial=0.0)):
+        raise InputError("feature distances overflow: distances above "
+                         "about 1.3e154 overflow when squared")
+    return squareform(condensed)
 
 
 def validate_dissim(m) -> Optional[str]:

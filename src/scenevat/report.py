@@ -23,10 +23,10 @@ from .audio import AudioConfig, extract_features
 from .cce import CceConfig, cce_count
 from .errors import DegenerateImageError, InputError
 from .manifest import CITIES, CITY_PALETTE, SCENE_PALETTE, SCENES, LabeledManifest
-from .matrix import check_dissim, euclidean_dissim
+from .matrix import as_features, euclidean_dissim
 from .specvat import SpecVatConfig, _embed, _select_k, _specvat
 from .stacks import label_stack, stack_csv, stack_svg
-from .vat import VatOrdering, _odi, _vat_order, ordering_to_json, write_pgm
+from .vat import Analysis, _odi, _vat_order, ordering_to_json, write_pgm
 from .vatf import atomic_write_text, read_vatf, write_vatf
 
 GROUPINGS = ("by_scene", "by_city", "all", "single_subset")
@@ -230,40 +230,23 @@ def _stack_artifacts(kind, manifest, idx, ordering, subset_dir):
     return out
 
 
-@dataclass(frozen=True)
-class Analysis:
-    """One subset's VAT or SpecVAT result.
-
-    ``k``, ``k_scores`` and ``d_prime`` are set for SpecVAT only;
-    ``k_scores`` only when k was picked by the scan.
-    """
-
-    ordering: VatOrdering
-    image: np.ndarray
-    k: Optional[int] = None
-    k_scores: Optional[dict] = None
-    d_prime: Optional[np.ndarray] = None
-
-
-def analyze(dissim, method: str, spec_cfg: SpecVatConfig,
+def analyze(d: np.ndarray, method: str, spec_cfg: SpecVatConfig,
             k: Optional[int] = None) -> Analysis:
     """Order and render one dissimilarity matrix with VAT or SpecVAT.
 
-    SpecVAT uses ``k`` eigenvectors, or picks k with the scan when ``k`` is
-    None.  The matrix is validated here and nowhere below, and never
-    changed: the spectral steps work in a buffer of their own.
+    ``d`` must be a valid float64 matrix already: checked where it entered
+    (``check_dissim``) or valid by construction (``euclidean_dissim``).  It
+    is not checked again, and never changed.  SpecVAT uses ``k``
+    eigenvectors, or picks k with the scan when ``k`` is None.
     """
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
-    d = check_dissim(dissim)
     if method == "vat":
         ordering = _vat_order(d)
         return Analysis(ordering, _odi(d, ordering.order))
     if k is None:
-        k, scores, result = _select_k(d, spec_cfg)
-    else:
-        scores, result = None, _specvat(_embed(d, spec_cfg, k))
-    return Analysis(result.ordering, result.image, k, scores, result.d_prime)
+        return _select_k(d, spec_cfg)
+    return _specvat(_embed(d, spec_cfg, k))
 
 
 def run_report(
@@ -284,7 +267,9 @@ def run_report(
     link distances (JSON), label stacks (SVG + CSV), and a cluster-count
     report (JSON).  A summary table of counts per subset is returned and
     written to ``report.json``.  SpecVAT subsets pick k automatically unless
-    ``k`` is given, which is clamped to n-1.  Subsets with fewer than 2
+    ``k`` is given, which is clamped to n-1.  The features are checked
+    once, here; each subset's distances are valid by construction and go
+    to ``analyze`` unchecked.  Subsets with fewer than 2
     records, or 3 for SpecVAT, are skipped with a warning, and so are
     subsets whose image is degenerate (a single intensity), which are
     listed under ``skipped`` with a ``reason``.  DegenerateImageError is
@@ -293,8 +278,8 @@ def run_report(
     """
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] != len(manifest):
+    features = as_features(features)  # once, so a bad row has its own index
+    if features.shape[0] != len(manifest):
         raise InputError(
             f"feature matrix rows ({features.shape}) do not match manifest "
             f"size {len(manifest)}"
@@ -319,7 +304,10 @@ def run_report(
             )
             report["skipped"].append({"subset": name, "n": int(idx.size)})
             continue
-        dissim = euclidean_dissim(features[idx], standardize=standardize)
+        try:
+            dissim = euclidean_dissim(features[idx], standardize=standardize)
+        except InputError as exc:
+            raise InputError(f"subset {name!r}: {exc}") from exc
         try:
             result = analyze(dissim, method, config.spec,
                              None if k is None else min(k, idx.size - 1))

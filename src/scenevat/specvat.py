@@ -24,7 +24,7 @@ from scipy.spatial.distance import cdist
 from .cce import otsu_effectiveness
 from .errors import DegenerateImageError, InputError, NumericError
 from .matrix import bands, check_dissim
-from .vat import VatOrdering, _odi, _vat_order
+from .vat import Analysis, _odi, _vat_order
 
 EIGEN_SYMMETRY_ATOL = 1e-10
 SIGN_TOL = 1e-12
@@ -59,14 +59,6 @@ class SpecVatConfig:
             raise InputError(f"knn_scale={self.knn_scale} must be at least 1")
         if not self.sigma_floor > 0:
             raise InputError(f"sigma_floor={self.sigma_floor} must be positive")
-
-
-@dataclass(frozen=True)
-class SpecVatResult:
-    embedding: np.ndarray
-    d_prime: np.ndarray
-    ordering: VatOrdering
-    image: np.ndarray
 
 
 def local_scale_affinity(m, cfg: SpecVatConfig = SpecVatConfig()) -> np.ndarray:
@@ -142,11 +134,12 @@ def _normalize(x: np.ndarray) -> np.ndarray:
 def sym_eigen_topk(n_mat, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k eigenpairs of a symmetric matrix, eigenvalues descending.
 
-    The matrix is symmetrized as ``0.5 * (N + N.T)`` in a copy, so ``n_mat``
-    is never changed.  Only the top k pairs are solved for.  From n = 1024
-    (``ARPACK_MIN_N``) on, with k < n-1, ARPACK's Lanczos solver
-    (``scipy.sparse.linalg.eigsh``) runs first, from a fixed start vector
-    and seeded restarts, and capped at about n/3 matrix-vector products;
+    The matrix must be finite.  It is symmetrized as ``0.5 * N + 0.5 * N.T``
+    in a copy, which cannot overflow, so ``n_mat`` is never changed.  Only
+    the top k pairs are solved for.  From n = 1024 (``ARPACK_MIN_N``) on,
+    with k < n-1, ARPACK's Lanczos solver (``scipy.sparse.linalg.eigsh``)
+    runs first, from a fixed start vector and seeded restarts, and capped
+    at about n/3 matrix-vector products;
     its result is kept only if its eigenvalues are positive and it meets
     the residual and orthonormality bounds below.  Where eigsh cannot seed
     its restarts (it takes no ``rng``, as in scipy 1.10), it is not used.
@@ -165,9 +158,11 @@ def sym_eigen_topk(n_mat, k: int) -> tuple[np.ndarray, np.ndarray]:
     n = x.shape[0]
     if not 1 <= k <= n:
         raise InputError(f"k={k} must satisfy 1 <= k <= n (n={n})")
+    if not np.isfinite(x).all():
+        raise InputError("matrix must be finite")
     if np.abs(x - x.T).max(initial=0.0) > EIGEN_SYMMETRY_ATOL:
         raise InputError("matrix is not symmetric within 1e-10")
-    return _eigen_topk(lambda: 0.5 * (x + x.T), k)
+    return _eigen_topk(lambda: 0.5 * x + 0.5 * x.T, k)
 
 
 def _spectrum(d: np.ndarray, cfg: SpecVatConfig, k: int):
@@ -286,17 +281,18 @@ def _unit_rows(vecs: np.ndarray) -> np.ndarray:
     return vecs / scale[:, np.newaxis]
 
 
-def specvat(m, k: int, cfg: SpecVatConfig = SpecVatConfig()) -> SpecVatResult:
+def specvat(m, k: int, cfg: SpecVatConfig = SpecVatConfig()) -> Analysis:
     """Embed in k eigenvectors (1 <= k <= n-1) and run VAT on their distances."""
     return _specvat(_embed(check_dissim(m), cfg, k))
 
 
-def _specvat(embedding: np.ndarray) -> SpecVatResult:
+def _specvat(embedding: np.ndarray, k_scores: dict | None = None) -> Analysis:
     # At k <= 10 columns cdist has the bits of squareform(pdist(...)),
     # without pdist's condensed copy.
     d_prime = cdist(embedding, embedding)
     ordering = _vat_order(d_prime)
-    return SpecVatResult(embedding, d_prime, ordering, _odi(d_prime, ordering.order))
+    return Analysis(ordering, _odi(d_prime, ordering.order),
+                    embedding.shape[1], k_scores, d_prime)
 
 
 def a_specvat_select_k(
@@ -312,11 +308,12 @@ def a_specvat_select_k(
     Structureless input -- constant distances, or images with a single
     intensity -- scores 0 and falls back to k = 2 with a warning.
     """
-    return _select_k(check_dissim(m), cfg)[:2]
+    best = _select_k(check_dissim(m), cfg)
+    return best.k, best.k_scores
 
 
-def _select_k(d: np.ndarray, cfg: SpecVatConfig):
-    # Also returns the winner's SpecVatResult.  One spectrum serves every k:
+def _select_k(d: np.ndarray, cfg: SpecVatConfig) -> Analysis:
+    # The winner's Analysis, with every score.  One spectrum serves every k:
     # the affinity does not depend on k and the sign rule is per column.
     n = d.shape[0]
     if n < 3:
@@ -330,7 +327,7 @@ def _select_k(d: np.ndarray, cfg: SpecVatConfig):
             "k selection is degenerate, returning k=2",
             stacklevel=3,
         )
-        return 2, dict.fromkeys(ks, 0.0), _specvat(_unit_rows(vecs[:, :2]))
+        return _specvat(_unit_rows(vecs[:, :2]), dict.fromkeys(ks, 0.0))
 
     scores: dict[int, float] = {}
     for k in ks:  # the image in input order has the VAT image's pixels
@@ -346,4 +343,4 @@ def _select_k(d: np.ndarray, cfg: SpecVatConfig):
             "every candidate k produced a degenerate image; returning k=2",
             stacklevel=3,
         )
-    return best_k, scores, _specvat(best_e)
+    return _specvat(best_e, scores)

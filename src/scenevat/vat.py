@@ -47,6 +47,21 @@ class VatOrdering:
         return self.order.shape[0]
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """One matrix's VAT or SpecVAT result: the ordering and its image.
+
+    ``k`` and ``d_prime`` (the embedded distances that were ordered) are
+    set for SpecVAT only; ``k_scores`` only when the scan picked k.
+    """
+
+    ordering: VatOrdering
+    image: np.ndarray
+    k: int | None = None
+    k_scores: dict | None = None
+    d_prime: np.ndarray | None = None
+
+
 def vat_order(m) -> VatOrdering:
     """Reorder a dissimilarity matrix so similar records become neighbours."""
     return _vat_order(check_dissim(m))

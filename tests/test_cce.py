@@ -258,6 +258,8 @@ def test_config_validation():
         CceConfig(threshold_mode="median")
     with pytest.raises(InputError):
         CceConfig(band_width=0)
+    with pytest.raises(InputError, match="explicit_b"):
+        CceConfig(explicit_b=-1)
 
 
 def test_count_checks_its_image_once(monkeypatch):

@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+import scenevat.matrix
 from scenevat.cli import main
+from scenevat.synth import BlobSpec, gaussian_blobs
 from scenevat.vat import pgm_bytes, read_pgm
 from scenevat.vatf import read_vatf, write_vatf
 
@@ -127,6 +129,7 @@ def _one_clip_inputs(tmp_path):
     '{"audio": {"n_fft": 1}}',
     '{"specvat": {"k_max": 1}}',
     '{"cce": {"threshold_mode": "median"}}',
+    '{"cce": {"explicit_b": -1}}',
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, command, doc):
     # Every section is checked when the file is read, before any other
@@ -307,6 +310,89 @@ def test_cce_flag_overrides(tmp_path):
     ]) == 0
     doc = json.loads((out / "cce.json").read_text())
     assert doc["band_width"] == 2 and doc["b"] == 0
+
+
+def test_cce_negative_cutoff_exits_2(tmp_path, capsys):
+    # Below 0 every signal column is a run: the whole image would be one.
+    img = np.full((40, 40), 255, dtype=np.uint8)
+    img[:20, :20] = img[20:, 20:] = 0
+    (tmp_path / "two.pgm").write_bytes(pgm_bytes(img))
+    argv = ["cce", "--image", str(tmp_path / "two.pgm"), "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "clusters: 2\n"
+    assert main(argv + ["--b", "-1"]) == 2
+    assert "explicit_b must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["vat", "specvat"])
+@pytest.mark.parametrize("source, checks", [("--dissim", 1), ("--features", 0)])
+def test_matrix_is_checked_once_where_it_enters(tmp_path, monkeypatch, command,
+                                                source, checks):
+    # A --dissim file is checked when read; distances computed from
+    # --features are valid by construction and never checked.
+    feats, _ = gaussian_blobs(BlobSpec(3, 6, 4, 10.0, seed=1))
+    write_vatf(tmp_path / "features.vatf", feats)
+    write_vatf(tmp_path / "dissim.vatf", scenevat.matrix.euclidean_dissim(feats))
+    original, calls = scenevat.matrix.check_dissim, []
+
+    def counting(m):
+        calls.append(np.shape(m))
+        return original(m)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("scenevat") and getattr(mod, "check_dissim", None) is original:
+            monkeypatch.setattr(mod, "check_dissim", counting)
+    assert main([command, source, str(tmp_path / f"{source[2:]}.vatf"),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert calls == [(18, 18)] * checks
+
+
+def _nan_at(n, row):
+    feats = np.arange(4.0 * n).reshape(n, 4)
+    feats[row, 1] = np.nan
+    return feats
+
+
+@pytest.mark.parametrize("argv, values, message", [
+    (["vat", "--dissim"], np.array([[0.0, 1.0], [2.0, 0.0]]),
+     "invalid dissimilarity matrix: asymmetric entry at (0, 1)"),
+    (["vat", "--features"], _nan_at(5, 1), "feature row 1 contains a non-finite value"),
+    (["specvat", "--features"], np.vstack([np.zeros((4, 2)), [1e200, 0.0]]),
+     "feature distances overflow"),
+], ids=["asymmetric-dissim", "nan-features", "overflowing-features"])
+def test_matrix_file_errors_name_the_file(tmp_path, capsys, argv, values, message):
+    path = tmp_path / "bad.vatf"
+    write_vatf(path, values)
+    assert main(argv + [str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
+
+def _twelve_record_report(tmp_path, feats):
+    """6 airport then 6 bus records, features from a file, by scene."""
+    write_vatf(tmp_path / "features.vatf", feats)
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,scene,city\n" + "".join(
+        f"c{i}.wav,{'airport' if i < 6 else 'bus'},paris\n" for i in range(12)))
+    return ["report", "--manifest", str(manifest), "--features",
+            str(tmp_path / "features.vatf"), "--group", "by_scene",
+            "--out", str(tmp_path / "o")]
+
+
+def test_report_names_a_bad_feature_row_by_its_row_in_the_file(tmp_path, capsys):
+    # Row 9 is the bus subset's row 3; the message names the file's row.
+    assert main(_twelve_record_report(tmp_path, _nan_at(12, 9))) == 2
+    path = tmp_path / "features.vatf"
+    assert capsys.readouterr().err == (
+        f"error: {path}: feature row 9 contains a non-finite value\n")
+
+
+@pytest.mark.filterwarnings("ignore:subset .* has 0 record")
+def test_report_exits_2_naming_the_subset_whose_distances_overflow(tmp_path, capsys):
+    feats = np.arange(48.0).reshape(12, 4)
+    feats[2] = 1e200
+    assert main(_twelve_record_report(tmp_path, feats)) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: subset 'airport': feature distances overflow")
 
 
 def test_usage_error_exits_2():

@@ -402,7 +402,9 @@ def test_run_report_k_scan_warnings_reach_the_caller(tmp_path):
 
 
 @pytest.mark.parametrize("method", ["vat", "specvat"])
-def test_run_report_validates_each_matrix_once(tmp_path, monkeypatch, method):
+def test_run_report_never_revalidates_its_matrices(tmp_path, monkeypatch, method):
+    # euclidean_dissim's output is valid by construction: analyze takes it
+    # as it is, and no subset runs check_dissim.
     mods = [scenevat.matrix, scenevat.vat, scenevat.specvat, scenevat.report]
     calls = []
     original = mods[0].check_dissim
@@ -419,7 +421,20 @@ def test_run_report_validates_each_matrix_once(tmp_path, monkeypatch, method):
     with pytest.warns(UserWarning, match="skipping"):
         report = run_report(mf, feats, "by_scene", str(tmp_path / "out"),
                             method=method, config=cfg)
-    assert len(calls) == len(report["subsets"]) == 3
+    assert len(report["subsets"]) == 3
+    assert calls == []
+
+
+def test_run_report_names_a_bad_features_row_by_its_row_in_the_matrix(tmp_path):
+    # Row 9 is the bus subset's row 3: the error names the row of the input.
+    lines = ["path,scene,city"] + [
+        f"c{i}.wav,{'airport' if i < 6 else 'bus'},paris" for i in range(12)
+    ]
+    feats = np.arange(48.0).reshape(12, 4)
+    feats[9, 2] = np.nan
+    with pytest.raises(InputError, match=r"^feature row 9 contains"):
+        run_report(parse_manifest("\n".join(lines) + "\n"), feats, "by_scene",
+                   str(tmp_path / "o"))
 
 
 def test_run_report_k_scan_runs_one_eigh_per_subset(tmp_path, monkeypatch):

@@ -26,7 +26,7 @@ from scenevat.specvat import (
     sym_eigen_topk,
 )
 from scenevat.synth import BlobSpec, block_dissim, gaussian_blobs
-from scenevat.vat import odi_from, vat_order
+from scenevat.vat import Analysis, odi_from, vat_order
 
 from conftest import count_solvers, random_dissim
 
@@ -158,6 +158,27 @@ def test_eigen_rejects_asymmetric():
         sym_eigen_topk(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
 
 
+@pytest.mark.parametrize("x", [
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[0.0, np.inf], [np.inf, 0.0]],
+])
+def test_eigen_rejects_non_finite(x):
+    # The symmetry check alone passes both: a NaN difference is not > tol.
+    with pytest.raises(InputError, match="finite"):
+        sym_eigen_topk(np.array(x), 1)
+
+
+def test_eigen_symmetrizes_huge_entries_without_overflow():
+    # 0.5 * (x + x.T) overflows to inf on the diagonal; 0.5*x + 0.5*x.T
+    # does not.
+    x = np.array([[1e308, 1.0], [1.0, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, vecs = sym_eigen_topk(x, 1)
+    assert np.isfinite(vals).all() and np.isfinite(vecs).all()
+    assert vals[0] == pytest.approx(1e308)
+
+
 # --------------------------------------------------------------------------
 # embedding + full pipeline
 
@@ -192,9 +213,8 @@ def test_specvat_k1_rows_map_to_unit_scalars():
     # connected two-cluster matrix: top eigenvector is strictly positive,
     # so every row normalizes to +1 and embedded distances vanish
     m = block_dissim([5, 5], 0.01, 1.0)
-    res = specvat(m, 1)
-    assert np.allclose(np.abs(res.embedding), 1.0, atol=1e-9)
-    vals = np.unique(np.round(res.d_prime, 6))
+    assert np.allclose(np.abs(spectral_embedding(m, 1)), 1.0, atol=1e-9)
+    vals = np.unique(np.round(specvat(m, 1).d_prime, 6))
     assert set(vals.tolist()) <= {0.0, 2.0}
 
 
@@ -331,6 +351,17 @@ def test_analyze_scan_winner_matches_specvat_bitwise(name):
                  (got.d_prime, ref.d_prime)]:
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+
+
+def test_specvat_and_analyze_return_one_analysis_type():
+    m = block_dissim([5, 5, 5], 0.01, 1.0)
+    cfg = SpecVatConfig(k_max=4)
+    explicit, scanned = specvat(m, 3, cfg), analyze(m, "specvat", cfg)
+    plain = analyze(m, "vat", cfg)
+    assert type(explicit) is type(scanned) is type(plain) is Analysis
+    assert (explicit.k, explicit.k_scores) == (3, None)
+    assert (scanned.k, scanned.k_scores) == a_specvat_select_k(m, cfg)
+    assert (plain.k, plain.k_scores, plain.d_prime) == (None, None, None)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
