@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError
+from .vatf import read_file
 
 WAVE_FORMAT_PCM = 0x0001
 WAVE_FORMAT_IEEE_FLOAT = 0x0003
@@ -212,15 +213,7 @@ def _parse_fmt(body: bytes) -> dict:
 
 
 def read_wav(path) -> AudioClip:
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read WAV file {path}: {exc}") from exc
-    try:
-        return decode_wav(data)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    return read_file(path, "WAV file", decode_wav)
 
 
 # --------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .report import (
 )
 from .synth import BlobSpec, block_dissim, gaussian_blobs
 from .vat import ordering_to_json, read_ordering, read_pgm, write_pgm
-from .vatf import atomic_write_text, read_vatf, write_vatf
+from .vatf import atomic_write_text, naming, read_vatf, write_vatf
 
 
 _SHARED = {
@@ -48,20 +48,22 @@ def _add_shared(p, *flags):
                    help="output directory")
 
 
-def _checked(path, check, *args, **kwargs):
-    """``check(*args, **kwargs)`` on a file's contents; its errors name the file."""
-    try:
-        return check(*args, **kwargs)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
 def _load_matrix(args):
     """Read --features/--dissim as a valid matrix, checked here where it enters."""
-    if args.dissim is not None:
-        return _checked(args.dissim, check_dissim, read_vatf(args.dissim))
-    return _checked(args.features, euclidean_dissim, read_vatf(args.features),
-                    standardize=args.standardize)
+    path = args.features if args.dissim is None else args.dissim
+    m = read_vatf(path)
+    with naming(path):
+        if args.dissim is None:
+            return euclidean_dissim(m, standardize=args.standardize)
+        return check_dissim(m)
+
+
+def _sizes(text: str) -> list[int]:
+    """``--sizes``: comma-separated block sizes; empty entries are skipped."""
+    try:
+        return [int(s) for s in text.split(",") if s]
+    except ValueError as exc:  # names the entry
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _matrix_inputs(p):
@@ -162,8 +164,7 @@ def cmd_synth(args) -> int:
         )
         print(f"{feats.shape[0]} x {feats.shape[1]} blob features -> {path}")
     else:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
-        m = block_dissim(sizes, args.within, args.between)
+        m = block_dissim(args.sizes, args.within, args.between)
         path = os.path.join(args.out, "dissim.vatf")
         write_vatf(path, m)
         print(f"{m.shape[0]} x {m.shape[0]} block matrix -> {path}")
@@ -174,7 +175,9 @@ def cmd_report(args) -> int:
     cfg = load_config(args.config)
     manifest = read_manifest(args.manifest)
     if args.features is not None:
-        feats = _checked(args.features, as_features, read_vatf(args.features))
+        feats = read_vatf(args.features)
+        with naming(args.features):
+            feats = as_features(feats)
     else:
         feats = features_for_manifest(
             manifest,
@@ -254,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     y.add_argument("--sep", type=float, default=10.0)
     y.add_argument("--sigma", type=float, default=1.0)
     y.add_argument("--seed", type=int, default=0)
-    y.add_argument("--sizes", default="15,15,15",
+    y.add_argument("--sizes", type=_sizes, default="15,15,15",
                    help="blocks mode: comma-separated block sizes")
     y.add_argument("--within", type=float, default=0.01)
     y.add_argument("--between", type=float, default=1.0)

@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import InputError
+from .vatf import read_file
 
 SCENES = (
     "airport",
@@ -135,15 +136,7 @@ def parse_manifest(data) -> LabeledManifest:
 
 
 def read_manifest(path) -> LabeledManifest:
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read manifest {path}: {exc}") from exc
-    try:
-        return parse_manifest(data)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    return read_file(path, "manifest", parse_manifest)
 
 
 def parse_dcase_filename(name: str) -> tuple[str, str]:

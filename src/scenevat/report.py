@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
+import io
 import json
 import os
 import typing
@@ -27,7 +28,7 @@ from .matrix import as_features, euclidean_dissim
 from .specvat import SpecVatConfig, _embed, _select_k, _specvat
 from .stacks import label_stack, stack_csv, stack_svg
 from .vat import Analysis, _odi, _vat_order, ordering_to_json, write_pgm
-from .vatf import atomic_write_text, read_vatf, write_vatf
+from .vatf import atomic_write_text, naming, read_file, read_vatf, write_vatf
 
 GROUPINGS = ("by_scene", "by_city", "all", "single_subset")
 METHODS = ("vat", "specvat")
@@ -47,12 +48,11 @@ def load_config(path: Optional[str]) -> ReportConfig:
     """Read a JSON config with optional ``audio``/``specvat``/``cce`` sections."""
     if path is None:
         return DEFAULT_CONFIG
+    data = read_file(path, "config", bytes)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+        # Universal newlines, as text-mode open() reads: offsets count "\r\n" once.
+        doc = json.load(io.StringIO(data.decode("utf-8"), newline=None))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
         raise InputError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"config {path} must be a JSON object")
@@ -151,17 +151,14 @@ def features_for_manifest(
         os.makedirs(cache_dir, exist_ok=True)
 
     def one(path: str) -> np.ndarray:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        data = read_file(path, "WAV file", bytes)
         key = None
         if cache_dir is not None:
             key = os.path.join(cache_dir, feature_cache_key(data, cfg) + ".vatf")
             if os.path.isfile(key):
                 return read_vatf(key)[0]
-        try:
+        with naming(path):
             vec = extract_features(data, cfg)
-        except InputError as exc:
-            raise InputError(f"{path}: {exc}") from exc
         if key is not None:
             write_vatf(key, vec[np.newaxis, :])
         return vec
@@ -271,10 +268,10 @@ def run_report(
     once, here; each subset's distances are valid by construction and go
     to ``analyze`` unchecked.  Subsets with fewer than 2
     records, or 3 for SpecVAT, are skipped with a warning, and so are
-    subsets whose image is degenerate (a single intensity), which are
-    listed under ``skipped`` with a ``reason``.  DegenerateImageError is
-    raised, after ``report.json`` is written, only when no subset could be
-    analysed.
+    subsets whose distances overflow or whose image is degenerate (a single
+    intensity), which are listed under ``skipped`` with a ``reason``.
+    DegenerateImageError is raised, after ``report.json`` is written, only
+    when no subset could be analysed.
     """
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -305,9 +302,14 @@ def run_report(
             report["skipped"].append({"subset": name, "n": int(idx.size)})
             continue
         try:
+            # The features are valid, so the one InputError is an overflow.
             dissim = euclidean_dissim(features[idx], standardize=standardize)
         except InputError as exc:
-            raise InputError(f"subset {name!r}: {exc}") from exc
+            warnings.warn(f"subset {name!r}: {exc}; skipping", stacklevel=2)
+            report["skipped"].append(
+                {"subset": name, "n": int(idx.size), "reason": str(exc)}
+            )
+            continue
         try:
             result = analyze(dissim, method, config.spec,
                              None if k is None else min(k, idx.size - 1))

@@ -13,14 +13,13 @@ order; among equidistant candidates the smallest index wins.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .matrix import bands, check_dissim, check_permutation
-from .vatf import atomic_write_bytes
+from .vatf import atomic_write_bytes, naming, read_file
 
 
 @dataclass(frozen=True)
@@ -149,27 +148,20 @@ def _pgm_parts(img) -> tuple[bytes, np.ndarray]:
 
 def write_pgm(img, path) -> None:
     """Write a binary PGM (P5, maxval 255), atomically, without copying it."""
-    try:
+    with naming(path):
         header, x = _pgm_parts(img)
         atomic_write_bytes(path, header, x.reshape(-1))
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
 
 
 def read_pgm(path) -> np.ndarray:
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read PGM file {path}: {exc}") from exc
-    return parse_pgm(data, name=os.fspath(path))
+    return read_file(path, "PGM file", parse_pgm)
 
 
-def parse_pgm(data: bytes, name: str = "<bytes>") -> np.ndarray:
+def parse_pgm(data: bytes) -> np.ndarray:
     pos = 0
     fields = []
     if not data.startswith(b"P5"):
-        raise InputError(f"{name}: not a binary PGM (missing P5 magic)")
+        raise InputError("not a binary PGM (missing P5 magic)")
     pos = 2
     # Header tokens may be separated by whitespace and '#' comments.
     while len(fields) < 3:
@@ -184,19 +176,19 @@ def parse_pgm(data: bytes, name: str = "<bytes>") -> np.ndarray:
             tok += data[pos : pos + 1]
             pos += 1
         if not tok:
-            raise InputError(f"{name}: truncated PGM header")
+            raise InputError("truncated PGM header")
         fields.append(tok)
     try:
         w, h, maxval = (int(f) for f in fields)
     except ValueError:
-        raise InputError(f"{name}: malformed PGM header fields {fields}") from None
+        raise InputError(f"malformed PGM header fields {fields}") from None
     if maxval != 255:
-        raise InputError(f"{name}: unsupported PGM maxval {maxval}")
+        raise InputError(f"unsupported PGM maxval {maxval}")
     pos += 1  # exactly one whitespace byte after maxval
     payload = data[pos:]
     if len(payload) != w * h:
         raise InputError(
-            f"{name}: PGM payload is {len(payload)} bytes, expected {w * h}"
+            f"PGM payload is {len(payload)} bytes, expected {w * h}"
         )
     return np.frombuffer(payload, dtype=np.uint8).reshape(h, w).copy()
 
@@ -225,10 +217,4 @@ def ordering_from_json(text: str | bytes) -> VatOrdering:
 
 
 def read_ordering(path) -> VatOrdering:
-    try:
-        with open(path, "rb") as fh:
-            return ordering_from_json(fh.read())
-    except OSError as exc:
-        raise InputError(f"cannot read ordering file {path}: {exc}") from exc
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    return read_file(path, "ordering file", ordering_from_json)

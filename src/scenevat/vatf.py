@@ -4,10 +4,15 @@ Layout: the bytes ``VATF``; little-endian uint32 version (=1), n, d; then
 n*d little-endian IEEE-754 float64 values, row-major.  Used for feature
 stores (n x d) and, with d = n, for dissimilarity matrices.  Round trips
 are bit-exact.
+
+The package's file access lives here too: ``read_file`` reads every input
+file, ``naming`` names the file in errors about its contents, and
+``atomic_write_bytes`` writes every artifact.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import tempfile
@@ -59,13 +64,35 @@ def write_vatf(path, values) -> None:
 
 
 def read_vatf(path) -> np.ndarray:
+    return read_file(path, "VATF file", parse_vatf)
+
+
+def read_file(path, kind: str, parse):
+    """Return ``parse(data)`` on the bytes of the file at ``path``.
+
+    The one way the package reads an input file.  A file that cannot be
+    read raises ``InputError("cannot read <kind> <path>: ...")``, and an
+    InputError from ``parse`` is re-raised by ``naming(path)``.  Pass
+    ``parse=bytes`` for the raw bytes.
+    """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
-        raise InputError(f"cannot read VATF file {path}: {exc}") from exc
+        raise InputError(f"cannot read {kind} {path}: {exc}") from exc
+    with naming(path):
+        return parse(data)
+
+
+@contextlib.contextmanager
+def naming(path):
+    """Re-raise an InputError from the block as ``"<path>: <message>"``.
+
+    Wrap the code that reads or checks the contents of one file, once, so
+    every message about those contents starts with the file's name.
+    """
     try:
-        return parse_vatf(data)
+        yield
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
 

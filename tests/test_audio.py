@@ -18,7 +18,6 @@ from scenevat.audio import (
     mel_filterbank,
     mel_power,
     mel_to_hz,
-    read_wav,
     resample,
     stft_power,
 )
@@ -119,15 +118,6 @@ def test_decode_rejects_ragged_payload():
     wav[40:44] = struct.pack("<I", 3)
     with pytest.raises(InputError, match="whole number"):
         decode_wav(bytes(wav[:44] + wav[44:47]))
-
-
-def test_read_wav_error_names_path(tmp_path):
-    bad = tmp_path / "clip.wav"
-    bad.write_bytes(b"junk")
-    with pytest.raises(InputError, match="clip.wav"):
-        read_wav(bad)
-    with pytest.raises(InputError, match="missing.wav"):
-        read_wav(tmp_path / "missing.wav")
 
 
 # --------------------------------------------------------------------------

@@ -144,6 +144,17 @@ def test_bad_config_values_exit_2(tmp_path, capsys, command, doc):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("raw", [b"\xff{}", b"{}\xff"],
+                         ids=["leading-0xff", "trailing-0xff"])
+def test_non_utf8_config_exits_2(tmp_path, capsys, raw):
+    argv = _one_clip_inputs(tmp_path)["cce"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(raw)
+    assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: config {cfg} is not valid JSON: 'utf-8' codec can't decode byte 0xff")
+
+
 @pytest.mark.parametrize("threads", ["0", "-5"])
 def test_features_threads_below_one_exit_2(tmp_path, capsys, threads):
     argv = _one_clip_inputs(tmp_path)["features"]
@@ -387,12 +398,51 @@ def test_report_names_a_bad_feature_row_by_its_row_in_the_file(tmp_path, capsys)
 
 
 @pytest.mark.filterwarnings("ignore:subset .* has 0 record")
-def test_report_exits_2_naming_the_subset_whose_distances_overflow(tmp_path, capsys):
+def test_report_skips_a_subset_whose_distances_overflow(tmp_path, capsys):
     feats = np.arange(48.0).reshape(12, 4)
     feats[2] = 1e200
-    assert main(_twelve_record_report(tmp_path, feats)) == 2
-    assert capsys.readouterr().err.startswith(
-        "error: subset 'airport': feature distances overflow")
+    with pytest.warns(UserWarning, match="'airport': feature distances overflow"):
+        assert main(_twelve_record_report(tmp_path, feats)) == 0
+    assert "bus: " in capsys.readouterr().out
+    doc = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert [e["subset"] for e in doc["subsets"]] == ["bus"]
+    [airport] = [e for e in doc["skipped"] if e["subset"] == "airport"]
+    assert airport["n"] == 6
+    assert airport["reason"].startswith("feature distances overflow")
+    assert (tmp_path / "o" / "bus" / "odi.pgm").is_file()
+    assert not (tmp_path / "o" / "airport").exists()
+
+
+@pytest.mark.filterwarnings("ignore:subset .* has 0 record")
+def test_report_exits_3_when_every_subset_overflows(tmp_path, capsys):
+    feats = np.arange(48.0).reshape(12, 4)
+    feats[[2, 8]] = 1e200
+    with pytest.warns(UserWarning, match="feature distances overflow"):
+        assert main(_twelve_record_report(tmp_path, feats)) == 3
+    assert "no subset could be analysed" in capsys.readouterr().err
+    doc = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert doc["subsets"] == []
+    assert {e["subset"] for e in doc["skipped"] if "reason" in e} == {"airport", "bus"}
+
+
+@pytest.mark.filterwarnings("ignore:subset .* has 0 record")
+def test_report_band_width_too_large_for_a_subset_exits_2(tmp_path, capsys):
+    # Only an overflow skips a subset; any other InputError ends the report.
+    argv = _twelve_record_report(tmp_path, np.arange(48.0).reshape(12, 4))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"cce": {"band_width": 50}}')
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert "band width 50 must satisfy" in capsys.readouterr().err
+
+
+def test_synth_non_integer_size_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["synth", "--mode", "blocks", "--sizes", "3,x",
+              "--out", str(tmp_path / "s")])
+    assert err.value.code == 2
+    msg = capsys.readouterr().err
+    assert "argument --sizes: " in msg and "'x'" in msg
+    assert not (tmp_path / "s").exists()
 
 
 def test_usage_error_exits_2():

@@ -221,6 +221,15 @@ def test_decode_errors_name_the_file(tmp_path):
         features_for_manifest(mf, FAST_AUDIO, audio_root=str(tmp_path))
 
 
+def test_unreadable_clip_names_the_file(tmp_path, monkeypatch):
+    # A clip that passes the existence check but cannot be opened.
+    monkeypatch.setattr(scenevat.report.os.path, "isfile", lambda p: True)
+    mf = parse_manifest("path,scene,city\ngone.wav,park,paris\n")
+    with pytest.raises(InputError) as err:
+        features_for_manifest(mf, FAST_AUDIO, audio_root=str(tmp_path))
+    assert str(err.value).startswith(f"cannot read WAV file {tmp_path / 'gone.wav'}: ")
+
+
 # --------------------------------------------------------------------------
 # report runs
 

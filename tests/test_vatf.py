@@ -3,7 +3,10 @@ import struct
 import numpy as np
 import pytest
 
+from scenevat.audio import read_wav
 from scenevat.errors import InputError
+from scenevat.manifest import read_manifest
+from scenevat.vat import read_ordering, read_pgm
 from scenevat.vatf import parse_vatf, read_vatf, vatf_bytes, write_vatf
 
 
@@ -76,3 +79,23 @@ def test_write_matches_vatf_bytes_for_any_layout(tmp_path):
         path = tmp_path / "m.vatf"
         write_vatf(path, values)
         assert path.read_bytes() == vatf_bytes(values)
+
+
+@pytest.mark.parametrize("read, kind", [
+    (read_vatf, "VATF file"),
+    (read_pgm, "PGM file"),
+    (read_ordering, "ordering file"),
+    (read_manifest, "manifest"),
+    (read_wav, "WAV file"),
+], ids=["read_vatf", "read_pgm", "read_ordering", "read_manifest", "read_wav"])
+def test_readers_name_the_file(tmp_path, read, kind):
+    # Every reader goes through read_file: the two message forms.
+    missing = tmp_path / "missing.in"
+    with pytest.raises(InputError) as err:
+        read(missing)
+    assert str(err.value).startswith(f"cannot read {kind} {missing}: ")
+    bad = tmp_path / "bad.in"
+    bad.write_bytes(b"junk")
+    with pytest.raises(InputError) as err:
+        read(bad)
+    assert str(err.value).startswith(f"{bad}: ")
