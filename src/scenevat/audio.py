@@ -312,18 +312,22 @@ def stft_power(clip: AudioClip, cfg: AudioConfig = AudioConfig()) -> np.ndarray:
     return np.abs(spec) ** 2
 
 
+# Slaney's mel scale: linear below 1 kHz, logarithmic above.
+_MEL_F_SP = 200.0 / 3.0
+_MEL_MIN_LOG_HZ = 1000.0
+_MEL_MIN_LOG_MEL = _MEL_MIN_LOG_HZ / _MEL_F_SP
+_MEL_LOGSTEP = np.log(6.4) / 27.0
+
+
 def hz_to_mel(freq, htk: bool = False) -> np.ndarray:
     f = np.asarray(freq, dtype=np.float64)
     if htk:
         return 2595.0 * np.log10(1.0 + f / 700.0)
-    f_sp = 200.0 / 3.0
-    min_log_hz = 1000.0
-    min_log_mel = min_log_hz / f_sp
-    logstep = np.log(6.4) / 27.0
     return np.where(
-        f < min_log_hz,
-        f / f_sp,
-        min_log_mel + np.log(np.maximum(f, min_log_hz) / min_log_hz) / logstep,
+        f < _MEL_MIN_LOG_HZ,
+        f / _MEL_F_SP,
+        _MEL_MIN_LOG_MEL
+        + np.log(np.maximum(f, _MEL_MIN_LOG_HZ) / _MEL_MIN_LOG_HZ) / _MEL_LOGSTEP,
     )
 
 
@@ -331,14 +335,11 @@ def mel_to_hz(mel, htk: bool = False) -> np.ndarray:
     m = np.asarray(mel, dtype=np.float64)
     if htk:
         return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
-    f_sp = 200.0 / 3.0
-    min_log_hz = 1000.0
-    min_log_mel = min_log_hz / f_sp
-    logstep = np.log(6.4) / 27.0
     return np.where(
-        m < min_log_mel,
-        f_sp * m,
-        min_log_hz * np.exp(logstep * (np.maximum(m, min_log_mel) - min_log_mel)),
+        m < _MEL_MIN_LOG_MEL,
+        _MEL_F_SP * m,
+        _MEL_MIN_LOG_HZ
+        * np.exp(_MEL_LOGSTEP * (np.maximum(m, _MEL_MIN_LOG_MEL) - _MEL_MIN_LOG_MEL)),
     )
 
 

@@ -135,17 +135,10 @@ def _histogram(x: np.ndarray) -> np.ndarray:
     return hist
 
 
-def offdiag_signal(img, t: int, cfg: CceConfig = CceConfig()) -> np.ndarray:
-    """Per-column dark-pixel count over the band just below the diagonal.
-
-    ``signal[i]`` counts dark pixels among ``(i+1, i) .. (i+w, i)`` for
-    i in [0, n-1-w]; values lie in [0, w].
-    """
-    x = check_image(img)
-    return _signal(x, t, cfg.resolve_band(x.shape[0]))
-
-
 def _signal(x: np.ndarray, t: int, w: int) -> np.ndarray:
+    # Per-column dark-pixel count over the band just below the diagonal:
+    # signal[i] counts pixels <= t among (i+1, i) .. (i+w, i), for i in
+    # [0, n-1-w]; values lie in [0, w].
     n = x.shape[0]
     if n != x.shape[1]:
         raise InputError(f"expected a square image, got {x.shape}")

@@ -8,8 +8,6 @@ index order that every downstream ordering permutes.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
@@ -17,8 +15,8 @@ from .errors import InputError
 
 # Symmetry tolerance, relative to the largest magnitude in the matrix.
 SYMMETRY_RTOL = 1e-12
-# Rows per band of the six banded n x n passes (symmetry check, affinity,
-# normalization, symmetrization, ODI, Otsu histogram): no n x n temporary.
+# Rows per band of the five banded n x n passes (symmetry check, affinity,
+# normalization, ODI, Otsu histogram): no n x n temporary.
 BAND = 256
 
 
@@ -73,53 +71,70 @@ def euclidean_dissim(features, *, standardize: bool = False) -> np.ndarray:
     return squareform(condensed)
 
 
-def validate_dissim(m) -> Optional[str]:
-    """Check dissimilarity-matrix invariants.
+def check_symmetric(m) -> np.ndarray:
+    """Return ``m`` as an exactly symmetric float64 array, or raise InputError.
 
-    Returns ``None`` when the matrix passes, otherwise a message describing
-    the first violated invariant and where it occurs.  Symmetry is checked
-    to ``SYMMETRY_RTOL`` times the largest magnitude in the matrix.
+    ``m`` must be square, nonempty, finite and symmetric to ``SYMMETRY_RTOL``
+    times its largest magnitude.  It is returned as it is when exactly
+    symmetric, else as a new ``0.5*m + 0.5*m.T``; ``m`` is never changed.
     """
-    x = np.asarray(m, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        return f"matrix is not square: shape {x.shape}"
-    if x.shape[0] < 1:
-        return "matrix is empty"
-    if not np.isfinite(x).all():
-        i, j = np.argwhere(~np.isfinite(x))[0]
-        return f"non-finite value at ({i}, {j})"
-    diag = np.diagonal(x)
-    nz = np.flatnonzero(diag != 0.0)
-    if nz.size:
-        i = int(nz[0])
-        return f"diagonal entry at ({i}, {i}) is {float(diag[i])}, expected exactly 0"
-    x_min = float(x.min())
-    tol = SYMMETRY_RTOL * max(float(x.max()), -x_min)
-    # |x - x.T| is symmetric, so the first offender in row-major order lies
-    # above the diagonal: scan bands of rows against their mirror columns.
-    for rows in bands(x.shape[0]):
-        i0 = rows.start
-        asym = x[rows, i0:] - x[i0:, rows].T
-        np.abs(asym, out=asym)
-        if asym.max() > tol:
-            i, j = np.argwhere(asym > tol)[0] + i0
-            return (
-                f"asymmetric entry at ({i}, {j}): "
-                f"{float(x[i, j])} vs {float(x[j, i])} (tolerance {tol})"
-            )
-    if x_min < 0:
-        i, j = np.argwhere(x < 0)[0]
-        return f"negative entry at ({i}, {j}): {float(x[i, j])}"
-    return None
+    return _symmetric(_square_finite(m, "symmetric matrix"), "symmetric matrix")
 
 
 def check_dissim(m) -> np.ndarray:
-    """Return ``m`` as a float64 array, raising InputError if invalid."""
+    """Return ``m`` as a valid dissimilarity matrix, or raise InputError.
+
+    As ``check_symmetric``, plus an exactly zero diagonal (checked before
+    symmetry) and no negative entry.  The message names the first invariant
+    violated and where.
+    """
+    x = _square_finite(m, "dissimilarity matrix")
+    nz = np.flatnonzero(np.diagonal(x))
+    if nz.size:
+        i = int(nz[0])
+        raise InputError(f"invalid dissimilarity matrix: diagonal entry at ({i}, {i}) "
+                         f"is {float(x[i, i])}, expected exactly 0")
+    sym = _symmetric(x, "dissimilarity matrix")
+    if x.min() < 0:
+        i, j = np.argwhere(x < 0)[0]
+        raise InputError(f"invalid dissimilarity matrix: negative entry at ({i}, {j}): "
+                         f"{float(x[i, j])}")
+    return sym
+
+
+def _square_finite(m, what: str) -> np.ndarray:
     x = np.asarray(m, dtype=np.float64)
-    problem = validate_dissim(x)
-    if problem is not None:
-        raise InputError(f"invalid dissimilarity matrix: {problem}")
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise InputError(f"invalid {what}: matrix is not square: shape {x.shape}")
+    if x.shape[0] < 1:
+        raise InputError(f"invalid {what}: matrix is empty")
+    if not np.isfinite(x).all():
+        i, j = np.argwhere(~np.isfinite(x))[0]
+        raise InputError(f"invalid {what}: non-finite value at ({i}, {j})")
     return x
+
+
+def _symmetric(x: np.ndarray, what: str) -> np.ndarray:
+    # |x - x.T| is symmetric, so the first offender in row-major order lies
+    # above the diagonal: scan bands of rows against their mirror columns.
+    tol = SYMMETRY_RTOL * max(float(x.max()), -float(x.min()))
+    exact = True
+    for rows in bands(x.shape[0]):
+        i0 = rows.start
+        asym = np.abs(x[rows, i0:] - x[i0:, rows].T)
+        if asym.max() > tol:
+            i, j = np.argwhere(asym > tol)[0] + i0
+            raise InputError(f"invalid {what}: asymmetric entry at ({i}, {j}): "
+                             f"{float(x[i, j])} vs {float(x[j, i])} (tolerance {tol})")
+        exact = exact and not asym.any()
+    if exact:
+        return x
+    out = np.empty(x.shape)  # 0.5*x + 0.5*x.T, which cannot overflow
+    for rows in bands(x.shape[0]):
+        i0 = rows.start
+        out[rows, i0:] = 0.5 * x[rows, i0:] + 0.5 * x[i0:, rows].T
+        out[i0:, rows] = out[rows, i0:].T
+    return out
 
 
 def check_permutation(p, n: int) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .audio import AudioConfig, extract_features
 from .cce import CceConfig, cce_count
-from .errors import DegenerateImageError, InputError
+from .errors import DegenerateImageError, InputError, NumericError
 from .manifest import CITIES, CITY_PALETTE, SCENE_PALETTE, SCENES, LabeledManifest
 from .matrix import as_features, euclidean_dissim
 from .specvat import SpecVatConfig, _embed, _select_k, _specvat
@@ -231,10 +231,12 @@ def analyze(d: np.ndarray, method: str, spec_cfg: SpecVatConfig,
             k: Optional[int] = None) -> Analysis:
     """Order and render one dissimilarity matrix with VAT or SpecVAT.
 
-    ``d`` must be a valid float64 matrix already: checked where it entered
-    (``check_dissim``) or valid by construction (``euclidean_dissim``).  It
-    is not checked again, and never changed.  SpecVAT uses ``k``
-    eigenvectors, or picks k with the scan when ``k`` is None.
+    ``d`` must be a valid, exactly symmetric float64 matrix already: as
+    ``check_dissim`` returned it where it entered, or valid by construction
+    (``euclidean_dissim``).  It is not checked again, and never changed.
+    SpecVAT uses ``k`` eigenvectors, or picks k with the scan when ``k`` is
+    None; its solver takes the normalized affinity as built, which is
+    exactly symmetric because ``d`` is.
     """
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -270,8 +272,8 @@ def run_report(
     records, or 3 for SpecVAT, are skipped with a warning, and so are
     subsets whose distances overflow or whose image is degenerate (a single
     intensity), which are listed under ``skipped`` with a ``reason``.
-    DegenerateImageError is raised, after ``report.json`` is written, only
-    when no subset could be analysed.
+    NumericError is raised, after ``report.json`` is written, only when no
+    subset could be analysed.
     """
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -360,7 +362,7 @@ def run_report(
         json.dumps(report, sort_keys=True, indent=2) + "\n",
     )
     if not report["subsets"] and any("reason" in e for e in report["skipped"]):
-        raise DegenerateImageError(
+        raise NumericError(
             f"no subset could be analysed; see {os.path.join(out_dir, 'report.json')}"
         )
     return report

@@ -23,10 +23,9 @@ from scipy.spatial.distance import cdist
 
 from .cce import otsu_effectiveness
 from .errors import DegenerateImageError, InputError, NumericError
-from .matrix import bands, check_dissim
+from .matrix import bands, check_dissim, check_symmetric
 from .vat import Analysis, _odi, _vat_order
 
-EIGEN_SYMMETRY_ATOL = 1e-10
 SIGN_TOL = 1e-12
 # Matrices this large go to ARPACK: single-thread CPU, top 10 pairs of a
 # SpecVAT affinity, ARPACK and evr both take 0.09 s at n = 1000, and
@@ -98,17 +97,12 @@ def _affinity(d: np.ndarray, cfg: SpecVatConfig) -> np.ndarray:
 def normalized_affinity(a) -> np.ndarray:
     """Symmetric normalization ``S^(-1/2) A S^(-1/2)`` with S = diag(row sums).
 
-    Rows summing to zero (isolated points) map to zero rows/columns.  The
-    largest eigenvectors of the result are the smallest eigenvectors of the
-    normalized Laplacian ``I - S^(-1/2) A S^(-1/2)``.
+    ``a`` is checked and symmetrized as by ``check_symmetric`` and must be
+    nonnegative.  Rows summing to zero (isolated points) map to zero
+    rows/columns.  The largest eigenvectors of the result are the smallest
+    eigenvectors of the normalized Laplacian ``I - S^(-1/2) A S^(-1/2)``.
     """
-    x = np.array(a, dtype=np.float64)  # a copy: _normalize scales in place
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise InputError(f"affinity must be square, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise InputError("affinity must be finite")
-    if np.abs(x - x.T).max(initial=0.0) > EIGEN_SYMMETRY_ATOL:
-        raise InputError("affinity must be symmetric")
+    x = np.array(check_symmetric(a))  # a copy: _normalize scales in place
     if (x < 0).any():
         raise InputError("affinity must be nonnegative")
     return _normalize(x)
@@ -134,15 +128,15 @@ def _normalize(x: np.ndarray) -> np.ndarray:
 def sym_eigen_topk(n_mat, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k eigenpairs of a symmetric matrix, eigenvalues descending.
 
-    The matrix must be finite.  It is symmetrized as ``0.5 * N + 0.5 * N.T``
-    in a copy, which cannot overflow, so ``n_mat`` is never changed.  Only
-    the top k pairs are solved for.  From n = 1024 (``ARPACK_MIN_N``) on,
-    with k < n-1, ARPACK's Lanczos solver (``scipy.sparse.linalg.eigsh``)
-    runs first, from a fixed start vector and seeded restarts, and capped
-    at about n/3 matrix-vector products;
-    its result is kept only if its eigenvalues are positive and it meets
-    the residual and orthonormality bounds below.  Where eigsh cannot seed
-    its restarts (it takes no ``rng``, as in scipy 1.10), it is not used.
+    The matrix must pass ``check_symmetric`` (finite, and symmetric to 1e-12
+    times its largest magnitude), whose result is solved in a copy, so
+    ``n_mat`` is never changed.  Only the top k pairs are solved for.  From
+    n = 1024 (``ARPACK_MIN_N``) on, with k < n-1, ARPACK's Lanczos solver
+    (``scipy.sparse.linalg.eigsh``) runs first, from a fixed start vector
+    and seeded restarts, and capped at about n/3 matrix-vector products; its
+    result is kept only if its eigenvalues are positive and it meets the
+    residual and orthonormality bounds below.  Where eigsh cannot seed its
+    restarts (it takes no ``rng``, as in scipy 1.10), it is not used.
     Otherwise, and for every smaller matrix, LAPACK's ``evr`` driver
     (``scipy.linalg.eigh(subset_by_index=...)``) solves it.  When that
     solver returns fewer than k pairs -- the subset boundary splits a
@@ -152,35 +146,18 @@ def sym_eigen_topk(n_mat, k: int) -> tuple[np.ndarray, np.ndarray]:
     component larger than 1e-12 in magnitude is made positive.  Residuals
     satisfy ``|N v - lambda v| <= 1e-8 * |N|_F``.
     """
-    x = np.asarray(n_mat, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise InputError(f"matrix must be square, got shape {x.shape}")
+    x = check_symmetric(n_mat)
     n = x.shape[0]
     if not 1 <= k <= n:
         raise InputError(f"k={k} must satisfy 1 <= k <= n (n={n})")
-    if not np.isfinite(x).all():
-        raise InputError("matrix must be finite")
-    if np.abs(x - x.T).max(initial=0.0) > EIGEN_SYMMETRY_ATOL:
-        raise InputError("matrix is not symmetric within 1e-10")
-    return _eigen_topk(lambda: 0.5 * x + 0.5 * x.T, k)
+    return _eigen_topk(x.copy, k)
 
 
 def _spectrum(d: np.ndarray, cfg: SpecVatConfig, k: int):
-    # Affinity, normalization and solve share one n x n buffer.
-    return _eigen_topk(lambda: _symmetrize(_normalize(_affinity(d, cfg))), k)
-
-
-def _symmetrize(x: np.ndarray) -> np.ndarray:
-    # 0.5 * (x + x.T) in place, band by band.  It is x bit for bit when d is
-    # exactly symmetric; when d is symmetric only within check_dissim's
-    # tolerance, so is the affinity, and this keeps the solver's input.
-    for rows in bands(x.shape[0]):
-        i0 = rows.start
-        band = x[rows, i0:] + x[i0:, rows].T
-        band *= 0.5
-        x[rows, i0:] = band
-        x[i0:, rows] = band.T
-    return x
+    # Affinity, normalization and solve share one n x n buffer.  An exactly
+    # symmetric d gives an exactly symmetric normalized affinity: entries
+    # (i, j) and (j, i) are the same products in swapped order.
+    return _eigen_topk(lambda: _normalize(_affinity(d, cfg)), k)
 
 
 def _eigen_topk(build, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -8,8 +8,8 @@ import scenevat.cce as cce_mod
 from scenevat.cce import (
     CceConfig,
     _histogram,
+    _signal,
     cce_count,
-    offdiag_signal,
     otsu_effectiveness,
     otsu_threshold,
 )
@@ -90,7 +90,7 @@ def test_signal_matches_dark_mask_reference():
         dark = img <= t
         ref = sum(np.diagonal(dark, offset=-u)[: n - w].astype(np.int64)
                   for u in range(1, w + 1))
-        got = offdiag_signal(img, t, CceConfig(band_width=w))
+        got = _signal(img, t, w)
         assert got.dtype == np.int64 and np.array_equal(got, ref)
 
 
@@ -154,26 +154,27 @@ def test_effectiveness_ignores_pixel_order():
 
 def test_signal_all_dark_is_band_width():
     img = np.zeros((12, 12), dtype=np.uint8)
-    sig = offdiag_signal(img, 0, CceConfig(band_width=3))
+    sig = _signal(img, 0, 3)
     assert sig.tolist() == [3] * 9
 
 
 def test_signal_all_light_is_zero():
     img = np.full((12, 12), 200, dtype=np.uint8)
-    sig = offdiag_signal(img, 10, CceConfig(band_width=3))
+    sig = _signal(img, 10, 3)
     assert sig.tolist() == [0] * 9
 
 
 def test_signal_two_blocks_dips_at_boundary():
     img = ideal_block_image([10, 10])
-    sig = offdiag_signal(img, 0, CceConfig(band_width=2))
+    sig = _signal(img, 0, 2)
     assert sig.tolist() == [2] * 8 + [1, 0] + [2] * 8
 
 
 def test_signal_band_width_bounds():
     img = np.zeros((5, 5), dtype=np.uint8)
-    with pytest.raises(InputError):
-        offdiag_signal(img, 0, CceConfig(band_width=5))
+    img[0, 0] = 255  # two levels, so Otsu passes and the band is checked
+    with pytest.raises(InputError, match="band width 5"):
+        cce_count(img, CceConfig(band_width=5))
 
 
 def test_count_three_ideal_blocks():

@@ -358,6 +358,27 @@ def test_matrix_is_checked_once_where_it_enters(tmp_path, monkeypatch, command,
     assert calls == [(18, 18)] * checks
 
 
+@pytest.mark.parametrize("command", ["vat", "specvat"])
+def test_dissim_symmetric_within_tolerance_is_analysed_symmetrized(tmp_path,
+                                                                   command):
+    # Off by 1e-13 relative in one entry: the file is accepted and analysed
+    # as 0.5*D + 0.5*D.T, so its artifacts are that copy's, byte for byte.
+    feats, _ = gaussian_blobs(BlobSpec(3, 10, 4, 10.0, seed=1))
+    d = scenevat.matrix.euclidean_dissim(feats)
+    d[4, 17] *= 1.0 + 1e-13
+    assert d[4, 17] != d[17, 4]
+    write_vatf(tmp_path / "near.vatf", d)
+    write_vatf(tmp_path / "sym.vatf", 0.5 * d + 0.5 * d.T)
+    for name in ("near", "sym"):
+        assert main([command, "--dissim", str(tmp_path / f"{name}.vatf"),
+                     "--out", str(tmp_path / name)]) == 0
+    names = sorted(p.name for p in (tmp_path / "sym").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "near").iterdir())
+    for name in names:
+        assert (tmp_path / "near" / name).read_bytes() == (
+            tmp_path / "sym" / name).read_bytes(), name
+
+
 def _nan_at(n, row):
     feats = np.arange(4.0 * n).reshape(n, 4)
     feats[row, 1] = np.nan

@@ -7,9 +7,9 @@ from scenevat.matrix import (
     as_features,
     check_dissim,
     check_permutation,
+    check_symmetric,
     euclidean_dissim,
     permute_matrix,
-    validate_dissim,
     zscore,
 )
 
@@ -47,31 +47,48 @@ def test_euclidean_one_dimensional_input_is_column():
     assert m[0, 2] == 10.0
 
 
+def _dissim_problem(m):
+    """The invariant ``check_dissim`` names, or None when it accepts ``m``."""
+    try:
+        check_dissim(m)
+    except InputError as exc:
+        return str(exc).removeprefix("invalid dissimilarity matrix: ")
+    return None
+
+
 def test_validate_passes_on_euclidean_outputs():
     rng = np.random.Generator(np.random.Philox(key=1))
     for _ in range(20):
         f = rng.normal(size=(rng.integers(1, 30), rng.integers(1, 6)))
-        assert validate_dissim(euclidean_dissim(f)) is None
+        d = euclidean_dissim(f)
+        assert check_dissim(d) is d
 
 
 def test_validate_names_asymmetry():
     m = np.zeros((2, 2))
     m[0, 1] = 1.0
-    msg = validate_dissim(m)
+    msg = _dissim_problem(m)
     assert msg is not None and "(0, 1)" in msg and "symmetr" in msg
 
 
 def test_validate_names_negative_entry():
     m = np.zeros((2, 2))
     m[0, 1] = m[1, 0] = -1.0
-    msg = validate_dissim(m)
+    msg = _dissim_problem(m)
     assert msg is not None and "negative" in msg
 
 
 def test_validate_names_nonzero_diagonal():
     m = np.zeros((2, 2))
     m[1, 1] = 0.5
-    assert "diagonal" in validate_dissim(m)
+    assert "diagonal" in _dissim_problem(m)
+
+
+def test_check_symmetric_allows_what_only_a_dissimilarity_forbids():
+    m = np.array([[1.0, -2.0], [-2.0, 3.0]])
+    assert check_symmetric(m) is m
+    with pytest.raises(InputError, match=r"symmetric matrix: asymmetric entry at \(0, 1\)"):
+        check_symmetric(np.array([[1.0, -2.0], [2.0, 3.0]]))
 
 
 def test_triangle_inequality_on_random_features():
@@ -185,9 +202,9 @@ def test_check_dissim_raises_with_message():
 
 def test_symmetry_tolerance_scales_with_magnitude():
     m = np.array([[0.0, 1e7], [np.nextafter(1e7, np.inf), 0.0]])
-    assert validate_dissim(m) is None  # 1 ulp at 1e7
+    assert _dissim_problem(m) is None  # 1 ulp at 1e7
     m[1, 0] = 1e7 * (1.0 + 1e-9)
-    msg = validate_dissim(m)
+    msg = _dissim_problem(m)
     assert msg is not None and "asymmetric" in msg
     assert "np.float64" not in msg and "10000000.0 vs" in msg
 
@@ -248,8 +265,24 @@ def test_validate_messages_match_full_matrix_check(n):
             elif i != j:
                 m[i, j] *= 1.0 + 1e-13  # within the symmetry tolerance
         cases.append(m)
+    if n >= 2:
+        m = base.copy()
+        m[n - 1, 0] *= 1.0 + 1e-13  # within tolerance, last band against the first
+        cases.append(m)
     for m in cases:
-        assert validate_dissim(m) == _validate_dissim_reference(m)
-    hit = [validate_dissim(m) for m in cases]
+        assert _dissim_problem(m) == _validate_dissim_reference(m)
+    hit = [_dissim_problem(m) for m in cases]
     if n >= 7:
         assert any(h and "asymmetric" in h for h in hit)
+    # An accepted matrix comes back as it is when exactly symmetric, and as
+    # a new 0.5*m + 0.5*m.T, bit for bit, when symmetric within tolerance.
+    accepted = [m for m, h in zip(cases, hit) if h is None]
+    assert accepted[0] is base
+    for m in accepted:
+        before = m.copy()
+        got = check_dissim(m)
+        assert (got is m) == np.array_equal(m, m.T)
+        assert got.tobytes() == (0.5 * m + 0.5 * m.T).tobytes()
+        assert m.tobytes() == before.tobytes()
+    if n >= 2:
+        assert check_dissim(cases[-1]) is not cases[-1]

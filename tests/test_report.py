@@ -11,7 +11,7 @@ import scenevat.specvat
 import scenevat.vat
 from scenevat.audio import AudioConfig
 from scenevat.cce import CceConfig
-from scenevat.errors import InputError
+from scenevat.errors import DegenerateImageError, InputError, NumericError
 from scenevat.manifest import parse_manifest
 from scenevat.report import (
     DEFAULT_CONFIG,
@@ -444,6 +444,23 @@ def test_run_report_names_a_bad_features_row_by_its_row_in_the_matrix(tmp_path):
     with pytest.raises(InputError, match=r"^feature row 9 contains"):
         run_report(parse_manifest("\n".join(lines) + "\n"), feats, "by_scene",
                    str(tmp_path / "o"))
+
+
+@pytest.mark.filterwarnings("ignore:subset .* has 0 record")
+def test_run_report_every_subset_overflowing_is_no_degenerate_image(tmp_path):
+    # Each scene holds a row of 1e200: both subsets are skipped as
+    # overflows, and the error says no more than that nothing was analysed.
+    lines = ["path,scene,city"] + [
+        f"c{i}.wav,{'airport' if i < 6 else 'bus'},paris" for i in range(12)
+    ]
+    feats = np.arange(48.0).reshape(12, 4)
+    feats[[2, 8]] = 1e200
+    with pytest.warns(UserWarning, match="feature distances overflow"):
+        with pytest.raises(NumericError, match="no subset could be analysed") as exc:
+            run_report(parse_manifest("\n".join(lines) + "\n"), feats,
+                       "by_scene", str(tmp_path / "o"))
+    assert not isinstance(exc.value, DegenerateImageError)
+    assert (tmp_path / "o" / "report.json").is_file()
 
 
 def test_run_report_k_scan_runs_one_eigh_per_subset(tmp_path, monkeypatch):

@@ -14,7 +14,7 @@ import scenevat
 import scenevat.specvat as specvat_mod
 from scenevat.cce import cce_count, otsu_effectiveness
 from scenevat.errors import DegenerateImageError, InputError, NumericError
-from scenevat.matrix import euclidean_dissim, permute_matrix, validate_dissim
+from scenevat.matrix import check_dissim, euclidean_dissim, permute_matrix
 from scenevat.report import analyze
 from scenevat.specvat import (
     SpecVatConfig,
@@ -109,6 +109,18 @@ def test_normalized_rejects_negative():
         normalized_affinity(a)
 
 
+def test_normalized_symmetry_tolerance_scales_with_magnitude():
+    # An absolute 1e-10 rejected the first, off by 1e-15 relative, and
+    # accepted the second, asymmetric throughout.
+    a = 1e12 * (np.ones((4, 4)) - np.eye(4))
+    a[0, 1] += 1e-3
+    assert np.array_equal(normalized_affinity(a),
+                          normalized_affinity(0.5 * a + 0.5 * a.T))
+    tiny = 1e-12 * np.random.Generator(np.random.Philox(key=45)).uniform(size=(4, 4))
+    with pytest.raises(InputError, match="asymmetric"):
+        normalized_affinity(tiny)
+
+
 # --------------------------------------------------------------------------
 # eigen
 
@@ -158,6 +170,20 @@ def test_eigen_rejects_asymmetric():
         sym_eigen_topk(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
 
 
+def test_eigen_symmetry_tolerance_scales_with_magnitude():
+    # An absolute 1e-10 rejected the first, off by about 2e-16 relative,
+    # and accepted the second, asymmetric throughout.
+    rng = np.random.Generator(np.random.Philox(key=46))
+    raw = rng.normal(size=(6, 6))
+    x = 1e12 * (raw + raw.T)
+    x[0, 1] += 1e-3
+    got = sym_eigen_topk(x, 3)
+    ref = sym_eigen_topk(0.5 * x + 0.5 * x.T, 3)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref))
+    with pytest.raises(InputError, match="asymmetric"):
+        sym_eigen_topk(1e-12 * raw, 3)
+
+
 @pytest.mark.parametrize("x", [
     [[np.nan, 0.0], [0.0, 1.0]],
     [[0.0, np.inf], [np.inf, 0.0]],
@@ -169,14 +195,15 @@ def test_eigen_rejects_non_finite(x):
 
 
 def test_eigen_symmetrizes_huge_entries_without_overflow():
-    # 0.5 * (x + x.T) overflows to inf on the diagonal; 0.5*x + 0.5*x.T
-    # does not.
-    x = np.array([[1e308, 1.0], [1.0, 1e308]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        vals, vecs = sym_eigen_topk(x, 1)
-    assert np.isfinite(vals).all() and np.isfinite(vecs).all()
-    assert vals[0] == pytest.approx(1e308)
+    # 0.5 * (x + x.T) overflows to inf; 0.5*x + 0.5*x.T does not.  The
+    # second matrix is symmetric only within the tolerance.
+    for x in ([[1e308, 1.0], [1.0, 1e308]],
+              [[1.0, 1e308], [np.nextafter(1e308, 0.0), 1.0]]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, vecs = sym_eigen_topk(np.array(x), 1)
+        assert np.isfinite(vals).all() and np.isfinite(vecs).all()
+        assert vals[0] == pytest.approx(1e308)
 
 
 # --------------------------------------------------------------------------
@@ -227,7 +254,7 @@ def test_specvat_three_blocks_cce_roundtrip():
 def test_specvat_d_prime_is_valid_dissim():
     m = random_dissim(np.random.Generator(np.random.Philox(key=44)), 15)
     res = specvat(m, 4)
-    assert validate_dissim(res.d_prime) is None
+    assert check_dissim(res.d_prime) is res.d_prime
 
 
 def test_specvat_invariant_to_input_order():
@@ -560,13 +587,24 @@ def _specvat_reference(d, cfg, k):
 
 
 def _within_tolerance_asymmetric(n):
-    # Symmetric only to 1e-13 relative: check_dissim accepts it, and the
-    # affinity built from it is not exactly symmetric.
+    # Symmetric only to 1e-13 relative: check_dissim accepts it and returns
+    # a symmetrized copy.
     d = _blobs(n, seed=2)
     rng = np.random.Generator(np.random.Philox(key=5))
     d += np.triu(rng.uniform(-1e-13, 1e-13, d.shape) * d.max(), 1)
-    assert validate_dissim(d) is None and not np.array_equal(d, d.T)
+    assert check_dissim(d) is not d
     return d
+
+
+@pytest.mark.parametrize("knn_scale", [1, 7, 12])
+@pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 600, 1024])
+def test_exactly_symmetric_dissim_gives_exactly_symmetric_affinity(n, knn_scale):
+    # The spectral path solves the normalized affinity as built, with no
+    # symmetrizing pass: entries (i, j) and (j, i) are the same products.
+    d = _blobs(n)
+    assert check_dissim(d) is d
+    x = specvat_mod._normalize(specvat_mod._affinity(d, SpecVatConfig(knn_scale=knn_scale)))
+    assert np.array_equal(x, x.T)
 
 
 def test_normalize_matches_reference_bitwise():
@@ -583,10 +621,11 @@ def test_normalize_matches_reference_bitwise():
 @pytest.mark.parametrize("n", [3, 257, 600])
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_analyze_specvat_matches_copying_reference_bitwise(n, symmetric):
+    # analyze takes the matrix check_dissim returns, as the CLI does.
     d = _blobs(n) if symmetric else _within_tolerance_asymmetric(n)
     cfg, k = SpecVatConfig(), min(3, n - 1)
-    got = analyze(d, "specvat", cfg, k=k)
-    ordering, image, d_prime = _specvat_reference(d, cfg, k)
+    got = analyze(check_dissim(d), "specvat", cfg, k=k)
+    ordering, image, d_prime = _specvat_reference(0.5 * d + 0.5 * d.T, cfg, k)
     for a, b in [(got.ordering.order, ordering.order),
                  (got.ordering.link_dist, ordering.link_dist),
                  (got.image, image), (got.d_prime, d_prime)]:

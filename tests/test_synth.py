@@ -3,7 +3,7 @@ import pytest
 
 from scenevat.cce import CceConfig, cce_count
 from scenevat.errors import InputError
-from scenevat.matrix import euclidean_dissim, validate_dissim
+from scenevat.matrix import check_dissim, euclidean_dissim
 from scenevat.synth import BlobSpec, blob_centers, block_dissim, gaussian_blobs
 from scenevat.vat import odi_from, vat_order
 
@@ -81,7 +81,7 @@ def test_block_dissim_hand_values():
 
 def test_block_dissim_is_valid():
     m = block_dissim([15, 15, 15], 0.01, 1.0)
-    assert validate_dissim(m) is None
+    assert check_dissim(m) is m
     assert m.shape == (45, 45)
 
 
