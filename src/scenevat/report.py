@@ -244,7 +244,7 @@ def analyze(d: np.ndarray, method: str, spec_cfg: SpecVatConfig,
         ordering = _vat_order(d)
         return Analysis(ordering, _odi(d, ordering.order))
     if k is None:
-        return _select_k(d, spec_cfg)
+        return _specvat(*_select_k(d, spec_cfg))
     return _specvat(_embed(d, spec_cfg, k))
 
 
@@ -266,10 +266,10 @@ def run_report(
     link distances (JSON), label stacks (SVG + CSV), and a cluster-count
     report (JSON).  A summary table of counts per subset is returned and
     written to ``report.json``.  SpecVAT subsets pick k automatically unless
-    ``k`` is given, which is clamped to n-1.  The features are checked
-    once, here; each subset's distances are valid by construction and go
-    to ``analyze`` unchecked.  Subsets with fewer than 2
-    records, or 3 for SpecVAT, are skipped with a warning, and so are
+    ``k`` is given, which is clamped to n-1 with a warning.  The features
+    are checked once, here; each subset's distances are valid by
+    construction and go to ``analyze`` unchecked.  Subsets with fewer than
+    2 records, or 3 for SpecVAT, are skipped with a warning, and so are
     subsets whose distances overflow or whose image is degenerate (a single
     intensity), which are listed under ``skipped`` with a ``reason``.
     NumericError is raised, after ``report.json`` is written, only when no
@@ -312,9 +312,15 @@ def run_report(
                 {"subset": name, "n": int(idx.size), "reason": str(exc)}
             )
             continue
+        k_run = None if k is None else min(k, idx.size - 1)
+        if k_run != k:
+            warnings.warn(
+                f"subset {name!r} has {idx.size} records; "
+                f"k={k} clamped to {k_run}",
+                stacklevel=2,
+            )
         try:
-            result = analyze(dissim, method, config.spec,
-                             None if k is None else min(k, idx.size - 1))
+            result = analyze(dissim, method, config.spec, k_run)
             cce = cce_count(result.image, config.cce)
         except DegenerateImageError as exc:
             warnings.warn(f"subset {name!r} is degenerate ({exc}); skipping",

@@ -27,9 +27,9 @@ from .matrix import bands, check_dissim, check_symmetric
 from .vat import Analysis, _odi, _vat_order
 
 SIGN_TOL = 1e-12
-# Matrices this large go to ARPACK: single-thread CPU, top 10 pairs of a
-# SpecVAT affinity, ARPACK and evr both take 0.09 s at n = 1000, and
-# 0.55 s against 1.45 s at n = 2500.
+# Matrices this large go to ARPACK.  The crossover was measured for the
+# scan's 10 pairs of a SpecVAT affinity, single-thread CPU: ARPACK and evr
+# both take 0.09 s at n = 1000, and 0.55 s against 1.45 s at n = 2500.
 ARPACK_MIN_N = 1024
 ARPACK_SEED = 0
 # Acceptance 6's bounds, checked on every ARPACK result: the residual
@@ -181,8 +181,8 @@ def _eigen_topk(build, k: int) -> tuple[np.ndarray, np.ndarray]:
                 pairs = np.linalg.eigh(build())
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"eigendecomposition failed: {exc}") from exc
-    # Both solvers return ascending pairs, whose last bits depend on k:
-    # callers that must agree with each other ask for the same k and slice.
+    # Both solvers return ascending pairs, whose last bits depend on k, so
+    # an explicit k and the scan's first k columns agree only to rounding.
     vals = pairs[0][::-1][:k].copy()
     vecs = pairs[1][:, ::-1][:, :k].copy()
     for c in range(k):
@@ -236,13 +236,15 @@ def spectral_embedding(m, k: int, cfg: SpecVatConfig = SpecVatConfig()) -> np.nd
 
 
 def _embed(d: np.ndarray, cfg: SpecVatConfig, k: int) -> np.ndarray:
-    # Every explicit k enters here.  It solves for as many pairs as the k
-    # scan, so both embed the same columns at that k bit for bit.
+    # Every explicit k enters here and solves for exactly k pairs: pairs
+    # past the planted k lie in a near-tied bulk, for which ARPACK pays
+    # about 10 times the products of the k it reads.  So an explicit k and
+    # the scan's first k columns span the same subspace wherever the
+    # spectrum has a gap after the kth, but do not share last bits.
     n = d.shape[0]
     if not 1 <= k <= n - 1:
         raise InputError(f"k={k} must satisfy 1 <= k <= n-1 (n={n})")
-    vecs = _spectrum(d, cfg, max(k, min(cfg.k_max, n - 1)))[1]
-    return _unit_rows(vecs[:, :k])
+    return _unit_rows(_spectrum(d, cfg, k)[1])
 
 
 def _unit_rows(vecs: np.ndarray) -> np.ndarray:
@@ -280,18 +282,20 @@ def a_specvat_select_k(
     Scans k = 2 .. k_max (capped at n-1), scoring each SpecVAT image by
     Otsu's between-class variance over total variance, in [0, 1].  The
     score reads only the image's histogram, which a VAT order does not
-    change, so candidates are scored unordered and only the winner is
-    VAT-ordered.  Returns the best k (smallest on ties) and all scores.
+    change, so candidates are scored unordered and none is VAT-ordered
+    (``report.analyze`` orders only the winner).  Returns the best k
+    (smallest on ties) and all scores.
     Structureless input -- constant distances, or images with a single
     intensity -- scores 0 and falls back to k = 2 with a warning.
     """
-    best = _select_k(check_dissim(m), cfg)
-    return best.k, best.k_scores
+    best_e, scores = _select_k(check_dissim(m), cfg)
+    return best_e.shape[1], scores
 
 
-def _select_k(d: np.ndarray, cfg: SpecVatConfig) -> Analysis:
-    # The winner's Analysis, with every score.  One spectrum serves every k:
-    # the affinity does not depend on k and the sign rule is per column.
+def _select_k(d: np.ndarray, cfg: SpecVatConfig) -> tuple[np.ndarray, dict]:
+    # The winner's embedding, unordered, with every score.  One spectrum
+    # serves every k: the affinity does not depend on k and the sign rule
+    # is per column.
     n = d.shape[0]
     if n < 3:
         raise InputError(f"need at least 3 points to scan k >= 2, got n={n}")
@@ -304,7 +308,7 @@ def _select_k(d: np.ndarray, cfg: SpecVatConfig) -> Analysis:
             "k selection is degenerate, returning k=2",
             stacklevel=3,
         )
-        return _specvat(_unit_rows(vecs[:, :2]), dict.fromkeys(ks, 0.0))
+        return _unit_rows(vecs[:, :2]), dict.fromkeys(ks, 0.0)
 
     scores: dict[int, float] = {}
     for k in ks:  # the image in input order has the VAT image's pixels
@@ -320,4 +324,4 @@ def _select_k(d: np.ndarray, cfg: SpecVatConfig) -> Analysis:
             "every candidate k produced a degenerate image; returning k=2",
             stacklevel=3,
         )
-    return _specvat(best_e, scores)
+    return best_e, scores

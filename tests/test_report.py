@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -250,7 +251,8 @@ def _tree_bytes(root):
     for dirpath, _, names in os.walk(root):
         for name in names:
             p = os.path.join(dirpath, name)
-            out[os.path.relpath(p, root)] = open(p, "rb").read()
+            with open(p, "rb") as fh:
+                out[os.path.relpath(p, root)] = fh.read()
     return out
 
 
@@ -397,6 +399,29 @@ def test_run_report_specvat_explicit_k_skips_two_record_subset(tmp_path):
     for rel in ["paris/odi.pgm", "paris/cce.json", "report.json"]:
         assert (out / rel).is_file(), rel
     assert not (out / "london").exists()
+
+
+def test_run_report_warns_when_it_clamps_an_explicit_k(tmp_path):
+    # London has 3 records, so k=4 runs as k=2: said, and the artifacts are
+    # those of k=2.
+    feats, labels = gaussian_blobs(BlobSpec(3, 8, 8, 10.0, seed=2))
+    lines = ["path,scene,city"] + [
+        f"clip{i}.wav,airport,{'london' if i < 3 else 'paris'}"
+        for i in range(len(labels))
+    ]
+    mf = parse_manifest("\n".join(lines) + "\n")
+
+    def london(out, k):
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            run_report(mf, feats, "single_subset", str(out), method="specvat",
+                       subset="london", k=k)
+        return [str(w.message) for w in rec]
+
+    clamped = london(tmp_path / "k4", 4)
+    assert clamped == ["subset 'london' has 3 records; k=4 clamped to 2"]
+    assert london(tmp_path / "k2", 2) == []
+    assert _tree_bytes(tmp_path / "k4") == _tree_bytes(tmp_path / "k2")
 
 
 def test_run_report_k_scan_warnings_reach_the_caller(tmp_path):
