@@ -18,6 +18,9 @@ SYMMETRY_RTOL = 1e-12
 # Rows per band of the five banded n x n passes (symmetry check, affinity,
 # normalization, ODI, Otsu histogram): no n x n temporary.
 BAND = 256
+# Entries must lie below this: the ODI scales by 255 first, which overflows
+# from here (this float included) up.
+DISSIM_LIMIT = np.finfo(np.float64).max / 255
 
 
 def bands(n: int) -> list[slice]:
@@ -85,8 +88,9 @@ def check_dissim(m) -> np.ndarray:
     """Return ``m`` as a valid dissimilarity matrix, or raise InputError.
 
     As ``check_symmetric``, plus an exactly zero diagonal (checked before
-    symmetry) and no negative entry.  The message names the first invariant
-    violated and where.
+    symmetry), no negative entry and every entry below ``DISSIM_LIMIT``
+    (about 7.05e305), so that the ODI can scale it.  The message names the
+    first invariant violated and where.
     """
     x = _square_finite(m, "dissimilarity matrix")
     nz = np.flatnonzero(np.diagonal(x))
@@ -99,6 +103,11 @@ def check_dissim(m) -> np.ndarray:
         i, j = np.argwhere(x < 0)[0]
         raise InputError(f"invalid dissimilarity matrix: negative entry at ({i}, {j}): "
                          f"{float(x[i, j])}")
+    if x.max() >= DISSIM_LIMIT:
+        i, j = np.argwhere(x >= DISSIM_LIMIT)[0]
+        raise InputError(f"invalid dissimilarity matrix: entry at ({i}, {j}) is "
+                         f"{float(x[i, j])}, not below {DISSIM_LIMIT}: 255 times "
+                         "it overflows")
     return sym
 
 

@@ -7,7 +7,10 @@ with VAT.  Using the largest eigenvectors of the normalized affinity is
 equivalent to using the smallest eigenvectors of the normalized Laplacian.
 
 ``a_specvat_select_k`` scans k and keeps the image that binarizes most
-cleanly, scored by Otsu's normalized between-class variance.
+cleanly, scored by Otsu's normalized between-class variance.  Each
+candidate is scored from the 256-bin histogram of its condensed embedded
+distances, which the image in any order shares, so no image is built for a
+candidate.
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
-from .cce import otsu_effectiveness
+from .cce import _otsu
 from .errors import DegenerateImageError, InputError, NumericError
 from .matrix import bands, check_dissim, check_symmetric
-from .vat import Analysis, _odi, _vat_order
+from .vat import Analysis, _odi, _pixel_histogram, _vat_order
 
 SIGN_TOL = 1e-12
 # Matrices this large go to ARPACK.  The crossover was measured for the
@@ -282,9 +285,10 @@ def a_specvat_select_k(
     Scans k = 2 .. k_max (capped at n-1), scoring each SpecVAT image by
     Otsu's between-class variance over total variance, in [0, 1].  The
     score reads only the image's histogram, which a VAT order does not
-    change, so candidates are scored unordered and none is VAT-ordered
-    (``report.analyze`` orders only the winner).  Returns the best k
-    (smallest on ties) and all scores.
+    change, so each candidate is scored from the histogram of its
+    condensed embedded distances (``pdist``): no n x n image is built and
+    none is VAT-ordered (``report.analyze`` orders and renders only the
+    winner).  Returns the best k (smallest on ties) and all scores.
     Structureless input -- constant distances, or images with a single
     intensity -- scores 0 and falls back to k = 2 with a warning.
     """
@@ -311,10 +315,10 @@ def _select_k(d: np.ndarray, cfg: SpecVatConfig) -> tuple[np.ndarray, dict]:
         return _unit_rows(vecs[:, :2]), dict.fromkeys(ks, 0.0)
 
     scores: dict[int, float] = {}
-    for k in ks:  # the image in input order has the VAT image's pixels
+    for k in ks:  # every order's image, the VAT one too, has this histogram
         e = _unit_rows(vecs[:, :k])
         try:
-            scores[k] = otsu_effectiveness(_odi(cdist(e, e), np.arange(n)))
+            scores[k] = _otsu(_pixel_histogram(pdist(e), n))[1]
         except DegenerateImageError:
             scores[k] = 0.0
         if k == 2 or scores[k] > scores[best_k]:

@@ -80,17 +80,20 @@ def _vat_order(d: np.ndarray) -> VatOrdering:
     start = int(np.unravel_index(np.argmax(d), d.shape)[0])
     order[0] = start
 
-    visited = np.zeros(n, dtype=bool)
-    visited[start] = True
+    # placed[i] is inf once record i is ordered, else -inf: a maximum with
+    # it keeps placed records out of the frontier and leaves every other
+    # entry's bits alone, without a boolean-mask write per step.
+    placed = np.full(n, -np.inf)
+    placed[start] = np.inf
     best = d[start].copy()
     best[start] = np.inf
     for t in range(1, n):
         nxt = int(np.argmin(best))  # first occurrence = smallest index on ties
         order[t] = nxt
         link[t] = best[nxt]
-        visited[nxt] = True
+        placed[nxt] = np.inf
         np.minimum(best, d[nxt], out=best)
-        best[visited] = np.inf  # keep placed records out of the frontier
+        np.maximum(best, placed, out=best)
     return VatOrdering(order, link)
 
 
@@ -111,15 +114,32 @@ def _odi(d: np.ndarray, order: np.ndarray) -> np.ndarray:
         return np.zeros((n, n), dtype=np.uint8)
     img = np.empty((n, n), dtype=np.uint8)
     for rows in bands(n):
-        ordered = d[np.ix_(order[rows], order)]
-        # floor(x + 0.5) is round-half-away-from-zero for nonnegative x; in
-        # place, in the order of floor(255 * x / dmax + 0.5).
-        ordered *= 255.0
-        ordered /= dmax
-        ordered += 0.5
-        np.floor(ordered, out=ordered)
-        img[rows] = ordered
+        # Whole rows, then columns: cheaper than np.ix_'s 2-D gather.
+        img[rows] = _quantize(d[order[rows]].take(order, axis=1), dmax)
     return img
+
+
+def _quantize(x: np.ndarray, dmax: float) -> np.ndarray:
+    # The pixel rule, in place: floor(255 * x / dmax + 0.5) in that order,
+    # which is round-half-away-from-zero for nonnegative x.
+    x *= 255.0
+    x /= dmax
+    x += 0.5
+    return np.floor(x, out=x)
+
+
+def _pixel_histogram(condensed: np.ndarray, n: int) -> np.ndarray:
+    # The 256-bin histogram of the ODI, in any order, of the n x n matrix
+    # whose strict upper triangle is condensed (pdist's layout): each entry
+    # is two pixels and the zero diagonal n more.  Overwrites condensed.
+    hist = np.zeros(256, dtype=np.int64)
+    dmax = condensed.max(initial=0.0)
+    if dmax <= 0:
+        hist[0] = n * n
+        return hist
+    hist += 2 * np.bincount(_quantize(condensed, dmax).astype(np.intp), minlength=256)
+    hist[0] += n
+    return hist
 
 
 def check_image(img) -> np.ndarray:

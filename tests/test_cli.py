@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -397,6 +398,35 @@ def test_matrix_file_errors_name_the_file(tmp_path, capsys, argv, values, messag
     write_vatf(path, values)
     assert main(argv + [str(path), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
+
+def test_vat_dissim_entries_the_odi_cannot_scale_exit_2(tmp_path, capsys):
+    # 255 * x overflows from finfo.max / 255 up: such a matrix once rendered
+    # a garbage image with overflow warnings and exited 0.  The largest
+    # accepted entry renders, warning-free, and the next float up exits 2.
+    limit = np.finfo(np.float64).max / 255
+    top = np.nextafter(limit, 0.0)
+    repro = np.array([[0.0, 5e305, 1e306, 3e306], [5e305, 0.0, 2e306, 1e306],
+                      [1e306, 2e306, 0.0, 6e305], [3e306, 1e306, 6e305, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, m, code in [("top", top * (np.ones((3, 3)) - np.eye(3)), 0),
+                              ("limit", limit * (np.ones((3, 3)) - np.eye(3)), 2),
+                              ("repro", repro, 2)]:
+            path = tmp_path / f"{name}.vatf"
+            write_vatf(path, m)
+            out = tmp_path / name
+            assert main(["vat", "--dissim", str(path), "--out", str(out)]) == code
+            err = capsys.readouterr().err
+            if code == 0:
+                assert read_pgm(out / "odi.pgm").tolist() == [
+                    [0, 255, 255], [255, 0, 255], [255, 255, 0]]
+            else:
+                assert err.startswith(f"error: {path}: invalid dissimilarity "
+                                      "matrix: entry at (0, ")
+                assert not out.exists() or not any(out.iterdir())
+    assert err == (f"error: {path}: invalid dissimilarity matrix: entry at "
+                   f"(0, 2) is 1e+306, not below {limit}: 255 times it overflows\n")
 
 
 def _twelve_record_report(tmp_path, feats):

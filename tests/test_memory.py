@@ -2,8 +2,8 @@
 
 Each n x n pass of ``analyze`` runs in place or in row bands, so the peak
 of ``analyze`` plus ``cce_count`` stays a fixed fraction of the input's
-8 n^2 bytes: at n = 1536 about 0.47 (VAT), 1.47 (SpecVAT with an explicit
-k) and 1.48 (SpecVAT with the k scan) times the input.  The copying
+8 n^2 bytes: at n = 1536 about 0.46 (VAT), 1.46 (SpecVAT with an explicit
+k) and 1.46 (SpecVAT with the k scan) times the input.  The copying
 implementation peaked at about 1.13 (VAT) and 3.03 (explicit k); a k scan
 that kept a copy of the distances and the best result so far, and scored
 each image through a float64 copy, peaked at 5.39.

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
 import scenevat
 import scenevat.specvat as specvat_mod
@@ -288,8 +288,8 @@ def test_select_k_constant_distances_degenerate():
 
 
 def test_select_k_smallest_on_ties(monkeypatch):
-    # a scorer forcing a tie across every k
-    monkeypatch.setattr(specvat_mod, "otsu_effectiveness", lambda img: 0.5)
+    # a scorer forcing a tie across every k: the scan reads _otsu's score
+    monkeypatch.setattr(specvat_mod, "_otsu", lambda hist: (0, 0.5))
     m = block_dissim([6, 6, 6], 0.01, 1.0)
     k, scores = a_specvat_select_k(m, SpecVatConfig(k_max=5))
     assert k == 2
@@ -431,22 +431,23 @@ def test_specvat_and_analyze_return_one_analysis_type():
     assert (plain.k, plain.k_scores, plain.d_prime) == (None, None, None)
 
 
-def _count_vat_orders(monkeypatch):
+def _count_calls(monkeypatch, name):
+    """Record the shape of the matrix passed to each call of specvat's ``name``."""
     calls = []
-    original = specvat_mod._vat_order
+    original = getattr(specvat_mod, name)
 
-    def counting(d):
+    def counting(d, *args):
         calls.append(d.shape)
-        return original(d)
+        return original(d, *args)
 
-    monkeypatch.setattr(specvat_mod, "_vat_order", counting)
+    monkeypatch.setattr(specvat_mod, name, counting)
     return calls
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("name", sorted(SCAN_FIXTURES))
 def test_analyze_scan_vat_orders_only_the_winner(name, monkeypatch):
-    calls = _count_vat_orders(monkeypatch)
+    calls = _count_calls(monkeypatch, "_vat_order")
     make, cfg = SCAN_FIXTURES[name]
     m = make()
     analyze(m, "specvat", cfg)
@@ -455,9 +456,56 @@ def test_analyze_scan_vat_orders_only_the_winner(name, monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("name", sorted(SCAN_FIXTURES))
+def test_analyze_scan_renders_only_the_winner(name, monkeypatch):
+    # Candidates are scored from histograms; only the winner gets an image.
+    calls = _count_calls(monkeypatch, "_odi")
+    make, cfg = SCAN_FIXTURES[name]
+    m = make()
+    analyze(m, "specvat", cfg)
+    assert calls == [m.shape]
+
+
+def _image_scores(d, cfg):
+    """The reference: each candidate's score read from its n x n image in
+    input order, through the public ``otsu_effectiveness``."""
+    n = d.shape[0]
+    vecs = specvat_mod._spectrum(d, cfg, min(cfg.k_max, n - 1))[1]
+    scores = {}
+    for k in range(2, vecs.shape[1] + 1):
+        e = specvat_mod._unit_rows(vecs[:, :k])
+        scores[k] = _score(specvat_mod._odi(cdist(e, e), np.arange(n)))
+    return scores
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("name", sorted(set(SCAN_FIXTURES) - {"constant"}))
+def test_select_k_scores_equal_image_scores(name):
+    make, cfg = SCAN_FIXTURES[name]
+    m = make()
+    assert a_specvat_select_k(m, cfg)[1] == _image_scores(m, cfg)
+
+
+def test_select_k_scores_a_degenerate_candidate_zero(monkeypatch):
+    # Equal rows in the first two columns: the k = 2 embedding collapses to
+    # one point, whose image has a single intensity.
+    m, cfg = block_dissim([4, 4, 4], 0.01, 1.0), SpecVatConfig(k_max=4)
+    vecs = np.random.default_rng(3).uniform(0.5, 1.0, size=(12, 4))
+    vecs[:, :2] = [0.6, 0.8]
+    monkeypatch.setattr(specvat_mod, "_spectrum", lambda d, c, k: (None, vecs))
+    e = specvat_mod._unit_rows(vecs[:, :2])
+    with pytest.raises(DegenerateImageError):
+        otsu_effectiveness(specvat_mod._odi(cdist(e, e), np.arange(12)))
+    k, scores = a_specvat_select_k(m, cfg)
+    assert scores == _image_scores(m, cfg)
+    assert scores[2] == 0.0 and min(scores[3], scores[4]) > 0.0
+    assert k == max(scores, key=scores.get)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("name", sorted(SCAN_FIXTURES))
 def test_public_scan_vat_orders_nothing(name, monkeypatch):
     # a_specvat_select_k returns k and the scores, which need no order.
-    calls = _count_vat_orders(monkeypatch)
+    calls = _count_calls(monkeypatch, "_vat_order")
     make, cfg = SCAN_FIXTURES[name]
     a_specvat_select_k(make(), cfg)
     assert calls == []

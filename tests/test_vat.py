@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import squareform
 
+from scenevat.cce import _histogram
 from scenevat.errors import InputError
 from scenevat.vat import (
     VatOrdering,
+    _odi,
+    _pixel_histogram,
+    _vat_order,
     odi_from,
     ordering_from_json,
     ordering_to_json,
@@ -295,10 +302,88 @@ def test_odi_matches_out_of_place_rendering_bitwise():
     # sizes around the 256-row band edge
     cases = [random_dissim(rng, n) for n in (1, 2, 3, 50, 255, 256, 257, 301, 600)]
     cases += [halves, near_half, np.zeros((4, 4)),
-              1e300 * (np.ones((3, 3)) - np.eye(3))]
+              1e300 * (np.ones((3, 3)) - np.eye(3)),
+              np.round(random_dissim(rng, 300)), np.zeros((257, 257))]  # ties
     for d in cases:
-        ordering = vat_order(d)
-        got = odi_from(d, ordering)
-        ref = _odi_reference(d, ordering.order)
-        assert got.dtype == ref.dtype and got.shape == ref.shape
-        assert got.tobytes() == ref.tobytes()
+        # the VAT order, and any other
+        for order in (vat_order(d).order, rng.permutation(d.shape[0])):
+            got = odi_from(d, VatOrdering(order, np.zeros(d.shape[0])))
+            ref = _odi_reference(d, order)
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+
+@st.composite
+def condensed_and_order(draw):
+    """A condensed matrix of few levels (many ties) and a random order."""
+    n = draw(st.integers(1, 12))
+    levels = draw(st.lists(st.integers(0, 5), min_size=n * (n - 1) // 2,
+                           max_size=n * (n - 1) // 2))
+    # 3.7 / 255 puts entries on exact half steps of the pixel grid
+    scale = draw(st.sampled_from([1.0, 0.37, 3.7 / 255.0, 1e300]))
+    order = np.asarray(draw(st.permutations(range(n))), dtype=np.int64)
+    return np.asarray(levels, dtype=np.float64) * scale, order
+
+
+@settings(max_examples=200, deadline=None)
+@given(condensed_and_order())
+def test_odi_row_then_column_gather_matches_ix_reference(case):
+    c, order = case
+    d = squareform(c)
+    assert _odi(d, order).tobytes() == _odi_reference(d, order).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(condensed_and_order())
+def test_pixel_histogram_is_the_odi_histogram(case):
+    c, order = case
+    n = order.shape[0]
+    want = _histogram(_odi(squareform(c), order))
+    got = _pixel_histogram(c.copy(), n)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("value", [0.0, 2.5])
+@pytest.mark.parametrize("n", [1, 2, 5, 300])
+def test_pixel_histogram_of_a_constant_matrix(n, value):
+    c = np.full(n * (n - 1) // 2, value)
+    want = _histogram(_odi(squareform(c), np.arange(n)))
+    assert np.array_equal(_pixel_histogram(c, n), want)
+
+
+def _vat_order_mask_reference(d):
+    """The Prim loop that wrote inf through a visited mask at every step."""
+    n = d.shape[0]
+    order = np.zeros(n, dtype=np.int64)
+    link = np.zeros(n)
+    if n == 1:
+        return order, link
+    start = int(np.unravel_index(np.argmax(d), d.shape)[0])
+    order[0] = start
+    visited = np.zeros(n, dtype=bool)
+    visited[start] = True
+    best = d[start].copy()
+    best[start] = np.inf
+    for t in range(1, n):
+        nxt = int(np.argmin(best))
+        order[t] = nxt
+        link[t] = best[nxt]
+        visited[nxt] = True
+        np.minimum(best, d[nxt], out=best)
+        best[visited] = np.inf
+    return order, link
+
+
+def test_vat_order_frontier_matches_mask_reference_bitwise():
+    rng = np.random.Generator(np.random.Philox(key=79))
+    signed_zeros = np.ones((6, 6)) - np.eye(6)
+    signed_zeros[1, 4] = signed_zeros[4, 1] = -0.0
+    signed_zeros[2, 3] = signed_zeros[3, 2] = -0.0
+    cases = [random_dissim(rng, n) for n in (1, 2, 3, 50, 257)]
+    cases += [np.round(random_dissim(rng, 40)),  # ties
+              np.zeros((5, 5)), signed_zeros]
+    for d in cases:
+        got = _vat_order(d)
+        order, link = _vat_order_mask_reference(d)
+        assert got.order.tobytes() == order.tobytes()
+        assert got.link_dist.tobytes() == link.tobytes()
