@@ -95,7 +95,7 @@ def parse_manifest(data) -> LabeledManifest:
     Errors carry the 1-based line number: missing/extra columns, unknown
     scene or city labels, and duplicate paths are all rejected.
     """
-    if isinstance(data, bytes):
+    if not isinstance(data, str):
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:

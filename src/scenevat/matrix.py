@@ -9,14 +9,14 @@ index order that every downstream ordering permutes.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import InputError
 
 # Symmetry tolerance, relative to the largest magnitude in the matrix.
 SYMMETRY_RTOL = 1e-12
-# Rows per band of the five banded n x n passes (symmetry check, affinity,
-# normalization, ODI, Otsu histogram): no n x n temporary.
+# Rows per band of the banded n x n passes (distances, symmetry check,
+# affinity, normalization, ODI, Otsu histograms): no n x n temporary.
 BAND = 256
 # Entries must lie below this: the ODI scales by 255 first, which overflows
 # from here (this float included) up.
@@ -64,14 +64,27 @@ def euclidean_dissim(features, *, standardize: bool = False) -> np.ndarray:
     Symmetric, nonnegative and zero on the diagonal by construction, so no
     ``check_dissim`` is needed; a distance that overflows raises InputError.
     ``standardize=True`` applies per-dimension z-scoring first (off by
-    default; features are used raw).
+    default; features are used raw).  The matrix is built in bands of
+    ``BAND`` rows: the band's rows against each other (``pdist``) and
+    against every later row (``cdist``, mirrored below the diagonal).  It
+    has the bits of ``squareform(pdist(x))`` without its condensed copy,
+    so the result is the only n x n array; each band is checked for
+    overflow as it is built.
     """
     x = zscore(features) if standardize else as_features(features)
-    condensed = pdist(x, "euclidean")
-    if not np.isfinite(condensed.max(initial=0.0)):
-        raise InputError("feature distances overflow: distances above "
-                         "about 1.3e154 overflow when squared")
-    return squareform(condensed)
+    n = x.shape[0]
+    d = np.empty((n, n))
+    for rows in bands(n):
+        # pdist for the band's own block: cdist would compute its pairs twice.
+        block = squareform(pdist(x[rows]))
+        right = cdist(x[rows], x[rows.stop:])
+        if not (np.isfinite(block.max()) and np.isfinite(right.max(initial=0.0))):
+            raise InputError("feature distances overflow: distances above "
+                             "about 1.3e154 overflow when squared")
+        d[rows, rows] = block
+        d[rows, rows.stop:] = right
+        d[rows.stop:, rows] = right.T
+    return d
 
 
 def check_symmetric(m) -> np.ndarray:

@@ -231,12 +231,16 @@ def analyze(d: np.ndarray, method: str, spec_cfg: SpecVatConfig,
             k: Optional[int] = None) -> Analysis:
     """Order and render one dissimilarity matrix with VAT or SpecVAT.
 
-    ``d`` must be a valid, exactly symmetric float64 matrix already: as
-    ``check_dissim`` returned it where it entered, or valid by construction
-    (``euclidean_dissim``).  It is not checked again, and never changed.
-    SpecVAT uses ``k`` eigenvectors, or picks k with the scan when ``k`` is
-    None; its solver takes the normalized affinity as built, which is
-    exactly symmetric because ``d`` is.
+    ``d`` must be a valid, exactly symmetric, C-contiguous float64 matrix
+    already: as ``check_dissim`` returned it where it entered, or valid by
+    construction (``euclidean_dissim``).  It is not checked again.  VAT
+    only reads ``d``.  SpecVAT uses ``d``'s buffer as its one n x n
+    matrix: the affinity, its normalization and the embedded distances
+    overwrite it in turn, so ``result.d_prime`` is ``d``'s buffer and the
+    distances are gone.  Pass a copy to keep them.  SpecVAT uses ``k``
+    eigenvectors, or picks k with the scan when ``k`` is None; its solver
+    takes the normalized affinity as built, which is exactly symmetric
+    because ``d`` is.
     """
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -244,8 +248,9 @@ def analyze(d: np.ndarray, method: str, spec_cfg: SpecVatConfig,
         ordering = _vat_order(d)
         return Analysis(ordering, _odi(d, ordering.order))
     if k is None:
-        return _specvat(*_select_k(d, spec_cfg))
-    return _specvat(_embed(d, spec_cfg, k))
+        e, scores = _select_k(d, spec_cfg)
+        return _specvat(e, d, scores)
+    return _specvat(_embed(d, spec_cfg, k), d)
 
 
 def run_report(
@@ -267,11 +272,15 @@ def run_report(
     report (JSON).  A summary table of counts per subset is returned and
     written to ``report.json``.  SpecVAT subsets pick k automatically unless
     ``k`` is given, which is clamped to n-1 with a warning.  The features
-    are checked once, here; each subset's distances are valid by
-    construction and go to ``analyze`` unchecked.  Subsets with fewer than
-    2 records, or 3 for SpecVAT, are skipped with a warning, and so are
-    subsets whose distances overflow or whose image is degenerate (a single
-    intensity), which are listed under ``skipped`` with a ``reason``.
+    are checked once, here.  Each subset's distances are valid by
+    construction, are written to ``dissim.vatf`` first and then go to
+    ``analyze`` unchecked, which may overwrite them: a subset holds one
+    n x n float64 buffer from its distances to its image.  Subsets with
+    fewer than 2 records, or 3 for SpecVAT, are skipped with a warning, and
+    so are subsets whose distances overflow or whose image is degenerate (a
+    single intensity), which are listed under ``skipped`` with a
+    ``reason``.  A subset that is skipped, or whose analysis raises, leaves
+    no file.
     NumericError is raised, after ``report.json`` is written, only when no
     subset could be analysed.
     """
@@ -319,10 +328,20 @@ def run_report(
                 f"k={k} clamped to {k_run}",
                 stacklevel=2,
             )
+        subset_dir = os.path.join(out_dir, name)
+        made_dir = not os.path.isdir(subset_dir)
+        os.makedirs(subset_dir, exist_ok=True)
+        dissim_path = os.path.join(subset_dir, "dissim.vatf")
+        write_vatf(dissim_path, dissim)  # before analyze overwrites dissim
         try:
             result = analyze(dissim, method, config.spec, k_run)
             cce = cce_count(result.image, config.cce)
-        except DegenerateImageError as exc:
+        except BaseException as exc:  # a subset that fails leaves no file
+            os.remove(dissim_path)
+            if made_dir:
+                os.rmdir(subset_dir)
+            if not isinstance(exc, DegenerateImageError):
+                raise
             warnings.warn(f"subset {name!r} is degenerate ({exc}); skipping",
                           stacklevel=2)
             report["skipped"].append(
@@ -338,13 +357,10 @@ def run_report(
                 str(kk): v for kk, v in sorted(result.k_scores.items())
             }
 
-        subset_dir = os.path.join(out_dir, name)
-        os.makedirs(subset_dir, exist_ok=True)
         write_pgm(result.image, os.path.join(subset_dir, "odi.pgm"))
         atomic_write_text(
             os.path.join(subset_dir, "ordering.json"), ordering_to_json(ordering)
         )
-        write_vatf(os.path.join(subset_dir, "dissim.vatf"), dissim)
         atomic_write_text(os.path.join(subset_dir, "cce.json"), cce.to_json())
         entry["cluster_count"] = cce.cluster_count
         entry["otsu_threshold"] = cce.otsu_threshold

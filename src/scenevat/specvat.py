@@ -70,31 +70,39 @@ def local_scale_affinity(m, cfg: SpecVatConfig = SpecVatConfig()) -> np.ndarray:
     distance from i to its ``knn_scale``-th nearest neighbour (clamped to the
     available n-1 neighbours), floored at ``sigma_floor``.  Diagonal is 0.
     """
-    d = check_dissim(m)
+    d = _checked_copy(m)
     if d.shape[0] < 2:
         raise InputError("affinity needs at least 2 points")
     return _affinity(d, cfg)
 
 
+def _checked_copy(m) -> np.ndarray:
+    # A checked, C-ordered copy of m for the private steps, which overwrite
+    # their input: a public function never changes its argument.
+    return np.array(check_dissim(m), order="C")
+
+
 def _affinity(d: np.ndarray, cfg: SpecVatConfig) -> np.ndarray:
-    # The diagonal is exactly 0 and no entry is negative, so the kth entry
-    # of a sorted row is its kth nearest neighbour other than itself.  Row
-    # bands keep every temporary at BAND x n.
+    # Overwrites d with its affinity, one row band at a time, and returns
+    # it: a band of the kernel reads only the same band of d, once every
+    # local scale is known.  The diagonal is exactly 0 and no entry is
+    # negative, so the kth entry of a sorted row is its kth nearest
+    # neighbour other than itself.  Row bands keep every temporary at
+    # BAND x n.
     n = d.shape[0]
     kth = min(cfg.knn_scale, n - 1)
     sigma = np.empty(n)
     for rows in bands(n):
         sigma[rows] = np.partition(d[rows], kth, axis=1)[:, kth]
     np.maximum(sigma, cfg.sigma_floor, out=sigma)
-    a = np.empty((n, n))
     for rows in bands(n):
-        band = a[rows]
-        np.multiply(d[rows], d[rows], out=band)
+        band = d[rows]
+        np.multiply(band, band, out=band)
         np.negative(band, out=band)
         band /= np.outer(sigma[rows], sigma)
         np.exp(band, out=band)
-    np.fill_diagonal(a, 0.0)
-    return a
+    np.fill_diagonal(d, 0.0)
+    return d
 
 
 def normalized_affinity(a) -> np.ndarray:
@@ -105,7 +113,9 @@ def normalized_affinity(a) -> np.ndarray:
     rows/columns.  The largest eigenvectors of the result are the smallest
     eigenvectors of the normalized Laplacian ``I - S^(-1/2) A S^(-1/2)``.
     """
-    x = np.array(check_symmetric(a))  # a copy: _normalize scales in place
+    # A C-ordered copy: _normalize scales in place, and its row sums take
+    # their bits from the layout.
+    x = np.array(check_symmetric(a), order="C")
     if (x < 0).any():
         raise InputError("affinity must be nonnegative")
     return _normalize(x)
@@ -132,7 +142,7 @@ def sym_eigen_topk(n_mat, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k eigenpairs of a symmetric matrix, eigenvalues descending.
 
     The matrix must pass ``check_symmetric`` (finite, and symmetric to 1e-12
-    times its largest magnitude), whose result is solved in a copy, so
+    times its largest magnitude), whose result no solver writes to, so
     ``n_mat`` is never changed.  Only the top k pairs are solved for.  From
     n = 1024 (``ARPACK_MIN_N``) on, with k < n-1, ARPACK's Lanczos solver
     (``scipy.sparse.linalg.eigsh``) runs first, from a fixed start vector
@@ -153,35 +163,35 @@ def sym_eigen_topk(n_mat, k: int) -> tuple[np.ndarray, np.ndarray]:
     n = x.shape[0]
     if not 1 <= k <= n:
         raise InputError(f"k={k} must satisfy 1 <= k <= n (n={n})")
-    return _eigen_topk(x.copy, k)
+    # ARPACK's products take their bits from the layout: solve C order.
+    return _eigen_topk(np.ascontiguousarray(x), k)
 
 
 def _spectrum(d: np.ndarray, cfg: SpecVatConfig, k: int):
-    # Affinity, normalization and solve share one n x n buffer.  An exactly
-    # symmetric d gives an exactly symmetric normalized affinity: entries
-    # (i, j) and (j, i) are the same products in swapped order.
-    return _eigen_topk(lambda: _normalize(_affinity(d, cfg)), k)
+    # Affinity, normalization and solve use d's own buffer, so d holds the
+    # normalized affinity afterwards.  An exactly symmetric d gives an
+    # exactly symmetric normalized affinity: entries (i, j) and (j, i) are
+    # the same products in swapped order.
+    return _eigen_topk(_normalize(_affinity(d, cfg)), k)
 
 
-def _eigen_topk(build, k: int) -> tuple[np.ndarray, np.ndarray]:
-    # build() returns a new symmetric matrix.  ARPACK leaves x intact, so
-    # when its result is refused, evr solves the same x.  The subset solve
-    # reads x.T, F-ordered for a C-ordered x, so scipy makes no copy and
-    # overwrites x; the full fallback calls build() again, whose bits are
-    # the same.
-    x = build()
+def _eigen_topk(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    # No solver writes to the symmetric x.  ARPACK only multiplies by it,
+    # so when its result is refused, evr solves the same x.  evr works in
+    # a copy (overwrite_a=False), so the full fallback still has x; it
+    # reads x.T, F-ordered for a C-ordered x, which copies without a
+    # transpose.
     n = x.shape[0]
     arpack = _SEEDABLE_ARPACK and n >= ARPACK_MIN_N and k < n - 1
     pairs = _lanczos(x, k) if arpack else None
     if pairs is None:
         try:
             pairs = scipy.linalg.eigh(
-                x.T, overwrite_a=True, subset_by_index=[n - k, n - 1],
+                x.T, overwrite_a=False, subset_by_index=[n - k, n - 1],
                 check_finite=False,
             )
             if pairs[1].shape[1] < k:  # tied eigenvalues across the boundary
-                x = None
-                pairs = np.linalg.eigh(build())
+                pairs = np.linalg.eigh(x)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"eigendecomposition failed: {exc}") from exc
     # Both solvers return ascending pairs, whose last bits depend on k, so
@@ -235,15 +245,16 @@ def spectral_embedding(m, k: int, cfg: SpecVatConfig = SpecVatConfig()) -> np.nd
     coordinates below machine zero) are kept as zero rather than
     normalized, and flagged with a warning.
     """
-    return _embed(check_dissim(m), cfg, k)
+    return _embed(_checked_copy(m), cfg, k)
 
 
 def _embed(d: np.ndarray, cfg: SpecVatConfig, k: int) -> np.ndarray:
-    # Every explicit k enters here and solves for exactly k pairs: pairs
-    # past the planted k lie in a near-tied bulk, for which ARPACK pays
-    # about 10 times the products of the k it reads.  So an explicit k and
-    # the scan's first k columns span the same subspace wherever the
-    # spectrum has a gap after the kth, but do not share last bits.
+    # Overwrites d (see _spectrum).  Every explicit k enters here and
+    # solves for exactly k pairs: pairs past the planted k lie in a
+    # near-tied bulk, for which ARPACK pays about 10 times the products of
+    # the k it reads.  So an explicit k and the scan's first k columns span
+    # the same subspace wherever the spectrum has a gap after the kth, but
+    # do not share last bits.
     n = d.shape[0]
     if not 1 <= k <= n - 1:
         raise InputError(f"k={k} must satisfy 1 <= k <= n-1 (n={n})")
@@ -265,13 +276,16 @@ def _unit_rows(vecs: np.ndarray) -> np.ndarray:
 
 def specvat(m, k: int, cfg: SpecVatConfig = SpecVatConfig()) -> Analysis:
     """Embed in k eigenvectors (1 <= k <= n-1) and run VAT on their distances."""
-    return _specvat(_embed(check_dissim(m), cfg, k))
+    d = _checked_copy(m)
+    return _specvat(_embed(d, cfg, k), d)
 
 
-def _specvat(embedding: np.ndarray, k_scores: dict | None = None) -> Analysis:
-    # At k <= 10 columns cdist has the bits of squareform(pdist(...)),
-    # without pdist's condensed copy.
-    d_prime = cdist(embedding, embedding)
+def _specvat(embedding: np.ndarray, out: np.ndarray,
+             k_scores: dict | None = None) -> Analysis:
+    # d_prime goes into out, a C-contiguous n x n float64 buffer.  At
+    # k <= 10 columns cdist has the bits of squareform(pdist(...)), without
+    # pdist's condensed copy.
+    d_prime = cdist(embedding, embedding, out=out)
     ordering = _vat_order(d_prime)
     return Analysis(ordering, _odi(d_prime, ordering.order),
                     embedding.shape[1], k_scores, d_prime)
@@ -292,21 +306,22 @@ def a_specvat_select_k(
     Structureless input -- constant distances, or images with a single
     intensity -- scores 0 and falls back to k = 2 with a warning.
     """
-    best_e, scores = _select_k(check_dissim(m), cfg)
+    best_e, scores = _select_k(_checked_copy(m), cfg)
     return best_e.shape[1], scores
 
 
 def _select_k(d: np.ndarray, cfg: SpecVatConfig) -> tuple[np.ndarray, dict]:
-    # The winner's embedding, unordered, with every score.  One spectrum
-    # serves every k: the affinity does not depend on k and the sign rule
-    # is per column.
+    # The winner's embedding, unordered, with every score; overwrites d
+    # (see _spectrum).  One spectrum serves every k: the affinity does not
+    # depend on k and the sign rule is per column.
     n = d.shape[0]
     if n < 3:
         raise InputError(f"need at least 3 points to scan k >= 2, got n={n}")
     ks = range(2, min(cfg.k_max, n - 1) + 1)
-    vecs = _spectrum(d, cfg, ks[-1])[1]
     # Only the zero diagonal lies below the maximum of a constant matrix.
-    if np.count_nonzero(d < d.max()) <= n:
+    constant = np.count_nonzero(d < d.max()) <= n
+    vecs = _spectrum(d, cfg, ks[-1])[1]
+    if constant:
         warnings.warn(
             "constant-distance matrix has no spectral structure; "
             "k selection is degenerate, returning k=2",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .matrix import bands, check_dissim, check_permutation
+from .matrix import BAND, bands, check_dissim, check_permutation
 from .vatf import atomic_write_bytes, naming, read_file
 
 
@@ -132,12 +132,17 @@ def _pixel_histogram(condensed: np.ndarray, n: int) -> np.ndarray:
     # The 256-bin histogram of the ODI, in any order, of the n x n matrix
     # whose strict upper triangle is condensed (pdist's layout): each entry
     # is two pixels and the zero diagonal n more.  Overwrites condensed.
+    # Slices of BAND * n entries: bincount casts its input to intp.
     hist = np.zeros(256, dtype=np.int64)
     dmax = condensed.max(initial=0.0)
     if dmax <= 0:
         hist[0] = n * n
         return hist
-    hist += 2 * np.bincount(_quantize(condensed, dmax).astype(np.intp), minlength=256)
+    q = _quantize(condensed, dmax)
+    step = BAND * n
+    for i0 in range(0, q.size, step):
+        hist += np.bincount(q[i0:i0 + step].astype(np.intp), minlength=256)
+    hist *= 2
     hist[0] += n
     return hist
 

@@ -40,7 +40,13 @@ def _vatf_parts(values) -> tuple[bytes, np.ndarray]:
     return _HEADER.pack(MAGIC, VERSION, n, d), x
 
 
-def parse_vatf(data: bytes) -> np.ndarray:
+def parse_vatf(data) -> np.ndarray:
+    """The float64 matrix in VATF bytes.
+
+    A writable buffer (``read_file``'s bytearray) is viewed, not copied:
+    the matrix shares its memory, so a read holds one copy.  An immutable
+    one (``bytes``) is copied.
+    """
     if len(data) < _HEADER.size:
         raise InputError("VATF data shorter than header")
     magic, version, n, d = _HEADER.unpack_from(data)
@@ -54,7 +60,7 @@ def parse_vatf(data: bytes) -> np.ndarray:
             f"VATF payload is {len(data)} bytes, expected {expected} for {n}x{d}"
         )
     flat = np.frombuffer(data, dtype="<f8", offset=_HEADER.size)
-    return flat.reshape(n, d).astype(np.float64)
+    return flat.reshape(n, d).astype(np.float64, copy=not flat.flags.writeable)
 
 
 def write_vatf(path, values) -> None:
@@ -72,12 +78,17 @@ def read_file(path, kind: str, parse):
 
     The one way the package reads an input file.  A file that cannot be
     read raises ``InputError("cannot read <kind> <path>: ...")``, and an
-    InputError from ``parse`` is re-raised by ``naming(path)``.  Pass
-    ``parse=bytes`` for the raw bytes.
+    InputError from ``parse`` is re-raised by ``naming(path)``.  ``parse``
+    gets a writable ``bytearray`` that nothing else holds, so it may keep
+    a view of it.  Pass ``parse=bytes`` for the raw bytes.
     """
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            # One buffer of the file's size, then whatever a file that grew,
+            # or reports no size (a pipe), still holds.
+            data = bytearray(os.fstat(fh.fileno()).st_size)
+            del data[fh.readinto(data):]
+            data += fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {kind} {path}: {exc}") from exc
     with naming(path):

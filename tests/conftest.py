@@ -94,6 +94,18 @@ def random_dissim(rng, n):
     return m
 
 
+def overflow_in_last_band(n=600):
+    """Features whose one overflowing distance joins rows 580 and 590.
+
+    Each of the two is about 1e154 from every other row, which squares to
+    about 1e308 and stays finite; only their own distance, about 2e154,
+    overflows when squared.  So only the last 256-row band overflows.
+    """
+    f = np.random.Generator(np.random.Philox(key=12)).normal(size=(n, 4))
+    f[580, 0], f[590, 0] = 1e154, -1e154
+    return f
+
+
 def count_solvers(monkeypatch, eigsh=None):
     """Record the matrix shape of each eigensolver call ``_eigen_topk`` makes.
 

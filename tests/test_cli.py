@@ -13,7 +13,7 @@ from scenevat.synth import BlobSpec, gaussian_blobs
 from scenevat.vat import pgm_bytes, read_pgm
 from scenevat.vatf import read_vatf, write_vatf
 
-from conftest import sine_wav
+from conftest import overflow_in_last_band, sine_wav
 
 
 def test_synth_blocks_then_vat_then_cce_then_stack(tmp_path):
@@ -465,6 +465,28 @@ def test_report_skips_a_subset_whose_distances_overflow(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore:subset .* has 0 record")
+def test_report_skips_a_subset_that_overflows_in_its_last_band(tmp_path, capsys):
+    # The distances are built band by band; the last band's overflow skips
+    # the subset as the first band's does.
+    feats = np.vstack([overflow_in_last_band(), np.arange(24.0).reshape(6, 4)])
+    write_vatf(tmp_path / "f.vatf", feats)
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,scene,city\n" + "".join(
+        f"c{i}.wav,{'airport' if i < 600 else 'bus'},paris\n" for i in range(606)))
+    argv = ["report", "--manifest", str(manifest), "--features",
+            str(tmp_path / "f.vatf"), "--group", "by_scene",
+            "--out", str(tmp_path / "o")]
+    with pytest.warns(UserWarning, match="'airport': feature distances overflow"):
+        assert main(argv) == 0
+    doc = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert [e["subset"] for e in doc["subsets"]] == ["bus"]
+    [airport] = [e for e in doc["skipped"] if e["subset"] == "airport"]
+    assert airport["n"] == 600
+    assert airport["reason"].startswith("feature distances overflow")
+    assert not (tmp_path / "o" / "airport").exists()
+
+
+@pytest.mark.filterwarnings("ignore:subset .* has 0 record")
 def test_report_exits_3_when_every_subset_overflows(tmp_path, capsys):
     feats = np.arange(48.0).reshape(12, 4)
     feats[[2, 8]] = 1e200
@@ -484,6 +506,8 @@ def test_report_band_width_too_large_for_a_subset_exits_2(tmp_path, capsys):
     cfg.write_text('{"cce": {"band_width": 50}}')
     assert main(argv + ["--config", str(cfg)]) == 2
     assert "band width 50 must satisfy" in capsys.readouterr().err
+    # the failed subset's dissim.vatf, written before its analysis, went again
+    assert not (tmp_path / "o" / "airport").exists()
 
 
 def test_synth_non_integer_size_exits_2(tmp_path, capsys):
@@ -588,7 +612,11 @@ def test_report_degenerate_subset_does_not_end_the_report(tmp_path, capsys):
     [london] = [e for e in doc["skipped"] if e["subset"] == "london"]
     assert london["n"] == 3 and "single intensity" in london["reason"]
     assert (tmp_path / "o" / "paris" / "odi.pgm").is_file()
+    # London's dissim.vatf was written before its analysis; it went again,
+    # with its directory and no temporary file left.
     assert not (tmp_path / "o" / "london").exists()
+    assert not list((tmp_path / "o").rglob(".tmp-*"))
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["paris", "report.json"]
 
 
 @pytest.mark.filterwarnings("ignore:subset .* has 0 record")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from scenevat.errors import InputError
 from scenevat.matrix import (
@@ -13,7 +13,7 @@ from scenevat.matrix import (
     zscore,
 )
 
-from conftest import random_dissim
+from conftest import overflow_in_last_band, random_dissim
 
 
 def test_euclidean_right_triangle():
@@ -169,12 +169,25 @@ def _tiled_euclidean(features, standardize=False, tile=1024):
 
 
 @pytest.mark.parametrize("standardize", [False, True])
-@pytest.mark.parametrize("n", [1, 137, 1100])
+@pytest.mark.parametrize("n", [1, 137, 255, 256, 257, 513, 1100])
 def test_euclidean_matches_tiled_kernel_bitwise(n, standardize):
+    # n at and around the 256-row bands, and the bits of the condensed
+    # pdist that the banded build replaced.
     rng = np.random.Generator(np.random.Philox(key=8))
-    f = rng.normal(loc=2.0, scale=5.0, size=(n, 23))
-    got = euclidean_dissim(f, standardize=standardize)
-    assert np.array_equal(got, _tiled_euclidean(f, standardize))
+    for dims in (23, 128):
+        f = rng.normal(loc=2.0, scale=5.0, size=(n, dims))
+        got = euclidean_dissim(f, standardize=standardize)
+        assert np.array_equal(got, _tiled_euclidean(f, standardize))
+        x = zscore(f) if standardize else f
+        assert got.tobytes() == squareform(pdist(x)).tobytes()
+
+
+def test_euclidean_overflow_in_the_last_band_raises():
+    f = overflow_in_last_band()
+    assert np.isfinite(euclidean_dissim(np.delete(f, 590, axis=0))).all()
+    with pytest.raises(InputError, match=r"^feature distances overflow: distances "
+                       r"above about 1\.3e154 overflow when squared$"):
+        euclidean_dissim(f)
 
 
 def test_zscore_standardizes_and_keeps_constant_dims():

@@ -402,8 +402,8 @@ def test_analyze_scan_winner_matches_specvat_bitwise(name):
     # equal (ideal blocks), so VAT's tie-break follows the last bits.
     make, cfg = SCAN_FIXTURES[name]
     m = make()
-    got = analyze(m, "specvat", cfg)
-    ref = specvat_mod._specvat(_scan_reference(m, cfg)[got.k])
+    got = analyze(m.copy(), "specvat", cfg)
+    ref = specvat_mod._specvat(_scan_reference(m, cfg)[got.k], np.empty(m.shape))
     for a, b in [(got.ordering.order, ref.ordering.order),
                  (got.ordering.link_dist, ref.ordering.link_dist),
                  (got.image, ref.image),
@@ -423,7 +423,7 @@ def test_analyze_scan_winner_matches_specvat_bitwise(name):
 def test_specvat_and_analyze_return_one_analysis_type():
     m = block_dissim([5, 5, 5], 0.01, 1.0)
     cfg = SpecVatConfig(k_max=4)
-    explicit, scanned = specvat(m, 3, cfg), analyze(m, "specvat", cfg)
+    explicit, scanned = specvat(m, 3, cfg), analyze(m.copy(), "specvat", cfg)
     plain = analyze(m, "vat", cfg)
     assert type(explicit) is type(scanned) is type(plain) is Analysis
     assert (explicit.k, explicit.k_scores) == (3, None)
@@ -469,7 +469,7 @@ def _image_scores(d, cfg):
     """The reference: each candidate's score read from its n x n image in
     input order, through the public ``otsu_effectiveness``."""
     n = d.shape[0]
-    vecs = specvat_mod._spectrum(d, cfg, min(cfg.k_max, n - 1))[1]
+    vecs = specvat_mod._spectrum(d.copy(), cfg, min(cfg.k_max, n - 1))[1]
     scores = {}
     for k in range(2, vecs.shape[1] + 1):
         e = specvat_mod._unit_rows(vecs[:, :k])
@@ -739,7 +739,7 @@ def test_analyze_specvat_matches_copying_reference_bitwise(n, symmetric):
     # analyze takes the matrix check_dissim returns, as the CLI does.
     d = _blobs(n) if symmetric else _within_tolerance_asymmetric(n)
     cfg, k = SpecVatConfig(), min(3, n - 1)
-    got = analyze(check_dissim(d), "specvat", cfg, k=k)
+    got = analyze(check_dissim(d.copy()), "specvat", cfg, k=k)
     ordering, image, d_prime = _specvat_reference(0.5 * d + 0.5 * d.T, cfg, k)
     for a, b in [(got.ordering.order, ordering.order),
                  (got.ordering.link_dist, ordering.link_dist),
@@ -754,13 +754,13 @@ def test_embedded_distances_match_condensed_pdist_bitwise(n):
     for k in range(2, 11):
         e = rng.standard_normal((n, k))
         e /= np.linalg.norm(e, axis=1)[:, np.newaxis]
-        got = specvat_mod._specvat(e).d_prime
+        got = specvat_mod._specvat(e, np.empty((n, n))).d_prime
         assert got.tobytes() == squareform(pdist(e)).tobytes()
 
 
 def test_private_fallback_rebuilds_the_overwritten_matrix(monkeypatch):
-    # The subset solve overwrites the matrix it is given, so the fallback
-    # must rebuild it from d.  The reference is the full eigh of a copy.
+    # The subset solve works in a copy of the matrix, so the full fallback
+    # solves the matrix as built.  The reference is the full eigh of a copy.
     d = _blobs(120)  # below ARPACK_MIN_N
     cfg = SpecVatConfig()
     top = _descending_reference(*np.linalg.eigh(_sym_reference(d, cfg)), 3)[1]
@@ -793,6 +793,18 @@ def test_public_steps_leave_their_inputs_unchanged():
     assert d.tobytes() == d_before.tobytes()
     assert a.tobytes() == a_before.tobytes()
     assert x.tobytes() == x_before.tobytes()
+
+
+def test_public_steps_do_not_depend_on_memory_layout():
+    # An F-ordered copy gives the same bits: ARPACK's products (n >= 1024)
+    # and the row sums of the normalization depend on the layout.
+    d = _blobs(LARGE_N)
+    x = normalized_affinity(local_scale_affinity(d))
+    f = np.asfortranarray
+    assert normalized_affinity(f(x)).tobytes() == normalized_affinity(x).tobytes()
+    for got, want in zip(sym_eigen_topk(f(x), 4), sym_eigen_topk(x, 4)):
+        assert got.tobytes() == want.tobytes()
+    assert spectral_embedding(f(d), 4).tobytes() == spectral_embedding(d, 4).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -879,7 +891,7 @@ def test_arpack_result_meets_the_bounds_and_agrees_with_evr(monkeypatch):
     d, cfg = _blobs(LARGE_N), SpecVatConfig()
     x = _sym_reference(d, cfg)
     calls = count_solvers(monkeypatch)
-    vals, vecs = specvat_mod._spectrum(d, cfg, 10)
+    vals, vecs = specvat_mod._spectrum(d.copy(), cfg, 10)
     assert calls == {"lanczos": [(LARGE_N, LARGE_N)], "subset": [], "full": []}
     res = np.linalg.norm(x @ vecs - vecs * vals, axis=0)
     assert res.max() <= 1e-8 * np.linalg.norm(x)
@@ -953,7 +965,7 @@ def test_explicit_k_solves_exactly_k_pairs(monkeypatch, n):
         expect = [("arpack", k)] if n >= LARGE_N else [("evr", [n - k, n - 1])]
         assert asked == expect
         # acceptance 6's bounds hold for every k, k = 1 on ARPACK included
-        vals, vecs = specvat_mod._spectrum(d, cfg, k)
+        vals, vecs = specvat_mod._spectrum(d.copy(), cfg, k)
         res = np.linalg.norm(x @ vecs - vecs * vals, axis=0)
         assert res.max() <= 1e-8 * np.linalg.norm(x)
         assert np.abs(vecs.T @ vecs - np.eye(k)).max() <= 1e-8
@@ -988,7 +1000,7 @@ print(hashlib.sha256(vals.tobytes() + vecs.tobytes()).hexdigest())
 def test_arpack_path_repeats_its_bits(monkeypatch):
     calls = count_solvers(monkeypatch)
     d, cfg = block_dissim([64] * 16, 0.01, 1.0), SpecVatConfig()
-    runs = [specvat_mod._spectrum(d, cfg, 10) for _ in range(2)]
+    runs = [specvat_mod._spectrum(d.copy(), cfg, 10) for _ in range(2)]
     assert calls["subset"] == [] and len(calls["lanczos"]) == 2
     digests = {hashlib.sha256(v.tobytes() + u.tobytes()).hexdigest()
                for v, u in runs}

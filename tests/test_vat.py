@@ -343,6 +343,15 @@ def test_pixel_histogram_is_the_odi_histogram(case):
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("n", [513, 514, 1100])
+def test_pixel_histogram_counts_every_slice(n):
+    # Slices of 256 * n entries: one at n = 513, two from n = 514 on.
+    rng = np.random.Generator(np.random.Philox(key=n))
+    c = rng.uniform(0.0, 3.0, n * (n - 1) // 2)
+    want = _histogram(_odi(squareform(c), np.arange(n)))
+    assert np.array_equal(_pixel_histogram(c, n), want)
+
+
 @pytest.mark.parametrize("value", [0.0, 2.5])
 @pytest.mark.parametrize("n", [1, 2, 5, 300])
 def test_pixel_histogram_of_a_constant_matrix(n, value):

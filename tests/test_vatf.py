@@ -21,6 +21,23 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert back.tobytes() == m.tobytes()
 
 
+def test_read_views_its_one_buffer(tmp_path):
+    # A read holds one copy of the matrix: a writable view of the bytes
+    # read_file read, which the analysis may overwrite.
+    m = np.arange(12.0).reshape(4, 3)
+    write_vatf(tmp_path / "m.vatf", m)
+    back = read_vatf(tmp_path / "m.vatf")
+    assert back.flags.writeable and back.flags.c_contiguous
+    assert not back.flags.owndata and np.array_equal(back, m)
+    raw = bytearray(vatf_bytes(m))
+    view = parse_vatf(raw)
+    view[0, 0] = -1.0
+    assert raw[16:24] == struct.pack("<d", -1.0)
+    # an immutable buffer is copied, so the matrix is writable still
+    copied = parse_vatf(vatf_bytes(m))
+    assert copied.flags.writeable and np.array_equal(copied, m)
+
+
 def test_header_layout():
     m = np.array([[1.5, -2.0]])
     raw = vatf_bytes(m)
