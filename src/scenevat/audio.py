@@ -13,6 +13,7 @@ its in-range taps keeps DC gain exactly 1 at the clip edges.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -24,7 +25,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError
-from .vatf import read_file
 
 WAVE_FORMAT_PCM = 0x0001
 WAVE_FORMAT_IEEE_FLOAT = 0x0003
@@ -33,6 +33,8 @@ WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 # Part of every feature-cache key; bump it whenever the front end's output
 # can change for the same bytes and config.  2: polyphase resampler.
 FRONTEND_VERSION = 2
+# Zero crossings per side of the resampler's windowed-sinc kernel.
+RESAMPLE_TAPS = 32
 
 
 @dataclass(frozen=True)
@@ -99,22 +101,16 @@ class AudioConfig:
             raise InputError(f"log_floor must be positive, got {self.log_floor}")
 
     def cache_key(self) -> str:
-        doc = json.dumps(
-            {
-                "frontend_version": FRONTEND_VERSION,
-                "target_rate": self.target_rate,
-                "n_fft": self.n_fft,
-                "hop": self.hop,
-                "n_mels": self.n_mels,
-                "fmin": float(self.fmin),
-                "fmax": float(self.resolved_fmax()),
-                "log_floor": float(self.log_floor),
-                "htk_mel": self.htk_mel,
-                "db_scale": self.db_scale,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(doc.encode("ascii")).hexdigest()[:16]
+        # Built from every field, so a field added later cannot be left out.
+        # Floats are spelled as floats, and fmax as the value the filters use.
+        doc = dataclasses.asdict(self) | {
+            "frontend_version": FRONTEND_VERSION,
+            "fmin": float(self.fmin),
+            "fmax": float(self.resolved_fmax()),
+            "log_floor": float(self.log_floor),
+        }
+        text = json.dumps(doc, sort_keys=True)
+        return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
 
 # --------------------------------------------------------------------------
@@ -163,23 +159,16 @@ def decode_wav(data: bytes) -> AudioClip:
         )
 
     if fmt["format"] == WAVE_FORMAT_PCM:
-        if bits == 16:
-            samples = np.frombuffer(payload, dtype="<i2").astype(np.float64)
-            samples /= 2.0**15
-        elif bits == 24:
-            raw = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
-            ints = (
-                raw[:, 0].astype(np.int64)
-                | (raw[:, 1].astype(np.int64) << 8)
-                | (raw[:, 2].astype(np.int64) << 16)
-            )
-            ints -= (ints & 0x800000) << 1  # sign extension
-            samples = ints.astype(np.float64) / 2.0**23
-        elif bits == 32:
-            samples = np.frombuffer(payload, dtype="<i4").astype(np.float64)
-            samples /= 2.0**31
-        else:
+        if bits not in (16, 24, 32):
             raise InputError(f"unsupported PCM bit depth {bits} in 'fmt ' chunk")
+        # Little-endian int32 words one sample apart, behind 4 - width zero
+        # bytes: word i ends where sample i does, so its high bytes are
+        # sample i.  With the bytes below cleared, the word is the sample
+        # times 2^(32-bits), so / 2^31 is the sample / 2^(bits-1) exactly.
+        width = bits // 8
+        words = np.ndarray(len(payload) // width, "<i4",
+                           bytes(4 - width) + payload, strides=(width,))
+        samples = (words & -(1 << (32 - bits))) / 2.0**31
     elif fmt["format"] == WAVE_FORMAT_IEEE_FLOAT:
         if bits != 32:
             raise InputError(f"unsupported float bit depth {bits} in 'fmt ' chunk")
@@ -212,28 +201,25 @@ def _parse_fmt(body: bytes) -> dict:
     return {"format": tag, "channels": channels, "rate": rate, "bits": bits}
 
 
-def read_wav(path) -> AudioClip:
-    return read_file(path, "WAV file", decode_wav)
-
-
 # --------------------------------------------------------------------------
 # Resampling
 
 
-def resample(clip: AudioClip, target_rate: int, *, taps: int = 32) -> AudioClip:
+def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     """Band-limited rate conversion by polyphase windowed-sinc interpolation.
 
     Output length is round(len * target / native).  The kernel is a
-    Hann-windowed sinc with ``taps`` zero crossings per side, widened and
-    scaled by the rate ratio when downsampling.  With native / target = M / L
-    in lowest terms, output k sits at input position k * M / L, so its
-    fractional offset depends only on the phase p = k mod L: the kernel is
-    tabulated once per phase, from the exact offset (p * M mod L) / L.  The
-    outputs of phase p read input windows that start at p * M // L and step
-    by M, so each phase is one matrix-vector product over a strided view of
-    the zero-padded input.  Each output is divided by the sum of its in-range
-    taps, the same product over a zero-padded 0/1 validity mask, which keeps
-    DC gain exactly 1 even at the edges.
+    Hann-windowed sinc with ``RESAMPLE_TAPS`` zero crossings per side,
+    widened and scaled by the rate ratio when downsampling.  With native /
+    target = M / L in lowest terms, output k sits at input position
+    k * M / L, so its fractional offset depends only on the phase
+    p = k mod L: the kernel is tabulated once per phase, from the exact
+    offset (p * M mod L) / L.  The outputs of phase p read input windows
+    that start at p * M // L and step by M, so each phase is one
+    matrix-vector product over a strided view of the zero-padded input.
+    Each output is divided by the sum of its in-range taps, the same
+    product over a zero-padded 0/1 validity mask, which keeps DC gain
+    exactly 1 even at the edges.
     """
     if target_rate <= 0:
         raise InputError(f"target rate must be positive, got {target_rate}")
@@ -249,7 +235,7 @@ def resample(clip: AudioClip, target_rate: int, *, taps: int = 32) -> AudioClip:
     g = math.gcd(native, target_rate)
     step, n_phases = native // g, target_rate // g  # M, L
     cutoff = min(1.0, target_rate / native)  # fraction of the input Nyquist
-    radius = int(np.ceil(taps / cutoff))
+    radius = int(np.ceil(RESAMPLE_TAPS / cutoff))
     width = 2 * radius + 1
 
     phase = np.arange(min(n_phases, n_out))
@@ -284,11 +270,6 @@ def resample(clip: AudioClip, target_rate: int, *, taps: int = 32) -> AudioClip:
 # STFT and mel features
 
 
-def hann_window(n: int) -> np.ndarray:
-    """Periodic Hann window (the DFT-even convention)."""
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-
-
 def stft_power(clip: AudioClip, cfg: AudioConfig = AudioConfig()) -> np.ndarray:
     """Power spectrogram, shape (frames, n_fft // 2 + 1).
 
@@ -308,7 +289,9 @@ def stft_power(clip: AudioClip, cfg: AudioConfig = AudioConfig()) -> np.ndarray:
     n_frames = 1 + n // cfg.hop
     frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)
     frames = frames[:: cfg.hop][:n_frames]
-    spec = np.fft.rfft(frames * hann_window(cfg.n_fft), axis=1)
+    # The periodic (DFT-even) Hann window.
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(cfg.n_fft) / cfg.n_fft)
+    spec = np.fft.rfft(frames * window, axis=1)
     return np.abs(spec) ** 2
 
 

@@ -58,19 +58,19 @@ class CceReport:
     band_width: int
     min_detectable_block: int = field(default=0)
 
-    def to_dict(self) -> dict:
-        return {
-            "otsu_threshold": self.otsu_threshold,
-            "b": self.b,
-            "cluster_count": self.cluster_count,
-            "band_width": self.band_width,
-            "min_detectable_block": self.min_detectable_block,
-            "run_spans": [[int(a), int(b)] for a, b in self.run_spans],
-            "signal": [int(v) for v in self.signal],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(
+            {
+                "otsu_threshold": self.otsu_threshold,
+                "b": self.b,
+                "cluster_count": self.cluster_count,
+                "band_width": self.band_width,
+                "min_detectable_block": self.min_detectable_block,
+                "run_spans": [[int(a), int(b)] for a, b in self.run_spans],
+                "signal": [int(v) for v in self.signal],
+            },
+            sort_keys=True,
+        )
 
 
 def otsu_threshold(img) -> int:

@@ -77,10 +77,6 @@ class LabeledManifest:
         return len(self.records)
 
     @property
-    def paths(self) -> list:
-        return [r.path for r in self.records]
-
-    @property
     def scenes(self) -> list:
         return [r.scene for r in self.records]
 

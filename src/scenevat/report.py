@@ -9,6 +9,7 @@ same inputs produces byte-identical files.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import hashlib
 import io
 import json
@@ -111,11 +112,6 @@ def _fits(hint, value) -> bool:
 # Feature extraction with caching
 
 
-def feature_cache_key(data: bytes, cfg: AudioConfig) -> str:
-    """Name of a cached row: the file's bytes and the front-end config."""
-    return f"{hashlib.sha256(data).hexdigest()}-{cfg.cache_key()}"
-
-
 def features_for_manifest(
     manifest: LabeledManifest,
     cfg: AudioConfig = AudioConfig(),
@@ -154,7 +150,9 @@ def features_for_manifest(
         data = read_file(path, "WAV file", bytes)
         key = None
         if cache_dir is not None:
-            key = os.path.join(cache_dir, feature_cache_key(data, cfg) + ".vatf")
+            # A cached row is named by the file's bytes and the config.
+            name = f"{hashlib.sha256(data).hexdigest()}-{cfg.cache_key()}.vatf"
+            key = os.path.join(cache_dir, name)
             if os.path.isfile(key):
                 return read_vatf(key)[0]
         with naming(path):
@@ -227,6 +225,33 @@ def _stack_artifacts(kind, manifest, idx, ordering, subset_dir):
     return out
 
 
+# The files a report writes in a subset's directory.
+_SUBSET_FILES = ("dissim.vatf", "odi.pgm", "ordering.json", "cce.json") + tuple(
+    f"stack_{kind}.{ext}" for kind in ("scene", "city") for ext in ("svg", "csv")
+)
+
+
+class _Skip(Exception):
+    """Skip a subset: the warning's text after its name, and the reason."""
+
+    def __init__(self, text: str, reason: Optional[str] = None):
+        super().__init__(text)
+        self.reason = reason
+
+
+def _remove_subset_files(subset_dir: str) -> None:
+    """Remove what a report writes for a subset, then the directory if empty.
+
+    A skipped subset keeps no file from an earlier run into the same
+    directory; a file the report does not write stays.
+    """
+    for fname in _SUBSET_FILES:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(subset_dir, fname))
+    if os.path.isdir(subset_dir) and not os.listdir(subset_dir):
+        os.rmdir(subset_dir)
+
+
 def analyze(d: np.ndarray, method: str, spec_cfg: SpecVatConfig,
             k: Optional[int] = None) -> Analysis:
     """Order and render one dissimilarity matrix with VAT or SpecVAT.
@@ -271,7 +296,8 @@ def run_report(
     link distances (JSON), label stacks (SVG + CSV), and a cluster-count
     report (JSON).  A summary table of counts per subset is returned and
     written to ``report.json``.  SpecVAT subsets pick k automatically unless
-    ``k`` is given, which is clamped to n-1 with a warning.  The features
+    ``k`` is given, which is clamped to n-1 with a warning; a ``k`` with
+    VAT, or below 2, raises InputError before any subset.  The features
     are checked once, here.  Each subset's distances are valid by
     construction, are written to ``dissim.vatf`` first and then go to
     ``analyze`` unchecked, which may overwrite them: a subset holds one
@@ -280,12 +306,19 @@ def run_report(
     so are subsets whose distances overflow or whose image is degenerate (a
     single intensity), which are listed under ``skipped`` with a
     ``reason``.  A subset that is skipped, or whose analysis raises, leaves
-    no file.
+    none of the files the report writes for it, not even those of an
+    earlier run into ``out_dir``, and no empty directory.
     NumericError is raised, after ``report.json`` is written, only when no
     subset could be analysed.
     """
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
+    # SpecVAT needs k >= 2, so 3 records: with k = 1 every record maps to +1.
+    if k is not None and method == "vat":
+        raise InputError(f"--k {k}: VAT takes no k; use --method specvat")
+    if k is not None and k < 2:
+        raise InputError(f"--k {k}: SpecVAT needs k >= 2")
+    min_n = 3 if method == "specvat" else 2
     features = as_features(features)  # once, so a bad row has its own index
     if features.shape[0] != len(manifest):
         raise InputError(
@@ -302,54 +335,44 @@ def run_report(
         "skipped": [],
         "summary": {},
     }
-    # SpecVAT needs k >= 2, so 3 records: with k = 1 every record maps to +1.
-    min_n = 3 if method == "specvat" else 2
     for name, idx, stack_kind in subsets:
-        if idx.size < min_n:
-            warnings.warn(
-                f"subset {name!r} has {idx.size} record(s); skipping",
-                stacklevel=2,
-            )
-            report["skipped"].append({"subset": name, "n": int(idx.size)})
-            continue
-        try:
-            # The features are valid, so the one InputError is an overflow.
-            dissim = euclidean_dissim(features[idx], standardize=standardize)
-        except InputError as exc:
-            warnings.warn(f"subset {name!r}: {exc}; skipping", stacklevel=2)
-            report["skipped"].append(
-                {"subset": name, "n": int(idx.size), "reason": str(exc)}
-            )
-            continue
-        k_run = None if k is None else min(k, idx.size - 1)
-        if k_run != k:
-            warnings.warn(
-                f"subset {name!r} has {idx.size} records; "
-                f"k={k} clamped to {k_run}",
-                stacklevel=2,
-            )
+        n = int(idx.size)
         subset_dir = os.path.join(out_dir, name)
-        made_dir = not os.path.isdir(subset_dir)
-        os.makedirs(subset_dir, exist_ok=True)
-        dissim_path = os.path.join(subset_dir, "dissim.vatf")
-        write_vatf(dissim_path, dissim)  # before analyze overwrites dissim
         try:
-            result = analyze(dissim, method, config.spec, k_run)
-            cce = cce_count(result.image, config.cce)
-        except BaseException as exc:  # a subset that fails leaves no file
-            os.remove(dissim_path)
-            if made_dir:
-                os.rmdir(subset_dir)
-            if not isinstance(exc, DegenerateImageError):
-                raise
-            warnings.warn(f"subset {name!r} is degenerate ({exc}); skipping",
-                          stacklevel=2)
-            report["skipped"].append(
-                {"subset": name, "n": int(idx.size), "reason": str(exc)}
-            )
+            if n < min_n:
+                raise _Skip(f" has {n} record(s)")
+            try:
+                # The features are valid, so the one InputError is an overflow.
+                dissim = euclidean_dissim(features[idx], standardize=standardize)
+            except InputError as exc:
+                raise _Skip(f": {exc}", str(exc)) from exc
+            k_run = None if k is None else min(k, n - 1)
+            if k_run != k:
+                warnings.warn(
+                    f"subset {name!r} has {n} records; k={k} clamped to {k_run}",
+                    stacklevel=2,
+                )
+            os.makedirs(subset_dir, exist_ok=True)
+            # Written before analyze overwrites dissim.
+            write_vatf(os.path.join(subset_dir, "dissim.vatf"), dissim)
+            try:
+                result = analyze(dissim, method, config.spec, k_run)
+                cce = cce_count(result.image, config.cce)
+            except DegenerateImageError as exc:
+                raise _Skip(f" is degenerate ({exc})", str(exc)) from exc
+        except _Skip as skip:
+            _remove_subset_files(subset_dir)
+            warnings.warn(f"subset {name!r}{skip}; skipping", stacklevel=2)
+            skipped: dict = {"subset": name, "n": n}
+            if skip.reason is not None:
+                skipped["reason"] = skip.reason
+            report["skipped"].append(skipped)
             continue
+        except BaseException:  # a subset that fails leaves no file
+            _remove_subset_files(subset_dir)
+            raise
         ordering = result.ordering
-        entry: dict = {"subset": name, "n": int(idx.size)}
+        entry: dict = {"subset": name, "n": n}
         if result.k is not None:
             entry["k"] = int(result.k)
         if result.k_scores is not None:

@@ -44,6 +44,8 @@ EIGEN_ORTH_ATOL = 1e-8
 # the process: a solve's bits would depend on the solves before it, so evr
 # solves every matrix there.
 _SEEDABLE_ARPACK = "rng" in inspect.signature(scipy.sparse.linalg.eigsh).parameters
+# The smallest local scale: identical neighbours give an affinity of 1.
+SIGMA_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -52,15 +54,12 @@ class SpecVatConfig:
 
     k_max: int = 10
     knn_scale: int = 7
-    sigma_floor: float = 1e-12
 
     def __post_init__(self):
         if self.k_max < 2:
             raise InputError(f"k_max={self.k_max} must be at least 2")
         if self.knn_scale < 1:
             raise InputError(f"knn_scale={self.knn_scale} must be at least 1")
-        if not self.sigma_floor > 0:
-            raise InputError(f"sigma_floor={self.sigma_floor} must be positive")
 
 
 def local_scale_affinity(m, cfg: SpecVatConfig = SpecVatConfig()) -> np.ndarray:
@@ -68,7 +67,7 @@ def local_scale_affinity(m, cfg: SpecVatConfig = SpecVatConfig()) -> np.ndarray:
 
     ``A[i, j] = exp(-d_ij^2 / (sigma_i * sigma_j))`` where ``sigma_i`` is the
     distance from i to its ``knn_scale``-th nearest neighbour (clamped to the
-    available n-1 neighbours), floored at ``sigma_floor``.  Diagonal is 0.
+    available n-1 neighbours), floored at ``SIGMA_FLOOR``.  Diagonal is 0.
     """
     d = _checked_copy(m)
     if d.shape[0] < 2:
@@ -94,7 +93,7 @@ def _affinity(d: np.ndarray, cfg: SpecVatConfig) -> np.ndarray:
     sigma = np.empty(n)
     for rows in bands(n):
         sigma[rows] = np.partition(d[rows], kth, axis=1)[:, kth]
-    np.maximum(sigma, cfg.sigma_floor, out=sigma)
+    np.maximum(sigma, SIGMA_FLOOR, out=sigma)
     for rows in bands(n):
         band = d[rows]
         np.multiply(band, band, out=band)

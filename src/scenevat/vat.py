@@ -160,22 +160,13 @@ def check_image(img) -> np.ndarray:
     return x
 
 
-def pgm_bytes(img) -> bytes:
-    header, x = _pgm_parts(img)
-    return header + x.tobytes()
-
-
-def _pgm_parts(img) -> tuple[bytes, np.ndarray]:
-    x = np.ascontiguousarray(check_image(img))
-    h, w = x.shape
-    return f"P5\n{w} {h}\n255\n".encode("ascii"), x
-
-
 def write_pgm(img, path) -> None:
     """Write a binary PGM (P5, maxval 255), atomically, without copying it."""
     with naming(path):
-        header, x = _pgm_parts(img)
-        atomic_write_bytes(path, header, x.reshape(-1))
+        x = np.ascontiguousarray(check_image(img))
+        h, w = x.shape
+        atomic_write_bytes(path, f"P5\n{w} {h}\n255\n".encode("ascii"),
+                           x.reshape(-1))
 
 
 def read_pgm(path) -> np.ndarray:

@@ -27,19 +27,6 @@ VERSION = 1
 _HEADER = struct.Struct("<4sIII")
 
 
-def vatf_bytes(values) -> bytes:
-    header, x = _vatf_parts(values)
-    return header + x.tobytes(order="C")
-
-
-def _vatf_parts(values) -> tuple[bytes, np.ndarray]:
-    x = np.ascontiguousarray(values, dtype="<f8")
-    if x.ndim != 2:
-        raise InputError(f"VATF stores 2-D matrices, got {x.ndim}-D")
-    n, d = x.shape
-    return _HEADER.pack(MAGIC, VERSION, n, d), x
-
-
 def parse_vatf(data) -> np.ndarray:
     """The float64 matrix in VATF bytes.
 
@@ -65,8 +52,12 @@ def parse_vatf(data) -> np.ndarray:
 
 def write_vatf(path, values) -> None:
     """Write atomically (temp file + rename), without copying the values."""
-    header, x = _vatf_parts(values)
-    atomic_write_bytes(path, header, x.reshape(-1).view(np.uint8))
+    x = np.ascontiguousarray(values, dtype="<f8")
+    if x.ndim != 2:
+        raise InputError(f"VATF stores 2-D matrices, got {x.ndim}-D")
+    n, d = x.shape
+    atomic_write_bytes(path, _HEADER.pack(MAGIC, VERSION, n, d),
+                       x.reshape(-1).view(np.uint8))
 
 
 def read_vatf(path) -> np.ndarray:

@@ -220,6 +220,9 @@ def _tree_bytes(root):
     return out
 
 
+# Most subsets of these random features get Otsu threshold 0, so only the
+# diagonal is dark: cce_count warns and counts 0 clusters there.
+@pytest.mark.filterwarnings("ignore:sub-diagonal signal is identically zero")
 def test_acceptance_8_sixteen_subset_reports(tmp_path):
     lines = ["path,scene,city"]
     for s in SCENES:

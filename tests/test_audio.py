@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 from concurrent.futures import ThreadPoolExecutor
 
@@ -58,6 +59,24 @@ def test_decode_24bit_negative():
 def test_decode_32bit_pcm():
     clip = decode_wav(make_wav([2**30, -(2**31)], 8000, bits=32))
     assert clip.samples.tolist() == [0.5, -1.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(bits=st.sampled_from([16, 24, 32]), channels=st.sampled_from([1, 2]),
+       extensible=st.booleans(), frames=st.integers(0, 50),
+       seed=st.integers(0, 2**32 - 1))
+def test_decode_pcm_is_words_over_full_scale_bitwise(bits, channels, extensible,
+                                                     frames, seed):
+    # Every depth reads a word w as w / 2^(bits-1) exactly; both extreme
+    # words are always among the frames.
+    lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    words = rng.integers(lo, hi, size=(frames + 2, channels), endpoint=True)
+    words[0], words[1] = lo, hi
+    clip = decode_wav(make_wav(words, 8000, bits=bits, extensible=extensible))
+    expected = words / 2.0 ** (bits - 1)
+    expected = expected[:, 0] if channels == 1 else expected.mean(axis=1)
+    assert clip.samples.tobytes() == expected.tobytes()
 
 
 def test_decode_float32():
@@ -390,6 +409,28 @@ def test_cache_key_tracks_parameters(monkeypatch):
     monkeypatch.setattr(audio, "FRONTEND_VERSION", audio.FRONTEND_VERSION - 1)
     assert AudioConfig().cache_key() != base
 
+
+
+# A valid value other than the default for each field.
+_OTHER_VALUES = {"target_rate": 16000, "n_fft": 1024, "hop": 256, "n_mels": 64,
+                 "fmin": 20.0, "fmax": 8000.0, "log_floor": 1e-8,
+                 "htk_mel": True, "db_scale": True}
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(AudioConfig)])
+def test_cache_key_tracks_every_field(field):
+    changed = dataclasses.replace(AudioConfig(), **{field: _OTHER_VALUES[field]})
+    assert changed.cache_key() != AudioConfig().cache_key()
+
+
+def test_cache_key_covers_a_field_added_later():
+    # The key is built from every field, so a new one cannot be left out
+    # and serve rows cached under another value.
+    @dataclasses.dataclass(frozen=True)
+    class Extended(AudioConfig):
+        extra: int = 0
+
+    assert Extended(extra=1).cache_key() != Extended().cache_key()
 
 
 def test_cache_key_is_stable_and_spelling_blind():

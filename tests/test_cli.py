@@ -10,7 +10,7 @@ import pytest
 import scenevat.matrix
 from scenevat.cli import main
 from scenevat.synth import BlobSpec, gaussian_blobs
-from scenevat.vat import pgm_bytes, read_pgm
+from scenevat.vat import read_pgm, write_pgm
 from scenevat.vatf import read_vatf, write_vatf
 
 from conftest import overflow_in_last_band, sine_wav
@@ -110,7 +110,7 @@ def _one_clip_inputs(tmp_path):
     assert main(["synth", "--mode", "blocks", "--sizes", "3,3",
                  "--out", str(tmp_path / "syn")]) == 0
     image = tmp_path / "odi.pgm"
-    image.write_bytes(pgm_bytes(np.eye(6, dtype=np.uint8) * 200))
+    write_pgm(np.eye(6, dtype=np.uint8) * 200, image)
     audio = ["--manifest", str(manifest), "--audio-root", str(clips)]
     return {
         "features": ["features"] + audio,
@@ -287,7 +287,7 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
 
 def test_exit_code_3_on_degenerate_image(tmp_path, capsys):
     img = np.full((8, 8), 7, dtype=np.uint8)
-    (tmp_path / "flat.pgm").write_bytes(pgm_bytes(img))
+    write_pgm(img, tmp_path / "flat.pgm")
     code = main([
         "cce", "--image", str(tmp_path / "flat.pgm"),
         "--out", str(tmp_path / "o"),
@@ -314,7 +314,7 @@ def test_cce_flag_overrides(tmp_path):
 
     m = block_dissim([6, 6], 0.01, 1.0)
     img = odi_from(m, vat_order(m))
-    (tmp_path / "odi.pgm").write_bytes(pgm_bytes(img))
+    write_pgm(img, tmp_path / "odi.pgm")
     out = tmp_path / "o"
     assert main([
         "cce", "--image", str(tmp_path / "odi.pgm"), "--band-width", "2",
@@ -328,7 +328,7 @@ def test_cce_negative_cutoff_exits_2(tmp_path, capsys):
     # Below 0 every signal column is a run: the whole image would be one.
     img = np.full((40, 40), 255, dtype=np.uint8)
     img[:20, :20] = img[20:, 20:] = 0
-    (tmp_path / "two.pgm").write_bytes(pgm_bytes(img))
+    write_pgm(img, tmp_path / "two.pgm")
     argv = ["cce", "--image", str(tmp_path / "two.pgm"), "--out", str(tmp_path / "o")]
     assert main(argv) == 0
     assert capsys.readouterr().out == "clusters: 2\n"
@@ -583,14 +583,13 @@ def test_specvat_k_out_of_range_and_too_few_records_exit_2(tmp_path, capsys):
     assert read_vatf(tmp_path / "c" / "d_prime.vatf").shape == (2, 2)
 
 
-def _degenerate_city_inputs(tmp_path, paris_rows):
-    """London: 3 identical feature rows; Paris: ``paris_rows``."""
-    feats = np.vstack([np.ones((3, 4)), paris_rows])
-    write_vatf(tmp_path / "f.vatf", feats)
+def _city_inputs(tmp_path, london_rows, paris_rows):
+    """A by_city VAT report of London's and Paris's feature rows."""
+    write_vatf(tmp_path / "f.vatf", np.vstack([london_rows, paris_rows]))
     manifest = tmp_path / "m.csv"
     manifest.write_text(
         "path,scene,city\n"
-        + "".join(f"l{i}.wav,airport,london\n" for i in range(3))
+        + "".join(f"l{i}.wav,airport,london\n" for i in range(len(london_rows)))
         + "".join(f"p{i}.wav,bus,paris\n" for i in range(len(paris_rows)))
     )
     return ["report", "--manifest", str(manifest),
@@ -598,12 +597,20 @@ def _degenerate_city_inputs(tmp_path, paris_rows):
             "--method", "vat", "--out", str(tmp_path / "o")]
 
 
+def _degenerate_city_inputs(tmp_path, paris_rows):
+    """London: 3 identical feature rows; Paris: ``paris_rows``."""
+    return _city_inputs(tmp_path, np.ones((3, 4)), paris_rows)
+
+
+def _two_blobs(n=10):
+    rows = np.repeat([[0.0, 0.0, 0.0, 0.0], [9.0, 9.0, 9.0, 9.0]], n // 2, axis=0)
+    return rows + np.linspace(0.0, 0.1, n)[:, np.newaxis]
+
+
 @pytest.mark.filterwarnings("ignore:subset .* has 0 record")
 def test_report_degenerate_subset_does_not_end_the_report(tmp_path, capsys):
     # London's identical rows render a constant image with no Otsu threshold.
-    blobs = np.repeat([[0.0, 0.0, 0.0, 0.0], [9.0, 9.0, 9.0, 9.0]], 5, axis=0)
-    blobs += np.linspace(0.0, 0.1, 10)[:, np.newaxis]
-    argv = _degenerate_city_inputs(tmp_path, blobs)
+    argv = _degenerate_city_inputs(tmp_path, _two_blobs())
     with pytest.warns(UserWarning, match="'london' is degenerate"):
         assert main(argv) == 0
     assert "paris: 2" in capsys.readouterr().out
@@ -629,3 +636,60 @@ def test_report_exits_3_only_when_no_subset_is_analysed(tmp_path, capsys):
     assert doc["subsets"] == [] and doc["summary"] == {}
     assert {e["subset"] for e in doc["skipped"] if "reason" in e} == {
         "london", "paris"}
+
+
+@pytest.mark.filterwarnings("ignore:subset .* has 0 record")
+def test_report_rerun_that_finds_a_subset_degenerate_removes_its_old_files(
+        tmp_path):
+    argv = _city_inputs(tmp_path, _two_blobs(), _two_blobs())
+    assert main(argv) == 0
+    london = tmp_path / "o" / "london"
+    assert (london / "odi.pgm").is_file() and (london / "stack_scene.csv").is_file()
+    (london / "notes.txt").write_text("not the report's")
+    # The rerun finds London's rows identical: every file the first run
+    # wrote for it goes, and a file the report does not write stays.
+    argv = _city_inputs(tmp_path, np.ones((10, 4)), _two_blobs())
+    with pytest.warns(UserWarning, match="'london' is degenerate"):
+        assert main(argv) == 0
+    assert sorted(p.name for p in london.iterdir()) == ["notes.txt"]
+    doc = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert [e["subset"] for e in doc["subsets"]] == ["paris"]
+
+
+@pytest.mark.filterwarnings("ignore:subset .* has 0 record")
+def test_report_rerun_below_the_record_minimum_removes_the_subset(tmp_path):
+    assert main(_city_inputs(tmp_path, _two_blobs(), _two_blobs())) == 0
+    assert (tmp_path / "o" / "london" / "cce.json").is_file()
+    argv = _city_inputs(tmp_path, _two_blobs()[:1], _two_blobs())
+    with pytest.warns(UserWarning, match="'london' has 1 record"):
+        assert main(argv) == 0
+    out = tmp_path / "o"
+    assert sorted(p.name for p in out.iterdir()) == ["paris", "report.json"]
+    doc = json.loads((out / "report.json").read_text())
+    assert {"subset": "london", "n": 1} in doc["skipped"]
+
+
+@pytest.mark.parametrize("method, k, message", [
+    ("vat", "5", "--k 5: VAT takes no k; use --method specvat"),
+    ("specvat", "1", "--k 1: SpecVAT needs k >= 2"),
+    ("specvat", "0", "--k 0: SpecVAT needs k >= 2"),
+], ids=["vat-5", "specvat-1", "specvat-0"])
+def test_report_checks_k_before_any_subset(tmp_path, capsys, method, k,
+                                           message):
+    # London has 2 records and Paris 10: no subset is analysed, so nothing
+    # is written and no subset warns.
+    argv = _city_inputs(tmp_path, _two_blobs()[:2], _two_blobs())
+    assert main(argv + ["--method", method, "--k", k]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["specvat", "report"])
+def test_sigma_floor_is_not_a_config_key(tmp_path, capsys, command):
+    # The smallest local scale is the constant specvat.SIGMA_FLOOR.
+    argv = _one_clip_inputs(tmp_path)[command]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"specvat": {"sigma_floor": 1e-12}}')
+    assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config {cfg}: section 'specvat': unknown key(s) ['sigma_floor']\n")

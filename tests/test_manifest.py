@@ -28,7 +28,7 @@ def test_parse_valid_rows():
     )
     mf = parse_manifest(text)
     assert len(mf) == 2
-    assert mf.paths == ["a/b.wav", "c.wav"]
+    assert [r.path for r in mf.records] == ["a/b.wav", "c.wav"]
     assert mf.scenes == ["airport", "tram"]
     assert mf.cities == ["barcelona", "london"]
 
@@ -89,7 +89,7 @@ def test_large_balanced_manifest():
     assert len(mf) == 8640
     for scene in SCENES:
         assert mf.scenes.count(scene) == 864
-    assert len(set(mf.paths)) == 8640
+    assert len({r.path for r in mf.records}) == 8640
 
 
 def test_read_manifest_wraps_path(tmp_path):

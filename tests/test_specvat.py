@@ -17,6 +17,7 @@ from scenevat.errors import DegenerateImageError, InputError, NumericError
 from scenevat.matrix import check_dissim, euclidean_dissim, permute_matrix
 from scenevat.report import analyze
 from scenevat.specvat import (
+    SIGMA_FLOOR,
     SpecVatConfig,
     a_specvat_select_k,
     local_scale_affinity,
@@ -532,8 +533,6 @@ def test_config_validation_bounds():
         SpecVatConfig(k_max=1)
     with pytest.raises(InputError):
         SpecVatConfig(knn_scale=0)
-    with pytest.raises(InputError):
-        SpecVatConfig(sigma_floor=0.0)
 
 
 # --------------------------------------------------------------------------
@@ -554,7 +553,7 @@ def _affinity_reference(d, cfg):
     offdiag = d.copy()
     np.fill_diagonal(offdiag, np.inf)
     sigma = np.partition(offdiag, kth - 1, axis=1)[:, kth - 1]
-    sigma = np.maximum(sigma, cfg.sigma_floor)
+    sigma = np.maximum(sigma, SIGMA_FLOOR)
     a = np.exp(-(d * d) / np.outer(sigma, sigma))
     np.fill_diagonal(a, 0.0)
     return a

@@ -15,7 +15,6 @@ from scenevat.vat import (
     ordering_from_json,
     ordering_to_json,
     parse_pgm,
-    pgm_bytes,
     read_pgm,
     vat_order,
     write_pgm,
@@ -208,13 +207,22 @@ def test_odi_size_mismatch_rejected():
 # PGM I/O
 
 
-def test_pgm_bytes_layout():
+def pgm_bytes(img) -> bytes:
+    """Binary PGM bytes of an image, built independently of write_pgm."""
+    x = np.asarray(img).astype(np.uint8)
+    h, w = x.shape
+    return b"P5\n%d %d\n255\n" % (w, h) + x.tobytes(order="C")
+
+
+def test_pgm_bytes_layout(tmp_path):
     img = np.array([[0, 255], [255, 0]], dtype=np.uint8)
-    assert pgm_bytes(img) == b"P5\n2 2\n255\n\x00\xff\xff\x00"
+    write_pgm(img, tmp_path / "img.pgm")
+    assert (tmp_path / "img.pgm").read_bytes() == b"P5\n2 2\n255\n\x00\xff\xff\x00"
 
 
-def test_pgm_single_zero_pixel():
-    raw = pgm_bytes(np.zeros((1, 1), dtype=np.uint8))
+def test_pgm_single_zero_pixel(tmp_path):
+    write_pgm(np.zeros((1, 1), dtype=np.uint8), tmp_path / "img.pgm")
+    raw = (tmp_path / "img.pgm").read_bytes()
     assert raw.endswith(b"\n\x00") and raw[-1:] == b"\x00"
 
 

@@ -3,11 +3,23 @@ import struct
 import numpy as np
 import pytest
 
-from scenevat.audio import read_wav
+from scenevat.audio import decode_wav
 from scenevat.errors import InputError
 from scenevat.manifest import read_manifest
 from scenevat.vat import read_ordering, read_pgm
-from scenevat.vatf import parse_vatf, read_vatf, vatf_bytes, write_vatf
+from scenevat.vatf import parse_vatf, read_file, read_vatf, write_vatf
+
+
+def vatf_bytes(values) -> bytes:
+    """VATF bytes of a 2-D array, built independently of write_vatf."""
+    x = np.asarray(values, dtype="<f8")
+    n, d = x.shape
+    return b"VATF" + struct.pack("<III", 1, n, d) + x.tobytes(order="C")
+
+
+def read_wav(path):
+    """A WAV file read as the feature extractor reads it."""
+    return read_file(path, "WAV file", decode_wav)
 
 
 def test_round_trip_is_bit_exact(tmp_path):
