@@ -99,8 +99,7 @@ def cmd_features(args) -> int:
 def cmd_matrix(args) -> int:
     """``vat`` and ``specvat``: order one matrix and render its image."""
     spec_cfg = load_config(args.config).spec
-    m = _load_matrix(args)
-    result = analyze(m, args.method, spec_cfg, args.k)
+    result = analyze(_load_matrix(args), args.method, spec_cfg, args.k)
     if result.k_scores is not None:
         shown = ", ".join(
             f"k={kk}: {s:.4f}" for kk, s in sorted(result.k_scores.items())
@@ -111,9 +110,12 @@ def cmd_matrix(args) -> int:
     atomic_write_text(os.path.join(args.out, "ordering.json"),
                       ordering_to_json(result.ordering))
     n = len(result.ordering)
-    if result.d_prime is None:
+    if result.embedding is None:
         print(f"ordered {n} records -> {args.out}")
     else:
+        # The image views the matrix's buffer, which no one else holds: let
+        # it go before d_prime, a new n x n matrix, is built.
+        result = replace(result, image=None)
         write_vatf(os.path.join(args.out, "d_prime.vatf"), result.d_prime)
         print(f"ordered {n} records with k={result.k} -> {args.out}")
     return 0

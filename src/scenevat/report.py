@@ -260,9 +260,11 @@ def analyze(d: np.ndarray, method: str, spec_cfg: SpecVatConfig,
     already: as ``check_dissim`` returned it where it entered, or valid by
     construction (``euclidean_dissim``).  It is not checked again.  VAT
     only reads ``d``.  SpecVAT uses ``d``'s buffer as its one n x n
-    matrix: the affinity, its normalization and the embedded distances
-    overwrite it in turn, so ``result.d_prime`` is ``d``'s buffer and the
-    distances are gone.  Pass a copy to keep them.  SpecVAT uses ``k``
+    matrix: the affinity, its normalization, the embedded distances and
+    then the image, in its first n * n bytes, overwrite it in turn, so
+    ``result.image`` is a view of ``d``'s buffer and the distances are
+    gone.  Pass a copy to keep them.  ``result.d_prime`` is a new matrix,
+    computed from ``result.embedding`` when read.  SpecVAT uses ``k``
     eigenvectors, or picks k with the scan when ``k`` is None; its solver
     takes the normalized affinity as built, which is exactly symmetric
     because ``d`` is.
@@ -301,7 +303,8 @@ def run_report(
     are checked once, here.  Each subset's distances are valid by
     construction, are written to ``dissim.vatf`` first and then go to
     ``analyze`` unchecked, which may overwrite them: a subset holds one
-    n x n float64 buffer from its distances to its image.  Subsets with
+    n x n float64 buffer from its distances to its image, and lets it go
+    once the image and its count are written.  Subsets with
     fewer than 2 records, or 3 for SpecVAT, are skipped with a warning, and
     so are subsets whose distances overflow or whose image is degenerate (a
     single intensity), which are listed under ``skipped`` with a
@@ -343,7 +346,9 @@ def run_report(
                 raise _Skip(f" has {n} record(s)")
             try:
                 # The features are valid, so the one InputError is an overflow.
-                dissim = euclidean_dissim(features[idx], standardize=standardize)
+                # A subset of every record reads the features as they are.
+                rows = features if n == len(features) else features[idx]
+                dissim = euclidean_dissim(rows, standardize=standardize)
             except InputError as exc:
                 raise _Skip(f": {exc}", str(exc)) from exc
             k_run = None if k is None else min(k, n - 1)
@@ -371,6 +376,7 @@ def run_report(
         except BaseException:  # a subset that fails leaves no file
             _remove_subset_files(subset_dir)
             raise
+        write_pgm(result.image, os.path.join(subset_dir, "odi.pgm"))
         ordering = result.ordering
         entry: dict = {"subset": name, "n": n}
         if result.k is not None:
@@ -379,8 +385,7 @@ def run_report(
             entry["k_scores"] = {
                 str(kk): v for kk, v in sorted(result.k_scores.items())
             }
-
-        write_pgm(result.image, os.path.join(subset_dir, "odi.pgm"))
+        del dissim, result  # the subset's n x n buffer, which the image may view
         atomic_write_text(
             os.path.join(subset_dir, "ordering.json"), ordering_to_json(ordering)
         )

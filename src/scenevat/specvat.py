@@ -27,7 +27,7 @@ from scipy.spatial.distance import cdist, pdist
 from .cce import _otsu
 from .errors import DegenerateImageError, InputError, NumericError
 from .matrix import bands, check_dissim, check_symmetric
-from .vat import Analysis, _odi, _pixel_histogram, _vat_order
+from .vat import Analysis, _draw, _pixel_histogram, _vat_order
 
 SIGN_TOL = 1e-12
 # Matrices this large go to ARPACK.  The crossover was measured for the
@@ -87,7 +87,7 @@ def _affinity(d: np.ndarray, cfg: SpecVatConfig) -> np.ndarray:
     # local scale is known.  The diagonal is exactly 0 and no entry is
     # negative, so the kth entry of a sorted row is its kth nearest
     # neighbour other than itself.  Row bands keep every temporary at
-    # BAND x n.
+    # about BAND_BYTES.
     n = d.shape[0]
     kth = min(cfg.knn_scale, n - 1)
     sigma = np.empty(n)
@@ -274,20 +274,32 @@ def _unit_rows(vecs: np.ndarray) -> np.ndarray:
 
 
 def specvat(m, k: int, cfg: SpecVatConfig = SpecVatConfig()) -> Analysis:
-    """Embed in k eigenvectors (1 <= k <= n-1) and run VAT on their distances."""
+    """Embed in k eigenvectors (1 <= k <= n-1) and run VAT on their distances.
+
+    ``m`` is never changed.  The image is a view of one n x n float64 copy
+    of it, in which every step runs; ``d_prime`` is computed again from the
+    embedding when read.
+    """
     d = _checked_copy(m)
     return _specvat(_embed(d, cfg, k), d)
 
 
 def _specvat(embedding: np.ndarray, out: np.ndarray,
              k_scores: dict | None = None) -> Analysis:
-    # d_prime goes into out, a C-contiguous n x n float64 buffer.  At
-    # k <= 10 columns cdist has the bits of squareform(pdist(...)), without
-    # pdist's condensed copy.
+    # out is a C-contiguous n x n float64 buffer.  VAT orders d_prime in
+    # it (at k <= 10 columns cdist has the bits of squareform(pdist(...)),
+    # without pdist's condensed copy).  The image then goes into out's
+    # first n * n bytes, band by band from the embedding in VAT order:
+    # cdist's bits for a pair do not depend on the pairs computed with it,
+    # so each band holds the bits of d_prime's ordered rows, and d_prime is
+    # not read again once its maximum is known.
+    n = embedding.shape[0]
     d_prime = cdist(embedding, embedding, out=out)
     ordering = _vat_order(d_prime)
-    return Analysis(ordering, _odi(d_prime, ordering.order),
-                    embedding.shape[1], k_scores, d_prime)
+    eo = embedding[ordering.order]
+    img = out.reshape(-1).view(np.uint8)[:n * n].reshape(n, n)
+    _draw(img, d_prime.max(), lambda rows: cdist(eo[rows], eo))
+    return Analysis(ordering, img, embedding.shape[1], k_scores, embedding)
 
 
 def a_specvat_select_k(

@@ -12,13 +12,15 @@ order; among equidistant candidates the smallest index wins.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import InputError
-from .matrix import BAND, bands, check_dissim, check_permutation
+from .matrix import BAND_BYTES, bands, check_dissim, check_permutation
 from .vatf import atomic_write_bytes, naming, read_file
 
 
@@ -50,15 +52,24 @@ class VatOrdering:
 class Analysis:
     """One matrix's VAT or SpecVAT result: the ordering and its image.
 
-    ``k`` and ``d_prime`` (the embedded distances that were ordered) are
-    set for SpecVAT only; ``k_scores`` only when the scan picked k.
+    ``k`` and ``embedding`` (the n x k unit rows whose distances were
+    ordered) are set for SpecVAT only; ``k_scores`` only when the scan
+    picked k.  A SpecVAT image is a view of the input's buffer.
     """
 
     ordering: VatOrdering
     image: np.ndarray
     k: int | None = None
     k_scores: dict | None = None
-    d_prime: np.ndarray | None = None
+    embedding: np.ndarray | None = None
+
+    @functools.cached_property
+    def d_prime(self) -> np.ndarray | None:
+        """The embedded distances that were ordered, ``cdist(embedding,
+        embedding)``: a new n x n matrix, built when first read."""
+        if self.embedding is None:
+            return None
+        return cdist(self.embedding, self.embedding)
 
 
 def vat_order(m) -> VatOrdering:
@@ -109,13 +120,21 @@ def odi_from(m, ordering: VatOrdering) -> np.ndarray:
 
 def _odi(d: np.ndarray, order: np.ndarray) -> np.ndarray:
     n = d.shape[0]
-    dmax = d.max()  # a permutation keeps the maximum
+    # Whole rows, then columns: cheaper than np.ix_'s 2-D gather.  A
+    # permutation keeps the maximum.
+    return _draw(np.empty((n, n), dtype=np.uint8), d.max(),
+                 lambda rows: d[order[rows]].take(order, axis=1))
+
+
+def _draw(img: np.ndarray, dmax: float, ordered_rows) -> np.ndarray:
+    # Fills the n x n uint8 img band by band and returns it:
+    # ordered_rows(rows) is a new float64 band of the ordered matrix, whose
+    # maximum is dmax.  A zero-range matrix renders all black.
     if dmax <= 0:
-        return np.zeros((n, n), dtype=np.uint8)
-    img = np.empty((n, n), dtype=np.uint8)
-    for rows in bands(n):
-        # Whole rows, then columns: cheaper than np.ix_'s 2-D gather.
-        img[rows] = _quantize(d[order[rows]].take(order, axis=1), dmax)
+        img.fill(0)
+        return img
+    for rows in bands(img.shape[0]):
+        img[rows] = _quantize(ordered_rows(rows), dmax)
     return img
 
 
@@ -132,14 +151,14 @@ def _pixel_histogram(condensed: np.ndarray, n: int) -> np.ndarray:
     # The 256-bin histogram of the ODI, in any order, of the n x n matrix
     # whose strict upper triangle is condensed (pdist's layout): each entry
     # is two pixels and the zero diagonal n more.  Overwrites condensed.
-    # Slices of BAND * n entries: bincount casts its input to intp.
+    # Slices of BAND_BYTES: bincount casts its input to intp.
     hist = np.zeros(256, dtype=np.int64)
     dmax = condensed.max(initial=0.0)
     if dmax <= 0:
         hist[0] = n * n
         return hist
     q = _quantize(condensed, dmax)
-    step = BAND * n
+    step = BAND_BYTES // np.dtype(np.intp).itemsize
     for i0 in range(0, q.size, step):
         hist += np.bincount(q[i0:i0 + step].astype(np.intp), minlength=256)
     hist *= 2

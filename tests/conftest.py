@@ -99,7 +99,8 @@ def overflow_in_last_band(n=600):
 
     Each of the two is about 1e154 from every other row, which squares to
     about 1e308 and stays finite; only their own distance, about 2e154,
-    overflows when squared.  So only the last 256-row band overflows.
+    overflows when squared.  So only the last band overflows: at n = 600,
+    bands of 218 rows put both in rows 436 to 599.
     """
     f = np.random.Generator(np.random.Philox(key=12)).normal(size=(n, 4))
     f[580, 0], f[590, 0] = 1e154, -1e154

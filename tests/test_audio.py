@@ -79,6 +79,18 @@ def test_decode_pcm_is_words_over_full_scale_bitwise(bits, channels, extensible,
     assert clip.samples.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("bits", [16, 24, 32])
+def test_decode_stereo_mix_is_the_frame_mean_bitwise(bits):
+    # The mix of each frame has the bits of the mean over its two samples.
+    lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+    rng = np.random.Generator(np.random.Philox(key=bits))
+    words = rng.integers(lo, hi, size=(4000, 2), endpoint=True)
+    words[:4] = [[lo, hi], [hi, hi], [lo, lo], [hi, lo]]
+    clip = decode_wav(make_wav(words, 8000, bits=bits))
+    samples = (words / 2.0 ** (bits - 1)).reshape(-1)
+    assert clip.samples.tobytes() == samples.reshape(-1, 2).mean(axis=1).tobytes()
+
+
 def test_decode_float32():
     clip = decode_wav(make_wav([0.5, -0.25], 8000, bits=32, float_fmt=True))
     assert clip.samples.tolist() == [0.5, -0.25]

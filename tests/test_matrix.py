@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from scenevat.errors import InputError
 from scenevat.matrix import (
+    BAND_BYTES,
     as_features,
+    bands,
     check_dissim,
     check_permutation,
     check_symmetric,
@@ -14,6 +18,27 @@ from scenevat.matrix import (
 )
 
 from conftest import overflow_in_last_band, random_dissim
+
+# The largest n whose rows fit one band: a float64 row of n entries is 8n
+# bytes, so n rows fit BAND_BYTES up to n = 362.
+ONE_BAND = math.isqrt(BAND_BYTES // 8)
+
+
+@pytest.mark.parametrize("n", [1, 2, ONE_BAND - 1, ONE_BAND, ONE_BAND + 1, 1000,
+                               BAND_BYTES // 8, BAND_BYTES // 8 + 1, 10**6])
+def test_bands_cover_the_rows_in_order_within_the_budget(n):
+    # Arithmetic only: no matrix of n rows is allocated.
+    heights, stop = [], 0
+    for rows in bands(n):
+        assert rows.step is None and rows.start == stop < rows.stop
+        stop = rows.stop
+        heights.append(rows.stop - rows.start)
+        assert heights[-1] * 8 * n <= BAND_BYTES or heights[-1] == 1
+    assert stop == n
+    # As tall as the budget allows: one row more would exceed it.
+    h = heights[0]
+    assert set(heights[:-1]) <= {h} and heights[-1] <= h
+    assert (h + 1) * 8 * n > BAND_BYTES or len(heights) == 1
 
 
 def test_euclidean_right_triangle():
@@ -169,10 +194,12 @@ def _tiled_euclidean(features, standardize=False, tile=1024):
 
 
 @pytest.mark.parametrize("standardize", [False, True])
-@pytest.mark.parametrize("n", [1, 137, 255, 256, 257, 513, 1100])
+@pytest.mark.parametrize("n", [1, 137, 255, 256, 257, ONE_BAND - 1, ONE_BAND,
+                               ONE_BAND + 1, 513, 1100])
 def test_euclidean_matches_tiled_kernel_bitwise(n, standardize):
-    # n at and around the 256-row bands, and the bits of the condensed
-    # pdist that the banded build replaced.
+    # n at and around the edge of one band (ONE_BAND + 1 is two bands, of
+    # 361 rows and 2), several bands of 217 to 119 rows from n = 513 on,
+    # and the bits of the condensed pdist that the banded build replaced.
     rng = np.random.Generator(np.random.Philox(key=8))
     for dims in (23, 128):
         f = rng.normal(loc=2.0, scale=5.0, size=(n, dims))
@@ -253,10 +280,11 @@ def _validate_dissim_reference(m):
     return None
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 256, 257, 600])
+@pytest.mark.parametrize("n", [1, 2, 7, 256, 257, ONE_BAND + 1, 600])
 def test_validate_messages_match_full_matrix_check(n):
-    # Bands of 256 rows: 257 and 600 put offenders in later bands and
-    # mirror pairs across band boundaries.
+    # One band up to ONE_BAND rows: ONE_BAND + 1 (two bands) and 600 (three
+    # of up to 218 rows) put offenders in later bands and mirror pairs
+    # across band boundaries.
     rng = np.random.Generator(np.random.Philox(key=500 + n))
     base = random_dissim(rng, n)
     strided = np.zeros((2 * n, 2 * n))

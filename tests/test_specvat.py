@@ -27,7 +27,7 @@ from scenevat.specvat import (
     sym_eigen_topk,
 )
 from scenevat.synth import BlobSpec, block_dissim, gaussian_blobs
-from scenevat.vat import Analysis, VatOrdering, odi_from, vat_order
+from scenevat.vat import Analysis, VatOrdering, _odi, odi_from, vat_order
 
 from conftest import count_solvers, random_dissim
 
@@ -459,7 +459,7 @@ def test_analyze_scan_vat_orders_only_the_winner(name, monkeypatch):
 @pytest.mark.parametrize("name", sorted(SCAN_FIXTURES))
 def test_analyze_scan_renders_only_the_winner(name, monkeypatch):
     # Candidates are scored from histograms; only the winner gets an image.
-    calls = _count_calls(monkeypatch, "_odi")
+    calls = _count_calls(monkeypatch, "_draw")
     make, cfg = SCAN_FIXTURES[name]
     m = make()
     analyze(m, "specvat", cfg)
@@ -474,7 +474,7 @@ def _image_scores(d, cfg):
     scores = {}
     for k in range(2, vecs.shape[1] + 1):
         e = specvat_mod._unit_rows(vecs[:, :k])
-        scores[k] = _score(specvat_mod._odi(cdist(e, e), np.arange(n)))
+        scores[k] = _score(_odi(cdist(e, e), np.arange(n)))
     return scores
 
 
@@ -495,7 +495,7 @@ def test_select_k_scores_a_degenerate_candidate_zero(monkeypatch):
     monkeypatch.setattr(specvat_mod, "_spectrum", lambda d, c, k: (None, vecs))
     e = specvat_mod._unit_rows(vecs[:, :2])
     with pytest.raises(DegenerateImageError):
-        otsu_effectiveness(specvat_mod._odi(cdist(e, e), np.arange(12)))
+        otsu_effectiveness(_odi(cdist(e, e), np.arange(12)))
     k, scores = a_specvat_select_k(m, cfg)
     assert scores == _image_scores(m, cfg)
     assert scores[2] == 0.0 and min(scores[3], scores[4]) > 0.0
@@ -539,7 +539,8 @@ def test_config_validation_bounds():
 # references: the affinity with copies, and the full eigensolve
 
 
-BAND_EDGE_SIZES = (1, 2, 3, 255, 256, 257, 600)
+# Up to n = 362 the rows are one band; 363 and 600 take two and three.
+BAND_EDGE_SIZES = (1, 2, 3, 255, 256, 257, 362, 363, 600)
 
 
 def _blobs(n, seed=7):
@@ -576,7 +577,7 @@ def test_affinity_matches_reference_bitwise():
         (euclidean_dissim(gaussian_blobs(BlobSpec(3, 30, 8, 4.0, seed=3))[0]),
          SpecVatConfig()),
     ]
-    # sizes around the 256-row band edge
+    # sizes around the one-band edge
     cases += [(random_dissim(rng, n), SpecVatConfig()) for n in BAND_EDGE_SIZES[1:]]
     cases += [(_blobs(600), SpecVatConfig(knn_scale=12))]
     for d, cfg in cases:
@@ -753,8 +754,12 @@ def test_embedded_distances_match_condensed_pdist_bitwise(n):
     for k in range(2, 11):
         e = rng.standard_normal((n, k))
         e /= np.linalg.norm(e, axis=1)[:, np.newaxis]
-        got = specvat_mod._specvat(e, np.empty((n, n))).d_prime
-        assert got.tobytes() == squareform(pdist(e)).tobytes()
+        got = specvat_mod._specvat(e, np.empty((n, n)))
+        want = squareform(pdist(e))
+        assert got.d_prime.tobytes() == want.tobytes()
+        # The image, drawn in bands from the embedding, has the pixels of
+        # the ordered d_prime.
+        assert got.image.tobytes() == odi_from(want, got.ordering).tobytes()
 
 
 def test_private_fallback_rebuilds_the_overwritten_matrix(monkeypatch):

@@ -307,8 +307,9 @@ def test_odi_matches_out_of_place_rendering_bitwise():
     iu = np.triu_indices(24, 1)
     near_half[iu] = np.minimum((np.arange(iu[0].size) + 0.5) * 3.7 / 255.0, 3.7)
     near_half += near_half.T
-    # sizes around the 256-row band edge
-    cases = [random_dissim(rng, n) for n in (1, 2, 3, 50, 255, 256, 257, 301, 600)]
+    # one band up to n = 362; 363 and 600 take two and three
+    cases = [random_dissim(rng, n)
+             for n in (1, 2, 3, 50, 255, 256, 257, 301, 362, 363, 600)]
     cases += [halves, near_half, np.zeros((4, 4)),
               1e300 * (np.ones((3, 3)) - np.eye(3)),
               np.round(random_dissim(rng, 300)), np.zeros((257, 257))]  # ties
@@ -351,9 +352,10 @@ def test_pixel_histogram_is_the_odi_histogram(case):
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("n", [513, 514, 1100])
+@pytest.mark.parametrize("n", [512, 513, 514, 1100])
 def test_pixel_histogram_counts_every_slice(n):
-    # Slices of 256 * n entries: one at n = 513, two from n = 514 on.
+    # Slices of BAND_BYTES / 8 = 131072 entries: one at n = 512, two from
+    # n = 513 on, five at n = 1100.
     rng = np.random.Generator(np.random.Philox(key=n))
     c = rng.uniform(0.0, 3.0, n * (n - 1) // 2)
     want = _histogram(_odi(squareform(c), np.arange(n)))
