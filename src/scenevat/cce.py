@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateImageError, InputError
-from .matrix import bands
-from .vat import check_image
+from .matrix import BAND_BYTES
+from .vat import _quantize, check_image
 
 THRESHOLD_MODES = ("half_max", "zero")
 
@@ -56,7 +56,7 @@ class CceReport:
     cluster_count: int
     run_spans: list  # half-open [start, stop) column intervals
     band_width: int
-    min_detectable_block: int = field(default=0)
+    min_detectable_block: int
 
     def to_json(self) -> str:
         return json.dumps(
@@ -128,10 +128,26 @@ def _otsu(hist: np.ndarray) -> tuple[int, float]:
 
 
 def _histogram(x: np.ndarray) -> np.ndarray:
-    # Row bands: bincount casts its input to intp, 8 bytes per pixel.
+    # The 256-bin histogram of an integer-valued array in [0, 255], in
+    # slices of BAND_BYTES: bincount casts its input to intp, 8 bytes per
+    # entry.
+    flat = x.reshape(-1)
+    step = BAND_BYTES // 8
     hist = np.zeros(256, dtype=np.int64)
-    for rows in bands(x.shape[0]):
-        hist += np.bincount(x[rows].reshape(-1), minlength=256)
+    for i0 in range(0, flat.size, step):
+        hist += np.bincount(flat[i0:i0 + step].astype(np.intp), minlength=256)
+    return hist
+
+
+def _pixel_histogram(condensed: np.ndarray, n: int) -> np.ndarray:
+    # The 256-bin histogram of the ODI, in any order, of the n x n matrix
+    # whose strict upper triangle is condensed (pdist's layout): each entry
+    # is two pixels and the zero diagonal n more.  Overwrites condensed.
+    dmax = condensed.max(initial=0.0)
+    if dmax > 0:  # a zero-range matrix renders all black
+        _quantize(condensed, dmax)
+    hist = 2 * _histogram(condensed)
+    hist[0] += n
     return hist
 
 
@@ -174,9 +190,7 @@ def cce_count(img, cfg: CceConfig = CceConfig()) -> CceReport:
             "sub-diagonal signal is identically zero; reporting 0 clusters",
             stacklevel=2,
         )
-        spans: list[tuple[int, int]] = []
-    else:
-        spans = _runs_above(signal, b)
+    spans = _runs_above(signal, b)
     return CceReport(
         otsu_threshold=t,
         signal=signal,
@@ -189,13 +203,9 @@ def cce_count(img, cfg: CceConfig = CceConfig()) -> CceReport:
 
 
 def _runs_above(signal: np.ndarray, b: int) -> list[tuple[int, int]]:
-    above = signal > b
-    if not above.any():
-        return []
-    edges = np.flatnonzero(np.diff(above.astype(np.int8)))
-    starts = [0] if above[0] else []
-    starts += [int(e) + 1 for e in edges if not above[e]]
-    stops = [int(e) + 1 for e in edges if above[e]]
-    if above[-1]:
-        stops.append(int(above.size))
-    return list(zip(starts, stops))
+    # The runs of signal > b as half-open spans: in the zero-padded mask,
+    # each rise starts a run and the fall after it ends one.
+    mask = np.zeros(signal.size + 2, dtype=np.int8)
+    mask[1:-1] = signal > b
+    edges = np.flatnonzero(np.diff(mask)).tolist()
+    return list(zip(edges[::2], edges[1::2]))

@@ -50,6 +50,8 @@ def _add_shared(p, *flags):
 
 def _load_matrix(args):
     """Read --features/--dissim as a valid matrix, checked here where it enters."""
+    if args.dissim is not None and args.standardize:
+        raise InputError("--standardize applies to --features only, not --dissim")
     path = args.features if args.dissim is None else args.dissim
     m = read_vatf(path)
     with naming(path):
@@ -79,16 +81,16 @@ def _matrix_inputs(p):
 # subcommands
 
 
+def _extract(args, manifest, cfg):
+    """Features of the manifest's audio, as --audio-root, --cache and
+    --threads say."""
+    return features_for_manifest(manifest, cfg.audio, audio_root=args.audio_root,
+                                 cache_dir=args.cache, threads=args.threads)
+
+
 def cmd_features(args) -> int:
     cfg = load_config(args.config)
-    manifest = read_manifest(args.manifest)
-    feats = features_for_manifest(
-        manifest,
-        cfg.audio,
-        audio_root=args.audio_root,
-        cache_dir=args.cache,
-        threads=args.threads,
-    )
+    feats = _extract(args, read_manifest(args.manifest), cfg)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "features.vatf")
     write_vatf(path, feats)
@@ -143,7 +145,7 @@ def cmd_stack(args) -> int:
     if len(ordering) != len(manifest):
         raise InputError(f"ordering {args.ordering} has {len(ordering)} records "
                          f"but manifest {args.manifest} has {len(manifest)}")
-    stack = _stack_artifacts(args.label, manifest, range(len(manifest)),
+    stack = _stack_artifacts((args.label,), manifest, range(len(manifest)),
                              ordering, args.out)[args.label]
     svg = os.path.join(args.out, f"stack_{args.label}.svg")
     print(f"{stack['run_count']} runs, mean length "
@@ -176,18 +178,16 @@ def cmd_synth(args) -> int:
 def cmd_report(args) -> int:
     cfg = load_config(args.config)
     manifest = read_manifest(args.manifest)
-    if args.features is not None:
+    if args.features is None:
+        feats = _extract(args, manifest, cfg)
+    else:
+        for flag, value in (("--audio-root", args.audio_root),
+                            ("--cache", args.cache)):
+            if value is not None:
+                raise InputError(f"{flag} applies to audio input, not --features")
         feats = read_vatf(args.features)
         with naming(args.features):
             feats = as_features(feats)
-    else:
-        feats = features_for_manifest(
-            manifest,
-            cfg.audio,
-            audio_root=args.audio_root,
-            cache_dir=args.cache,
-            threads=args.threads,
-        )
     report = run_report(
         manifest,
         feats,
@@ -195,7 +195,6 @@ def cmd_report(args) -> int:
         args.out,
         method=args.method,
         config=cfg,
-        subset=args.subset,
         k=args.k,
         standardize=args.standardize,
     )
@@ -272,9 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reuse extracted features instead of reading audio")
     r.add_argument("--audio-root", default=None, metavar="DIR")
     r.add_argument("--cache", default=None, metavar="DIR")
-    r.add_argument("--group", choices=GROUPINGS, default="by_scene")
-    r.add_argument("--subset", default=None,
-                   help="scene or city name for single_subset "
+    r.add_argument("--group", choices=GROUPINGS + SCENES + CITIES,
+                   default="by_scene", metavar="GROUP",
+                   help=f"{', '.join(GROUPINGS)}, or one scene or city "
                         f"(scenes: {', '.join(SCENES)}; "
                         f"cities: {', '.join(CITIES)})")
     r.add_argument("--method", choices=METHODS, default="vat")

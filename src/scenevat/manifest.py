@@ -76,14 +76,6 @@ class LabeledManifest:
     def __len__(self):
         return len(self.records)
 
-    @property
-    def scenes(self) -> list:
-        return [r.scene for r in self.records]
-
-    @property
-    def cities(self) -> list:
-        return [r.city for r in self.records]
-
 
 def parse_manifest(data) -> LabeledManifest:
     """Parse and validate manifest CSV bytes (or text).

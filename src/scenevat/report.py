@@ -2,8 +2,8 @@
 
 ``run_report`` reproduces the three analyses: per-scene and per-city subsets
 (16 ordered dissimilarity images on the full dataset), an all-data run, and
-single-subset runs.  Every artifact write is atomic, and re-running on the
-same inputs produces byte-identical files.
+runs over one scene or city.  Every artifact write is atomic, and
+re-running on the same inputs produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -31,8 +31,11 @@ from .stacks import label_stack, stack_csv, stack_svg
 from .vat import Analysis, _odi, _vat_order, ordering_to_json, write_pgm
 from .vatf import atomic_write_text, naming, read_file, read_vatf, write_vatf
 
-GROUPINGS = ("by_scene", "by_city", "all", "single_subset")
+GROUPINGS = ("by_scene", "by_city", "all")
 METHODS = ("vat", "specvat")
+# Each label kind's names and colours.  ``report --group`` takes a
+# grouping, or one name for a run over that one subset.
+_LABELS = {"scene": (SCENES, SCENE_PALETTE), "city": (CITIES, CITY_PALETTE)}
 
 
 @dataclass(frozen=True)
@@ -169,54 +172,43 @@ def features_for_manifest(
 # Grouping and reporting
 
 
-def _subsets(manifest: LabeledManifest, grouping: str,
-             subset: Optional[str]) -> list[tuple[str, np.ndarray, str]]:
-    """Yield (name, record indices, stack label kind) per subset."""
-    scenes = np.asarray(manifest.scenes)
-    cities = np.asarray(manifest.cities)
-    if grouping == "by_scene":
-        return [
-            (s, np.flatnonzero(scenes == s), "city") for s in SCENES
-        ]
-    if grouping == "by_city":
-        return [
-            (c, np.flatnonzero(cities == c), "scene") for c in CITIES
-        ]
+def _subsets(manifest: LabeledManifest,
+             grouping: str) -> list[tuple[str, np.ndarray, tuple]]:
+    """(name, record indices, label kinds to stack) per subset.
+
+    A scene's subset stacks its cities, a city's its scenes, and ``all``
+    both.
+    """
     if grouping == "all":
-        return [("all", np.arange(len(manifest)), "both")]
-    if grouping == "single_subset":
-        if subset is None:
-            raise InputError("grouping 'single_subset' requires a subset name")
-        if subset in SCENES:
-            return [(subset, np.flatnonzero(scenes == subset), "city")]
-        if subset in CITIES:
-            return [(subset, np.flatnonzero(cities == subset), "scene")]
-        raise InputError(f"subset {subset!r} is neither a scene nor a city")
-    raise InputError(f"unknown grouping {grouping!r}; expected one of {GROUPINGS}")
+        return [("all", np.arange(len(manifest)), tuple(_LABELS))]
+    for kind, (names, _) in _LABELS.items():
+        if grouping in names:
+            names = (grouping,)
+        elif grouping != f"by_{kind}":
+            continue
+        labels = np.asarray([getattr(r, kind) for r in manifest.records])
+        others = tuple(k for k in _LABELS if k != kind)
+        return [(name, np.flatnonzero(labels == name), others) for name in names]
+    raise InputError(f"unknown grouping {grouping!r}; expected one of "
+                     f"{GROUPINGS}, a scene or a city")
 
 
-def _stack_artifacts(kind, manifest, idx, ordering, subset_dir):
-    """Write stack SVG/CSV for the requested label kind(s); return metadata.
+def _stack_artifacts(kinds, manifest, idx, ordering, subset_dir):
+    """Write stack SVG/CSV for each label kind; return their metadata.
 
     The one stack writer: ``run_report`` and ``scenevat stack`` both call
     it, so the fixed scene and city palettes colour every stack alike.
     """
     out = {}
-    kinds = ("scene", "city") if kind == "both" else (kind,)
-    for k in kinds:
-        if k == "scene":
-            labels = [manifest.records[i].scene for i in idx]
-            palette = SCENE_PALETTE
-        else:
-            labels = [manifest.records[i].city for i in idx]
-            palette = CITY_PALETTE
-        stack = label_stack(ordering.order, labels, palette)
-        os.makedirs(subset_dir, exist_ok=True)
-        svg_path = os.path.join(subset_dir, f"stack_{k}.svg")
-        csv_path = os.path.join(subset_dir, f"stack_{k}.csv")
+    os.makedirs(subset_dir, exist_ok=True)
+    for kind in kinds:
+        labels = [getattr(manifest.records[i], kind) for i in idx]
+        stack = label_stack(ordering.order, labels, _LABELS[kind][1])
+        svg_path = os.path.join(subset_dir, f"stack_{kind}.svg")
+        csv_path = os.path.join(subset_dir, f"stack_{kind}.csv")
         atomic_write_text(svg_path, stack_svg(stack, ordering.link_dist))
-        atomic_write_text(csv_path, stack_csv(stack, ordering.order))
-        out[k] = {
+        atomic_write_text(csv_path, stack_csv(stack))
+        out[kind] = {
             "run_count": stack.run_count,
             "mean_run_length": stack.mean_run_length,
             "svg": os.path.relpath(svg_path, os.path.dirname(subset_dir)),
@@ -227,7 +219,7 @@ def _stack_artifacts(kind, manifest, idx, ordering, subset_dir):
 
 # The files a report writes in a subset's directory.
 _SUBSET_FILES = ("dissim.vatf", "odi.pgm", "ordering.json", "cce.json") + tuple(
-    f"stack_{kind}.{ext}" for kind in ("scene", "city") for ext in ("svg", "csv")
+    f"stack_{kind}.{ext}" for kind in _LABELS for ext in ("svg", "csv")
 )
 
 
@@ -288,15 +280,15 @@ def run_report(
     *,
     method: str = "vat",
     config: ReportConfig = DEFAULT_CONFIG,
-    subset: Optional[str] = None,
     k: Optional[int] = None,
     standardize: bool = False,
 ) -> dict:
     """Analyze each subset and emit ODI/ordering/stack/count artifacts.
 
-    Per subset: the ordered dissimilarity image (PGM), the ordering with its
-    link distances (JSON), label stacks (SVG + CSV), and a cluster-count
-    report (JSON).  A summary table of counts per subset is returned and
+    ``grouping`` is one of ``GROUPINGS``, or a scene or city name, which
+    analyses that one subset.  Per subset: the ordered dissimilarity image
+    (PGM), the ordering with its link distances (JSON), label stacks (SVG +
+    CSV), and a cluster-count report (JSON).  A summary table of counts per subset is returned and
     written to ``report.json``.  SpecVAT subsets pick k automatically unless
     ``k`` is given, which is clamped to n-1 with a warning; a ``k`` with
     VAT, or below 2, raises InputError before any subset.  The features
@@ -328,9 +320,8 @@ def run_report(
             f"feature matrix rows ({features.shape}) do not match manifest "
             f"size {len(manifest)}"
         )
+    subsets = _subsets(manifest, grouping)
     os.makedirs(out_dir, exist_ok=True)
-
-    subsets = _subsets(manifest, grouping, subset)
     report: dict = {
         "group": grouping,
         "method": method,
@@ -338,7 +329,7 @@ def run_report(
         "skipped": [],
         "summary": {},
     }
-    for name, idx, stack_kind in subsets:
+    for name, idx, stack_kinds in subsets:
         n = int(idx.size)
         subset_dir = os.path.join(out_dir, name)
         try:
@@ -396,7 +387,7 @@ def run_report(
         entry["band_width"] = cce.band_width
 
         entry["stacks"] = _stack_artifacts(
-            stack_kind, manifest, idx, ordering, subset_dir
+            stack_kinds, manifest, idx, ordering, subset_dir
         )
         entry["artifacts"] = {
             "odi": f"{name}/odi.pgm",

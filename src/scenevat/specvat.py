@@ -24,10 +24,10 @@ import scipy.linalg
 import scipy.sparse.linalg
 from scipy.spatial.distance import cdist, pdist
 
-from .cce import _otsu
+from .cce import _otsu, _pixel_histogram
 from .errors import DegenerateImageError, InputError, NumericError
 from .matrix import bands, check_dissim, check_symmetric
-from .vat import Analysis, _draw, _pixel_histogram, _vat_order
+from .vat import Analysis, _draw, _vat_order
 
 SIGN_TOL = 1e-12
 # Matrices this large go to ARPACK.  The crossover was measured for the
@@ -299,7 +299,7 @@ def _specvat(embedding: np.ndarray, out: np.ndarray,
     eo = embedding[ordering.order]
     img = out.reshape(-1).view(np.uint8)[:n * n].reshape(n, n)
     _draw(img, d_prime.max(), lambda rows: cdist(eo[rows], eo))
-    return Analysis(ordering, img, embedding.shape[1], k_scores, embedding)
+    return Analysis(ordering, img, k_scores, embedding)
 
 
 def a_specvat_select_k(
@@ -324,14 +324,18 @@ def a_specvat_select_k(
 def _select_k(d: np.ndarray, cfg: SpecVatConfig) -> tuple[np.ndarray, dict]:
     # The winner's embedding, unordered, with every score; overwrites d
     # (see _spectrum).  One spectrum serves every k: the affinity does not
-    # depend on k and the sign rule is per column.
+    # depend on k and the sign rule is per column.  Once it is solved, d
+    # is free: each candidate's condensed distances go into its first
+    # n(n-1)/2 entries.
     n = d.shape[0]
     if n < 3:
         raise InputError(f"need at least 3 points to scan k >= 2, got n={n}")
     ks = range(2, min(cfg.k_max, n - 1) + 1)
     # Only the zero diagonal lies below the maximum of a constant matrix.
-    constant = np.count_nonzero(d < d.max()) <= n
+    dmax = d.max()
+    constant = sum(np.count_nonzero(d[rows] < dmax) for rows in bands(n)) <= n
     vecs = _spectrum(d, cfg, ks[-1])[1]
+    condensed = d.reshape(-1)[:n * (n - 1) // 2]
     if constant:
         warnings.warn(
             "constant-distance matrix has no spectral structure; "
@@ -344,7 +348,7 @@ def _select_k(d: np.ndarray, cfg: SpecVatConfig) -> tuple[np.ndarray, dict]:
     for k in ks:  # every order's image, the VAT one too, has this histogram
         e = _unit_rows(vecs[:, :k])
         try:
-            scores[k] = _otsu(_pixel_histogram(pdist(e), n))[1]
+            scores[k] = _otsu(_pixel_histogram(pdist(e, out=condensed), n))[1]
         except DegenerateImageError:
             scores[k] = 0.0
         if k == 2 or scores[k] > scores[best_k]:

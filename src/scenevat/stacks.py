@@ -25,6 +25,7 @@ LEGEND_WIDTH = 170
 
 @dataclass(frozen=True)
 class LabelStack:
+    order: np.ndarray  # the record indices in VAT order
     labels: tuple  # in VAT order
     runs: tuple    # ((label, length), ...), adjacent labels distinct
     colors: dict   # label -> "#rrggbb"
@@ -56,17 +57,17 @@ def label_stack(order, labels: Sequence[str], palette: dict) -> LabelStack:
         else:
             runs.append([lab, 1])
     return LabelStack(
+        order=idx,
         labels=tuple(ordered),
         runs=tuple((lab, length) for lab, length in runs),
         colors={lab: palette[lab] for lab in sorted(set(ordered))},
     )
 
 
-def stack_csv(stack: LabelStack, order) -> str:
+def stack_csv(stack: LabelStack) -> str:
     """CSV of the stack: position, original record index, label."""
-    idx = check_permutation(order, len(stack))
     lines = ["position,record,label"]
-    for pos, (rec, lab) in enumerate(zip(idx, stack.labels)):
+    for pos, (rec, lab) in enumerate(zip(stack.order, stack.labels)):
         lines.append(f"{pos},{int(rec)},{lab}")
     return "\n".join(lines) + "\n"
 

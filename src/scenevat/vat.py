@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import InputError
-from .matrix import BAND_BYTES, bands, check_dissim, check_permutation
+from .matrix import bands, check_dissim, check_permutation
 from .vatf import atomic_write_bytes, naming, read_file
 
 
@@ -52,16 +52,20 @@ class VatOrdering:
 class Analysis:
     """One matrix's VAT or SpecVAT result: the ordering and its image.
 
-    ``k`` and ``embedding`` (the n x k unit rows whose distances were
-    ordered) are set for SpecVAT only; ``k_scores`` only when the scan
-    picked k.  A SpecVAT image is a view of the input's buffer.
+    ``embedding`` (the n x k unit rows whose distances were ordered) and
+    ``k`` are set for SpecVAT only; ``k_scores`` only when the scan picked
+    k.  A SpecVAT image is a view of the input's buffer.
     """
 
     ordering: VatOrdering
     image: np.ndarray
-    k: int | None = None
     k_scores: dict | None = None
     embedding: np.ndarray | None = None
+
+    @property
+    def k(self) -> int | None:
+        """SpecVAT's eigenvector count, the embedding's width."""
+        return None if self.embedding is None else self.embedding.shape[1]
 
     @functools.cached_property
     def d_prime(self) -> np.ndarray | None:
@@ -145,25 +149,6 @@ def _quantize(x: np.ndarray, dmax: float) -> np.ndarray:
     x /= dmax
     x += 0.5
     return np.floor(x, out=x)
-
-
-def _pixel_histogram(condensed: np.ndarray, n: int) -> np.ndarray:
-    # The 256-bin histogram of the ODI, in any order, of the n x n matrix
-    # whose strict upper triangle is condensed (pdist's layout): each entry
-    # is two pixels and the zero diagonal n more.  Overwrites condensed.
-    # Slices of BAND_BYTES: bincount casts its input to intp.
-    hist = np.zeros(256, dtype=np.int64)
-    dmax = condensed.max(initial=0.0)
-    if dmax <= 0:
-        hist[0] = n * n
-        return hist
-    q = _quantize(condensed, dmax)
-    step = BAND_BYTES // np.dtype(np.intp).itemsize
-    for i0 in range(0, q.size, step):
-        hist += np.bincount(q[i0:i0 + step].astype(np.intp), minlength=256)
-    hist *= 2
-    hist[0] += n
-    return hist
 
 
 def check_image(img) -> np.ndarray:

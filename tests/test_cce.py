@@ -8,6 +8,7 @@ import scenevat.cce as cce_mod
 from scenevat.cce import (
     CceConfig,
     _histogram,
+    _runs_above,
     _signal,
     cce_count,
     otsu_effectiveness,
@@ -80,6 +81,32 @@ def test_histogram_matches_one_bincount_across_band_edges():
             ref = np.bincount(x.reshape(-1), minlength=256).astype(np.int64)
             got = _histogram(x)
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def _runs_reference(signal, b):
+    spans, start = [], None
+    for i, v in enumerate(signal):
+        if v > b and start is None:
+            start = i
+        elif v <= b and start is not None:
+            spans.append((start, i))
+            start = None
+    if start is not None:
+        spans.append((start, len(signal)))
+    return spans
+
+
+def test_runs_above_matches_a_loop():
+    # Runs at either end, a run of one, every entry above and none above.
+    rng = np.random.Generator(np.random.Philox(key=35))
+    signals = [np.array([3]), np.array([0]), np.array([5, 5, 5]),
+               np.array([4, 0, 4, 0, 4])]
+    signals += [rng.integers(0, 4, size=n) for n in (1, 2, 7, 50, 300)]
+    for signal in signals:
+        for b in (0, 1, 2, 5):
+            got = _runs_above(signal, b)
+            assert got == _runs_reference(signal, b)
+            assert all(type(a) is int and type(z) is int for a, z in got)
 
 
 def test_signal_matches_dark_mask_reference():

@@ -1,5 +1,7 @@
 import json
+import os
 import shutil
+import struct
 import subprocess
 import sys
 import warnings
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 import scenevat.matrix
+import scenevat.report
 from scenevat.cli import main
 from scenevat.synth import BlobSpec, gaussian_blobs
 from scenevat.vat import read_pgm, write_pgm
@@ -263,8 +266,8 @@ def test_report_summary_lines_printed(tmp_path, capsys):
     )
     assert main([
         "report", "--manifest", str(manifest), "--features",
-        str(tmp_path / "f.vatf"), "--group", "single_subset",
-        "--subset", "airport", "--out", str(tmp_path / "o"),
+        str(tmp_path / "f.vatf"), "--group", "airport",
+        "--out", str(tmp_path / "o"),
     ]) == 0
     printed = capsys.readouterr().out
     assert printed.splitlines()[0].startswith("airport: ")
@@ -392,12 +395,23 @@ def _nan_at(n, row):
     (["vat", "--features"], _nan_at(5, 1), "feature row 1 contains a non-finite value"),
     (["specvat", "--features"], np.vstack([np.zeros((4, 2)), [1e200, 0.0]]),
      "feature distances overflow"),
-], ids=["asymmetric-dissim", "nan-features", "overflowing-features"])
+    (["vat", "--dissim"], np.zeros((3, 4)),
+     "invalid dissimilarity matrix: matrix is not square: shape (3, 4)"),
+    (["vat", "--dissim"], np.zeros((0, 0)),
+     "invalid dissimilarity matrix: matrix is empty"),
+    (["report", "--manifest", "{manifest}", "--features"], np.zeros((0, 4)),
+     "feature matrix must be at least 1x1, got 0x4"),
+], ids=["asymmetric-dissim", "nan-features", "overflowing-features",
+        "dissim-3x4", "dissim-0x0", "report-features-0x4"])
 def test_matrix_file_errors_name_the_file(tmp_path, capsys, argv, values, message):
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,scene,city\n")
     path = tmp_path / "bad.vatf"
     write_vatf(path, values)
+    argv = [a.format(manifest=manifest) for a in argv]
     assert main(argv + [str(path), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+    assert not (tmp_path / "o").exists()
 
 
 def test_vat_dissim_entries_the_odi_cannot_scale_exit_2(tmp_path, capsys):
@@ -693,3 +707,160 @@ def test_sigma_floor_is_not_a_config_key(tmp_path, capsys, command):
     assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == (
         f"error: config {cfg}: section 'specvat': unknown key(s) ['sigma_floor']\n")
+
+
+# --------------------------------------------------------------------------
+# Flags a command does not read
+
+
+@pytest.mark.parametrize("command", ["vat", "specvat"])
+def test_standardize_with_dissim_exits_2(tmp_path, capsys, command):
+    # --standardize z-scores feature columns; a --dissim file has none.
+    assert main(["synth", "--mode", "blocks", "--sizes", "4,4",
+                 "--out", str(tmp_path / "syn")]) == 0
+    assert main([command, "--dissim", str(tmp_path / "syn" / "dissim.vatf"),
+                 "--standardize", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: --standardize applies to --features only, not --dissim\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag", ["--audio-root", "--cache"])
+def test_report_features_with_an_audio_flag_exits_2(tmp_path, capsys, flag):
+    argv = _city_inputs(tmp_path, _two_blobs(), _two_blobs())
+    assert main(argv + [flag, str(tmp_path / "dir")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {flag} applies to audio input, not --features\n")
+    assert not (tmp_path / "o").exists()
+    assert not (tmp_path / "dir").exists()
+
+
+def test_report_subset_flag_is_gone(tmp_path):
+    # One subset is a --group value; --subset is no flag.
+    argv = _city_inputs(tmp_path, _two_blobs(), _two_blobs())
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--subset", "london"])
+    assert err.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
+# --------------------------------------------------------------------------
+# report from audio
+
+
+def _audio_report_inputs(tmp_path):
+    """Two tones in each of two cities, and a small front-end config."""
+    clips = tmp_path / "clips"
+    clips.mkdir()
+    rows = []
+    for i, city in enumerate(["london"] * 4 + ["paris"] * 4):
+        name = f"c{i}.wav"
+        freq = (300.0 if i % 2 else 2400.0) + 11 * i
+        (clips / name).write_bytes(sine_wav(freq, 0.25, 44100))
+        rows.append(f"{name},{'bus' if i % 2 else 'park'},{city}\n")
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,scene,city\n" + "".join(rows))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        '{"audio": {"target_rate": 8000, "n_fft": 256, "hop": 128, "n_mels": 16}}'
+    )
+    return clips, ["report", "--manifest", str(manifest), "--audio-root",
+                   str(clips), "--config", str(cfg), "--group", "by_city"]
+
+
+def _tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.filterwarnings("ignore:subset .* has 0 record")
+def test_report_from_audio_reruns_from_its_cache(tmp_path, monkeypatch):
+    _, argv = _audio_report_inputs(tmp_path)
+    argv += ["--cache", str(tmp_path / "cache")]
+    extracted = []
+    extract = scenevat.report.extract_features
+    monkeypatch.setattr(scenevat.report, "extract_features",
+                        lambda *a: extracted.append(1) or extract(*a))
+
+    assert main(argv + ["--out", str(tmp_path / "cold")]) == 0
+    assert len(extracted) == 8
+    assert len(os.listdir(tmp_path / "cache")) == 8
+    doc = json.loads((tmp_path / "cold" / "report.json").read_text())
+    assert sorted(doc["summary"]) == ["london", "paris"]
+
+    assert main(argv + ["--out", str(tmp_path / "warm")]) == 0
+    assert len(extracted) == 8  # every row from the cache
+    cold = _tree_bytes(tmp_path / "cold")
+    assert "london/stack_scene.csv" in cold
+    assert _tree_bytes(tmp_path / "warm") == cold
+
+
+def test_report_from_audio_names_a_missing_wav(tmp_path, capsys):
+    clips, argv = _audio_report_inputs(tmp_path)
+    os.remove(clips / "c3.wav")
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: missing audio file(s): {os.path.join(str(clips), 'c3.wav')}\n")
+    assert not (tmp_path / "o").exists()
+
+
+# --------------------------------------------------------------------------
+# Malformed input: exit 2, and the message starts with the file's name
+
+
+def _riff(*chunks, form=b"WAVE"):
+    body = b"".join(cid + struct.pack("<I", len(data)) + data
+                    for cid, data in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + form + body
+
+
+def _fmt(tag=1, rate=8000, bits=16, extra=b""):
+    return struct.pack("<HHIIHH", tag, 1, rate, rate * bits // 8, bits // 8,
+                       bits) + extra
+
+
+@pytest.mark.parametrize("wav, message", [
+    (_riff((b"fmt ", _fmt()), (b"data", bytes(16)), form=b"AVI "),
+     "RIFF form type is not 'WAVE'"),
+    (_riff((b"data", bytes(16))), "missing 'fmt ' chunk"),
+    (_riff((b"fmt ", _fmt(bits=8)), (b"data", bytes(16))),
+     "unsupported PCM bit depth 8 in 'fmt ' chunk"),
+    (_riff((b"fmt ", _fmt(tag=3, bits=64)), (b"data", bytes(16))),
+     "unsupported float bit depth 64 in 'fmt ' chunk"),
+    (_riff((b"fmt ", _fmt()[:14]), (b"data", bytes(16))),
+     "truncated 'fmt ' chunk"),
+    (_riff((b"fmt ", _fmt(tag=0xFFFE, extra=struct.pack("<H", 0))),
+           (b"data", bytes(16))),
+     "truncated extensible 'fmt ' chunk"),
+    (_riff((b"fmt ", _fmt(rate=0)), (b"data", bytes(16))),
+     "invalid sample rate 0 in 'fmt ' chunk"),
+], ids=["form-type", "no-fmt", "pcm-8", "float-64", "short-fmt",
+        "short-extensible", "rate-0"])
+def test_malformed_wav_exits_2_naming_the_file(tmp_path, capsys, wav, message):
+    (tmp_path / "x.wav").write_bytes(wav)
+    (tmp_path / "m.csv").write_text("path,scene,city\nx.wav,bus,paris\n")
+    assert main(["features", "--manifest", str(tmp_path / "m.csv"),
+                 "--audio-root", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+    path = os.path.join(str(tmp_path), "x.wav")
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"P5\n4 4", "truncated PGM header"),
+    (b"P5\n4 x\n255\n" + bytes(16), "malformed PGM header fields"),
+], ids=["truncated-header", "non-integer-field"])
+def test_malformed_pgm_exits_2_naming_the_file(tmp_path, capsys, data, message):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(data)
+    assert main(["cce", "--image", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
+
+def test_non_utf8_manifest_exits_2_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"path,scene,city\n\xff.wav,bus,paris\n")
+    assert main(["features", "--manifest", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: manifest is not valid UTF-8")

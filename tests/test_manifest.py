@@ -29,8 +29,8 @@ def test_parse_valid_rows():
     mf = parse_manifest(text)
     assert len(mf) == 2
     assert [r.path for r in mf.records] == ["a/b.wav", "c.wav"]
-    assert mf.scenes == ["airport", "tram"]
-    assert mf.cities == ["barcelona", "london"]
+    assert [r.scene for r in mf.records] == ["airport", "tram"]
+    assert [r.city for r in mf.records] == ["barcelona", "london"]
 
 
 def test_parse_accepts_bytes_and_padding():
@@ -88,7 +88,7 @@ def test_large_balanced_manifest():
     mf = parse_manifest("\n".join(lines) + "\n")
     assert len(mf) == 8640
     for scene in SCENES:
-        assert mf.scenes.count(scene) == 864
+        assert [r.scene for r in mf.records].count(scene) == 864
     assert len({r.path for r in mf.records}) == 8640
 
 

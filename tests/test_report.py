@@ -318,19 +318,20 @@ def test_run_report_skips_single_record_subset(tmp_path):
 
 
 def test_run_report_single_subset(tmp_path):
+    # A scene or city name as the grouping analyses that one subset, and
+    # stacks the other label kind.
     mf, feats = _blob_manifest_and_features()
-    report = run_report(
-        mf, feats, "single_subset", str(tmp_path / "s"), subset="airport"
-    )
+    report = run_report(mf, feats, "airport", str(tmp_path / "s"))
+    assert report["group"] == "airport"
     assert [e["subset"] for e in report["subsets"]] == ["airport"]
-    report = run_report(
-        mf, feats, "single_subset", str(tmp_path / "c"), subset="london"
-    )
+    assert list(report["subsets"][0]["stacks"]) == ["city"]
+    report = run_report(mf, feats, "london", str(tmp_path / "c"))
     assert [e["subset"] for e in report["subsets"]] == ["london"]
-    with pytest.raises(InputError, match="neither a scene nor a city"):
-        run_report(mf, feats, "single_subset", str(tmp_path / "x"), subset="mars")
-    with pytest.raises(InputError, match="requires a subset"):
-        run_report(mf, feats, "single_subset", str(tmp_path / "y"))
+    assert list(report["subsets"][0]["stacks"]) == ["scene"]
+    for grouping in ("mars", "single_subset"):
+        with pytest.raises(InputError, match="unknown grouping.*a scene or a city"):
+            run_report(mf, feats, grouping, str(tmp_path / grouping))
+        assert not (tmp_path / grouping).exists()
 
 
 def test_run_report_specvat_fixed_and_auto_k(tmp_path):
@@ -415,8 +416,7 @@ def test_run_report_warns_when_it_clamps_an_explicit_k(tmp_path):
     def london(out, k):
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
-            run_report(mf, feats, "single_subset", str(out), method="specvat",
-                       subset="london", k=k)
+            run_report(mf, feats, "london", str(out), method="specvat", k=k)
         return [str(w.message) for w in rec]
 
     clamped = london(tmp_path / "k4", 4)

@@ -76,9 +76,10 @@ def test_palette_and_errors():
 
 
 def test_csv_with_order_column():
+    # The stack keeps the order it was built from, and its CSV reads it.
     st_ = _stack([1, 0], ["a", "b"])
-    out = stack_csv(st_, order=[1, 0])
-    assert out == "position,record,label\n0,1,b\n1,0,a\n"
+    assert st_.order.tolist() == [1, 0]
+    assert stack_csv(st_) == "position,record,label\n0,1,b\n1,0,a\n"
 
 
 def test_svg_deterministic_and_complete():

@@ -4,12 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import squareform
 
-from scenevat.cce import _histogram
+from scenevat.cce import _histogram, _pixel_histogram
 from scenevat.errors import InputError
 from scenevat.vat import (
     VatOrdering,
     _odi,
-    _pixel_histogram,
     _vat_order,
     odi_from,
     ordering_from_json,
