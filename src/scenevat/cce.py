@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateImageError, InputError
-from .matrix import BAND_BYTES
+from .matrix import chunks
 from .vat import _quantize, check_image
 
 THRESHOLD_MODES = ("half_max", "zero")
@@ -129,13 +129,11 @@ def _otsu(hist: np.ndarray) -> tuple[int, float]:
 
 def _histogram(x: np.ndarray) -> np.ndarray:
     # The 256-bin histogram of an integer-valued array in [0, 255], in
-    # slices of BAND_BYTES: bincount casts its input to intp, 8 bytes per
-    # entry.
+    # chunks: bincount casts its input to intp, 8 bytes per entry.
     flat = x.reshape(-1)
-    step = BAND_BYTES // 8
     hist = np.zeros(256, dtype=np.int64)
-    for i0 in range(0, flat.size, step):
-        hist += np.bincount(flat[i0:i0 + step].astype(np.intp), minlength=256)
+    for c in chunks(flat.size):
+        hist += np.bincount(flat[c].astype(np.intp), minlength=256)
     return hist
 
 

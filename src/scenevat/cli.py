@@ -23,6 +23,7 @@ from .report import (
     GROUPINGS,
     METHODS,
     _stack_artifacts,
+    _subsets,
     analyze,
     features_for_manifest,
     load_config,
@@ -142,10 +143,12 @@ def cmd_cce(args) -> int:
 def cmd_stack(args) -> int:
     manifest = read_manifest(args.manifest)
     ordering = read_ordering(args.ordering)
-    if len(ordering) != len(manifest):
+    [(_, idx, _)] = _subsets(manifest, args.group)
+    if len(ordering) != len(idx):
+        group = "" if args.group == "all" else f"subset {args.group!r} of "
         raise InputError(f"ordering {args.ordering} has {len(ordering)} records "
-                         f"but manifest {args.manifest} has {len(manifest)}")
-    stack = _stack_artifacts((args.label,), manifest, range(len(manifest)),
+                         f"but {group}manifest {args.manifest} has {len(idx)}")
+    stack = _stack_artifacts((args.label,), manifest, idx,
                              ordering, args.out)[args.label]
     svg = os.path.join(args.out, f"stack_{args.label}.svg")
     print(f"{stack['run_count']} runs, mean length "
@@ -246,6 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("stack", help="label stack for an existing ordering")
     t.add_argument("--manifest", required=True, metavar="CSV")
     t.add_argument("--ordering", required=True, metavar="JSON")
+    t.add_argument("--group", choices=("all",) + SCENES + CITIES,
+                   default="all", metavar="GROUP",
+                   help="the records the ordering orders: all (the default), "
+                        "or a scene or city, as a report subset of that name")
     t.add_argument("--label", choices=("scene", "city"), default="scene")
     _add_shared(t)
     t.set_defaults(func=cmd_stack)

@@ -23,10 +23,10 @@ import numpy as np
 
 from .audio import AudioConfig, extract_features
 from .cce import CceConfig, cce_count
-from .errors import DegenerateImageError, InputError, NumericError
+from .errors import DegenerateImageError, DistanceOverflow, InputError, NumericError
 from .manifest import CITIES, CITY_PALETTE, SCENE_PALETTE, SCENES, LabeledManifest
-from .matrix import as_features, euclidean_dissim
-from .specvat import SpecVatConfig, _embed, _select_k, _specvat
+from .matrix import as_features, euclidean_dissim, euclidean_packed, packed_start
+from .specvat import SpecVatConfig, _analysis, _packed, _scales
 from .stacks import label_stack, stack_csv, stack_svg
 from .vat import Analysis, _odi, _vat_order, ordering_to_json, write_pgm
 from .vatf import atomic_write_text, naming, read_file, read_vatf, write_vatf
@@ -251,25 +251,49 @@ def analyze(d: np.ndarray, method: str, spec_cfg: SpecVatConfig,
     ``d`` must be a valid, exactly symmetric, C-contiguous float64 matrix
     already: as ``check_dissim`` returned it where it entered, or valid by
     construction (``euclidean_dissim``).  It is not checked again.  VAT
-    only reads ``d``.  SpecVAT uses ``d``'s buffer as its one n x n
-    matrix: the affinity, its normalization, the embedded distances and
-    then the image, in its first n * n bytes, overwrite it in turn, so
-    ``result.image`` is a view of ``d``'s buffer and the distances are
-    gone.  Pass a copy to keep them.  ``result.d_prime`` is a new matrix,
-    computed from ``result.embedding`` when read.  SpecVAT uses ``k``
-    eigenvectors, or picks k with the scan when ``k`` is None; its solver
-    takes the normalized affinity as built, which is exactly symmetric
-    because ``d`` is.
+    only reads ``d``.  SpecVAT reads its local scales from ``d``'s rows,
+    then packs its upper triangle into the first half of ``d``'s buffer
+    and works there: the affinity, its normalization, the scan's condensed
+    distances and then the image, in its first n * n bytes, overwrite it
+    in turn, so ``result.image`` is a view of ``d``'s buffer and the
+    distances are gone.  Pass a copy to keep them.  ``result.d_prime`` is
+    a new matrix, computed from ``result.embedding`` when read.  SpecVAT
+    uses ``k`` eigenvectors, or picks k with the scan when ``k`` is None.
     """
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "vat":
         ordering = _vat_order(d)
         return Analysis(ordering, _odi(d, ordering.order))
-    if k is None:
-        e, scores = _select_k(d, spec_cfg)
-        return _specvat(e, d, scores)
-    return _specvat(_embed(d, spec_cfg, k), d)
+    return _analysis(*_packed(d, spec_cfg), spec_cfg, k)
+
+
+def _subset_distances(features, method, spec_cfg, standardize, path):
+    """The subset's distances, also written to ``path`` (``dissim.vatf``).
+
+    VAT gets the square matrix.  SpecVAT gets ``(p, sigma)``: the packed
+    upper triangle and the local scales.  Its square rows are built once,
+    in bands, and streamed into the file, and a band's scales are read
+    from them; so no n x n array is built.  An overflow raises
+    DistanceOverflow and leaves no file.
+    """
+    if method == "vat":
+        d = euclidean_dissim(features, standardize=standardize)
+        write_vatf(path, d)
+        return d
+    n = features.shape[0]
+    p, sigma = np.empty(packed_start(n, n)), np.empty(n)
+
+    def rows():
+        for band_rows, band in euclidean_packed(features, p,
+                                                standardize=standardize):
+            yield band
+            # Written, so its scales may reorder it: the next band
+            # overwrites it anyway.
+            sigma[band_rows] = _scales(band, spec_cfg)
+
+    write_vatf(path, rows(), shape=(n, n))
+    return p, sigma
 
 
 def run_report(
@@ -293,10 +317,13 @@ def run_report(
     ``k`` is given, which is clamped to n-1 with a warning; a ``k`` with
     VAT, or below 2, raises InputError before any subset.  The features
     are checked once, here.  Each subset's distances are valid by
-    construction, are written to ``dissim.vatf`` first and then go to
-    ``analyze`` unchecked, which may overwrite them: a subset holds one
-    n x n float64 buffer from its distances to its image, and lets it go
-    once the image and its count are written.  Subsets with
+    construction, are written to ``dissim.vatf`` as they are built and
+    are then analysed unchecked.  A VAT subset holds its n x n distance
+    matrix and its image.  A SpecVAT subset holds one packed upper
+    triangle, n(n+1)/2 floats, from its distances to its image, which
+    goes into its first n * n bytes; no n x n float64 array exists.  A
+    subset lets its matrix go once the image and its count are written.
+    Subsets with
     fewer than 2 records, or 3 for SpecVAT, are skipped with a warning, and
     so are subsets whose distances overflow or whose image is degenerate (a
     single intensity), which are listed under ``skipped`` with a
@@ -335,12 +362,14 @@ def run_report(
         try:
             if n < min_n:
                 raise _Skip(f" has {n} record(s)")
+            os.makedirs(subset_dir, exist_ok=True)
+            # A subset of every record reads the features as they are.
+            rows = features if n == len(features) else features[idx]
             try:
-                # The features are valid, so the one InputError is an overflow.
-                # A subset of every record reads the features as they are.
-                rows = features if n == len(features) else features[idx]
-                dissim = euclidean_dissim(rows, standardize=standardize)
-            except InputError as exc:
+                dissim = _subset_distances(
+                    rows, method, config.spec, standardize,
+                    os.path.join(subset_dir, "dissim.vatf"))
+            except DistanceOverflow as exc:
                 raise _Skip(f": {exc}", str(exc)) from exc
             k_run = None if k is None else min(k, n - 1)
             if k_run != k:
@@ -348,11 +377,11 @@ def run_report(
                     f"subset {name!r} has {n} records; k={k} clamped to {k_run}",
                     stacklevel=2,
                 )
-            os.makedirs(subset_dir, exist_ok=True)
-            # Written before analyze overwrites dissim.
-            write_vatf(os.path.join(subset_dir, "dissim.vatf"), dissim)
             try:
-                result = analyze(dissim, method, config.spec, k_run)
+                if method == "vat":
+                    result = analyze(dissim, method, config.spec)
+                else:
+                    result = _analysis(*dissim, config.spec, k_run)
                 cce = cce_count(result.image, config.cce)
             except DegenerateImageError as exc:
                 raise _Skip(f" is degenerate ({exc})", str(exc)) from exc
@@ -376,7 +405,7 @@ def run_report(
             entry["k_scores"] = {
                 str(kk): v for kk, v in sorted(result.k_scores.items())
             }
-        del dissim, result  # the subset's n x n buffer, which the image may view
+        del dissim, result  # the subset's one matrix, which the image may view
         atomic_write_text(
             os.path.join(subset_dir, "ordering.json"), ordering_to_json(ordering)
         )

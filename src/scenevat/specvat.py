@@ -6,6 +6,13 @@ normalized) form an embedded space whose Euclidean distances are reordered
 with VAT.  Using the largest eigenvectors of the normalized affinity is
 equivalent to using the smallest eigenvectors of the normalized Laplacian.
 
+Every step works on the matrix's packed upper triangle (see
+``matrix.pack``), n(n+1)/2 floats, in place: distances, affinity,
+normalization, then the scan's condensed distances and the image in its
+first bytes.  ARPACK multiplies by the triangle with BLAS ``dspmv``; evr
+solves a square unpacked from it.  The public functions take and return
+square matrices, and pack a checked copy.
+
 ``a_specvat_select_k`` scans k and keeps the image that binarizes most
 cleanly, scored by Otsu's normalized between-class variance.  Each
 candidate is scored from the 256-bin histogram of its condensed embedded
@@ -22,12 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
+from scipy.linalg.blas import dspmv
 from scipy.spatial.distance import cdist, pdist
 
 from .cce import _otsu, _pixel_histogram
 from .errors import DegenerateImageError, InputError, NumericError
-from .matrix import bands, check_dissim, check_symmetric
-from .vat import Analysis, _draw, _vat_order
+from .matrix import (bands, check_dissim, check_symmetric, chunks, pack,
+                     packed_bands, packed_rows, packed_start, unpack)
+from .vat import Analysis, _draw, _prim
 
 SIGN_TOL = 1e-12
 # Matrices this large go to ARPACK.  The crossover was measured for the
@@ -70,9 +79,11 @@ def local_scale_affinity(m, cfg: SpecVatConfig = SpecVatConfig()) -> np.ndarray:
     available n-1 neighbours), floored at ``SIGMA_FLOOR``.  Diagonal is 0.
     """
     d = _checked_copy(m)
-    if d.shape[0] < 2:
+    n = d.shape[0]
+    if n < 2:
         raise InputError("affinity needs at least 2 points")
-    return _affinity(d, cfg)
+    p, sigma = _packed(d, cfg)
+    return unpack(_affinity(p, sigma), d)
 
 
 def _checked_copy(m) -> np.ndarray:
@@ -81,27 +92,39 @@ def _checked_copy(m) -> np.ndarray:
     return np.array(check_dissim(m), order="C")
 
 
-def _affinity(d: np.ndarray, cfg: SpecVatConfig) -> np.ndarray:
-    # Overwrites d with its affinity, one row band at a time, and returns
-    # it: a band of the kernel reads only the same band of d, once every
-    # local scale is known.  The diagonal is exactly 0 and no entry is
-    # negative, so the kth entry of a sorted row is its kth nearest
-    # neighbour other than itself.  Row bands keep every temporary at
-    # about BAND_BYTES.
+def _packed(d: np.ndarray, cfg: SpecVatConfig):
+    # The local scales from d's rows, then d's packed triangle in d's own
+    # buffer (d is C-contiguous): the square entry to the private steps.
     n = d.shape[0]
-    kth = min(cfg.knn_scale, n - 1)
     sigma = np.empty(n)
     for rows in bands(n):
-        sigma[rows] = np.partition(d[rows], kth, axis=1)[:, kth]
-    np.maximum(sigma, SIGMA_FLOOR, out=sigma)
-    for rows in bands(n):
-        band = d[rows]
-        np.multiply(band, band, out=band)
-        np.negative(band, out=band)
-        band /= np.outer(sigma[rows], sigma)
-        np.exp(band, out=band)
-    np.fill_diagonal(d, 0.0)
-    return d
+        sigma[rows] = _scales(d[rows].copy(), cfg)
+    return pack(d), sigma
+
+
+def _scales(band: np.ndarray, cfg: SpecVatConfig) -> np.ndarray:
+    # The local scales of a band of full rows of d, which this partitions
+    # in place.  The diagonal is exactly 0 and no entry is negative, so the
+    # kth entry of a sorted row is its kth nearest neighbour other than
+    # itself.
+    kth = min(cfg.knn_scale, band.shape[1] - 1)
+    band.partition(kth, axis=1)
+    return np.maximum(band[:, kth], SIGMA_FLOOR)
+
+
+def _affinity(p: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    # Overwrites the packed distances p with their affinity, band by band,
+    # and returns it.  Entry (i, j) is computed as the square kernel
+    # computes it, exp(-(d*d) / (sigma_i*sigma_j)), so it has the same bits.
+    n = sigma.size
+    for rows, segment, mask in packed_bands(n):
+        x = p[segment]
+        np.multiply(x, x, out=x)
+        np.negative(x, out=x)
+        x /= np.outer(sigma[rows], sigma[rows.start:])[mask]
+        np.exp(x, out=x)
+    p[packed_start(n, np.arange(n))] = 0.0  # the diagonal
+    return p
 
 
 def normalized_affinity(a) -> np.ndarray:
@@ -112,17 +135,19 @@ def normalized_affinity(a) -> np.ndarray:
     rows/columns.  The largest eigenvectors of the result are the smallest
     eigenvectors of the normalized Laplacian ``I - S^(-1/2) A S^(-1/2)``.
     """
-    # A C-ordered copy: _normalize scales in place, and its row sums take
-    # their bits from the layout.
-    x = np.array(check_symmetric(a), order="C")
+    x = np.array(check_symmetric(a), order="C")  # packed in place below
     if (x < 0).any():
         raise InputError("affinity must be nonnegative")
-    return _normalize(x)
+    return unpack(_normalize(pack(x), x.shape[0]), x)
 
 
-def _normalize(x: np.ndarray) -> np.ndarray:
-    # Scales x in place, one row band at a time, and returns it.
-    s = x.sum(axis=1)
+def _normalize(p: np.ndarray, n: int) -> np.ndarray:
+    # Scales the packed p in place, band by band, and returns it.  Each
+    # row sum is taken over the full row, gathered in bands, as
+    # x.sum(axis=1) takes it over a C-ordered square: the same bits.
+    s = np.empty(n)
+    for rows in bands(n):
+        s[rows] = packed_rows(p, n, rows).sum(axis=1)
     # Kernel entries lie in [0, 1], so a row sum is non-finite exactly when
     # its row holds a NaN: _affinity's inf / inf once d*d overflows.
     if not np.isfinite(s).all():
@@ -132,65 +157,65 @@ def _normalize(x: np.ndarray) -> np.ndarray:
             "overflow when squared"
         )
     inv_sqrt = np.where(s > 0, 1.0 / np.sqrt(np.where(s > 0, s, 1.0)), 0.0)
-    for rows in bands(x.shape[0]):
-        x[rows] *= np.outer(inv_sqrt[rows], inv_sqrt)
-    return x
+    for rows, segment, mask in packed_bands(n):
+        p[segment] *= np.outer(inv_sqrt[rows], inv_sqrt[rows.start:])[mask]
+    return p
 
 
 def sym_eigen_topk(n_mat, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k eigenpairs of a symmetric matrix, eigenvalues descending.
 
     The matrix must pass ``check_symmetric`` (finite, and symmetric to 1e-12
-    times its largest magnitude), whose result no solver writes to, so
-    ``n_mat`` is never changed.  Only the top k pairs are solved for.  From
-    n = 1024 (``ARPACK_MIN_N``) on, with k < n-1, ARPACK's Lanczos solver
-    (``scipy.sparse.linalg.eigsh``) runs first, from a fixed start vector
-    and seeded restarts, and capped at about n/3 matrix-vector products; its
-    result is kept only if its eigenvalues are positive and it meets the
-    residual and orthonormality bounds below.  Where eigsh cannot seed its
-    restarts (it takes no ``rng``, as in scipy 1.10), it is not used.
-    Otherwise, and for every smaller matrix, LAPACK's ``evr`` driver
-    (``scipy.linalg.eigh(subset_by_index=...)``) solves it.  When that
-    solver returns fewer than k pairs -- the subset boundary splits a
-    cluster of exactly tied eigenvalues -- the full ``np.linalg.eigh`` is
-    sliced instead.  Eigenvectors are orthonormal columns
-    (``|V^T V - I| <= 1e-8``) with a deterministic sign: the first
-    component larger than 1e-12 in magnitude is made positive.  Residuals
-    satisfy ``|N v - lambda v| <= 1e-8 * |N|_F``.
+    times its largest magnitude).  Its packed upper triangle is copied out,
+    so ``n_mat`` is never changed.  Only the top k pairs are solved for.
+    From n = 1024 (``ARPACK_MIN_N``) on, with k < n-1, ARPACK's Lanczos
+    solver (``scipy.sparse.linalg.eigsh``) runs first, multiplying by the
+    packed triangle (BLAS ``dspmv``), from a fixed start vector and seeded
+    restarts, and capped at about n/3 matrix-vector products; its result is
+    kept only if its eigenvalues are positive and it meets the residual and
+    orthonormality bounds below.  Where eigsh cannot seed its restarts (it
+    takes no ``rng``, as in scipy 1.10), it is not used.  Otherwise, and
+    for every smaller matrix, LAPACK's ``evr`` driver
+    (``scipy.linalg.eigh(subset_by_index=...)``) solves the square
+    unpacked from the triangle.  When that solver returns fewer than k
+    pairs -- the subset boundary splits a cluster of exactly tied
+    eigenvalues -- the full ``np.linalg.eigh`` is sliced instead.
+    Eigenvectors are orthonormal columns (``|V^T V - I| <= 1e-8``) with a
+    deterministic sign: the first component larger than 1e-12 in magnitude
+    is made positive.  Residuals satisfy ``|N v - lambda v| <= 1e-8 *
+    |N|_F``.
     """
     x = check_symmetric(n_mat)
     n = x.shape[0]
     if not 1 <= k <= n:
         raise InputError(f"k={k} must satisfy 1 <= k <= n (n={n})")
-    # ARPACK's products take their bits from the layout: solve C order.
-    return _eigen_topk(np.ascontiguousarray(x), k)
+    return _eigen_topk(pack(x, np.empty(packed_start(n, n))), n, k)
 
 
-def _spectrum(d: np.ndarray, cfg: SpecVatConfig, k: int):
-    # Affinity, normalization and solve use d's own buffer, so d holds the
-    # normalized affinity afterwards.  An exactly symmetric d gives an
-    # exactly symmetric normalized affinity: entries (i, j) and (j, i) are
-    # the same products in swapped order.
-    return _eigen_topk(_normalize(_affinity(d, cfg)), k)
+def _spectrum(p: np.ndarray, sigma: np.ndarray, cfg: SpecVatConfig, k: int):
+    # Affinity, normalization and solve work in the packed distances p, so
+    # p holds the packed normalized affinity afterwards.
+    n = sigma.size
+    return _eigen_topk(_normalize(_affinity(p, sigma), n), n, k)
 
 
-def _eigen_topk(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    # No solver writes to the symmetric x.  ARPACK only multiplies by it,
-    # so when its result is refused, evr solves the same x.  evr works in
-    # a copy (overwrite_a=False), so the full fallback still has x; it
-    # reads x.T, F-ordered for a C-ordered x, which copies without a
-    # transpose.
-    n = x.shape[0]
+def _eigen_topk(p: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    # No solver writes to the packed p.  ARPACK only multiplies by it, so
+    # when its result is refused, evr solves the square unpacked from it.
+    # evr overwrites that square (overwrite_a); the full fallback unpacks
+    # p again.  evr reads x.T, which is F-ordered for the C-ordered x, so
+    # it needs no copy.
     arpack = _SEEDABLE_ARPACK and n >= ARPACK_MIN_N and k < n - 1
-    pairs = _lanczos(x, k) if arpack else None
+    pairs = _lanczos(p, n, k) if arpack else None
     if pairs is None:
+        x = unpack(p, np.empty((n, n)))
         try:
             pairs = scipy.linalg.eigh(
-                x.T, overwrite_a=False, subset_by_index=[n - k, n - 1],
+                x.T, overwrite_a=True, subset_by_index=[n - k, n - 1],
                 check_finite=False,
             )
             if pairs[1].shape[1] < k:  # tied eigenvalues across the boundary
-                pairs = np.linalg.eigh(x)
+                pairs = np.linalg.eigh(unpack(p, x))
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"eigendecomposition failed: {exc}") from exc
     # Both solvers return ascending pairs, whose last bits depend on k, so
@@ -205,7 +230,7 @@ def _eigen_topk(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def _lanczos(x: np.ndarray, k: int):
+def _lanczos(p: np.ndarray, n: int, k: int):
     # The top k pairs from ARPACK, or None when it fails, stalls or misses
     # a bound.  Every random draw is seeded, so a rerun gives the same bits:
     # ARPACK draws a restart vector whenever the Krylov space goes
@@ -214,25 +239,31 @@ def _lanczos(x: np.ndarray, k: int):
     # about n/3 products, about one evr solve (n/4 products at n = 1000
     # to 2500).  Uncapped, ideal blocks of 400, 300, 500 and 200 records
     # took 56k products before ARPACK gave up.
-    n = x.shape[0]
+    op = scipy.sparse.linalg.LinearOperator(
+        (n, n), matvec=lambda v: dspmv(n, 1.0, p, v.reshape(-1), lower=1),
+        dtype=np.float64,
+    )
     ncv = min(n, max(2 * k + 1, 20))  # eigsh's default
     rng = np.random.default_rng(ARPACK_SEED)
     try:
         vals, vecs = scipy.sparse.linalg.eigsh(
-            x, k, which="LA", v0=rng.uniform(-1.0, 1.0, n), ncv=ncv,
+            op, k, which="LA", v0=rng.uniform(-1.0, 1.0, n), ncv=ncv,
             maxiter=max(1, n // (3 * (ncv - k))), rng=rng,
         )
     except scipy.sparse.linalg.ArpackError:  # ArpackNoConvergence included
         return None
-    # ARPACK searches the range of x, which holds no eigenvector of
-    # eigenvalue 0 (an isolated record's, for one), so a spectrum reaching
-    # down to 0 may have skipped some.  Above 0, the vectors are exactly
-    # zero on an isolated record's row, as evr's are.
+    # ARPACK searches the range of the matrix, which holds no eigenvector
+    # of eigenvalue 0 (an isolated record's, for one), so a spectrum
+    # reaching down to 0 may have skipped some.  Above 0, the vectors are
+    # exactly zero on an isolated record's row, as evr's are.
     if not vals.min() > 0:
         return None
-    residual = np.linalg.norm(x @ vecs - vecs * vals, axis=0).max()
+    residual = np.linalg.norm(op @ vecs - vecs * vals, axis=0).max()
     orth = np.abs(vecs.T @ vecs - np.eye(k)).max()
-    if residual <= EIGEN_RESIDUAL_RTOL * np.linalg.norm(x) and orth <= EIGEN_ORTH_ATOL:
+    # |N|_F from the triangle: every off-diagonal entry counts twice.
+    diagonal = p[packed_start(n, np.arange(n))]
+    norm = np.sqrt(2.0 * np.dot(p, p) - np.dot(diagonal, diagonal))
+    if residual <= EIGEN_RESIDUAL_RTOL * norm and orth <= EIGEN_ORTH_ATOL:
         return vals, vecs
     return None
 
@@ -244,20 +275,21 @@ def spectral_embedding(m, k: int, cfg: SpecVatConfig = SpecVatConfig()) -> np.nd
     coordinates below machine zero) are kept as zero rather than
     normalized, and flagged with a warning.
     """
-    return _embed(_checked_copy(m), cfg, k)
+    return _embed(*_packed(_checked_copy(m), cfg), cfg, k)
 
 
-def _embed(d: np.ndarray, cfg: SpecVatConfig, k: int) -> np.ndarray:
-    # Overwrites d (see _spectrum).  Every explicit k enters here and
+def _embed(p: np.ndarray, sigma: np.ndarray, cfg: SpecVatConfig,
+           k: int) -> np.ndarray:
+    # Overwrites p (see _spectrum).  Every explicit k enters here and
     # solves for exactly k pairs: pairs past the planted k lie in a
     # near-tied bulk, for which ARPACK pays about 10 times the products of
     # the k it reads.  So an explicit k and the scan's first k columns span
     # the same subspace wherever the spectrum has a gap after the kth, but
     # do not share last bits.
-    n = d.shape[0]
+    n = sigma.size
     if not 1 <= k <= n - 1:
         raise InputError(f"k={k} must satisfy 1 <= k <= n-1 (n={n})")
-    return _unit_rows(_spectrum(d, cfg, k)[1])
+    return _unit_rows(_spectrum(p, sigma, cfg, k)[1])
 
 
 def _unit_rows(vecs: np.ndarray) -> np.ndarray:
@@ -280,25 +312,46 @@ def specvat(m, k: int, cfg: SpecVatConfig = SpecVatConfig()) -> Analysis:
     of it, in which every step runs; ``d_prime`` is computed again from the
     embedding when read.
     """
-    d = _checked_copy(m)
-    return _specvat(_embed(d, cfg, k), d)
+    p, sigma = _packed(_checked_copy(m), cfg)
+    return _specvat(_embed(p, sigma, cfg, k), p)
+
+
+def _analysis(p: np.ndarray, sigma: np.ndarray, cfg: SpecVatConfig,
+              k: int | None) -> Analysis:
+    # SpecVAT of the packed distances p with local scales sigma, at k
+    # eigenvectors or, when k is None, at the scan's pick.  Every step
+    # overwrites p, and the image views its buffer.
+    if k is None:
+        e, scores = _select_k(p, sigma, cfg)
+        return _specvat(e, p, scores)
+    return _specvat(_embed(p, sigma, cfg, k), p)
 
 
 def _specvat(embedding: np.ndarray, out: np.ndarray,
              k_scores: dict | None = None) -> Analysis:
-    # out is a C-contiguous n x n float64 buffer.  VAT orders d_prime in
-    # it (at k <= 10 columns cdist has the bits of squareform(pdist(...)),
-    # without pdist's condensed copy).  The image then goes into out's
-    # first n * n bytes, band by band from the embedding in VAT order:
-    # cdist's bits for a pair do not depend on the pairs computed with it,
-    # so each band holds the bits of d_prime's ordered rows, and d_prime is
-    # not read again once its maximum is known.
+    # out is a C-contiguous float64 buffer of at least n * n bytes; its
+    # values are not read.  d_prime is never held: one banded pass over its
+    # upper triangle finds its maximum and where VAT starts, and VAT then
+    # computes each row it reads.  The image goes into out's first n * n
+    # bytes, band by band from the embedding in VAT order.  cdist's bits
+    # for a pair do not depend on the pairs computed with it, so every row
+    # and band holds d_prime's bits (at k <= 10 columns, those of
+    # squareform(pdist(...))).
     n = embedding.shape[0]
-    d_prime = cdist(embedding, embedding, out=out)
-    ordering = _vat_order(d_prime)
+    start, dmax = 0, -np.inf
+    for rows in bands(n):
+        # VAT starts at the row of the first maximum in row-major order:
+        # the smallest i of a pair (i, j >= i) at the maximum, which the
+        # first maximum of the upper triangle's rows, in that order, has.
+        upper = cdist(embedding[rows], embedding[rows.start:])
+        i = int(np.argmax(upper))
+        if upper.flat[i] > dmax:
+            start, dmax = rows.start + i // upper.shape[1], upper.flat[i]
+        del upper  # before the next one is built
+    ordering = _prim(n, start, lambda i: cdist(embedding[i:i + 1], embedding)[0])
     eo = embedding[ordering.order]
     img = out.reshape(-1).view(np.uint8)[:n * n].reshape(n, n)
-    _draw(img, d_prime.max(), lambda rows: cdist(eo[rows], eo))
+    _draw(img, dmax, lambda rows: cdist(eo[rows], eo))
     return Analysis(ordering, img, k_scores, embedding)
 
 
@@ -317,25 +370,26 @@ def a_specvat_select_k(
     Structureless input -- constant distances, or images with a single
     intensity -- scores 0 and falls back to k = 2 with a warning.
     """
-    best_e, scores = _select_k(_checked_copy(m), cfg)
+    best_e, scores = _select_k(*_packed(_checked_copy(m), cfg), cfg)
     return best_e.shape[1], scores
 
 
-def _select_k(d: np.ndarray, cfg: SpecVatConfig) -> tuple[np.ndarray, dict]:
-    # The winner's embedding, unordered, with every score; overwrites d
-    # (see _spectrum).  One spectrum serves every k: the affinity does not
-    # depend on k and the sign rule is per column.  Once it is solved, d
-    # is free: each candidate's condensed distances go into its first
-    # n(n-1)/2 entries.
-    n = d.shape[0]
+def _select_k(p: np.ndarray, sigma: np.ndarray,
+              cfg: SpecVatConfig) -> tuple[np.ndarray, dict]:
+    # The winner's embedding, unordered, with every score; overwrites the
+    # packed distances p (see _spectrum).  One spectrum serves every k: the
+    # affinity does not depend on k and the sign rule is per column.  Once
+    # it is solved, p is free: each candidate's condensed distances go into
+    # its first n(n-1)/2 entries.
+    n = sigma.size
     if n < 3:
         raise InputError(f"need at least 3 points to scan k >= 2, got n={n}")
     ks = range(2, min(cfg.k_max, n - 1) + 1)
     # Only the zero diagonal lies below the maximum of a constant matrix.
-    dmax = d.max()
-    constant = sum(np.count_nonzero(d[rows] < dmax) for rows in bands(n)) <= n
-    vecs = _spectrum(d, cfg, ks[-1])[1]
-    condensed = d.reshape(-1)[:n * (n - 1) // 2]
+    dmax = p.max()
+    constant = sum(np.count_nonzero(p[c] < dmax) for c in chunks(p.size)) <= n
+    vecs = _spectrum(p, sigma, cfg, ks[-1])[1]
+    condensed = p[:n * (n - 1) // 2]
     if constant:
         warnings.warn(
             "constant-distance matrix has no spectral structure; "

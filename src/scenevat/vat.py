@@ -82,32 +82,35 @@ def vat_order(m) -> VatOrdering:
 
 
 def _vat_order(d: np.ndarray) -> VatOrdering:
-    n = d.shape[0]
-    order = np.empty(n, dtype=np.int64)
-    link = np.zeros(n, dtype=np.float64)
-    if n == 1:
-        order[0] = 0
-        return VatOrdering(order, link)
-
-    # First occurrence of the maximum in row-major scan order is the
+    # The first occurrence of the maximum in row-major scan order is the
     # lexicographically smallest (i, j) pair; its row index is the smaller
     # endpoint because the mirror entry (j, i) appears later.
-    start = int(np.unravel_index(np.argmax(d), d.shape)[0])
+    n = d.shape[0]
+    return _prim(n, int(np.argmax(d)) // n, d.__getitem__)
+
+
+def _prim(n: int, start: int, row) -> VatOrdering:
+    # VAT's order from record start on, where row(i) is row i of the
+    # dissimilarity matrix (a view or a new array), read once per step.
+    order = np.empty(n, dtype=np.int64)
+    link = np.zeros(n, dtype=np.float64)
     order[0] = start
+    if n == 1:
+        return VatOrdering(order, link)
 
     # placed[i] is inf once record i is ordered, else -inf: a maximum with
     # it keeps placed records out of the frontier and leaves every other
     # entry's bits alone, without a boolean-mask write per step.
     placed = np.full(n, -np.inf)
     placed[start] = np.inf
-    best = d[start].copy()
+    best = np.array(row(start))
     best[start] = np.inf
     for t in range(1, n):
         nxt = int(np.argmin(best))  # first occurrence = smallest index on ties
         order[t] = nxt
         link[t] = best[nxt]
         placed[nxt] = np.inf
-        np.minimum(best, d[nxt], out=best)
+        np.minimum(best, row(nxt), out=best)
         np.maximum(best, placed, out=best)
     return VatOrdering(order, link)
 
@@ -169,8 +172,8 @@ def write_pgm(img, path) -> None:
     with naming(path):
         x = np.ascontiguousarray(check_image(img))
         h, w = x.shape
-        atomic_write_bytes(path, f"P5\n{w} {h}\n255\n".encode("ascii"),
-                           x.reshape(-1))
+        atomic_write_bytes(path, [f"P5\n{w} {h}\n255\n".encode("ascii"),
+                                  x.reshape(-1)])
 
 
 def read_pgm(path) -> np.ndarray:

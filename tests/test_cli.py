@@ -219,6 +219,42 @@ def test_stack_writes_the_reports_own_stack_files(tmp_path):
             assert (out / name).read_bytes() == (rep / "all" / name).read_bytes()
 
 
+@pytest.mark.filterwarnings("ignore:subset .* has 0 record")
+def test_stack_restacks_every_subset_of_a_report(tmp_path, capsys):
+    # A subset's ordering indexes that subset's records: --group selects
+    # them from the manifest as the report did.
+    syn = tmp_path / "syn"
+    assert main(["synth", "--mode", "blobs", "--clusters", "3", "--n-per", "8",
+                 "--seed", "2", "--out", str(syn)]) == 0
+    scenes, cities = ["airport", "bus", "park"], ["paris", "london"]
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,scene,city\n" + "".join(
+        f"r{i}.wav,{scenes[i // 8]},{cities[i % 3 // 2]}\n" for i in range(24)))
+    rep = tmp_path / "rep"
+    assert main(["report", "--manifest", str(manifest),
+                 "--features", str(syn / "features.vatf"),
+                 "--group", "by_city", "--out", str(rep)]) == 0
+    for city, n in (("paris", 16), ("london", 8)):
+        ordering = rep / city / "ordering.json"
+        out = tmp_path / f"stack_{city}"
+        assert main(["stack", "--manifest", str(manifest), "--ordering",
+                     str(ordering), "--group", city, "--out", str(out)]) == 0
+        for ext in ("svg", "csv"):
+            name = f"stack_scene.{ext}"
+            assert (out / name).read_bytes() == (rep / city / name).read_bytes()
+        capsys.readouterr()
+        assert main(["stack", "--manifest", str(manifest), "--ordering",
+                     str(ordering), "--out", str(tmp_path / "all")]) == 2
+        assert (f"ordering {ordering} has {n} records but manifest {manifest} "
+                "has 24") in capsys.readouterr().err
+    assert main(["stack", "--manifest", str(manifest), "--ordering",
+                 str(rep / "paris" / "ordering.json"), "--group", "london",
+                 "--out", str(tmp_path / "london")]) == 2
+    assert ("has 16 records but subset 'london' of manifest "
+            f"{manifest} has 8") in capsys.readouterr().err
+    assert not (tmp_path / "london").exists()
+
+
 def test_features_and_report_from_audio(tmp_path):
     clips = tmp_path / "clips"
     clips.mkdir()

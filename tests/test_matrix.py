@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dspmv
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from scenevat.errors import InputError
+from scenevat.errors import DistanceOverflow, InputError
 from scenevat.matrix import (
     BAND_BYTES,
     as_features,
@@ -12,10 +13,17 @@ from scenevat.matrix import (
     check_dissim,
     check_permutation,
     check_symmetric,
+    chunks,
     euclidean_dissim,
+    euclidean_packed,
+    pack,
+    packed_rows,
+    packed_start,
     permute_matrix,
+    unpack,
     zscore,
 )
+from scenevat.specvat import ARPACK_MIN_N
 
 from conftest import overflow_in_last_band, random_dissim
 
@@ -327,3 +335,92 @@ def test_validate_messages_match_full_matrix_check(n):
         assert m.tobytes() == before.tobytes()
     if n >= 2:
         assert check_dissim(cases[-1]) is not cases[-1]
+
+
+# --------------------------------------------------------------------------
+# the packed upper triangle
+
+# Around the one-band edge (362 rows fit one band), several bands, and
+# around the size from which ARPACK solves.
+PACKED_SIZES = (1, 2, 3, 255, 256, 257, 362, 363, 600,
+                ARPACK_MIN_N - 1, ARPACK_MIN_N, ARPACK_MIN_N + 1)
+
+
+def _symmetric(n, seed=0):
+    a = np.random.Generator(np.random.Philox(key=seed)).normal(size=(n, n))
+    return a + a.T
+
+
+def _packed_reference(a):
+    """The rows a[i, i:] back to back, built with concatenate."""
+    return np.concatenate([a[i, i:] for i in range(a.shape[0])])
+
+
+@pytest.mark.parametrize("n", PACKED_SIZES)
+def test_pack_and_unpack_round_trip_in_and_out_of_place(n):
+    a = _symmetric(n, seed=n)
+    want = _packed_reference(a)
+    assert packed_start(n, n) == want.size == n * (n + 1) // 2
+    out = pack(a, np.empty(want.size))
+    assert out.tobytes() == want.tobytes()
+    assert unpack(out, np.empty((n, n))).tobytes() == a.tobytes()
+    buf = a.copy()
+    packed = pack(buf)  # in place: a view of buf's first n(n+1)/2 entries
+    assert np.shares_memory(packed, buf) and packed.tobytes() == want.tobytes()
+    assert unpack(packed, buf) is buf and buf.tobytes() == a.tobytes()
+
+
+def test_pack_in_place_needs_a_c_contiguous_matrix():
+    with pytest.raises(ValueError, match="C-contiguous"):
+        pack(np.asfortranarray(_symmetric(4)))
+
+
+@pytest.mark.parametrize("n", PACKED_SIZES)
+def test_packed_rows_are_the_square_rows_bitwise(n):
+    a = _symmetric(n, seed=n)
+    p = pack(a, np.empty(packed_start(n, n)))
+    for rows in bands(n):
+        band = packed_rows(p, n, rows)
+        assert band.flags.c_contiguous and band.tobytes() == a[rows].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 363, 600])
+def test_euclidean_packed_yields_the_square_rows_and_packs_them(n):
+    f = np.random.Generator(np.random.Philox(key=n)).normal(size=(n, 23))
+    for standardize in (False, True):
+        d = euclidean_dissim(f, standardize=standardize)
+        p = np.full(packed_start(n, n), np.nan)
+        seen = []
+        for rows, band in euclidean_packed(f, p, standardize=standardize):
+            assert band.tobytes() == d[rows].tobytes()  # the next overwrites it
+            seen.append(rows)
+        assert seen == list(bands(n))
+        assert p.tobytes() == _packed_reference(d).tobytes()
+
+
+def test_euclidean_packed_overflow_in_the_last_band_raises_there():
+    f = overflow_in_last_band()
+    p = np.empty(packed_start(600, 600))
+    built = euclidean_packed(f, p)
+    assert [next(built)[0], next(built)[0]] == list(bands(600))[:2]
+    with pytest.raises(DistanceOverflow, match="^feature distances overflow"):
+        next(built)
+
+
+@pytest.mark.parametrize("n", [1, 2, 257, ARPACK_MIN_N + 1])
+def test_dspmv_on_the_packed_triangle_is_the_square_product(n):
+    # BLAS's lower packed layout is the upper triangle's rows back to back.
+    a = _symmetric(n, seed=n)
+    p = pack(a, np.empty(packed_start(n, n)))
+    v = np.random.Generator(np.random.Philox(key=1)).normal(size=n)
+    got = dspmv(n, 1.0, p, v, lower=1)
+    want = a @ v
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(a).sum(axis=1).max()
+
+
+def test_chunks_cover_a_range_in_order():
+    step = BAND_BYTES // 8
+    for size in (0, 1, step, step + 1, 3 * step - 1):
+        cover = list(chunks(size))
+        assert all(c.stop - c.start <= step for c in cover)
+        assert [i for c in cover for i in range(c.start, c.stop)] == list(range(size))

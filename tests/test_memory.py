@@ -2,22 +2,25 @@
 
 Each n x n pass of ``analyze`` runs in place or in row bands of about
 ``BAND_BYTES``, and SpecVAT works in the buffer of its input, image
-included, so the peak of ``analyze`` plus ``cce_count`` stays a fixed
-fraction of the input's 8 n^2 bytes.  At n = 1536, where ARPACK solves,
-that is about 0.24 (VAT: its image is 0.125), 0.06 (SpecVAT with an
-explicit k) and 0.07 (SpecVAT with the k scan, which writes each
-candidate's condensed distances into the input once its spectrum is
-solved) times the input.  Where evr solves (eigsh cannot be seeded, as in
-scipy 1.10), it works in a copy of the matrix: about 1.03 for SpecVAT.  A
-whole ``run_report`` subset holds its distances too, one n x n buffer from
-the distance build to the image: about 1.11 (explicit k and scan alike)
-with ARPACK, and ``scenevat specvat`` about 1.16.  A scan that gave each
-candidate its own condensed distances (0.5) and tested for a constant
-matrix with an n x n mask (0.125) peaked at 0.57 in ``analyze`` and 1.57
-in ``run_report``.  A SpecVAT that drew its image into a separate array,
-with bands of 256 rows, peaked at 0.46 and 0.68 in ``analyze`` and 1.46
-and 1.68 in ``run_report``; one with its own affinity buffer at 1.46 in
-``analyze`` and 2.46 in ``run_report``; the copying implementation at
+included: it packs the input's upper triangle into the buffer's first
+half and works there.  So the peak of ``analyze`` plus ``cce_count``
+stays a fixed fraction of the input's 8 n^2 bytes.  At n = 1536, where
+ARPACK solves, that is about 0.24 (VAT: its image is 0.125), 0.07
+(SpecVAT with an explicit k) and 0.07 (SpecVAT with the k scan, which
+writes each candidate's condensed distances into the triangle once its
+spectrum is solved) times the input.  Where evr solves (eigsh cannot be
+seeded, as in scipy 1.10), it solves a square unpacked from the triangle:
+about 1.03 for SpecVAT.  A whole ``run_report`` subset builds the packed
+triangle from the features, n(n+1)/2 floats, and streams its rows into
+``dissim.vatf``: about 0.63 of one n x n matrix with ARPACK (explicit k
+and scan alike), and ``scenevat specvat`` about 1.16.  A subset that held
+the square distance matrix as its one buffer peaked at 1.11; a scan that
+gave each candidate its own condensed distances (0.5) and tested for a
+constant matrix with an n x n mask (0.125) at 0.57 in ``analyze`` and
+1.57 in ``run_report``.  A SpecVAT that drew its image into a separate
+array, with bands of 256 rows, peaked at 0.46 and 0.68 in ``analyze`` and
+1.46 and 1.68 in ``run_report``; one with its own affinity buffer at 1.46
+in ``analyze`` and 2.46 in ``run_report``; the copying implementation at
 about 1.13 (VAT) and 3.03 (explicit k) in ``analyze``; a k scan that kept
 a copy of the distances and the best result so far, and scored each image
 through a float64 copy, at 5.39.
@@ -80,12 +83,13 @@ def test_analysis_peak_within_budget(blobs, method, k, budget):
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("k, budget", [
-    (4, 1.15 if ARPACK_SOLVES else 2.25),
-    (None, 1.15 if ARPACK_SOLVES else 2.25),
+    (4, 0.65 if ARPACK_SOLVES else 2.25),
+    (None, 0.65 if ARPACK_SOLVES else 2.25),
 ])
 def test_run_report_specvat_holds_one_matrix(tmp_path, blob_features, k, budget):
-    # One subset of N records: its distances, written to dissim.vatf, are
-    # the buffer that SpecVAT then works in.
+    # One subset of N records: the packed triangle of its distances, whose
+    # rows stream into dissim.vatf as they are built, is the buffer that
+    # SpecVAT then works in.  No n x n float64 array exists with ARPACK.
     feats, labels = blob_features
     lines = ["path,scene,city"] + [
         f"c{i}.wav,{SCENES[lab]},{CITIES[i % len(CITIES)]}"

@@ -24,7 +24,7 @@ from scenevat.report import (
 from scenevat.specvat import SpecVatConfig
 from scenevat.synth import BlobSpec, gaussian_blobs
 
-from conftest import count_solvers, sine_wav
+from conftest import count_solvers, overflow_in_last_band, sine_wav
 
 
 # --------------------------------------------------------------------------
@@ -504,3 +504,44 @@ def test_run_report_k_scan_runs_one_eigh_per_subset(tmp_path, monkeypatch):
                             method="specvat", config=cfg)
     assert [set(e["k_scores"]) for e in report["subsets"]] == [{"2", "3", "4"}] * 3
     assert calls == {"lanczos": [], "subset": [(10, 10)] * 3, "full": []}
+
+
+# --------------------------------------------------------------------------
+# SpecVAT subsets on the packed triangle
+
+
+def _one_subset_manifest(n):
+    return parse_manifest("path,scene,city\n" + "".join(
+        f"c{i}.wav,{('airport', 'bus', 'park')[i % 3]},paris\n" for i in range(n)))
+
+
+@pytest.mark.parametrize("k", [3, None])
+def test_run_report_specvat_overflow_in_a_late_band_leaves_no_file(tmp_path, k):
+    # The distances stream into dissim.vatf band by band; the last band
+    # overflows after two bands are written.
+    out = tmp_path / "o"
+    (out / "all").mkdir(parents=True)
+    (out / "all" / "dissim.vatf").write_bytes(b"an earlier run's file")
+    with pytest.warns(UserWarning, match="'all': feature distances overflow"):
+        with pytest.raises(NumericError, match="no subset could be analysed"):
+            run_report(_one_subset_manifest(600), overflow_in_last_band(), "all",
+                       str(out), method="specvat", k=k)
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["skipped"] == [{
+        "subset": "all", "n": 600,
+        "reason": "feature distances overflow: distances above about 1.3e154 "
+                  "overflow when squared",
+    }]
+    assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("n", [40, 600, 1100])
+def test_vat_and_specvat_reports_write_the_same_dissim_vatf(tmp_path, n):
+    feats = gaussian_blobs(BlobSpec(3, -(-n // 3), 8, 4.0, seed=4))[0][:n]
+    mf = _one_subset_manifest(n)
+    for method in ("vat", "specvat"):
+        run_report(mf, feats, "all", str(tmp_path / method), method=method,
+                   standardize=True)
+    vat, spec = (tmp_path / m / "all" / "dissim.vatf" for m in ("vat", "specvat"))
+    assert spec.read_bytes() == vat.read_bytes()

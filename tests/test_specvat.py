@@ -12,10 +12,12 @@ from scipy.spatial.distance import cdist, pdist, squareform
 
 import scenevat
 import scenevat.specvat as specvat_mod
-from scenevat.cce import cce_count, otsu_effectiveness
+from scenevat.audio import AudioConfig
+from scenevat.cce import CceConfig, cce_count, otsu_effectiveness
 from scenevat.errors import DegenerateImageError, InputError, NumericError
-from scenevat.matrix import check_dissim, euclidean_dissim, permute_matrix
-from scenevat.report import analyze
+from scenevat.matrix import check_dissim, euclidean_dissim, permute_matrix, unpack
+from scenevat.manifest import parse_manifest
+from scenevat.report import ReportConfig, analyze, run_report
 from scenevat.specvat import (
     SIGMA_FLOOR,
     SpecVatConfig,
@@ -27,9 +29,16 @@ from scenevat.specvat import (
     sym_eigen_topk,
 )
 from scenevat.synth import BlobSpec, block_dissim, gaussian_blobs
-from scenevat.vat import Analysis, VatOrdering, _odi, odi_from, vat_order
+from scenevat.vat import (Analysis, VatOrdering, _odi, odi_from, read_ordering,
+                          read_pgm, vat_order)
 
 from conftest import count_solvers, random_dissim
+
+
+def _spectrum(d, cfg, k):
+    """The private spectrum of the square d, which it overwrites, through
+    the packed path every SpecVAT takes."""
+    return specvat_mod._spectrum(*specvat_mod._packed(d, cfg), cfg, k)
 
 
 def line_dissim(points):
@@ -432,14 +441,16 @@ def test_specvat_and_analyze_return_one_analysis_type():
     assert (plain.k, plain.k_scores, plain.d_prime) == (None, None, None)
 
 
-def _count_calls(monkeypatch, name):
-    """Record the shape of the matrix passed to each call of specvat's ``name``."""
+def _count_calls(monkeypatch, name, key):
+    """Record ``key`` of the first argument of each call of specvat's
+    ``name``: the size n that ``_prim`` orders, the shape of the image that
+    ``_draw`` fills."""
     calls = []
     original = getattr(specvat_mod, name)
 
-    def counting(d, *args):
-        calls.append(d.shape)
-        return original(d, *args)
+    def counting(first, *args):
+        calls.append(key(first))
+        return original(first, *args)
 
     monkeypatch.setattr(specvat_mod, name, counting)
     return calls
@@ -448,18 +459,18 @@ def _count_calls(monkeypatch, name):
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("name", sorted(SCAN_FIXTURES))
 def test_analyze_scan_vat_orders_only_the_winner(name, monkeypatch):
-    calls = _count_calls(monkeypatch, "_vat_order")
+    calls = _count_calls(monkeypatch, "_prim", int)
     make, cfg = SCAN_FIXTURES[name]
     m = make()
     analyze(m, "specvat", cfg)
-    assert calls == [m.shape]
+    assert calls == [m.shape[0]]
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("name", sorted(SCAN_FIXTURES))
 def test_analyze_scan_renders_only_the_winner(name, monkeypatch):
     # Candidates are scored from histograms; only the winner gets an image.
-    calls = _count_calls(monkeypatch, "_draw")
+    calls = _count_calls(monkeypatch, "_draw", np.shape)
     make, cfg = SCAN_FIXTURES[name]
     m = make()
     analyze(m, "specvat", cfg)
@@ -470,7 +481,7 @@ def _image_scores(d, cfg):
     """The reference: each candidate's score read from its n x n image in
     input order, through the public ``otsu_effectiveness``."""
     n = d.shape[0]
-    vecs = specvat_mod._spectrum(d.copy(), cfg, min(cfg.k_max, n - 1))[1]
+    vecs = _spectrum(d.copy(), cfg, min(cfg.k_max, n - 1))[1]
     scores = {}
     for k in range(2, vecs.shape[1] + 1):
         e = specvat_mod._unit_rows(vecs[:, :k])
@@ -492,7 +503,7 @@ def test_select_k_scores_a_degenerate_candidate_zero(monkeypatch):
     m, cfg = block_dissim([4, 4, 4], 0.01, 1.0), SpecVatConfig(k_max=4)
     vecs = np.random.default_rng(3).uniform(0.5, 1.0, size=(12, 4))
     vecs[:, :2] = [0.6, 0.8]
-    monkeypatch.setattr(specvat_mod, "_spectrum", lambda d, c, k: (None, vecs))
+    monkeypatch.setattr(specvat_mod, "_spectrum", lambda p, s, c, k: (None, vecs))
     e = specvat_mod._unit_rows(vecs[:, :2])
     with pytest.raises(DegenerateImageError):
         otsu_effectiveness(_odi(cdist(e, e), np.arange(12)))
@@ -506,7 +517,7 @@ def test_select_k_scores_a_degenerate_candidate_zero(monkeypatch):
 @pytest.mark.parametrize("name", sorted(SCAN_FIXTURES))
 def test_public_scan_vat_orders_nothing(name, monkeypatch):
     # a_specvat_select_k returns k and the scores, which need no order.
-    calls = _count_calls(monkeypatch, "_vat_order")
+    calls = _count_calls(monkeypatch, "_prim", int)
     make, cfg = SCAN_FIXTURES[name]
     a_specvat_select_k(make(), cfg)
     assert calls == []
@@ -715,11 +726,17 @@ def _within_tolerance_asymmetric(n):
 @pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 600, 1024])
 def test_exactly_symmetric_dissim_gives_exactly_symmetric_affinity(n, knn_scale):
     # The spectral path solves the normalized affinity as built, with no
-    # symmetrizing pass: entries (i, j) and (j, i) are the same products.
+    # symmetrizing pass.  It builds the packed upper triangle, whose square
+    # has the bits of the square reference: entries (i, j) and (j, i) of
+    # the reference are the same products, so it is exactly symmetric too.
     d = _blobs(n)
     assert check_dissim(d) is d
-    x = specvat_mod._normalize(specvat_mod._affinity(d, SpecVatConfig(knn_scale=knn_scale)))
-    assert np.array_equal(x, x.T)
+    cfg = SpecVatConfig(knn_scale=knn_scale)
+    p, sigma = specvat_mod._packed(d.copy(), cfg)
+    x = specvat_mod._normalize(specvat_mod._affinity(p, sigma), n)
+    ref = _normalize_reference(_affinity_reference(d, cfg))
+    assert np.array_equal(ref, ref.T)
+    assert unpack(x, np.empty((n, n))).tobytes() == ref.tobytes()
 
 
 def test_normalize_matches_reference_bitwise():
@@ -746,6 +763,35 @@ def test_analyze_specvat_matches_copying_reference_bitwise(n, symmetric):
                  (got.image, image), (got.d_prime, d_prime)]:
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [40, 600])
+def test_run_report_specvat_matches_the_copying_reference_bitwise(tmp_path, n):
+    # A report subset builds the packed triangle from the features, streams
+    # its rows and reads their local scales; below ARPACK_MIN_N its
+    # artifacts have the bits of the square, copying reference.  Its scan
+    # picks the k, and has the scores, of analyze on the square matrix.
+    feats = gaussian_blobs(BlobSpec(3, -(-n // 3), 8, 4.0, seed=6))[0][:n]
+    manifest = parse_manifest("path,scene,city\n" + "".join(
+        f"c{i}.wav,bus,paris\n" for i in range(n)))
+    cfg = SpecVatConfig(k_max=5)
+    config = ReportConfig(AudioConfig(), cfg, CceConfig())
+    d = euclidean_dissim(feats)
+    ordering, image, _ = _specvat_reference(d, cfg, 3)
+    scanned = analyze(d.copy(), "specvat", cfg)
+    for k, (order, link, img) in [
+            (3, (ordering.order, ordering.link_dist, image)),
+            (None, (scanned.ordering.order, scanned.ordering.link_dist,
+                    scanned.image))]:
+        out = tmp_path / f"k{k}"
+        report = run_report(manifest, feats, "all", str(out), method="specvat",
+                            k=k, config=config)
+        assert read_pgm(out / "all" / "odi.pgm").tobytes() == img.tobytes()
+        got = read_ordering(out / "all" / "ordering.json")
+        assert got.order.tobytes() == order.tobytes()
+        assert got.link_dist.tobytes() == link.tobytes()
+    assert report["subsets"][0]["k_scores"] == {
+        str(kk): v for kk, v in sorted(scanned.k_scores.items())}
 
 
 @pytest.mark.parametrize("n", BAND_EDGE_SIZES)
@@ -864,7 +910,7 @@ def test_refused_arpack_result_falls_back_to_evr_bitwise(monkeypatch, eigsh):
     d, cfg = _blobs(LARGE_N), SpecVatConfig()
     ref = _spectrum_reference(d, cfg, 10)
     calls = count_solvers(monkeypatch, eigsh)
-    vals, vecs = specvat_mod._spectrum(d, cfg, 10)
+    vals, vecs = _spectrum(d, cfg, 10)
     shape = (LARGE_N, LARGE_N)
     assert calls == {"lanczos": [shape], "subset": [shape], "full": []}
     assert vals.tobytes() == ref[0].tobytes()
@@ -884,7 +930,7 @@ def test_arpack_spectrum_reaching_eigenvalue_0_falls_back_to_evr(monkeypatch):
     ref = _spectrum_reference(d, cfg, 10)
     assert np.count_nonzero(ref[0] == 0.0) == 1
     calls = count_solvers(monkeypatch)
-    vals, vecs = specvat_mod._spectrum(d, cfg, 10)
+    vals, vecs = _spectrum(d, cfg, 10)
     assert calls == {"lanczos": [(n, n)], "subset": [(n, n)], "full": []}
     assert vals.tobytes() == ref[0].tobytes()
     assert vecs.tobytes() == ref[1].tobytes()
@@ -895,7 +941,7 @@ def test_arpack_result_meets_the_bounds_and_agrees_with_evr(monkeypatch):
     d, cfg = _blobs(LARGE_N), SpecVatConfig()
     x = _sym_reference(d, cfg)
     calls = count_solvers(monkeypatch)
-    vals, vecs = specvat_mod._spectrum(d.copy(), cfg, 10)
+    vals, vecs = _spectrum(d.copy(), cfg, 10)
     assert calls == {"lanczos": [(LARGE_N, LARGE_N)], "subset": [], "full": []}
     res = np.linalg.norm(x @ vecs - vecs * vals, axis=0)
     assert res.max() <= 1e-8 * np.linalg.norm(x)
@@ -922,7 +968,7 @@ def test_stalled_arpack_stays_under_the_work_cap(monkeypatch):
 
     ref = _spectrum_reference(d, cfg, 10)
     calls = count_solvers(monkeypatch, counted)
-    vals, vecs = specvat_mod._spectrum(d, cfg, 10)
+    vals, vecs = _spectrum(d, cfg, 10)
     assert calls == {"lanczos": [(n, n)], "subset": [(n, n)], "full": []}
     assert 0 < len(products) <= n // 3 + 21  # 21: the first Lanczos basis
     assert vals.tobytes() == ref[0].tobytes()
@@ -969,7 +1015,7 @@ def test_explicit_k_solves_exactly_k_pairs(monkeypatch, n):
         expect = [("arpack", k)] if n >= LARGE_N else [("evr", [n - k, n - 1])]
         assert asked == expect
         # acceptance 6's bounds hold for every k, k = 1 on ARPACK included
-        vals, vecs = specvat_mod._spectrum(d.copy(), cfg, k)
+        vals, vecs = _spectrum(d.copy(), cfg, k)
         res = np.linalg.norm(x @ vecs - vecs * vals, axis=0)
         assert res.max() <= 1e-8 * np.linalg.norm(x)
         assert np.abs(vecs.T @ vecs - np.eye(k)).max() <= 1e-8
@@ -993,9 +1039,10 @@ def test_arpack_never_gets_k_of_n_minus_1(monkeypatch, k):
 _DIGEST = """
 import hashlib, sys
 sys.path.insert(0, sys.argv[1])
-from scenevat.specvat import SpecVatConfig, _spectrum
+from scenevat.specvat import SpecVatConfig, _packed, _spectrum
 from scenevat.synth import block_dissim
-vals, vecs = _spectrum(block_dissim([64] * 16, 0.01, 1.0), SpecVatConfig(), 10)
+cfg = SpecVatConfig()
+vals, vecs = _spectrum(*_packed(block_dissim([64] * 16, 0.01, 1.0), cfg), cfg, 10)
 print(hashlib.sha256(vals.tobytes() + vecs.tobytes()).hexdigest())
 """
 
@@ -1004,7 +1051,7 @@ print(hashlib.sha256(vals.tobytes() + vecs.tobytes()).hexdigest())
 def test_arpack_path_repeats_its_bits(monkeypatch):
     calls = count_solvers(monkeypatch)
     d, cfg = block_dissim([64] * 16, 0.01, 1.0), SpecVatConfig()
-    runs = [specvat_mod._spectrum(d.copy(), cfg, 10) for _ in range(2)]
+    runs = [_spectrum(d.copy(), cfg, 10) for _ in range(2)]
     assert calls["subset"] == [] and len(calls["lanczos"]) == 2
     digests = {hashlib.sha256(v.tobytes() + u.tobytes()).hexdigest()
                for v, u in runs}

@@ -110,6 +110,35 @@ def test_write_matches_vatf_bytes_for_any_layout(tmp_path):
         assert path.read_bytes() == vatf_bytes(values)
 
 
+def test_streamed_bands_write_the_array_bytes(tmp_path):
+    m = np.random.Generator(np.random.Philox(key=13)).normal(size=(7, 5))
+    write_vatf(tmp_path / "a.vatf", m)
+    write_vatf(tmp_path / "b.vatf", (m[i:i + 3] for i in range(0, 7, 3)),
+               shape=(7, 5))
+    assert (tmp_path / "b.vatf").read_bytes() == (tmp_path / "a.vatf").read_bytes()
+
+
+def _failing_bands(m):
+    yield m[:2]
+    raise InputError("band 2 failed")
+
+
+@pytest.mark.parametrize("bands, problem", [
+    (_failing_bands, "band 2 failed"),
+    (lambda m: [m[:2], m[2:3]], "hold 3 rows, expected 4"),
+    (lambda m: [m[:2], m[2:, :2]], "band of shape"),
+])
+def test_a_stream_that_fails_leaves_the_old_file_and_no_temp_file(
+        tmp_path, bands, problem):
+    target = tmp_path / "m.vatf"
+    write_vatf(target, np.ones((1, 1)))
+    before = target.read_bytes()
+    with pytest.raises(InputError, match=problem):
+        write_vatf(target, bands(np.zeros((4, 3))), shape=(4, 3))
+    assert target.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.vatf"]
+
+
 @pytest.mark.parametrize("read, kind", [
     (read_vatf, "VATF file"),
     (read_pgm, "PGM file"),
