@@ -6,9 +6,12 @@ log-mel features pooled to one vector per recording by a feature-wise mean
 over time.
 
 The resampler tabulates its Hann-windowed sinc once per output phase (L
-phases for a rate ratio of M / L in lowest terms) and applies each phase to
-a strided view of the zero-padded input.  Dividing each output by the sum of
-its in-range taps keeps DC gain exactly 1 at the clip edges.
+phases for a rate ratio of M / L in lowest terms), keeps that table and
+its tap sums per pair of rates, and applies each phase to a strided view of
+the zero-padded input.  Dividing each output by the sum of its in-range
+taps keeps DC gain exactly 1 at the clip edges: inside the clip that is the
+phase's tap sum, and only the few outputs whose windows reach past an end
+take the product with a 0/1 validity mask.
 """
 
 from __future__ import annotations
@@ -117,8 +120,9 @@ class AudioConfig:
 # WAV decoding
 
 
-def decode_wav(data: bytes) -> AudioClip:
-    """Decode a RIFF/WAVE byte string to a mono clip at its native rate.
+def decode_wav(data) -> AudioClip:
+    """Decode RIFF/WAVE bytes (any bytes-like object) to a mono clip at its
+    native rate.
 
     Supports PCM 16/24/32-bit and IEEE float32, 1 or 2 channels (averaged
     to mono).  Integer samples are scaled by 1 / 2^(bits-1).  Malformed or
@@ -129,13 +133,15 @@ def decode_wav(data: bytes) -> AudioClip:
     if data[8:12] != b"WAVE":
         raise InputError("RIFF form type is not 'WAVE'")
 
+    # Chunks are read through one view of the buffer: no chunk is copied.
+    view = memoryview(data)
     fmt: Optional[dict] = None
-    payload: Optional[bytes] = None
+    payload: Optional[memoryview] = None
     pos = 12
     while pos + 8 <= len(data):
-        cid = data[pos : pos + 4]
+        cid = view[pos : pos + 4]
         (size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8 : pos + 8 + size]
+        body = view[pos + 8 : pos + 8 + size]
         if cid == b"fmt ":
             fmt = _parse_fmt(body)
         elif cid == b"data":
@@ -165,6 +171,7 @@ def decode_wav(data: bytes) -> AudioClip:
         # bytes: word i ends where sample i does, so its high bytes are
         # sample i.  With the bytes below cleared, the word is the sample
         # times 2^(32-bits), so / 2^31 is the sample / 2^(bits-1) exactly.
+        # The zero bytes and the payload are the one copy of the samples.
         width = bits // 8
         words = np.ndarray(len(payload) // width, "<i4",
                            bytes(4 - width) + payload, strides=(width,))
@@ -182,8 +189,10 @@ def decode_wav(data: bytes) -> AudioClip:
         mono = samples
     elif channels == 2:
         # The bits of reshape(-1, 2).mean(axis=1), without a reduction
-        # over a length-2 axis, which took 3/4 of a 24-bit stereo decode.
-        mono = (samples[0::2] + samples[1::2]) / 2
+        # over a length-2 axis, which took 3/4 of a 24-bit stereo decode,
+        # and of (left + right) / 2 with one temporary.
+        mono = samples[0::2] + samples[1::2]
+        mono /= 2
     else:
         raise InputError(f"unsupported channel count {channels} in 'fmt ' chunk")
     return AudioClip(mono, fmt["rate"])
@@ -217,11 +226,14 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     k * M / L, so its fractional offset depends only on the phase
     p = k mod L: the kernel is tabulated once per phase, from the exact
     offset (p * M mod L) / L.  The outputs of phase p read input windows
-    that start at p * M // L and step by M, so each phase is one
-    matrix-vector product over a strided view of the zero-padded input.
-    Each output is divided by the sum of its in-range taps, the same
-    product over a zero-padded 0/1 validity mask, which keeps DC gain
-    exactly 1 even at the edges.
+    that start at p * M // L and step by M, so each phase is a
+    matrix-vector product over a strided view of the zero-padded input,
+    taken in blocks of about 1 MiB of input that stay in cache.  Each
+    output is divided by the sum of its in-range taps, which keeps DC gain
+    exactly 1 even at the edges.  Inside the clip that is the phase's whole
+    tap sum; only the outputs whose windows reach past a clip end (about
+    radius * L / M at each end) take the product with a 0/1 validity mask,
+    in a few batched calls.
     """
     if target_rate <= 0:
         raise InputError(f"target rate must be positive, got {target_rate}")
@@ -236,12 +248,76 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
 
     g = math.gcd(native, target_rate)
     step, n_phases = native // g, target_rate // g  # M, L
+    h, tap_sum = _phase_kernels(native, target_rate, min(n_phases, n_out))
+    width = h.shape[1]
+    radius = width // 2
+
+    # Window i covers input samples i - radius .. i + radius, zero outside
+    # the clip.
+    last = (n_out - 1) * step // n_phases  # window index of the last output
+    padded = np.zeros(radius + max(n_in, last + radius + 1))
+    padded[radius : radius + n_in] = x
+    windows = np.lib.stride_tricks.sliding_window_view(padded, width)
+
+    # Phase by phase within blocks of about 1 MiB of input, so the windows
+    # that every phase reads stay in cache (a 10 s clip at 48 kHz is 3.7
+    # MiB).  A block is a whole number of L outputs, and at least 2L, so
+    # each phase has two rows or more in it once n_out >= 2L; the last block
+    # takes the rest.
+    block = max(2, 2**17 // step) * n_phases
+    n_blocks = max(1, n_out // block)
+    out = np.empty(n_out)
+    for b in range(n_blocks):
+        k0 = b * block
+        k1 = n_out if b == n_blocks - 1 else k0 + block
+        first = k0 // n_phases * step  # window of output k0
+        for p in range(len(h)):
+            phase = out[k0 + p : k1 : n_phases]
+            rows = windows[first + p * step // n_phases :: step][: len(phase)]
+            # einsum runs a SIMD loop on these strided rows; matmul cannot
+            # hand them to BLAS (row stride < width) and is about 2.5x
+            # slower.
+            np.einsum("ij,j->i", rows, h[p], out=phase)
+            phase /= tap_sum[p]
+
+    # Redo, as signal and mask products over the same windows, the outputs
+    # whose windows reach past a clip end: window k * M // L starts before
+    # the clip below radius and ends after it from n_in - radius on.  Below
+    # 2L outputs a phase may have a lone row, and einsum sums a lone row of
+    # more than 8192 taps in other chunks than it sums two rows, so all are
+    # redone there: every product here, the tap sums' too, has two rows.
+    first_in = min(-(-radius * n_phases // step), n_out)  # window in the clip
+    end_in = max(-(-(n_in - radius) * n_phases // step), first_in)
+    if n_out < 2 * n_phases:
+        first_in = end_in = n_out
+    edges = np.r_[0:first_in, end_in:n_out]
+    taps = np.arange(width)
+    batch = max(1, 2**20 // (16 * width))  # about 1 MiB of rows per call
+    for b0 in range(0, len(edges), batch):
+        k = edges[b0 : b0 + batch]
+        start = k * step // n_phases
+        both = np.empty((2, len(k), width))
+        both[0] = windows[start]
+        inside = (radius - start)[:, np.newaxis]  # first in-range tap
+        both[1] = (taps >= inside) & (taps < inside + n_in)
+        signal, mask = np.einsum("sij,ij->si", both, h[k % n_phases])
+        signal /= mask
+        out[k] = signal
+    return AudioClip(out, target_rate)
+
+
+@functools.lru_cache(maxsize=8)
+def _phase_kernels(native: int, target_rate: int,
+                   phases: int) -> tuple[np.ndarray, np.ndarray]:
+    # The first ``phases`` rows of the kernel table for native -> target and
+    # their tap sums: what every clip at that pair of rates reads, so each
+    # is built once, cached and shared, read-only.  A clip of at least L
+    # outputs reads all L phases; a shorter one reads its n_out.
+    g = math.gcd(native, target_rate)
+    step, n_phases = native // g, target_rate // g
     cutoff = min(1.0, target_rate / native)  # fraction of the input Nyquist
     radius = int(np.ceil(RESAMPLE_TAPS / cutoff))
-    width = 2 * radius + 1
-
-    phase = np.arange(min(n_phases, n_out))
-    frac = (phase * step % n_phases) / n_phases
+    frac = (np.arange(phases) * step % n_phases) / n_phases
     offset = np.arange(-radius, radius + 1)[np.newaxis, :] - frac[:, np.newaxis]
     h = cutoff * np.sinc(cutoff * offset)
     h *= np.where(
@@ -249,23 +325,12 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
         0.5 + 0.5 * np.cos(np.pi * offset / radius),
         0.0,
     )
-
-    # Row 0 is the signal, row 1 its validity mask; window i of either covers
-    # input samples i - radius .. i + radius, zero outside the clip.
-    last = (n_out - 1) * step // n_phases  # window index of the last output
-    padded = np.zeros((2, radius + max(n_in, last + radius + 1)))
-    padded[0, radius : radius + n_in] = x
-    padded[1, radius : radius + n_in] = 1.0
-    windows = np.lib.stride_tricks.sliding_window_view(padded, width, axis=1)
-
-    acc = np.empty((2, n_out))
-    for p in range(len(h)):
-        count = (n_out - 1 - p) // n_phases + 1
-        rows = windows[:, p * step // n_phases :: step][:, :count]
-        # einsum runs a SIMD loop on these strided rows; matmul cannot hand
-        # them to BLAS (row stride < width) and is about 2.5x slower.
-        acc[:, p::n_phases] = np.einsum("sij,j->si", rows, h[p])
-    return AudioClip(acc[0] / acc[1], target_rate)
+    # Each phase's product with an all-ones window, in the edges' two-row
+    # form.
+    tap_sum = np.einsum("sij,ij->si", np.ones((2,) + h.shape), h)[0]
+    h.flags.writeable = False
+    tap_sum.flags.writeable = False
+    return h, tap_sum
 
 
 # --------------------------------------------------------------------------
@@ -293,8 +358,8 @@ def stft_power(clip: AudioClip, cfg: AudioConfig = AudioConfig()) -> np.ndarray:
     frames = frames[:: cfg.hop][:n_frames]
     # The periodic (DFT-even) Hann window.
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(cfg.n_fft) / cfg.n_fft)
-    spec = np.fft.rfft(frames * window, axis=1)
-    return np.abs(spec) ** 2
+    power = np.abs(np.fft.rfft(frames * window, axis=1))
+    return np.square(power, out=power)  # the bits of ** 2
 
 
 # Slaney's mel scale: linear below 1 kHz, logarithmic above.
@@ -385,11 +450,13 @@ def mel_power(clip: AudioClip, cfg: AudioConfig = AudioConfig()) -> np.ndarray:
 def log_mel_mean(clip: AudioClip, cfg: AudioConfig = AudioConfig()) -> np.ndarray:
     """One feature vector per recording: log mel power averaged over frames."""
     mel = mel_power(clip, cfg)
+    mel += cfg.log_floor
     if cfg.db_scale:
-        logged = 10.0 * np.log10(mel + cfg.log_floor)
+        np.log10(mel, out=mel)
+        mel *= 10.0
     else:
-        logged = np.log(mel + cfg.log_floor)
-    return logged.mean(axis=1)
+        np.log(mel, out=mel)
+    return mel.mean(axis=1)
 
 
 def extract_features(data: bytes, cfg: AudioConfig = AudioConfig()) -> np.ndarray:

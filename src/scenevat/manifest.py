@@ -81,15 +81,17 @@ def parse_manifest(data) -> LabeledManifest:
     """Parse and validate manifest CSV bytes (or text).
 
     Errors carry the 1-based line number: missing/extra columns, unknown
-    scene or city labels, and duplicate paths are all rejected.
+    scene or city labels, and duplicate paths are all rejected.  A leading
+    UTF-8 byte-order mark, which spreadsheets write ("CSV UTF-8"), is
+    skipped.
     """
     if not isinstance(data, str):
         try:
-            text = data.decode("utf-8")
+            text = data.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise InputError(f"manifest is not valid UTF-8: {exc}") from exc
     else:
-        text = data
+        text = data.removeprefix("\ufeff")
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)

@@ -150,7 +150,7 @@ def features_for_manifest(
         os.makedirs(cache_dir, exist_ok=True)
 
     def one(path: str) -> np.ndarray:
-        data = read_file(path, "WAV file", bytes)
+        data = read_file(path, "WAV file", memoryview)
         key = None
         if cache_dir is not None:
             # A cached row is named by the file's bytes and the config.

@@ -351,7 +351,7 @@ def _specvat(embedding: np.ndarray, out: np.ndarray,
     ordering = _prim(n, start, lambda i: cdist(embedding[i:i + 1], embedding)[0])
     eo = embedding[ordering.order]
     img = out.reshape(-1).view(np.uint8)[:n * n].reshape(n, n)
-    _draw(img, dmax, lambda rows: cdist(eo[rows], eo))
+    _draw(img, dmax, lambda rows, out: cdist(eo[rows], eo, out=out))
     return Analysis(ordering, img, k_scores, embedding)
 
 

@@ -128,20 +128,38 @@ def odi_from(m, ordering: VatOrdering) -> np.ndarray:
 def _odi(d: np.ndarray, order: np.ndarray) -> np.ndarray:
     n = d.shape[0]
     # Whole rows, then columns: cheaper than np.ix_'s 2-D gather.  A
-    # permutation keeps the maximum.
+    # permutation keeps the maximum.  mode="clip" changes no index of a
+    # checked permutation, and spares take's copy of out (mode="raise"
+    # always buffers it).
     return _draw(np.empty((n, n), dtype=np.uint8), d.max(),
-                 lambda rows: d[order[rows]].take(order, axis=1))
+                 lambda rows, out: np.take(d, order[rows], axis=0, out=out,
+                                           mode="clip"),
+                 order)
 
 
-def _draw(img: np.ndarray, dmax: float, ordered_rows) -> np.ndarray:
-    # Fills the n x n uint8 img band by band and returns it:
-    # ordered_rows(rows) is a new float64 band of the ordered matrix, whose
-    # maximum is dmax.  A zero-range matrix renders all black.
+def _draw(img: np.ndarray, dmax: float, fill_rows, cols=None) -> np.ndarray:
+    # Fills the n x n uint8 img band by band and returns it.  fill_rows(rows,
+    # out) writes a band of the matrix's rows into the float64 out and
+    # returns it, in the image's column order or, when cols is given, in the
+    # order that cols permutes into it, which is applied to the band's
+    # pixels.  dmax is the matrix's maximum; a zero-range matrix renders
+    # all black.  One float64 band and one uint8 band serve every band: a
+    # fresh 1 MiB array per band is mapped and page-faulted each time.
     if dmax <= 0:
         img.fill(0)
         return img
-    for rows in bands(img.shape[0]):
-        img[rows] = _quantize(ordered_rows(rows), dmax)
+    n = img.shape[0]
+    height = next(bands(n)).stop
+    band = np.empty((height, n))
+    pixels = np.empty((height, n), dtype=np.uint8) if cols is not None else None
+    for rows in bands(n):
+        h = rows.stop - rows.start
+        x = _quantize(fill_rows(rows, band[:h]), dmax)
+        if cols is None:
+            img[rows] = x
+        else:
+            pixels[:h] = x
+            np.take(pixels[:h], cols, axis=1, out=img[rows], mode="clip")
     return img
 
 

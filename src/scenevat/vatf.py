@@ -93,7 +93,8 @@ def read_file(path, kind: str, parse):
     read raises ``InputError("cannot read <kind> <path>: ...")``, and an
     InputError from ``parse`` is re-raised by ``naming(path)``.  ``parse``
     gets a writable ``bytearray`` that nothing else holds, so it may keep
-    a view of it.  Pass ``parse=bytes`` for the raw bytes.
+    a view of it.  Pass ``parse=bytes`` for a copy of the raw bytes, or
+    ``parse=memoryview`` for a view of them.
     """
     try:
         with open(path, "rb") as fh:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
 
@@ -255,6 +256,101 @@ def test_resample_matches_per_sample_kernel_at_edges(n_in, native, target):
         assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
+def _resample_two_row(clip, target_rate, taps=32):
+    """Reference: the earlier resampler, which took every window's product
+    with the signal and with a 0/1 validity mask in one two-row einsum."""
+    native = clip.rate
+    if target_rate == native:
+        return clip.samples.copy()
+    x = clip.samples
+    n_in = len(x)
+    n_out = (2 * n_in * target_rate + native) // (2 * native)  # round half up
+    if n_in == 0 or n_out == 0:
+        return np.zeros(0)
+
+    g = math.gcd(native, target_rate)
+    step, n_phases = native // g, target_rate // g  # M, L
+    cutoff = min(1.0, target_rate / native)  # fraction of the input Nyquist
+    radius = int(np.ceil(taps / cutoff))
+    width = 2 * radius + 1
+
+    phase = np.arange(min(n_phases, n_out))
+    frac = (phase * step % n_phases) / n_phases
+    offset = np.arange(-radius, radius + 1)[np.newaxis, :] - frac[:, np.newaxis]
+    h = cutoff * np.sinc(cutoff * offset)
+    h *= np.where(
+        np.abs(offset) <= radius,
+        0.5 + 0.5 * np.cos(np.pi * offset / radius),
+        0.0,
+    )
+
+    # Row 0 is the signal, row 1 its validity mask; window i of either covers
+    # input samples i - radius .. i + radius, zero outside the clip.
+    last = (n_out - 1) * step // n_phases  # window index of the last output
+    padded = np.zeros((2, radius + max(n_in, last + radius + 1)))
+    padded[0, radius : radius + n_in] = x
+    padded[1, radius : radius + n_in] = 1.0
+    windows = np.lib.stride_tricks.sliding_window_view(padded, width, axis=1)
+
+    acc = np.empty((2, n_out))
+    for p in range(len(h)):
+        count = (n_out - 1 - p) // n_phases + 1
+        rows = windows[:, p * step // n_phases :: step][:, :count]
+        # einsum runs a SIMD loop on these strided rows; matmul cannot hand
+        # them to BLAS (row stride < width) and is about 2.5x slower.
+        acc[:, p::n_phases] = np.einsum("sij,j->si", rows, h[p])
+    return acc[0] / acc[1]
+
+
+_NATIVE_RATES = [8000, 11025, 16000, 22050, 32000, 44100, 48000, 96000]
+_TARGET_RATES = [16000, 22050, 44100]
+
+
+def _kernel_width(native, target):
+    return 2 * int(np.ceil(32 / min(1.0, target / native))) + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(native=st.sampled_from(_NATIVE_RATES), target=st.sampled_from(_TARGET_RATES),
+       data=st.data())
+def test_resample_keeps_the_two_row_bits(native, target, data):
+    # From one sample (every output an edge output, n_out < L) to three
+    # kernel widths (interior outputs between the edges).
+    n = data.draw(st.integers(1, 3 * _kernel_width(native, target)), label="n")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    clip = AudioClip(_white_noise(n, seed), native)
+    got = resample(clip, target).samples
+    assert got.tobytes() == _resample_two_row(clip, target).tobytes()
+
+
+@pytest.mark.parametrize("native,target,n", [
+    # Kernels past 8192 taps, where einsum sums a lone row in other chunks
+    # than two: a phase's lone output, and L = 1's tap sum, must not be one.
+    (16000, 3, 1), (16000, 3, 200000), (16000, 3, 1000000),  # 341k taps
+    (1000, 5, 300), (1000, 5, 22701), (1000, 5, 38175),  # 12.8k taps, L = 1
+    (48000, 7, 60000), (44100, 22050, 3), (22050, 44100, 1),
+    (60010, 400, 11252),  # 9603 taps, L = 40: interior outputs in lone rows
+    # Clips of several blocks of phases, the last one longer.
+    (48000, 22050, 480000), (44100, 22050, 441000), (8000, 44100, 140000),
+])
+def test_resample_keeps_the_two_row_bits_for_long_kernels_and_clips(native, target, n):
+    clip = AudioClip(_white_noise(n, n), native)
+    got = resample(clip, target).samples
+    assert got.tobytes() == _resample_two_row(clip, target).tobytes()
+
+
+def test_resample_kernel_table_is_cached_read_only():
+    resample(AudioClip(_white_noise(48000, 1), 48000), 22050)
+    h, tap_sum = audio._phase_kernels(48000, 22050, 147)
+    assert h.shape == (147, _kernel_width(48000, 22050)) and tap_sum.shape == (147,)
+    resample(AudioClip(_white_noise(48000, 2), 48000), 22050)
+    again = audio._phase_kernels(48000, 22050, 147)
+    assert again[0] is h and again[1] is tap_sum
+    for table in (h, tap_sum):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+
+
 # --------------------------------------------------------------------------
 # STFT
 
@@ -462,6 +558,57 @@ def test_extract_features_end_to_end():
     feats = extract_features(wav)
     assert feats.shape == (128,)
     assert np.isfinite(feats).all()
+
+
+def _features_reference(data, bits, channels, float_fmt, cfg):
+    """The front end as it was: a decode without views, the two-row
+    resampler, and an out-of-place log-mel."""
+    words = np.frombuffer(data, dtype=np.uint8)[44:]
+    if float_fmt:
+        samples = words.view("<f4").astype(np.float64)
+    else:
+        width = bits // 8
+        raw = words[: len(words) - len(words) % width].reshape(-1, width)
+        ints = np.zeros(len(raw), dtype=np.int64)
+        for i in range(width):
+            ints |= raw[:, i].astype(np.int64) << (8 * i)
+        ints -= (ints >> (bits - 1)) << bits  # two's complement
+        samples = ints / 2.0 ** (bits - 1)
+    if channels == 2:
+        samples = samples.reshape(-1, 2).mean(axis=1)
+    rate = struct.unpack_from("<I", data, 24)[0]
+    x = _resample_two_row(AudioClip(samples, rate), cfg.target_rate)
+    padded = np.pad(x, cfg.n_fft // 2, mode="reflect")
+    frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)
+    frames = frames[:: cfg.hop][: 1 + len(x) // cfg.hop]
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(cfg.n_fft) / cfg.n_fft)
+    power = np.abs(np.fft.rfft(frames * window, axis=1)) ** 2
+    mel = mel_filterbank(cfg) @ power.T
+    if cfg.db_scale:
+        return (10.0 * np.log10(mel + cfg.log_floor)).mean(axis=1)
+    return np.log(mel + cfg.log_floor).mean(axis=1)
+
+
+@pytest.mark.parametrize("cfg", [AudioConfig(), AudioConfig(
+    target_rate=16000, n_fft=512, hop=160, n_mels=40, db_scale=True)])
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("bits,float_fmt", [(16, False), (24, False), (32, False),
+                                            (32, True)])
+def test_extract_features_keeps_the_reference_bits(bits, float_fmt, channels, cfg):
+    rng = np.random.Generator(np.random.Philox(key=bits + channels))
+    for rate, seconds in [(48000, 0.5), (44100, 0.3), (22050, 0.2), (8000, 0.01)]:
+        n = int(rate * seconds)
+        if float_fmt:
+            frames = rng.uniform(-1, 1, size=(n, channels)).astype(np.float32)
+        else:
+            lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+            frames = rng.integers(lo, hi, size=(n, channels), endpoint=True)
+        data = make_wav(frames, rate, bits=bits, float_fmt=float_fmt)
+        want = _features_reference(data, bits, channels, float_fmt, cfg)
+        assert extract_features(data, cfg).tobytes() == want.tobytes()
+        # read_file's buffer, viewed, gives the same row
+        view = memoryview(bytearray(data))
+        assert extract_features(view, cfg).tobytes() == want.tobytes()
 
 
 def test_extract_features_thread_safe_and_deterministic():

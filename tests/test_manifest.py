@@ -39,6 +39,25 @@ def test_parse_accepts_bytes_and_padding():
     assert mf.records[0].scene == "park"
 
 
+@pytest.mark.parametrize("data", [
+    "\ufeffpath,scene,city\na.wav,park,paris\n".encode("utf-8"),
+    "\ufeffpath,scene,city\na.wav,park,paris\n",
+])
+def test_parse_skips_a_utf8_byte_order_mark(data):
+    # Spreadsheets' "CSV UTF-8" starts the file with U+FEFF; the header was
+    # once read as '\ufeffpath' and rejected.
+    mf = parse_manifest(data)
+    assert [(r.path, r.scene, r.city) for r in mf.records] == [
+        ("a.wav", "park", "paris")]
+
+
+def test_read_manifest_with_byte_order_mark(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("path,scene,city\na.wav,bus,vienna\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert read_manifest(path).records[0].city == "vienna"
+
+
 def test_unknown_scene_names_line():
     text = "path,scene,city\na.wav,airport,barcelona\nb.wav,beach,paris\n"
     with pytest.raises(InputError, match=r"line 3.*'beach'"):

@@ -6,6 +6,7 @@ from scipy.spatial.distance import squareform
 
 from scenevat.cce import _histogram, _pixel_histogram
 from scenevat.errors import InputError
+from scenevat.matrix import bands
 from scenevat.vat import (
     VatOrdering,
     _odi,
@@ -319,6 +320,28 @@ def test_odi_matches_out_of_place_rendering_bitwise():
             ref = _odi_reference(d, order)
             assert got.dtype == ref.dtype and got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
+
+
+# (n, rows in its last band): one band (1, 361 and 362 rows), a full band
+# and two rows (363), a last band one row short of full (511), two full
+# bands (512), and ten full bands and one row (1141).
+_BAND_EDGES = [(1, 1), (361, 361), (362, 362), (363, 2), (511, 255), (512, 256),
+               (1141, 1)]
+
+
+@pytest.mark.parametrize("n,last", _BAND_EDGES)
+def test_odi_reused_bands_match_ix_reference_at_band_edges(n, last):
+    # Every band is drawn through the same float64 and uint8 band buffers,
+    # so a band that left stale rows or columns would show here.
+    assert [r.stop - r.start for r in bands(n)][-1] == last
+    rng = np.random.Generator(np.random.Philox(key=n))
+    d = random_dissim(rng, n)
+    for order in (rng.permutation(n), rng.permutation(n), np.arange(n)[::-1]):
+        got = odi_from(d, VatOrdering(order, np.zeros(n)))
+        assert got.tobytes() == _odi_reference(d, order).tobytes()
+    zero = np.zeros((n, n))
+    got = odi_from(zero, VatOrdering(rng.permutation(n), np.zeros(n)))
+    assert got.tobytes() == bytes(n * n)
 
 
 @st.composite
