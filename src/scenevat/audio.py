@@ -5,13 +5,18 @@ windowed-sinc resampling, a centered Hann STFT, a mel filterbank, and
 log-mel features pooled to one vector per recording by a feature-wise mean
 over time.
 
-The resampler tabulates its Hann-windowed sinc once per output phase (L
-phases for a rate ratio of M / L in lowest terms), keeps that table and
-its tap sums per pair of rates, and applies each phase to a strided view of
-the zero-padded input.  Dividing each output by the sum of its in-range
-taps keeps DC gain exactly 1 at the clip edges: inside the clip that is the
-phase's tap sum, and only the few outputs whose windows reach past an end
-take the product with a 0/1 validity mask.
+Each stage holds the clip once, plus temporaries of about
+``BUFFER_BYTES``.  The decoder mixes blocks of frames straight into the
+mono output.  The resampler tabulates its Hann-windowed sinc once per
+output phase (L phases for a rate ratio of M / L in lowest terms), keeps
+that table and its tap sums per pair of rates, and applies runs of phases
+to strided views of the clip itself.  Dividing each output by the sum of
+its in-range taps keeps DC gain exactly 1 at the clip edges: inside the
+clip that is the phase's tap sum, and only the outputs near either end,
+whose windows come from a small zero-padded copy of that end, take the
+product with a 0/1 validity mask.  The STFT windows blocks of frames
+into one buffer; only the frames that reach past an end come from a
+reflect-padded copy of that end.
 """
 
 from __future__ import annotations
@@ -38,6 +43,11 @@ WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 FRONTEND_VERSION = 2
 # Zero crossings per side of the resampler's windowed-sinc kernel.
 RESAMPLE_TAPS = 32
+# Input a resampler block reads, which stays in cache, and the size of each
+# temporary that the decoder, the resampler's edges and the STFT reuse.
+# Neither changes a bit of any output.
+RESAMPLE_BLOCK_BYTES = 2**20
+BUFFER_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -167,35 +177,58 @@ def decode_wav(data) -> AudioClip:
     if fmt["format"] == WAVE_FORMAT_PCM:
         if bits not in (16, 24, 32):
             raise InputError(f"unsupported PCM bit depth {bits} in 'fmt ' chunk")
-        # Little-endian int32 words one sample apart, behind 4 - width zero
-        # bytes: word i ends where sample i does, so its high bytes are
-        # sample i.  With the bytes below cleared, the word is the sample
-        # times 2^(32-bits), so / 2^31 is the sample / 2^(bits-1) exactly.
-        # The zero bytes and the payload are the one copy of the samples.
-        width = bits // 8
-        words = np.ndarray(len(payload) // width, "<i4",
-                           bytes(4 - width) + payload, strides=(width,))
-        samples = (words & -(1 << (32 - bits))) / 2.0**31
     elif fmt["format"] == WAVE_FORMAT_IEEE_FLOAT:
         if bits != 32:
             raise InputError(f"unsupported float bit depth {bits} in 'fmt ' chunk")
-        samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     else:
         raise InputError(
             f"unsupported codec 0x{fmt['format']:04x} in 'fmt ' chunk"
         )
-
-    if channels == 1:
-        mono = samples
-    elif channels == 2:
-        # The bits of reshape(-1, 2).mean(axis=1), without a reduction
-        # over a length-2 axis, which took 3/4 of a 24-bit stereo decode,
-        # and of (left + right) / 2 with one temporary.
-        mono = samples[0::2] + samples[1::2]
-        mono /= 2
-    else:
+    if channels not in (1, 2):
         raise InputError(f"unsupported channel count {channels} in 'fmt ' chunk")
+
+    mono = np.empty(len(payload) // block)
+    if fmt["format"] == WAVE_FORMAT_IEEE_FLOAT:
+        _mix(np.frombuffer(payload, dtype="<f4"), 1.0, mono)
+    elif len(mono):
+        # Little-endian int32 words one sample apart: word i ends where
+        # sample i does, so its high bytes are sample i.  With the bytes
+        # below cleared, the word is the sample times 2^(32-bits), so / 2^31
+        # is the sample / 2^(bits-1) exactly.  The words of samples 1 on are
+        # views of the payload; sample 0's needs the 4 - width zero bytes
+        # below it, in a copy of one word.
+        width = bits // 8
+        low = -(1 << (32 - bits))  # clears the bytes below the sample
+        first = np.frombuffer(bytes(4 - width) + payload[:width], "<i4") & low
+        words = np.ndarray(len(mono) * channels - 1, "<i4", payload,
+                           offset=2 * width - 4, strides=(width,))
+        step = max(1, BUFFER_BYTES // (4 * channels))  # frames per block
+        ints = np.empty(step * channels, np.int32)
+        for f0 in range(0, len(mono), step):
+            f1 = min(f0 + step, len(mono))
+            i0, i1 = f0 * channels, f1 * channels  # samples
+            w = ints[: i1 - i0]
+            if i0 == 0:
+                w[0] = first[0]
+                np.bitwise_and(words[: i1 - 1], low, out=w[1:])
+            else:
+                np.bitwise_and(words[i0 - 1 : i1 - 1], low, out=w)
+            _mix(w, 2.0**31, mono[f0:f1])
     return AudioClip(mono, fmt["rate"])
+
+
+def _mix(samples: np.ndarray, scale: float, out: np.ndarray) -> None:
+    # The mono mix of interleaved samples, each divided by scale, into the
+    # float64 out.  Mono is samples / scale.  Stereo has the bits of
+    # reshape(-1, 2).mean(axis=1) of the scaled samples, and of (left +
+    # right) / 2, without a reduction over a length-2 axis (3/4 of a 24-bit
+    # stereo decode): the two float32 samples, or int32 words, sum exactly
+    # in float64, and the scales are powers of two.
+    if out.size == samples.size:
+        np.divide(samples, scale, out=out, dtype=np.float64)
+    else:
+        np.add(samples[0::2], samples[1::2], out=out, dtype=np.float64)
+        out /= 2 * scale
 
 
 def _parse_fmt(body: bytes) -> dict:
@@ -222,18 +255,20 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     Output length is round(len * target / native).  The kernel is a
     Hann-windowed sinc with ``RESAMPLE_TAPS`` zero crossings per side,
     widened and scaled by the rate ratio when downsampling.  With native /
-    target = M / L in lowest terms, output k sits at input position
-    k * M / L, so its fractional offset depends only on the phase
-    p = k mod L: the kernel is tabulated once per phase, from the exact
-    offset (p * M mod L) / L.  The outputs of phase p read input windows
-    that start at p * M // L and step by M, so each phase is a
-    matrix-vector product over a strided view of the zero-padded input,
-    taken in blocks of about 1 MiB of input that stay in cache.  Each
+    target = M / L in lowest terms, output k = r * L + p sits at input
+    position k * M / L, so its fractional offset depends only on the phase
+    p: the kernel is tabulated once per phase, from the exact offset
+    (p * M mod L) / L.  Output k's window starts r * M + p * M // L - radius
+    into the clip, so a run of phases whose offsets p * M // L are evenly
+    spaced is one 3-D strided view of the clip, and one matrix-vector
+    product per row.  The outputs are taken period by period in blocks of
+    about ``RESAMPLE_BLOCK_BYTES`` of input that stay in cache.  Each
     output is divided by the sum of its in-range taps, which keeps DC gain
     exactly 1 even at the edges.  Inside the clip that is the phase's whole
-    tap sum; only the outputs whose windows reach past a clip end (about
-    radius * L / M at each end) take the product with a 0/1 validity mask,
-    in a few batched calls.
+    tap sum.  The outputs of the periods whose windows do not all lie in
+    the clip (about radius * L / M + L at each end) read their windows from
+    a zero-padded copy of that end and take the product with a 0/1
+    validity mask, in a few batched calls.
     """
     if target_rate <= 0:
         raise InputError(f"target rate must be positive, got {target_rate}")
@@ -251,59 +286,82 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     h, tap_sum = _phase_kernels(native, target_rate, min(n_phases, n_out))
     width = h.shape[1]
     radius = width // 2
-
-    # Window i covers input samples i - radius .. i + radius, zero outside
-    # the clip.
-    last = (n_out - 1) * step // n_phases  # window index of the last output
-    padded = np.zeros(radius + max(n_in, last + radius + 1))
-    padded[radius : radius + n_in] = x
-    windows = np.lib.stride_tricks.sliding_window_view(padded, width)
-
-    # Phase by phase within blocks of about 1 MiB of input, so the windows
-    # that every phase reads stay in cache (a 10 s clip at 48 kHz is 3.7
-    # MiB).  A block is a whole number of L outputs, and at least 2L, so
-    # each phase has two rows or more in it once n_out >= 2L; the last block
-    # takes the rest.
-    block = max(2, 2**17 // step) * n_phases
-    n_blocks = max(1, n_out // block)
     out = np.empty(n_out)
-    for b in range(n_blocks):
-        k0 = b * block
-        k1 = n_out if b == n_blocks - 1 else k0 + block
-        first = k0 // n_phases * step  # window of output k0
-        for p in range(len(h)):
-            phase = out[k0 + p : k1 : n_phases]
-            rows = windows[first + p * step // n_phases :: step][: len(phase)]
-            # einsum runs a SIMD loop on these strided rows; matmul cannot
-            # hand them to BLAS (row stride < width) and is about 2.5x
-            # slower.
-            np.einsum("ij,j->i", rows, h[p], out=phase)
-            phase /= tap_sum[p]
 
-    # Redo, as signal and mask products over the same windows, the outputs
-    # whose windows reach past a clip end: window k * M // L starts before
-    # the clip below radius and ends after it from n_in - radius on.  Below
-    # 2L outputs a phase may have a lone row, and einsum sums a lone row of
-    # more than 8192 taps in other chunks than it sums two rows, so all are
-    # redone there: every product here, the tap sums' too, has two rows.
-    first_in = min(-(-radius * n_phases // step), n_out)  # window in the clip
-    end_in = max(-(-(n_in - radius) * n_phases // step), first_in)
-    if n_out < 2 * n_phases:
-        first_in = end_in = n_out
-    edges = np.r_[0:first_in, end_in:n_out]
+    # Periods first .. end - 1 are whole periods of L outputs whose windows
+    # all lie in the clip: phase 0's starts in it, and phase L - 1's ends in
+    # it.  With two or more of them, every product below has two rows or
+    # more: einsum sums a lone row of more than 8192 taps in other chunks
+    # than it sums two.  Otherwise every output is an edge output.
+    first = -(-radius // step)
+    last_offset = (n_phases - 1) * step // n_phases
+    end = min(n_out // n_phases, (n_in - width + radius - last_offset) // step + 1)
+    if end - first >= 2:
+        edges = [(0, first * n_phases), (end * n_phases, n_out)]
+        periods = max(2, RESAMPLE_BLOCK_BYTES // (8 * step))  # per block
+        n_blocks = max(1, (end - first) // periods)
+    else:
+        edges, n_blocks = [(0, n_out)], 0
+    stride = x.strides[0]
+    for b in range(n_blocks):
+        r0 = first + b * periods
+        r1 = end if b == n_blocks - 1 else r0 + periods
+        block = out[r0 * n_phases : r1 * n_phases].reshape(r1 - r0, n_phases)
+        for p0, p1, spacing in _phase_runs(step, n_phases):
+            # Row i of phase p0 + j: the window of output (r0 + i) * L + p0
+            # + j.  einsum runs a SIMD loop on these strided rows; matmul
+            # cannot hand them to BLAS (row stride < width) and is about
+            # 2.5x slower.
+            start = r0 * step + p0 * step // n_phases - radius
+            rows = np.lib.stride_tricks.as_strided(
+                x[start:], (p1 - p0, r1 - r0, width),
+                (spacing * stride, step * stride, stride), writeable=False)
+            np.einsum("pij,pj->pi", rows, h[p0:p1], out=block.T[p0:p1])
+        block /= tap_sum
+
+    # The edge outputs, as signal and mask products over windows of a
+    # zero-padded copy of the stretch of input they read: window i covers
+    # input samples i - radius .. i + radius.  Every product here, the tap
+    # sums' too, has two rows.
     taps = np.arange(width)
-    batch = max(1, 2**20 // (16 * width))  # about 1 MiB of rows per call
-    for b0 in range(0, len(edges), batch):
-        k = edges[b0 : b0 + batch]
-        start = k * step // n_phases
-        both = np.empty((2, len(k), width))
-        both[0] = windows[start]
-        inside = (radius - start)[:, np.newaxis]  # first in-range tap
-        both[1] = (taps >= inside) & (taps < inside + n_in)
-        signal, mask = np.einsum("sij,ij->si", both, h[k % n_phases])
-        signal /= mask
-        out[k] = signal
+    batch = max(1, BUFFER_BYTES // (16 * width))
+    for k0, k1 in edges:
+        if k0 == k1:
+            continue
+        lo = k0 * step // n_phases  # the first window
+        hi = (k1 - 1) * step // n_phases + width  # past the last one's end
+        padded = np.zeros(hi - lo)
+        a, b = max(lo - radius, 0), min(hi - radius, n_in)
+        padded[a + radius - lo : b + radius - lo] = x[a:b]
+        windows = np.lib.stride_tricks.sliding_window_view(padded, width)
+        for b0 in range(k0, k1, batch):
+            k = np.arange(b0, min(b0 + batch, k1))
+            start = k * step // n_phases
+            both = np.empty((2, len(k), width))
+            both[0] = windows[start - lo]
+            inside = (radius - start)[:, np.newaxis]  # first in-range tap
+            both[1] = (taps >= inside) & (taps < inside + n_in)
+            signal, mask = np.einsum("sij,ij->si", both, h[k % n_phases])
+            signal /= mask
+            out[k] = signal
     return AudioClip(out, target_rate)
+
+
+@functools.lru_cache(maxsize=8)
+def _phase_runs(step: int, n_phases: int) -> tuple:
+    # The phases 0 .. L - 1 as runs (p0, p1, spacing) of consecutive phases
+    # whose window offsets p * M // L are spaced ``spacing`` apart: about
+    # L / 5.6 runs at 48 -> 22.05 kHz.  Each run is one strided view.
+    offset = [p * step // n_phases for p in range(n_phases)]
+    runs, p0 = [], 0
+    while p0 < n_phases:
+        p1 = min(p0 + 2, n_phases)
+        spacing = offset[p1 - 1] - offset[p0]
+        while p1 < n_phases and offset[p1] - offset[p1 - 1] == spacing:
+            p1 += 1
+        runs.append((p0, p1, spacing))
+        p0 = p1
+    return tuple(runs)
 
 
 @functools.lru_cache(maxsize=8)
@@ -341,7 +399,12 @@ def stft_power(clip: AudioClip, cfg: AudioConfig = AudioConfig()) -> np.ndarray:
     """Power spectrogram, shape (frames, n_fft // 2 + 1).
 
     Frames are Hann-windowed and centered via reflect padding, one every
-    ``hop`` samples; the frame count is 1 + len // hop.
+    ``hop`` samples; the frame count is 1 + len // hop (one fewer for an
+    odd ``n_fft`` when ``hop`` divides len).  Frames are windowed in blocks
+    of about ``BUFFER_BYTES`` into one buffer, and each block's magnitudes
+    go straight into the result.  The frames inside the clip are views of
+    it; only those that reach past an end come from a reflect-padded copy
+    of that end.
     """
     if clip.rate != cfg.target_rate:
         raise InputError(
@@ -351,15 +414,50 @@ def stft_power(clip: AudioClip, cfg: AudioConfig = AudioConfig()) -> np.ndarray:
     n = len(clip)
     if n == 0:
         raise InputError("cannot compute an STFT of an empty clip")
-    pad = cfg.n_fft // 2
-    padded = np.pad(clip.samples, pad, mode="reflect")
-    n_frames = 1 + n // cfg.hop
-    frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)
-    frames = frames[:: cfg.hop][:n_frames]
+    n_fft, hop = cfg.n_fft, cfg.hop
+    # The frames that fit in the clip padded by n_fft // 2 at each end.
+    n_frames = min(1 + n // hop, (n + 2 * (n_fft // 2) - n_fft) // hop + 1)
     # The periodic (DFT-even) Hann window.
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(cfg.n_fft) / cfg.n_fft)
-    power = np.abs(np.fft.rfft(frames * window, axis=1))
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft)
+    power = np.empty((n_frames, n_fft // 2 + 1))
+    step = max(1, BUFFER_BYTES // (8 * n_fft))  # frames per block
+    buf = np.empty((min(step, n_frames), n_fft))
+    for t0, frames in _frame_runs(clip.samples, n_frames, n_fft, hop):
+        for a in range(0, len(frames), step):
+            block = frames[a : a + step]
+            windowed = np.multiply(block, window, out=buf[: len(block)])
+            # rfft transforms each row alone, so a block has the bits of the
+            # whole; numpy 1.24's rfft takes no out=.
+            np.abs(np.fft.rfft(windowed, axis=1),
+                   out=power[t0 + a : t0 + a + len(block)])
     return np.square(power, out=power)  # the bits of ** 2
+
+
+def _frame_runs(x: np.ndarray, n_frames: int, n_fft: int, hop: int):
+    # Yields (t0, frames): frames t0, t0 + 1, ... of x reflect-padded by
+    # pad = n_fft // 2 at each end, as the rows of a sliding view.  Frame t
+    # covers x[t * hop - pad : t * hop - pad + n_fft], reflected past either
+    # end.  A padded end reflects pad samples next to it, so a copy of the
+    # frames' stretch of x, padded, holds them when it has pad + 1 samples.
+    pad = n_fft // 2
+    n = len(x)
+    inside = -(-pad // hop)  # the first frame that starts in the clip
+    outside = (n + pad - n_fft) // hop + 1  # the first that ends past it
+    if outside <= inside:  # no frame lies inside: the clip is short
+        padded = np.pad(x, pad, mode="reflect")
+        yield 0, np.lib.stride_tricks.sliding_window_view(
+            padded, n_fft)[::hop][:n_frames]
+        return
+    head = np.pad(x[: max(pad + 1, (inside - 1) * hop + n_fft - pad)],
+                  (pad, 0), mode="reflect")
+    yield 0, np.lib.stride_tricks.sliding_window_view(
+        head, n_fft)[::hop][:inside]
+    yield inside, np.lib.stride_tricks.sliding_window_view(
+        x, n_fft)[inside * hop - pad :: hop][: outside - inside]
+    start = min(outside * hop - pad, n - pad - 1)
+    tail = np.pad(x[start:], (0, pad), mode="reflect")
+    yield outside, np.lib.stride_tricks.sliding_window_view(
+        tail, n_fft)[outside * hop - pad - start :: hop][: n_frames - outside]
 
 
 # Slaney's mel scale: linear below 1 kHz, logarithmic above.
@@ -462,5 +560,6 @@ def log_mel_mean(clip: AudioClip, cfg: AudioConfig = AudioConfig()) -> np.ndarra
 def extract_features(data: bytes, cfg: AudioConfig = AudioConfig()) -> np.ndarray:
     """Decode, resample to the configured rate, and pool to one vector."""
     clip = decode_wav(data)
-    clip = resample(clip, cfg.target_rate)
+    if clip.rate != cfg.target_rate:  # a clip at the rate is used as it is
+        clip = resample(clip, cfg.target_rate)
     return log_mel_mean(clip, cfg)

@@ -15,20 +15,24 @@ import os
 import sys
 from dataclasses import replace
 
+from scipy.spatial.distance import cdist
+
 from .cce import cce_count
 from .errors import InputError, NumericError
 from .manifest import CITIES, SCENES, read_manifest
-from .matrix import as_features, check_dissim, euclidean_dissim
+from .matrix import as_features, bands, check_dissim, euclidean_dissim
 from .report import (
     GROUPINGS,
     METHODS,
     _stack_artifacts,
+    _subset_distances,
     _subsets,
     analyze,
     features_for_manifest,
     load_config,
     run_report,
 )
+from .specvat import _analysis
 from .synth import BlobSpec, block_dissim, gaussian_blobs
 from .vat import ordering_to_json, read_ordering, read_pgm, write_pgm
 from .vatf import atomic_write_text, naming, read_vatf, write_vatf
@@ -49,16 +53,25 @@ def _add_shared(p, *flags):
                    help="output directory")
 
 
-def _load_matrix(args):
-    """Read --features/--dissim as a valid matrix, checked here where it enters."""
+def _analyze(args, spec_cfg):
+    """Order and render --features/--dissim, checked here where it enters.
+
+    SpecVAT of --features builds the packed triangle and the local scales
+    as a report subset does, so no n x n array is built.
+    """
     if args.dissim is not None and args.standardize:
         raise InputError("--standardize applies to --features only, not --dissim")
     path = args.features if args.dissim is None else args.dissim
     m = read_vatf(path)
     with naming(path):
-        if args.dissim is None:
-            return euclidean_dissim(m, standardize=args.standardize)
-        return check_dissim(m)
+        if args.dissim is not None:
+            m = check_dissim(m)
+        elif args.method == "specvat":
+            packed = _subset_distances(m, "specvat", spec_cfg, args.standardize)
+            return _analysis(*packed, spec_cfg, args.k)
+        else:
+            m = euclidean_dissim(m, standardize=args.standardize)
+    return analyze(m, args.method, spec_cfg, args.k)
 
 
 def _sizes(text: str) -> list[int]:
@@ -102,7 +115,7 @@ def cmd_features(args) -> int:
 def cmd_matrix(args) -> int:
     """``vat`` and ``specvat``: order one matrix and render its image."""
     spec_cfg = load_config(args.config).spec
-    result = analyze(_load_matrix(args), args.method, spec_cfg, args.k)
+    result = _analyze(args, spec_cfg)
     if result.k_scores is not None:
         shown = ", ".join(
             f"k={kk}: {s:.4f}" for kk, s in sorted(result.k_scores.items())
@@ -116,10 +129,12 @@ def cmd_matrix(args) -> int:
     if result.embedding is None:
         print(f"ordered {n} records -> {args.out}")
     else:
-        # The image views the matrix's buffer, which no one else holds: let
-        # it go before d_prime, a new n x n matrix, is built.
-        result = replace(result, image=None)
-        write_vatf(os.path.join(args.out, "d_prime.vatf"), result.d_prime)
+        # d_prime's rows go to the file band by band, with the bits of the
+        # whole matrix (a pair's cdist bits do not depend on the others):
+        # no n x n array is built beside the image.
+        e = result.embedding
+        write_vatf(os.path.join(args.out, "d_prime.vatf"),
+                   (cdist(e[rows], e) for rows in bands(n)), shape=(n, n))
         print(f"ordered {n} records with k={result.k} -> {args.out}")
     return 0
 

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .audio import AudioConfig, extract_features
+from .audio import AudioConfig, extract_features, mel_filterbank
 from .cce import CceConfig, cce_count
 from .errors import DegenerateImageError, DistanceOverflow, InputError, NumericError
 from .manifest import CITIES, CITY_PALETTE, SCENE_PALETTE, SCENES, LabeledManifest
@@ -148,13 +148,15 @@ def features_for_manifest(
         )
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
+    config_key = cfg.cache_key()
+    mel_filterbank(cfg)  # cached: built once here, not by every worker
 
     def one(path: str) -> np.ndarray:
         data = read_file(path, "WAV file", memoryview)
         key = None
         if cache_dir is not None:
             # A cached row is named by the file's bytes and the config.
-            name = f"{hashlib.sha256(data).hexdigest()}-{cfg.cache_key()}.vatf"
+            name = f"{hashlib.sha256(data).hexdigest()}-{config_key}.vatf"
             key = os.path.join(cache_dir, name)
             if os.path.isfile(key):
                 return read_vatf(key)[0]
@@ -268,8 +270,9 @@ def analyze(d: np.ndarray, method: str, spec_cfg: SpecVatConfig,
     return _analysis(*_packed(d, spec_cfg), spec_cfg, k)
 
 
-def _subset_distances(features, method, spec_cfg, standardize, path):
-    """The subset's distances, also written to ``path`` (``dissim.vatf``).
+def _subset_distances(features, method, spec_cfg, standardize, path=None):
+    """The subset's distances, also written to ``path`` (``dissim.vatf``)
+    when one is given.
 
     VAT gets the square matrix.  SpecVAT gets ``(p, sigma)``: the packed
     upper triangle and the local scales.  Its square rows are built once,
@@ -279,7 +282,8 @@ def _subset_distances(features, method, spec_cfg, standardize, path):
     """
     if method == "vat":
         d = euclidean_dissim(features, standardize=standardize)
-        write_vatf(path, d)
+        if path is not None:
+            write_vatf(path, d)
         return d
     n = features.shape[0]
     p, sigma = np.empty(packed_start(n, n)), np.empty(n)
@@ -292,7 +296,11 @@ def _subset_distances(features, method, spec_cfg, standardize, path):
             # overwrites it anyway.
             sigma[band_rows] = _scales(band, spec_cfg)
 
-    write_vatf(path, rows(), shape=(n, n))
+    if path is None:
+        for _ in rows():
+            pass
+    else:
+        write_vatf(path, rows(), shape=(n, n))
     return p, sigma
 
 

@@ -35,10 +35,8 @@ def _encode(samples, bits, float_fmt):
     if bits == 32:
         return ints.astype("<i4").tobytes()
     if bits == 24:
-        out = bytearray()
-        for v in ints.ravel():
-            out += (int(v) & 0xFFFFFF).to_bytes(3, "little")
-        return bytes(out)
+        # The low three bytes of each little-endian two's-complement word.
+        return ints.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
     raise AssertionError(f"unsupported test bit depth {bits}")
 
 

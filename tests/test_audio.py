@@ -92,6 +92,23 @@ def test_decode_stereo_mix_is_the_frame_mean_bitwise(bits):
     assert clip.samples.tobytes() == samples.reshape(-1, 2).mean(axis=1).tobytes()
 
 
+@pytest.mark.parametrize("bits", [16, 24, 32])
+@pytest.mark.parametrize("channels", [1, 2])
+def test_decode_pcm_across_blocks_bitwise(bits, channels):
+    # Frame counts one either side of a decode block, and past two blocks:
+    # each block reads its words from the payload, and sample 0 its own.
+    step = audio.BUFFER_BYTES // (4 * channels)  # frames per block
+    lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+    rng = np.random.Generator(np.random.Philox(key=bits * channels))
+    for frames in (step - 1, step, step + 1, 2 * step + 1):
+        words = rng.integers(lo, hi, size=(frames, channels), endpoint=True)
+        words[0] = lo
+        clip = decode_wav(make_wav(words, 8000, bits=bits))
+        expected = words / 2.0 ** (bits - 1)
+        expected = expected[:, 0] if channels == 1 else expected.mean(axis=1)
+        assert clip.samples.tobytes() == expected.tobytes()
+
+
 def test_decode_float32():
     clip = decode_wav(make_wav([0.5, -0.25], 8000, bits=32, float_fmt=True))
     assert clip.samples.tolist() == [0.5, -0.25]
@@ -351,6 +368,41 @@ def test_resample_kernel_table_is_cached_read_only():
             table[0] = 1.0
 
 
+def test_resample_phase_runs_cover_every_phase_evenly_spaced():
+    for step, n_phases in [(320, 147), (147, 160), (160, 882), (6001, 40),
+                           (2, 1), (3, 2)]:
+        runs = audio._phase_runs(step, n_phases)
+        assert [p for p0, p1, _ in runs for p in range(p0, p1)] == list(range(n_phases))
+        for p0, p1, spacing in runs:
+            offsets = [p * step // n_phases for p in range(p0, p1)]
+            assert offsets == [offsets[0] + spacing * i for i in range(p1 - p0)]
+    # 48 -> 22.05 kHz: 26 products per block, not one per phase.
+    assert len(audio._phase_runs(320, 147)) == 26
+
+
+@pytest.mark.parametrize("native,target", [(48000, 22050), (44100, 16000),
+                                           (60010, 400), (1000, 5)])
+def test_resample_keeps_the_two_row_bits_at_period_and_block_bounds(native, target):
+    # Clips whose whole periods inside the clip number 1 (every output an
+    # edge output), 2, 3 and one either side of a block of them, each with
+    # and without a period's worth of input to spare.  1000 -> 5 Hz has one
+    # phase of 12801 taps: a product of one row there, as one period would
+    # give, would change the bits.
+    g = math.gcd(native, target)
+    step, n_phases = native // g, target // g
+    width = _kernel_width(native, target)
+    radius = width // 2
+    first = -(-radius // step)
+    last_offset = (n_phases - 1) * step // n_phases
+    periods = max(2, audio.RESAMPLE_BLOCK_BYTES // (8 * step))
+    for inside in (1, 2, 3, periods - 1, periods, periods + 1, 2 * periods + 1):
+        n = (first + inside - 1) * step + width - radius + last_offset
+        for extra in (0, step - 1):
+            clip = AudioClip(_white_noise(n + extra, n + extra), native)
+            got = resample(clip, target).samples
+            assert got.tobytes() == _resample_two_row(clip, target).tobytes()
+
+
 # --------------------------------------------------------------------------
 # STFT
 
@@ -407,6 +459,38 @@ def test_stft_frame_energy_matches_time_domain():
     seg = padded[t * 16 : t * 16 + 64] * win
     spectral = (p[t, 0] + p[t, -1] + 2.0 * p[t, 1:-1].sum()) / 64
     assert spectral == pytest.approx((seg**2).sum(), rel=1e-9)
+
+
+def _stft_reference(x, cfg):
+    """The STFT as it was: frames of the whole clip reflect-padded, windowed
+    and transformed at once."""
+    padded = np.pad(x, cfg.n_fft // 2, mode="reflect")
+    frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)
+    frames = frames[:: cfg.hop][: 1 + len(x) // cfg.hop]
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(cfg.n_fft) / cfg.n_fft)
+    return np.abs(np.fft.rfft(frames * window, axis=1)) ** 2
+
+
+@pytest.mark.parametrize("n_fft,hop", [(2048, 512), (16, 5), (17, 4), (64, 64), (2, 1)])
+def test_stft_keeps_the_reference_bits(n_fft, hop):
+    # Clips shorter than n_fft / 2 (reflected more than once), about n_fft
+    # long, and with frame counts, all or inside the clip, one either side
+    # of a block.  An odd n_fft has one frame fewer when hop divides the
+    # length, as the reference has.
+    cfg = AudioConfig(target_rate=8000, n_fft=n_fft, hop=hop, n_mels=1)
+    step = audio.BUFFER_BYTES // (8 * n_fft)  # frames per block
+    pad = n_fft // 2
+    lengths = {1, 2, pad - 1, pad, pad + 1, n_fft - 1, n_fft, n_fft + 1}
+    for frames in (step - 1, step, step + 1, 2 * step + 1):
+        lengths |= {(frames - 1) * hop, frames * hop - 1}  # 1 + len // hop
+        last = frames + -(-pad // hop) - 1  # the last of `frames` inside
+        lengths |= {last * hop + n_fft - pad, last * hop + n_fft - pad + hop - 1}
+    rng = np.random.Generator(np.random.Philox(key=n_fft + hop))
+    for n in sorted(length for length in lengths if length >= 1):
+        x = rng.normal(size=n)
+        got = stft_power(AudioClip(x, 8000), cfg)
+        want = _stft_reference(x, cfg)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), n
 
 
 # --------------------------------------------------------------------------

@@ -8,9 +8,11 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import scenevat.matrix
 import scenevat.report
+import scenevat.specvat
 from scenevat.cli import main
 from scenevat.synth import BlobSpec, gaussian_blobs
 from scenevat.vat import read_pgm, write_pgm
@@ -82,6 +84,28 @@ def test_synth_blobs_and_specvat(tmp_path):
     assert read_pgm(out / "odi.pgm").shape == (36, 36)
     dprime = read_vatf(out / "d_prime.vatf")
     assert dprime.shape == (36, 36)
+
+
+@pytest.mark.parametrize("k", [["--k", "3"], []])
+def test_specvat_of_features_writes_what_specvat_of_their_distances_writes(tmp_path, k):
+    # --features builds the packed triangle and the local scales straight
+    # from the features; --dissim packs the square matrix it reads.  Both
+    # write d_prime.vatf band by band.  Every file is the same.
+    # 420 records: d_prime.vatf is written in two bands.
+    feats, _ = gaussian_blobs(BlobSpec(3, 140, 6, 4.0, seed=5))
+    write_vatf(tmp_path / "f.vatf", feats)
+    write_vatf(tmp_path / "d.vatf", scenevat.matrix.euclidean_dissim(feats))
+    for kind, path in [("features", "f.vatf"), ("dissim", "d.vatf")]:
+        assert main(["specvat", f"--{kind}", str(tmp_path / path), *k,
+                     "--out", str(tmp_path / kind)]) == 0
+    for name in ("odi.pgm", "ordering.json", "d_prime.vatf"):
+        assert ((tmp_path / "features" / name).read_bytes()
+                == (tmp_path / "dissim" / name).read_bytes()), name
+    if k:  # the bands have the bits of the whole matrix
+        e = scenevat.specvat.specvat(scenevat.matrix.euclidean_dissim(feats),
+                                     3).embedding
+        d_prime = read_vatf(tmp_path / "features" / "d_prime.vatf")
+        assert d_prime.tobytes() == cdist(e, e).tobytes()
 
 
 def test_specvat_auto_k_prints_selection(tmp_path, capsys):

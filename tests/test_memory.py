@@ -13,7 +13,14 @@ seeded, as in scipy 1.10), it solves a square unpacked from the triangle:
 about 1.03 for SpecVAT.  A whole ``run_report`` subset builds the packed
 triangle from the features, n(n+1)/2 floats, and streams its rows into
 ``dissim.vatf``: about 0.63 of one n x n matrix with ARPACK (explicit k
-and scan alike), and ``scenevat specvat`` about 1.16.  A subset that held
+and scan alike); ``scenevat specvat --features`` builds the same triangle
+and streams ``d_prime.vatf`` in bands, about 0.64, and ``scenevat specvat
+--dissim`` about 1.16.  A specvat of features that built the square
+distances, packed them in place and built d_prime whole peaked at 1.12.
+The audio front end holds each clip once per stage: about 1.6 times a
+clip's float64 samples at 48 kHz, against 4.6 for full-length copies of
+the decode, the padded input of the resampler and the STFT's frames and
+spectrum.  A subset that held
 the square distance matrix as its one buffer peaked at 1.11; a scan that
 gave each candidate its own condensed distances (0.5) and tested for a
 constant matrix with an n x n mask (0.125) at 0.57 in ``analyze`` and
@@ -33,6 +40,7 @@ import pytest
 from scipy.spatial.distance import pdist, squareform
 
 from scenevat import specvat
+from scenevat.audio import extract_features
 from scenevat.cce import cce_count
 from scenevat.cli import main
 from scenevat.manifest import CITIES, SCENES, parse_manifest
@@ -42,6 +50,8 @@ from scenevat.specvat import SpecVatConfig
 from scenevat.synth import BlobSpec, gaussian_blobs
 from scenevat.vat import odi_from, vat_order
 from scenevat.vatf import write_vatf
+
+from conftest import make_wav
 
 N = 1536
 ARPACK_SOLVES = specvat._SEEDABLE_ARPACK and N >= specvat.ARPACK_MIN_N
@@ -104,14 +114,43 @@ def test_run_report_specvat_holds_one_matrix(tmp_path, blob_features, k, budget)
 
 @pytest.mark.parametrize("budget", [1.25 if ARPACK_SOLVES else 2.25])
 def test_cli_specvat_holds_one_matrix(tmp_path, blobs, budget):
-    # The image views the matrix's buffer, which goes before d_prime.vatf's
-    # new matrix is built: about 1.16 with ARPACK (the check's bands), 1.47
-    # when d_prime lived in the buffer beside a separate image.
+    # The image views the matrix's buffer, and d_prime.vatf is streamed in
+    # bands: about 1.16 with ARPACK (the check's bands), 1.47 when d_prime
+    # lived in the buffer beside a separate image.
     write_vatf(tmp_path / "d.vatf", blobs)
     peak = _peak(lambda: main(["specvat", "--dissim", str(tmp_path / "d.vatf"),
                                "--k", "4", "--out", str(tmp_path / "out")]))
     matrix = blobs.nbytes
     assert peak <= budget * matrix, f"peak {peak / matrix:.2f} x one matrix"
+
+
+@pytest.mark.parametrize("k", [4, None])
+def test_cli_specvat_features_holds_the_packed_triangle(tmp_path, blob_features, k):
+    # The packed triangle and the local scales, built from the features as
+    # a report subset builds them, and d_prime.vatf streamed in bands.
+    write_vatf(tmp_path / "f.vatf", blob_features[0])
+    argv = ["specvat", "--features", str(tmp_path / "f.vatf"),
+            "--out", str(tmp_path / "out")]
+    if k is not None:
+        argv += ["--k", str(k)]
+    peak = _peak(lambda: main(argv))
+    budget = 0.75 if ARPACK_SOLVES else 2.25
+    matrix = 8 * N * N
+    assert peak <= budget * matrix, f"peak {peak / matrix:.2f} x one matrix"
+
+
+def test_extract_features_holds_each_clip_once_per_stage():
+    # The paper's format: 10 s at 48 kHz in 24-bit stereo.  The peak is the
+    # resampler's input and output, or the STFT's clip and power matrix,
+    # plus buffers of about BUFFER_BYTES.
+    rate = 48000
+    rng = np.random.Generator(np.random.Philox(key=24))
+    frames = rng.integers(-(2**23), 2**23 - 1, size=(10 * rate, 2), endpoint=True)
+    data = make_wav(frames, rate, bits=24)
+    extract_features(data)  # the kernel table and filterbank, cached once
+    clip = 8 * len(frames)  # the decoded clip's float64 samples
+    peak = _peak(lambda: extract_features(data))
+    assert peak <= 2 * clip, f"peak {peak / clip:.2f} x the decoded clip"
 
 
 @pytest.mark.parametrize("method, k", [("vat", None)])

@@ -1,5 +1,6 @@
 import json
 import os
+import threading
 import warnings
 
 import numpy as np
@@ -214,6 +215,32 @@ def test_features_build_one_filterbank_per_config(tmp_path, monkeypatch):
     monkeypatch.setattr(scenevat.audio, "_mel_breakpoints", counting)
     features_for_manifest(mf, FAST_AUDIO, audio_root=str(tmp_path))
     assert builds == [FAST_AUDIO]
+
+
+def test_features_set_up_once_before_the_workers(tmp_path, monkeypatch):
+    # The cache key is computed once per call, and the filterbank is built
+    # in the calling thread, before the pool starts, not by each worker.
+    _write_clips(tmp_path, {f"t{i}.wav": 300.0 + 100.0 * i for i in range(6)})
+    mf = parse_manifest("path,scene,city\n"
+                        + "".join(f"t{i}.wav,park,paris\n" for i in range(6)))
+    keys, builders = [], []
+    key, breakpoints = AudioConfig.cache_key, scenevat.audio._mel_breakpoints
+
+    def counting_key(cfg):
+        keys.append(cfg)
+        return key(cfg)
+
+    def counting_breakpoints(cfg):
+        builders.append(threading.current_thread())
+        return breakpoints(cfg)
+
+    scenevat.audio.mel_filterbank.cache_clear()
+    monkeypatch.setattr(AudioConfig, "cache_key", counting_key)
+    monkeypatch.setattr(scenevat.audio, "_mel_breakpoints", counting_breakpoints)
+    features_for_manifest(mf, FAST_AUDIO, audio_root=str(tmp_path),
+                          cache_dir=str(tmp_path / "cache"), threads=2)
+    assert keys == [FAST_AUDIO]
+    assert builders == [threading.current_thread()]
 
 
 def test_decode_errors_name_the_file(tmp_path):
