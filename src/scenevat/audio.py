@@ -99,8 +99,8 @@ class AudioConfig:
     def __post_init__(self):
         if self.target_rate <= 0:
             raise InputError(f"target_rate must be positive, got {self.target_rate}")
-        if self.n_fft < 2:
-            raise InputError(f"n_fft must be >= 2, got {self.n_fft}")
+        if self.n_fft < 2 or self.n_fft % 2:
+            raise InputError(f"n_fft must be even and >= 2, got {self.n_fft}")
         if not 1 <= self.hop <= self.n_fft:
             raise InputError(f"hop={self.hop} must satisfy 1 <= hop <= n_fft")
         if self.n_mels < 1:
@@ -399,12 +399,11 @@ def stft_power(clip: AudioClip, cfg: AudioConfig = AudioConfig()) -> np.ndarray:
     """Power spectrogram, shape (frames, n_fft // 2 + 1).
 
     Frames are Hann-windowed and centered via reflect padding, one every
-    ``hop`` samples; the frame count is 1 + len // hop (one fewer for an
-    odd ``n_fft`` when ``hop`` divides len).  Frames are windowed in blocks
-    of about ``BUFFER_BYTES`` into one buffer, and each block's magnitudes
-    go straight into the result.  The frames inside the clip are views of
-    it; only those that reach past an end come from a reflect-padded copy
-    of that end.
+    ``hop`` samples; the frame count is 1 + len // hop (``n_fft`` is
+    even).  Frames are windowed in blocks of about ``BUFFER_BYTES`` into
+    one buffer, and each block's magnitudes go straight into the result.
+    The frames inside the clip are views of it; only those that reach
+    past an end come from a reflect-padded copy of that end.
     """
     if clip.rate != cfg.target_rate:
         raise InputError(
@@ -415,8 +414,7 @@ def stft_power(clip: AudioClip, cfg: AudioConfig = AudioConfig()) -> np.ndarray:
     if n == 0:
         raise InputError("cannot compute an STFT of an empty clip")
     n_fft, hop = cfg.n_fft, cfg.hop
-    # The frames that fit in the clip padded by n_fft // 2 at each end.
-    n_frames = min(1 + n // hop, (n + 2 * (n_fft // 2) - n_fft) // hop + 1)
+    n_frames = 1 + n // hop  # those that fit in the clip padded by n_fft / 2
     # The periodic (DFT-even) Hann window.
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft)
     power = np.empty((n_frames, n_fft // 2 + 1))
@@ -520,15 +518,17 @@ def mel_filterbank(cfg: AudioConfig = AudioConfig()) -> np.ndarray:
     lower = pts[:-2]
     center = pts[1:-1]
     upper = pts[2:]
-    up = (fft_freqs[np.newaxis, :] - lower[:, np.newaxis]) / np.maximum(
-        center - lower, np.finfo(np.float64).tiny
-    )[:, np.newaxis]
-    down = (upper[:, np.newaxis] - fft_freqs[np.newaxis, :]) / np.maximum(
-        upper - center, np.finfo(np.float64).tiny
-    )[:, np.newaxis]
-    weights = np.maximum(0.0, np.minimum(up, down))
-    bandwidth = upper - lower
-    weights /= bandwidth[:, np.newaxis]
+    tiny = np.finfo(np.float64).tiny
+    # The rising slopes go into the result and the falling ones into the
+    # one temporary: each filter is max(0, min(up, down)) / bandwidth.
+    weights = np.subtract(fft_freqs[np.newaxis, :], lower[:, np.newaxis])
+    weights /= np.maximum(center - lower, tiny)[:, np.newaxis]
+    down = np.subtract(upper[:, np.newaxis], fft_freqs[np.newaxis, :])
+    down /= np.maximum(upper - center, tiny)[:, np.newaxis]
+    np.minimum(weights, down, out=weights)
+    del down
+    np.maximum(0.0, weights, out=weights)
+    weights /= (upper - lower)[:, np.newaxis]
     empty = np.flatnonzero((weights <= 0).all(axis=1))
     if empty.size:
         raise InputError(

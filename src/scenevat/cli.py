@@ -20,19 +20,18 @@ from scipy.spatial.distance import cdist
 from .cce import cce_count
 from .errors import InputError, NumericError
 from .manifest import CITIES, SCENES, read_manifest
-from .matrix import as_features, bands, check_dissim, euclidean_dissim
+from .matrix import as_features, bands, check_dissim
 from .report import (
     GROUPINGS,
     METHODS,
     _stack_artifacts,
-    _subset_distances,
     _subsets,
     analyze,
+    analyze_features,
     features_for_manifest,
     load_config,
     run_report,
 )
-from .specvat import _analysis
 from .synth import BlobSpec, block_dissim, gaussian_blobs
 from .vat import ordering_to_json, read_ordering, read_pgm, write_pgm
 from .vatf import atomic_write_text, naming, read_vatf, write_vatf
@@ -51,27 +50,6 @@ def _add_shared(p, *flags):
         p.add_argument(flag, **_SHARED[flag])
     p.add_argument("--out", metavar="DIR", required=True,
                    help="output directory")
-
-
-def _analyze(args, spec_cfg):
-    """Order and render --features/--dissim, checked here where it enters.
-
-    SpecVAT of --features builds the packed triangle and the local scales
-    as a report subset does, so no n x n array is built.
-    """
-    if args.dissim is not None and args.standardize:
-        raise InputError("--standardize applies to --features only, not --dissim")
-    path = args.features if args.dissim is None else args.dissim
-    m = read_vatf(path)
-    with naming(path):
-        if args.dissim is not None:
-            m = check_dissim(m)
-        elif args.method == "specvat":
-            packed = _subset_distances(m, "specvat", spec_cfg, args.standardize)
-            return _analysis(*packed, spec_cfg, args.k)
-        else:
-            m = euclidean_dissim(m, standardize=args.standardize)
-    return analyze(m, args.method, spec_cfg, args.k)
 
 
 def _sizes(text: str) -> list[int]:
@@ -113,9 +91,24 @@ def cmd_features(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    """``vat`` and ``specvat``: order one matrix and render its image."""
+    """``vat`` and ``specvat``: order one matrix and render its image.
+
+    A --dissim matrix is checked where it enters; --features goes through
+    the body of a report subset, ``analyze_features``.  An error about
+    either names the file.
+    """
     spec_cfg = load_config(args.config).spec
-    result = _analyze(args, spec_cfg)
+    if args.dissim is not None and args.standardize:
+        raise InputError("--standardize applies to --features only, not --dissim")
+    path = args.features if args.dissim is None else args.dissim
+    m = read_vatf(path)
+    with naming(path):
+        if args.dissim is None:
+            result = analyze_features(m, args.method, spec_cfg, args.k,
+                                      standardize=args.standardize)
+        else:
+            m = check_dissim(m)  # a symmetrized copy lets the input go
+            result = analyze(m, args.method, spec_cfg, args.k)
     if result.k_scores is not None:
         shown = ", ".join(
             f"k={kk}: {s:.4f}" for kk, s in sorted(result.k_scores.items())

@@ -128,7 +128,9 @@ def features_for_manifest(
     Missing audio files are enumerated in a single error.  With a cache
     directory, rows are re-used when the file's bytes (by SHA-256) and the
     front-end config match, so large runs are restartable and a rewritten
-    file is never served its old row.  Results do not depend on thread count.
+    file is never served its old row; a cached row that is not one finite
+    row of ``cfg.n_mels`` values raises InputError naming its file.
+    Results do not depend on thread count.
     """
     if threads < 1:
         raise InputError(f"threads must be at least 1, got {threads}")
@@ -159,7 +161,12 @@ def features_for_manifest(
             name = f"{hashlib.sha256(data).hexdigest()}-{config_key}.vatf"
             key = os.path.join(cache_dir, name)
             if os.path.isfile(key):
-                return read_vatf(key)[0]
+                row = read_vatf(key)
+                with naming(key):  # one finite row of n_mels values
+                    if row.shape != (1, cfg.n_mels):
+                        raise InputError(f"cached feature row has shape "
+                                         f"{row.shape}, expected (1, {cfg.n_mels})")
+                    return as_features(row)[0]
         with naming(path):
             vec = extract_features(data, cfg)
         if key is not None:
@@ -246,6 +253,11 @@ def _remove_subset_files(subset_dir: str) -> None:
         os.rmdir(subset_dir)
 
 
+def _check_method(method: str) -> None:
+    if method not in METHODS:
+        raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
+
+
 def analyze(d: np.ndarray, method: str, spec_cfg: SpecVatConfig,
             k: Optional[int] = None) -> Analysis:
     """Order and render one dissimilarity matrix with VAT or SpecVAT.
@@ -262,35 +274,38 @@ def analyze(d: np.ndarray, method: str, spec_cfg: SpecVatConfig,
     a new matrix, computed from ``result.embedding`` when read.  SpecVAT
     uses ``k`` eigenvectors, or picks k with the scan when ``k`` is None.
     """
-    if method not in METHODS:
-        raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
+    _check_method(method)
     if method == "vat":
         ordering = _vat_order(d)
         return Analysis(ordering, _odi(d, ordering.order))
     return _analysis(*_packed(d, spec_cfg), spec_cfg, k)
 
 
-def _subset_distances(features, method, spec_cfg, standardize, path=None):
-    """The subset's distances, also written to ``path`` (``dissim.vatf``)
-    when one is given.
+def analyze_features(x, method: str, spec_cfg: SpecVatConfig,
+                     k: Optional[int] = None, *, standardize: bool = False,
+                     path=None) -> Analysis:
+    """``analyze`` of the distances between the rows of ``x``: the one
+    body of a ``run_report`` subset and of ``scenevat vat|specvat
+    --features``.
 
-    VAT gets the square matrix.  SpecVAT gets ``(p, sigma)``: the packed
-    upper triangle and the local scales.  Its square rows are built once,
-    in bands, and streamed into the file, and a band's scales are read
-    from them; so no n x n array is built.  An overflow raises
-    DistanceOverflow and leaves no file.
+    The distances are valid by construction and go to ``path``
+    (``dissim.vatf``), when given, as they are built.  VAT builds the
+    square matrix.  SpecVAT builds the packed upper triangle and the local
+    scales, read from each band of square rows the file gets, so no n x n
+    float64 array exists.  An overflow raises DistanceOverflow and leaves
+    no file.
     """
+    _check_method(method)
     if method == "vat":
-        d = euclidean_dissim(features, standardize=standardize)
+        d = euclidean_dissim(x, standardize=standardize)
         if path is not None:
             write_vatf(path, d)
-        return d
-    n = features.shape[0]
+        return analyze(d, method, spec_cfg)
+    n = len(x)
     p, sigma = np.empty(packed_start(n, n)), np.empty(n)
 
     def rows():
-        for band_rows, band in euclidean_packed(features, p,
-                                                standardize=standardize):
+        for band_rows, band in euclidean_packed(x, p, standardize=standardize):
             yield band
             # Written, so its scales may reorder it: the next band
             # overwrites it anyway.
@@ -301,7 +316,7 @@ def _subset_distances(features, method, spec_cfg, standardize, path=None):
             pass
     else:
         write_vatf(path, rows(), shape=(n, n))
-    return p, sigma
+    return _analysis(p, sigma, spec_cfg, k)
 
 
 def run_report(
@@ -324,14 +339,9 @@ def run_report(
     written to ``report.json``.  SpecVAT subsets pick k automatically unless
     ``k`` is given, which is clamped to n-1 with a warning; a ``k`` with
     VAT, or below 2, raises InputError before any subset.  The features
-    are checked once, here.  Each subset's distances are valid by
-    construction, are written to ``dissim.vatf`` as they are built and
-    are then analysed unchecked.  A VAT subset holds its n x n distance
-    matrix and its image.  A SpecVAT subset holds one packed upper
-    triangle, n(n+1)/2 floats, from its distances to its image, which
-    goes into its first n * n bytes; no n x n float64 array exists.  A
-    subset lets its matrix go once the image and its count are written.
-    Subsets with
+    are checked once, here.  Each subset goes through
+    ``analyze_features``, which writes its ``dissim.vatf``, and lets its
+    matrix go once the image and its count are written.  Subsets with
     fewer than 2 records, or 3 for SpecVAT, are skipped with a warning, and
     so are subsets whose distances overflow or whose image is degenerate (a
     single intensity), which are listed under ``skipped`` with a
@@ -341,8 +351,7 @@ def run_report(
     NumericError is raised, after ``report.json`` is written, only when no
     subset could be analysed.
     """
-    if method not in METHODS:
-        raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
+    _check_method(method)
     # SpecVAT needs k >= 2, so 3 records: with k = 1 every record maps to +1.
     if k is not None and method == "vat":
         raise InputError(f"--k {k}: VAT takes no k; use --method specvat")
@@ -371,14 +380,6 @@ def run_report(
             if n < min_n:
                 raise _Skip(f" has {n} record(s)")
             os.makedirs(subset_dir, exist_ok=True)
-            # A subset of every record reads the features as they are.
-            rows = features if n == len(features) else features[idx]
-            try:
-                dissim = _subset_distances(
-                    rows, method, config.spec, standardize,
-                    os.path.join(subset_dir, "dissim.vatf"))
-            except DistanceOverflow as exc:
-                raise _Skip(f": {exc}", str(exc)) from exc
             k_run = None if k is None else min(k, n - 1)
             if k_run != k:
                 warnings.warn(
@@ -386,11 +387,14 @@ def run_report(
                     stacklevel=2,
                 )
             try:
-                if method == "vat":
-                    result = analyze(dissim, method, config.spec)
-                else:
-                    result = _analysis(*dissim, config.spec, k_run)
+                # A subset of every record reads the features as they are.
+                result = analyze_features(
+                    features if n == len(features) else features[idx],
+                    method, config.spec, k_run, standardize=standardize,
+                    path=os.path.join(subset_dir, "dissim.vatf"))
                 cce = cce_count(result.image, config.cce)
+            except DistanceOverflow as exc:
+                raise _Skip(f": {exc}", str(exc)) from exc
             except DegenerateImageError as exc:
                 raise _Skip(f" is degenerate ({exc})", str(exc)) from exc
         except _Skip as skip:
@@ -413,7 +417,7 @@ def run_report(
             entry["k_scores"] = {
                 str(kk): v for kk, v in sorted(result.k_scores.items())
             }
-        del dissim, result  # the subset's one matrix, which the image may view
+        del result  # the subset's one matrix, which the image may view
         atomic_write_text(
             os.path.join(subset_dir, "ordering.json"), ordering_to_json(ordering)
         )

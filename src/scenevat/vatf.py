@@ -42,10 +42,10 @@ def parse_vatf(data) -> np.ndarray:
         raise InputError(f"bad VATF magic {magic!r}")
     if version != VERSION:
         raise InputError(f"unsupported VATF version {version}")
-    expected = _HEADER.size + 8 * n * d
-    if len(data) != expected:
+    payload = len(data) - _HEADER.size
+    if payload != 8 * n * d:
         raise InputError(
-            f"VATF payload is {len(data)} bytes, expected {expected} for {n}x{d}"
+            f"VATF payload is {payload} bytes, expected {8 * n * d} for {n}x{d}"
         )
     flat = np.frombuffer(data, dtype="<f8", offset=_HEADER.size)
     return flat.reshape(n, d).astype(np.float64, copy=not flat.flags.writeable)

@@ -471,12 +471,11 @@ def _stft_reference(x, cfg):
     return np.abs(np.fft.rfft(frames * window, axis=1)) ** 2
 
 
-@pytest.mark.parametrize("n_fft,hop", [(2048, 512), (16, 5), (17, 4), (64, 64), (2, 1)])
+@pytest.mark.parametrize("n_fft,hop", [(2048, 512), (16, 5), (18, 4), (64, 64), (2, 1)])
 def test_stft_keeps_the_reference_bits(n_fft, hop):
     # Clips shorter than n_fft / 2 (reflected more than once), about n_fft
     # long, and with frame counts, all or inside the clip, one either side
-    # of a block.  An odd n_fft has one frame fewer when hop divides the
-    # length, as the reference has.
+    # of a block.
     cfg = AudioConfig(target_rate=8000, n_fft=n_fft, hop=hop, n_mels=1)
     step = audio.BUFFER_BYTES // (8 * n_fft)  # frames per block
     pad = n_fft // 2
@@ -589,6 +588,10 @@ def test_config_validation():
         AudioConfig(n_mels=0)
     with pytest.raises(InputError):
         AudioConfig(log_floor=0.0)
+    # An odd n_fft had one frame fewer than 1 + len // hop when hop divides
+    # the length.
+    with pytest.raises(InputError, match="n_fft must be even and >= 2, got 17"):
+        AudioConfig(n_fft=17, hop=4)
 
 
 def test_cache_key_tracks_parameters(monkeypatch):

@@ -108,6 +108,26 @@ def test_specvat_of_features_writes_what_specvat_of_their_distances_writes(tmp_p
         assert d_prime.tobytes() == cdist(e, e).tobytes()
 
 
+@pytest.mark.parametrize("method, k", [("vat", []), ("specvat", ["--k", "3"]),
+                                      ("specvat", [])])
+def test_matrix_command_writes_what_a_report_subset_writes(tmp_path, method, k):
+    # scenevat vat|specvat --features and a report subset of the same
+    # features go through one body, analyze_features: one answer.
+    feats, _ = gaussian_blobs(BlobSpec(3, 20, 6, 4.0, seed=5))
+    write_vatf(tmp_path / "f.vatf", feats)
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,scene,city\n" + "".join(
+        f"c{i}.wav,bus,paris\n" for i in range(len(feats))))
+    assert main([method, "--features", str(tmp_path / "f.vatf"), *k,
+                 "--out", str(tmp_path / "cli")]) == 0
+    assert main(["report", "--manifest", str(manifest), "--features",
+                 str(tmp_path / "f.vatf"), "--group", "all", "--method", method,
+                 *k, "--out", str(tmp_path / "report")]) == 0
+    for name in ("odi.pgm", "ordering.json"):
+        assert ((tmp_path / "cli" / name).read_bytes()
+                == (tmp_path / "report" / "all" / name).read_bytes()), name
+
+
 def test_specvat_auto_k_prints_selection(tmp_path, capsys):
     syn = tmp_path / "syn"
     main([
@@ -155,6 +175,7 @@ def _one_clip_inputs(tmp_path):
     '{"cce": {"band_width": "x"}}',
     # well-typed but out of range: each config rejects it when built
     '{"audio": {"n_fft": 1}}',
+    '{"audio": {"n_fft": 17, "hop": 4}}',
     '{"specvat": {"k_max": 1}}',
     '{"cce": {"threshold_mode": "median"}}',
     '{"cce": {"explicit_b": -1}}',
@@ -853,6 +874,32 @@ def test_report_from_audio_reruns_from_its_cache(tmp_path, monkeypatch):
     cold = _tree_bytes(tmp_path / "cold")
     assert "london/stack_scene.csv" in cold
     assert _tree_bytes(tmp_path / "warm") == cold
+
+
+@pytest.mark.filterwarnings("ignore:subset .* has 0 record")
+@pytest.mark.parametrize("row, message", [
+    (np.zeros((1, 64)), "cached feature row has shape (1, 64), expected (1, 16)"),
+    (np.zeros((2, 16)), "cached feature row has shape (2, 16), expected (1, 16)"),
+    (np.full((1, 16), np.nan), "feature row 0 contains a non-finite value"),
+], ids=["1x64", "2x16", "nan"])
+@pytest.mark.parametrize("command", ["features", "report"])
+def test_a_bad_cached_row_exits_2_naming_the_cache_file(tmp_path, capsys, row,
+                                                        message, command):
+    # A cache file that parses as VATF but is not one finite row of n_mels
+    # values once died in np.vstack (exit 1), or was blamed on the row of
+    # the feature matrix it went into.
+    _, argv = _audio_report_inputs(tmp_path)
+    argv += ["--cache", str(tmp_path / "cache")]
+    assert main(argv + ["--out", str(tmp_path / "cold")]) == 0
+    capsys.readouterr()
+    bad = sorted((tmp_path / "cache").iterdir())[3]
+    write_vatf(bad, row)
+    if command == "features":  # the same inputs, less the grouping
+        at = argv.index("--group")
+        argv = ["features"] + argv[1:at] + argv[at + 2:]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_report_from_audio_names_a_missing_wav(tmp_path, capsys):

@@ -71,10 +71,19 @@ def test_bad_version_rejected():
         parse_vatf(bytes(raw))
 
 
-def test_truncated_payload_rejected():
+def test_truncated_payload_rejected(tmp_path):
+    # The sizes are the payload's, after the 16-byte header, and a read
+    # names the file.
     raw = vatf_bytes(np.zeros((2, 3)))
-    with pytest.raises(InputError):
+    message = "VATF payload is 40 bytes, expected 48 for 2x3"
+    with pytest.raises(InputError) as err:
         parse_vatf(raw[:-8])
+    assert str(err.value) == message
+    path = tmp_path / "short.vatf"
+    path.write_bytes(raw[:-8])
+    with pytest.raises(InputError) as err:
+        read_vatf(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_trailing_bytes_rejected():
