@@ -14,6 +14,8 @@ two-level.
 import argparse
 import os
 
+from scipy.spatial.distance import cdist
+
 from scenevat.cce import otsu_effectiveness
 from scenevat.matrix import euclidean_dissim
 from scenevat.specvat import specvat
@@ -41,7 +43,8 @@ def main():
 
     print(f"plain VAT image contrast:   {otsu_effectiveness(plain):.4f}")
     print(f"spectral image contrast:    {otsu_effectiveness(result.image):.4f}")
-    print(f"embedded distances: {result.d_prime.shape} "
+    d_prime = cdist(result.embedding, result.embedding)
+    print(f"embedded distances: {d_prime.shape} "
           f"from k={result.k} eigenvectors")
     print(f"images -> {args.out}/vat.pgm, {args.out}/specvat.pgm")
 

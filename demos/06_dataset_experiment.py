@@ -17,22 +17,8 @@ import argparse
 import json
 import os
 
-from scenevat.manifest import parse_dcase_filename, parse_manifest
+from scenevat.manifest import parse_manifest, scan_dcase_tree
 from scenevat.report import features_for_manifest, load_config, run_report
-
-
-def scan_manifest(root):
-    rows = ["path,scene,city"]
-    for dirpath, _, names in os.walk(root):
-        for name in sorted(names):
-            if not name.lower().endswith(".wav"):
-                continue
-            try:
-                scene, city = parse_dcase_filename(name)
-            except Exception:
-                continue
-            rows.append(f"{os.path.join(dirpath, name)},{scene},{city}")
-    return parse_manifest("\n".join(rows) + "\n")
 
 
 def main():
@@ -45,7 +31,7 @@ def main():
     args = ap.parse_args()
 
     cfg = load_config(args.config)
-    manifest = scan_manifest(args.root)
+    manifest = parse_manifest(scan_dcase_tree(args.root))
     print(f"{len(manifest)} recordings under {args.root}")
     feats = features_for_manifest(manifest, cfg.audio, cache_dir=args.cache,
                                   threads=args.threads)

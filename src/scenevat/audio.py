@@ -78,9 +78,8 @@ class AudioClip:
 class AudioConfig:
     """STFT / mel parameters.  Defaults give 431 frames for a 10 s clip.
 
-    The log is natural with an additive floor; set ``db_scale`` for
-    10*log10 instead.  The mel scale is linear below 1 kHz and logarithmic
-    above; ``htk_mel`` switches to the purely logarithmic HTK variant.
+    The log is natural with an additive floor, and the mel scale is
+    Slaney's: linear below 1 kHz and logarithmic above.
     """
 
     target_rate: int = 22050
@@ -90,8 +89,6 @@ class AudioConfig:
     fmin: float = 0.0
     fmax: Optional[float] = None  # None -> target_rate / 2
     log_floor: float = 1e-10
-    htk_mel: bool = False
-    db_scale: bool = False
 
     def resolved_fmax(self) -> float:
         return self.target_rate / 2 if self.fmax is None else self.fmax
@@ -465,10 +462,8 @@ _MEL_MIN_LOG_MEL = _MEL_MIN_LOG_HZ / _MEL_F_SP
 _MEL_LOGSTEP = np.log(6.4) / 27.0
 
 
-def hz_to_mel(freq, htk: bool = False) -> np.ndarray:
+def hz_to_mel(freq) -> np.ndarray:
     f = np.asarray(freq, dtype=np.float64)
-    if htk:
-        return 2595.0 * np.log10(1.0 + f / 700.0)
     return np.where(
         f < _MEL_MIN_LOG_HZ,
         f / _MEL_F_SP,
@@ -477,10 +472,8 @@ def hz_to_mel(freq, htk: bool = False) -> np.ndarray:
     )
 
 
-def mel_to_hz(mel, htk: bool = False) -> np.ndarray:
+def mel_to_hz(mel) -> np.ndarray:
     m = np.asarray(mel, dtype=np.float64)
-    if htk:
-        return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
     return np.where(
         m < _MEL_MIN_LOG_MEL,
         _MEL_F_SP * m,
@@ -490,12 +483,9 @@ def mel_to_hz(mel, htk: bool = False) -> np.ndarray:
 
 
 def _mel_breakpoints(cfg: AudioConfig) -> np.ndarray:
-    mels = np.linspace(
-        hz_to_mel(cfg.fmin, cfg.htk_mel),
-        hz_to_mel(cfg.resolved_fmax(), cfg.htk_mel),
-        cfg.n_mels + 2,
-    )
-    return mel_to_hz(mels, cfg.htk_mel)
+    mels = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.resolved_fmax()),
+                       cfg.n_mels + 2)
+    return mel_to_hz(mels)
 
 
 def mel_center_frequencies(cfg: AudioConfig = AudioConfig()) -> np.ndarray:
@@ -549,11 +539,7 @@ def log_mel_mean(clip: AudioClip, cfg: AudioConfig = AudioConfig()) -> np.ndarra
     """One feature vector per recording: log mel power averaged over frames."""
     mel = mel_power(clip, cfg)
     mel += cfg.log_floor
-    if cfg.db_scale:
-        np.log10(mel, out=mel)
-        mel *= 10.0
-    else:
-        np.log(mel, out=mel)
+    np.log(mel, out=mel)
     return mel.mean(axis=1)
 
 

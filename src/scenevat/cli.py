@@ -15,12 +15,10 @@ import os
 import sys
 from dataclasses import replace
 
-from scipy.spatial.distance import cdist
-
 from .cce import cce_count
 from .errors import InputError, NumericError
 from .manifest import CITIES, SCENES, read_manifest
-from .matrix import as_features, bands, check_dissim
+from .matrix import as_features, check_dissim
 from .report import (
     GROUPINGS,
     METHODS,
@@ -65,8 +63,6 @@ def _matrix_inputs(p):
     g.add_argument("--features", metavar="VATF",
                    help="feature matrix, one row per record")
     g.add_argument("--dissim", metavar="VATF", help="precomputed n x n matrix")
-    p.add_argument("--standardize", action="store_true",
-                   help="z-score feature columns before distances")
 
 
 # --------------------------------------------------------------------------
@@ -98,14 +94,11 @@ def cmd_matrix(args) -> int:
     either names the file.
     """
     spec_cfg = load_config(args.config).spec
-    if args.dissim is not None and args.standardize:
-        raise InputError("--standardize applies to --features only, not --dissim")
     path = args.features if args.dissim is None else args.dissim
     m = read_vatf(path)
     with naming(path):
         if args.dissim is None:
-            result = analyze_features(m, args.method, spec_cfg, args.k,
-                                      standardize=args.standardize)
+            result = analyze_features(m, args.method, spec_cfg, args.k)
         else:
             m = check_dissim(m)  # a symmetrized copy lets the input go
             result = analyze(m, args.method, spec_cfg, args.k)
@@ -122,12 +115,7 @@ def cmd_matrix(args) -> int:
     if result.embedding is None:
         print(f"ordered {n} records -> {args.out}")
     else:
-        # d_prime's rows go to the file band by band, with the bits of the
-        # whole matrix (a pair's cdist bits do not depend on the others):
-        # no n x n array is built beside the image.
-        e = result.embedding
-        write_vatf(os.path.join(args.out, "d_prime.vatf"),
-                   (cdist(e[rows], e) for rows in bands(n)), shape=(n, n))
+        write_vatf(os.path.join(args.out, "embedding.vatf"), result.embedding)
         print(f"ordered {n} records with k={result.k} -> {args.out}")
     return 0
 
@@ -199,16 +187,11 @@ def cmd_report(args) -> int:
         feats = read_vatf(args.features)
         with naming(args.features):
             feats = as_features(feats)
-    report = run_report(
-        manifest,
-        feats,
-        args.group,
-        args.out,
-        method=args.method,
-        config=cfg,
-        k=args.k,
-        standardize=args.standardize,
-    )
+            if len(feats) != len(manifest):
+                raise InputError(f"{len(feats)} feature rows, but manifest "
+                                 f"{args.manifest} has {len(manifest)} records")
+    report = run_report(manifest, feats, args.group, args.out,
+                        method=args.method, config=cfg, k=args.k)
     for name in sorted(report["summary"]):
         print(f"{name}: {report['summary'][name]}")
     print(f"{len(report['subsets'])} subset report(s) -> {args.out}")
@@ -293,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
                         f"cities: {', '.join(CITIES)})")
     r.add_argument("--method", choices=METHODS, default="vat")
     r.add_argument("--k", type=int, default=None)
-    r.add_argument("--standardize", action="store_true")
     _add_shared(r, "--config", "--threads")
     r.set_defaults(func=cmd_report)
     return p

@@ -83,7 +83,8 @@ def parse_manifest(data) -> LabeledManifest:
     Errors carry the 1-based line number: missing/extra columns, unknown
     scene or city labels, and duplicate paths are all rejected.  A leading
     UTF-8 byte-order mark, which spreadsheets write ("CSV UTF-8"), is
-    skipped.
+    skipped.  A row the CSV reader rejects, such as one with a bare CR
+    inside an unquoted field, is an error on its line.
     """
     if not isinstance(data, str):
         try:
@@ -92,7 +93,7 @@ def parse_manifest(data) -> LabeledManifest:
             raise InputError(f"manifest is not valid UTF-8: {exc}") from exc
     else:
         text = data.removeprefix("\ufeff")
-    reader = csv.reader(io.StringIO(text))
+    reader = _rows(csv.reader(io.StringIO(text)))
     try:
         header = next(reader)
     except StopIteration:
@@ -125,6 +126,14 @@ def parse_manifest(data) -> LabeledManifest:
     return LabeledManifest(tuple(records))
 
 
+def _rows(reader):
+    # The reader's rows; one it cannot read raises InputError on its line.
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise InputError(f"line {reader.line_num}: {exc}") from exc
+
+
 def read_manifest(path) -> LabeledManifest:
     return read_file(path, "manifest", parse_manifest)
 
@@ -146,3 +155,21 @@ def parse_dcase_filename(name: str) -> tuple[str, str]:
     if city not in CITIES:
         raise InputError(f"{base!r}: unknown city {city!r}")
     return scene, city
+
+
+def scan_dcase_tree(root) -> str:
+    """Manifest CSV text of the DCASE-named WAVs under ``root``, walked in
+    sorted order so that a tree gives the same rows on any machine; a name
+    that ``parse_dcase_filename`` rejects is left out."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("path", "scene", "city"))
+    for dirpath, dirnames, names in os.walk(root):
+        dirnames.sort()  # os.walk descends in this order
+        for name in sorted(names):
+            try:
+                scene, city = parse_dcase_filename(name)
+            except InputError:
+                continue
+            writer.writerow((os.path.join(dirpath, name), scene, city))
+    return out.getvalue()

@@ -167,30 +167,18 @@ def as_features(values) -> np.ndarray:
     return x
 
 
-def zscore(features: np.ndarray) -> np.ndarray:
-    """Per-dimension standardization; constant dimensions are left unscaled."""
-    x = as_features(features)
-    mean = x.mean(axis=0)
-    sd = x.std(axis=0)
-    sd = np.where(sd > 0, sd, 1.0)
-    return (x - mean) / sd
-
-
-def euclidean_dissim(features, *, standardize: bool = False) -> np.ndarray:
+def euclidean_dissim(features) -> np.ndarray:
     """Euclidean distance matrix of the feature rows, valid as returned.
 
     Symmetric, nonnegative and zero on the diagonal by construction, so no
     ``check_dissim`` is needed; a distance that overflows raises
-    DistanceOverflow, an InputError.
-    ``standardize=True`` applies per-dimension z-scoring first (off by
-    default; features are used raw).  The matrix is built in ``bands``
-    of rows: the band's rows against each other (``pdist``) and every
-    later row against the band's rows (``cdist``, mirrored above the
-    diagonal).  It has the bits of ``squareform(pdist(x))`` without its
+    DistanceOverflow, an InputError.  The matrix is built in ``bands`` of
+    rows: the band's rows against each other (``pdist``) and every later
+    row against the band's rows (``cdist``, mirrored above the diagonal).  It has the bits of ``squareform(pdist(x))`` without its
     condensed copy, so the result is the only n x n array; each band is
     checked for overflow as it is built.
     """
-    x = zscore(features) if standardize else as_features(features)
+    x = as_features(features)
     n = x.shape[0]
     d = np.empty((n, n))
     for rows in bands(n):
@@ -201,7 +189,7 @@ def euclidean_dissim(features, *, standardize: bool = False) -> np.ndarray:
     return d
 
 
-def euclidean_packed(features, p: np.ndarray, *, standardize: bool = False):
+def euclidean_packed(features, p: np.ndarray):
     """Build the packed upper triangle (see ``pack``) of ``euclidean_dissim``
     into ``p``, n(n+1)/2 floats, band by band.
 
@@ -210,7 +198,7 @@ def euclidean_packed(features, p: np.ndarray, *, standardize: bool = False):
     buffer of about ``BAND_BYTES`` that the next band overwrites.  A band
     whose distances overflow raises DistanceOverflow before it is yielded.
     """
-    x = zscore(features) if standardize else as_features(features)
+    x = as_features(features)
     n = x.shape[0]
     # The band's rows and the later rows' distances to them, each in one
     # buffer for every band: new ones each time are fresh pages to fault.

@@ -270,9 +270,10 @@ def analyze(d: np.ndarray, method: str, spec_cfg: SpecVatConfig,
     and works there: the affinity, its normalization, the scan's condensed
     distances and then the image, in its first n * n bytes, overwrite it
     in turn, so ``result.image`` is a view of ``d``'s buffer and the
-    distances are gone.  Pass a copy to keep them.  ``result.d_prime`` is
-    a new matrix, computed from ``result.embedding`` when read.  SpecVAT
-    uses ``k`` eigenvectors, or picks k with the scan when ``k`` is None.
+    distances are gone.  Pass a copy to keep them.  The embedded distances
+    that SpecVAT ordered are ``cdist(result.embedding, result.embedding)``.
+    SpecVAT uses ``k`` eigenvectors, or picks k with the scan when ``k`` is
+    None.
     """
     _check_method(method)
     if method == "vat":
@@ -282,8 +283,7 @@ def analyze(d: np.ndarray, method: str, spec_cfg: SpecVatConfig,
 
 
 def analyze_features(x, method: str, spec_cfg: SpecVatConfig,
-                     k: Optional[int] = None, *, standardize: bool = False,
-                     path=None) -> Analysis:
+                     k: Optional[int] = None, *, path=None) -> Analysis:
     """``analyze`` of the distances between the rows of ``x``: the one
     body of a ``run_report`` subset and of ``scenevat vat|specvat
     --features``.
@@ -297,7 +297,7 @@ def analyze_features(x, method: str, spec_cfg: SpecVatConfig,
     """
     _check_method(method)
     if method == "vat":
-        d = euclidean_dissim(x, standardize=standardize)
+        d = euclidean_dissim(x)
         if path is not None:
             write_vatf(path, d)
         return analyze(d, method, spec_cfg)
@@ -305,7 +305,7 @@ def analyze_features(x, method: str, spec_cfg: SpecVatConfig,
     p, sigma = np.empty(packed_start(n, n)), np.empty(n)
 
     def rows():
-        for band_rows, band in euclidean_packed(x, p, standardize=standardize):
+        for band_rows, band in euclidean_packed(x, p):
             yield band
             # Written, so its scales may reorder it: the next band
             # overwrites it anyway.
@@ -328,7 +328,6 @@ def run_report(
     method: str = "vat",
     config: ReportConfig = DEFAULT_CONFIG,
     k: Optional[int] = None,
-    standardize: bool = False,
 ) -> dict:
     """Analyze each subset and emit ODI/ordering/stack/count artifacts.
 
@@ -390,7 +389,7 @@ def run_report(
                 # A subset of every record reads the features as they are.
                 result = analyze_features(
                     features if n == len(features) else features[idx],
-                    method, config.spec, k_run, standardize=standardize,
+                    method, config.spec, k_run,
                     path=os.path.join(subset_dir, "dissim.vatf"))
                 cce = cce_count(result.image, config.cce)
             except DistanceOverflow as exc:

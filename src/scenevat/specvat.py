@@ -309,8 +309,9 @@ def specvat(m, k: int, cfg: SpecVatConfig = SpecVatConfig()) -> Analysis:
     """Embed in k eigenvectors (1 <= k <= n-1) and run VAT on their distances.
 
     ``m`` is never changed.  The image is a view of one n x n float64 copy
-    of it, in which every step runs; ``d_prime`` is computed again from the
-    embedding when read.
+    of it, in which every step runs.  The embedded distances that were
+    ordered are not kept: they are ``cdist(result.embedding,
+    result.embedding)``, bit for bit.
     """
     p, sigma = _packed(_checked_copy(m), cfg)
     return _specvat(_embed(p, sigma, cfg, k), p)
@@ -330,13 +331,13 @@ def _analysis(p: np.ndarray, sigma: np.ndarray, cfg: SpecVatConfig,
 def _specvat(embedding: np.ndarray, out: np.ndarray,
              k_scores: dict | None = None) -> Analysis:
     # out is a C-contiguous float64 buffer of at least n * n bytes; its
-    # values are not read.  d_prime is never held: one banded pass over its
-    # upper triangle finds its maximum and where VAT starts, and VAT then
-    # computes each row it reads.  The image goes into out's first n * n
-    # bytes, band by band from the embedding in VAT order.  cdist's bits
-    # for a pair do not depend on the pairs computed with it, so every row
-    # and band holds d_prime's bits (at k <= 10 columns, those of
-    # squareform(pdist(...))).
+    # values are not read.  The embedded distances are never held: one
+    # banded pass over their upper triangle finds their maximum and where
+    # VAT starts, and VAT then computes each row it reads.  The image goes
+    # into out's first n * n bytes, band by band from the embedding in VAT
+    # order.  cdist's bits for a pair do not depend on the pairs computed
+    # with it, so every row and band holds the bits of cdist(embedding,
+    # embedding) (at k <= 10 columns, those of squareform(pdist(...))).
     n = embedding.shape[0]
     start, dmax = 0, -np.inf
     for rows in bands(n):

@@ -12,12 +12,10 @@ order; among equidistant candidates the smallest index wins.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import InputError
 from .matrix import bands, check_dissim, check_permutation
@@ -66,14 +64,6 @@ class Analysis:
     def k(self) -> int | None:
         """SpecVAT's eigenvector count, the embedding's width."""
         return None if self.embedding is None else self.embedding.shape[1]
-
-    @functools.cached_property
-    def d_prime(self) -> np.ndarray | None:
-        """The embedded distances that were ordered, ``cdist(embedding,
-        embedding)``: a new n x n matrix, built when first read."""
-        if self.embedding is None:
-            return None
-        return cdist(self.embedding, self.embedding)
 
 
 def vat_order(m) -> VatOrdering:
@@ -219,10 +209,9 @@ def parse_pgm(data: bytes) -> np.ndarray:
         if not tok:
             raise InputError("truncated PGM header")
         fields.append(tok)
-    try:
-        w, h, maxval = (int(f) for f in fields)
-    except ValueError:
-        raise InputError(f"malformed PGM header fields {fields}") from None
+    if not all(f.isdigit() for f in fields):  # int() takes "-1", "+1", "1_0"
+        raise InputError(f"malformed PGM header fields {fields}")
+    w, h, maxval = (int(f) for f in fields)
     if maxval != 255:
         raise InputError(f"unsupported PGM maxval {maxval}")
     pos += 1  # exactly one whitespace byte after maxval

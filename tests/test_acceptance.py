@@ -11,13 +11,14 @@ import time
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import conftest
 from conftest import random_dissim, sine
 from scenevat.audio import AudioClip, log_mel_mean, resample, stft_power
 from scenevat.cce import CceConfig, cce_count, otsu_threshold
 from scenevat.cli import main
-from scenevat.manifest import CITIES, SCENES, parse_dcase_filename
+from scenevat.manifest import CITIES, SCENES, read_manifest, scan_dcase_tree
 from scenevat.matrix import euclidean_dissim, permute_matrix
 from scenevat.specvat import (
     SpecVatConfig,
@@ -125,7 +126,8 @@ def test_acceptance_5_specvat_block_fidelity_and_k_selection():
         lab = labels[p]
         res = specvat(m, 3)
         s = lab[:, None] == lab[None, :]
-        if res.d_prime[s & off].max() < res.d_prime[~s].min():
+        d_prime = cdist(res.embedding, res.embedding)
+        if d_prime[s & off].max() < d_prime[~s].min():
             fidelity += 1
 
     # local scales must reach the 15th neighbour, i.e. across blocks, or
@@ -269,18 +271,8 @@ def test_acceptance_9_dataset_scale_counts(tmp_path):
         conftest.ACCEPTANCE_LINES.append(line)
         pytest.skip("dataset root not configured")
 
-    rows = ["path,scene,city"]
-    for dirpath, _, names in os.walk(root):
-        for name in sorted(names):
-            if not name.lower().endswith(".wav"):
-                continue
-            try:
-                scene, city = parse_dcase_filename(name)
-            except Exception:
-                continue
-            rows.append(f"{os.path.join(dirpath, name)},{scene},{city}")
     manifest = tmp_path / "dataset.csv"
-    manifest.write_text("\n".join(rows) + "\n")
+    manifest.write_text(scan_dcase_tree(root))
 
     out = tmp_path / "dataset_report"
     code = main([
@@ -293,7 +285,7 @@ def test_acceptance_9_dataset_scale_counts(tmp_path):
     in_range = {k: 6 <= v <= 18 for k, v in per_city.items()}
     deviations = sorted(k for k, ok in in_range.items() if not ok)
     detail = (
-        f"{len(rows) - 1} files, per-city counts {per_city}"
+        f"{len(read_manifest(manifest))} files, per-city counts {per_city}"
         + (f"; outside 6-18: {deviations}" if deviations else "")
     )
     record(9, code == 0, detail)

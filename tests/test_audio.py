@@ -500,14 +500,11 @@ def test_mel_scale_anchor_points():
     assert float(hz_to_mel(0.0)) == 0.0
     assert float(hz_to_mel(1000.0)) == pytest.approx(15.0, abs=1e-12)
     assert float(hz_to_mel(500.0)) == pytest.approx(7.5, abs=1e-12)
-    htk = float(hz_to_mel(1000.0, htk=True))
-    assert htk == pytest.approx(2595.0 * np.log10(1.0 + 1000.0 / 700.0))
 
 
 def test_mel_round_trip():
     f = np.array([0.0, 123.0, 999.0, 1000.0, 4000.0, 11025.0])
     assert np.allclose(mel_to_hz(hz_to_mel(f)), f, atol=1e-8)
-    assert np.allclose(mel_to_hz(hz_to_mel(f, htk=True), htk=True), f, atol=1e-8)
 
 
 def test_mel_centers_match_hand_formula():
@@ -551,12 +548,6 @@ def test_log_mel_silence_hits_floor():
     assert np.allclose(feats, np.log(1e-10), atol=1e-12)
 
 
-def test_log_mel_db_mode():
-    clip = AudioClip(np.zeros(22050), 22050)
-    feats = log_mel_mean(clip, AudioConfig(db_scale=True))
-    assert np.allclose(feats, -100.0, atol=1e-9)
-
-
 def test_tone_peaks_in_nearest_mel_band():
     cfg = AudioConfig()
     clip = AudioClip(sine(440.0, 10.0, 22050), 22050)
@@ -598,7 +589,6 @@ def test_cache_key_tracks_parameters(monkeypatch):
     base = AudioConfig().cache_key()
     assert len(base) == 16 and int(base, 16) >= 0
     assert AudioConfig(n_mels=64).cache_key() != base
-    assert AudioConfig(htk_mel=True).cache_key() != base
     assert AudioConfig().cache_key() == base
     # rows cached by an earlier front end are never served by this one
     monkeypatch.setattr(audio, "FRONTEND_VERSION", audio.FRONTEND_VERSION - 1)
@@ -608,8 +598,7 @@ def test_cache_key_tracks_parameters(monkeypatch):
 
 # A valid value other than the default for each field.
 _OTHER_VALUES = {"target_rate": 16000, "n_fft": 1024, "hop": 256, "n_mels": 64,
-                 "fmin": 20.0, "fmax": 8000.0, "log_floor": 1e-8,
-                 "htk_mel": True, "db_scale": True}
+                 "fmin": 20.0, "fmax": 8000.0, "log_floor": 1e-8}
 
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(AudioConfig)])
@@ -629,8 +618,9 @@ def test_cache_key_covers_a_field_added_later():
 
 
 def test_cache_key_is_stable_and_spelling_blind():
-    # The default key names rows already cached on disk; it must not move.
-    assert AudioConfig().cache_key() == "3edd2c96814f2a87"
+    # The default key names rows already cached on disk; it moves only when
+    # the set of fields changes, and then no row cached under it is served.
+    assert AudioConfig().cache_key() == "7c8675f813cfddff"
     # A config file may spell a float field as an int.
     for as_int, as_float in [
         (AudioConfig(fmin=0), AudioConfig(fmin=0.0)),
@@ -671,13 +661,11 @@ def _features_reference(data, bits, channels, float_fmt, cfg):
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(cfg.n_fft) / cfg.n_fft)
     power = np.abs(np.fft.rfft(frames * window, axis=1)) ** 2
     mel = mel_filterbank(cfg) @ power.T
-    if cfg.db_scale:
-        return (10.0 * np.log10(mel + cfg.log_floor)).mean(axis=1)
     return np.log(mel + cfg.log_floor).mean(axis=1)
 
 
 @pytest.mark.parametrize("cfg", [AudioConfig(), AudioConfig(
-    target_rate=16000, n_fft=512, hop=160, n_mels=40, db_scale=True)])
+    target_rate=16000, n_fft=512, hop=160, n_mels=40)])
 @pytest.mark.parametrize("channels", [1, 2])
 @pytest.mark.parametrize("bits,float_fmt", [(16, False), (24, False), (32, False),
                                             (32, True)])

@@ -14,6 +14,7 @@ import scenevat.matrix
 import scenevat.report
 import scenevat.specvat
 from scenevat.cli import main
+from scenevat.manifest import scan_dcase_tree
 from scenevat.synth import BlobSpec, gaussian_blobs
 from scenevat.vat import read_pgm, write_pgm
 from scenevat.vatf import read_vatf, write_vatf
@@ -82,30 +83,33 @@ def test_synth_blobs_and_specvat(tmp_path):
         "--k", "3", "--out", str(out),
     ]) == 0
     assert read_pgm(out / "odi.pgm").shape == (36, 36)
-    dprime = read_vatf(out / "d_prime.vatf")
-    assert dprime.shape == (36, 36)
+    e = read_vatf(out / "embedding.vatf")
+    assert cdist(e, e).shape == (36, 36)
 
 
 @pytest.mark.parametrize("k", [["--k", "3"], []])
 def test_specvat_of_features_writes_what_specvat_of_their_distances_writes(tmp_path, k):
     # --features builds the packed triangle and the local scales straight
-    # from the features; --dissim packs the square matrix it reads.  Both
-    # write d_prime.vatf band by band.  Every file is the same.
-    # 420 records: d_prime.vatf is written in two bands.
+    # from the features; --dissim packs the square matrix it reads.  Every
+    # file is the same.  420 records: the distances come in two bands.
     feats, _ = gaussian_blobs(BlobSpec(3, 140, 6, 4.0, seed=5))
     write_vatf(tmp_path / "f.vatf", feats)
     write_vatf(tmp_path / "d.vatf", scenevat.matrix.euclidean_dissim(feats))
     for kind, path in [("features", "f.vatf"), ("dissim", "d.vatf")]:
         assert main(["specvat", f"--{kind}", str(tmp_path / path), *k,
                      "--out", str(tmp_path / kind)]) == 0
-    for name in ("odi.pgm", "ordering.json", "d_prime.vatf"):
+    for name in ("odi.pgm", "ordering.json", "embedding.vatf"):
         assert ((tmp_path / "features" / name).read_bytes()
                 == (tmp_path / "dissim" / name).read_bytes()), name
-    if k:  # the bands have the bits of the whole matrix
+    if k:
         e = scenevat.specvat.specvat(scenevat.matrix.euclidean_dissim(feats),
                                      3).embedding
-        d_prime = read_vatf(tmp_path / "features" / "d_prime.vatf")
-        assert d_prime.tobytes() == cdist(e, e).tobytes()
+        got = read_vatf(tmp_path / "features" / "embedding.vatf")
+        assert got.tobytes() == e.tobytes()
+        # The embedded distances, as a band-by-band d_prime.vatf held them.
+        banded = np.vstack([cdist(e[rows], e)
+                            for rows in scenevat.matrix.bands(len(e))])
+        assert cdist(got, got).tobytes() == banded.tobytes()
 
 
 @pytest.mark.parametrize("method, k", [("vat", []), ("specvat", ["--k", "3"]),
@@ -144,6 +148,16 @@ def test_specvat_auto_k_prints_selection(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "selected k=3" in printed
     assert "k=2:" in printed and "k=4:" in printed
+
+
+def test_manifest_with_a_bare_cr_exits_2(tmp_path, capsys):
+    bad = tmp_path / "m.csv"
+    bad.write_bytes(b"path,scene,city\na.\rav,airport,london\n")
+    assert main(["features", "--manifest", str(bad),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {bad}: line 2: new-line character seen in unquoted field")
+    assert not (tmp_path / "o").exists()
 
 
 def _one_clip_inputs(tmp_path):
@@ -482,8 +496,12 @@ def _nan_at(n, row):
      "invalid dissimilarity matrix: matrix is empty"),
     (["report", "--manifest", "{manifest}", "--features"], np.zeros((0, 4)),
      "feature matrix must be at least 1x1, got 0x4"),
+    # The manifest has no records; this message once named neither file.
+    (["report", "--manifest", "{manifest}", "--features"], np.zeros((3, 4)),
+     "3 feature rows, but manifest"),
 ], ids=["asymmetric-dissim", "nan-features", "overflowing-features",
-        "dissim-3x4", "dissim-0x0", "report-features-0x4"])
+        "dissim-3x4", "dissim-0x0", "report-features-0x4",
+        "report-features-3x4"])
 def test_matrix_file_errors_name_the_file(tmp_path, capsys, argv, values, message):
     manifest = tmp_path / "m.csv"
     manifest.write_text("path,scene,city\n")
@@ -662,6 +680,14 @@ def test_flags_only_on_subcommands_that_read_them(tmp_path):
         main(["specvat", "--dissim", str(syn / "dissim.vatf"),
               "--threads", "2", "--out", str(tmp_path / "o")])
     assert err.value.code == 2
+    # No subcommand z-scores features: --standardize is no flag.
+    for argv in (["vat", "--dissim", str(syn / "dissim.vatf")],
+                 ["specvat", "--dissim", str(syn / "dissim.vatf")],
+                 ["report", "--manifest", str(tmp_path / "m.csv")]):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--standardize", "--out", str(tmp_path / "o")])
+        assert err.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_specvat_k_out_of_range_and_too_few_records_exit_2(tmp_path, capsys):
@@ -675,7 +701,8 @@ def test_specvat_k_out_of_range_and_too_few_records_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "b")]) == 2
     assert main(["specvat", "--dissim", two, "--k", "1",
                  "--out", str(tmp_path / "c")]) == 0
-    assert read_vatf(tmp_path / "c" / "d_prime.vatf").shape == (2, 2)
+    e = read_vatf(tmp_path / "c" / "embedding.vatf")
+    assert cdist(e, e).shape == (2, 2)
 
 
 def _city_inputs(tmp_path, london_rows, paris_rows):
@@ -781,29 +808,23 @@ def test_report_checks_k_before_any_subset(tmp_path, capsys, method, k,
 
 @pytest.mark.parametrize("command", ["specvat", "report"])
 def test_sigma_floor_is_not_a_config_key(tmp_path, capsys, command):
-    # The smallest local scale is the constant specvat.SIGMA_FLOOR.
+    # The smallest local scale is the constant specvat.SIGMA_FLOOR.  The
+    # log is natural and the mel scale Slaney's: neither is a key either.
     argv = _one_clip_inputs(tmp_path)[command]
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"specvat": {"sigma_floor": 1e-12}}')
-    assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == (
-        f"error: config {cfg}: section 'specvat': unknown key(s) ['sigma_floor']\n")
+    for section, key, value in [("specvat", "sigma_floor", 1e-12),
+                                ("audio", "db_scale", True),
+                                ("audio", "htk_mel", True)]:
+        cfg.write_text(json.dumps({section: {key: value}}))
+        assert main(argv + ["--config", str(cfg),
+                            "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config {cfg}: section '{section}': unknown key(s) "
+            f"['{key}']\n")
 
 
 # --------------------------------------------------------------------------
 # Flags a command does not read
-
-
-@pytest.mark.parametrize("command", ["vat", "specvat"])
-def test_standardize_with_dissim_exits_2(tmp_path, capsys, command):
-    # --standardize z-scores feature columns; a --dissim file has none.
-    assert main(["synth", "--mode", "blocks", "--sizes", "4,4",
-                 "--out", str(tmp_path / "syn")]) == 0
-    assert main([command, "--dissim", str(tmp_path / "syn" / "dissim.vatf"),
-                 "--standardize", "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == (
-        "error: --standardize applies to --features only, not --dissim\n")
-    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("flag", ["--audio-root", "--cache"])
@@ -874,6 +895,52 @@ def test_report_from_audio_reruns_from_its_cache(tmp_path, monkeypatch):
     cold = _tree_bytes(tmp_path / "cold")
     assert "london/stack_scene.csv" in cold
     assert _tree_bytes(tmp_path / "warm") == cold
+
+
+@pytest.mark.filterwarnings("ignore:subset .* has 0 record")
+def test_report_of_a_scanned_dcase_tree(tmp_path, monkeypatch):
+    # Files and directories in sorted order, whatever order they were made
+    # in; a comma in a directory name quoted; names that are not DCASE's
+    # left out.
+    # Each city has two low tones (park, airport) and two high ones.
+    root = tmp_path / "tree"
+    names = {"b,2": ["tram-london-5-0-a.wav", "metro-london-4-0-a.wav",
+                     "airport-london-7-0-a.wav"],
+             "a": ["bus-paris-1-0-a.wav", "park-paris-6-0-a.wav",
+                   "airport-paris-2-0-a.wav", "beach-paris-0-0-a.wav"],
+             ".": ["park-london-3-0-a.wav", "tram-paris-9-0-a.wav", "notes.txt"]}
+    for i, (sub, files) in enumerate(names.items()):
+        (root / sub).mkdir(parents=True, exist_ok=True)
+        for j, name in enumerate(files):
+            low = name.startswith(("park", "airport"))
+            freq = (300.0 if low else 2400.0) + 40 * i + 11 * j
+            (root / sub / name).write_bytes(sine_wav(freq, 0.25, 44100))
+    text = scan_dcase_tree(str(root))
+    assert text == "path,scene,city\n" + "".join(
+        f"{row}\n" for row in [
+            f"{root}/park-london-3-0-a.wav,park,london",
+            f"{root}/tram-paris-9-0-a.wav,tram,paris",
+            f"{root}/a/airport-paris-2-0-a.wav,airport,paris",
+            f"{root}/a/bus-paris-1-0-a.wav,bus,paris",
+            f"{root}/a/park-paris-6-0-a.wav,park,paris",
+            f'"{root}/b,2/airport-london-7-0-a.wav",airport,london',
+            f'"{root}/b,2/metro-london-4-0-a.wav",metro,london',
+            f'"{root}/b,2/tram-london-5-0-a.wav",tram,london'])
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(text)
+    argv = ["report", "--manifest", str(manifest), "--group", "by_city",
+            "--cache", str(tmp_path / "cache")]
+    assert main(argv + ["--out", str(tmp_path / "cold")]) == 0
+    doc = json.loads((tmp_path / "cold" / "report.json").read_text())
+    assert [(e["subset"], e["n"]) for e in doc["subsets"]] == [
+        ("london", 4), ("paris", 4)]
+
+    def no_extraction(*args):
+        raise AssertionError("a warm rerun extracted features")
+
+    monkeypatch.setattr(scenevat.report, "extract_features", no_extraction)
+    assert main(argv + ["--out", str(tmp_path / "warm")]) == 0
+    assert _tree_bytes(tmp_path / "warm") == _tree_bytes(tmp_path / "cold")
 
 
 @pytest.mark.filterwarnings("ignore:subset .* has 0 record")
@@ -956,7 +1023,10 @@ def test_malformed_wav_exits_2_naming_the_file(tmp_path, capsys, wav, message):
 @pytest.mark.parametrize("data, message", [
     (b"P5\n4 4", "truncated PGM header"),
     (b"P5\n4 x\n255\n" + bytes(16), "malformed PGM header fields"),
-], ids=["truncated-header", "non-integer-field"])
+    # (-1) * (-1) bytes matched the payload, and reshape(-1, -1) raised a
+    # ValueError: a traceback, exit 1.
+    (b"P5\n-1 -1\n255\n\x00", "malformed PGM header fields"),
+], ids=["truncated-header", "non-integer-field", "signed-dimension"])
 def test_malformed_pgm_exits_2_naming_the_file(tmp_path, capsys, data, message):
     path = tmp_path / "x.pgm"
     path.write_bytes(data)

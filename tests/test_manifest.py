@@ -91,6 +91,13 @@ def test_header_and_column_errors():
         parse_manifest("path,scene,city\n,airport,barcelona\n")
 
 
+def test_bare_cr_inside_a_field_names_its_line():
+    # The CSV reader rejects a CR inside an unquoted field; that was a
+    # csv.Error traceback.
+    with pytest.raises(InputError, match=r"^line 2: new-line character seen"):
+        parse_manifest("path,scene,city\na.\rav,airport,london\n")
+
+
 def test_blank_lines_skipped():
     mf = parse_manifest("path,scene,city\n\na.wav,metro,vienna\n\n")
     assert len(mf) == 1

@@ -21,7 +21,6 @@ from scenevat.matrix import (
     packed_start,
     permute_matrix,
     unpack,
-    zscore,
 )
 from scenevat.specvat import ARPACK_MIN_N
 
@@ -179,11 +178,9 @@ def test_check_permutation_rejects_repeats():
         check_permutation([0, 1, 1], 3)
 
 
-def _tiled_euclidean(features, standardize=False, tile=1024):
+def _tiled_euclidean(features, tile=1024):
     """The former tiled kernel: cdist on upper-triangle tiles, mirrored."""
     x = as_features(features)
-    if standardize:
-        x = zscore(x)
     n = x.shape[0]
     out = np.empty((n, n))
     for i0 in range(0, n, tile):
@@ -201,20 +198,18 @@ def _tiled_euclidean(features, standardize=False, tile=1024):
     return out
 
 
-@pytest.mark.parametrize("standardize", [False, True])
 @pytest.mark.parametrize("n", [1, 137, 255, 256, 257, ONE_BAND - 1, ONE_BAND,
                                ONE_BAND + 1, 513, 1100])
-def test_euclidean_matches_tiled_kernel_bitwise(n, standardize):
+def test_euclidean_matches_tiled_kernel_bitwise(n):
     # n at and around the edge of one band (ONE_BAND + 1 is two bands, of
     # 361 rows and 2), several bands of 217 to 119 rows from n = 513 on,
     # and the bits of the condensed pdist that the banded build replaced.
     rng = np.random.Generator(np.random.Philox(key=8))
     for dims in (23, 128):
         f = rng.normal(loc=2.0, scale=5.0, size=(n, dims))
-        got = euclidean_dissim(f, standardize=standardize)
-        assert np.array_equal(got, _tiled_euclidean(f, standardize))
-        x = zscore(f) if standardize else f
-        assert got.tobytes() == squareform(pdist(x)).tobytes()
+        got = euclidean_dissim(f)
+        assert np.array_equal(got, _tiled_euclidean(f))
+        assert got.tobytes() == squareform(pdist(f)).tobytes()
 
 
 def test_euclidean_overflow_in_the_last_band_raises():
@@ -223,24 +218,6 @@ def test_euclidean_overflow_in_the_last_band_raises():
     with pytest.raises(InputError, match=r"^feature distances overflow: distances "
                        r"above about 1\.3e154 overflow when squared$"):
         euclidean_dissim(f)
-
-
-def test_zscore_standardizes_and_keeps_constant_dims():
-    rng = np.random.Generator(np.random.Philox(key=9))
-    f = rng.normal(loc=3.0, scale=2.0, size=(50, 3))
-    f[:, 2] = 7.0  # constant dimension stays put
-    z = zscore(f)
-    assert np.abs(z[:, :2].mean(axis=0)).max() < 1e-12
-    assert np.abs(z[:, :2].std(axis=0) - 1.0).max() < 1e-12
-    assert np.array_equal(z[:, 2], np.zeros(50))
-
-
-def test_standardize_flag_changes_distances():
-    f = np.array([[0.0, 0.0], [1.0, 100.0]])
-    raw = euclidean_dissim(f)
-    std = euclidean_dissim(f, standardize=True)
-    assert raw[0, 1] > 50.0
-    assert std[0, 1] == pytest.approx(np.sqrt(2.0) * 2.0, rel=1e-12)
 
 
 def test_check_dissim_raises_with_message():
@@ -387,15 +364,14 @@ def test_packed_rows_are_the_square_rows_bitwise(n):
 @pytest.mark.parametrize("n", [1, 2, 363, 600])
 def test_euclidean_packed_yields_the_square_rows_and_packs_them(n):
     f = np.random.Generator(np.random.Philox(key=n)).normal(size=(n, 23))
-    for standardize in (False, True):
-        d = euclidean_dissim(f, standardize=standardize)
-        p = np.full(packed_start(n, n), np.nan)
-        seen = []
-        for rows, band in euclidean_packed(f, p, standardize=standardize):
-            assert band.tobytes() == d[rows].tobytes()  # the next overwrites it
-            seen.append(rows)
-        assert seen == list(bands(n))
-        assert p.tobytes() == _packed_reference(d).tobytes()
+    d = euclidean_dissim(f)
+    p = np.full(packed_start(n, n), np.nan)
+    seen = []
+    for rows, band in euclidean_packed(f, p):
+        assert band.tobytes() == d[rows].tobytes()  # the next overwrites it
+        seen.append(rows)
+    assert seen == list(bands(n))
+    assert p.tobytes() == _packed_reference(d).tobytes()
 
 
 def test_euclidean_packed_overflow_in_the_last_band_raises_there():

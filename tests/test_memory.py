@@ -14,9 +14,11 @@ about 1.03 for SpecVAT.  A whole ``run_report`` subset builds the packed
 triangle from the features, n(n+1)/2 floats, and streams its rows into
 ``dissim.vatf``: about 0.63 of one n x n matrix with ARPACK (explicit k
 and scan alike); ``scenevat specvat --features`` builds the same triangle
-and streams ``d_prime.vatf`` in bands, about 0.64, and ``scenevat specvat
---dissim`` about 1.16.  A specvat of features that built the square
-distances, packed them in place and built d_prime whole peaked at 1.12.
+and writes the n x k ``embedding.vatf``, about 0.64, and ``scenevat
+specvat --dissim`` about 1.16; both peaked the same when they streamed
+the n x n embedded distances into ``d_prime.vatf`` in bands.  A specvat
+of features that built the square distances, packed them in place and
+built those distances whole peaked at 1.12.
 The mel filterbank is built in its result with one temporary of its
 size: about 2.1 times the filterbank, against 4.0.  The audio front end
 holds each clip once per stage: about 1.6 times a
@@ -39,7 +41,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from scenevat import specvat
 from scenevat.audio import AudioConfig, extract_features, mel_filterbank
@@ -116,9 +118,9 @@ def test_run_report_specvat_holds_one_matrix(tmp_path, blob_features, k, budget)
 
 @pytest.mark.parametrize("budget", [1.25 if ARPACK_SOLVES else 2.25])
 def test_cli_specvat_holds_one_matrix(tmp_path, blobs, budget):
-    # The image views the matrix's buffer, and d_prime.vatf is streamed in
-    # bands: about 1.16 with ARPACK (the check's bands), 1.47 when d_prime
-    # lived in the buffer beside a separate image.
+    # The image views the matrix's buffer: about 1.16 with ARPACK (the
+    # check's bands), 1.47 when the embedded distances lived in the buffer
+    # beside a separate image.
     write_vatf(tmp_path / "d.vatf", blobs)
     peak = _peak(lambda: main(["specvat", "--dissim", str(tmp_path / "d.vatf"),
                                "--k", "4", "--out", str(tmp_path / "out")]))
@@ -129,7 +131,7 @@ def test_cli_specvat_holds_one_matrix(tmp_path, blobs, budget):
 @pytest.mark.parametrize("k", [4, None])
 def test_cli_specvat_features_holds_the_packed_triangle(tmp_path, blob_features, k):
     # The packed triangle and the local scales, built from the features as
-    # a report subset builds them, and d_prime.vatf streamed in bands.
+    # a report subset builds them, and the n x k embedding.vatf.
     write_vatf(tmp_path / "f.vatf", blob_features[0])
     argv = ["specvat", "--features", str(tmp_path / "f.vatf"),
             "--out", str(tmp_path / "out")]
@@ -180,8 +182,7 @@ def test_analyze_specvat_draws_its_image_in_its_input(k):
     result = analyze(d, "specvat", SpecVatConfig(), k=k)
     assert np.shares_memory(result.image, d)
     want = squareform(pdist(result.embedding))
-    assert result.d_prime.tobytes() == want.tobytes()
-    assert result.d_prime is result.d_prime
+    assert cdist(result.embedding, result.embedding).tobytes() == want.tobytes()
 
 
 def test_public_renderers_leave_their_input_unchanged():

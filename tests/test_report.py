@@ -45,15 +45,14 @@ def test_load_config_sections_override(tmp_path):
     p.write_text(
         json.dumps(
             {
-                "audio": {"n_mels": 64, "db_scale": True, "fmin": 20,
-                          "fmax": None},
+                "audio": {"n_mels": 64, "fmin": 20, "fmax": None},
                 "specvat": {"k_max": 4},
                 "cce": {"threshold_mode": "zero", "band_width": 2},
             }
         )
     )
     cfg = load_config(str(p))
-    assert cfg.audio.n_mels == 64 and cfg.audio.db_scale is True
+    assert cfg.audio.n_mels == 64
     assert cfg.audio.n_fft == 2048  # untouched default
     assert cfg.spec.k_max == 4
     assert cfg.cce.threshold_mode == "zero" and cfg.cce.band_width == 2
@@ -101,7 +100,6 @@ def test_load_config_rejects_k_and_points_to_the_flag(tmp_path):
     ('{"specvat": {"knn_scale": 2.5}}', "specvat.knn_scale"),
     ('{"specvat": {"k_max": true}}', "specvat.k_max"),
     ('{"cce": {"band_width": "x"}}', "cce.band_width"),
-    ('{"audio": {"htk_mel": 1}}', "audio.htk_mel"),
     ('{"audio": {"n_mels": null}}', "audio.n_mels"),
     ('{"specvat": []}', "section 'specvat'"),
     ('{"cce": {"bogus": 1}}', "section 'cce'"),
@@ -568,7 +566,6 @@ def test_vat_and_specvat_reports_write_the_same_dissim_vatf(tmp_path, n):
     feats = gaussian_blobs(BlobSpec(3, -(-n // 3), 8, 4.0, seed=4))[0][:n]
     mf = _one_subset_manifest(n)
     for method in ("vat", "specvat"):
-        run_report(mf, feats, "all", str(tmp_path / method), method=method,
-                   standardize=True)
+        run_report(mf, feats, "all", str(tmp_path / method), method=method)
     vat, spec = (tmp_path / m / "all" / "dissim.vatf" for m in ("vat", "specvat"))
     assert spec.read_bytes() == vat.read_bytes()

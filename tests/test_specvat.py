@@ -241,8 +241,9 @@ def test_specvat_two_ideal_blocks_geometry():
     labels = np.repeat([0, 1], 8)
     same = labels[:, None] == labels[None, :]
     off = ~np.eye(16, dtype=bool)
-    assert res.d_prime[same & off].max() <= 1e-6
-    between = res.d_prime[~same]
+    d_prime = cdist(res.embedding, res.embedding)
+    assert d_prime[same & off].max() <= 1e-6
+    between = d_prime[~same]
     assert np.abs(between - np.sqrt(2.0)).max() <= 1e-3
 
 
@@ -251,7 +252,8 @@ def test_specvat_k1_rows_map_to_unit_scalars():
     # so every row normalizes to +1 and embedded distances vanish
     m = block_dissim([5, 5], 0.01, 1.0)
     assert np.allclose(np.abs(spectral_embedding(m, 1)), 1.0, atol=1e-9)
-    vals = np.unique(np.round(specvat(m, 1).d_prime, 6))
+    e = specvat(m, 1).embedding
+    vals = np.unique(np.round(cdist(e, e), 6))
     assert set(vals.tolist()) <= {0.0, 2.0}
 
 
@@ -264,7 +266,8 @@ def test_specvat_three_blocks_cce_roundtrip():
 def test_specvat_d_prime_is_valid_dissim():
     m = random_dissim(np.random.Generator(np.random.Philox(key=44)), 15)
     res = specvat(m, 4)
-    assert check_dissim(res.d_prime) is res.d_prime
+    d_prime = cdist(res.embedding, res.embedding)
+    assert check_dissim(d_prime) is d_prime
 
 
 def test_specvat_invariant_to_input_order():
@@ -417,7 +420,8 @@ def test_analyze_scan_winner_matches_specvat_bitwise(name):
     for a, b in [(got.ordering.order, ref.ordering.order),
                  (got.ordering.link_dist, ref.ordering.link_dist),
                  (got.image, ref.image),
-                 (got.d_prime, ref.d_prime)]:
+                 (cdist(got.embedding, got.embedding),
+                  cdist(ref.embedding, ref.embedding))]:
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
     if name == "constant":
@@ -438,7 +442,7 @@ def test_specvat_and_analyze_return_one_analysis_type():
     assert type(explicit) is type(scanned) is type(plain) is Analysis
     assert (explicit.k, explicit.k_scores) == (3, None)
     assert (scanned.k, scanned.k_scores) == a_specvat_select_k(m, cfg)
-    assert (plain.k, plain.k_scores, plain.d_prime) == (None, None, None)
+    assert (plain.k, plain.k_scores, plain.embedding) == (None, None, None)
 
 
 def _count_calls(monkeypatch, name, key):
@@ -760,7 +764,8 @@ def test_analyze_specvat_matches_copying_reference_bitwise(n, symmetric):
     ordering, image, d_prime = _specvat_reference(0.5 * d + 0.5 * d.T, cfg, k)
     for a, b in [(got.ordering.order, ordering.order),
                  (got.ordering.link_dist, ordering.link_dist),
-                 (got.image, image), (got.d_prime, d_prime)]:
+                 (got.image, image),
+                 (cdist(got.embedding, got.embedding), d_prime)]:
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
 
@@ -802,7 +807,7 @@ def test_embedded_distances_match_condensed_pdist_bitwise(n):
         e /= np.linalg.norm(e, axis=1)[:, np.newaxis]
         got = specvat_mod._specvat(e, np.empty((n, n)))
         want = squareform(pdist(e))
-        assert got.d_prime.tobytes() == want.tobytes()
+        assert cdist(got.embedding, got.embedding).tobytes() == want.tobytes()
         # The image, drawn in bands from the embedding, has the pixels of
         # the ordered d_prime.
         assert got.image.tobytes() == odi_from(want, got.ordering).tobytes()
@@ -826,7 +831,7 @@ def test_private_fallback_rebuilds_the_overwritten_matrix(monkeypatch):
     calls = count_solvers(monkeypatch)
     got = analyze(d, "specvat", cfg, k=3)
     assert calls == {"lanczos": [], "subset": [(120, 120)], "full": [(120, 120)]}
-    assert got.d_prime.tobytes() == d_prime.tobytes()
+    assert cdist(got.embedding, got.embedding).tobytes() == d_prime.tobytes()
     assert got.ordering.order.tobytes() == ordering.order.tobytes()
     assert got.image.tobytes() == odi_from(d_prime, ordering).tobytes()
 
