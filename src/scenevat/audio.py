@@ -48,6 +48,12 @@ RESAMPLE_TAPS = 32
 # Neither changes a bit of any output.
 RESAMPLE_BLOCK_BYTES = 2**20
 BUFFER_BYTES = 2**18
+# Added to the mel power before the natural log.
+LOG_FLOOR = 1e-10
+# The 'fmt ' sample rates decode_wav takes, in Hz.  The header's rate sets
+# the resampler's output length: a 22.05 kHz target emits 22050 samples per
+# sample read at 1 Hz, and at most 22 from 1 kHz up.
+MIN_WAV_RATE, MAX_WAV_RATE = 1000, 768000
 
 
 @dataclass(frozen=True)
@@ -78,20 +84,15 @@ class AudioClip:
 class AudioConfig:
     """STFT / mel parameters.  Defaults give 431 frames for a 10 s clip.
 
-    The log is natural with an additive floor, and the mel scale is
-    Slaney's: linear below 1 kHz and logarithmic above.
+    The mel filters span 0 Hz to ``target_rate / 2`` on Slaney's mel
+    scale, linear below 1 kHz and logarithmic above, and the log is
+    natural with the additive floor ``LOG_FLOOR``.
     """
 
     target_rate: int = 22050
     n_fft: int = 2048
     hop: int = 512
     n_mels: int = 128
-    fmin: float = 0.0
-    fmax: Optional[float] = None  # None -> target_rate / 2
-    log_floor: float = 1e-10
-
-    def resolved_fmax(self) -> float:
-        return self.target_rate / 2 if self.fmax is None else self.fmax
 
     def __post_init__(self):
         if self.target_rate <= 0:
@@ -102,23 +103,10 @@ class AudioConfig:
             raise InputError(f"hop={self.hop} must satisfy 1 <= hop <= n_fft")
         if self.n_mels < 1:
             raise InputError(f"n_mels must be >= 1, got {self.n_mels}")
-        fmax = self.resolved_fmax()
-        if not 0 <= self.fmin < fmax <= self.target_rate / 2:
-            raise InputError(
-                f"need 0 <= fmin < fmax <= rate/2, got fmin={self.fmin} fmax={fmax}"
-            )
-        if not self.log_floor > 0:
-            raise InputError(f"log_floor must be positive, got {self.log_floor}")
 
     def cache_key(self) -> str:
         # Built from every field, so a field added later cannot be left out.
-        # Floats are spelled as floats, and fmax as the value the filters use.
-        doc = dataclasses.asdict(self) | {
-            "frontend_version": FRONTEND_VERSION,
-            "fmin": float(self.fmin),
-            "fmax": float(self.resolved_fmax()),
-            "log_floor": float(self.log_floor),
-        }
+        doc = dataclasses.asdict(self) | {"frontend_version": FRONTEND_VERSION}
         text = json.dumps(doc, sort_keys=True)
         return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
@@ -237,8 +225,9 @@ def _parse_fmt(body: bytes) -> dict:
         if len(body) < 26:
             raise InputError("truncated extensible 'fmt ' chunk")
         (tag,) = struct.unpack_from("<H", body, 24)
-    if rate <= 0:
-        raise InputError(f"invalid sample rate {rate} in 'fmt ' chunk")
+    if not MIN_WAV_RATE <= rate <= MAX_WAV_RATE:
+        raise InputError(f"invalid sample rate {rate} in 'fmt ' chunk; expected "
+                         f"{MIN_WAV_RATE} to {MAX_WAV_RATE} Hz")
     return {"format": tag, "channels": channels, "rate": rate, "bits": bits}
 
 
@@ -483,7 +472,7 @@ def mel_to_hz(mel) -> np.ndarray:
 
 
 def _mel_breakpoints(cfg: AudioConfig) -> np.ndarray:
-    mels = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.resolved_fmax()),
+    mels = np.linspace(hz_to_mel(0.0), hz_to_mel(cfg.target_rate / 2),
                        cfg.n_mels + 2)
     return mel_to_hz(mels)
 
@@ -497,8 +486,9 @@ def mel_center_frequencies(cfg: AudioConfig = AudioConfig()) -> np.ndarray:
 def mel_filterbank(cfg: AudioConfig = AudioConfig()) -> np.ndarray:
     """Triangular filters, shape (n_mels, n_fft // 2 + 1).
 
-    Centers are equally spaced on the mel scale between fmin and fmax; each
-    filter is divided by its bandwidth in Hz so wide filters do not dominate.
+    Centers are equally spaced on the mel scale between 0 Hz and
+    ``target_rate / 2``; each filter is divided by its bandwidth in Hz so
+    wide filters do not dominate.
     Raises if any filter covers no FFT bin.  The filters depend on the
     config only, so each config's array is built once, cached and shared:
     it is read-only.
@@ -538,7 +528,7 @@ def mel_power(clip: AudioClip, cfg: AudioConfig = AudioConfig()) -> np.ndarray:
 def log_mel_mean(clip: AudioClip, cfg: AudioConfig = AudioConfig()) -> np.ndarray:
     """One feature vector per recording: log mel power averaged over frames."""
     mel = mel_power(clip, cfg)
-    mel += cfg.log_floor
+    mel += LOG_FLOOR
     np.log(mel, out=mel)
     return mel.mean(axis=1)
 

@@ -3,7 +3,7 @@
 The image is binarized with Otsu's threshold, the band of pixels directly
 below the diagonal is reduced to a per-column dark count, and the number of
 maximal runs above a cutoff is reported as the cluster count.  The cutoff is
-half the signal maximum by default, or zero in ``zero`` mode.
+half the signal maximum, or ``CceConfig.explicit_b`` when given.
 """
 
 from __future__ import annotations
@@ -19,15 +19,16 @@ from .errors import DegenerateImageError, InputError
 from .matrix import chunks
 from .vat import _quantize, check_image
 
-THRESHOLD_MODES = ("half_max", "zero")
-
 
 @dataclass(frozen=True)
 class CceConfig:
-    """band_width defaults to max(1, n // 50) when left as None."""
+    """band_width defaults to max(1, n // 50) when left as None.
+
+    explicit_b, when given, replaces the cutoff of half the signal maximum;
+    0 counts every run of nonzero signal.
+    """
 
     band_width: Optional[int] = None
-    threshold_mode: str = "half_max"
     explicit_b: Optional[int] = None
 
     def resolve_band(self, n: int) -> int:
@@ -37,11 +38,6 @@ class CceConfig:
         return int(w)
 
     def __post_init__(self):
-        if self.threshold_mode not in THRESHOLD_MODES:
-            raise InputError(
-                f"threshold_mode must be one of {THRESHOLD_MODES}, "
-                f"got {self.threshold_mode!r}"
-            )
         if self.band_width is not None and self.band_width < 1:
             raise InputError(f"band_width must be >= 1, got {self.band_width}")
         if self.explicit_b is not None and self.explicit_b < 0:
@@ -165,10 +161,9 @@ def _signal(x: np.ndarray, t: int, w: int) -> np.ndarray:
 def cce_count(img, cfg: CceConfig = CceConfig()) -> CceReport:
     """Binarize, extract the sub-diagonal signal, and count runs above b.
 
-    ``b`` is floor(max(signal) / 2) in ``half_max`` mode, 0 in ``zero``
-    mode, or ``cfg.explicit_b`` when given.  Blocks smaller than
-    ``band_width + 1`` records can be missed; the report carries that
-    limit as ``min_detectable_block``.
+    ``b`` is floor(max(signal) / 2), or ``cfg.explicit_b`` when given.
+    Blocks smaller than ``band_width + 1`` records can be missed; the
+    report carries that limit as ``min_detectable_block``.
     """
     x = check_image(img)
     t = _otsu(_histogram(x))[0]
@@ -176,12 +171,7 @@ def cce_count(img, cfg: CceConfig = CceConfig()) -> CceReport:
     signal = _signal(x, t, w)
     peak = int(signal.max(initial=0))
 
-    if cfg.explicit_b is not None:
-        b = int(cfg.explicit_b)
-    elif cfg.threshold_mode == "half_max":
-        b = peak // 2
-    else:
-        b = 0
+    b = peak // 2 if cfg.explicit_b is None else int(cfg.explicit_b)
 
     if peak == 0:
         warnings.warn(

@@ -22,6 +22,7 @@ from .matrix import as_features, check_dissim
 from .report import (
     GROUPINGS,
     METHODS,
+    _check_method,
     _stack_artifacts,
     _subsets,
     analyze,
@@ -38,7 +39,8 @@ from .vatf import atomic_write_text, naming, read_vatf, write_vatf
 _SHARED = {
     "--config": dict(metavar="JSON", default=None,
                      help="JSON config with audio/specvat/cce sections"),
-    "--threads": dict(type=int, default=1, metavar="N"),
+    "--threads": dict(type=int, default=None, metavar="N",
+                      help="feature extraction threads (default: 1)"),
 }
 
 
@@ -72,8 +74,9 @@ def _matrix_inputs(p):
 def _extract(args, manifest, cfg):
     """Features of the manifest's audio, as --audio-root, --cache and
     --threads say."""
+    threads = 1 if args.threads is None else args.threads
     return features_for_manifest(manifest, cfg.audio, audio_root=args.audio_root,
-                                 cache_dir=args.cache, threads=args.threads)
+                                 cache_dir=args.cache, threads=threads)
 
 
 def cmd_features(args) -> int:
@@ -89,10 +92,12 @@ def cmd_features(args) -> int:
 def cmd_matrix(args) -> int:
     """``vat`` and ``specvat``: order one matrix and render its image.
 
-    A --dissim matrix is checked where it enters; --features goes through
-    the body of a report subset, ``analyze_features``.  An error about
-    either names the file.
+    --k is checked first, by the rule a report applies.  A --dissim matrix
+    is checked where it enters; --features goes through the body of a
+    report subset, ``analyze_features``.  An error about either names the
+    file.
     """
+    _check_method(args.method, args.k)
     spec_cfg = load_config(args.config).spec
     path = args.features if args.dissim is None else args.dissim
     m = read_vatf(path)
@@ -124,8 +129,6 @@ def cmd_cce(args) -> int:
     cfg = load_config(args.config).cce
     if args.band_width is not None:
         cfg = replace(cfg, band_width=args.band_width)
-    if args.threshold_mode is not None:
-        cfg = replace(cfg, threshold_mode=args.threshold_mode)
     if args.b is not None:
         cfg = replace(cfg, explicit_b=args.b)
     image = read_pgm(args.image)
@@ -181,7 +184,8 @@ def cmd_report(args) -> int:
         feats = _extract(args, manifest, cfg)
     else:
         for flag, value in (("--audio-root", args.audio_root),
-                            ("--cache", args.cache)):
+                            ("--cache", args.cache),
+                            ("--threads", args.threads)):
             if value is not None:
                 raise InputError(f"{flag} applies to audio input, not --features")
         feats = read_vatf(args.features)
@@ -230,10 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("cce", help="count dark blocks in an ordered image")
     c.add_argument("--image", required=True, metavar="PGM")
     c.add_argument("--band-width", type=int, default=None)
-    c.add_argument("--threshold-mode", choices=("half_max", "zero"),
-                   default=None)
     c.add_argument("--b", type=int, default=None,
-                   help="explicit cutoff, overrides threshold mode")
+                   help="explicit cutoff (default: half the signal maximum)")
     _add_shared(c, "--config")
     c.set_defaults(func=cmd_cce)
 

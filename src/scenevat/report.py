@@ -100,14 +100,12 @@ def load_config(path: Optional[str]) -> ReportConfig:
 def _fits(hint, value) -> bool:
     """Whether a JSON value suits a config field's annotation.
 
-    ``bool`` is not taken for a number, and an int is taken for a float.
+    ``bool`` is not taken for a number.
     """
     if typing.get_origin(hint) is typing.Union:
         return any(_fits(arg, value) for arg in typing.get_args(hint))
     if isinstance(value, bool) and hint is not bool:
         return False
-    if hint is float:
-        return isinstance(value, (int, float))
     return isinstance(value, hint)
 
 
@@ -253,9 +251,15 @@ def _remove_subset_files(subset_dir: str) -> None:
         os.rmdir(subset_dir)
 
 
-def _check_method(method: str) -> None:
+def _check_method(method: str, k: Optional[int] = None) -> None:
+    """Reject an unknown method, a k with VAT, and a k below 2."""
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
+    if k is not None and method == "vat":
+        raise InputError(f"--k {k}: VAT takes no k; use --method specvat")
+    # SpecVAT needs k >= 2, so 3 records: with k = 1 every record maps to +1.
+    if k is not None and k < 2:
+        raise InputError(f"--k {k}: SpecVAT needs k >= 2")
 
 
 def analyze(d: np.ndarray, method: str, spec_cfg: SpecVatConfig,
@@ -273,9 +277,9 @@ def analyze(d: np.ndarray, method: str, spec_cfg: SpecVatConfig,
     distances are gone.  Pass a copy to keep them.  The embedded distances
     that SpecVAT ordered are ``cdist(result.embedding, result.embedding)``.
     SpecVAT uses ``k`` eigenvectors, or picks k with the scan when ``k`` is
-    None.
+    None; a ``k`` with VAT, or below 2, raises InputError.
     """
-    _check_method(method)
+    _check_method(method, k)
     if method == "vat":
         ordering = _vat_order(d)
         return Analysis(ordering, _odi(d, ordering.order))
@@ -295,7 +299,7 @@ def analyze_features(x, method: str, spec_cfg: SpecVatConfig,
     float64 array exists.  An overflow raises DistanceOverflow and leaves
     no file.
     """
-    _check_method(method)
+    _check_method(method, k)
     if method == "vat":
         d = euclidean_dissim(x)
         if path is not None:
@@ -350,12 +354,7 @@ def run_report(
     NumericError is raised, after ``report.json`` is written, only when no
     subset could be analysed.
     """
-    _check_method(method)
-    # SpecVAT needs k >= 2, so 3 records: with k = 1 every record maps to +1.
-    if k is not None and method == "vat":
-        raise InputError(f"--k {k}: VAT takes no k; use --method specvat")
-    if k is not None and k < 2:
-        raise InputError(f"--k {k}: SpecVAT needs k >= 2")
+    _check_method(method, k)
     min_n = 3 if method == "specvat" else 2
     features = as_features(features)  # once, so a bad row has its own index
     if features.shape[0] != len(manifest):

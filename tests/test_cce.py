@@ -234,8 +234,9 @@ def test_count_no_dark_band_warns_and_returns_zero():
 
 
 def test_count_zero_mode():
+    # b = 0 counts every run of nonzero signal
     img = ideal_block_image([10, 10])
-    rep = cce_count(img, CceConfig(band_width=2, threshold_mode="zero"))
+    rep = cce_count(img, CceConfig(band_width=2, explicit_b=0))
     assert rep.b == 0
     assert rep.cluster_count == 2
 
@@ -282,8 +283,6 @@ def test_report_fields_and_json():
 
 
 def test_config_validation():
-    with pytest.raises(InputError):
-        CceConfig(threshold_mode="median")
     with pytest.raises(InputError):
         CceConfig(band_width=0)
     with pytest.raises(InputError, match="explicit_b"):

@@ -191,7 +191,6 @@ def _one_clip_inputs(tmp_path):
     '{"audio": {"n_fft": 1}}',
     '{"audio": {"n_fft": 17, "hop": 4}}',
     '{"specvat": {"k_max": 1}}',
-    '{"cce": {"threshold_mode": "median"}}',
     '{"cce": {"explicit_b": -1}}',
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, command, doc):
@@ -416,10 +415,16 @@ def test_cce_flag_overrides(tmp_path):
     out = tmp_path / "o"
     assert main([
         "cce", "--image", str(tmp_path / "odi.pgm"), "--band-width", "2",
-        "--threshold-mode", "zero", "--out", str(out),
+        "--b", "0", "--out", str(out),
     ]) == 0
     doc = json.loads((out / "cce.json").read_text())
     assert doc["band_width"] == 2 and doc["b"] == 0
+    # --b 0 is the cutoff that zero mode set: --threshold-mode is no flag.
+    with pytest.raises(SystemExit) as err:
+        main(["cce", "--image", str(tmp_path / "odi.pgm"),
+              "--threshold-mode", "zero", "--out", str(tmp_path / "z")])
+    assert err.value.code == 2
+    assert not (tmp_path / "z").exists()
 
 
 def test_cce_negative_cutoff_exits_2(tmp_path, capsys):
@@ -699,10 +704,24 @@ def test_specvat_k_out_of_range_and_too_few_records_exit_2(tmp_path, capsys):
     assert "at least 3 points" in capsys.readouterr().err
     assert main(["specvat", "--dissim", two, "--k", "2",
                  "--out", str(tmp_path / "b")]) == 2
-    assert main(["specvat", "--dissim", two, "--k", "1",
-                 "--out", str(tmp_path / "c")]) == 0
-    e = read_vatf(tmp_path / "c" / "embedding.vatf")
-    assert cdist(e, e).shape == (2, 2)
+    assert "k=2 must satisfy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source, mode", [("--features", "blobs"),
+                                          ("--dissim", "blocks")])
+@pytest.mark.parametrize("k", ["1", "0"])
+def test_specvat_checks_k_as_report_does(tmp_path, capsys, source, mode, k):
+    # At k = 1 every record embeds at +1: the image was all black, and cce
+    # on it exited 3.
+    syn = tmp_path / "syn"
+    assert main(["synth", "--mode", mode, "--sizes", "20,20,20",
+                 "--out", str(syn)]) == 0
+    path = syn / ("features.vatf" if mode == "blobs" else "dissim.vatf")
+    capsys.readouterr()
+    assert main(["specvat", source, str(path), "--k", k,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: --k {k}: SpecVAT needs k >= 2\n"
+    assert not (tmp_path / "o").exists()
 
 
 def _city_inputs(tmp_path, london_rows, paris_rows):
@@ -809,12 +828,18 @@ def test_report_checks_k_before_any_subset(tmp_path, capsys, method, k,
 @pytest.mark.parametrize("command", ["specvat", "report"])
 def test_sigma_floor_is_not_a_config_key(tmp_path, capsys, command):
     # The smallest local scale is the constant specvat.SIGMA_FLOOR.  The
-    # log is natural and the mel scale Slaney's: neither is a key either.
+    # log is natural, with the floor audio.LOG_FLOOR, and the mel scale
+    # Slaney's, from 0 Hz to half the target rate; CCE's cutoff is half the
+    # signal maximum unless explicit_b is given.  None of these is a key.
     argv = _one_clip_inputs(tmp_path)[command]
     cfg = tmp_path / "cfg.json"
     for section, key, value in [("specvat", "sigma_floor", 1e-12),
                                 ("audio", "db_scale", True),
-                                ("audio", "htk_mel", True)]:
+                                ("audio", "htk_mel", True),
+                                ("audio", "fmin", 20.0),
+                                ("audio", "fmax", 8000.0),
+                                ("audio", "log_floor", 1e-10),
+                                ("cce", "threshold_mode", "zero")]:
         cfg.write_text(json.dumps({section: {key: value}}))
         assert main(argv + ["--config", str(cfg),
                             "--out", str(tmp_path / "o")]) == 2
@@ -827,10 +852,11 @@ def test_sigma_floor_is_not_a_config_key(tmp_path, capsys, command):
 # Flags a command does not read
 
 
-@pytest.mark.parametrize("flag", ["--audio-root", "--cache"])
+@pytest.mark.parametrize("flag", ["--audio-root", "--cache", "--threads"])
 def test_report_features_with_an_audio_flag_exits_2(tmp_path, capsys, flag):
     argv = _city_inputs(tmp_path, _two_blobs(), _two_blobs())
-    assert main(argv + [flag, str(tmp_path / "dir")]) == 2
+    value = "4" if flag == "--threads" else str(tmp_path / "dir")
+    assert main(argv + [flag, value]) == 2
     assert capsys.readouterr().err == (
         f"error: {flag} applies to audio input, not --features\n")
     assert not (tmp_path / "o").exists()
@@ -1008,8 +1034,12 @@ def _fmt(tag=1, rate=8000, bits=16, extra=b""):
      "truncated extensible 'fmt ' chunk"),
     (_riff((b"fmt ", _fmt(rate=0)), (b"data", bytes(16))),
      "invalid sample rate 0 in 'fmt ' chunk"),
+    # 100 samples at 1 Hz would resample to 2.2 M at 22.05 kHz: a 2 s clip
+    # with this header, to about 7.8 GB.
+    (_riff((b"fmt ", _fmt(rate=1)), (b"data", bytes(200))),
+     "invalid sample rate 1 in 'fmt ' chunk; expected 1000 to 768000 Hz"),
 ], ids=["form-type", "no-fmt", "pcm-8", "float-64", "short-fmt",
-        "short-extensible", "rate-0"])
+        "short-extensible", "rate-0", "rate-1"])
 def test_malformed_wav_exits_2_naming_the_file(tmp_path, capsys, wav, message):
     (tmp_path / "x.wav").write_bytes(wav)
     (tmp_path / "m.csv").write_text("path,scene,city\nx.wav,bus,paris\n")

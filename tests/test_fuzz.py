@@ -3,9 +3,9 @@
 Each property starts from a valid file and mutates it with byte flips,
 deletions, insertions and truncations.  A reader must return its value or
 raise InputError.  At the CLI a mutated input exits 0 or 2, and an exit 2
-prints ``error: `` and the file's name.  WAV files are fuzzed through
-``decode_wav`` only, not through ``features``: a mutated ``fmt `` rate of
-1 Hz would have the resampler build 22050 outputs per input sample.
+prints ``error: `` and the file's name.  WAV files also go through
+``extract_features``, whose resampler sizes its output by the ``fmt ``
+chunk's rate.
 """
 
 import contextlib
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenevat.audio import decode_wav
+from scenevat.audio import decode_wav, extract_features
 from scenevat.cli import main
 from scenevat.errors import InputError
 from scenevat.manifest import parse_manifest
@@ -50,9 +50,9 @@ SEEDS = {
     "pgm": b"P5\n6 6\n255\n" + odi_from(DISSIM, ORDERING).tobytes(),
     "ordering": ordering_to_json(ORDERING).encode(),
     "wav": make_wav(np.round(20000 * sine(440.0, 0.005, 8000)).astype(np.int16), 8000),
-    "config": json.dumps({"audio": {"n_mels": 16, "fmin": 20.0},
+    "config": json.dumps({"audio": {"n_mels": 16},
                           "specvat": {"k_max": 4},
-                          "cce": {"threshold_mode": "zero"}}).encode(),
+                          "cce": {"explicit_b": 0}}).encode(),
 }
 
 
@@ -99,6 +99,13 @@ def test_a_mutated_file_parses_or_raises_input_error(kind, data):
     mutated = data.draw(mutations(SEEDS[kind]))
     with contextlib.suppress(InputError):  # read_file passes a bytearray
         READERS[kind](bytearray(mutated))
+
+
+@FUZZ
+@given(data=st.data())
+def test_a_mutated_wav_extracts_or_raises_input_error(data):
+    with contextlib.suppress(InputError):
+        extract_features(bytearray(data.draw(mutations(SEEDS["wav"]))))
 
 
 @FUZZ

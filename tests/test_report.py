@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import threading
 import warnings
 
@@ -15,9 +16,12 @@ from scenevat.audio import AudioConfig
 from scenevat.cce import CceConfig
 from scenevat.errors import DegenerateImageError, InputError, NumericError
 from scenevat.manifest import parse_manifest
+from scenevat.matrix import euclidean_dissim
 from scenevat.report import (
     DEFAULT_CONFIG,
     ReportConfig,
+    analyze,
+    analyze_features,
     features_for_manifest,
     load_config,
     run_report,
@@ -45,9 +49,9 @@ def test_load_config_sections_override(tmp_path):
     p.write_text(
         json.dumps(
             {
-                "audio": {"n_mels": 64, "fmin": 20, "fmax": None},
+                "audio": {"n_mels": 64},
                 "specvat": {"k_max": 4},
-                "cce": {"threshold_mode": "zero", "band_width": 2},
+                "cce": {"band_width": None, "explicit_b": 0},
             }
         )
     )
@@ -55,9 +59,19 @@ def test_load_config_sections_override(tmp_path):
     assert cfg.audio.n_mels == 64
     assert cfg.audio.n_fft == 2048  # untouched default
     assert cfg.spec.k_max == 4
-    assert cfg.cce.threshold_mode == "zero" and cfg.cce.band_width == 2
-    # an int is taken for a float field, null for an optional one
-    assert cfg.audio.fmin == 20 and cfg.audio.fmax is None
+    # null is taken for an optional field
+    assert cfg.cce.band_width is None and cfg.cce.explicit_b == 0
+
+
+def test_readme_config_example_loads(tmp_path):
+    # So the README cannot show a key the schema has dropped.
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        [example] = re.findall(r"```json\n(.*?)```", f.read(), re.DOTALL)
+    p = tmp_path / "cfg.json"
+    p.write_text(example)
+    cfg = load_config(str(p))
+    assert cfg.audio.n_mels == 64 and cfg.cce.explicit_b == 0
 
 
 def test_load_config_rejects_unknown_section(tmp_path):
@@ -109,7 +123,6 @@ def test_load_config_rejects_k_and_points_to_the_flag(tmp_path):
     ('{"audio": {"n_fft": 1}}', "audio: n_fft"),
     ('{"specvat": {"k_max": 1}}', "specvat: k_max"),
     ('{"specvat": {"knn_scale": 0}}', "specvat: knn_scale"),
-    ('{"cce": {"threshold_mode": "median"}}', "cce: threshold_mode"),
     ('{"cce": {"band_width": 0}}', "cce: band_width"),
 ])
 def test_load_config_names_file_and_key_of_a_bad_value(tmp_path, doc, where):
@@ -386,6 +399,19 @@ def test_run_report_input_validation(tmp_path):
         run_report(mf, feats, "all", str(tmp_path / "b"), method="tsne")
     with pytest.raises(InputError, match="do not match manifest"):
         run_report(mf, feats[:-1], "all", str(tmp_path / "c"))
+
+
+@pytest.mark.parametrize("method, k, message", [
+    ("vat", 3, "--k 3: VAT takes no k"),
+    ("specvat", 1, "--k 1: SpecVAT needs k >= 2"),
+])
+def test_analyze_checks_k_as_run_report_does(method, k, message):
+    # VAT ignored a k, and SpecVAT at k = 1 rendered an all-black image.
+    x = gaussian_blobs(BlobSpec(3, 8, 8, 10.0, seed=2))[0]
+    with pytest.raises(InputError, match=message):
+        analyze_features(x, method, SpecVatConfig(), k)
+    with pytest.raises(InputError, match=message):
+        analyze(euclidean_dissim(x), method, SpecVatConfig(), k)
 
 
 def _specvat_report_with_two_record_london(out, k=None):
