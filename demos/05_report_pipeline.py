@@ -20,9 +20,7 @@ import numpy as np
 
 from scenevat.audio import AudioConfig
 from scenevat.manifest import parse_manifest
-from scenevat.report import ReportConfig, features_for_manifest, run_report
-from scenevat.cce import CceConfig
-from scenevat.specvat import SpecVatConfig
+from scenevat.report import features_for_manifest, run_report
 
 
 def tone_wav(freq, seconds=0.5, rate=22050, seed=0):
@@ -46,7 +44,6 @@ def main():
     args = ap.parse_args()
 
     audio = AudioConfig(target_rate=8000, n_fft=512, hop=256, n_mels=32)
-    config = ReportConfig(audio, SpecVatConfig(), CceConfig())
 
     with tempfile.TemporaryDirectory() as clips:
         rows = ["path,scene,city"]
@@ -67,8 +64,7 @@ def main():
         with warnings.catch_warnings():
             # seven of the ten scene subsets are empty here by construction
             warnings.simplefilter("ignore", UserWarning)
-            report = run_report(manifest, feats, "by_scene", args.out,
-                                config=config)
+            report = run_report(manifest, feats, "by_scene", args.out)
 
     print("clusters per scene subset (each holds one tone family):")
     for name, count in sorted(report["summary"].items()):

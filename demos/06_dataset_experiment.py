@@ -8,9 +8,13 @@ in roughly the 6-18 range and the all-data count runs severalfold above the
 ten scene labels; numbers outside those bands are worth a look but are not
 errors, since the counts depend on recording conditions and parameters.
 
-This is the one script here that needs real data: point --root at the
+This is the one script here meant for real data: point --root at the
 extracted development set (tens of GB; the run is feature-extraction bound
-on first pass, then cached).
+on first pass, then cached).  Any tree of clips named that way will do,
+and CI runs it on a small generated one.  The front end, VAT and CCE run
+with the library defaults; for other settings, pass an ``AudioConfig`` to
+``features_for_manifest`` and a ``SpecVatConfig`` or ``CceConfig`` to
+``run_report``.
 """
 
 import argparse
@@ -18,7 +22,7 @@ import json
 import os
 
 from scenevat.manifest import parse_manifest, scan_dcase_tree
-from scenevat.report import features_for_manifest, load_config, run_report
+from scenevat.report import features_for_manifest, run_report
 
 
 def main():
@@ -26,20 +30,17 @@ def main():
     ap.add_argument("--root", required=True, help="directory of .wav files")
     ap.add_argument("--out", default="demo_out/dataset")
     ap.add_argument("--cache", default="demo_out/feature_cache")
-    ap.add_argument("--config", default=None)
     ap.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     args = ap.parse_args()
 
-    cfg = load_config(args.config)
     manifest = parse_manifest(scan_dcase_tree(args.root))
     print(f"{len(manifest)} recordings under {args.root}")
-    feats = features_for_manifest(manifest, cfg.audio, cache_dir=args.cache,
+    feats = features_for_manifest(manifest, cache_dir=args.cache,
                                   threads=args.threads)
 
     by_city = run_report(manifest, feats, "by_city",
-                         os.path.join(args.out, "by_city"), config=cfg)
-    all_data = run_report(manifest, feats, "all",
-                          os.path.join(args.out, "all"), config=cfg)
+                         os.path.join(args.out, "by_city"))
+    all_data = run_report(manifest, feats, "all", os.path.join(args.out, "all"))
 
     print("\nper-city cluster counts:")
     for city, count in sorted(by_city["summary"].items()):

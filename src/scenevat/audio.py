@@ -54,6 +54,11 @@ LOG_FLOOR = 1e-10
 # the resampler's output length: a 22.05 kHz target emits 22050 samples per
 # sample read at 1 Hz, and at most 22 from 1 kHz up.
 MIN_WAV_RATE, MAX_WAV_RATE = 1000, 768000
+# The largest resampler kernel table, L phases x taps float64s, that a pair
+# of rates may build; a larger one is refused before it is built.  Every
+# standard rate needs at most 2.5 MiB (768 -> 22.05 kHz: 147 x 2231), but
+# 767999 Hz -> 22.05 kHz would need 22050 x 2231, 375 MiB.
+MAX_KERNEL_TABLE_BYTES = 2**25
 
 
 @dataclass(frozen=True)
@@ -254,21 +259,29 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     tap sum.  The outputs of the periods whose windows do not all lie in
     the clip (about radius * L / M + L at each end) read their windows from
     a zero-padded copy of that end and take the product with a 0/1
-    validity mask, in a few batched calls.
+    validity mask, in a few batched calls.  A pair of rates whose whole
+    table would pass ``MAX_KERNEL_TABLE_BYTES`` raises InputError before
+    anything is allocated.
     """
     if target_rate <= 0:
         raise InputError(f"target rate must be positive, got {target_rate}")
     native = clip.rate
     if target_rate == native:
         return AudioClip(clip.samples.copy(), native)
+    g = math.gcd(native, target_rate)
+    step, n_phases = native // g, target_rate // g  # M, L
+    table = 8 * n_phases * (2 * _kernel_radius(native, target_rate) + 1)
+    if table > MAX_KERNEL_TABLE_BYTES:
+        raise InputError(
+            f"cannot resample {native} Hz to {target_rate} Hz: its kernel "
+            f"table of {n_phases} phases needs {table} bytes, more than "
+            f"{MAX_KERNEL_TABLE_BYTES}")
     x = clip.samples
     n_in = len(x)
     n_out = (2 * n_in * target_rate + native) // (2 * native)  # round half up
     if n_in == 0 or n_out == 0:
         return AudioClip(np.zeros(0), target_rate)
 
-    g = math.gcd(native, target_rate)
-    step, n_phases = native // g, target_rate // g  # M, L
     h, tap_sum = _phase_kernels(native, target_rate, min(n_phases, n_out))
     width = h.shape[1]
     radius = width // 2
@@ -350,6 +363,12 @@ def _phase_runs(step: int, n_phases: int) -> tuple:
     return tuple(runs)
 
 
+def _kernel_radius(native: int, target_rate: int) -> int:
+    # Taps per side: RESAMPLE_TAPS zero crossings of the sinc, widened by
+    # the rate ratio when downsampling.
+    return int(np.ceil(RESAMPLE_TAPS / min(1.0, target_rate / native)))
+
+
 @functools.lru_cache(maxsize=8)
 def _phase_kernels(native: int, target_rate: int,
                    phases: int) -> tuple[np.ndarray, np.ndarray]:
@@ -360,7 +379,7 @@ def _phase_kernels(native: int, target_rate: int,
     g = math.gcd(native, target_rate)
     step, n_phases = native // g, target_rate // g
     cutoff = min(1.0, target_rate / native)  # fraction of the input Nyquist
-    radius = int(np.ceil(RESAMPLE_TAPS / cutoff))
+    radius = _kernel_radius(native, target_rate)
     frac = (np.arange(phases) * step % n_phases) / n_phases
     offset = np.arange(-radius, radius + 1)[np.newaxis, :] - frac[:, np.newaxis]
     h = cutoff * np.sinc(cutoff * offset)

@@ -5,6 +5,12 @@ matrix reordering (``vat``, ``specvat``), cluster counting (``cce``),
 label stacks (``stack``), synthetic data (``synth``), and the end-to-end
 subset analysis (``report``).
 
+The front end, SpecVAT and CCE run with the defaults of ``AudioConfig``,
+``SpecVatConfig`` and ``CceConfig``, except where a flag (``--k``,
+``cce --band-width``, ``cce --b``) says otherwise; other settings are
+passed as those dataclasses to the library calls (``features_for_manifest``,
+``run_report``).
+
 Exit codes: 0 on success, 2 on bad input, 3 on numeric failure.
 """
 
@@ -13,9 +19,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
-from .cce import cce_count
+from .cce import CceConfig, cce_count
 from .errors import InputError, NumericError
 from .manifest import CITIES, SCENES, read_manifest
 from .matrix import as_features, check_dissim
@@ -28,26 +33,19 @@ from .report import (
     analyze,
     analyze_features,
     features_for_manifest,
-    load_config,
     run_report,
 )
+from .specvat import SpecVatConfig
 from .synth import BlobSpec, block_dissim, gaussian_blobs
 from .vat import ordering_to_json, read_ordering, read_pgm, write_pgm
 from .vatf import atomic_write_text, naming, read_vatf, write_vatf
 
 
-_SHARED = {
-    "--config": dict(metavar="JSON", default=None,
-                     help="JSON config with audio/specvat/cce sections"),
-    "--threads": dict(type=int, default=None, metavar="N",
-                      help="feature extraction threads (default: 1)"),
-}
-
-
-def _add_shared(p, *flags):
-    """Add --out plus those of --config/--threads the subcommand reads."""
-    for flag in flags:
-        p.add_argument(flag, **_SHARED[flag])
+def _add_out(p, threads=False):
+    """Add --out, and --threads to a subcommand that extracts features."""
+    if threads:
+        p.add_argument("--threads", type=int, default=None, metavar="N",
+                       help="feature extraction threads (default: 1)")
     p.add_argument("--out", metavar="DIR", required=True,
                    help="output directory")
 
@@ -71,17 +69,16 @@ def _matrix_inputs(p):
 # subcommands
 
 
-def _extract(args, manifest, cfg):
+def _extract(args, manifest):
     """Features of the manifest's audio, as --audio-root, --cache and
     --threads say."""
     threads = 1 if args.threads is None else args.threads
-    return features_for_manifest(manifest, cfg.audio, audio_root=args.audio_root,
+    return features_for_manifest(manifest, audio_root=args.audio_root,
                                  cache_dir=args.cache, threads=threads)
 
 
 def cmd_features(args) -> int:
-    cfg = load_config(args.config)
-    feats = _extract(args, read_manifest(args.manifest), cfg)
+    feats = _extract(args, read_manifest(args.manifest))
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "features.vatf")
     write_vatf(path, feats)
@@ -98,15 +95,14 @@ def cmd_matrix(args) -> int:
     file.
     """
     _check_method(args.method, args.k)
-    spec_cfg = load_config(args.config).spec
     path = args.features if args.dissim is None else args.dissim
     m = read_vatf(path)
     with naming(path):
         if args.dissim is None:
-            result = analyze_features(m, args.method, spec_cfg, args.k)
+            result = analyze_features(m, args.method, SpecVatConfig(), args.k)
         else:
             m = check_dissim(m)  # a symmetrized copy lets the input go
-            result = analyze(m, args.method, spec_cfg, args.k)
+            result = analyze(m, args.method, SpecVatConfig(), args.k)
     if result.k_scores is not None:
         shown = ", ".join(
             f"k={kk}: {s:.4f}" for kk, s in sorted(result.k_scores.items())
@@ -126,13 +122,10 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_cce(args) -> int:
-    cfg = load_config(args.config).cce
-    if args.band_width is not None:
-        cfg = replace(cfg, band_width=args.band_width)
-    if args.b is not None:
-        cfg = replace(cfg, explicit_b=args.b)
+    cfg = CceConfig(band_width=args.band_width, explicit_b=args.b)
     image = read_pgm(args.image)
-    report = cce_count(image, cfg)
+    with naming(args.image):
+        report = cce_count(image, cfg)
     os.makedirs(args.out, exist_ok=True)
     atomic_write_text(os.path.join(args.out, "cce.json"), report.to_json())
     print(f"clusters: {report.cluster_count}")
@@ -156,12 +149,12 @@ def cmd_stack(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     if args.mode == "blobs":
         spec = BlobSpec(clusters=args.clusters, n_per=args.n_per,
                         dim=args.dim, sep=args.sep, sigma=args.sigma,
                         seed=args.seed)
         feats, labels = gaussian_blobs(spec)
+        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "features.vatf")
         write_vatf(path, feats)
         atomic_write_text(
@@ -171,6 +164,7 @@ def cmd_synth(args) -> int:
         print(f"{feats.shape[0]} x {feats.shape[1]} blob features -> {path}")
     else:
         m = block_dissim(args.sizes, args.within, args.between)
+        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "dissim.vatf")
         write_vatf(path, m)
         print(f"{m.shape[0]} x {m.shape[0]} block matrix -> {path}")
@@ -178,10 +172,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_report(args) -> int:
-    cfg = load_config(args.config)
     manifest = read_manifest(args.manifest)
     if args.features is None:
-        feats = _extract(args, manifest, cfg)
+        feats = _extract(args, manifest)
     else:
         for flag, value in (("--audio-root", args.audio_root),
                             ("--cache", args.cache),
@@ -195,7 +188,7 @@ def cmd_report(args) -> int:
                 raise InputError(f"{len(feats)} feature rows, but manifest "
                                  f"{args.manifest} has {len(manifest)} records")
     report = run_report(manifest, feats, args.group, args.out,
-                        method=args.method, config=cfg, k=args.k)
+                        method=args.method, k=args.k)
     for name in sorted(report["summary"]):
         print(f"{name}: {report['summary'][name]}")
     print(f"{len(report['subsets'])} subset report(s) -> {args.out}")
@@ -216,19 +209,19 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--manifest", required=True, metavar="CSV")
     f.add_argument("--audio-root", default=None, metavar="DIR")
     f.add_argument("--cache", default=None, metavar="DIR")
-    _add_shared(f, "--config", "--threads")
+    _add_out(f, threads=True)
     f.set_defaults(func=cmd_features)
 
     v = sub.add_parser("vat", help="reorder a matrix and render the image")
     _matrix_inputs(v)
-    _add_shared(v)
-    v.set_defaults(func=cmd_matrix, method="vat", config=None, k=None)
+    _add_out(v)
+    v.set_defaults(func=cmd_matrix, method="vat", k=None)
 
     s = sub.add_parser("specvat", help="spectral embedding before reordering")
     _matrix_inputs(s)
     s.add_argument("--k", type=int, default=None,
                    help="eigenvector count (default: automatic scan)")
-    _add_shared(s, "--config")
+    _add_out(s)
     s.set_defaults(func=cmd_matrix, method="specvat")
 
     c = sub.add_parser("cce", help="count dark blocks in an ordered image")
@@ -236,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--band-width", type=int, default=None)
     c.add_argument("--b", type=int, default=None,
                    help="explicit cutoff (default: half the signal maximum)")
-    _add_shared(c, "--config")
+    _add_out(c)
     c.set_defaults(func=cmd_cce)
 
     t = sub.add_parser("stack", help="label stack for an existing ordering")
@@ -247,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the records the ordering orders: all (the default), "
                         "or a scene or city, as a report subset of that name")
     t.add_argument("--label", choices=("scene", "city"), default="scene")
-    _add_shared(t)
+    _add_out(t)
     t.set_defaults(func=cmd_stack)
 
     y = sub.add_parser("synth", help="synthetic features or block matrices")
@@ -262,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="blocks mode: comma-separated block sizes")
     y.add_argument("--within", type=float, default=0.01)
     y.add_argument("--between", type=float, default=1.0)
-    _add_shared(y)
+    _add_out(y)
     y.set_defaults(func=cmd_synth)
 
     r = sub.add_parser("report", help="full per-subset analysis")
@@ -278,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"cities: {', '.join(CITIES)})")
     r.add_argument("--method", choices=METHODS, default="vat")
     r.add_argument("--k", type=int, default=None)
-    _add_shared(r, "--config", "--threads")
+    _add_out(r, threads=True)
     r.set_defaults(func=cmd_report)
     return p
 

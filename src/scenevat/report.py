@@ -11,12 +11,9 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import hashlib
-import io
 import json
 import os
-import typing
 import warnings
-from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -36,77 +33,6 @@ METHODS = ("vat", "specvat")
 # Each label kind's names and colours.  ``report --group`` takes a
 # grouping, or one name for a run over that one subset.
 _LABELS = {"scene": (SCENES, SCENE_PALETTE), "city": (CITIES, CITY_PALETTE)}
-
-
-@dataclass(frozen=True)
-class ReportConfig:
-    audio: AudioConfig
-    spec: SpecVatConfig
-    cce: CceConfig
-
-
-DEFAULT_CONFIG = ReportConfig(AudioConfig(), SpecVatConfig(), CceConfig())
-
-
-def load_config(path: Optional[str]) -> ReportConfig:
-    """Read a JSON config with optional ``audio``/``specvat``/``cce`` sections."""
-    if path is None:
-        return DEFAULT_CONFIG
-    data = read_file(path, "config", bytes)
-    try:
-        # Universal newlines, as text-mode open() reads: offsets count "\r\n" once.
-        doc = json.load(io.StringIO(data.decode("utf-8"), newline=None))
-    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
-        raise InputError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InputError(f"config {path} must be a JSON object")
-    unknown = set(doc) - {"audio", "specvat", "cce"}
-    if unknown:
-        raise InputError(f"config {path}: unknown section(s) {sorted(unknown)}")
-
-    def build(defaults, section):
-        fields = doc.get(section, {})
-        if not isinstance(fields, dict):
-            raise InputError(f"config {path}: section {section!r} must be an object")
-        if section == "specvat" and "k" in fields:
-            raise InputError(
-                f"config {path}: specvat.k is not a config key; "
-                "pass the eigenvector count with --k"
-            )
-        hints = typing.get_type_hints(type(defaults))
-        bad = set(fields) - set(hints)
-        if bad:
-            raise InputError(
-                f"config {path}: section {section!r}: unknown key(s) {sorted(bad)}"
-            )
-        for key, value in fields.items():
-            if not _fits(hints[key], value):
-                raise InputError(
-                    f"config {path}: {section}.{key} must be "
-                    f"{defaults.__dataclass_fields__[key].type}, got {value!r}"
-                )
-        try:
-            return replace(defaults, **fields)
-        except InputError as exc:
-            raise InputError(f"config {path}: {section}: {exc}") from exc
-
-    return ReportConfig(
-        audio=build(AudioConfig(), "audio"),
-        spec=build(SpecVatConfig(), "specvat"),
-        cce=build(CceConfig(), "cce"),
-    )
-
-
-def _fits(hint, value) -> bool:
-    """Whether a JSON value suits a config field's annotation.
-
-    ``bool`` is not taken for a number.
-    """
-    if typing.get_origin(hint) is typing.Union:
-        return any(_fits(arg, value) for arg in typing.get_args(hint))
-    if isinstance(value, bool) and hint is not bool:
-        return False
-    return isinstance(value, hint)
 
 
 # --------------------------------------------------------------------------
@@ -330,8 +256,9 @@ def run_report(
     out_dir: str,
     *,
     method: str = "vat",
-    config: ReportConfig = DEFAULT_CONFIG,
     k: Optional[int] = None,
+    spec_cfg: SpecVatConfig = SpecVatConfig(),
+    cce_cfg: CceConfig = CceConfig(),
 ) -> dict:
     """Analyze each subset and emit ODI/ordering/stack/count artifacts.
 
@@ -341,7 +268,8 @@ def run_report(
     CSV), and a cluster-count report (JSON).  A summary table of counts per subset is returned and
     written to ``report.json``.  SpecVAT subsets pick k automatically unless
     ``k`` is given, which is clamped to n-1 with a warning; a ``k`` with
-    VAT, or below 2, raises InputError before any subset.  The features
+    VAT, or below 2, raises InputError before any subset.  SpecVAT runs
+    with ``spec_cfg`` and each count with ``cce_cfg``.  The features
     are checked once, here.  Each subset goes through
     ``analyze_features``, which writes its ``dissim.vatf``, and lets its
     matrix go once the image and its count are written.  Subsets with
@@ -388,9 +316,9 @@ def run_report(
                 # A subset of every record reads the features as they are.
                 result = analyze_features(
                     features if n == len(features) else features[idx],
-                    method, config.spec, k_run,
+                    method, spec_cfg, k_run,
                     path=os.path.join(subset_dir, "dissim.vatf"))
-                cce = cce_count(result.image, config.cce)
+                cce = cce_count(result.image, cce_cfg)
             except DistanceOverflow as exc:
                 raise _Skip(f": {exc}", str(exc)) from exc
             except DegenerateImageError as exc:

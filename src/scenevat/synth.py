@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .matrix import DISSIM_LIMIT
 
 
 @dataclass(frozen=True)
@@ -30,10 +31,10 @@ class BlobSpec:
             raise InputError(f"n_per must be >= 1, got {self.n_per}")
         if self.dim < 1:
             raise InputError(f"dim must be >= 1, got {self.dim}")
-        if self.sep < 0:
-            raise InputError(f"sep must be >= 0, got {self.sep}")
-        if not self.sigma > 0:
-            raise InputError(f"sigma must be positive, got {self.sigma}")
+        if not 0 <= self.sep < np.inf:
+            raise InputError(f"sep must be finite and >= 0, got {self.sep}")
+        if not 0 < self.sigma < np.inf:
+            raise InputError(f"sigma must be finite and positive, got {self.sigma}")
         if self.clusters > self.dim:
             raise InputError(
                 f"cannot place {self.clusters} axis-aligned centers in "
@@ -71,8 +72,11 @@ def block_dissim(sizes, within: float, between: float) -> np.ndarray:
         raise InputError("sizes must be a nonempty sequence")
     if any(s < 1 for s in sizes):
         raise InputError(f"every block size must be >= 1, got {sizes}")
+    if not between < DISSIM_LIMIT:
+        raise InputError(f"between must be below {DISSIM_LIMIT}, got {between}")
     if within < 0:
         raise InputError(f"within must be >= 0, got {within}")
+    # So within is finite too, and every entry a valid dissimilarity.
     if not within < between:
         raise InputError(
             f"within ({within}) must be strictly less than between ({between})"

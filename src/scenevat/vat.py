@@ -243,6 +243,11 @@ def ordering_from_json(text: str | bytes) -> VatOrdering:
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise InputError(f"malformed ordering JSON: {exc}") from exc
     check_permutation(ordering.order, len(ordering))
+    link = ordering.link_dist
+    bad = np.flatnonzero(~((link >= 0) & (link < np.inf)))  # NaN fails both
+    if bad.size:
+        raise InputError(f"link_dist[{bad[0]}] is {link[bad[0]]}; link "
+                         "distances must be finite and nonnegative")
     return ordering
 
 

@@ -13,6 +13,8 @@ from scipy.spatial.distance import cdist
 import scenevat.matrix
 import scenevat.report
 import scenevat.specvat
+from scenevat.audio import AudioConfig
+from scenevat.cce import CceConfig
 from scenevat.cli import main
 from scenevat.manifest import scan_dcase_tree
 from scenevat.synth import BlobSpec, gaussian_blobs
@@ -139,11 +141,8 @@ def test_specvat_auto_k_prints_selection(tmp_path, capsys):
         "--dim", "8", "--seed", "4", "--out", str(syn),
     ])
     out = tmp_path / "sv"
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"specvat": {"k_max": 4, "knn_scale": 10}}')
     assert main([
-        "specvat", "--features", str(syn / "features.vatf"),
-        "--config", str(cfg), "--out", str(out),
+        "specvat", "--features", str(syn / "features.vatf"), "--out", str(out),
     ]) == 0
     printed = capsys.readouterr().out
     assert "selected k=3" in printed
@@ -161,8 +160,8 @@ def test_manifest_with_a_bare_cr_exits_2(tmp_path, capsys):
 
 
 def _one_clip_inputs(tmp_path):
-    """A valid WAV and manifest, a block matrix and an image: every input
-    a config-reading command needs, none of them at fault."""
+    """A valid WAV and manifest, a block matrix and an image: the inputs
+    of features, report, specvat and cce, none of them at fault."""
     clips = tmp_path / "clips"
     clips.mkdir()
     (clips / "a0.wav").write_bytes(sine_wav(440.0, 0.25, 44100))
@@ -179,42 +178,6 @@ def _one_clip_inputs(tmp_path):
         "specvat": ["specvat", "--dissim", str(tmp_path / "syn" / "dissim.vatf")],
         "cce": ["cce", "--image", str(image)],
     }
-
-
-@pytest.mark.parametrize("command", ["specvat", "report", "features", "cce"])
-@pytest.mark.parametrize("doc", [
-    '{"specvat": {"k": 500}}',
-    '{"specvat": {"k_max": "six"}}',
-    '{"specvat": {"knn_scale": 2.5}}',
-    '{"cce": {"band_width": "x"}}',
-    # well-typed but out of range: each config rejects it when built
-    '{"audio": {"n_fft": 1}}',
-    '{"audio": {"n_fft": 17, "hop": 4}}',
-    '{"specvat": {"k_max": 1}}',
-    '{"cce": {"explicit_b": -1}}',
-])
-def test_bad_config_values_exit_2(tmp_path, capsys, command, doc):
-    # Every section is checked when the file is read, before any other
-    # input, so an audio fault is not blamed on the first WAV.
-    argv = _one_clip_inputs(tmp_path)[command]
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(doc)
-    assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    section = next(iter(json.loads(doc)))
-    assert err.startswith(f"error: config {cfg}: {section}") and "a0.wav" not in err
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("raw", [b"\xff{}", b"{}\xff"],
-                         ids=["leading-0xff", "trailing-0xff"])
-def test_non_utf8_config_exits_2(tmp_path, capsys, raw):
-    argv = _one_clip_inputs(tmp_path)["cce"]
-    cfg = tmp_path / "cfg.json"
-    cfg.write_bytes(raw)
-    assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith(
-        f"error: config {cfg} is not valid JSON: 'utf-8' codec can't decode byte 0xff")
 
 
 @pytest.mark.parametrize("threads", ["0", "-5"])
@@ -238,6 +201,12 @@ def test_features_threads_below_one_exit_2(tmp_path, capsys, threads):
      "malformed ordering JSON"),
     ('{"order": [1180591620717411303424, 0, 1], "link_dist": [0.0, 1.0, 1.0]}',
      "malformed ordering JSON"),
+    # once drawn as a rect of width -600.00, or of width nan
+    ('{"order": [0, 1, 2], "link_dist": [0, -5, 1]}',
+     "link_dist[1] is -5.0; link distances must be finite and nonnegative"),
+    ('{"order": [0, 1, 2], "link_dist": [0, Infinity, 1]}',
+     "link_dist[1] is inf"),
+    ('{"order": [0, 1, 2], "link_dist": [0, 1, NaN]}', "link_dist[2] is nan"),
 ])
 def test_stack_bad_ordering_exits_2_naming_the_file(tmp_path, capsys, text,
                                                      problem):
@@ -252,6 +221,8 @@ def test_stack_bad_ordering_exits_2_naming_the_file(tmp_path, capsys, text,
     assert err.startswith("error: ") and str(ordering) in err and problem in err
     if problem == "has 2 records":
         assert str(manifest) in err
+    else:
+        assert err.startswith(f"error: {ordering}: ")
     assert not (tmp_path / "o").exists()
 
 
@@ -326,24 +297,20 @@ def test_features_and_report_from_audio(tmp_path):
             rows.append(f"{name},{scenes[stem]},{'paris' if i % 2 else 'london'}")
     manifest = tmp_path / "m.csv"
     manifest.write_text("path,scene,city\n" + "\n".join(rows) + "\n")
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(
-        '{"audio": {"target_rate": 8000, "n_fft": 256, "hop": 128, "n_mels": 16}}'
-    )
 
     feat_out = tmp_path / "feats"
     assert main([
         "features", "--manifest", str(manifest), "--audio-root", str(clips),
-        "--config", str(cfg), "--threads", "2", "--out", str(feat_out),
+        "--threads", "2", "--out", str(feat_out),
     ]) == 0
     feats = read_vatf(feat_out / "features.vatf")
-    assert feats.shape == (9, 16)
+    assert feats.shape == (9, AudioConfig().n_mels)
 
     rep_out = tmp_path / "rep"
     assert main([
         "report", "--manifest", str(manifest),
         "--features", str(feat_out / "features.vatf"),
-        "--group", "all", "--config", str(cfg), "--out", str(rep_out),
+        "--group", "all", "--out", str(rep_out),
     ]) == 0
     doc = json.loads((rep_out / "report.json").read_text())
     assert doc["summary"]["all"] >= 1
@@ -617,12 +584,15 @@ def test_report_exits_3_when_every_subset_overflows(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore:subset .* has 0 record")
-def test_report_band_width_too_large_for_a_subset_exits_2(tmp_path, capsys):
+def test_report_band_width_too_large_for_a_subset_exits_2(tmp_path, capsys,
+                                                         monkeypatch):
     # Only an overflow skips a subset; any other InputError ends the report.
+    # Here each subset is counted with a band of 50 columns.
+    count = scenevat.report.cce_count
+    monkeypatch.setattr(scenevat.report, "cce_count",
+                        lambda image, cfg: count(image, CceConfig(band_width=50)))
     argv = _twelve_record_report(tmp_path, np.arange(48.0).reshape(12, 4))
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"cce": {"band_width": 50}}')
-    assert main(argv + ["--config", str(cfg)]) == 2
+    assert main(argv) == 2
     assert "band width 50 must satisfy" in capsys.readouterr().err
     # the failed subset's dissim.vatf, written before its analysis, went again
     assert not (tmp_path / "o" / "airport").exists()
@@ -635,6 +605,20 @@ def test_synth_non_integer_size_exits_2(tmp_path, capsys):
     assert err.value.code == 2
     msg = capsys.readouterr().err
     assert "argument --sizes: " in msg and "'x'" in msg
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--mode", "blocks", "--between", "inf"], "between must be below"),
+    (["--mode", "blocks", "--between", "1e306"], "between must be below"),
+    (["--mode", "blobs", "--sep", "nan"], "sep must be finite and >= 0"),
+    (["--mode", "blobs", "--sep", "inf"], "sep must be finite and >= 0"),
+    (["--mode", "blobs", "--sigma", "inf"], "sigma must be finite and positive"),
+], ids=["between-inf", "between-1e306", "sep-nan", "sep-inf", "sigma-inf"])
+def test_synth_refuses_what_its_readers_refuse(tmp_path, capsys, args, message):
+    # Each once wrote a VATF that vat --dissim or vat --features refused.
+    assert main(["synth", *args, "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not (tmp_path / "s").exists()
 
 
@@ -676,15 +660,16 @@ def test_flags_only_on_subcommands_that_read_them(tmp_path):
     syn = tmp_path / "syn"
     assert main(["synth", "--mode", "blocks", "--sizes", "4,4",
                  "--out", str(syn)]) == 0
-    for extra in (["--threads", "2"], ["--config", "c.json"]):
+    for argv in (["vat", "--dissim", str(syn / "dissim.vatf")],
+                 ["specvat", "--dissim", str(syn / "dissim.vatf")]):
         with pytest.raises(SystemExit) as err:
-            main(["vat", "--dissim", str(syn / "dissim.vatf"),
-                  "--out", str(tmp_path / "o")] + extra)
+            main(argv + ["--threads", "2", "--out", str(tmp_path / "o")])
         assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main(["specvat", "--dissim", str(syn / "dissim.vatf"),
-              "--threads", "2", "--out", str(tmp_path / "o")])
-    assert err.value.code == 2
+    # No subcommand reads a config file: --config is no flag.
+    for argv in _one_clip_inputs(tmp_path).values():
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--config", "c.json", "--out", str(tmp_path / "o")])
+        assert err.value.code == 2
     # No subcommand z-scores features: --standardize is no flag.
     for argv in (["vat", "--dissim", str(syn / "dissim.vatf")],
                  ["specvat", "--dissim", str(syn / "dissim.vatf")],
@@ -825,29 +810,6 @@ def test_report_checks_k_before_any_subset(tmp_path, capsys, method, k,
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command", ["specvat", "report"])
-def test_sigma_floor_is_not_a_config_key(tmp_path, capsys, command):
-    # The smallest local scale is the constant specvat.SIGMA_FLOOR.  The
-    # log is natural, with the floor audio.LOG_FLOOR, and the mel scale
-    # Slaney's, from 0 Hz to half the target rate; CCE's cutoff is half the
-    # signal maximum unless explicit_b is given.  None of these is a key.
-    argv = _one_clip_inputs(tmp_path)[command]
-    cfg = tmp_path / "cfg.json"
-    for section, key, value in [("specvat", "sigma_floor", 1e-12),
-                                ("audio", "db_scale", True),
-                                ("audio", "htk_mel", True),
-                                ("audio", "fmin", 20.0),
-                                ("audio", "fmax", 8000.0),
-                                ("audio", "log_floor", 1e-10),
-                                ("cce", "threshold_mode", "zero")]:
-        cfg.write_text(json.dumps({section: {key: value}}))
-        assert main(argv + ["--config", str(cfg),
-                            "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == (
-            f"error: config {cfg}: section '{section}': unknown key(s) "
-            f"['{key}']\n")
-
-
 # --------------------------------------------------------------------------
 # Flags a command does not read
 
@@ -877,7 +839,7 @@ def test_report_subset_flag_is_gone(tmp_path):
 
 
 def _audio_report_inputs(tmp_path):
-    """Two tones in each of two cities, and a small front-end config."""
+    """Two tones in each of two cities."""
     clips = tmp_path / "clips"
     clips.mkdir()
     rows = []
@@ -888,12 +850,8 @@ def _audio_report_inputs(tmp_path):
         rows.append(f"{name},{'bus' if i % 2 else 'park'},{city}\n")
     manifest = tmp_path / "m.csv"
     manifest.write_text("path,scene,city\n" + "".join(rows))
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(
-        '{"audio": {"target_rate": 8000, "n_fft": 256, "hop": 128, "n_mels": 16}}'
-    )
     return clips, ["report", "--manifest", str(manifest), "--audio-root",
-                   str(clips), "--config", str(cfg), "--group", "by_city"]
+                   str(clips), "--group", "by_city"]
 
 
 def _tree_bytes(root):
@@ -971,9 +929,9 @@ def test_report_of_a_scanned_dcase_tree(tmp_path, monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:subset .* has 0 record")
 @pytest.mark.parametrize("row, message", [
-    (np.zeros((1, 64)), "cached feature row has shape (1, 64), expected (1, 16)"),
-    (np.zeros((2, 16)), "cached feature row has shape (2, 16), expected (1, 16)"),
-    (np.full((1, 16), np.nan), "feature row 0 contains a non-finite value"),
+    (np.zeros((1, 64)), "cached feature row has shape (1, 64), expected (1, 128)"),
+    (np.zeros((2, 16)), "cached feature row has shape (2, 16), expected (1, 128)"),
+    (np.full((1, 128), np.nan), "feature row 0 contains a non-finite value"),
 ], ids=["1x64", "2x16", "nan"])
 @pytest.mark.parametrize("command", ["features", "report"])
 def test_a_bad_cached_row_exits_2_naming_the_cache_file(tmp_path, capsys, row,
@@ -1038,8 +996,12 @@ def _fmt(tag=1, rate=8000, bits=16, extra=b""):
     # with this header, to about 7.8 GB.
     (_riff((b"fmt ", _fmt(rate=1)), (b"data", bytes(200))),
      "invalid sample rate 1 in 'fmt ' chunk; expected 1000 to 768000 Hz"),
+    # 22050 phases of 2231 taps, 375 MiB, for 22.05 kHz; these 100 samples
+    # read three of them.
+    (_riff((b"fmt ", _fmt(rate=767999)), (b"data", bytes(200))),
+     "cannot resample 767999 Hz to 22050 Hz"),
 ], ids=["form-type", "no-fmt", "pcm-8", "float-64", "short-fmt",
-        "short-extensible", "rate-0", "rate-1"])
+        "short-extensible", "rate-0", "rate-1", "rate-767999"])
 def test_malformed_wav_exits_2_naming_the_file(tmp_path, capsys, wav, message):
     (tmp_path / "x.wav").write_bytes(wav)
     (tmp_path / "m.csv").write_text("path,scene,city\nx.wav,bus,paris\n")
@@ -1056,7 +1018,9 @@ def test_malformed_wav_exits_2_naming_the_file(tmp_path, capsys, wav, message):
     # (-1) * (-1) bytes matched the payload, and reshape(-1, -1) raised a
     # ValueError: a traceback, exit 1.
     (b"P5\n-1 -1\n255\n\x00", "malformed PGM header fields"),
-], ids=["truncated-header", "non-integer-field", "signed-dimension"])
+    (b"P5\n3 2\n255\n" + bytes(range(6)), "expected a square image, got (2, 3)"),
+], ids=["truncated-header", "non-integer-field", "signed-dimension",
+        "non-square"])
 def test_malformed_pgm_exits_2_naming_the_file(tmp_path, capsys, data, message):
     path = tmp_path / "x.pgm"
     path.write_bytes(data)

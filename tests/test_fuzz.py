@@ -10,7 +10,6 @@ chunk's rate.
 
 import contextlib
 import io
-import json
 import struct
 import warnings
 
@@ -23,7 +22,6 @@ from scenevat.audio import decode_wav, extract_features
 from scenevat.cli import main
 from scenevat.errors import InputError
 from scenevat.manifest import parse_manifest
-from scenevat.report import load_config
 from scenevat.synth import block_dissim
 from scenevat.vat import (
     odi_from,
@@ -50,9 +48,6 @@ SEEDS = {
     "pgm": b"P5\n6 6\n255\n" + odi_from(DISSIM, ORDERING).tobytes(),
     "ordering": ordering_to_json(ORDERING).encode(),
     "wav": make_wav(np.round(20000 * sine(440.0, 0.005, 8000)).astype(np.int16), 8000),
-    "config": json.dumps({"audio": {"n_mels": 16},
-                          "specvat": {"k_max": 4},
-                          "cce": {"explicit_b": 0}}).encode(),
 }
 
 
@@ -106,15 +101,6 @@ def test_a_mutated_file_parses_or_raises_input_error(kind, data):
 def test_a_mutated_wav_extracts_or_raises_input_error(data):
     with contextlib.suppress(InputError):
         extract_features(bytearray(data.draw(mutations(SEEDS["wav"]))))
-
-
-@FUZZ
-@given(data=st.data())
-def test_a_mutated_config_loads_or_raises_input_error(scratch, data):
-    path = scratch / "config.json"
-    path.write_bytes(data.draw(mutations(SEEDS["config"])))
-    with contextlib.suppress(InputError):
-        load_config(str(path))
 
 
 # The file each command is fuzzed in, and its arguments; {file} is the

@@ -1,6 +1,5 @@
 import json
 import os
-import re
 import threading
 import warnings
 
@@ -13,124 +12,19 @@ import scenevat.report
 import scenevat.specvat
 import scenevat.vat
 from scenevat.audio import AudioConfig
-from scenevat.cce import CceConfig
 from scenevat.errors import DegenerateImageError, InputError, NumericError
 from scenevat.manifest import parse_manifest
 from scenevat.matrix import euclidean_dissim
 from scenevat.report import (
-    DEFAULT_CONFIG,
-    ReportConfig,
     analyze,
     analyze_features,
     features_for_manifest,
-    load_config,
     run_report,
 )
 from scenevat.specvat import SpecVatConfig
 from scenevat.synth import BlobSpec, gaussian_blobs
 
 from conftest import count_solvers, overflow_in_last_band, sine_wav
-
-
-# --------------------------------------------------------------------------
-# config loading
-
-
-def test_load_config_defaults():
-    cfg = load_config(None)
-    assert cfg == DEFAULT_CONFIG
-    assert cfg.audio == AudioConfig()
-    assert cfg.spec == SpecVatConfig()
-    assert cfg.cce == CceConfig()
-
-
-def test_load_config_sections_override(tmp_path):
-    p = tmp_path / "cfg.json"
-    p.write_text(
-        json.dumps(
-            {
-                "audio": {"n_mels": 64},
-                "specvat": {"k_max": 4},
-                "cce": {"band_width": None, "explicit_b": 0},
-            }
-        )
-    )
-    cfg = load_config(str(p))
-    assert cfg.audio.n_mels == 64
-    assert cfg.audio.n_fft == 2048  # untouched default
-    assert cfg.spec.k_max == 4
-    # null is taken for an optional field
-    assert cfg.cce.band_width is None and cfg.cce.explicit_b == 0
-
-
-def test_readme_config_example_loads(tmp_path):
-    # So the README cannot show a key the schema has dropped.
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme, encoding="utf-8") as f:
-        [example] = re.findall(r"```json\n(.*?)```", f.read(), re.DOTALL)
-    p = tmp_path / "cfg.json"
-    p.write_text(example)
-    cfg = load_config(str(p))
-    assert cfg.audio.n_mels == 64 and cfg.cce.explicit_b == 0
-
-
-def test_load_config_rejects_unknown_section(tmp_path):
-    p = tmp_path / "cfg.json"
-    p.write_text('{"feature": {}}')
-    with pytest.raises(InputError, match="unknown section"):
-        load_config(str(p))
-
-
-def test_load_config_rejects_unknown_key(tmp_path):
-    p = tmp_path / "cfg.json"
-    p.write_text('{"audio": {"bogus": 1}}')
-    with pytest.raises(InputError, match="unknown key.*bogus"):
-        load_config(str(p))
-
-
-def test_load_config_rejects_bad_json(tmp_path):
-    p = tmp_path / "cfg.json"
-    p.write_text("{nope")
-    with pytest.raises(InputError, match="not valid JSON"):
-        load_config(str(p))
-    p2 = tmp_path / "list.json"
-    p2.write_text("[1, 2]")
-    with pytest.raises(InputError, match="JSON object"):
-        load_config(str(p2))
-    with pytest.raises(InputError, match="cannot read"):
-        load_config(str(tmp_path / "absent.json"))
-
-
-def test_load_config_rejects_k_and_points_to_the_flag(tmp_path):
-    # k would be ignored: the CLI takes it from --k or scans for it.
-    p = tmp_path / "cfg.json"
-    p.write_text('{"specvat": {"k": 5}}')
-    with pytest.raises(InputError, match=r"cfg\.json.*specvat\.k.*--k"):
-        load_config(str(p))
-
-
-@pytest.mark.parametrize("doc, where", [
-    ('{"specvat": {"k_max": "six"}}', "specvat.k_max"),
-    ('{"specvat": {"knn_scale": 2.5}}', "specvat.knn_scale"),
-    ('{"specvat": {"k_max": true}}', "specvat.k_max"),
-    ('{"cce": {"band_width": "x"}}', "cce.band_width"),
-    ('{"audio": {"n_mels": null}}', "audio.n_mels"),
-    ('{"specvat": []}', "section 'specvat'"),
-    ('{"cce": {"bogus": 1}}', "section 'cce'"),
-    # the smallest local scale is a constant, not a key
-    ('{"specvat": {"sigma_floor": 0}}', "unknown key(s) ['sigma_floor']"),
-    # well-typed but out of range: each config rejects it when built
-    ('{"audio": {"n_fft": 1}}', "audio: n_fft"),
-    ('{"specvat": {"k_max": 1}}', "specvat: k_max"),
-    ('{"specvat": {"knn_scale": 0}}', "specvat: knn_scale"),
-    ('{"cce": {"band_width": 0}}', "cce: band_width"),
-])
-def test_load_config_names_file_and_key_of_a_bad_value(tmp_path, doc, where):
-    p = tmp_path / "cfg.json"
-    p.write_text(doc)
-    with pytest.raises(InputError) as err:
-        load_config(str(p))
-    assert str(p) in str(err.value) and where in str(err.value)
 
 
 # --------------------------------------------------------------------------
@@ -382,10 +276,8 @@ def test_run_report_specvat_fixed_and_auto_k(tmp_path):
     assert "k_scores" not in entry
     assert fixed["summary"]["all"] == 3
 
-    cfg = ReportConfig(AudioConfig(), SpecVatConfig(knn_scale=10), CceConfig())
-    auto = run_report(
-        mf, feats, "all", str(tmp_path / "auto"), method="specvat", config=cfg
-    )
+    auto = run_report(mf, feats, "all", str(tmp_path / "auto"),
+                      method="specvat", spec_cfg=SpecVatConfig(knn_scale=10))
     entry = auto["subsets"][0]
     assert entry["k"] == 3
     assert set(entry["k_scores"]) == {"2", "3", "4", "5", "6", "7", "8", "9", "10"}
@@ -421,10 +313,9 @@ def _specvat_report_with_two_record_london(out, k=None):
     for i, lab in enumerate(labels):
         lines.append(f"clip{i}.wav,{scenes[lab]},{'london' if i < 2 else 'paris'}")
     mf = parse_manifest("\n".join(lines) + "\n")
-    cfg = ReportConfig(AudioConfig(), SpecVatConfig(k_max=5), CceConfig())
     with pytest.warns(UserWarning) as rec:
         report = run_report(mf, feats, "by_city", str(out), method="specvat",
-                            config=cfg, k=k)
+                            k=k, spec_cfg=SpecVatConfig(k_max=5))
     return report, rec
 
 
@@ -508,10 +399,9 @@ def test_run_report_never_revalidates_its_matrices(tmp_path, monkeypatch, method
         if getattr(mod, "check_dissim", None) is original:
             monkeypatch.setattr(mod, "check_dissim", counting)
     mf, feats = _blob_manifest_and_features()
-    cfg = ReportConfig(AudioConfig(), SpecVatConfig(k_max=4), CceConfig())
     with pytest.warns(UserWarning, match="skipping"):
         report = run_report(mf, feats, "by_scene", str(tmp_path / "out"),
-                            method=method, config=cfg)
+                            method=method, spec_cfg=SpecVatConfig(k_max=4))
     assert len(report["subsets"]) == 3
     assert calls == []
 
@@ -549,10 +439,9 @@ def test_run_report_k_scan_runs_one_eigh_per_subset(tmp_path, monkeypatch):
     # 10 records per subset, below ARPACK_MIN_N: one evr subset solve each
     calls = count_solvers(monkeypatch)
     mf, feats = _blob_manifest_and_features()
-    cfg = ReportConfig(AudioConfig(), SpecVatConfig(k_max=4), CceConfig())
     with pytest.warns(UserWarning, match="skipping"):
         report = run_report(mf, feats, "by_scene", str(tmp_path / "out"),
-                            method="specvat", config=cfg)
+                            method="specvat", spec_cfg=SpecVatConfig(k_max=4))
     assert [set(e["k_scores"]) for e in report["subsets"]] == [{"2", "3", "4"}] * 3
     assert calls == {"lanczos": [], "subset": [(10, 10)] * 3, "full": []}
 

@@ -12,12 +12,11 @@ from scipy.spatial.distance import cdist, pdist, squareform
 
 import scenevat
 import scenevat.specvat as specvat_mod
-from scenevat.audio import AudioConfig
-from scenevat.cce import CceConfig, cce_count, otsu_effectiveness
+from scenevat.cce import cce_count, otsu_effectiveness
 from scenevat.errors import DegenerateImageError, InputError, NumericError
 from scenevat.matrix import check_dissim, euclidean_dissim, permute_matrix, unpack
 from scenevat.manifest import parse_manifest
-from scenevat.report import ReportConfig, analyze, run_report
+from scenevat.report import analyze, run_report
 from scenevat.specvat import (
     SIGMA_FLOOR,
     SpecVatConfig,
@@ -780,7 +779,6 @@ def test_run_report_specvat_matches_the_copying_reference_bitwise(tmp_path, n):
     manifest = parse_manifest("path,scene,city\n" + "".join(
         f"c{i}.wav,bus,paris\n" for i in range(n)))
     cfg = SpecVatConfig(k_max=5)
-    config = ReportConfig(AudioConfig(), cfg, CceConfig())
     d = euclidean_dissim(feats)
     ordering, image, _ = _specvat_reference(d, cfg, 3)
     scanned = analyze(d.copy(), "specvat", cfg)
@@ -790,7 +788,7 @@ def test_run_report_specvat_matches_the_copying_reference_bitwise(tmp_path, n):
                     scanned.image))]:
         out = tmp_path / f"k{k}"
         report = run_report(manifest, feats, "all", str(out), method="specvat",
-                            k=k, config=config)
+                            k=k, spec_cfg=cfg)
         assert read_pgm(out / "all" / "odi.pgm").tobytes() == img.tobytes()
         got = read_ordering(out / "all" / "ordering.json")
         assert got.order.tobytes() == order.tobytes()

@@ -3,7 +3,7 @@ import pytest
 
 from scenevat.cce import CceConfig, cce_count
 from scenevat.errors import InputError
-from scenevat.matrix import check_dissim, euclidean_dissim
+from scenevat.matrix import DISSIM_LIMIT, check_dissim, euclidean_dissim
 from scenevat.synth import BlobSpec, blob_centers, block_dissim, gaussian_blobs
 from scenevat.vat import odi_from, vat_order
 
@@ -56,6 +56,9 @@ def test_blob_spec_validation():
         BlobSpec(2, 10, 3, -1.0)
     with pytest.raises(InputError):
         BlobSpec(2, 10, 3, 10.0, sigma=0.0)
+    for sep, sigma in [(np.nan, 1.0), (np.inf, 1.0), (10.0, np.inf), (10.0, np.nan)]:
+        with pytest.raises(InputError, match="must be finite"):
+            BlobSpec(2, 10, 3, sep, sigma=sigma)
 
 
 def test_blobs_finite():
@@ -94,6 +97,12 @@ def test_block_dissim_validation():
         block_dissim([2, 2], 1.0, 1.0)
     with pytest.raises(InputError):
         block_dissim([2, 2], -0.1, 1.0)
+    # check_dissim refuses an entry from DISSIM_LIMIT up, so synth does too.
+    for between in (np.inf, DISSIM_LIMIT, np.nan):
+        with pytest.raises(InputError, match="between must be below"):
+            block_dissim([2, 2], 0.0, between)
+    with pytest.raises(InputError, match="strictly less"):
+        block_dissim([2, 2], np.nan, 1.0)
 
 
 def test_blocks_drive_vat_cce_to_known_count():
