@@ -16,7 +16,7 @@ import argparse
 import numpy as np
 
 from scenevat.audio import (
-    AudioConfig,
+    TARGET_RATE,
     decode_wav,
     extract_features,
     log_mel_mean,
@@ -42,7 +42,6 @@ def main():
     ap.add_argument("--wav", default=None, help="featurize this file instead")
     args = ap.parse_args()
 
-    cfg = AudioConfig()
     if args.wav is not None:
         with open(args.wav, "rb") as fh:
             data = fh.read()
@@ -52,11 +51,11 @@ def main():
     clip = decode_wav(data)
     print(f"decoded {len(clip)} samples at {clip.rate} Hz "
           f"({clip.duration():.2f} s)")
-    clip = resample(clip, cfg.target_rate)
+    clip = resample(clip, TARGET_RATE)
     print(f"resampled to {clip.rate} Hz, {len(clip)} samples")
 
-    feats = log_mel_mean(clip, cfg)
-    centers = mel_center_frequencies(cfg)
+    feats = log_mel_mean(clip)
+    centers = mel_center_frequencies()
     top = np.argsort(feats)[-4:][::-1]
     print(f"feature vector: {feats.shape[0]} dims, "
           f"range [{feats.min():.2f}, {feats.max():.2f}]")
@@ -66,7 +65,7 @@ def main():
               f"-> {feats[band]:.2f}")
 
     # the one-call version used by the report pipeline
-    again = extract_features(data, cfg)
+    again = extract_features(data)
     assert np.array_equal(again, feats)
 
 

@@ -18,7 +18,6 @@ import warnings
 
 import numpy as np
 
-from scenevat.audio import AudioConfig
 from scenevat.manifest import parse_manifest
 from scenevat.report import features_for_manifest, run_report
 
@@ -43,8 +42,6 @@ def main():
     ap.add_argument("--out", default="demo_out/report")
     args = ap.parse_args()
 
-    audio = AudioConfig(target_rate=8000, n_fft=512, hop=256, n_mels=32)
-
     with tempfile.TemporaryDirectory() as clips:
         rows = ["path,scene,city"]
         i = 0
@@ -57,8 +54,7 @@ def main():
                 rows.append(f"{name},{scene},{CITIES[rep % 3]}")
                 i += 1
         manifest = parse_manifest("\n".join(rows) + "\n")
-        feats = features_for_manifest(manifest, audio, audio_root=clips,
-                                      threads=2)
+        feats = features_for_manifest(manifest, audio_root=clips, threads=2)
         print(f"extracted {feats.shape[0]} x {feats.shape[1]} features")
 
         with warnings.catch_warnings():

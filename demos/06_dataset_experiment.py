@@ -11,10 +11,10 @@ errors, since the counts depend on recording conditions and parameters.
 This is the one script here meant for real data: point --root at the
 extracted development set (tens of GB; the run is feature-extraction bound
 on first pass, then cached).  Any tree of clips named that way will do,
-and CI runs it on a small generated one.  The front end, VAT and CCE run
-with the library defaults; for other settings, pass an ``AudioConfig`` to
-``features_for_manifest`` and a ``SpecVatConfig`` or ``CceConfig`` to
-``run_report``.
+and CI runs it on a small generated one.  The front end runs with the
+constants of ``scenevat.audio`` (``TARGET_RATE``, ``N_FFT``, ``HOP``,
+``N_MELS``), and VAT and CCE with the library defaults; for other
+settings, pass a ``SpecVatConfig`` or ``CceConfig`` to ``run_report``.
 """
 
 import argparse

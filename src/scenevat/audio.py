@@ -21,7 +21,6 @@ reflect-padded copy of that end.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -38,9 +37,23 @@ WAVE_FORMAT_PCM = 0x0001
 WAVE_FORMAT_IEEE_FLOAT = 0x0003
 WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 
+# The front end: every clip is resampled to TARGET_RATE Hz and cut into
+# Hann frames of N_FFT samples, one every HOP (431 frames for a 10 s clip),
+# whose power goes through N_MELS triangular mel filters.  N_FFT is even,
+# so a clip of n samples has 1 + n // HOP frames.
+TARGET_RATE = 22050
+N_FFT = 2048
+HOP = 512
+N_MELS = 128
 # Part of every feature-cache key; bump it whenever the front end's output
-# can change for the same bytes and config.  2: polyphase resampler.
+# can change for the same bytes and constants.  2: polyphase resampler.
 FRONTEND_VERSION = 2
+# Names the feature cache's rows: the sha256 of the front end's constants,
+# so a row cached under other constants or another version is never served.
+CACHE_KEY = hashlib.sha256(json.dumps(
+    {"frontend_version": FRONTEND_VERSION, "hop": HOP, "n_fft": N_FFT,
+     "n_mels": N_MELS, "target_rate": TARGET_RATE},
+    sort_keys=True).encode("ascii")).hexdigest()[:16]
 # Zero crossings per side of the resampler's windowed-sinc kernel.
 RESAMPLE_TAPS = 32
 # Input a resampler block reads, which stays in cache, and the size of each
@@ -83,37 +96,6 @@ class AudioClip:
 
     def duration(self) -> float:
         return len(self) / self.rate
-
-
-@dataclass(frozen=True)
-class AudioConfig:
-    """STFT / mel parameters.  Defaults give 431 frames for a 10 s clip.
-
-    The mel filters span 0 Hz to ``target_rate / 2`` on Slaney's mel
-    scale, linear below 1 kHz and logarithmic above, and the log is
-    natural with the additive floor ``LOG_FLOOR``.
-    """
-
-    target_rate: int = 22050
-    n_fft: int = 2048
-    hop: int = 512
-    n_mels: int = 128
-
-    def __post_init__(self):
-        if self.target_rate <= 0:
-            raise InputError(f"target_rate must be positive, got {self.target_rate}")
-        if self.n_fft < 2 or self.n_fft % 2:
-            raise InputError(f"n_fft must be even and >= 2, got {self.n_fft}")
-        if not 1 <= self.hop <= self.n_fft:
-            raise InputError(f"hop={self.hop} must satisfy 1 <= hop <= n_fft")
-        if self.n_mels < 1:
-            raise InputError(f"n_mels must be >= 1, got {self.n_mels}")
-
-    def cache_key(self) -> str:
-        # Built from every field, so a field added later cannot be left out.
-        doc = dataclasses.asdict(self) | {"frontend_version": FRONTEND_VERSION}
-        text = json.dumps(doc, sort_keys=True)
-        return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
 
 # --------------------------------------------------------------------------
@@ -375,22 +357,33 @@ def _phase_kernels(native: int, target_rate: int,
     # The first ``phases`` rows of the kernel table for native -> target and
     # their tap sums: what every clip at that pair of rates reads, so each
     # is built once, cached and shared, read-only.  A clip of at least L
-    # outputs reads all L phases; a shorter one reads its n_out.
+    # outputs reads all L phases; a shorter one reads its n_out.  The rows
+    # are built in place, in blocks of about BUFFER_BYTES, so the build
+    # holds the table and a few block-sized temporaries.
     g = math.gcd(native, target_rate)
     step, n_phases = native // g, target_rate // g
     cutoff = min(1.0, target_rate / native)  # fraction of the input Nyquist
     radius = _kernel_radius(native, target_rate)
+    width = 2 * radius + 1
     frac = (np.arange(phases) * step % n_phases) / n_phases
-    offset = np.arange(-radius, radius + 1)[np.newaxis, :] - frac[:, np.newaxis]
-    h = cutoff * np.sinc(cutoff * offset)
-    h *= np.where(
-        np.abs(offset) <= radius,
-        0.5 + 0.5 * np.cos(np.pi * offset / radius),
-        0.0,
-    )
-    # Each phase's product with an all-ones window, in the edges' two-row
-    # form.
-    tap_sum = np.einsum("sij,ij->si", np.ones((2,) + h.shape), h)[0]
+    taps = np.arange(-radius, radius + 1)
+    h = np.empty((phases, width))
+    tap_sum = np.empty(phases)
+    rows = min(phases, max(1, BUFFER_BYTES // (8 * width)))
+    offset = np.empty((rows, width))
+    # Each phase's tap sum is its product with an all-ones window, in the
+    # edges' two-row form.
+    ones = np.ones((2, rows, width))
+    for r0 in range(0, phases, rows):
+        r1 = min(r0 + rows, phases)
+        x = np.subtract(taps, frac[r0:r1, np.newaxis], out=offset[: r1 - r0])
+        block = np.multiply(cutoff, np.sinc(cutoff * x), out=h[r0:r1])
+        block *= np.where(
+            np.abs(x) <= radius,
+            0.5 + 0.5 * np.cos(np.pi * x / radius),
+            0.0,
+        )
+        tap_sum[r0:r1] = np.einsum("sij,ij->si", ones[:, : r1 - r0], block)[0]
     h.flags.writeable = False
     tap_sum.flags.writeable = False
     return h, tap_sum
@@ -400,32 +393,31 @@ def _phase_kernels(native: int, target_rate: int,
 # STFT and mel features
 
 
-def stft_power(clip: AudioClip, cfg: AudioConfig = AudioConfig()) -> np.ndarray:
-    """Power spectrogram, shape (frames, n_fft // 2 + 1).
+def stft_power(clip: AudioClip) -> np.ndarray:
+    """Power spectrogram, shape (frames, N_FFT // 2 + 1).
 
     Frames are Hann-windowed and centered via reflect padding, one every
-    ``hop`` samples; the frame count is 1 + len // hop (``n_fft`` is
-    even).  Frames are windowed in blocks of about ``BUFFER_BYTES`` into
-    one buffer, and each block's magnitudes go straight into the result.
-    The frames inside the clip are views of it; only those that reach
-    past an end come from a reflect-padded copy of that end.
+    ``HOP`` samples; the frame count is 1 + len // HOP.  Frames are
+    windowed in blocks of about ``BUFFER_BYTES`` into one buffer, and each
+    block's magnitudes go straight into the result.  The frames inside the
+    clip are views of it; only those that reach past an end come from a
+    reflect-padded copy of that end.
     """
-    if clip.rate != cfg.target_rate:
+    if clip.rate != TARGET_RATE:
         raise InputError(
-            f"clip rate {clip.rate} does not match configured rate "
-            f"{cfg.target_rate}; resample first"
+            f"clip rate {clip.rate} does not match the front end's rate "
+            f"{TARGET_RATE}; resample first"
         )
     n = len(clip)
     if n == 0:
         raise InputError("cannot compute an STFT of an empty clip")
-    n_fft, hop = cfg.n_fft, cfg.hop
-    n_frames = 1 + n // hop  # those that fit in the clip padded by n_fft / 2
+    n_frames = 1 + n // HOP  # those that fit in the clip padded by N_FFT / 2
     # The periodic (DFT-even) Hann window.
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft)
-    power = np.empty((n_frames, n_fft // 2 + 1))
-    step = max(1, BUFFER_BYTES // (8 * n_fft))  # frames per block
-    buf = np.empty((min(step, n_frames), n_fft))
-    for t0, frames in _frame_runs(clip.samples, n_frames, n_fft, hop):
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(N_FFT) / N_FFT)
+    power = np.empty((n_frames, N_FFT // 2 + 1))
+    step = max(1, BUFFER_BYTES // (8 * N_FFT))  # frames per block
+    buf = np.empty((min(step, n_frames), N_FFT))
+    for t0, frames in _frame_runs(clip.samples, n_frames, N_FFT, HOP):
         for a in range(0, len(frames), step):
             block = frames[a : a + step]
             windowed = np.multiply(block, window, out=buf[: len(block)])
@@ -490,30 +482,27 @@ def mel_to_hz(mel) -> np.ndarray:
     )
 
 
-def _mel_breakpoints(cfg: AudioConfig) -> np.ndarray:
-    mels = np.linspace(hz_to_mel(0.0), hz_to_mel(cfg.target_rate / 2),
-                       cfg.n_mels + 2)
+def _mel_breakpoints() -> np.ndarray:
+    mels = np.linspace(hz_to_mel(0.0), hz_to_mel(TARGET_RATE / 2), N_MELS + 2)
     return mel_to_hz(mels)
 
 
-def mel_center_frequencies(cfg: AudioConfig = AudioConfig()) -> np.ndarray:
+def mel_center_frequencies() -> np.ndarray:
     """Center frequency in Hz of each triangular filter."""
-    return _mel_breakpoints(cfg)[1:-1]
+    return _mel_breakpoints()[1:-1]
 
 
-@functools.lru_cache(maxsize=16)
-def mel_filterbank(cfg: AudioConfig = AudioConfig()) -> np.ndarray:
-    """Triangular filters, shape (n_mels, n_fft // 2 + 1).
+@functools.cache
+def mel_filterbank() -> np.ndarray:
+    """Triangular filters, shape (N_MELS, N_FFT // 2 + 1).
 
     Centers are equally spaced on the mel scale between 0 Hz and
-    ``target_rate / 2``; each filter is divided by its bandwidth in Hz so
-    wide filters do not dominate.
-    Raises if any filter covers no FFT bin.  The filters depend on the
-    config only, so each config's array is built once, cached and shared:
-    it is read-only.
+    ``TARGET_RATE / 2``; each filter is divided by its bandwidth in Hz so
+    wide filters do not dominate, and each covers at least one FFT bin.
+    The array is built once, cached and shared: it is read-only.
     """
-    pts = _mel_breakpoints(cfg)
-    fft_freqs = np.arange(cfg.n_fft // 2 + 1) * (cfg.target_rate / cfg.n_fft)
+    pts = _mel_breakpoints()
+    fft_freqs = np.arange(N_FFT // 2 + 1) * (TARGET_RATE / N_FFT)
     lower = pts[:-2]
     center = pts[1:-1]
     upper = pts[2:]
@@ -528,33 +517,27 @@ def mel_filterbank(cfg: AudioConfig = AudioConfig()) -> np.ndarray:
     del down
     np.maximum(0.0, weights, out=weights)
     weights /= (upper - lower)[:, np.newaxis]
-    empty = np.flatnonzero((weights <= 0).all(axis=1))
-    if empty.size:
-        raise InputError(
-            f"mel filter {int(empty[0])} covers no FFT bin; lower n_mels or "
-            f"raise n_fft"
-        )
     weights.flags.writeable = False
     return weights
 
 
-def mel_power(clip: AudioClip, cfg: AudioConfig = AudioConfig()) -> np.ndarray:
-    """Mel-band power per frame, shape (n_mels, frames).  Pre-log."""
-    power = stft_power(clip, cfg)
-    return mel_filterbank(cfg) @ power.T
+def mel_power(clip: AudioClip) -> np.ndarray:
+    """Mel-band power per frame, shape (N_MELS, frames).  Pre-log."""
+    power = stft_power(clip)
+    return mel_filterbank() @ power.T
 
 
-def log_mel_mean(clip: AudioClip, cfg: AudioConfig = AudioConfig()) -> np.ndarray:
+def log_mel_mean(clip: AudioClip) -> np.ndarray:
     """One feature vector per recording: log mel power averaged over frames."""
-    mel = mel_power(clip, cfg)
+    mel = mel_power(clip)
     mel += LOG_FLOOR
     np.log(mel, out=mel)
     return mel.mean(axis=1)
 
 
-def extract_features(data: bytes, cfg: AudioConfig = AudioConfig()) -> np.ndarray:
-    """Decode, resample to the configured rate, and pool to one vector."""
+def extract_features(data: bytes) -> np.ndarray:
+    """Decode, resample to ``TARGET_RATE``, and pool to one vector."""
     clip = decode_wav(data)
-    if clip.rate != cfg.target_rate:  # a clip at the rate is used as it is
-        clip = resample(clip, cfg.target_rate)
-    return log_mel_mean(clip, cfg)
+    if clip.rate != TARGET_RATE:  # a clip at the rate is used as it is
+        clip = resample(clip, TARGET_RATE)
+    return log_mel_mean(clip)

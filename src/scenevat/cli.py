@@ -5,11 +5,11 @@ matrix reordering (``vat``, ``specvat``), cluster counting (``cce``),
 label stacks (``stack``), synthetic data (``synth``), and the end-to-end
 subset analysis (``report``).
 
-The front end, SpecVAT and CCE run with the defaults of ``AudioConfig``,
-``SpecVatConfig`` and ``CceConfig``, except where a flag (``--k``,
-``cce --band-width``, ``cce --b``) says otherwise; other settings are
-passed as those dataclasses to the library calls (``features_for_manifest``,
-``run_report``).
+The front end runs with the constants of ``scenevat.audio``, and SpecVAT
+and CCE with the defaults of ``SpecVatConfig`` and ``CceConfig``, except
+where a flag (``--k``, ``cce --band-width``, ``cce --b``) says otherwise;
+other SpecVAT and CCE settings are passed as those dataclasses to
+``run_report``.
 
 Exit codes: 0 on success, 2 on bad input, 3 on numeric failure.
 """

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .audio import AudioConfig, extract_features, mel_filterbank
+from .audio import CACHE_KEY, N_MELS, extract_features, mel_filterbank
 from .cce import CceConfig, cce_count
 from .errors import DegenerateImageError, DistanceOverflow, InputError, NumericError
 from .manifest import CITIES, CITY_PALETTE, SCENE_PALETTE, SCENES, LabeledManifest
@@ -41,7 +41,6 @@ _LABELS = {"scene": (SCENES, SCENE_PALETTE), "city": (CITIES, CITY_PALETTE)}
 
 def features_for_manifest(
     manifest: LabeledManifest,
-    cfg: AudioConfig = AudioConfig(),
     *,
     audio_root: Optional[str] = None,
     cache_dir: Optional[str] = None,
@@ -51,9 +50,10 @@ def features_for_manifest(
 
     Missing audio files are enumerated in a single error.  With a cache
     directory, rows are re-used when the file's bytes (by SHA-256) and the
-    front-end config match, so large runs are restartable and a rewritten
-    file is never served its old row; a cached row that is not one finite
-    row of ``cfg.n_mels`` values raises InputError naming its file.
+    front end (``audio.CACHE_KEY``) match, so large runs are restartable
+    and a rewritten file is never served its old row; a cached row that is
+    not one finite row of ``N_MELS`` values raises InputError naming its
+    file.
     Results do not depend on thread count.
     """
     if threads < 1:
@@ -74,25 +74,24 @@ def features_for_manifest(
         )
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
-    config_key = cfg.cache_key()
-    mel_filterbank(cfg)  # cached: built once here, not by every worker
+    mel_filterbank()  # cached: built once here, not by every worker
 
     def one(path: str) -> np.ndarray:
         data = read_file(path, "WAV file", memoryview)
         key = None
         if cache_dir is not None:
-            # A cached row is named by the file's bytes and the config.
-            name = f"{hashlib.sha256(data).hexdigest()}-{config_key}.vatf"
+            # A cached row is named by the file's bytes and the front end.
+            name = f"{hashlib.sha256(data).hexdigest()}-{CACHE_KEY}.vatf"
             key = os.path.join(cache_dir, name)
             if os.path.isfile(key):
                 row = read_vatf(key)
-                with naming(key):  # one finite row of n_mels values
-                    if row.shape != (1, cfg.n_mels):
+                with naming(key):  # one finite row of N_MELS values
+                    if row.shape != (1, N_MELS):
                         raise InputError(f"cached feature row has shape "
-                                         f"{row.shape}, expected (1, {cfg.n_mels})")
+                                         f"{row.shape}, expected (1, {N_MELS})")
                     return as_features(row)[0]
         with naming(path):
-            vec = extract_features(data, cfg)
+            vec = extract_features(data)
         if key is not None:
             write_vatf(key, vec[np.newaxis, :])
         return vec

@@ -179,7 +179,8 @@ def sym_eigen_topk(n_mat, k: int) -> tuple[np.ndarray, np.ndarray]:
     (``scipy.linalg.eigh(subset_by_index=...)``) solves the square
     unpacked from the triangle.  When that solver returns fewer than k
     pairs -- the subset boundary splits a cluster of exactly tied
-    eigenvalues -- the full ``np.linalg.eigh`` is sliced instead.
+    eigenvalues -- or fails outright, as it can on such a spectrum, the
+    full ``np.linalg.eigh`` is sliced instead.
     Eigenvectors are orthonormal columns (``|V^T V - I| <= 1e-8``) with a
     deterministic sign: the first component larger than 1e-12 in magnitude
     is made positive.  Residuals satisfy ``|N v - lambda v| <= 1e-8 *
@@ -192,7 +193,7 @@ def sym_eigen_topk(n_mat, k: int) -> tuple[np.ndarray, np.ndarray]:
     return _eigen_topk(pack(x, np.empty(packed_start(n, n))), n, k)
 
 
-def _spectrum(p: np.ndarray, sigma: np.ndarray, cfg: SpecVatConfig, k: int):
+def _spectrum(p: np.ndarray, sigma: np.ndarray, k: int):
     # Affinity, normalization and solve work in the packed distances p, so
     # p holds the packed normalized affinity afterwards.
     n = sigma.size
@@ -214,10 +215,14 @@ def _eigen_topk(p: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
                 x.T, overwrite_a=True, subset_by_index=[n - k, n - 1],
                 check_finite=False,
             )
-            if pairs[1].shape[1] < k:  # tied eigenvalues across the boundary
+        except np.linalg.LinAlgError:  # as evr can on a tied spectrum
+            pairs = None
+        # Short of k pairs: tied eigenvalues across the boundary.
+        if pairs is None or pairs[1].shape[1] < k:
+            try:
                 pairs = np.linalg.eigh(unpack(p, x))
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"eigendecomposition failed: {exc}") from exc
+            except np.linalg.LinAlgError as exc:
+                raise NumericError(f"eigendecomposition failed: {exc}") from exc
     # Both solvers return ascending pairs, whose last bits depend on k, so
     # an explicit k and the scan's first k columns agree only to rounding.
     vals = pairs[0][::-1][:k].copy()
@@ -275,11 +280,10 @@ def spectral_embedding(m, k: int, cfg: SpecVatConfig = SpecVatConfig()) -> np.nd
     coordinates below machine zero) are kept as zero rather than
     normalized, and flagged with a warning.
     """
-    return _embed(*_packed(_checked_copy(m), cfg), cfg, k)
+    return _embed(*_packed(_checked_copy(m), cfg), k)
 
 
-def _embed(p: np.ndarray, sigma: np.ndarray, cfg: SpecVatConfig,
-           k: int) -> np.ndarray:
+def _embed(p: np.ndarray, sigma: np.ndarray, k: int) -> np.ndarray:
     # Overwrites p (see _spectrum).  Every explicit k enters here and
     # solves for exactly k pairs: pairs past the planted k lie in a
     # near-tied bulk, for which ARPACK pays about 10 times the products of
@@ -289,7 +293,7 @@ def _embed(p: np.ndarray, sigma: np.ndarray, cfg: SpecVatConfig,
     n = sigma.size
     if not 1 <= k <= n - 1:
         raise InputError(f"k={k} must satisfy 1 <= k <= n-1 (n={n})")
-    return _unit_rows(_spectrum(p, sigma, cfg, k)[1])
+    return _unit_rows(_spectrum(p, sigma, k)[1])
 
 
 def _unit_rows(vecs: np.ndarray) -> np.ndarray:
@@ -314,7 +318,7 @@ def specvat(m, k: int, cfg: SpecVatConfig = SpecVatConfig()) -> Analysis:
     result.embedding)``, bit for bit.
     """
     p, sigma = _packed(_checked_copy(m), cfg)
-    return _specvat(_embed(p, sigma, cfg, k), p)
+    return _specvat(_embed(p, sigma, k), p)
 
 
 def _analysis(p: np.ndarray, sigma: np.ndarray, cfg: SpecVatConfig,
@@ -325,7 +329,7 @@ def _analysis(p: np.ndarray, sigma: np.ndarray, cfg: SpecVatConfig,
     if k is None:
         e, scores = _select_k(p, sigma, cfg)
         return _specvat(e, p, scores)
-    return _specvat(_embed(p, sigma, cfg, k), p)
+    return _specvat(_embed(p, sigma, k), p)
 
 
 def _specvat(embedding: np.ndarray, out: np.ndarray,
@@ -389,7 +393,7 @@ def _select_k(p: np.ndarray, sigma: np.ndarray,
     # Only the zero diagonal lies below the maximum of a constant matrix.
     dmax = p.max()
     constant = sum(np.count_nonzero(p[c] < dmax) for c in chunks(p.size)) <= n
-    vecs = _spectrum(p, sigma, cfg, ks[-1])[1]
+    vecs = _spectrum(p, sigma, ks[-1])[1]
     condensed = p[:n * (n - 1) // 2]
     if constant:
         warnings.warn(

@@ -14,6 +14,12 @@ import numpy as np
 from .errors import InputError
 from .matrix import DISSIM_LIMIT
 
+# The largest sep * sigma and sigma * sqrt(dim).  numpy's normal draws stay
+# below 14 in magnitude, so two points lie at most sqrt(2) sep sigma + 28
+# sigma sqrt(dim) < 3e153 apart: below the 1.3e154 past which a distance
+# overflows when squared.
+_SCALE_LIMIT = 1e152
+
 
 @dataclass(frozen=True)
 class BlobSpec:
@@ -35,6 +41,12 @@ class BlobSpec:
             raise InputError(f"sep must be finite and >= 0, got {self.sep}")
         if not 0 < self.sigma < np.inf:
             raise InputError(f"sigma must be finite and positive, got {self.sigma}")
+        if not self.sep * self.sigma < _SCALE_LIMIT:
+            raise InputError(f"sep * sigma must be below {_SCALE_LIMIT:g}, got "
+                             f"{self.sep * self.sigma:g}")
+        if not self.sigma * np.sqrt(self.dim) < _SCALE_LIMIT:
+            raise InputError(f"sigma * sqrt(dim) must be below {_SCALE_LIMIT:g}, "
+                             f"got {self.sigma * np.sqrt(self.dim):g}")
         if self.clusters > self.dim:
             raise InputError(
                 f"cannot place {self.clusters} axis-aligned centers in "

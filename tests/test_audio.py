@@ -1,4 +1,5 @@
-import dataclasses
+import hashlib
+import json
 import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 
 from scenevat import audio
 from scenevat.audio import (
+    HOP,
     LOG_FLOOR,
+    N_FFT,
+    TARGET_RATE,
     AudioClip,
-    AudioConfig,
     decode_wav,
     extract_features,
     hz_to_mel,
@@ -441,9 +444,8 @@ def test_stft_frame_count_ten_seconds():
 
 
 def test_stft_tone_lands_in_expected_bin():
-    cfg = AudioConfig()
     clip = AudioClip(sine(440.0, 10.0, 22050), 22050)
-    p = stft_power(clip, cfg)
+    p = stft_power(clip)
     # 440 * 2048 / 22050 = 40.87 -> bin 41; the first and last frame are
     # excluded because reflect padding folds the waveform back on itself
     # there and smears the peak by one bin
@@ -462,47 +464,37 @@ def test_stft_empty_clip_rejected():
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=4000),
-    hop=st.integers(min_value=1, max_value=16),
-)
-def test_stft_frame_count_law(n, hop):
-    cfg = AudioConfig(target_rate=8000, n_fft=16, hop=hop, n_mels=4)
-    p = stft_power(AudioClip(np.zeros(n), 8000), cfg)
-    assert p.shape == (1 + n // hop, 9)
+@given(n=st.integers(min_value=1, max_value=8 * N_FFT))
+def test_stft_frame_count_law(n):
+    p = stft_power(AudioClip(np.zeros(n), TARGET_RATE))
+    assert p.shape == (1 + n // HOP, N_FFT // 2 + 1)
 
 
 def test_stft_frame_energy_matches_time_domain():
     # Parseval on one interior frame: rfft power folded back to a full
     # spectrum must equal the windowed segment energy exactly
-    cfg = AudioConfig(target_rate=8000, n_fft=64, hop=16, n_mels=8)
     rng = np.random.Generator(np.random.Philox(key=7))
-    x = rng.normal(size=400)
-    p = stft_power(AudioClip(x, 8000), cfg)
-    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(64) / 64)
-    padded = np.pad(x, 32, mode="reflect")
+    x = rng.normal(size=8000)
+    p = stft_power(AudioClip(x, TARGET_RATE))
+    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(N_FFT) / N_FFT)
+    padded = np.pad(x, N_FFT // 2, mode="reflect")
     t = 5
-    seg = padded[t * 16 : t * 16 + 64] * win
-    spectral = (p[t, 0] + p[t, -1] + 2.0 * p[t, 1:-1].sum()) / 64
+    seg = padded[t * HOP : t * HOP + N_FFT] * win
+    spectral = (p[t, 0] + p[t, -1] + 2.0 * p[t, 1:-1].sum()) / N_FFT
     assert spectral == pytest.approx((seg**2).sum(), rel=1e-9)
 
 
-def _stft_reference(x, cfg):
-    """The STFT as it was: frames of the whole clip reflect-padded, windowed
-    and transformed at once."""
-    padded = np.pad(x, cfg.n_fft // 2, mode="reflect")
-    frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)
-    frames = frames[:: cfg.hop][: 1 + len(x) // cfg.hop]
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(cfg.n_fft) / cfg.n_fft)
-    return np.abs(np.fft.rfft(frames * window, axis=1)) ** 2
+def _reference_frames(x, n_fft, hop):
+    """Every frame of the whole clip reflect-padded, as the STFT framed it."""
+    padded = np.pad(x, n_fft // 2, mode="reflect")
+    frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft)
+    return frames[::hop][: 1 + len(x) // hop]
 
 
-@pytest.mark.parametrize("n_fft,hop", [(2048, 512), (16, 5), (18, 4), (64, 64), (2, 1)])
-def test_stft_keeps_the_reference_bits(n_fft, hop):
-    # Clips shorter than n_fft / 2 (reflected more than once), about n_fft
-    # long, and with frame counts, all or inside the clip, one either side
-    # of a block.
-    cfg = AudioConfig(target_rate=8000, n_fft=n_fft, hop=hop, n_mels=1)
+def _frame_lengths(n_fft, hop):
+    """Clip lengths shorter than n_fft / 2 (reflected more than once), about
+    n_fft long, and with frame counts, all or inside the clip, one either
+    side of an STFT block."""
     step = audio.BUFFER_BYTES // (8 * n_fft)  # frames per block
     pad = n_fft // 2
     lengths = {1, 2, pad - 1, pad, pad + 1, n_fft - 1, n_fft, n_fft + 1}
@@ -510,11 +502,36 @@ def test_stft_keeps_the_reference_bits(n_fft, hop):
         lengths |= {(frames - 1) * hop, frames * hop - 1}  # 1 + len // hop
         last = frames + -(-pad // hop) - 1  # the last of `frames` inside
         lengths |= {last * hop + n_fft - pad, last * hop + n_fft - pad + hop - 1}
-    rng = np.random.Generator(np.random.Philox(key=n_fft + hop))
-    for n in sorted(length for length in lengths if length >= 1):
+    return sorted(length for length in lengths if length >= 1)
+
+
+def test_stft_keeps_the_reference_bits():
+    # The STFT as it was: the reference frames windowed and transformed at
+    # once.  The lengths reach both of _frame_runs's layouts: no frame
+    # inside the clip, and the frames inside it between a padded head and
+    # tail.
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(N_FFT) / N_FFT)
+    rng = np.random.Generator(np.random.Philox(key=N_FFT + HOP))
+    for n in _frame_lengths(N_FFT, HOP):
         x = rng.normal(size=n)
-        got = stft_power(AudioClip(x, 8000), cfg)
-        want = _stft_reference(x, cfg)
+        got = stft_power(AudioClip(x, TARGET_RATE))
+        want = np.abs(np.fft.rfft(_reference_frames(x, N_FFT, HOP) * window,
+                                  axis=1)) ** 2
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), n
+
+
+@pytest.mark.parametrize("n_fft,hop", [(16, 5), (18, 4), (64, 64), (2, 1)])
+def test_frame_runs_keep_the_reference_frames(n_fft, hop):
+    # _frame_runs takes any even n_fft and hop <= n_fft.  Where hop is large
+    # against n_fft / 2, the head takes its pad + 1 samples and the tail
+    # starts pad + 1 from the end, which the front end's constants never
+    # reach.
+    rng = np.random.Generator(np.random.Philox(key=n_fft + hop))
+    for n in _frame_lengths(n_fft, hop):
+        x = rng.normal(size=n)
+        want = _reference_frames(x, n_fft, hop)
+        got = np.vstack([frames for _, frames in
+                         audio._frame_runs(x, len(want), n_fft, hop)])
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), n
 
 
@@ -534,37 +551,31 @@ def test_mel_round_trip():
 
 
 def test_mel_centers_match_hand_formula():
-    cfg = AudioConfig(n_mels=4)
-    centers = mel_center_frequencies(cfg)
+    centers = mel_center_frequencies()
     # independent piecewise evaluation: linear below 1 kHz at 200/3 Hz per
     # step, logarithmic above with ratio 6.4 per 27 steps
     logstep = np.log(6.4) / 27.0
     top = 15.0 + np.log(11025.0 / 1000.0) / logstep
-    mels = np.linspace(0.0, top, 6)[1:-1]
+    mels = np.linspace(0.0, top, 130)[1:-1]
     expect = np.where(
         mels < 15.0, mels * 200.0 / 3.0, 1000.0 * np.exp(logstep * (mels - 15.0))
     )
     assert np.allclose(centers, expect, rtol=1e-12)
-    assert np.all(np.diff(mel_center_frequencies(AudioConfig())) > 0)
+    assert np.all(np.diff(centers) > 0)
 
 
 def test_filterbank_shape_and_coverage():
-    fb = mel_filterbank(AudioConfig())
+    fb = mel_filterbank()
     assert fb.shape == (128, 1025)
     assert fb.min() >= 0.0
     assert np.all((fb > 0).any(axis=1))
 
 
 def test_filterbank_is_cached_read_only():
-    fb = mel_filterbank(AudioConfig())
-    assert mel_filterbank(AudioConfig()) is fb
+    fb = mel_filterbank()
+    assert mel_filterbank() is fb
     with pytest.raises(ValueError, match="read-only"):
         fb[0, 0] = 1.0
-
-
-def test_filterbank_too_many_mels_rejected():
-    with pytest.raises(InputError, match="covers no FFT bin"):
-        mel_filterbank(AudioConfig(n_mels=4000))
 
 
 def test_log_mel_silence_hits_floor():
@@ -575,74 +586,63 @@ def test_log_mel_silence_hits_floor():
 
 
 def test_tone_peaks_in_nearest_mel_band():
-    cfg = AudioConfig()
     clip = AudioClip(sine(440.0, 10.0, 22050), 22050)
-    feats = log_mel_mean(clip, cfg)
-    centers = mel_center_frequencies(cfg)
+    feats = log_mel_mean(clip)
+    centers = mel_center_frequencies()
     assert feats.argmax() == np.abs(centers - 440.0).argmin()
 
 
 def test_mel_power_scales_quadratically():
-    cfg = AudioConfig(target_rate=8000, n_fft=64, hop=32, n_mels=8)
-    x = sine(700.0, 0.5, 8000)
-    one = mel_power(AudioClip(x, 8000), cfg)
-    four = mel_power(AudioClip(2.0 * x, 8000), cfg)
+    x = sine(700.0, 0.5, TARGET_RATE)
+    one = mel_power(AudioClip(x, TARGET_RATE))
+    four = mel_power(AudioClip(2.0 * x, TARGET_RATE))
     assert np.allclose(four, 4.0 * one, rtol=1e-12)
 
 
 # --------------------------------------------------------------------------
-# config and end-to-end
+# cache key and end-to-end
 
 
-def test_config_validation():
-    with pytest.raises(InputError):
-        AudioConfig(hop=4096)
-    with pytest.raises(InputError):
-        AudioConfig(n_mels=0)
-    # An odd n_fft had one frame fewer than 1 + len // hop when hop divides
-    # the length.
-    with pytest.raises(InputError, match="n_fft must be even and >= 2, got 17"):
-        AudioConfig(n_fft=17, hop=4)
+def _digest(doc):
+    text = json.dumps(doc, sort_keys=True)
+    return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
 
-def test_cache_key_tracks_parameters(monkeypatch):
-    base = AudioConfig().cache_key()
-    assert len(base) == 16 and int(base, 16) >= 0
-    assert AudioConfig(n_mels=64).cache_key() != base
-    assert AudioConfig().cache_key() == base
+def _frontend_doc():
+    """The document the cache key digests, from the module's constants."""
+    return {"frontend_version": audio.FRONTEND_VERSION, "hop": audio.HOP,
+            "n_fft": audio.N_FFT, "n_mels": audio.N_MELS,
+            "target_rate": audio.TARGET_RATE}
+
+
+def test_cache_key_tracks_parameters():
+    # CACHE_KEY is the digest of the constants as they are, so a changed
+    # constant that the key did not follow fails here.
+    assert len(audio.CACHE_KEY) == 16 and int(audio.CACHE_KEY, 16) >= 0
+    assert _digest(_frontend_doc()) == audio.CACHE_KEY
     # rows cached by an earlier front end are never served by this one
-    monkeypatch.setattr(audio, "FRONTEND_VERSION", audio.FRONTEND_VERSION - 1)
-    assert AudioConfig().cache_key() != base
+    older = _frontend_doc() | {"frontend_version": audio.FRONTEND_VERSION - 1}
+    assert _digest(older) != audio.CACHE_KEY
 
 
-
-# A valid value other than the default for each field.
+# A valid value other than the constant for each field.
 _OTHER_VALUES = {"target_rate": 16000, "n_fft": 1024, "hop": 256, "n_mels": 64}
 
 
-@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(AudioConfig)])
+@pytest.mark.parametrize("field", sorted(_OTHER_VALUES))
 def test_cache_key_tracks_every_field(field):
-    changed = dataclasses.replace(AudioConfig(), **{field: _OTHER_VALUES[field]})
-    assert changed.cache_key() != AudioConfig().cache_key()
-
-
-def test_cache_key_covers_a_field_added_later():
-    # The key is built from every field, so a new one cannot be left out
-    # and serve rows cached under another value.
-    @dataclasses.dataclass(frozen=True)
-    class Extended(AudioConfig):
-        extra: int = 0
-
-    assert Extended(extra=1).cache_key() != Extended().cache_key()
+    changed = _frontend_doc() | {field: _OTHER_VALUES[field]}
+    assert _digest(changed) != audio.CACHE_KEY
 
 
 def test_cache_key_is_stable_and_spelling_blind():
-    # The default key names rows already cached on disk; it moves only when
-    # the set of fields changes, and then no row cached under it is served.
-    assert AudioConfig().cache_key() == "10425535ab02faf1"
-    # A config that spells out the defaults serves the same rows.
-    spelled = AudioConfig(**dataclasses.asdict(AudioConfig()))
-    assert spelled.cache_key() == "10425535ab02faf1"
+    # The key names rows already cached on disk; it moves only when a
+    # constant or FRONTEND_VERSION does, and then no row cached under it is
+    # served.
+    assert audio.CACHE_KEY == "10425535ab02faf1"
+    # The document's keys are sorted: the order they are written in does
+    # not change the key.
+    assert _digest(dict(reversed(_frontend_doc().items()))) == "10425535ab02faf1"
 
 
 def test_extract_features_end_to_end():
@@ -652,7 +652,7 @@ def test_extract_features_end_to_end():
     assert np.isfinite(feats).all()
 
 
-def _features_reference(data, bits, channels, float_fmt, cfg):
+def _features_reference(data, bits, channels, float_fmt):
     """The front end as it was: a decode without views, the two-row
     resampler, and an out-of-place log-mel."""
     words = np.frombuffer(data, dtype=np.uint8)[44:]
@@ -669,22 +669,21 @@ def _features_reference(data, bits, channels, float_fmt, cfg):
     if channels == 2:
         samples = samples.reshape(-1, 2).mean(axis=1)
     rate = struct.unpack_from("<I", data, 24)[0]
-    x = _resample_two_row(AudioClip(samples, rate), cfg.target_rate)
-    padded = np.pad(x, cfg.n_fft // 2, mode="reflect")
-    frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)
-    frames = frames[:: cfg.hop][: 1 + len(x) // cfg.hop]
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(cfg.n_fft) / cfg.n_fft)
-    power = np.abs(np.fft.rfft(frames * window, axis=1)) ** 2
-    mel = mel_filterbank(cfg) @ power.T
+    x = _resample_two_row(AudioClip(samples, rate), TARGET_RATE)
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(N_FFT) / N_FFT)
+    power = np.abs(np.fft.rfft(_reference_frames(x, N_FFT, HOP) * window,
+                               axis=1)) ** 2
+    mel = mel_filterbank() @ power.T
     return np.log(mel + LOG_FLOOR).mean(axis=1)
 
 
-@pytest.mark.parametrize("cfg", [AudioConfig(), AudioConfig(
-    target_rate=16000, n_fft=512, hop=160, n_mels=40)])
 @pytest.mark.parametrize("channels", [1, 2])
 @pytest.mark.parametrize("bits,float_fmt", [(16, False), (24, False), (32, False),
                                             (32, True)])
-def test_extract_features_keeps_the_reference_bits(bits, float_fmt, channels, cfg):
+def test_extract_features_keeps_the_reference_bits(bits, float_fmt, channels):
+    # Downsampled (interior and edge outputs), at the rate already, and
+    # upsampled with every output an edge output, into an STFT shorter than
+    # one frame.
     rng = np.random.Generator(np.random.Philox(key=bits + channels))
     for rate, seconds in [(48000, 0.5), (44100, 0.3), (22050, 0.2), (8000, 0.01)]:
         n = int(rate * seconds)
@@ -694,11 +693,11 @@ def test_extract_features_keeps_the_reference_bits(bits, float_fmt, channels, cf
             lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
             frames = rng.integers(lo, hi, size=(n, channels), endpoint=True)
         data = make_wav(frames, rate, bits=bits, float_fmt=float_fmt)
-        want = _features_reference(data, bits, channels, float_fmt, cfg)
-        assert extract_features(data, cfg).tobytes() == want.tobytes()
+        want = _features_reference(data, bits, channels, float_fmt)
+        assert extract_features(data).tobytes() == want.tobytes()
         # read_file's buffer, viewed, gives the same row
         view = memoryview(bytearray(data))
-        assert extract_features(view, cfg).tobytes() == want.tobytes()
+        assert extract_features(view).tobytes() == want.tobytes()
 
 
 def test_extract_features_thread_safe_and_deterministic():

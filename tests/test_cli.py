@@ -13,7 +13,7 @@ from scipy.spatial.distance import cdist
 import scenevat.matrix
 import scenevat.report
 import scenevat.specvat
-from scenevat.audio import AudioConfig
+from scenevat.audio import N_MELS
 from scenevat.cce import CceConfig
 from scenevat.cli import main
 from scenevat.manifest import scan_dcase_tree
@@ -304,7 +304,7 @@ def test_features_and_report_from_audio(tmp_path):
         "--threads", "2", "--out", str(feat_out),
     ]) == 0
     feats = read_vatf(feat_out / "features.vatf")
-    assert feats.shape == (9, AudioConfig().n_mels)
+    assert feats.shape == (9, N_MELS)
 
     rep_out = tmp_path / "rep"
     assert main([
@@ -614,7 +614,9 @@ def test_synth_non_integer_size_exits_2(tmp_path, capsys):
     (["--mode", "blobs", "--sep", "nan"], "sep must be finite and >= 0"),
     (["--mode", "blobs", "--sep", "inf"], "sep must be finite and >= 0"),
     (["--mode", "blobs", "--sigma", "inf"], "sigma must be finite and positive"),
-], ids=["between-inf", "between-1e306", "sep-nan", "sep-inf", "sigma-inf"])
+    (["--mode", "blobs", "--sep", "1e160"], "sep * sigma must be below 1e+152"),
+], ids=["between-inf", "between-1e306", "sep-nan", "sep-inf", "sigma-inf",
+        "sep-1e160"])
 def test_synth_refuses_what_its_readers_refuse(tmp_path, capsys, args, message):
     # Each once wrote a VATF that vat --dissim or vat --features refused.
     assert main(["synth", *args, "--out", str(tmp_path / "s")]) == 2

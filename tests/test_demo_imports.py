@@ -1,20 +1,22 @@
-"""Every name the demos import from the package still exists.
+"""Every name the demos import from the package, or the README names,
+still exists.
 
 The demos run only by hand, so a renamed or deleted function would break
 them silently.  Each ``demos/*.py`` is parsed, not imported or run, and
-each ``from scenevat.X import name`` is resolved against ``scenevat.X``.
+each ``from scenevat.X import name`` is resolved against ``scenevat.X``;
+so is each dotted ``scenevat.X.name`` in ``README.md``.
 """
 
 import ast
 import glob
 import importlib
 import os
+import re
 
 import pytest
 
-DEMOS = sorted(glob.glob(
-    os.path.join(os.path.dirname(__file__), os.pardir, "demos", "*.py")
-))
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
 
 
 def _package_imports(path):
@@ -35,3 +37,12 @@ def test_demo_imports_resolve(path):
     assert imports, "the demo imports nothing from a scenevat submodule"
     for module, name in imports:
         assert hasattr(importlib.import_module(module), name), (module, name)
+
+
+def test_readme_dotted_names_resolve():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        names = set(re.findall(r"\bscenevat\.(\w+)\.(\w+)", fh.read()))
+    assert names, "the README names nothing as scenevat.<module>.<name>"
+    for module, name in sorted(names):
+        assert hasattr(importlib.import_module(f"scenevat.{module}"), name), (
+            module, name)

@@ -20,7 +20,9 @@ the n x n embedded distances into ``d_prime.vatf`` in bands.  A specvat
 of features that built the square distances, packed them in place and
 built those distances whole peaked at 1.12.
 The mel filterbank is built in its result with one temporary of its
-size: about 2.1 times the filterbank, against 4.0.  The audio front end
+size: about 2.1 times the filterbank, against 4.0.  The resampler's
+kernel table is built in place in blocks of rows: about 1.1 times the
+table, against 5.0.  The audio front end
 holds each clip once per stage: about 1.6 times a
 clip's float64 samples at 48 kHz, against 4.6 for full-length copies of
 the decode, the padded input of the resampler and the STFT's frames and
@@ -43,8 +45,8 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from scenevat import specvat
-from scenevat.audio import AudioConfig, extract_features, mel_filterbank
+from scenevat import audio, specvat
+from scenevat.audio import N_FFT, N_MELS, extract_features, mel_filterbank
 from scenevat.cce import cce_count
 from scenevat.cli import main
 from scenevat.manifest import CITIES, SCENES, parse_manifest
@@ -159,12 +161,22 @@ def test_extract_features_holds_each_clip_once_per_stage():
 
 def test_mel_filterbank_holds_its_result_and_one_temporary():
     # The rising slopes are built in the result and the falling ones in one
-    # temporary of its size: about 2.1 times the filterbank at the default
-    # config, against 4.0 when each step made a new array.
-    cfg = AudioConfig()
-    size = 8 * cfg.n_mels * (cfg.n_fft // 2 + 1)
-    peak = _peak(lambda: mel_filterbank.__wrapped__(cfg))  # past the cache
+    # temporary of its size: about 2.1 times the filterbank, against 4.0
+    # when each step made a new array.
+    size = 8 * N_MELS * (N_FFT // 2 + 1)
+    peak = _peak(mel_filterbank.__wrapped__)  # past the cache
     assert peak <= 2.5 * size, f"peak {peak / size:.2f} x the filterbank"
+
+
+def test_resample_kernel_table_is_built_in_place():
+    # 44101 -> 22050 Hz: 22050 phases of 131 taps, 22.0 MiB, within
+    # MAX_KERNEL_TABLE_BYTES.  Its rows are built in blocks of about
+    # BUFFER_BYTES: about 1.1 times the table, against 5.0 when the offsets,
+    # the window and the tap sums' two all-ones copies of the table were
+    # whole arrays.
+    table = 8 * 22050 * (2 * audio._kernel_radius(44101, 22050) + 1)
+    peak = _peak(lambda: audio._phase_kernels.__wrapped__(44101, 22050, 22050))
+    assert peak <= 1.25 * table, f"peak {peak / table:.2f} x the table"
 
 
 @pytest.mark.parametrize("method, k", [("vat", None)])

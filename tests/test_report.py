@@ -11,7 +11,7 @@ import scenevat.matrix
 import scenevat.report
 import scenevat.specvat
 import scenevat.vat
-from scenevat.audio import AudioConfig
+from scenevat.audio import N_MELS
 from scenevat.errors import DegenerateImageError, InputError, NumericError
 from scenevat.manifest import parse_manifest
 from scenevat.matrix import euclidean_dissim
@@ -31,9 +31,6 @@ from conftest import count_solvers, overflow_in_last_band, sine_wav
 # feature extraction over a manifest
 
 
-FAST_AUDIO = AudioConfig(target_rate=8000, n_fft=256, hop=128, n_mels=16)
-
-
 def _write_clips(root, specs):
     """specs: {filename: frequency}; writes short 44.1 kHz tones."""
     for name, freq in specs.items():
@@ -48,9 +45,9 @@ def test_features_follow_manifest_order(tmp_path):
     rev = parse_manifest(
         "path,scene,city\nhi.wav,bus,london\nlo.wav,park,paris\n"
     )
-    a = features_for_manifest(fwd, FAST_AUDIO, audio_root=str(tmp_path))
-    b = features_for_manifest(rev, FAST_AUDIO, audio_root=str(tmp_path))
-    assert a.shape == (2, 16)
+    a = features_for_manifest(fwd, audio_root=str(tmp_path))
+    b = features_for_manifest(rev, audio_root=str(tmp_path))
+    assert a.shape == (2, N_MELS)
     assert np.array_equal(a[0], b[1]) and np.array_equal(a[1], b[0])
     assert not np.array_equal(a[0], a[1])
 
@@ -64,7 +61,7 @@ def test_missing_files_enumerated_in_one_error(tmp_path):
         "gone2.wav,tram,vienna\n"
     )
     with pytest.raises(InputError) as err:
-        features_for_manifest(mf, FAST_AUDIO, audio_root=str(tmp_path))
+        features_for_manifest(mf, audio_root=str(tmp_path))
     msg = str(err.value)
     assert "gone1.wav" in msg and "gone2.wav" in msg
 
@@ -74,7 +71,7 @@ def test_cache_rewritten_file_yields_fresh_features(tmp_path):
     mf = parse_manifest("path,scene,city\na.wav,park,paris\nb.wav,bus,london\n")
     cache = tmp_path / "cache"
     first = features_for_manifest(
-        mf, FAST_AUDIO, audio_root=str(tmp_path), cache_dir=str(cache)
+        mf, audio_root=str(tmp_path), cache_dir=str(cache)
     )
     assert len(list(cache.glob("*.vatf"))) == 2
     # same path and byte size, different contents: the key follows the bytes
@@ -82,9 +79,9 @@ def test_cache_rewritten_file_yields_fresh_features(tmp_path):
     assert len(swapped) == (tmp_path / "a.wav").stat().st_size
     (tmp_path / "a.wav").write_bytes(swapped)
     second = features_for_manifest(
-        mf, FAST_AUDIO, audio_root=str(tmp_path), cache_dir=str(cache)
+        mf, audio_root=str(tmp_path), cache_dir=str(cache)
     )
-    fresh = features_for_manifest(mf, FAST_AUDIO, audio_root=str(tmp_path))
+    fresh = features_for_manifest(mf, audio_root=str(tmp_path))
     assert np.array_equal(second, fresh)
     assert not np.array_equal(second[0], first[0])
     assert np.array_equal(second[1], first[1])
@@ -98,53 +95,50 @@ def test_thread_count_does_not_change_result(tmp_path):
     rows = "".join(f"t{i}.wav,park,paris\n" for i in range(6))
     # unique paths, same labels
     mf = parse_manifest("path,scene,city\n" + rows)
-    serial = features_for_manifest(mf, FAST_AUDIO, audio_root=str(tmp_path))
+    serial = features_for_manifest(mf, audio_root=str(tmp_path))
     threaded = features_for_manifest(
-        mf, FAST_AUDIO, audio_root=str(tmp_path), threads=3
+        mf, audio_root=str(tmp_path), threads=3
     )
     assert np.array_equal(serial, threaded)
 
 
 def test_features_build_one_filterbank_per_config(tmp_path, monkeypatch):
+    # The front end has one config, its constants: its filterbank is built
+    # once and serves every later call.
     _write_clips(tmp_path, {f"t{i}.wav": 300.0 + 100.0 * i for i in range(6)})
     mf = parse_manifest("path,scene,city\n"
                         + "".join(f"t{i}.wav,park,paris\n" for i in range(6)))
     builds = []
     original = scenevat.audio._mel_breakpoints
 
-    def counting(cfg):
-        builds.append(cfg)
-        return original(cfg)
+    def counting():
+        builds.append(1)
+        return original()
 
     scenevat.audio.mel_filterbank.cache_clear()
     monkeypatch.setattr(scenevat.audio, "_mel_breakpoints", counting)
-    features_for_manifest(mf, FAST_AUDIO, audio_root=str(tmp_path))
-    assert builds == [FAST_AUDIO]
+    for _ in range(2):
+        features_for_manifest(mf, audio_root=str(tmp_path))
+    assert builds == [1]
 
 
 def test_features_set_up_once_before_the_workers(tmp_path, monkeypatch):
-    # The cache key is computed once per call, and the filterbank is built
-    # in the calling thread, before the pool starts, not by each worker.
+    # The filterbank is built once, in the calling thread, before the pool
+    # starts, not by each worker.
     _write_clips(tmp_path, {f"t{i}.wav": 300.0 + 100.0 * i for i in range(6)})
     mf = parse_manifest("path,scene,city\n"
                         + "".join(f"t{i}.wav,park,paris\n" for i in range(6)))
-    keys, builders = [], []
-    key, breakpoints = AudioConfig.cache_key, scenevat.audio._mel_breakpoints
+    builders = []
+    breakpoints = scenevat.audio._mel_breakpoints
 
-    def counting_key(cfg):
-        keys.append(cfg)
-        return key(cfg)
-
-    def counting_breakpoints(cfg):
+    def counting_breakpoints():
         builders.append(threading.current_thread())
-        return breakpoints(cfg)
+        return breakpoints()
 
     scenevat.audio.mel_filterbank.cache_clear()
-    monkeypatch.setattr(AudioConfig, "cache_key", counting_key)
     monkeypatch.setattr(scenevat.audio, "_mel_breakpoints", counting_breakpoints)
-    features_for_manifest(mf, FAST_AUDIO, audio_root=str(tmp_path),
+    features_for_manifest(mf, audio_root=str(tmp_path),
                           cache_dir=str(tmp_path / "cache"), threads=2)
-    assert keys == [FAST_AUDIO]
     assert builders == [threading.current_thread()]
 
 
@@ -152,7 +146,7 @@ def test_decode_errors_name_the_file(tmp_path):
     (tmp_path / "bad.wav").write_bytes(b"not audio")
     mf = parse_manifest("path,scene,city\nbad.wav,park,paris\n")
     with pytest.raises(InputError, match="bad.wav"):
-        features_for_manifest(mf, FAST_AUDIO, audio_root=str(tmp_path))
+        features_for_manifest(mf, audio_root=str(tmp_path))
 
 
 def test_unreadable_clip_names_the_file(tmp_path, monkeypatch):
@@ -160,7 +154,7 @@ def test_unreadable_clip_names_the_file(tmp_path, monkeypatch):
     monkeypatch.setattr(scenevat.report.os.path, "isfile", lambda p: True)
     mf = parse_manifest("path,scene,city\ngone.wav,park,paris\n")
     with pytest.raises(InputError) as err:
-        features_for_manifest(mf, FAST_AUDIO, audio_root=str(tmp_path))
+        features_for_manifest(mf, audio_root=str(tmp_path))
     assert str(err.value).startswith(f"cannot read WAV file {tmp_path / 'gone.wav'}: ")
 
 

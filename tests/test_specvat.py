@@ -37,7 +37,7 @@ from conftest import count_solvers, random_dissim
 def _spectrum(d, cfg, k):
     """The private spectrum of the square d, which it overwrites, through
     the packed path every SpecVAT takes."""
-    return specvat_mod._spectrum(*specvat_mod._packed(d, cfg), cfg, k)
+    return specvat_mod._spectrum(*specvat_mod._packed(d, cfg), k)
 
 
 def line_dissim(points):
@@ -506,7 +506,7 @@ def test_select_k_scores_a_degenerate_candidate_zero(monkeypatch):
     m, cfg = block_dissim([4, 4, 4], 0.01, 1.0), SpecVatConfig(k_max=4)
     vecs = np.random.default_rng(3).uniform(0.5, 1.0, size=(12, 4))
     vecs[:, :2] = [0.6, 0.8]
-    monkeypatch.setattr(specvat_mod, "_spectrum", lambda p, s, c, k: (None, vecs))
+    monkeypatch.setattr(specvat_mod, "_spectrum", lambda p, s, k: (None, vecs))
     e = specvat_mod._unit_rows(vecs[:, :2])
     with pytest.raises(DegenerateImageError):
         otsu_effectiveness(_odi(cdist(e, e), np.arange(12)))
@@ -610,14 +610,17 @@ def _three_block_permutations():
 
 
 def test_eigen_topk_tied_boundary_returns_k_pairs():
-    # Eigenvalue -1/14 has multiplicity 42, so the top 10 split a tied
-    # cluster; the subset solver may then return fewer than 10 pairs.
+    # Eigenvalue -1/14 has multiplicity 42, so the top 10 and the top 31
+    # split a tied cluster; the subset solver may then return fewer than k
+    # pairs, or fail outright (LinAlgError on the 76th matrix at k = 31,
+    # with scipy 1.17), where the full eigh solves.
     for x in _three_block_permutations():
-        vals, vecs = sym_eigen_topk(x, 10)
-        assert vals.shape == (10,) and vecs.shape == (45, 10)
-        full = np.linalg.eigvalsh(x)[::-1][:10]
-        assert np.abs(vals - full).max() <= 1e-12
-        assert np.abs(vecs.T @ vecs - np.eye(10)).max() <= 1e-8
+        for k in (10, 31):
+            vals, vecs = sym_eigen_topk(x, k)
+            assert vals.shape == (k,) and vecs.shape == (45, k)
+            full = np.linalg.eigvalsh(x)[::-1][:k]
+            assert np.abs(vals - full).max() <= 1e-12
+            assert np.abs(vecs.T @ vecs - np.eye(k)).max() <= 1e-8
 
 
 def test_eigen_topk_short_subset_falls_back_to_full_eigh(monkeypatch):
@@ -1045,7 +1048,7 @@ sys.path.insert(0, sys.argv[1])
 from scenevat.specvat import SpecVatConfig, _packed, _spectrum
 from scenevat.synth import block_dissim
 cfg = SpecVatConfig()
-vals, vecs = _spectrum(*_packed(block_dissim([64] * 16, 0.01, 1.0), cfg), cfg, 10)
+vals, vecs = _spectrum(*_packed(block_dissim([64] * 16, 0.01, 1.0), cfg), 10)
 print(hashlib.sha256(vals.tobytes() + vecs.tobytes()).hexdigest())
 """
 

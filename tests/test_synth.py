@@ -59,6 +59,13 @@ def test_blob_spec_validation():
     for sep, sigma in [(np.nan, 1.0), (np.inf, 1.0), (10.0, np.inf), (10.0, np.nan)]:
         with pytest.raises(InputError, match="must be finite"):
             BlobSpec(2, 10, 3, sep, sigma=sigma)
+    # Finite, but the points' distances would overflow when squared.
+    for sep, sigma in [(1e160, 1.0), (1e76, 1e77), (100.0, 1e151)]:
+        with pytest.raises(InputError, match="sep \\* sigma must be below 1e\\+152"):
+            BlobSpec(2, 10, 3, sep, sigma=sigma)
+    with pytest.raises(InputError, match="sigma \\* sqrt\\(dim\\) must be below"):
+        BlobSpec(2, 10, 1000, 0.0, sigma=1e151)
+    BlobSpec(2, 10, 3, 9.9e151)  # the largest separations are still taken
 
 
 def test_blobs_finite():
