@@ -11,17 +11,17 @@ structure is visible as text.
 
 import argparse
 
-from scenevat.cce import CceConfig, cce_count
+from scenevat.cce import cce_count
 from scenevat.matrix import euclidean_dissim
 from scenevat.synth import BlobSpec, gaussian_blobs
 from scenevat.vat import odi_from, vat_order
 
 
-def analyze(c, seed, cfg):
+def analyze(c, seed, band_width):
     feats, _ = gaussian_blobs(BlobSpec(c, 40, 8, 10.0, seed=seed))
     d = euclidean_dissim(feats)
     img = odi_from(d, vat_order(d))
-    return cce_count(img, cfg)
+    return cce_count(img, band_width=band_width)
 
 
 def main():
@@ -32,13 +32,12 @@ def main():
                          "whole blocks instead of single bridge pixels")
     args = ap.parse_args()
 
-    cfg = CceConfig(band_width=args.band_width)
     print("true  recovered  otsu_t  b")
     for c in range(1, 7):
-        rep = analyze(c, args.seed, cfg)
+        rep = analyze(c, args.seed, args.band_width)
         print(f"{c:4d}  {rep.cluster_count:9d}  {rep.otsu_threshold:6d}  {rep.b}")
 
-    rep = analyze(3, args.seed, cfg)
+    rep = analyze(3, args.seed, args.band_width)
     peak = rep.signal.max()
     bar = "".join("#" if v > rep.b else "." for v in rep.signal)
     print(f"\nsignal for c=3 (peak {peak}, cutoff {rep.b}):")

@@ -13,8 +13,9 @@ extracted development set (tens of GB; the run is feature-extraction bound
 on first pass, then cached).  Any tree of clips named that way will do,
 and CI runs it on a small generated one.  The front end runs with the
 constants of ``scenevat.audio`` (``TARGET_RATE``, ``N_FFT``, ``HOP``,
-``N_MELS``), and VAT and CCE with the library defaults; for other
-settings, pass a ``SpecVatConfig`` or ``CceConfig`` to ``run_report``.
+``N_MELS``), and VAT and CCE with the library defaults, as ``run_report``
+always runs them; to vary a setting, call ``scenevat.cce.cce_count`` (or
+``scenevat.specvat``) with it as a keyword argument.
 """
 
 import argparse

@@ -3,7 +3,7 @@
 The image is binarized with Otsu's threshold, the band of pixels directly
 below the diagonal is reduced to a per-column dark count, and the number of
 maximal runs above a cutoff is reported as the cluster count.  The cutoff is
-half the signal maximum, or ``CceConfig.explicit_b`` when given.
+half the signal maximum, or ``cce_count``'s ``b`` when given.
 """
 
 from __future__ import annotations
@@ -18,30 +18,6 @@ import numpy as np
 from .errors import DegenerateImageError, InputError
 from .matrix import chunks
 from .vat import _quantize, check_image
-
-
-@dataclass(frozen=True)
-class CceConfig:
-    """band_width defaults to max(1, n // 50) when left as None.
-
-    explicit_b, when given, replaces the cutoff of half the signal maximum;
-    0 counts every run of nonzero signal.
-    """
-
-    band_width: Optional[int] = None
-    explicit_b: Optional[int] = None
-
-    def resolve_band(self, n: int) -> int:
-        w = self.band_width if self.band_width is not None else max(1, n // 50)
-        if not 1 <= w <= n - 1:
-            raise InputError(f"band width {w} must satisfy 1 <= w <= n-1 (n={n})")
-        return int(w)
-
-    def __post_init__(self):
-        if self.band_width is not None and self.band_width < 1:
-            raise InputError(f"band_width must be >= 1, got {self.band_width}")
-        if self.explicit_b is not None and self.explicit_b < 0:
-            raise InputError(f"explicit_b must be >= 0, got {self.explicit_b}")
 
 
 @dataclass(frozen=True)
@@ -158,20 +134,37 @@ def _signal(x: np.ndarray, t: int, w: int) -> np.ndarray:
     return signal
 
 
-def cce_count(img, cfg: CceConfig = CceConfig()) -> CceReport:
+def _check_cutoffs(band_width: Optional[int], b: Optional[int]) -> None:
+    # The bounds that need no image: ``scenevat cce`` checks its flags
+    # with this before it reads the image.
+    if band_width is not None and band_width < 1:
+        raise InputError(f"band_width must be >= 1, got {band_width}")
+    if b is not None and b < 0:
+        raise InputError(f"b must be >= 0, got {b}")
+
+
+def cce_count(img, *, band_width: Optional[int] = None,
+              b: Optional[int] = None) -> CceReport:
     """Binarize, extract the sub-diagonal signal, and count runs above b.
 
-    ``b`` is floor(max(signal) / 2), or ``cfg.explicit_b`` when given.
-    Blocks smaller than ``band_width + 1`` records can be missed; the
-    report carries that limit as ``min_detectable_block``.
+    The band is ``band_width`` pixels below the diagonal, max(1, n // 50)
+    when None, and must satisfy 1 <= band_width <= n-1.  The cutoff ``b``
+    is floor(max(signal) / 2) when None; 0 counts every run of nonzero
+    signal, and a negative ``b`` raises InputError.  Blocks smaller than
+    ``band_width + 1`` records can be missed; the report carries that limit
+    as ``min_detectable_block``.
     """
+    _check_cutoffs(band_width, b)
     x = check_image(img)
     t = _otsu(_histogram(x))[0]
-    w = cfg.resolve_band(x.shape[0])
+    n = x.shape[0]
+    w = max(1, n // 50) if band_width is None else int(band_width)
+    if not 1 <= w <= n - 1:
+        raise InputError(f"band width {w} must satisfy 1 <= w <= n-1 (n={n})")
     signal = _signal(x, t, w)
     peak = int(signal.max(initial=0))
 
-    b = peak // 2 if cfg.explicit_b is None else int(cfg.explicit_b)
+    b = peak // 2 if b is None else int(b)
 
     if peak == 0:
         warnings.warn(

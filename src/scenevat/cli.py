@@ -6,10 +6,10 @@ label stacks (``stack``), synthetic data (``synth``), and the end-to-end
 subset analysis (``report``).
 
 The front end runs with the constants of ``scenevat.audio``, and SpecVAT
-and CCE with the defaults of ``SpecVatConfig`` and ``CceConfig``, except
-where a flag (``--k``, ``cce --band-width``, ``cce --b``) says otherwise;
-other SpecVAT and CCE settings are passed as those dataclasses to
-``run_report``.
+and CCE with the defaults of ``scenevat.specvat`` and ``cce_count``,
+except where a flag (``--k``, ``cce --band-width``, ``cce --b``) says
+otherwise; the last two are ``cce_count``'s ``band_width`` and ``b``.
+Other SpecVAT settings are keyword arguments of the library functions.
 
 Exit codes: 0 on success, 2 on bad input, 3 on numeric failure.
 """
@@ -20,7 +20,7 @@ import argparse
 import os
 import sys
 
-from .cce import CceConfig, cce_count
+from .cce import _check_cutoffs, cce_count
 from .errors import InputError, NumericError
 from .manifest import CITIES, SCENES, read_manifest
 from .matrix import as_features, check_dissim
@@ -35,7 +35,6 @@ from .report import (
     features_for_manifest,
     run_report,
 )
-from .specvat import SpecVatConfig
 from .synth import BlobSpec, block_dissim, gaussian_blobs
 from .vat import ordering_to_json, read_ordering, read_pgm, write_pgm
 from .vatf import atomic_write_text, naming, read_vatf, write_vatf
@@ -72,6 +71,8 @@ def _matrix_inputs(p):
 def _extract(args, manifest):
     """Features of the manifest's audio, as --audio-root, --cache and
     --threads say."""
+    if not len(manifest):
+        raise InputError(f"manifest {args.manifest} has no records")
     threads = 1 if args.threads is None else args.threads
     return features_for_manifest(manifest, audio_root=args.audio_root,
                                  cache_dir=args.cache, threads=threads)
@@ -99,10 +100,10 @@ def cmd_matrix(args) -> int:
     m = read_vatf(path)
     with naming(path):
         if args.dissim is None:
-            result = analyze_features(m, args.method, SpecVatConfig(), args.k)
+            result = analyze_features(m, args.method, args.k)
         else:
             m = check_dissim(m)  # a symmetrized copy lets the input go
-            result = analyze(m, args.method, SpecVatConfig(), args.k)
+            result = analyze(m, args.method, args.k)
     if result.k_scores is not None:
         shown = ", ".join(
             f"k={kk}: {s:.4f}" for kk, s in sorted(result.k_scores.items())
@@ -122,10 +123,10 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_cce(args) -> int:
-    cfg = CceConfig(band_width=args.band_width, explicit_b=args.b)
+    _check_cutoffs(args.band_width, args.b)  # before the image is read
     image = read_pgm(args.image)
     with naming(args.image):
-        report = cce_count(image, cfg)
+        report = cce_count(image, band_width=args.band_width, b=args.b)
     os.makedirs(args.out, exist_ok=True)
     atomic_write_text(os.path.join(args.out, "cce.json"), report.to_json())
     print(f"clusters: {report.cluster_count}")

@@ -160,7 +160,10 @@ def parse_dcase_filename(name: str) -> tuple[str, str]:
 def scan_dcase_tree(root) -> str:
     """Manifest CSV text of the DCASE-named WAVs under ``root``, walked in
     sorted order so that a tree gives the same rows on any machine; a name
-    that ``parse_dcase_filename`` rejects is left out."""
+    that ``parse_dcase_filename`` rejects is left out.  A ``root`` that is
+    not a directory raises InputError."""
+    if not os.path.isdir(root):
+        raise InputError(f"DCASE root {root} is not a directory")
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(("path", "scene", "city"))

@@ -19,11 +19,11 @@ from typing import Optional
 import numpy as np
 
 from .audio import CACHE_KEY, N_MELS, extract_features, mel_filterbank
-from .cce import CceConfig, cce_count
+from .cce import cce_count
 from .errors import DegenerateImageError, DistanceOverflow, InputError, NumericError
 from .manifest import CITIES, CITY_PALETTE, SCENE_PALETTE, SCENES, LabeledManifest
 from .matrix import as_features, euclidean_dissim, euclidean_packed, packed_start
-from .specvat import SpecVatConfig, _analysis, _packed, _scales
+from .specvat import _analysis, _packed, _scales
 from .stacks import label_stack, stack_csv, stack_svg
 from .vat import Analysis, _odi, _vat_order, ordering_to_json, write_pgm
 from .vatf import atomic_write_text, naming, read_file, read_vatf, write_vatf
@@ -187,8 +187,7 @@ def _check_method(method: str, k: Optional[int] = None) -> None:
         raise InputError(f"--k {k}: SpecVAT needs k >= 2")
 
 
-def analyze(d: np.ndarray, method: str, spec_cfg: SpecVatConfig,
-            k: Optional[int] = None) -> Analysis:
+def analyze(d: np.ndarray, method: str, k: Optional[int] = None) -> Analysis:
     """Order and render one dissimilarity matrix with VAT or SpecVAT.
 
     ``d`` must be a valid, exactly symmetric, C-contiguous float64 matrix
@@ -201,18 +200,19 @@ def analyze(d: np.ndarray, method: str, spec_cfg: SpecVatConfig,
     in turn, so ``result.image`` is a view of ``d``'s buffer and the
     distances are gone.  Pass a copy to keep them.  The embedded distances
     that SpecVAT ordered are ``cdist(result.embedding, result.embedding)``.
-    SpecVAT uses ``k`` eigenvectors, or picks k with the scan when ``k`` is
-    None; a ``k`` with VAT, or below 2, raises InputError.
+    SpecVAT runs with the defaults of ``scenevat.specvat`` and uses ``k``
+    eigenvectors, or picks k with the scan when ``k`` is None; a ``k`` with
+    VAT, or below 2, raises InputError.
     """
     _check_method(method, k)
     if method == "vat":
         ordering = _vat_order(d)
         return Analysis(ordering, _odi(d, ordering.order))
-    return _analysis(*_packed(d, spec_cfg), spec_cfg, k)
+    return _analysis(*_packed(d), k)
 
 
-def analyze_features(x, method: str, spec_cfg: SpecVatConfig,
-                     k: Optional[int] = None, *, path=None) -> Analysis:
+def analyze_features(x, method: str, k: Optional[int] = None, *,
+                     path=None) -> Analysis:
     """``analyze`` of the distances between the rows of ``x``: the one
     body of a ``run_report`` subset and of ``scenevat vat|specvat
     --features``.
@@ -229,7 +229,7 @@ def analyze_features(x, method: str, spec_cfg: SpecVatConfig,
         d = euclidean_dissim(x)
         if path is not None:
             write_vatf(path, d)
-        return analyze(d, method, spec_cfg)
+        return analyze(d, method)
     n = len(x)
     p, sigma = np.empty(packed_start(n, n)), np.empty(n)
 
@@ -238,14 +238,14 @@ def analyze_features(x, method: str, spec_cfg: SpecVatConfig,
             yield band
             # Written, so its scales may reorder it: the next band
             # overwrites it anyway.
-            sigma[band_rows] = _scales(band, spec_cfg)
+            sigma[band_rows] = _scales(band)
 
     if path is None:
         for _ in rows():
             pass
     else:
         write_vatf(path, rows(), shape=(n, n))
-    return _analysis(p, sigma, spec_cfg, k)
+    return _analysis(p, sigma, k)
 
 
 def run_report(
@@ -256,8 +256,6 @@ def run_report(
     *,
     method: str = "vat",
     k: Optional[int] = None,
-    spec_cfg: SpecVatConfig = SpecVatConfig(),
-    cce_cfg: CceConfig = CceConfig(),
 ) -> dict:
     """Analyze each subset and emit ODI/ordering/stack/count artifacts.
 
@@ -267,8 +265,9 @@ def run_report(
     CSV), and a cluster-count report (JSON).  A summary table of counts per subset is returned and
     written to ``report.json``.  SpecVAT subsets pick k automatically unless
     ``k`` is given, which is clamped to n-1 with a warning; a ``k`` with
-    VAT, or below 2, raises InputError before any subset.  SpecVAT runs
-    with ``spec_cfg`` and each count with ``cce_cfg``.  The features
+    VAT, or below 2, raises InputError before any subset.  SpecVAT and
+    each count run with their defaults: a study that varies a setting
+    calls ``scenevat.specvat`` and ``cce_count`` itself.  The features
     are checked once, here.  Each subset goes through
     ``analyze_features``, which writes its ``dissim.vatf``, and lets its
     matrix go once the image and its count are written.  Subsets with
@@ -315,9 +314,9 @@ def run_report(
                 # A subset of every record reads the features as they are.
                 result = analyze_features(
                     features if n == len(features) else features[idx],
-                    method, spec_cfg, k_run,
+                    method, k_run,
                     path=os.path.join(subset_dir, "dissim.vatf"))
-                cce = cce_count(result.image, cce_cfg)
+                cce = cce_count(result.image)
             except DistanceOverflow as exc:
                 raise _Skip(f": {exc}", str(exc)) from exc
             except DegenerateImageError as exc:

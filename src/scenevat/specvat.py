@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import inspect
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -55,34 +54,26 @@ EIGEN_ORTH_ATOL = 1e-8
 _SEEDABLE_ARPACK = "rng" in inspect.signature(scipy.sparse.linalg.eigsh).parameters
 # The smallest local scale: identical neighbours give an affinity of 1.
 SIGMA_FLOOR = 1e-12
+# The default settings: the scan's largest k, and the neighbour rank whose
+# distance is a record's local scale.
+K_MAX = 10
+KNN_SCALE = 7
 
 
-@dataclass(frozen=True)
-class SpecVatConfig:
-    """Fixed SpecVAT settings; the eigenvector count k is an argument."""
-
-    k_max: int = 10
-    knn_scale: int = 7
-
-    def __post_init__(self):
-        if self.k_max < 2:
-            raise InputError(f"k_max={self.k_max} must be at least 2")
-        if self.knn_scale < 1:
-            raise InputError(f"knn_scale={self.knn_scale} must be at least 1")
-
-
-def local_scale_affinity(m, cfg: SpecVatConfig = SpecVatConfig()) -> np.ndarray:
+def local_scale_affinity(m, *, knn_scale: int = KNN_SCALE) -> np.ndarray:
     """Gaussian affinity with per-point bandwidths.
 
     ``A[i, j] = exp(-d_ij^2 / (sigma_i * sigma_j))`` where ``sigma_i`` is the
     distance from i to its ``knn_scale``-th nearest neighbour (clamped to the
     available n-1 neighbours), floored at ``SIGMA_FLOOR``.  Diagonal is 0.
+    A ``knn_scale`` below 1 raises InputError, here and in every SpecVAT
+    function that takes it.
     """
     d = _checked_copy(m)
     n = d.shape[0]
     if n < 2:
         raise InputError("affinity needs at least 2 points")
-    p, sigma = _packed(d, cfg)
+    p, sigma = _packed(d, knn_scale)
     return unpack(_affinity(p, sigma), d)
 
 
@@ -92,22 +83,25 @@ def _checked_copy(m) -> np.ndarray:
     return np.array(check_dissim(m), order="C")
 
 
-def _packed(d: np.ndarray, cfg: SpecVatConfig):
+def _packed(d: np.ndarray, knn_scale: int = KNN_SCALE):
     # The local scales from d's rows, then d's packed triangle in d's own
-    # buffer (d is C-contiguous): the square entry to the private steps.
+    # buffer (d is C-contiguous): the square entry to the private steps,
+    # and so where knn_scale is checked.
+    if knn_scale < 1:
+        raise InputError(f"knn_scale={knn_scale} must be at least 1")
     n = d.shape[0]
     sigma = np.empty(n)
     for rows in bands(n):
-        sigma[rows] = _scales(d[rows].copy(), cfg)
+        sigma[rows] = _scales(d[rows].copy(), knn_scale)
     return pack(d), sigma
 
 
-def _scales(band: np.ndarray, cfg: SpecVatConfig) -> np.ndarray:
+def _scales(band: np.ndarray, knn_scale: int = KNN_SCALE) -> np.ndarray:
     # The local scales of a band of full rows of d, which this partitions
     # in place.  The diagonal is exactly 0 and no entry is negative, so the
     # kth entry of a sorted row is its kth nearest neighbour other than
     # itself.
-    kth = min(cfg.knn_scale, band.shape[1] - 1)
+    kth = min(knn_scale, band.shape[1] - 1)
     band.partition(kth, axis=1)
     return np.maximum(band[:, kth], SIGMA_FLOOR)
 
@@ -273,14 +267,15 @@ def _lanczos(p: np.ndarray, n: int, k: int):
     return None
 
 
-def spectral_embedding(m, k: int, cfg: SpecVatConfig = SpecVatConfig()) -> np.ndarray:
+def spectral_embedding(m, k: int, *, knn_scale: int = KNN_SCALE) -> np.ndarray:
     """Row-normalized top-k eigenvectors of the normalized affinity.
 
-    ``k`` must satisfy 1 <= k <= n-1.  Zero rows (all eigenvector
-    coordinates below machine zero) are kept as zero rather than
-    normalized, and flagged with a warning.
+    ``k`` must satisfy 1 <= k <= n-1; the affinity's local scales are
+    read at ``knn_scale``, as in ``local_scale_affinity``.  Zero rows (all
+    eigenvector coordinates below machine zero) are kept as zero rather
+    than normalized, and flagged with a warning.
     """
-    return _embed(*_packed(_checked_copy(m), cfg), k)
+    return _embed(*_packed(_checked_copy(m), knn_scale), k)
 
 
 def _embed(p: np.ndarray, sigma: np.ndarray, k: int) -> np.ndarray:
@@ -309,7 +304,7 @@ def _unit_rows(vecs: np.ndarray) -> np.ndarray:
     return vecs / scale[:, np.newaxis]
 
 
-def specvat(m, k: int, cfg: SpecVatConfig = SpecVatConfig()) -> Analysis:
+def specvat(m, k: int, *, knn_scale: int = KNN_SCALE) -> Analysis:
     """Embed in k eigenvectors (1 <= k <= n-1) and run VAT on their distances.
 
     ``m`` is never changed.  The image is a view of one n x n float64 copy
@@ -317,17 +312,16 @@ def specvat(m, k: int, cfg: SpecVatConfig = SpecVatConfig()) -> Analysis:
     ordered are not kept: they are ``cdist(result.embedding,
     result.embedding)``, bit for bit.
     """
-    p, sigma = _packed(_checked_copy(m), cfg)
+    p, sigma = _packed(_checked_copy(m), knn_scale)
     return _specvat(_embed(p, sigma, k), p)
 
 
-def _analysis(p: np.ndarray, sigma: np.ndarray, cfg: SpecVatConfig,
-              k: int | None) -> Analysis:
+def _analysis(p: np.ndarray, sigma: np.ndarray, k: int | None) -> Analysis:
     # SpecVAT of the packed distances p with local scales sigma, at k
-    # eigenvectors or, when k is None, at the scan's pick.  Every step
-    # overwrites p, and the image views its buffer.
+    # eigenvectors or, when k is None, at the scan's pick up to K_MAX.
+    # Every step overwrites p, and the image views its buffer.
     if k is None:
-        e, scores = _select_k(p, sigma, cfg)
+        e, scores = _select_k(p, sigma)
         return _specvat(e, p, scores)
     return _specvat(_embed(p, sigma, k), p)
 
@@ -361,11 +355,12 @@ def _specvat(embedding: np.ndarray, out: np.ndarray,
 
 
 def a_specvat_select_k(
-    m, cfg: SpecVatConfig = SpecVatConfig()
+    m, *, k_max: int = K_MAX, knn_scale: int = KNN_SCALE
 ) -> tuple[int, dict[int, float]]:
     """Pick the eigenvector count whose image binarizes most cleanly.
 
-    Scans k = 2 .. k_max (capped at n-1), scoring each SpecVAT image by
+    Scans k = 2 .. ``k_max`` (at least 2, capped at n-1; ``knn_scale`` as
+    in ``local_scale_affinity``), scoring each SpecVAT image by
     Otsu's between-class variance over total variance, in [0, 1].  The
     score reads only the image's histogram, which a VAT order does not
     change, so each candidate is scored from the histogram of its
@@ -375,21 +370,23 @@ def a_specvat_select_k(
     Structureless input -- constant distances, or images with a single
     intensity -- scores 0 and falls back to k = 2 with a warning.
     """
-    best_e, scores = _select_k(*_packed(_checked_copy(m), cfg), cfg)
+    best_e, scores = _select_k(*_packed(_checked_copy(m), knn_scale), k_max)
     return best_e.shape[1], scores
 
 
 def _select_k(p: np.ndarray, sigma: np.ndarray,
-              cfg: SpecVatConfig) -> tuple[np.ndarray, dict]:
+              k_max: int = K_MAX) -> tuple[np.ndarray, dict]:
     # The winner's embedding, unordered, with every score; overwrites the
     # packed distances p (see _spectrum).  One spectrum serves every k: the
     # affinity does not depend on k and the sign rule is per column.  Once
     # it is solved, p is free: each candidate's condensed distances go into
     # its first n(n-1)/2 entries.
+    if k_max < 2:
+        raise InputError(f"k_max={k_max} must be at least 2")
     n = sigma.size
     if n < 3:
         raise InputError(f"need at least 3 points to scan k >= 2, got n={n}")
-    ks = range(2, min(cfg.k_max, n - 1) + 1)
+    ks = range(2, min(k_max, n - 1) + 1)
     # Only the zero diagonal lies below the maximum of a constant matrix.
     dmax = p.max()
     constant = sum(np.count_nonzero(p[c] < dmax) for c in chunks(p.size)) <= n

@@ -242,6 +242,8 @@ def ordering_from_json(text: str | bytes) -> VatOrdering:
         ordering = VatOrdering(np.asarray(order), np.asarray(doc["link_dist"]))
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise InputError(f"malformed ordering JSON: {exc}") from exc
+    if not len(ordering):  # no stack or image has a record to show
+        raise InputError("ordering has no records")
     check_permutation(ordering.order, len(ordering))
     link = ordering.link_dist
     bad = np.flatnonzero(~((link >= 0) & (link < np.inf)))  # NaN fails both

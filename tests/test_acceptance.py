@@ -16,16 +16,11 @@ from scipy.spatial.distance import cdist
 import conftest
 from conftest import random_dissim, sine
 from scenevat.audio import AudioClip, log_mel_mean, resample, stft_power
-from scenevat.cce import CceConfig, cce_count, otsu_threshold
+from scenevat.cce import cce_count, otsu_threshold
 from scenevat.cli import main
 from scenevat.manifest import CITIES, SCENES, read_manifest, scan_dcase_tree
 from scenevat.matrix import euclidean_dissim, permute_matrix
-from scenevat.specvat import (
-    SpecVatConfig,
-    a_specvat_select_k,
-    specvat,
-    sym_eigen_topk,
-)
+from scenevat.specvat import a_specvat_select_k, specvat, sym_eigen_topk
 from scenevat.synth import BlobSpec, block_dissim, gaussian_blobs
 from scenevat.vat import odi_from, vat_order
 from scenevat.vatf import write_vatf
@@ -96,7 +91,6 @@ def test_acceptance_4_cce_recovers_blob_count():
     # the band spans n_per - 2 rows: single-row bands sit on the one pixel
     # that carries the tree's bridge between adjacent clusters, while a wide
     # band integrates whole blocks and separates peak from trough cleanly
-    cfg = CceConfig(band_width=38)
     per_c = {}
     ok = True
     for c in range(1, 7):
@@ -105,7 +99,7 @@ def test_acceptance_4_cce_recovers_blob_count():
             feats, _ = gaussian_blobs(BlobSpec(c, 40, 8, 10.0, seed=seed))
             m = euclidean_dissim(feats)
             img = odi_from(m, vat_order(m))
-            hits += cce_count(img, cfg).cluster_count == c
+            hits += cce_count(img, band_width=38).cluster_count == c
         per_c[c] = hits
         ok = ok and hits >= 95
     detail = ", ".join(f"c={c}: {h}/100" for c, h in per_c.items())
@@ -133,7 +127,6 @@ def test_acceptance_5_specvat_block_fidelity_and_k_selection():
     # local scales must reach the 15th neighbour, i.e. across blocks, or
     # every block collapses to an isolated component and the scan between
     # candidate k values loses its signal
-    scan_cfg = SpecVatConfig(knn_scale=15)
     within_mask = same & off
     selected = 0
     for seed in range(100):
@@ -146,7 +139,7 @@ def test_acceptance_5_specvat_block_fidelity_and_k_selection():
         m = m + np.where(within_mask, noise, 0.0)
         m = np.clip(m, 0.0, None)
         np.fill_diagonal(m, 0.0)
-        k, _ = a_specvat_select_k(m, scan_cfg)
+        k, _ = a_specvat_select_k(m, knn_scale=15)
         selected += k == 3
     record(
         5,

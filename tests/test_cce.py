@@ -6,7 +6,6 @@ import pytest
 
 import scenevat.cce as cce_mod
 from scenevat.cce import (
-    CceConfig,
     _histogram,
     _runs_above,
     _signal,
@@ -201,11 +200,11 @@ def test_signal_band_width_bounds():
     img = np.zeros((5, 5), dtype=np.uint8)
     img[0, 0] = 255  # two levels, so Otsu passes and the band is checked
     with pytest.raises(InputError, match="band width 5"):
-        cce_count(img, CceConfig(band_width=5))
+        cce_count(img, band_width=5)
 
 
 def test_count_three_ideal_blocks():
-    rep = cce_count(ideal_block_image([10, 10, 10]), CceConfig(band_width=2))
+    rep = cce_count(ideal_block_image([10, 10, 10]), band_width=2)
     assert rep.cluster_count == 3
     assert rep.b == 1
     assert rep.run_spans == [(0, 8), (10, 18), (20, 28)]
@@ -236,14 +235,14 @@ def test_count_no_dark_band_warns_and_returns_zero():
 def test_count_zero_mode():
     # b = 0 counts every run of nonzero signal
     img = ideal_block_image([10, 10])
-    rep = cce_count(img, CceConfig(band_width=2, explicit_b=0))
+    rep = cce_count(img, band_width=2, b=0)
     assert rep.b == 0
     assert rep.cluster_count == 2
 
 
 def test_count_explicit_b_override():
     img = ideal_block_image([10, 10])
-    rep = cce_count(img, CceConfig(band_width=2, explicit_b=1))
+    rep = cce_count(img, band_width=2, b=1)
     assert rep.b == 1
     assert rep.cluster_count == 2
 
@@ -252,14 +251,14 @@ def test_intensity_relabel_invariance():
     # any increasing two-level relabeling keeps the count
     for dark, light in ((0, 255), (10, 200), (100, 140)):
         img = ideal_block_image([8, 8, 8], dark=dark, light=light)
-        rep = cce_count(img, CceConfig(band_width=2))
+        rep = cce_count(img, band_width=2)
         assert rep.cluster_count == 3
 
 
 def test_blocks_of_size_w_plus_2_are_exact():
     for sizes in ([4, 4], [4, 4, 4, 4], [6, 4, 8]):
         img = ideal_block_image(sizes)
-        rep = cce_count(img, CceConfig(band_width=2))
+        rep = cce_count(img, band_width=2)
         assert rep.cluster_count == len(sizes)
 
 
@@ -272,7 +271,7 @@ def test_pipeline_blocks_to_count():
 
 def test_report_fields_and_json():
     img = ideal_block_image([10, 10])
-    rep = cce_count(img, CceConfig(band_width=2))
+    rep = cce_count(img, band_width=2)
     assert rep.min_detectable_block == 3
     assert rep.otsu_threshold == otsu_oracle(img)
     doc = json.loads(rep.to_json())
@@ -283,29 +282,25 @@ def test_report_fields_and_json():
 
 
 def test_config_validation():
-    with pytest.raises(InputError):
-        CceConfig(band_width=0)
-    with pytest.raises(InputError, match="explicit_b"):
-        CceConfig(explicit_b=-1)
+    img = ideal_block_image([10, 10])
+    with pytest.raises(InputError, match="band_width must be >= 1, got 0"):
+        cce_count(img, band_width=0)
+    with pytest.raises(InputError, match="b must be >= 0, got -1"):
+        cce_count(img, b=-1)
 
 
 def test_count_checks_its_image_once(monkeypatch):
-    calls = {"image": 0, "band": 0}
-    check_image, resolve_band = cce_mod.check_image, CceConfig.resolve_band
+    calls = []
+    check_image = cce_mod.check_image
 
     def counting_image(img):
-        calls["image"] += 1
+        calls.append(1)
         return check_image(img)
 
-    def counting_band(cfg, n):
-        calls["band"] += 1
-        return resolve_band(cfg, n)
-
     monkeypatch.setattr(cce_mod, "check_image", counting_image)
-    monkeypatch.setattr(CceConfig, "resolve_band", counting_band)
-    rep = cce_count(ideal_block_image([10, 10, 10]), CceConfig(band_width=2))
+    rep = cce_count(ideal_block_image([10, 10, 10]), band_width=2)
     assert rep.cluster_count == 3
-    assert calls == {"image": 1, "band": 1}
+    assert calls == [1]
 
 
 def test_count_rejects_a_non_square_image():

@@ -14,7 +14,6 @@ import scenevat.matrix
 import scenevat.report
 import scenevat.specvat
 from scenevat.audio import N_MELS
-from scenevat.cce import CceConfig
 from scenevat.cli import main
 from scenevat.manifest import scan_dcase_tree
 from scenevat.synth import BlobSpec, gaussian_blobs
@@ -180,6 +179,17 @@ def _one_clip_inputs(tmp_path):
     }
 
 
+@pytest.mark.parametrize("command", ["features", "report"])
+def test_header_only_manifest_exits_2_naming_it(tmp_path, capsys, command):
+    # np.vstack of no feature rows raised ValueError: exit 1, a traceback.
+    argv = _one_clip_inputs(tmp_path)[command]
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,scene,city\n")
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: manifest {manifest} has no records\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-5"])
 def test_features_threads_below_one_exit_2(tmp_path, capsys, threads):
     argv = _one_clip_inputs(tmp_path)["features"]
@@ -223,6 +233,23 @@ def test_stack_bad_ordering_exits_2_naming_the_file(tmp_path, capsys, text,
         assert str(manifest) in err
     else:
         assert err.startswith(f"error: {ordering}: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("records, group", [(0, "all"), (3, "vienna")])
+def test_stack_of_an_empty_subset_exits_2_naming_the_ordering(tmp_path, capsys,
+                                                              records, group):
+    # A header-only manifest, or a city with no records, and an ordering of
+    # no records: the stack's mean run length was 0 / 0.
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,scene,city\n"
+                        + "".join(f"r{i}.wav,bus,paris\n" for i in range(records)))
+    ordering = tmp_path / "ordering.json"
+    ordering.write_text('{"order": [], "link_dist": []}')
+    assert main(["stack", "--manifest", str(manifest), "--ordering",
+                 str(ordering), "--group", group, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ordering}: ordering has no records")
     assert not (tmp_path / "o").exists()
 
 
@@ -403,7 +430,20 @@ def test_cce_negative_cutoff_exits_2(tmp_path, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == "clusters: 2\n"
     assert main(argv + ["--b", "-1"]) == 2
-    assert "explicit_b must be >= 0, got -1" in capsys.readouterr().err
+    assert "b must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--b", "-1", "b must be >= 0, got -1"),
+    ("--band-width", "0", "band_width must be >= 1, got 0"),
+])
+def test_cce_refuses_a_bad_flag_before_it_reads_the_image(tmp_path, capsys,
+                                                          flag, value, message):
+    missing = tmp_path / "missing.pgm"
+    assert main(["cce", "--image", str(missing), flag, value,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["vat", "specvat"])
@@ -590,7 +630,7 @@ def test_report_band_width_too_large_for_a_subset_exits_2(tmp_path, capsys,
     # Here each subset is counted with a band of 50 columns.
     count = scenevat.report.cce_count
     monkeypatch.setattr(scenevat.report, "cce_count",
-                        lambda image, cfg: count(image, CceConfig(band_width=50)))
+                        lambda image: count(image, band_width=50))
     argv = _twelve_record_report(tmp_path, np.arange(48.0).reshape(12, 4))
     assert main(argv) == 2
     assert "band width 50 must satisfy" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from scenevat.manifest import (
     parse_dcase_filename,
     parse_manifest,
     read_manifest,
+    scan_dcase_tree,
 )
 
 
@@ -128,6 +129,16 @@ def test_read_manifest_wraps_path(tmp_path):
 
 # --------------------------------------------------------------------------
 # filename convention
+
+
+def test_scan_dcase_tree_refuses_a_root_that_is_no_directory(tmp_path):
+    # os.walk yields nothing for these: a mistyped root gave a header-only
+    # manifest, and a crash further on.
+    (tmp_path / "clip.wav").write_bytes(b"")
+    for root in (tmp_path / "missing", tmp_path / "clip.wav"):
+        with pytest.raises(InputError, match=f"DCASE root {root} is not a directory"):
+            scan_dcase_tree(str(root))
+    assert scan_dcase_tree(str(tmp_path)) == "path,scene,city\n"
 
 
 def test_dcase_filename_examples():

@@ -52,7 +52,6 @@ from scenevat.cli import main
 from scenevat.manifest import CITIES, SCENES, parse_manifest
 from scenevat.matrix import euclidean_dissim
 from scenevat.report import analyze, run_report
-from scenevat.specvat import SpecVatConfig
 from scenevat.synth import BlobSpec, gaussian_blobs
 from scenevat.vat import odi_from, vat_order
 from scenevat.vatf import write_vatf
@@ -91,7 +90,7 @@ def test_analysis_peak_within_budget(blobs, method, k, budget):
     d = blobs.copy()  # SpecVAT overwrites its input
 
     def run():
-        cce_count(analyze(d, method, SpecVatConfig(), k=k).image)
+        cce_count(analyze(d, method, k=k).image)
 
     peak = _peak(run)
     assert peak <= budget * d.nbytes, f"peak {peak / d.nbytes:.2f} x input"
@@ -183,7 +182,7 @@ def test_resample_kernel_table_is_built_in_place():
 def test_analyze_leaves_its_input_unchanged(method, k):
     d = euclidean_dissim(gaussian_blobs(BlobSpec(3, 100, 8, 4.0, seed=2))[0])
     before = d.copy()
-    analyze(d, method, SpecVatConfig(), k=k)
+    analyze(d, method, k=k)
     assert d.tobytes() == before.tobytes()
 
 
@@ -191,7 +190,7 @@ def test_analyze_leaves_its_input_unchanged(method, k):
 @pytest.mark.parametrize("k", [3, None])
 def test_analyze_specvat_draws_its_image_in_its_input(k):
     d = euclidean_dissim(gaussian_blobs(BlobSpec(3, 100, 8, 4.0, seed=2))[0])
-    result = analyze(d, "specvat", SpecVatConfig(), k=k)
+    result = analyze(d, "specvat", k=k)
     assert np.shares_memory(result.image, d)
     want = squareform(pdist(result.embedding))
     assert cdist(result.embedding, result.embedding).tobytes() == want.tobytes()

@@ -21,7 +21,7 @@ from scenevat.report import (
     features_for_manifest,
     run_report,
 )
-from scenevat.specvat import SpecVatConfig
+from scenevat.specvat import K_MAX
 from scenevat.synth import BlobSpec, gaussian_blobs
 
 from conftest import count_solvers, overflow_in_last_band, sine_wav
@@ -270,8 +270,7 @@ def test_run_report_specvat_fixed_and_auto_k(tmp_path):
     assert "k_scores" not in entry
     assert fixed["summary"]["all"] == 3
 
-    auto = run_report(mf, feats, "all", str(tmp_path / "auto"),
-                      method="specvat", spec_cfg=SpecVatConfig(knn_scale=10))
+    auto = run_report(mf, feats, "all", str(tmp_path / "auto"), method="specvat")
     entry = auto["subsets"][0]
     assert entry["k"] == 3
     assert set(entry["k_scores"]) == {"2", "3", "4", "5", "6", "7", "8", "9", "10"}
@@ -295,9 +294,9 @@ def test_analyze_checks_k_as_run_report_does(method, k, message):
     # VAT ignored a k, and SpecVAT at k = 1 rendered an all-black image.
     x = gaussian_blobs(BlobSpec(3, 8, 8, 10.0, seed=2))[0]
     with pytest.raises(InputError, match=message):
-        analyze_features(x, method, SpecVatConfig(), k)
+        analyze_features(x, method, k)
     with pytest.raises(InputError, match=message):
-        analyze(euclidean_dissim(x), method, SpecVatConfig(), k)
+        analyze(euclidean_dissim(x), method, k)
 
 
 def _specvat_report_with_two_record_london(out, k=None):
@@ -309,7 +308,7 @@ def _specvat_report_with_two_record_london(out, k=None):
     mf = parse_manifest("\n".join(lines) + "\n")
     with pytest.warns(UserWarning) as rec:
         report = run_report(mf, feats, "by_city", str(out), method="specvat",
-                            k=k, spec_cfg=SpecVatConfig(k_max=5))
+                            k=k)
     return report, rec
 
 
@@ -372,12 +371,9 @@ def test_run_report_k_scan_warnings_reach_the_caller(tmp_path):
     assert report["subsets"][0]["k"] == 2
 
 
-@pytest.mark.parametrize("method", [
-    # a one-blob subset can get Otsu threshold 0: no dark sub-diagonal pixel
-    pytest.param("vat", marks=pytest.mark.filterwarnings(
-        "ignore:sub-diagonal signal is identically zero")),
-    "specvat",
-])
+# A one-blob subset can get Otsu threshold 0: no dark sub-diagonal pixel.
+@pytest.mark.filterwarnings("ignore:sub-diagonal signal is identically zero")
+@pytest.mark.parametrize("method", ["vat", "specvat"])
 def test_run_report_never_revalidates_its_matrices(tmp_path, monkeypatch, method):
     # euclidean_dissim's output is valid by construction: analyze takes it
     # as it is, and no subset runs check_dissim.
@@ -395,7 +391,7 @@ def test_run_report_never_revalidates_its_matrices(tmp_path, monkeypatch, method
     mf, feats = _blob_manifest_and_features()
     with pytest.warns(UserWarning, match="skipping"):
         report = run_report(mf, feats, "by_scene", str(tmp_path / "out"),
-                            method=method, spec_cfg=SpecVatConfig(k_max=4))
+                            method=method)
     assert len(report["subsets"]) == 3
     assert calls == []
 
@@ -429,14 +425,19 @@ def test_run_report_every_subset_overflowing_is_no_degenerate_image(tmp_path):
     assert (tmp_path / "o" / "report.json").is_file()
 
 
+# Scanning up to K_MAX, two one-blob subsets pick k = 9 and get Otsu
+# threshold 0, as in the test above.
+@pytest.mark.filterwarnings("ignore:sub-diagonal signal is identically zero")
 def test_run_report_k_scan_runs_one_eigh_per_subset(tmp_path, monkeypatch):
     # 10 records per subset, below ARPACK_MIN_N: one evr subset solve each
     calls = count_solvers(monkeypatch)
     mf, feats = _blob_manifest_and_features()
     with pytest.warns(UserWarning, match="skipping"):
         report = run_report(mf, feats, "by_scene", str(tmp_path / "out"),
-                            method="specvat", spec_cfg=SpecVatConfig(k_max=4))
-    assert [set(e["k_scores"]) for e in report["subsets"]] == [{"2", "3", "4"}] * 3
+                            method="specvat")
+    # the scan's candidates, k = 2 .. min(K_MAX, n-1)
+    ks = {str(k) for k in range(2, min(K_MAX, 10 - 1) + 1)}
+    assert [set(e["k_scores"]) for e in report["subsets"]] == [ks] * 3
     assert calls == {"lanczos": [], "subset": [(10, 10)] * 3, "full": []}
 
 

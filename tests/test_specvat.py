@@ -18,8 +18,9 @@ from scenevat.matrix import check_dissim, euclidean_dissim, permute_matrix, unpa
 from scenevat.manifest import parse_manifest
 from scenevat.report import analyze, run_report
 from scenevat.specvat import (
+    K_MAX,
+    KNN_SCALE,
     SIGMA_FLOOR,
-    SpecVatConfig,
     a_specvat_select_k,
     local_scale_affinity,
     normalized_affinity,
@@ -34,10 +35,10 @@ from scenevat.vat import (Analysis, VatOrdering, _odi, odi_from, read_ordering,
 from conftest import count_solvers, random_dissim
 
 
-def _spectrum(d, cfg, k):
+def _spectrum(d, k, knn_scale=KNN_SCALE):
     """The private spectrum of the square d, which it overwrites, through
     the packed path every SpecVAT takes."""
-    return specvat_mod._spectrum(*specvat_mod._packed(d, cfg), k)
+    return specvat_mod._spectrum(*specvat_mod._packed(d, knn_scale), k)
 
 
 def line_dissim(points):
@@ -58,7 +59,7 @@ def test_package_attribute_is_the_specvat_module():
 
 def test_affinity_identical_points_hits_sigma_floor():
     m = np.zeros((3, 3))
-    a = local_scale_affinity(m, SpecVatConfig())
+    a = local_scale_affinity(m)
     off = a[~np.eye(3, dtype=bool)]
     assert np.all(off == 1.0)  # exp(0)
     assert not a.diagonal().any()
@@ -66,7 +67,7 @@ def test_affinity_identical_points_hits_sigma_floor():
 
 def test_affinity_hand_evaluated_kernel():
     m = line_dissim([0.0, 1.0, 10.0, 11.0])
-    a = local_scale_affinity(m, SpecVatConfig(knn_scale=1))
+    a = local_scale_affinity(m, knn_scale=1)
     assert a[0, 1] == pytest.approx(np.exp(-1.0), rel=1e-12)
     assert a[0, 2] == pytest.approx(np.exp(-100.0), rel=1e-9)
     assert np.array_equal(a, a.T)
@@ -75,14 +76,14 @@ def test_affinity_hand_evaluated_kernel():
 
 def test_affinity_knn_rank_clamped_to_available():
     m = line_dissim([0.0, 1.0])
-    a = local_scale_affinity(m, SpecVatConfig(knn_scale=7))
+    a = local_scale_affinity(m, knn_scale=7)
     # only one neighbour exists, so sigma = 1 for both
     assert a[0, 1] == pytest.approx(np.exp(-1.0), rel=1e-12)
 
 
 def test_affinity_needs_two_points():
     with pytest.raises(InputError):
-        local_scale_affinity(np.zeros((1, 1)), SpecVatConfig())
+        local_scale_affinity(np.zeros((1, 1)))
 
 
 # --------------------------------------------------------------------------
@@ -228,7 +229,7 @@ def test_embedding_rows_unit_norm():
 
 def test_embedding_components_collapse_to_identical_rows():
     m = block_dissim([6, 6, 6], 0.01, 1.0)
-    emb = spectral_embedding(m, 3, SpecVatConfig(knn_scale=3))
+    emb = spectral_embedding(m, 3, knn_scale=3)
     for blk in range(3):
         rows = emb[blk * 6 : (blk + 1) * 6]
         assert np.abs(rows - rows[0]).max() <= 1e-6
@@ -236,7 +237,7 @@ def test_embedding_components_collapse_to_identical_rows():
 
 def test_specvat_two_ideal_blocks_geometry():
     m = block_dissim([8, 8], 0.0, 10.0)
-    res = specvat(m, 2, SpecVatConfig(knn_scale=3))
+    res = specvat(m, 2, knn_scale=3)
     labels = np.repeat([0, 1], 8)
     same = labels[:, None] == labels[None, :]
     off = ~np.eye(16, dtype=bool)
@@ -285,7 +286,7 @@ def test_specvat_invariant_to_input_order():
 
 def test_select_k_three_ideal_blocks():
     m = block_dissim([10, 10, 10], 0.01, 1.0)
-    k, scores = a_specvat_select_k(m, SpecVatConfig(k_max=6, knn_scale=10))
+    k, scores = a_specvat_select_k(m, k_max=6, knn_scale=10)
     assert k == 3
     assert set(scores) == {2, 3, 4, 5, 6}
     assert all(0.0 <= v <= 1.0 for v in scores.values())
@@ -294,7 +295,7 @@ def test_select_k_three_ideal_blocks():
 def test_select_k_constant_distances_degenerate():
     m = np.ones((8, 8)) - np.eye(8)
     with pytest.warns(UserWarning, match="degenerate"):
-        k, scores = a_specvat_select_k(m, SpecVatConfig())
+        k, scores = a_specvat_select_k(m)
     assert k == 2
     assert all(v == 0.0 for v in scores.values())
 
@@ -303,14 +304,14 @@ def test_select_k_smallest_on_ties(monkeypatch):
     # a scorer forcing a tie across every k: the scan reads _otsu's score
     monkeypatch.setattr(specvat_mod, "_otsu", lambda hist: (0, 0.5))
     m = block_dissim([6, 6, 6], 0.01, 1.0)
-    k, scores = a_specvat_select_k(m, SpecVatConfig(k_max=5))
+    k, scores = a_specvat_select_k(m, k_max=5)
     assert k == 2
     assert all(v == 0.5 for v in scores.values())
 
 
 def test_select_k_cap_at_n_minus_1():
     m = block_dissim([2, 2], 0.01, 1.0)  # n = 4 caps the scan at k = 3
-    k, scores = a_specvat_select_k(m, SpecVatConfig(k_max=10, knn_scale=2))
+    k, scores = a_specvat_select_k(m, k_max=10, knn_scale=2)
     assert set(scores) <= {2, 3}
     assert k in scores
 
@@ -327,33 +328,45 @@ def _isolated_blocks():
     return m
 
 
+# Each fixture's matrix and the scan's keyword arguments.
+DEFAULTS = dict(k_max=K_MAX, knn_scale=KNN_SCALE)
 SCAN_FIXTURES = {
     "three_ideal_blocks": (
         lambda: block_dissim([10, 10, 10], 0.01, 1.0),
-        SpecVatConfig(k_max=6, knn_scale=10),
+        dict(k_max=6, knn_scale=10),
     ),
-    "isolated_points": (_isolated_blocks, SpecVatConfig(k_max=6, knn_scale=3)),
+    "isolated_points": (_isolated_blocks, dict(k_max=6, knn_scale=3)),
     "n4_capped": (
         lambda: block_dissim([2, 2], 0.01, 1.0),
-        SpecVatConfig(k_max=10, knn_scale=2),
+        dict(k_max=10, knn_scale=2),
     ),
     "blobs_240": (
         lambda: euclidean_dissim(gaussian_blobs(BlobSpec(4, 60, 8, 4.0, seed=5))[0]),
-        SpecVatConfig(),
+        DEFAULTS,
     ),
-    "constant": (lambda: np.ones((8, 8)) - np.eye(8), SpecVatConfig()),
+    "constant": (lambda: np.ones((8, 8)) - np.eye(8), DEFAULTS),
     "blobs_1024_arpack": (  # ARPACK_MIN_N records: the ARPACK path
         lambda: euclidean_dissim(gaussian_blobs(BlobSpec(4, 256, 8, 4.0, seed=5))[0]),
-        SpecVatConfig(),
+        DEFAULTS,
     ),
 }
 
 
-def _per_k_specvat(m, cfg):
+def _analyze_scan(m, scan):
+    """analyze(m, "specvat"), which scans with the defaults; with other
+    settings, the steps it runs.  Overwrites m."""
+    if scan == DEFAULTS:
+        return analyze(m, "specvat")
+    p, sigma = specvat_mod._packed(m, scan["knn_scale"])
+    e, scores = specvat_mod._select_k(p, sigma, scan["k_max"])
+    return specvat_mod._specvat(e, p, scores)
+
+
+def _per_k_specvat(m, scan):
     """Public specvat at each k of the scan, as the reference."""
     n = m.shape[0]
-    return {k: specvat(m, k, cfg)
-            for k in range(2, min(cfg.k_max, n - 1) + 1)}
+    return {k: specvat(m, k, knn_scale=scan["knn_scale"])
+            for k in range(2, min(scan["k_max"], n - 1) + 1)}
 
 
 def _score(image):
@@ -368,15 +381,16 @@ def _unit_rows_reference(cols):
     return cols / np.where(norms == 0.0, 1.0, norms)[:, np.newaxis]
 
 
-def _scan_spectrum(m, cfg):
+def _scan_spectrum(m, scan):
     """The scan's one solve, min(k_max, n-1) pairs, through public steps."""
-    k_hi = min(cfg.k_max, m.shape[0] - 1)
-    return sym_eigen_topk(normalized_affinity(local_scale_affinity(m, cfg)), k_hi)
+    k_hi = min(scan["k_max"], m.shape[0] - 1)
+    a = local_scale_affinity(m, knn_scale=scan["knn_scale"])
+    return sym_eigen_topk(normalized_affinity(a), k_hi)
 
 
-def _scan_reference(m, cfg):
+def _scan_reference(m, scan):
     """Each candidate's embedding: the first k columns of the scan's solve."""
-    top = _scan_spectrum(m, cfg)[1]
+    top = _scan_spectrum(m, scan)[1]
     return {k: _unit_rows_reference(top[:, :k]) for k in range(2, top.shape[1] + 1)}
 
 
@@ -391,15 +405,16 @@ def test_select_k_scan_equals_per_k_specvat(name):
     # The scores are Otsu's of each candidate's image in input order, bit for
     # bit; the chosen k is also the best of public specvat at each k, whose
     # eigenvectors agree with the scan's to rounding.
-    make, cfg = SCAN_FIXTURES[name]
+    make, settings = SCAN_FIXTURES[name]
     m = make()
-    k, scores = a_specvat_select_k(m, cfg)
-    scan = _scan_reference(m, cfg)
+    k, scores = a_specvat_select_k(m, **settings)
+    scan = _scan_reference(m, settings)
     if name == "constant":
         expect = dict.fromkeys(scan, 0.0)
     else:
         expect = {kk: _score(_input_order_image(e)) for kk, e in scan.items()}
-        per_k = {kk: _score(r.image) for kk, r in _per_k_specvat(m, cfg).items()}
+        per_k = {kk: _score(r.image)
+                 for kk, r in _per_k_specvat(m, settings).items()}
         assert k == max(per_k, key=per_k.get)
     assert scores == expect
     assert k == max(expect, key=expect.get)  # first, so smallest, of the best
@@ -412,10 +427,11 @@ def test_analyze_scan_winner_matches_specvat_bitwise(name):
     # specvat at that k solves k pairs: the same image, link distances to
     # rounding, and the same order except where embedded rows are exactly
     # equal (ideal blocks), so VAT's tie-break follows the last bits.
-    make, cfg = SCAN_FIXTURES[name]
+    make, settings = SCAN_FIXTURES[name]
     m = make()
-    got = analyze(m.copy(), "specvat", cfg)
-    ref = specvat_mod._specvat(_scan_reference(m, cfg)[got.k], np.empty(m.shape))
+    got = _analyze_scan(m.copy(), settings)
+    ref = specvat_mod._specvat(_scan_reference(m, settings)[got.k],
+                               np.empty(m.shape))
     for a, b in [(got.ordering.order, ref.ordering.order),
                  (got.ordering.link_dist, ref.ordering.link_dist),
                  (got.image, ref.image),
@@ -425,7 +441,7 @@ def test_analyze_scan_winner_matches_specvat_bitwise(name):
         assert a.tobytes() == b.tobytes()
     if name == "constant":
         return
-    public = specvat(m, got.k, cfg)
+    public = specvat(m, got.k, knn_scale=settings["knn_scale"])
     assert got.image.tobytes() == public.image.tobytes()
     link = got.ordering.link_dist
     assert np.abs(link - public.ordering.link_dist).max() <= 1e-12 * link.max()
@@ -435,12 +451,11 @@ def test_analyze_scan_winner_matches_specvat_bitwise(name):
 
 def test_specvat_and_analyze_return_one_analysis_type():
     m = block_dissim([5, 5, 5], 0.01, 1.0)
-    cfg = SpecVatConfig(k_max=4)
-    explicit, scanned = specvat(m, 3, cfg), analyze(m.copy(), "specvat", cfg)
-    plain = analyze(m, "vat", cfg)
+    explicit, scanned = specvat(m, 3), analyze(m.copy(), "specvat")
+    plain = analyze(m, "vat")
     assert type(explicit) is type(scanned) is type(plain) is Analysis
     assert (explicit.k, explicit.k_scores) == (3, None)
-    assert (scanned.k, scanned.k_scores) == a_specvat_select_k(m, cfg)
+    assert (scanned.k, scanned.k_scores) == a_specvat_select_k(m)
     assert (plain.k, plain.k_scores, plain.embedding) == (None, None, None)
 
 
@@ -463,9 +478,9 @@ def _count_calls(monkeypatch, name, key):
 @pytest.mark.parametrize("name", sorted(SCAN_FIXTURES))
 def test_analyze_scan_vat_orders_only_the_winner(name, monkeypatch):
     calls = _count_calls(monkeypatch, "_prim", int)
-    make, cfg = SCAN_FIXTURES[name]
+    make, settings = SCAN_FIXTURES[name]
     m = make()
-    analyze(m, "specvat", cfg)
+    _analyze_scan(m.copy(), settings)
     assert calls == [m.shape[0]]
 
 
@@ -474,17 +489,17 @@ def test_analyze_scan_vat_orders_only_the_winner(name, monkeypatch):
 def test_analyze_scan_renders_only_the_winner(name, monkeypatch):
     # Candidates are scored from histograms; only the winner gets an image.
     calls = _count_calls(monkeypatch, "_draw", np.shape)
-    make, cfg = SCAN_FIXTURES[name]
+    make, settings = SCAN_FIXTURES[name]
     m = make()
-    analyze(m, "specvat", cfg)
+    _analyze_scan(m.copy(), settings)
     assert calls == [m.shape]
 
 
-def _image_scores(d, cfg):
+def _image_scores(d, scan):
     """The reference: each candidate's score read from its n x n image in
     input order, through the public ``otsu_effectiveness``."""
     n = d.shape[0]
-    vecs = _spectrum(d.copy(), cfg, min(cfg.k_max, n - 1))[1]
+    vecs = _spectrum(d.copy(), min(scan["k_max"], n - 1), scan["knn_scale"])[1]
     scores = {}
     for k in range(2, vecs.shape[1] + 1):
         e = specvat_mod._unit_rows(vecs[:, :k])
@@ -495,23 +510,24 @@ def _image_scores(d, cfg):
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("name", sorted(set(SCAN_FIXTURES) - {"constant"}))
 def test_select_k_scores_equal_image_scores(name):
-    make, cfg = SCAN_FIXTURES[name]
+    make, settings = SCAN_FIXTURES[name]
     m = make()
-    assert a_specvat_select_k(m, cfg)[1] == _image_scores(m, cfg)
+    assert a_specvat_select_k(m, **settings)[1] == _image_scores(m, settings)
 
 
 def test_select_k_scores_a_degenerate_candidate_zero(monkeypatch):
     # Equal rows in the first two columns: the k = 2 embedding collapses to
     # one point, whose image has a single intensity.
-    m, cfg = block_dissim([4, 4, 4], 0.01, 1.0), SpecVatConfig(k_max=4)
+    m = block_dissim([4, 4, 4], 0.01, 1.0)
+    settings = dict(k_max=4, knn_scale=KNN_SCALE)
     vecs = np.random.default_rng(3).uniform(0.5, 1.0, size=(12, 4))
     vecs[:, :2] = [0.6, 0.8]
     monkeypatch.setattr(specvat_mod, "_spectrum", lambda p, s, k: (None, vecs))
     e = specvat_mod._unit_rows(vecs[:, :2])
     with pytest.raises(DegenerateImageError):
         otsu_effectiveness(_odi(cdist(e, e), np.arange(12)))
-    k, scores = a_specvat_select_k(m, cfg)
-    assert scores == _image_scores(m, cfg)
+    k, scores = a_specvat_select_k(m, **settings)
+    assert scores == _image_scores(m, settings)
     assert scores[2] == 0.0 and min(scores[3], scores[4]) > 0.0
     assert k == max(scores, key=scores.get)
 
@@ -521,13 +537,13 @@ def test_select_k_scores_a_degenerate_candidate_zero(monkeypatch):
 def test_public_scan_vat_orders_nothing(name, monkeypatch):
     # a_specvat_select_k returns k and the scores, which need no order.
     calls = _count_calls(monkeypatch, "_prim", int)
-    make, cfg = SCAN_FIXTURES[name]
-    a_specvat_select_k(make(), cfg)
+    make, settings = SCAN_FIXTURES[name]
+    a_specvat_select_k(make(), **settings)
     assert calls == []
 
 
 def test_select_k_warns_zero_rows_once_per_candidate():
-    m, cfg = _isolated_blocks(), SpecVatConfig(k_max=6, knn_scale=3)
+    m, settings = _isolated_blocks(), dict(k_max=6, knn_scale=3)
 
     def zero_row_messages(fn):
         with warnings.catch_warnings(record=True) as rec:
@@ -535,18 +551,23 @@ def test_select_k_warns_zero_rows_once_per_candidate():
             fn()
         return [str(w.message) for w in rec if "identically zero" in str(w.message)]
 
-    scan = zero_row_messages(lambda: a_specvat_select_k(m, cfg))
-    per_k = zero_row_messages(lambda: _per_k_specvat(m, cfg))
+    scan = zero_row_messages(lambda: a_specvat_select_k(m, **settings))
+    per_k = zero_row_messages(lambda: _per_k_specvat(m, settings))
     assert scan and scan == per_k
 
 
 def test_config_validation_bounds():
+    m = block_dissim([2, 2], 0.01, 1.0)
     with pytest.raises(InputError, match=r"k=5 must satisfy 1 <= k <= n-1 \(n=4\)"):
-        specvat(block_dissim([2, 2], 0.01, 1.0), 5)
-    with pytest.raises(InputError, match="k_max=1"):
-        SpecVatConfig(k_max=1)
-    with pytest.raises(InputError):
-        SpecVatConfig(knn_scale=0)
+        specvat(m, 5)
+    with pytest.raises(InputError, match="k_max=1 must be at least 2"):
+        a_specvat_select_k(m, k_max=1)
+    for call in (lambda: local_scale_affinity(m, knn_scale=0),
+                 lambda: spectral_embedding(m, 2, knn_scale=0),
+                 lambda: specvat(m, 2, knn_scale=0),
+                 lambda: a_specvat_select_k(m, knn_scale=0)):
+        with pytest.raises(InputError, match="knn_scale=0 must be at least 1"):
+            call()
 
 
 # --------------------------------------------------------------------------
@@ -562,9 +583,9 @@ def _blobs(n, seed=7):
     return euclidean_dissim(feats[:n])
 
 
-def _affinity_reference(d, cfg):
+def _affinity_reference(d, knn_scale=KNN_SCALE):
     """The affinity as computed with an ``offdiag`` copy, as the reference."""
-    kth = min(cfg.knn_scale, d.shape[0] - 1)
+    kth = min(knn_scale, d.shape[0] - 1)
     offdiag = d.copy()
     np.fill_diagonal(offdiag, np.inf)
     sigma = np.partition(offdiag, kth - 1, axis=1)[:, kth - 1]
@@ -579,24 +600,24 @@ def test_affinity_matches_reference_bitwise():
     signed_zero_diag = random_dissim(rng, 12)
     np.fill_diagonal(signed_zero_diag, -0.0)
     cases = [
-        (random_dissim(rng, 2), SpecVatConfig()),
-        (random_dissim(rng, 40), SpecVatConfig()),
-        (random_dissim(rng, 40), SpecVatConfig(knn_scale=1)),
-        (random_dissim(rng, 9), SpecVatConfig(knn_scale=50)),  # clamped
-        (signed_zero_diag, SpecVatConfig(knn_scale=3)),
-        (block_dissim([6, 6, 6], 0.01, 1.0), SpecVatConfig(knn_scale=5)),
-        (block_dissim([4, 4], 0.0, 1.0), SpecVatConfig(knn_scale=2)),  # floor
-        (np.ones((5, 5)) - np.eye(5), SpecVatConfig()),
-        (1e100 * (np.ones((4, 4)) - np.eye(4)), SpecVatConfig(knn_scale=1)),
+        (random_dissim(rng, 2), KNN_SCALE),
+        (random_dissim(rng, 40), KNN_SCALE),
+        (random_dissim(rng, 40), 1),
+        (random_dissim(rng, 9), 50),  # clamped
+        (signed_zero_diag, 3),
+        (block_dissim([6, 6, 6], 0.01, 1.0), 5),
+        (block_dissim([4, 4], 0.0, 1.0), 2),  # floor
+        (np.ones((5, 5)) - np.eye(5), KNN_SCALE),
+        (1e100 * (np.ones((4, 4)) - np.eye(4)), 1),
         (euclidean_dissim(gaussian_blobs(BlobSpec(3, 30, 8, 4.0, seed=3))[0]),
-         SpecVatConfig()),
+         KNN_SCALE),
     ]
     # sizes around the one-band edge
-    cases += [(random_dissim(rng, n), SpecVatConfig()) for n in BAND_EDGE_SIZES[1:]]
-    cases += [(_blobs(600), SpecVatConfig(knn_scale=12))]
-    for d, cfg in cases:
-        got = local_scale_affinity(d, cfg)
-        ref = _affinity_reference(d, cfg)
+    cases += [(random_dissim(rng, n), KNN_SCALE) for n in BAND_EDGE_SIZES[1:]]
+    cases += [(_blobs(600), 12)]
+    for d, knn_scale in cases:
+        got = local_scale_affinity(d, knn_scale=knn_scale)
+        ref = _affinity_reference(d, knn_scale)
         assert got.tobytes() == ref.tobytes()
 
 
@@ -658,15 +679,16 @@ def test_explicit_k_embeds_first_columns_of_scan_spectrum(name):
     # An explicit k solves for exactly k pairs: its embedding is the unit
     # rows of that solve bit for bit, and spans the subspace of the scan's
     # first k columns wherever the spectrum has a gap after the kth.
-    make, cfg = SCAN_FIXTURES[name]
+    make, settings = SCAN_FIXTURES[name]
     m = make()
-    x = normalized_affinity(local_scale_affinity(m, cfg))
-    vals, top = _scan_spectrum(m, cfg)
+    x = normalized_affinity(local_scale_affinity(m, knn_scale=settings["knn_scale"]))
+    vals, top = _scan_spectrum(m, settings)
     k_hi, tied = vals.size, set()
     for k in range(1, k_hi + 1):
         vecs = sym_eigen_topk(x, k)[1]
         expect = _unit_rows_reference(vecs)
-        assert spectral_embedding(m, k, cfg).tobytes() == expect.tobytes()
+        e = spectral_embedding(m, k, knn_scale=settings["knn_scale"])
+        assert e.tobytes() == expect.tobytes()
         if k < k_hi and vals[k - 1] - vals[k] <= 1e-8:
             tied.add(k)
             continue
@@ -685,8 +707,8 @@ def _normalize_reference(x):
     return x * np.outer(inv_sqrt, inv_sqrt)
 
 
-def _sym_reference(d, cfg):
-    x = _normalize_reference(_affinity_reference(d, cfg))
+def _sym_reference(d):
+    x = _normalize_reference(_affinity_reference(d))
     return 0.5 * (x + x.T)
 
 
@@ -699,9 +721,9 @@ def _descending_reference(vals, vecs, k):
     return vals[::-1][:k].copy(), vecs
 
 
-def _spectrum_reference(d, cfg, k):
+def _spectrum_reference(d, k):
     """Affinity, normalization and solve with a copy at every step."""
-    sym = _sym_reference(d, cfg)
+    sym = _sym_reference(d)
     n = sym.shape[0]
     vals, vecs = scipy.linalg.eigh(sym, subset_by_index=[n - k, n - 1],
                                    check_finite=False)
@@ -710,9 +732,9 @@ def _spectrum_reference(d, cfg, k):
     return _descending_reference(vals, vecs, k)
 
 
-def _specvat_reference(d, cfg, k):
+def _specvat_reference(d, k):
     """Explicit-k SpecVAT with a condensed pdist, as the reference."""
-    e = _unit_rows_reference(_spectrum_reference(d, cfg, k)[1])
+    e = _unit_rows_reference(_spectrum_reference(d, k)[1])
     d_prime = squareform(pdist(e))
     ordering = vat_order(d_prime)
     return ordering, odi_from(d_prime, ordering), d_prime
@@ -737,10 +759,9 @@ def test_exactly_symmetric_dissim_gives_exactly_symmetric_affinity(n, knn_scale)
     # the reference are the same products, so it is exactly symmetric too.
     d = _blobs(n)
     assert check_dissim(d) is d
-    cfg = SpecVatConfig(knn_scale=knn_scale)
-    p, sigma = specvat_mod._packed(d.copy(), cfg)
+    p, sigma = specvat_mod._packed(d.copy(), knn_scale)
     x = specvat_mod._normalize(specvat_mod._affinity(p, sigma), n)
-    ref = _normalize_reference(_affinity_reference(d, cfg))
+    ref = _normalize_reference(_affinity_reference(d, knn_scale))
     assert np.array_equal(ref, ref.T)
     assert unpack(x, np.empty((n, n))).tobytes() == ref.tobytes()
 
@@ -761,9 +782,9 @@ def test_normalize_matches_reference_bitwise():
 def test_analyze_specvat_matches_copying_reference_bitwise(n, symmetric):
     # analyze takes the matrix check_dissim returns, as the CLI does.
     d = _blobs(n) if symmetric else _within_tolerance_asymmetric(n)
-    cfg, k = SpecVatConfig(), min(3, n - 1)
-    got = analyze(check_dissim(d.copy()), "specvat", cfg, k=k)
-    ordering, image, d_prime = _specvat_reference(0.5 * d + 0.5 * d.T, cfg, k)
+    k = min(3, n - 1)
+    got = analyze(check_dissim(d.copy()), "specvat", k=k)
+    ordering, image, d_prime = _specvat_reference(0.5 * d + 0.5 * d.T, k)
     for a, b in [(got.ordering.order, ordering.order),
                  (got.ordering.link_dist, ordering.link_dist),
                  (got.image, image),
@@ -781,17 +802,16 @@ def test_run_report_specvat_matches_the_copying_reference_bitwise(tmp_path, n):
     feats = gaussian_blobs(BlobSpec(3, -(-n // 3), 8, 4.0, seed=6))[0][:n]
     manifest = parse_manifest("path,scene,city\n" + "".join(
         f"c{i}.wav,bus,paris\n" for i in range(n)))
-    cfg = SpecVatConfig(k_max=5)
     d = euclidean_dissim(feats)
-    ordering, image, _ = _specvat_reference(d, cfg, 3)
-    scanned = analyze(d.copy(), "specvat", cfg)
+    ordering, image, _ = _specvat_reference(d, 3)
+    scanned = analyze(d.copy(), "specvat")
     for k, (order, link, img) in [
             (3, (ordering.order, ordering.link_dist, image)),
             (None, (scanned.ordering.order, scanned.ordering.link_dist,
                     scanned.image))]:
         out = tmp_path / f"k{k}"
         report = run_report(manifest, feats, "all", str(out), method="specvat",
-                            k=k, spec_cfg=cfg)
+                            k=k)
         assert read_pgm(out / "all" / "odi.pgm").tobytes() == img.tobytes()
         got = read_ordering(out / "all" / "ordering.json")
         assert got.order.tobytes() == order.tobytes()
@@ -818,8 +838,7 @@ def test_private_fallback_rebuilds_the_overwritten_matrix(monkeypatch):
     # The subset solve works in a copy of the matrix, so the full fallback
     # solves the matrix as built.  The reference is the full eigh of a copy.
     d = _blobs(120)  # below ARPACK_MIN_N
-    cfg = SpecVatConfig()
-    top = _descending_reference(*np.linalg.eigh(_sym_reference(d, cfg)), 3)[1]
+    top = _descending_reference(*np.linalg.eigh(_sym_reference(d)), 3)[1]
     d_prime = squareform(pdist(_unit_rows_reference(top)))
     ordering = vat_order(d_prime)
     original = scipy.linalg.eigh
@@ -830,7 +849,7 @@ def test_private_fallback_rebuilds_the_overwritten_matrix(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "eigh", short)
     calls = count_solvers(monkeypatch)
-    got = analyze(d, "specvat", cfg, k=3)
+    got = analyze(d, "specvat", k=3)
     assert calls == {"lanczos": [], "subset": [(120, 120)], "full": [(120, 120)]}
     assert cdist(got.embedding, got.embedding).tobytes() == d_prime.tobytes()
     assert got.ordering.order.tobytes() == ordering.order.tobytes()
@@ -869,7 +888,7 @@ def test_overflowing_distances_raise_numeric_error(k):
     # d*d overflows to inf and so do the local scales: inf / inf is NaN.
     d = 1e200 * (np.ones((4, 4)) - np.eye(4))
     with pytest.raises(NumericError, match="1.3e154"):
-        analyze(d, "specvat", SpecVatConfig(), k=k)
+        analyze(d, "specvat", k=k)
 
 
 def test_normalized_affinity_rejects_non_finite_input():
@@ -913,10 +932,10 @@ def _orthonormality_miss(x, k, **kwargs):
 @pytest.mark.parametrize("eigsh", [_no_convergence, _arpack_error,
                                    _residual_miss, _orthonormality_miss])
 def test_refused_arpack_result_falls_back_to_evr_bitwise(monkeypatch, eigsh):
-    d, cfg = _blobs(LARGE_N), SpecVatConfig()
-    ref = _spectrum_reference(d, cfg, 10)
+    d = _blobs(LARGE_N)
+    ref = _spectrum_reference(d, 10)
     calls = count_solvers(monkeypatch, eigsh)
-    vals, vecs = _spectrum(d, cfg, 10)
+    vals, vecs = _spectrum(d, 10)
     shape = (LARGE_N, LARGE_N)
     assert calls == {"lanczos": [shape], "subset": [shape], "full": []}
     assert vals.tobytes() == ref[0].tobytes()
@@ -932,11 +951,10 @@ def test_arpack_spectrum_reaching_eigenvalue_0_falls_back_to_evr(monkeypatch):
     d = np.full((n, n), 1e4)
     d[:-1, :-1] = block_dissim([256] * 4, 0.01, 1.0)
     np.fill_diagonal(d, 0.0)
-    cfg = SpecVatConfig()
-    ref = _spectrum_reference(d, cfg, 10)
+    ref = _spectrum_reference(d, 10)
     assert np.count_nonzero(ref[0] == 0.0) == 1
     calls = count_solvers(monkeypatch)
-    vals, vecs = _spectrum(d, cfg, 10)
+    vals, vecs = _spectrum(d, 10)
     assert calls == {"lanczos": [(n, n)], "subset": [(n, n)], "full": []}
     assert vals.tobytes() == ref[0].tobytes()
     assert vecs.tobytes() == ref[1].tobytes()
@@ -944,15 +962,15 @@ def test_arpack_spectrum_reaching_eigenvalue_0_falls_back_to_evr(monkeypatch):
 
 @arpack_path
 def test_arpack_result_meets_the_bounds_and_agrees_with_evr(monkeypatch):
-    d, cfg = _blobs(LARGE_N), SpecVatConfig()
-    x = _sym_reference(d, cfg)
+    d = _blobs(LARGE_N)
+    x = _sym_reference(d)
     calls = count_solvers(monkeypatch)
-    vals, vecs = _spectrum(d.copy(), cfg, 10)
+    vals, vecs = _spectrum(d.copy(), 10)
     assert calls == {"lanczos": [(LARGE_N, LARGE_N)], "subset": [], "full": []}
     res = np.linalg.norm(x @ vecs - vecs * vals, axis=0)
     assert res.max() <= 1e-8 * np.linalg.norm(x)
     assert np.abs(vecs.T @ vecs - np.eye(10)).max() <= 1e-8
-    ref_vals, ref_vecs = _spectrum_reference(d, cfg, 10)
+    ref_vals, ref_vecs = _spectrum_reference(d, 10)
     assert np.abs(vals - ref_vals).max() <= 1e-12
     # the same signed eigenvectors: these eigenvalues are not tied
     assert np.abs(vecs - ref_vecs).max() <= 1e-8
@@ -962,7 +980,7 @@ def test_arpack_result_meets_the_bounds_and_agrees_with_evr(monkeypatch):
 def test_stalled_arpack_stays_under_the_work_cap(monkeypatch):
     # Ideal blocks tie hundreds of eigenvalues at the 10th: without a cap,
     # ARPACK took 56k matrix-vector products here before giving up.
-    d, cfg = block_dissim([400, 300, 500, 200], 0.01, 1.0), SpecVatConfig()
+    d = block_dissim([400, 300, 500, 200], 0.01, 1.0)
     n, products = d.shape[0], []
 
     def counted(x, k, **kwargs):
@@ -972,9 +990,9 @@ def test_stalled_arpack_stays_under_the_work_cap(monkeypatch):
         op = scipy.sparse.linalg.LinearOperator(x.shape, matvec, dtype=x.dtype)
         return _EIGSH(op, k, **kwargs)
 
-    ref = _spectrum_reference(d, cfg, 10)
+    ref = _spectrum_reference(d, 10)
     calls = count_solvers(monkeypatch, counted)
-    vals, vecs = _spectrum(d, cfg, 10)
+    vals, vecs = _spectrum(d, 10)
     assert calls == {"lanczos": [(n, n)], "subset": [(n, n)], "full": []}
     assert 0 < len(products) <= n // 3 + 21  # 21: the first Lanczos basis
     assert vals.tobytes() == ref[0].tobytes()
@@ -1000,8 +1018,8 @@ def test_explicit_k_solves_exactly_k_pairs(monkeypatch, n):
     # Not min(k_max, n-1) pairs, as the scan does: past the planted k the
     # spectrum is a near-tied bulk, where ARPACK pays about 10 times the
     # products of the pairs an explicit k reads.
-    d, cfg = _blobs(n), SpecVatConfig()
-    x = _sym_reference(d, cfg)
+    d = _blobs(n)
+    x = _sym_reference(d)
     asked = []
     eigh, eigsh = scipy.linalg.eigh, scipy.sparse.linalg.eigsh
 
@@ -1017,11 +1035,11 @@ def test_explicit_k_solves_exactly_k_pairs(monkeypatch, n):
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recording_eigsh)
     for k in (1, 2, 4):
         asked.clear()
-        spectral_embedding(d, k, cfg)
+        spectral_embedding(d, k)
         expect = [("arpack", k)] if n >= LARGE_N else [("evr", [n - k, n - 1])]
         assert asked == expect
         # acceptance 6's bounds hold for every k, k = 1 on ARPACK included
-        vals, vecs = _spectrum(d.copy(), cfg, k)
+        vals, vecs = _spectrum(d.copy(), k)
         res = np.linalg.norm(x @ vecs - vecs * vals, axis=0)
         assert res.max() <= 1e-8 * np.linalg.norm(x)
         assert np.abs(vecs.T @ vecs - np.eye(k)).max() <= 1e-8
@@ -1045,10 +1063,9 @@ def test_arpack_never_gets_k_of_n_minus_1(monkeypatch, k):
 _DIGEST = """
 import hashlib, sys
 sys.path.insert(0, sys.argv[1])
-from scenevat.specvat import SpecVatConfig, _packed, _spectrum
+from scenevat.specvat import _packed, _spectrum
 from scenevat.synth import block_dissim
-cfg = SpecVatConfig()
-vals, vecs = _spectrum(*_packed(block_dissim([64] * 16, 0.01, 1.0), cfg), 10)
+vals, vecs = _spectrum(*_packed(block_dissim([64] * 16, 0.01, 1.0)), 10)
 print(hashlib.sha256(vals.tobytes() + vecs.tobytes()).hexdigest())
 """
 
@@ -1056,8 +1073,8 @@ print(hashlib.sha256(vals.tobytes() + vecs.tobytes()).hexdigest())
 @arpack_path
 def test_arpack_path_repeats_its_bits(monkeypatch):
     calls = count_solvers(monkeypatch)
-    d, cfg = block_dissim([64] * 16, 0.01, 1.0), SpecVatConfig()
-    runs = [_spectrum(d.copy(), cfg, 10) for _ in range(2)]
+    d = block_dissim([64] * 16, 0.01, 1.0)
+    runs = [_spectrum(d.copy(), 10) for _ in range(2)]
     assert calls["subset"] == [] and len(calls["lanczos"]) == 2
     digests = {hashlib.sha256(v.tobytes() + u.tobytes()).hexdigest()
                for v, u in runs}

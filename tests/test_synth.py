@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scenevat.cce import CceConfig, cce_count
+from scenevat.cce import cce_count
 from scenevat.errors import InputError
 from scenevat.matrix import DISSIM_LIMIT, check_dissim, euclidean_dissim
 from scenevat.synth import BlobSpec, blob_centers, block_dissim, gaussian_blobs
@@ -115,4 +115,4 @@ def test_block_dissim_validation():
 def test_blocks_drive_vat_cce_to_known_count():
     m = block_dissim([10, 10, 10], 0.01, 1.0)
     img = odi_from(m, vat_order(m))
-    assert cce_count(img, CceConfig()).cluster_count == 3
+    assert cce_count(img).cluster_count == 3
