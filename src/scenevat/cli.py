@@ -30,13 +30,14 @@ from .report import (
     _check_method,
     _stack_artifacts,
     _subsets,
+    _write_analysis,
     analyze,
     analyze_features,
     features_for_manifest,
     run_report,
 )
 from .synth import BlobSpec, block_dissim, gaussian_blobs
-from .vat import ordering_to_json, read_ordering, read_pgm, write_pgm
+from .vat import read_ordering, read_pgm
 from .vatf import atomic_write_text, naming, read_vatf, write_vatf
 
 
@@ -71,8 +72,6 @@ def _matrix_inputs(p):
 def _extract(args, manifest):
     """Features of the manifest's audio, as --audio-root, --cache and
     --threads say."""
-    if not len(manifest):
-        raise InputError(f"manifest {args.manifest} has no records")
     threads = 1 if args.threads is None else args.threads
     return features_for_manifest(manifest, audio_root=args.audio_root,
                                  cache_dir=args.cache, threads=threads)
@@ -110,15 +109,9 @@ def cmd_matrix(args) -> int:
         )
         print(f"selected k={result.k} ({shown})")
     os.makedirs(args.out, exist_ok=True)
-    write_pgm(result.image, os.path.join(args.out, "odi.pgm"))
-    atomic_write_text(os.path.join(args.out, "ordering.json"),
-                      ordering_to_json(result.ordering))
-    n = len(result.ordering)
-    if result.embedding is None:
-        print(f"ordered {n} records -> {args.out}")
-    else:
-        write_vatf(os.path.join(args.out, "embedding.vatf"), result.embedding)
-        print(f"ordered {n} records with k={result.k} -> {args.out}")
+    _write_analysis(result, args.out)
+    with_k = "" if result.k is None else f" with k={result.k}"
+    print(f"ordered {len(result.ordering)} records{with_k} -> {args.out}")
     return 0
 
 

@@ -48,7 +48,8 @@ def features_for_manifest(
 ) -> np.ndarray:
     """Extract one feature row per manifest record, in manifest order.
 
-    Missing audio files are enumerated in a single error.  With a cache
+    A manifest with no records raises InputError, and missing audio
+    files are enumerated in a single one.  With a cache
     directory, rows are re-used when the file's bytes (by SHA-256) and the
     front end (``audio.CACHE_KEY``) match, so large runs are restartable
     and a rewritten file is never served its old row; a cached row that is
@@ -56,6 +57,8 @@ def features_for_manifest(
     file.
     Results do not depend on thread count.
     """
+    if not len(manifest):  # np.vstack of no rows raised ValueError
+        raise InputError("manifest has no records")
     if threads < 1:
         raise InputError(f"threads must be at least 1, got {threads}")
     paths = []
@@ -149,8 +152,10 @@ def _stack_artifacts(kinds, manifest, idx, ordering, subset_dir):
     return out
 
 
-# The files a report writes in a subset's directory.
-_SUBSET_FILES = ("dissim.vatf", "odi.pgm", "ordering.json", "cce.json") + tuple(
+# The files a report writes in a subset's directory: a VAT subset's
+# distances, or a SpecVAT subset's embedding, and the rest for both.
+_SUBSET_FILES = ("dissim.vatf", "embedding.vatf", "odi.pgm", "ordering.json",
+                 "cce.json") + tuple(
     f"stack_{kind}.{ext}" for kind in _LABELS for ext in ("svg", "csv")
 )
 
@@ -166,8 +171,7 @@ class _Skip(Exception):
 def _remove_subset_files(subset_dir: str) -> None:
     """Remove what a report writes for a subset, then the directory if empty.
 
-    A skipped subset keeps no file from an earlier run into the same
-    directory; a file the report does not write stays.
+    A file the report does not write stays.
     """
     for fname in _SUBSET_FILES:
         with contextlib.suppress(FileNotFoundError):
@@ -217,12 +221,13 @@ def analyze_features(x, method: str, k: Optional[int] = None, *,
     body of a ``run_report`` subset and of ``scenevat vat|specvat
     --features``.
 
-    The distances are valid by construction and go to ``path``
-    (``dissim.vatf``), when given, as they are built.  VAT builds the
-    square matrix.  SpecVAT builds the packed upper triangle and the local
-    scales, read from each band of square rows the file gets, so no n x n
-    float64 array exists.  An overflow raises DistanceOverflow and leaves
-    no file.
+    The distances are valid by construction.  VAT builds the square
+    matrix and writes it to ``path`` (``dissim.vatf``), when given.
+    SpecVAT builds the packed upper triangle and the local scales, read
+    from each band of square rows as it is built, so no n x n float64
+    array exists; its image is drawn from ``result.embedding``, and a
+    ``path`` with SpecVAT raises InputError.  An overflow raises
+    DistanceOverflow and leaves no file.
     """
     _check_method(method, k)
     if method == "vat":
@@ -230,22 +235,34 @@ def analyze_features(x, method: str, k: Optional[int] = None, *,
         if path is not None:
             write_vatf(path, d)
         return analyze(d, method)
+    if path is not None:
+        raise InputError("SpecVAT writes no distance matrix; its image is "
+                         "drawn from the embedding")
     n = len(x)
     p, sigma = np.empty(packed_start(n, n)), np.empty(n)
-
-    def rows():
-        for band_rows, band in euclidean_packed(x, p):
-            yield band
-            # Written, so its scales may reorder it: the next band
-            # overwrites it anyway.
-            sigma[band_rows] = _scales(band)
-
-    if path is None:
-        for _ in rows():
-            pass
-    else:
-        write_vatf(path, rows(), shape=(n, n))
+    for rows, band in euclidean_packed(x, p):
+        # Its scales may reorder the band: the next band overwrites it.
+        sigma[rows] = _scales(band)
+    del band  # it views the build's buffer, which the analysis need not hold
     return _analysis(p, sigma, k)
+
+
+def _write_analysis(result: Analysis, out_dir: str) -> dict:
+    """Write ``odi.pgm``, ``ordering.json`` and, for SpecVAT, the n x k
+    ``embedding.vatf`` into ``out_dir``; return their names by artifact
+    key.
+
+    The one writer of an analysis: ``run_report`` and ``scenevat
+    vat|specvat`` both call it, so they write the same files for a method.
+    """
+    files = {"odi": "odi.pgm", "ordering": "ordering.json"}
+    write_pgm(result.image, os.path.join(out_dir, files["odi"]))
+    atomic_write_text(os.path.join(out_dir, files["ordering"]),
+                      ordering_to_json(result.ordering))
+    if result.embedding is not None:
+        files["embedding"] = "embedding.vatf"
+        write_vatf(os.path.join(out_dir, files["embedding"]), result.embedding)
+    return files
 
 
 def run_report(
@@ -262,21 +279,25 @@ def run_report(
     ``grouping`` is one of ``GROUPINGS``, or a scene or city name, which
     analyses that one subset.  Per subset: the ordered dissimilarity image
     (PGM), the ordering with its link distances (JSON), label stacks (SVG +
-    CSV), and a cluster-count report (JSON).  A summary table of counts per subset is returned and
-    written to ``report.json``.  SpecVAT subsets pick k automatically unless
-    ``k`` is given, which is clamped to n-1 with a warning; a ``k`` with
-    VAT, or below 2, raises InputError before any subset.  SpecVAT and
-    each count run with their defaults: a study that varies a setting
-    calls ``scenevat.specvat`` and ``cce_count`` itself.  The features
-    are checked once, here.  Each subset goes through
-    ``analyze_features``, which writes its ``dissim.vatf``, and lets its
-    matrix go once the image and its count are written.  Subsets with
+    CSV), a cluster-count report (JSON), and the matrix the image is drawn
+    from: VAT's distances (``dissim.vatf``) or SpecVAT's n x k embedding
+    (``embedding.vatf``).  A summary table of counts per subset is
+    returned and written to ``report.json``, which is removed before the
+    first subset, so that one is there only when its run finished.
+    SpecVAT subsets pick k automatically unless ``k`` is given, which is
+    clamped to n-1 with a warning; a ``k`` with VAT, or below 2, raises
+    InputError before any subset.  SpecVAT and each count run with their
+    defaults: a study that varies a setting calls ``scenevat.specvat`` and
+    ``cce_count`` itself.  The features are checked once, here.  Each
+    subset goes through ``analyze_features``, which writes a VAT subset's
+    ``dissim.vatf``, and lets its matrix go once the image and its count
+    are written.  Subsets with
     fewer than 2 records, or 3 for SpecVAT, are skipped with a warning, and
     so are subsets whose distances overflow or whose image is degenerate (a
     single intensity), which are listed under ``skipped`` with a
-    ``reason``.  A subset that is skipped, or whose analysis raises, leaves
-    none of the files the report writes for it, not even those of an
-    earlier run into ``out_dir``, and no empty directory.
+    ``reason``.  A subset leaves only the files this run wrote for it: an
+    earlier run's into ``out_dir`` go first, and a subset that is skipped,
+    or whose analysis raises, leaves none and no empty directory.
     NumericError is raised, after ``report.json`` is written, only when no
     subset could be analysed.
     """
@@ -290,6 +311,10 @@ def run_report(
         )
     subsets = _subsets(manifest, grouping)
     os.makedirs(out_dir, exist_ok=True)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, "report.json"))
+    # A SpecVAT image is drawn from the embedding, not from the distances.
+    dissim = "dissim.vatf" if method == "vat" else None
     report: dict = {
         "group": grouping,
         "method": method,
@@ -300,6 +325,7 @@ def run_report(
     for name, idx, stack_kinds in subsets:
         n = int(idx.size)
         subset_dir = os.path.join(out_dir, name)
+        _remove_subset_files(subset_dir)
         try:
             if n < min_n:
                 raise _Skip(f" has {n} record(s)")
@@ -315,7 +341,7 @@ def run_report(
                 result = analyze_features(
                     features if n == len(features) else features[idx],
                     method, k_run,
-                    path=os.path.join(subset_dir, "dissim.vatf"))
+                    path=None if dissim is None else os.path.join(subset_dir, dissim))
                 cce = cce_count(result.image)
             except DistanceOverflow as exc:
                 raise _Skip(f": {exc}", str(exc)) from exc
@@ -332,7 +358,7 @@ def run_report(
         except BaseException:  # a subset that fails leaves no file
             _remove_subset_files(subset_dir)
             raise
-        write_pgm(result.image, os.path.join(subset_dir, "odi.pgm"))
+        files = _write_analysis(result, subset_dir)
         ordering = result.ordering
         entry: dict = {"subset": name, "n": n}
         if result.k is not None:
@@ -342,10 +368,8 @@ def run_report(
                 str(kk): v for kk, v in sorted(result.k_scores.items())
             }
         del result  # the subset's one matrix, which the image may view
-        atomic_write_text(
-            os.path.join(subset_dir, "ordering.json"), ordering_to_json(ordering)
-        )
-        atomic_write_text(os.path.join(subset_dir, "cce.json"), cce.to_json())
+        files["cce"] = "cce.json"
+        atomic_write_text(os.path.join(subset_dir, files["cce"]), cce.to_json())
         entry["cluster_count"] = cce.cluster_count
         entry["otsu_threshold"] = cce.otsu_threshold
         entry["b"] = cce.b
@@ -354,12 +378,9 @@ def run_report(
         entry["stacks"] = _stack_artifacts(
             stack_kinds, manifest, idx, ordering, subset_dir
         )
-        entry["artifacts"] = {
-            "odi": f"{name}/odi.pgm",
-            "ordering": f"{name}/ordering.json",
-            "cce": f"{name}/cce.json",
-            "dissim": f"{name}/dissim.vatf",
-        }
+        if dissim is not None:
+            files["dissim"] = dissim
+        entry["artifacts"] = {key: f"{name}/{f}" for key, f in files.items()}
         report["subsets"].append(entry)
         report["summary"][name] = cce.cluster_count
 

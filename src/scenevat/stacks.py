@@ -45,6 +45,8 @@ class LabelStack:
 def label_stack(order, labels: Sequence[str], palette: dict) -> LabelStack:
     """Permute labels by the VAT order and run-length encode them."""
     labels = list(labels)
+    if not labels:  # no run: the mean run length would be 0 / 0
+        raise InputError("a label stack needs at least one record")
     idx = check_permutation(order, len(labels))
     missing = sorted({lab for lab in labels if lab not in palette})
     if missing:

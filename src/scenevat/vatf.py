@@ -13,7 +13,6 @@ file, ``naming`` names the file in errors about its contents, and
 from __future__ import annotations
 
 import contextlib
-import itertools
 import os
 import struct
 import tempfile
@@ -51,35 +50,15 @@ def parse_vatf(data) -> np.ndarray:
     return flat.reshape(n, d).astype(np.float64, copy=not flat.flags.writeable)
 
 
-def write_vatf(path, values, shape=None) -> None:
-    """Write atomically (temp file + rename), without copying the values.
-
-    ``values`` is a 2-D array or, with ``shape`` (n, d), an iterable of
-    2-D bands of rows that make up the n x d matrix, streamed as they come.
-    A band that raises, or bands that do not make up ``shape``, leave no
-    file.
-    """
-    if shape is None:
-        values = np.asarray(values)
-        if values.ndim != 2:
-            raise InputError(f"VATF stores 2-D matrices, got {values.ndim}-D")
-        shape, values = values.shape, [values]
-    n, d = shape
-    atomic_write_bytes(path, itertools.chain([_HEADER.pack(MAGIC, VERSION, n, d)],
-                                             _payload(values, n, d)))
-
-
-def _payload(bands, n: int, d: int):
-    # Each band's little-endian bytes, then a check that the rows add up.
-    rows = 0
-    for band in bands:
-        x = np.ascontiguousarray(band, dtype="<f8")
-        if x.ndim != 2 or x.shape[1] != d:
-            raise InputError(f"VATF band of shape {x.shape} in a {n}x{d} matrix")
-        rows += x.shape[0]
-        yield x.reshape(-1).view(np.uint8)
-    if rows != n:
-        raise InputError(f"VATF bands hold {rows} rows, expected {n}")
+def write_vatf(path, values) -> None:
+    """Write a 2-D array atomically (temp file + rename), without copying
+    the values."""
+    values = np.asarray(values)
+    if values.ndim != 2:
+        raise InputError(f"VATF stores 2-D matrices, got {values.ndim}-D")
+    x = np.ascontiguousarray(values, dtype="<f8")
+    atomic_write_bytes(path, [_HEADER.pack(MAGIC, VERSION, *x.shape),
+                              x.reshape(-1).view(np.uint8)])
 
 
 def read_vatf(path) -> np.ndarray:

@@ -11,10 +11,11 @@ writes each candidate's condensed distances into the triangle once its
 spectrum is solved) times the input.  Where evr solves (eigsh cannot be
 seeded, as in scipy 1.10), it solves a square unpacked from the triangle:
 about 1.03 for SpecVAT.  A whole ``run_report`` subset builds the packed
-triangle from the features, n(n+1)/2 floats, and streams its rows into
-``dissim.vatf``: about 0.63 of one n x n matrix with ARPACK (explicit k
-and scan alike); ``scenevat specvat --features`` builds the same triangle
-and writes the n x k ``embedding.vatf``, about 0.64, and ``scenevat
+triangle from the features, n(n+1)/2 floats, and writes the n x k
+``embedding.vatf``: about 0.63 of one n x n matrix with ARPACK (explicit
+k and scan alike), as when it streamed the triangle's rows into an n x n
+``dissim.vatf`` band by band; ``scenevat specvat --features`` builds the
+same triangle and writes the same file, about 0.64, and ``scenevat
 specvat --dissim`` about 1.16; both peaked the same when they streamed
 the n x n embedded distances into ``d_prime.vatf`` in bands.  A specvat
 of features that built the square distances, packed them in place and
@@ -103,8 +104,9 @@ def test_analysis_peak_within_budget(blobs, method, k, budget):
 ])
 def test_run_report_specvat_holds_one_matrix(tmp_path, blob_features, k, budget):
     # One subset of N records: the packed triangle of its distances, whose
-    # rows stream into dissim.vatf as they are built, is the buffer that
-    # SpecVAT then works in.  No n x n float64 array exists with ARPACK.
+    # local scales are read from each band of rows as it is built, is the
+    # buffer that SpecVAT then works in.  No n x n float64 array exists
+    # with ARPACK, and the subset writes the n x k embedding.vatf.
     feats, labels = blob_features
     lines = ["path,scene,city"] + [
         f"c{i}.wav,{SCENES[lab]},{CITIES[i % len(CITIES)]}"

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import scenevat.audio
 import scenevat.matrix
@@ -12,6 +13,7 @@ import scenevat.report
 import scenevat.specvat
 import scenevat.vat
 from scenevat.audio import N_MELS
+from scenevat.cli import main
 from scenevat.errors import DegenerateImageError, InputError, NumericError
 from scenevat.manifest import parse_manifest
 from scenevat.matrix import euclidean_dissim
@@ -23,6 +25,8 @@ from scenevat.report import (
 )
 from scenevat.specvat import K_MAX
 from scenevat.synth import BlobSpec, gaussian_blobs
+from scenevat.vat import read_ordering, read_pgm
+from scenevat.vatf import read_vatf, write_vatf
 
 from conftest import count_solvers, overflow_in_last_band, sine_wav
 
@@ -50,6 +54,13 @@ def test_features_follow_manifest_order(tmp_path):
     assert a.shape == (2, N_MELS)
     assert np.array_equal(a[0], b[1]) and np.array_equal(a[1], b[0])
     assert not np.array_equal(a[0], a[1])
+
+
+def test_manifest_with_no_records_raises_input_error(tmp_path):
+    # np.vstack of no feature rows raised ValueError.
+    with pytest.raises(InputError, match="manifest has no records"):
+        features_for_manifest(parse_manifest("path,scene,city\n"),
+                              audio_root=str(tmp_path))
 
 
 def test_missing_files_enumerated_in_one_error(tmp_path):
@@ -452,8 +463,8 @@ def _one_subset_manifest(n):
 
 @pytest.mark.parametrize("k", [3, None])
 def test_run_report_specvat_overflow_in_a_late_band_leaves_no_file(tmp_path, k):
-    # The distances stream into dissim.vatf band by band; the last band
-    # overflows after two bands are written.
+    # The distances are built band by band; the last band overflows after
+    # two are built.  An earlier run's file goes too.
     out = tmp_path / "o"
     (out / "all").mkdir(parents=True)
     (out / "all" / "dissim.vatf").write_bytes(b"an earlier run's file")
@@ -472,10 +483,80 @@ def test_run_report_specvat_overflow_in_a_late_band_leaves_no_file(tmp_path, k):
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("n", [40, 600, 1100])
-def test_vat_and_specvat_reports_write_the_same_dissim_vatf(tmp_path, n):
+def test_specvat_report_writes_the_embedding_its_image_is_drawn_from(tmp_path, n):
+    # 40 and 600 records solve with evr, 1100 with ARPACK where eigsh can be
+    # seeded.  The report writes scenevat specvat's embedding.vatf and no
+    # distances, and the embedded distances in VAT order, quantized by the
+    # ODI rule, are its image.
     feats = gaussian_blobs(BlobSpec(3, -(-n // 3), 8, 4.0, seed=4))[0][:n]
-    mf = _one_subset_manifest(n)
-    for method in ("vat", "specvat"):
-        run_report(mf, feats, "all", str(tmp_path / method), method=method)
-    vat, spec = (tmp_path / m / "all" / "dissim.vatf" for m in ("vat", "specvat"))
-    assert spec.read_bytes() == vat.read_bytes()
+    write_vatf(tmp_path / "f.vatf", feats)
+    run_report(_one_subset_manifest(n), feats, "all", str(tmp_path / "report"),
+               method="specvat")
+    assert main(["specvat", "--features", str(tmp_path / "f.vatf"),
+                 "--out", str(tmp_path / "cli")]) == 0
+    subset = tmp_path / "report" / "all"
+    assert ((subset / "embedding.vatf").read_bytes()
+            == (tmp_path / "cli" / "embedding.vatf").read_bytes())
+    assert not (subset / "dissim.vatf").exists()
+    e = read_vatf(subset / "embedding.vatf")
+    eo = e[read_ordering(subset / "ordering.json").order]
+    d = cdist(eo, eo)
+    image = np.floor(d * 255.0 / d.max() + 0.5).astype(np.uint8)
+    assert read_pgm(subset / "odi.pgm").tobytes() == image.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_a_rerun_with_the_other_method_leaves_only_its_own_files(tmp_path):
+    # VAT -> SpecVAT -> VAT into one --out: each run leaves the tree of a
+    # fresh run, so no stale dissim.vatf or embedding.vatf, and report.json
+    # names the subset's matrix file.
+    mf, feats = _blob_manifest_and_features()
+    for run, (method, matrix) in enumerate([("vat", "dissim"),
+                                            ("specvat", "embedding"),
+                                            ("vat", "dissim")]):
+        report = run_report(mf, feats, "all", str(tmp_path / "rerun"),
+                            method=method)
+        fresh = tmp_path / f"fresh{run}"
+        run_report(mf, feats, "all", str(fresh), method=method)
+        assert _tree_bytes(tmp_path / "rerun") == _tree_bytes(fresh)
+        artifacts = report["subsets"][0]["artifacts"]
+        assert sorted(artifacts) == sorted(["odi", "ordering", "cce", matrix])
+        assert artifacts[matrix] == f"all/{matrix}.vatf"
+        assert (tmp_path / "rerun" / "all" / f"{matrix}.vatf").is_file()
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_an_interrupted_rerun_leaves_no_report_json(tmp_path, monkeypatch):
+    # A report.json left by the finished VAT run would describe files that
+    # the SpecVAT rerun replaced or removed.
+    mf, feats = _blob_manifest_and_features()
+    out = tmp_path / "out"
+    run_report(mf, feats, "by_scene", str(out))
+    calls = []
+    analyze_subset = scenevat.report.analyze_features
+
+    def interrupt_the_third(*args, **kwargs):
+        calls.append(args[1])
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return analyze_subset(*args, **kwargs)
+
+    monkeypatch.setattr(scenevat.report, "analyze_features", interrupt_the_third)
+    with pytest.raises(KeyboardInterrupt):
+        run_report(mf, feats, "by_scene", str(out), method="specvat")
+    assert calls == ["specvat"] * 3
+    assert not (out / "report.json").exists()
+    # The two finished subsets hold the rerun's files; the third, none.
+    assert sorted(p.name for p in out.iterdir()) == ["airport", "bus"]
+    for name in ("airport", "bus"):
+        assert (out / name / "embedding.vatf").is_file()
+        assert not (out / name / "dissim.vatf").exists()
+
+
+def test_analyze_features_writes_distances_for_vat_alone(tmp_path):
+    x = gaussian_blobs(BlobSpec(3, 8, 8, 10.0, seed=2))[0]
+    with pytest.raises(InputError, match="SpecVAT writes no distance matrix"):
+        analyze_features(x, "specvat", 3, path=tmp_path / "dissim.vatf")
+    assert list(tmp_path.iterdir()) == []
+    analyze_features(x, "vat", path=tmp_path / "dissim.vatf")
+    assert read_vatf(tmp_path / "dissim.vatf").tobytes() == euclidean_dissim(x).tobytes()

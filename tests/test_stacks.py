@@ -75,6 +75,12 @@ def test_palette_and_errors():
         _stack([0, 1, 2], ["a", "b"])  # length mismatch
 
 
+def test_empty_stack_is_refused():
+    # Its mean run length was 0 / 0: a ZeroDivisionError.
+    with pytest.raises(InputError, match="needs at least one record"):
+        label_stack([], [], palette={"a": "#000000"})
+
+
 def test_csv_with_order_column():
     # The stack keeps the order it was built from, and its CSV reads it.
     st_ = _stack([1, 0], ["a", "b"])
