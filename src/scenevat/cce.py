@@ -48,9 +48,9 @@ class CceReport:
 def otsu_threshold(img) -> int:
     """Threshold maximizing between-class variance; smallest value on ties.
 
-    A pixel is "dark" iff its intensity is <= the returned threshold.  The
-    search is exhaustive over all 256 split points and the comparison is
-    done in exact integer arithmetic, so plateaus resolve deterministically.
+    A pixel is "dark" iff its intensity is <= the returned threshold.  All
+    256 split points are screened, and the best are compared in exact
+    integer arithmetic, so plateaus resolve deterministically.
     """
     return _otsu(_histogram(check_image(img)))[0]
 
@@ -68,8 +68,13 @@ def otsu_effectiveness(img) -> float:
 
 def _otsu(hist: np.ndarray) -> tuple[int, float]:
     # Between-class variance is (s0*c1 - s1*c0)^2 / (N^2 * c0 * c1) and the
-    # total variance is (N*Q - S^2) / N^2; compare candidates and form the
-    # ratio with Python ints (exact), then divide once.
+    # total variance is (N*Q - S^2) / N^2.  Every threshold's ratio is
+    # screened in float64; the candidates within a relative 1e-9 of the
+    # float maximum are then compared, and the ratio formed, with Python
+    # ints (exact) and divided once.  A split's class means differ by at
+    # least 1 and lie in [0, 255], so the float s0*c1 - s1*c0 is off by at
+    # most about 256 times float64's epsilon, relatively, and every exact
+    # maximum is a candidate.
     if np.count_nonzero(hist) < 2:
         raise DegenerateImageError(
             "image has a single intensity level; no Otsu threshold exists"
@@ -81,14 +86,16 @@ def _otsu(hist: np.ndarray) -> tuple[int, float]:
     total_s = int(sums[-1])
     total_q = int((hist * levels * levels).sum())
 
+    ts = np.flatnonzero((counts > 0) & (counts < total_n))  # both classes
+    fc0, fs0 = counts[ts].astype(np.float64), sums[ts].astype(np.float64)
+    ratio = ((fs0 * (total_n - fc0) - (total_s - fs0) * fc0) ** 2
+             / (fc0 * (total_n - fc0)))
     best_t = -1
     best_num = -1
     best_den = 1
-    for t in range(256):
+    for t in ts[ratio >= ratio.max() * (1 - 1e-9)].tolist():
         c0 = int(counts[t])
         c1 = total_n - c0
-        if c0 == 0 or c1 == 0:
-            continue
         s0 = int(sums[t])
         s1 = total_s - s0
         num = (s0 * c1 - s1 * c0) ** 2

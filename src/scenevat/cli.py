@@ -11,7 +11,8 @@ except where a flag (``--k``, ``cce --band-width``, ``cce --b``) says
 otherwise; the last two are ``cce_count``'s ``band_width`` and ``b``.
 Other SpecVAT settings are keyword arguments of the library functions.
 
-Exit codes: 0 on success, 2 on bad input, 3 on numeric failure.
+Exit codes: 0 on success, 2 on bad input, 3 on numeric failure, 4 when
+memory runs out.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .report import (
     _stack_artifacts,
     _subsets,
     _write_analysis,
+    _write_ordering,
     analyze,
     analyze_features,
     features_for_manifest,
@@ -110,8 +112,11 @@ def cmd_matrix(args) -> int:
         print(f"selected k={result.k} ({shown})")
     os.makedirs(args.out, exist_ok=True)
     _write_analysis(result, args.out)
-    with_k = "" if result.k is None else f" with k={result.k}"
-    print(f"ordered {len(result.ordering)} records{with_k} -> {args.out}")
+    ordering, k = result.ordering, result.k
+    del m, result  # the image may view the whole matrix: let both go first
+    _write_ordering(ordering, args.out)
+    with_k = "" if k is None else f" with k={k}"
+    print(f"ordered {len(ordering)} records{with_k} -> {args.out}")
     return 0
 
 
@@ -280,6 +285,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # numpy's message names the array's size
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -25,7 +25,14 @@ from .manifest import CITIES, CITY_PALETTE, SCENE_PALETTE, SCENES, LabeledManife
 from .matrix import as_features, euclidean_dissim, euclidean_packed, packed_start
 from .specvat import _analysis, _packed, _scales
 from .stacks import label_stack, stack_csv, stack_svg
-from .vat import Analysis, _odi, _vat_order, ordering_to_json, write_pgm
+from .vat import (
+    Analysis,
+    VatOrdering,
+    _odi,
+    _vat_order,
+    ordering_to_json,
+    write_pgm,
+)
 from .vatf import atomic_write_text, naming, read_file, read_vatf, write_vatf
 
 GROUPINGS = ("by_scene", "by_city", "all")
@@ -248,21 +255,39 @@ def analyze_features(x, method: str, k: Optional[int] = None, *,
 
 
 def _write_analysis(result: Analysis, out_dir: str) -> dict:
-    """Write ``odi.pgm``, ``ordering.json`` and, for SpecVAT, the n x k
-    ``embedding.vatf`` into ``out_dir``; return their names by artifact
-    key.
+    """Write ``odi.pgm`` and, for SpecVAT, the n x k ``embedding.vatf``
+    into ``out_dir``; return their names by artifact key.
 
-    The one writer of an analysis: ``run_report`` and ``scenevat
-    vat|specvat`` both call it, so they write the same files for a method.
+    With ``_write_ordering``, the one writer of an analysis: ``run_report``
+    and ``scenevat vat|specvat`` both call the two, so they write the same
+    files for a method.  The caller lets the result go between the two
+    calls: its image may view the whole matrix, which then no longer adds
+    to the peak while the ordering's text is built.
     """
-    files = {"odi": "odi.pgm", "ordering": "ordering.json"}
+    files = {"odi": "odi.pgm"}
     write_pgm(result.image, os.path.join(out_dir, files["odi"]))
-    atomic_write_text(os.path.join(out_dir, files["ordering"]),
-                      ordering_to_json(result.ordering))
     if result.embedding is not None:
         files["embedding"] = "embedding.vatf"
         write_vatf(os.path.join(out_dir, files["embedding"]), result.embedding)
     return files
+
+
+def _write_ordering(ordering: VatOrdering, out_dir: str) -> dict:
+    """Write ``ordering.json`` into ``out_dir``; return its name by key."""
+    files = {"ordering": "ordering.json"}
+    atomic_write_text(os.path.join(out_dir, files["ordering"]),
+                      ordering_to_json(ordering))
+    return files
+
+
+def _memory_needed(method: str, n: int) -> str:
+    # What a subset's analysis holds at once: VAT's n x n float64 distances
+    # and its n x n uint8 image; SpecVAT's packed upper triangle, in whose
+    # buffer the image is drawn.
+    if method == "vat":
+        return (f"{n} records need {8 * n * n} bytes of distances and "
+                f"{n * n} of image")
+    return f"{n} records need {4 * n * (n + 1)} bytes of packed distances"
 
 
 def run_report(
@@ -293,11 +318,13 @@ def run_report(
     ``dissim.vatf``, and lets its matrix go once the image and its count
     are written.  Subsets with
     fewer than 2 records, or 3 for SpecVAT, are skipped with a warning, and
-    so are subsets whose distances overflow or whose image is degenerate (a
-    single intensity), which are listed under ``skipped`` with a
-    ``reason``.  A subset leaves only the files this run wrote for it: an
-    earlier run's into ``out_dir`` go first, and a subset that is skipped,
-    or whose analysis raises, leaves none and no empty directory.
+    so are subsets whose distances overflow, whose image is degenerate (a
+    single intensity) or whose analysis runs out of memory, which are
+    listed under ``skipped`` with a ``reason``; an out-of-memory reason
+    states n and the bytes the method needs.  A subset leaves only the
+    files this run wrote for it: an earlier run's into ``out_dir`` go
+    first, and a subset that is skipped, or whose analysis raises, leaves
+    none and no empty directory.
     NumericError is raised, after ``report.json`` is written, only when no
     subset could be analysed.
     """
@@ -347,6 +374,9 @@ def run_report(
                 raise _Skip(f": {exc}", str(exc)) from exc
             except DegenerateImageError as exc:
                 raise _Skip(f" is degenerate ({exc})", str(exc)) from exc
+            except MemoryError as exc:
+                reason = f"out of memory: {_memory_needed(method, n)}"
+                raise _Skip(f": {reason}", reason) from exc
         except _Skip as skip:
             _remove_subset_files(subset_dir)
             warnings.warn(f"subset {name!r}{skip}; skipping", stacklevel=2)
@@ -368,6 +398,7 @@ def run_report(
                 str(kk): v for kk, v in sorted(result.k_scores.items())
             }
         del result  # the subset's one matrix, which the image may view
+        files |= _write_ordering(ordering, subset_dir)
         files["cce"] = "cce.json"
         atomic_write_text(os.path.join(subset_dir, files["cce"]), cce.to_json())
         entry["cluster_count"] = cce.cluster_count

@@ -77,9 +77,13 @@ def stack_csv(stack: LabelStack) -> str:
 def stack_svg(stack: LabelStack, link_dist) -> str:
     """Render the stack as a standalone SVG string.
 
-    One rectangle per run, top to bottom in VAT order; the per-record MST
-    link distances are drawn beside the bar as a horizontal profile, and a
-    legend names the colours.  Output is deterministic.
+    One titled rectangle per run, top to bottom in VAT order.  Beside the
+    bar, the per-record MST link distances are drawn as a horizontal
+    profile: one closed step path whose edge lies ``PROFILE_WIDTH * v /
+    max(link_dist)`` (2 decimals) right of the profile's left edge over
+    each record's ``PX_PER_RECORD`` rows, the maximum read as 1.0 when
+    every distance is 0.  A legend names the colours.  Output is
+    deterministic.
     """
     n = len(stack)
     link = np.asarray(link_dist, dtype=np.float64)
@@ -104,14 +108,16 @@ def stack_svg(stack: LabelStack, link_dist) -> str:
         )
         y += h
 
+    # The profile is one closed step path, down the records in VAT order:
+    # its filled region is the union of one bar per record.
     peak = link.max() if link.size and link.max() > 0 else 1.0
     x0 = BAR_WIDTH + 10
-    for i, v in enumerate(link):
-        bar = PROFILE_WIDTH * float(v) / peak
-        parts.append(
-            f'<rect x="{x0}" y="{i * PX_PER_RECORD:.2f}" '
-            f'width="{bar:.2f}" height="{PX_PER_RECORD:.2f}" fill="#444444"/>'
-        )
+    step = f"v{PX_PER_RECORD:g}"
+    ends = (x0 + PROFILE_WIDTH * link / peak).tolist()
+    parts.append(
+        f'<path d="M{x0} 0' + "".join(f"H{x:.2f}{step}" for x in ends)
+        + f'H{x0}Z" fill="#444444"/>'
+    )
 
     lx = BAR_WIDTH + PROFILE_WIDTH + 20
     for i, lab in enumerate(sorted(stack.colors)):

@@ -154,12 +154,14 @@ def _draw(img: np.ndarray, dmax: float, fill_rows, cols=None) -> np.ndarray:
 
 
 def _quantize(x: np.ndarray, dmax: float) -> np.ndarray:
-    # The pixel rule, in place: floor(255 * x / dmax + 0.5) in that order,
-    # which is round-half-away-from-zero for nonnegative x.
+    # The pixel rule, in place, but for its floor: 255 * x / dmax + 0.5 in
+    # that order.  Every caller casts the result to an integer type, which
+    # truncates, and truncation is the floor for the nonnegative values of
+    # a dissimilarity: so the pixels are round-half-away-from-zero.
     x *= 255.0
     x /= dmax
     x += 0.5
-    return np.floor(x, out=x)
+    return x
 
 
 def check_image(img) -> np.ndarray:
@@ -226,8 +228,8 @@ def parse_pgm(data: bytes) -> np.ndarray:
 def ordering_to_json(ordering: VatOrdering) -> str:
     return json.dumps(
         {
-            "order": [int(i) for i in ordering.order],
-            "link_dist": [float(v) for v in ordering.link_dist],
+            "order": ordering.order.tolist(),
+            "link_dist": ordering.link_dist.tolist(),
         }
     )
 

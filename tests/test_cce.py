@@ -7,6 +7,8 @@ import pytest
 import scenevat.cce as cce_mod
 from scenevat.cce import (
     _histogram,
+    _otsu,
+    _pixel_histogram,
     _runs_above,
     _signal,
     cce_count,
@@ -15,7 +17,7 @@ from scenevat.cce import (
 )
 from scenevat.errors import DegenerateImageError, InputError
 from scenevat.synth import block_dissim
-from scenevat.vat import odi_from, vat_order
+from scenevat.vat import VatOrdering, odi_from, vat_order
 
 
 def otsu_oracle(img):
@@ -129,6 +131,86 @@ def test_otsu_exact_ties_small_palettes():
         if np.unique(img).size < 2:
             continue
         assert otsu_threshold(img) == otsu_oracle(img)
+
+
+def _otsu_loop(hist):
+    """The exhaustive loop in Python ints that ``_otsu`` screens for."""
+    levels = np.arange(256, dtype=np.int64)
+    counts = np.cumsum(hist)
+    sums = np.cumsum(hist * levels)
+    total_n, total_s = int(counts[-1]), int(sums[-1])
+    total_q = int((hist * levels * levels).sum())
+    best_t, best_num, best_den = -1, -1, 1
+    for t in range(256):
+        c0 = int(counts[t])
+        c1 = total_n - c0
+        if c0 == 0 or c1 == 0:
+            continue
+        s0 = int(sums[t])
+        s1 = total_s - s0
+        num = (s0 * c1 - s1 * c0) ** 2
+        den = c0 * c1
+        if num * best_den > best_num * den:
+            best_t, best_num, best_den = t, num, den
+    return best_t, best_num / (best_den * (total_n * total_q - total_s ** 2))
+
+
+def _otsu_histograms(rng):
+    """Histograms of at least two levels: random, sparse with plateaus of
+    tied thresholds between their levels, two-level, mirror-symmetric about
+    127.5 (where two splits' ratios can tie exactly but not in float64) and
+    with as many pixels as an n = 8640 image."""
+    big = 8640 * 8640
+
+    def on(levels, weights):
+        hist = np.zeros(256, dtype=np.int64)
+        hist[levels] = weights
+        return hist
+
+    for _ in range(100):  # every level
+        yield rng.integers(0, 1000, size=256)
+    for _ in range(100):  # a few levels, wide gaps between them
+        levels = rng.choice(256, size=int(rng.integers(2, 8)), replace=False)
+        yield on(levels, rng.integers(1, 50, size=levels.size))
+    for _ in range(100):  # two levels
+        yield on(rng.choice(256, size=2, replace=False),
+                 rng.integers(1, big // 2, size=2))
+    for _ in range(400):  # mirror-symmetric, an n = 8640 image's count
+        levels = rng.choice(128, size=int(rng.integers(2, 5)), replace=False)
+        half = on(levels, rng.multinomial(big // 2, np.full(levels.size,
+                                                             1 / levels.size)))
+        yield np.concatenate([half[:128], half[127::-1]])
+    for _ in range(50):  # an n = 8640 image's count over every level
+        yield rng.multinomial(big, rng.dirichlet(np.full(256, 0.3)))
+
+
+def test_otsu_screen_keeps_the_exact_loops_threshold_and_ratio():
+    rng = np.random.Generator(np.random.Philox(key=37))
+    seen = 0
+    for hist in _otsu_histograms(rng):
+        if np.count_nonzero(hist) < 2:
+            continue
+        t, eta = _otsu(hist)
+        want_t, want_eta = _otsu_loop(hist)
+        assert t == want_t
+        assert eta.hex() == want_eta.hex()
+        seen += 1
+    assert seen >= 700
+
+
+def test_pixels_at_exact_half_steps_round_up():
+    # Points 0, 1, ..., 510 on a line: an odd distance 2m + 1 is the exact
+    # half step m + 0.5 of dmax / 255, which rounds away from zero, to m + 1;
+    # an even one is a whole step.  The ODI and the histogram the k scan
+    # reads both cast the unfloored pixel rule to an integer.
+    pos = np.arange(511.0)
+    d = np.abs(pos[:, None] - pos[None, :])
+    want = (np.abs(np.arange(511)[:, None] - np.arange(511)[None, :]) + 1) // 2
+    img = odi_from(d, VatOrdering(np.arange(511), np.zeros(511)))
+    assert np.array_equal(img, want)
+    condensed = d[np.triu_indices(511, 1)]
+    assert np.array_equal(_pixel_histogram(condensed, 511),
+                          np.bincount(want.ravel(), minlength=256))
 
 
 def test_effectiveness_bounds():

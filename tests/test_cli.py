@@ -279,6 +279,9 @@ def test_stack_writes_the_reports_own_stack_files(tmp_path):
         for ext in ("svg", "csv"):
             name = f"stack_{label}.{ext}"
             assert (out / name).read_bytes() == (rep / "all" / name).read_bytes()
+        # One step path draws the profile of all 24 records.
+        svg = (out / f"stack_{label}.svg").read_text()
+        assert svg.count("<path") == 1 and svg.count("v3") == 24
 
 
 @pytest.mark.filterwarnings("ignore:subset .* has 0 record")
@@ -315,6 +318,84 @@ def test_stack_restacks_every_subset_of_a_report(tmp_path, capsys):
     assert ("has 16 records but subset 'london' of manifest "
             f"{manifest} has 8") in capsys.readouterr().err
     assert not (tmp_path / "london").exists()
+
+
+# Caps its own address space a little above what its imports mapped, then
+# runs each argv through main and prints the exit codes and stderr.  A
+# matrix of 23000 records (2.1 GB packed, 4.2 GB square) then fails at
+# np.empty, before any of its pages is touched.
+_UNDER_AN_ADDRESS_CAP = """
+import contextlib, io, json, resource, sys
+sys.path.insert(0, sys.argv[1])
+from scenevat.cli import main
+with open("/proc/self/status") as fh:
+    vm = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
+cap = vm * 1024 + 2**29
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+if hard != resource.RLIM_INFINITY:
+    cap = min(cap, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+results = []
+for argv in json.loads(sys.argv[2]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        results.append([main(argv), None])
+    results[-1][1] = err.getvalue()
+print(json.dumps(results))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="RLIMIT_AS and /proc/self/status as Linux has them")
+def test_out_of_memory_skips_the_subset_and_exits_4(tmp_path):
+    # A subset too large for memory once re-raised MemoryError: no
+    # report.json, not even for the subsets that finished, and `vat`
+    # exited 1 with a traceback.
+    big = 23000
+    rng = np.random.Generator(np.random.Philox(key=14))
+    small = np.repeat([[0.0, 0.0], [9.0, 0.0], [0.0, 9.0]], 10, axis=0)
+    feats = np.vstack([rng.normal(size=(big, 2)),
+                       small + rng.normal(scale=0.1, size=small.shape)])
+    write_vatf(tmp_path / "f.vatf", feats)
+    write_vatf(tmp_path / "big.vatf", feats[:big])
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,scene,city\n" + "".join(
+        f"r{i}.wav,airport,{'london' if i < big else 'paris'}\n"
+        for i in range(len(feats))))
+    common = ["--manifest", str(manifest), "--features", str(tmp_path / "f.vatf"),
+              "--group", "by_city"]
+    argvs = [["report", *common, "--out", str(tmp_path / "vat")],
+             ["report", *common, "--method", "specvat", "--k", "2",
+              "--out", str(tmp_path / "specvat")],
+             ["vat", "--features", str(tmp_path / "big.vatf"),
+              "--out", str(tmp_path / "v")],
+             ["specvat", "--features", str(tmp_path / "big.vatf"), "--k", "2",
+              "--out", str(tmp_path / "s")]]
+    src = os.path.dirname(os.path.dirname(scenevat.report.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _UNDER_AN_ADDRESS_CAP, src, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    needs = {"vat": f"{big} records need {8 * big * big} bytes of distances "
+                    f"and {big * big} of image",
+             "specvat": f"{big} records need {4 * big * (big + 1)} bytes of "
+                        "packed distances"}
+    for (code, err), method in zip(results, ("vat", "specvat")):
+        assert code == 0, err
+        rep = tmp_path / method
+        report = json.loads((rep / "report.json").read_text())
+        assert [e["subset"] for e in report["subsets"]] == ["paris"]
+        assert report["summary"] == {"paris": 3}
+        reason = f"out of memory: {needs[method]}"
+        assert {"subset": "london", "n": big, "reason": reason} in report["skipped"]
+        assert f"subset 'london': {reason}; skipping" in err
+        assert not (rep / "london").exists()
+    for code, err in results[2:]:
+        assert code == 4
+        assert err.startswith("out of memory: Unable to allocate ")
+        assert err.count("\n") == 1
+    assert not (tmp_path / "v").exists() and not (tmp_path / "s").exists()
 
 
 def test_features_and_report_from_audio(tmp_path):

@@ -1,3 +1,6 @@
+import re
+import xml.etree.ElementTree as ET
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,14 @@ from hypothesis import strategies as st
 
 from scenevat.errors import InputError
 from scenevat.matrix import euclidean_dissim
-from scenevat.stacks import label_stack, stack_csv, stack_svg
+from scenevat.stacks import (
+    BAR_WIDTH,
+    PROFILE_WIDTH,
+    PX_PER_RECORD,
+    label_stack,
+    stack_csv,
+    stack_svg,
+)
 from scenevat.synth import BlobSpec, gaussian_blobs
 from scenevat.vat import vat_order
 
@@ -94,8 +104,49 @@ def test_svg_deterministic_and_complete():
     two = stack_svg(st_, link_dist=[0.0, 0.1, 0.9, 0.2])
     assert one == two
     assert "generated" not in one
-    assert one.count("<rect") == 2 + 4 + 2  # runs + profile + legend swatches
+    assert one.count("<rect") == 2 + 2  # runs + legend swatches
+    assert one.count("<path") == 1  # the link-distance profile
     assert "</svg>" in one and one.startswith("<svg")
+    ET.fromstring(one)
+
+
+def _profile_edges(svg):
+    """The right edge of each record's step in the profile path."""
+    [path] = ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}path")
+    assert path.get("fill") == "#444444"
+    d = path.get("d")
+    x0 = BAR_WIDTH + 10
+    head, tail = f"M{x0} 0", f"H{x0}Z"
+    assert d.startswith(head) and d.endswith(tail)
+    steps = re.findall(r"H([0-9.]+)v([0-9.]+)", d[len(head):-len(tail)])
+    assert "".join(f"H{x}v{h}" for x, h in steps) == d[len(head):-len(tail)]
+    assert all(float(h) == PX_PER_RECORD for _, h in steps)
+    return np.array([float(x) for x, _ in steps])
+
+
+def _random_links(n, seed):
+    """VAT-like link distances: 0 first, a tenth of the rest zero."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    link = rng.exponential(size=n)
+    link[0] = 0.0
+    link[rng.choice(n, n // 10)] = 0.0
+    return link.tolist()
+
+
+@pytest.mark.parametrize("link", [
+    [0.0, 0.1, 0.9, 0.2],
+    [0.0, 0.0, 2.5, 0.0, 1e-3, 2.5],  # zero-length links, a tied peak
+    [0.0, 0.0, 0.0],  # all zero: the peak reads 1.0
+    [0.0],
+    _random_links(500, 5),
+])
+def test_svg_profile_path_steps_follow_the_link_distances(link):
+    st_ = _stack(range(len(link)), [f"r{i % 7}" for i in range(len(link))])
+    edges = _profile_edges(stack_svg(st_, link_dist=link))
+    v = np.asarray(link)
+    peak = v.max() if v.max() > 0 else 1.0
+    assert edges.shape == v.shape
+    assert np.abs(edges - (BAR_WIDTH + 10 + PROFILE_WIDTH * v / peak)).max() <= 0.006
 
 
 def test_svg_link_profile_length_checked():
