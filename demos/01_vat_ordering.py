@@ -12,7 +12,7 @@ import os
 import numpy as np
 
 from scenevat.matrix import euclidean_dissim
-from scenevat.synth import BlobSpec, gaussian_blobs
+from scenevat.synth import gaussian_blobs
 from scenevat.vat import VatOrdering, odi_from, vat_order, write_pgm
 
 
@@ -22,7 +22,7 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    feats, labels = gaussian_blobs(BlobSpec(3, 30, 8, 10.0, seed=args.seed))
+    feats, labels = gaussian_blobs(3, 30, 8, 10.0, seed=args.seed)
     rng = np.random.Generator(np.random.Philox(key=args.seed + 1))
     shuffle = rng.permutation(len(labels))
     feats, labels = feats[shuffle], labels[shuffle]

@@ -19,7 +19,7 @@ from scipy.spatial.distance import cdist
 from scenevat.cce import otsu_effectiveness
 from scenevat.matrix import euclidean_dissim
 from scenevat.specvat import specvat
-from scenevat.synth import BlobSpec, gaussian_blobs
+from scenevat.synth import gaussian_blobs
 from scenevat.vat import odi_from, vat_order, write_pgm
 
 
@@ -31,7 +31,7 @@ def main():
     ap.add_argument("--k", type=int, default=3)
     args = ap.parse_args()
 
-    feats, _ = gaussian_blobs(BlobSpec(3, 30, 8, args.sep, seed=2))
+    feats, _ = gaussian_blobs(3, 30, 8, args.sep, seed=2)
     d = euclidean_dissim(feats)
 
     plain = odi_from(d, vat_order(d))

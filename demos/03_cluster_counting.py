@@ -13,12 +13,12 @@ import argparse
 
 from scenevat.cce import cce_count
 from scenevat.matrix import euclidean_dissim
-from scenevat.synth import BlobSpec, gaussian_blobs
+from scenevat.synth import gaussian_blobs
 from scenevat.vat import odi_from, vat_order
 
 
 def analyze(c, seed, band_width):
-    feats, _ = gaussian_blobs(BlobSpec(c, 40, 8, 10.0, seed=seed))
+    feats, _ = gaussian_blobs(c, 40, 8, 10.0, seed=seed)
     d = euclidean_dissim(feats)
     img = odi_from(d, vat_order(d))
     return cce_count(img, band_width=band_width)

@@ -12,7 +12,8 @@ otherwise; the last two are ``cce_count``'s ``band_width`` and ``b``.
 Other SpecVAT settings are keyword arguments of the library functions.
 
 Exit codes: 0 on success, 2 on bad input, 3 on numeric failure, 4 when
-memory runs out.
+memory runs out.  A report that analyses no subset exits with the code of
+the first subset it skipped for an overflow, a numeric failure or memory.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .report import (
     features_for_manifest,
     run_report,
 )
-from .synth import BlobSpec, block_dissim, gaussian_blobs
+from .synth import block_dissim, gaussian_blobs
 from .vat import read_ordering, read_pgm
 from .vatf import atomic_write_text, naming, read_vatf, write_vatf
 
@@ -149,10 +150,9 @@ def cmd_stack(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.mode == "blobs":
-        spec = BlobSpec(clusters=args.clusters, n_per=args.n_per,
-                        dim=args.dim, sep=args.sep, sigma=args.sigma,
-                        seed=args.seed)
-        feats, labels = gaussian_blobs(spec)
+        feats, labels = gaussian_blobs(args.clusters, args.n_per, args.dim,
+                                       args.sep, sigma=args.sigma,
+                                       seed=args.seed)
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "features.vatf")
         write_vatf(path, feats)

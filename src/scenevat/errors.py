@@ -10,7 +10,7 @@ class DistanceOverflow(InputError):
 
 
 class NumericError(RuntimeError):
-    """A numeric computation could not be completed."""
+    """A numeric computation could not be completed: a report skips the subset."""
 
 
 class DegenerateImageError(NumericError):

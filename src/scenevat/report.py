@@ -20,7 +20,7 @@ import numpy as np
 
 from .audio import CACHE_KEY, N_MELS, extract_features, mel_filterbank
 from .cce import cce_count
-from .errors import DegenerateImageError, DistanceOverflow, InputError, NumericError
+from .errors import DistanceOverflow, InputError, NumericError
 from .manifest import CITIES, CITY_PALETTE, SCENE_PALETTE, SCENES, LabeledManifest
 from .matrix import as_features, euclidean_dissim, euclidean_packed, packed_start
 from .specvat import _analysis, _packed, _scales
@@ -167,14 +167,6 @@ _SUBSET_FILES = ("dissim.vatf", "embedding.vatf", "odi.pgm", "ordering.json",
 )
 
 
-class _Skip(Exception):
-    """Skip a subset: the warning's text after its name, and the reason."""
-
-    def __init__(self, text: str, reason: Optional[str] = None):
-        super().__init__(text)
-        self.reason = reason
-
-
 def _remove_subset_files(subset_dir: str) -> None:
     """Remove what a report writes for a subset, then the directory if empty.
 
@@ -316,17 +308,18 @@ def run_report(
     ``cce_count`` itself.  The features are checked once, here.  Each
     subset goes through ``analyze_features``, which writes a VAT subset's
     ``dissim.vatf``, and lets its matrix go once the image and its count
-    are written.  Subsets with
-    fewer than 2 records, or 3 for SpecVAT, are skipped with a warning, and
-    so are subsets whose distances overflow, whose image is degenerate (a
-    single intensity) or whose analysis runs out of memory, which are
-    listed under ``skipped`` with a ``reason``; an out-of-memory reason
-    states n and the bytes the method needs.  A subset leaves only the
-    files this run wrote for it: an earlier run's into ``out_dir`` go
-    first, and a subset that is skipped, or whose analysis raises, leaves
-    none and no empty directory.
-    NumericError is raised, after ``report.json`` is written, only when no
-    subset could be analysed.
+    are written.  Subsets with fewer than 2 records, or 3 for SpecVAT, are
+    skipped with a warning.  A subset leaves all its files or none: an
+    earlier run's go first, and one whose analysis or writes raise leaves
+    none of them and no empty directory.  A subset whose distances overflow
+    (DistanceOverflow), whose analysis fails (NumericError, a degenerate
+    image of a single intensity among them) or runs out of memory is
+    skipped with a warning and listed under ``skipped`` with a ``reason``;
+    an out-of-memory reason states n and the bytes the method needs.  Any
+    other exception ends the run, with no ``report.json``.  When no subset
+    was analysed and one was skipped so, ``report.json`` is written and the
+    first such exception raised, so ``scenevat report`` exits as
+    ``vat``/``specvat`` would on that subset.
     """
     _check_method(method, k)
     min_n = 3 if method == "specvat" else 2
@@ -349,66 +342,64 @@ def run_report(
         "skipped": [],
         "summary": {},
     }
+    failure = None
     for name, idx, stack_kinds in subsets:
         n = int(idx.size)
         subset_dir = os.path.join(out_dir, name)
         _remove_subset_files(subset_dir)
-        try:
-            if n < min_n:
-                raise _Skip(f" has {n} record(s)")
-            os.makedirs(subset_dir, exist_ok=True)
-            k_run = None if k is None else min(k, n - 1)
-            if k_run != k:
-                warnings.warn(
-                    f"subset {name!r} has {n} records; k={k} clamped to {k_run}",
-                    stacklevel=2,
-                )
-            try:
-                # A subset of every record reads the features as they are.
-                result = analyze_features(
-                    features if n == len(features) else features[idx],
-                    method, k_run,
-                    path=None if dissim is None else os.path.join(subset_dir, dissim))
-                cce = cce_count(result.image)
-            except DistanceOverflow as exc:
-                raise _Skip(f": {exc}", str(exc)) from exc
-            except DegenerateImageError as exc:
-                raise _Skip(f" is degenerate ({exc})", str(exc)) from exc
-            except MemoryError as exc:
-                reason = f"out of memory: {_memory_needed(method, n)}"
-                raise _Skip(f": {reason}", reason) from exc
-        except _Skip as skip:
-            _remove_subset_files(subset_dir)
-            warnings.warn(f"subset {name!r}{skip}; skipping", stacklevel=2)
-            skipped: dict = {"subset": name, "n": n}
-            if skip.reason is not None:
-                skipped["reason"] = skip.reason
-            report["skipped"].append(skipped)
+        if n < min_n:
+            warnings.warn(f"subset {name!r} has {n} record(s); skipping",
+                          stacklevel=2)
+            report["skipped"].append({"subset": name, "n": n})
             continue
-        except BaseException:  # a subset that fails leaves no file
+        k_run = None if k is None else min(k, n - 1)
+        if k_run != k:
+            warnings.warn(
+                f"subset {name!r} has {n} records; k={k} clamped to {k_run}",
+                stacklevel=2,
+            )
+        try:
+            os.makedirs(subset_dir, exist_ok=True)
+            # A subset of every record reads the features as they are.
+            result = analyze_features(
+                features if n == len(features) else features[idx],
+                method, k_run,
+                path=None if dissim is None else os.path.join(subset_dir, dissim))
+            cce = cce_count(result.image)
+            files = _write_analysis(result, subset_dir)
+            ordering = result.ordering
+            entry: dict = {"subset": name, "n": n}
+            if result.k is not None:
+                entry["k"] = int(result.k)
+            if result.k_scores is not None:
+                entry["k_scores"] = {
+                    str(kk): v for kk, v in sorted(result.k_scores.items())
+                }
+            del result  # the subset's one matrix, which the image may view
+            files |= _write_ordering(ordering, subset_dir)
+            files["cce"] = "cce.json"
+            atomic_write_text(os.path.join(subset_dir, files["cce"]),
+                              cce.to_json())
+            entry["cluster_count"] = cce.cluster_count
+            entry["otsu_threshold"] = cce.otsu_threshold
+            entry["b"] = cce.b
+            entry["band_width"] = cce.band_width
+            entry["stacks"] = _stack_artifacts(
+                stack_kinds, manifest, idx, ordering, subset_dir
+            )
+        except BaseException as exc:  # a subset leaves all its files or none
+            result = None  # the analysis, whose image may view its matrix
             _remove_subset_files(subset_dir)
-            raise
-        files = _write_analysis(result, subset_dir)
-        ordering = result.ordering
-        entry: dict = {"subset": name, "n": n}
-        if result.k is not None:
-            entry["k"] = int(result.k)
-        if result.k_scores is not None:
-            entry["k_scores"] = {
-                str(kk): v for kk, v in sorted(result.k_scores.items())
-            }
-        del result  # the subset's one matrix, which the image may view
-        files |= _write_ordering(ordering, subset_dir)
-        files["cce"] = "cce.json"
-        atomic_write_text(os.path.join(subset_dir, files["cce"]), cce.to_json())
-        entry["cluster_count"] = cce.cluster_count
-        entry["otsu_threshold"] = cce.otsu_threshold
-        entry["b"] = cce.b
-        entry["band_width"] = cce.band_width
-
-        entry["stacks"] = _stack_artifacts(
-            stack_kinds, manifest, idx, ordering, subset_dir
-        )
+            if not isinstance(exc, (DistanceOverflow, NumericError, MemoryError)):
+                raise
+            reason = (f"out of memory: {_memory_needed(method, n)}"
+                      if isinstance(exc, MemoryError) else str(exc))
+            warnings.warn(f"subset {name!r}: {reason}; skipping", stacklevel=2)
+            report["skipped"].append({"subset": name, "n": n, "reason": reason})
+            if failure is None:  # kept without the frames that hold its matrices
+                failure = exc.with_traceback(None)
+                failure.__cause__ = failure.__context__ = None
+            continue
         if dissim is not None:
             files["dissim"] = dissim
         entry["artifacts"] = {key: f"{name}/{f}" for key, f in files.items()}
@@ -419,8 +410,6 @@ def run_report(
         os.path.join(out_dir, "report.json"),
         json.dumps(report, sort_keys=True, indent=2) + "\n",
     )
-    if not report["subsets"] and any("reason" in e for e in report["skipped"]):
-        raise NumericError(
-            f"no subset could be analysed; see {os.path.join(out_dir, 'report.json')}"
-        )
+    if failure is not None and not report["subsets"]:
+        raise failure
     return report

@@ -7,8 +7,6 @@ the documented (generator, seed) pair alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputError
@@ -21,59 +19,43 @@ from .matrix import DISSIM_LIMIT
 _SCALE_LIMIT = 1e152
 
 
-@dataclass(frozen=True)
-class BlobSpec:
-    clusters: int
-    n_per: int
-    dim: int
-    sep: float
-    sigma: float = 1.0
-    seed: int = 0
+def gaussian_blobs(clusters: int, n_per: int, dim: int, sep: float, *,
+                   sigma: float = 1.0,
+                   seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Isotropic Gaussian clusters; returns (features, integer labels).
 
-    def __post_init__(self):
-        if self.clusters < 1:
-            raise InputError(f"clusters must be >= 1, got {self.clusters}")
-        if self.n_per < 1:
-            raise InputError(f"n_per must be >= 1, got {self.n_per}")
-        if self.dim < 1:
-            raise InputError(f"dim must be >= 1, got {self.dim}")
-        if not 0 <= self.sep < np.inf:
-            raise InputError(f"sep must be finite and >= 0, got {self.sep}")
-        if not 0 < self.sigma < np.inf:
-            raise InputError(f"sigma must be finite and positive, got {self.sigma}")
-        if not self.sep * self.sigma < _SCALE_LIMIT:
-            raise InputError(f"sep * sigma must be below {_SCALE_LIMIT:g}, got "
-                             f"{self.sep * self.sigma:g}")
-        if not self.sigma * np.sqrt(self.dim) < _SCALE_LIMIT:
-            raise InputError(f"sigma * sqrt(dim) must be below {_SCALE_LIMIT:g}, "
-                             f"got {self.sigma * np.sqrt(self.dim):g}")
-        if self.clusters > self.dim:
-            raise InputError(
-                f"cannot place {self.clusters} axis-aligned centers in "
-                f"{self.dim} dimensions; need dim >= clusters"
-            )
-
-
-def blob_centers(spec: BlobSpec) -> np.ndarray:
-    """One center per cluster, on the coordinate axes at radius sep*sigma.
-
-    Pairwise center distance is sep*sigma*sqrt(2), so the guarantee is
-    "at least sep*sigma apart" with slack; the slack keeps the clusters
-    resolvable in higher dimensions, where within-cluster spread grows
-    like sigma*sqrt(2*dim).
+    ``clusters`` clusters of ``n_per`` points in ``dim`` dimensions, drawn
+    with ``sigma`` about one center each, on the coordinate axes at radius
+    sep*sigma.  Pairwise center distance is sep*sigma*sqrt(2), so the
+    guarantee is "at least sep*sigma apart" with slack; the slack keeps the
+    clusters resolvable in higher dimensions, where within-cluster spread
+    grows like sigma*sqrt(2*dim).
     """
-    scale = spec.sep * spec.sigma
-    centers = np.zeros((spec.clusters, spec.dim))
-    centers[np.arange(spec.clusters), np.arange(spec.clusters)] = scale
-    return centers
-
-
-def gaussian_blobs(spec: BlobSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Isotropic Gaussian clusters; returns (features, integer labels)."""
-    centers = blob_centers(spec)
-    labels = np.repeat(np.arange(spec.clusters), spec.n_per)
-    rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    noise = rng.normal(0.0, spec.sigma, size=(labels.size, spec.dim))
+    if clusters < 1:
+        raise InputError(f"clusters must be >= 1, got {clusters}")
+    if n_per < 1:
+        raise InputError(f"n_per must be >= 1, got {n_per}")
+    if dim < 1:
+        raise InputError(f"dim must be >= 1, got {dim}")
+    if not 0 <= sep < np.inf:
+        raise InputError(f"sep must be finite and >= 0, got {sep}")
+    if not 0 < sigma < np.inf:
+        raise InputError(f"sigma must be finite and positive, got {sigma}")
+    if not sep * sigma < _SCALE_LIMIT:
+        raise InputError(f"sep * sigma must be below {_SCALE_LIMIT:g}, got "
+                         f"{sep * sigma:g}")
+    if not sigma * np.sqrt(dim) < _SCALE_LIMIT:
+        raise InputError(f"sigma * sqrt(dim) must be below {_SCALE_LIMIT:g}, "
+                         f"got {sigma * np.sqrt(dim):g}")
+    if clusters > dim:
+        raise InputError(
+            f"cannot place {clusters} axis-aligned centers in "
+            f"{dim} dimensions; need dim >= clusters"
+        )
+    centers = (sep * sigma) * np.eye(clusters, dim)
+    labels = np.repeat(np.arange(clusters), n_per)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    noise = rng.normal(0.0, sigma, size=(labels.size, dim))
     return centers[labels] + noise, labels
 
 

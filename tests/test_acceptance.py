@@ -21,7 +21,7 @@ from scenevat.cli import main
 from scenevat.manifest import CITIES, SCENES, read_manifest, scan_dcase_tree
 from scenevat.matrix import euclidean_dissim, permute_matrix
 from scenevat.specvat import a_specvat_select_k, specvat, sym_eigen_topk
-from scenevat.synth import BlobSpec, block_dissim, gaussian_blobs
+from scenevat.synth import block_dissim, gaussian_blobs
 from scenevat.vat import odi_from, vat_order
 from scenevat.vatf import write_vatf
 
@@ -96,7 +96,7 @@ def test_acceptance_4_cce_recovers_blob_count():
     for c in range(1, 7):
         hits = 0
         for seed in range(100):
-            feats, _ = gaussian_blobs(BlobSpec(c, 40, 8, 10.0, seed=seed))
+            feats, _ = gaussian_blobs(c, 40, 8, 10.0, seed=seed)
             m = euclidean_dissim(feats)
             img = odi_from(m, vat_order(m))
             hits += cce_count(img, band_width=38).cluster_count == c

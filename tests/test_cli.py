@@ -16,7 +16,7 @@ import scenevat.specvat
 from scenevat.audio import N_MELS
 from scenevat.cli import main
 from scenevat.manifest import scan_dcase_tree
-from scenevat.synth import BlobSpec, gaussian_blobs
+from scenevat.synth import gaussian_blobs
 from scenevat.vat import read_pgm, write_pgm
 from scenevat.vatf import read_vatf, write_vatf
 
@@ -93,7 +93,7 @@ def test_specvat_of_features_writes_what_specvat_of_their_distances_writes(tmp_p
     # --features builds the packed triangle and the local scales straight
     # from the features; --dissim packs the square matrix it reads.  Every
     # file is the same.  420 records: the distances come in two bands.
-    feats, _ = gaussian_blobs(BlobSpec(3, 140, 6, 4.0, seed=5))
+    feats, _ = gaussian_blobs(3, 140, 6, 4.0, seed=5)
     write_vatf(tmp_path / "f.vatf", feats)
     write_vatf(tmp_path / "d.vatf", scenevat.matrix.euclidean_dissim(feats))
     for kind, path in [("features", "f.vatf"), ("dissim", "d.vatf")]:
@@ -119,7 +119,7 @@ def test_matrix_command_writes_what_a_report_subset_writes(tmp_path, method, k):
     # scenevat vat|specvat --features and a report subset of the same
     # features go through one body, analyze_features, and one writer: the
     # same files, SpecVAT's embedding.vatf included.
-    feats, _ = gaussian_blobs(BlobSpec(3, 20, 6, 4.0, seed=5))
+    feats, _ = gaussian_blobs(3, 20, 6, 4.0, seed=5)
     write_vatf(tmp_path / "f.vatf", feats)
     manifest = tmp_path / "m.csv"
     manifest.write_text("path,scene,city\n" + "".join(
@@ -350,7 +350,8 @@ print(json.dumps(results))
 def test_out_of_memory_skips_the_subset_and_exits_4(tmp_path):
     # A subset too large for memory once re-raised MemoryError: no
     # report.json, not even for the subsets that finished, and `vat`
-    # exited 1 with a traceback.
+    # exited 1 with a traceback.  A report whose only subset ran out of
+    # memory then exited 3, not 4 as `vat` does.
     big = 23000
     rng = np.random.Generator(np.random.Philox(key=14))
     small = np.repeat([[0.0, 0.0], [9.0, 0.0], [0.0, 9.0]], 10, axis=0)
@@ -370,7 +371,8 @@ def test_out_of_memory_skips_the_subset_and_exits_4(tmp_path):
              ["vat", "--features", str(tmp_path / "big.vatf"),
               "--out", str(tmp_path / "v")],
              ["specvat", "--features", str(tmp_path / "big.vatf"), "--k", "2",
-              "--out", str(tmp_path / "s")]]
+              "--out", str(tmp_path / "s")],
+             ["report", *common[:-1], "london", "--out", str(tmp_path / "one")]]
     src = os.path.dirname(os.path.dirname(scenevat.report.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", _UNDER_AN_ADDRESS_CAP, src, json.dumps(argvs)],
@@ -391,11 +393,21 @@ def test_out_of_memory_skips_the_subset_and_exits_4(tmp_path):
         assert {"subset": "london", "n": big, "reason": reason} in report["skipped"]
         assert f"subset 'london': {reason}; skipping" in err
         assert not (rep / "london").exists()
-    for code, err in results[2:]:
+    for code, err in results[2:4]:
         assert code == 4
         assert err.startswith("out of memory: Unable to allocate ")
         assert err.count("\n") == 1
     assert not (tmp_path / "v").exists() and not (tmp_path / "s").exists()
+    code, err = results[4]
+    assert code == 4, err
+    assert [line for line in err.splitlines()
+            if line.startswith("out of memory:")] == [err.splitlines()[-1]]
+    assert err.splitlines()[-1].startswith("out of memory: Unable to allocate ")
+    reason = f"out of memory: {needs['vat']}"
+    report = json.loads((tmp_path / "one" / "report.json").read_text())
+    assert report["subsets"] == [] and report["summary"] == {}
+    assert report["skipped"] == [{"subset": "london", "n": big, "reason": reason}]
+    assert sorted(p.name for p in (tmp_path / "one").iterdir()) == ["report.json"]
 
 
 def test_features_and_report_from_audio(tmp_path):
@@ -539,7 +551,7 @@ def test_matrix_is_checked_once_where_it_enters(tmp_path, monkeypatch, command,
                                                 source, checks):
     # A --dissim file is checked when read; distances computed from
     # --features are valid by construction and never checked.
-    feats, _ = gaussian_blobs(BlobSpec(3, 6, 4, 10.0, seed=1))
+    feats, _ = gaussian_blobs(3, 6, 4, 10.0, seed=1)
     write_vatf(tmp_path / "features.vatf", feats)
     write_vatf(tmp_path / "dissim.vatf", scenevat.matrix.euclidean_dissim(feats))
     original, calls = scenevat.matrix.check_dissim, []
@@ -561,7 +573,7 @@ def test_dissim_symmetric_within_tolerance_is_analysed_symmetrized(tmp_path,
                                                                    command):
     # Off by 1e-13 relative in one entry: the file is accepted and analysed
     # as 0.5*D + 0.5*D.T, so its artifacts are that copy's, byte for byte.
-    feats, _ = gaussian_blobs(BlobSpec(3, 10, 4, 10.0, seed=1))
+    feats, _ = gaussian_blobs(3, 10, 4, 10.0, seed=1)
     d = scenevat.matrix.euclidean_dissim(feats)
     d[4, 17] *= 1.0 + 1e-13
     assert d[4, 17] != d[17, 4]
@@ -699,12 +711,13 @@ def test_report_skips_a_subset_that_overflows_in_its_last_band(tmp_path, capsys)
 
 
 @pytest.mark.filterwarnings("ignore:subset .* has 0 record")
-def test_report_exits_3_when_every_subset_overflows(tmp_path, capsys):
+def test_report_exits_2_when_every_subset_overflows(tmp_path, capsys):
+    # As `vat --features` exits on either subset's rows.
     feats = np.arange(48.0).reshape(12, 4)
     feats[[2, 8]] = 1e200
     with pytest.warns(UserWarning, match="feature distances overflow"):
-        assert main(_twelve_record_report(tmp_path, feats)) == 3
-    assert "no subset could be analysed" in capsys.readouterr().err
+        assert main(_twelve_record_report(tmp_path, feats)) == 2
+    assert capsys.readouterr().err.startswith("error: feature distances overflow")
     doc = json.loads((tmp_path / "o" / "report.json").read_text())
     assert doc["subsets"] == []
     assert {e["subset"] for e in doc["skipped"] if "reason" in e} == {"airport", "bus"}
@@ -866,7 +879,8 @@ def _two_blobs(n=10):
 def test_report_degenerate_subset_does_not_end_the_report(tmp_path, capsys):
     # London's identical rows render a constant image with no Otsu threshold.
     argv = _degenerate_city_inputs(tmp_path, _two_blobs())
-    with pytest.warns(UserWarning, match="'london' is degenerate"):
+    with pytest.warns(UserWarning,
+                      match="'london': image has a single intensity level"):
         assert main(argv) == 0
     assert "paris: 2" in capsys.readouterr().out
     doc = json.loads((tmp_path / "o" / "report.json").read_text())
@@ -884,9 +898,10 @@ def test_report_degenerate_subset_does_not_end_the_report(tmp_path, capsys):
 @pytest.mark.filterwarnings("ignore:subset .* has 0 record")
 def test_report_exits_3_only_when_no_subset_is_analysed(tmp_path, capsys):
     argv = _degenerate_city_inputs(tmp_path, np.full((4, 4), 2.0))
-    with pytest.warns(UserWarning, match="is degenerate"):
+    with pytest.warns(UserWarning, match="image has a single intensity level"):
         assert main(argv) == 3
-    assert "no subset could be analysed" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        "numeric failure: image has a single intensity level")
     doc = json.loads((tmp_path / "o" / "report.json").read_text())
     assert doc["subsets"] == [] and doc["summary"] == {}
     assert {e["subset"] for e in doc["skipped"] if "reason" in e} == {
@@ -904,7 +919,8 @@ def test_report_rerun_that_finds_a_subset_degenerate_removes_its_old_files(
     # The rerun finds London's rows identical: every file the first run
     # wrote for it goes, and a file the report does not write stays.
     argv = _city_inputs(tmp_path, np.ones((10, 4)), _two_blobs())
-    with pytest.warns(UserWarning, match="'london' is degenerate"):
+    with pytest.warns(UserWarning,
+                      match="'london': image has a single intensity level"):
         assert main(argv) == 0
     assert sorted(p.name for p in london.iterdir()) == ["notes.txt"]
     doc = json.loads((tmp_path / "o" / "report.json").read_text())

@@ -53,7 +53,7 @@ from scenevat.cli import main
 from scenevat.manifest import CITIES, SCENES, parse_manifest
 from scenevat.matrix import euclidean_dissim
 from scenevat.report import analyze, run_report
-from scenevat.synth import BlobSpec, gaussian_blobs
+from scenevat.synth import gaussian_blobs
 from scenevat.vat import odi_from, vat_order
 from scenevat.vatf import write_vatf
 
@@ -65,7 +65,7 @@ ARPACK_SOLVES = specvat._SEEDABLE_ARPACK and N >= specvat.ARPACK_MIN_N
 
 @pytest.fixture(scope="module")
 def blob_features():
-    return gaussian_blobs(BlobSpec(4, N // 4, 16, 4.0, seed=1))
+    return gaussian_blobs(4, N // 4, 16, 4.0, seed=1)
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +182,7 @@ def test_resample_kernel_table_is_built_in_place():
 
 @pytest.mark.parametrize("method, k", [("vat", None)])
 def test_analyze_leaves_its_input_unchanged(method, k):
-    d = euclidean_dissim(gaussian_blobs(BlobSpec(3, 100, 8, 4.0, seed=2))[0])
+    d = euclidean_dissim(gaussian_blobs(3, 100, 8, 4.0, seed=2)[0])
     before = d.copy()
     analyze(d, method, k=k)
     assert d.tobytes() == before.tobytes()
@@ -191,7 +191,7 @@ def test_analyze_leaves_its_input_unchanged(method, k):
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("k", [3, None])
 def test_analyze_specvat_draws_its_image_in_its_input(k):
-    d = euclidean_dissim(gaussian_blobs(BlobSpec(3, 100, 8, 4.0, seed=2))[0])
+    d = euclidean_dissim(gaussian_blobs(3, 100, 8, 4.0, seed=2)[0])
     result = analyze(d, "specvat", k=k)
     assert np.shares_memory(result.image, d)
     want = squareform(pdist(result.embedding))
@@ -199,7 +199,7 @@ def test_analyze_specvat_draws_its_image_in_its_input(k):
 
 
 def test_public_renderers_leave_their_input_unchanged():
-    d = euclidean_dissim(gaussian_blobs(BlobSpec(3, 100, 8, 4.0, seed=2))[0])
+    d = euclidean_dissim(gaussian_blobs(3, 100, 8, 4.0, seed=2)[0])
     before = d.copy()
     images = [odi_from(d, vat_order(d)), specvat.specvat(d, 3).image]
     assert d.tobytes() == before.tobytes()

@@ -2,6 +2,7 @@ import json
 import os
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +15,12 @@ import scenevat.specvat
 import scenevat.vat
 from scenevat.audio import N_MELS
 from scenevat.cli import main
-from scenevat.errors import DegenerateImageError, InputError, NumericError
+from scenevat.errors import (
+    DegenerateImageError,
+    DistanceOverflow,
+    InputError,
+    NumericError,
+)
 from scenevat.manifest import parse_manifest
 from scenevat.matrix import euclidean_dissim
 from scenevat.report import (
@@ -24,7 +30,7 @@ from scenevat.report import (
     run_report,
 )
 from scenevat.specvat import K_MAX
-from scenevat.synth import BlobSpec, gaussian_blobs
+from scenevat.synth import gaussian_blobs
 from scenevat.vat import read_ordering, read_pgm
 from scenevat.vatf import read_vatf, write_vatf
 
@@ -175,7 +181,7 @@ def test_unreadable_clip_names_the_file(tmp_path, monkeypatch):
 
 def _blob_manifest_and_features(n_per=10, seed=0):
     """Three separated blobs labeled by three scenes across two cities."""
-    feats, labels = gaussian_blobs(BlobSpec(3, n_per, 8, 10.0, seed=seed))
+    feats, labels = gaussian_blobs(3, n_per, 8, 10.0, seed=seed)
     scenes = ["airport", "bus", "park"]
     cities = ["paris", "london"]
     lines = ["path,scene,city"]
@@ -303,7 +309,7 @@ def test_run_report_input_validation(tmp_path):
 ])
 def test_analyze_checks_k_as_run_report_does(method, k, message):
     # VAT ignored a k, and SpecVAT at k = 1 rendered an all-black image.
-    x = gaussian_blobs(BlobSpec(3, 8, 8, 10.0, seed=2))[0]
+    x = gaussian_blobs(3, 8, 8, 10.0, seed=2)[0]
     with pytest.raises(InputError, match=message):
         analyze_features(x, method, k)
     with pytest.raises(InputError, match=message):
@@ -311,7 +317,7 @@ def test_analyze_checks_k_as_run_report_does(method, k, message):
 
 
 def _specvat_report_with_two_record_london(out, k=None):
-    feats, labels = gaussian_blobs(BlobSpec(3, 8, 8, 10.0, seed=2))
+    feats, labels = gaussian_blobs(3, 8, 8, 10.0, seed=2)
     scenes = ["airport", "bus", "park"]
     lines = ["path,scene,city"]
     for i, lab in enumerate(labels):
@@ -352,7 +358,7 @@ def test_run_report_specvat_explicit_k_skips_two_record_subset(tmp_path):
 def test_run_report_warns_when_it_clamps_an_explicit_k(tmp_path):
     # London has 3 records, so k=4 runs as k=2: said, and the artifacts are
     # those of k=2.
-    feats, labels = gaussian_blobs(BlobSpec(3, 8, 8, 10.0, seed=2))
+    feats, labels = gaussian_blobs(3, 8, 8, 10.0, seed=2)
     lines = ["path,scene,city"] + [
         f"clip{i}.wav,airport,{'london' if i < 3 else 'paris'}"
         for i in range(len(labels))
@@ -422,14 +428,15 @@ def test_run_report_names_a_bad_features_row_by_its_row_in_the_matrix(tmp_path):
 @pytest.mark.filterwarnings("ignore:subset .* has 0 record")
 def test_run_report_every_subset_overflowing_is_no_degenerate_image(tmp_path):
     # Each scene holds a row of 1e200: both subsets are skipped as
-    # overflows, and the error says no more than that nothing was analysed.
+    # overflows, and the first overflow is raised, as for one subset.
     lines = ["path,scene,city"] + [
         f"c{i}.wav,{'airport' if i < 6 else 'bus'},paris" for i in range(12)
     ]
     feats = np.arange(48.0).reshape(12, 4)
     feats[[2, 8]] = 1e200
     with pytest.warns(UserWarning, match="feature distances overflow"):
-        with pytest.raises(NumericError, match="no subset could be analysed") as exc:
+        with pytest.raises(DistanceOverflow,
+                           match="^feature distances overflow") as exc:
             run_report(parse_manifest("\n".join(lines) + "\n"), feats,
                        "by_scene", str(tmp_path / "o"))
     assert not isinstance(exc.value, DegenerateImageError)
@@ -469,7 +476,7 @@ def test_run_report_specvat_overflow_in_a_late_band_leaves_no_file(tmp_path, k):
     (out / "all").mkdir(parents=True)
     (out / "all" / "dissim.vatf").write_bytes(b"an earlier run's file")
     with pytest.warns(UserWarning, match="'all': feature distances overflow"):
-        with pytest.raises(NumericError, match="no subset could be analysed"):
+        with pytest.raises(DistanceOverflow, match="^feature distances overflow"):
             run_report(_one_subset_manifest(600), overflow_in_last_band(), "all",
                        str(out), method="specvat", k=k)
     doc = json.loads((out / "report.json").read_text())
@@ -488,7 +495,7 @@ def test_specvat_report_writes_the_embedding_its_image_is_drawn_from(tmp_path, n
     # seeded.  The report writes scenevat specvat's embedding.vatf and no
     # distances, and the embedded distances in VAT order, quantized by the
     # ODI rule, are its image.
-    feats = gaussian_blobs(BlobSpec(3, -(-n // 3), 8, 4.0, seed=4))[0][:n]
+    feats = gaussian_blobs(3, -(-n // 3), 8, 4.0, seed=4)[0][:n]
     write_vatf(tmp_path / "f.vatf", feats)
     run_report(_one_subset_manifest(n), feats, "all", str(tmp_path / "report"),
                method="specvat")
@@ -553,8 +560,89 @@ def test_an_interrupted_rerun_leaves_no_report_json(tmp_path, monkeypatch):
         assert not (out / name / "dissim.vatf").exists()
 
 
+@pytest.mark.filterwarnings("ignore:subset .* has 0 record")
+def test_a_subset_interrupted_in_its_stacks_leaves_none_of_its_files(
+        tmp_path, monkeypatch):
+    # The writes after the analysis once ran outside the clause that cleans
+    # up: an interrupt in its stacks left Paris with 4 of its 6 files.
+    mf, feats = _blob_manifest_and_features()
+    run_report(mf, feats, "by_city", str(tmp_path / "fresh"))
+    out = tmp_path / "out"
+    subsets = []
+    stack_artifacts = scenevat.report._stack_artifacts
+
+    def interrupt_the_second(kinds, manifest, idx, ordering, subset_dir):
+        subsets.append(os.path.basename(subset_dir))
+        if len(subsets) == 2:
+            raise KeyboardInterrupt
+        return stack_artifacts(kinds, manifest, idx, ordering, subset_dir)
+
+    monkeypatch.setattr(scenevat.report, "_stack_artifacts", interrupt_the_second)
+    with pytest.raises(KeyboardInterrupt):
+        run_report(mf, feats, "by_city", str(out))
+    assert subsets == ["london", "paris"]
+    assert sorted(p.name for p in out.iterdir()) == ["london"]
+    assert _tree_bytes(out / "london") == _tree_bytes(tmp_path / "fresh" / "london")
+
+
+@pytest.mark.filterwarnings("ignore:subset .* has 0 record")
+def test_a_failed_eigensolve_skips_only_its_subset(tmp_path, monkeypatch):
+    # A NumericError other than a degenerate image once ended the run with
+    # no report.json.  The failure the report keeps does not keep the failed
+    # subset's distances alive while the next subset runs.
+    mf, feats = _blob_manifest_and_features()
+    eigen_topk = scenevat.specvat._eigen_topk
+    calls, failed = [], []
+
+    def fail_the_first(p, n, k):
+        calls.append(n)
+        if len(calls) == 1:
+            failed.append(weakref.ref(p))
+            raise NumericError("eigendecomposition failed: no convergence")
+        calls.append(failed[0]() is None)
+        return eigen_topk(p, n, k)
+
+    monkeypatch.setattr(scenevat.specvat, "_eigen_topk", fail_the_first)
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning,
+                      match="'london': eigendecomposition failed: no convergence"):
+        report = run_report(mf, feats, "by_city", str(out), method="specvat")
+    assert calls == [15, 15, True]
+    assert {"subset": "london", "n": 15,
+            "reason": "eigendecomposition failed: no convergence"} in report["skipped"]
+    assert report["summary"] == {"paris": 3}
+    assert json.loads((out / "report.json").read_text()) == report
+    assert sorted(p.name for p in out.iterdir()) == ["paris", "report.json"]
+    assert (out / "paris" / "embedding.vatf").is_file()
+
+
+@pytest.mark.filterwarnings("ignore:subset .* has 0 record")
+def test_a_degenerate_subset_lets_its_matrix_go_before_the_next(tmp_path,
+                                                               monkeypatch):
+    # London's identical rows give a single-intensity image.  Its analysis
+    # was once still held while Paris's distances were built.
+    feats = np.vstack([np.ones((6, 4)), np.arange(24.0).reshape(6, 4)])
+    mf = parse_manifest("path,scene,city\n" + "".join(
+        f"c{i}.wav,bus,{'london' if i < 6 else 'paris'}\n" for i in range(12)))
+    analyze_subset = scenevat.report.analyze_features
+    images, alive = [], []
+
+    def watch(*args, **kwargs):
+        alive.extend(image() is not None for image in images)
+        result = analyze_subset(*args, **kwargs)
+        images.append(weakref.ref(result.image))
+        return result
+
+    monkeypatch.setattr(scenevat.report, "analyze_features", watch)
+    with pytest.warns(UserWarning,
+                      match="'london': image has a single intensity level"):
+        report = run_report(mf, feats, "by_city", str(tmp_path / "o"))
+    assert report["summary"] == {"paris": 1}
+    assert alive == [False]
+
+
 def test_analyze_features_writes_distances_for_vat_alone(tmp_path):
-    x = gaussian_blobs(BlobSpec(3, 8, 8, 10.0, seed=2))[0]
+    x = gaussian_blobs(3, 8, 8, 10.0, seed=2)[0]
     with pytest.raises(InputError, match="SpecVAT writes no distance matrix"):
         analyze_features(x, "specvat", 3, path=tmp_path / "dissim.vatf")
     assert list(tmp_path.iterdir()) == []

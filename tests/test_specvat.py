@@ -28,7 +28,7 @@ from scenevat.specvat import (
     specvat,
     sym_eigen_topk,
 )
-from scenevat.synth import BlobSpec, block_dissim, gaussian_blobs
+from scenevat.synth import block_dissim, gaussian_blobs
 from scenevat.vat import (Analysis, VatOrdering, _odi, odi_from, read_ordering,
                           read_pgm, vat_order)
 
@@ -341,12 +341,12 @@ SCAN_FIXTURES = {
         dict(k_max=10, knn_scale=2),
     ),
     "blobs_240": (
-        lambda: euclidean_dissim(gaussian_blobs(BlobSpec(4, 60, 8, 4.0, seed=5))[0]),
+        lambda: euclidean_dissim(gaussian_blobs(4, 60, 8, 4.0, seed=5)[0]),
         DEFAULTS,
     ),
     "constant": (lambda: np.ones((8, 8)) - np.eye(8), DEFAULTS),
     "blobs_1024_arpack": (  # ARPACK_MIN_N records: the ARPACK path
-        lambda: euclidean_dissim(gaussian_blobs(BlobSpec(4, 256, 8, 4.0, seed=5))[0]),
+        lambda: euclidean_dissim(gaussian_blobs(4, 256, 8, 4.0, seed=5)[0]),
         DEFAULTS,
     ),
 }
@@ -579,7 +579,7 @@ BAND_EDGE_SIZES = (1, 2, 3, 255, 256, 257, 362, 363, 600)
 
 
 def _blobs(n, seed=7):
-    feats = gaussian_blobs(BlobSpec(4, -(-n // 4), 8, 4.0, seed=seed))[0]
+    feats = gaussian_blobs(4, -(-n // 4), 8, 4.0, seed=seed)[0]
     return euclidean_dissim(feats[:n])
 
 
@@ -609,7 +609,7 @@ def test_affinity_matches_reference_bitwise():
         (block_dissim([4, 4], 0.0, 1.0), 2),  # floor
         (np.ones((5, 5)) - np.eye(5), KNN_SCALE),
         (1e100 * (np.ones((4, 4)) - np.eye(4)), 1),
-        (euclidean_dissim(gaussian_blobs(BlobSpec(3, 30, 8, 4.0, seed=3))[0]),
+        (euclidean_dissim(gaussian_blobs(3, 30, 8, 4.0, seed=3)[0]),
          KNN_SCALE),
     ]
     # sizes around the one-band edge
@@ -799,7 +799,7 @@ def test_run_report_specvat_matches_the_copying_reference_bitwise(tmp_path, n):
     # its rows and reads their local scales; below ARPACK_MIN_N its
     # artifacts have the bits of the square, copying reference.  Its scan
     # picks the k, and has the scores, of analyze on the square matrix.
-    feats = gaussian_blobs(BlobSpec(3, -(-n // 3), 8, 4.0, seed=6))[0][:n]
+    feats = gaussian_blobs(3, -(-n // 3), 8, 4.0, seed=6)[0][:n]
     manifest = parse_manifest("path,scene,city\n" + "".join(
         f"c{i}.wav,bus,paris\n" for i in range(n)))
     d = euclidean_dissim(feats)
@@ -1001,7 +1001,7 @@ def test_stalled_arpack_stays_under_the_work_cap(monkeypatch):
 
 @arpack_path
 def test_arpack_keeps_an_isolated_record_zero(monkeypatch):
-    feats = gaussian_blobs(BlobSpec(4, LARGE_N // 4, 8, 4.0, seed=7))[0]
+    feats = gaussian_blobs(4, LARGE_N // 4, 8, 4.0, seed=7)[0]
     d = euclidean_dissim(np.vstack([feats, np.full((1, 8), 1e5)]))
     assert not local_scale_affinity(d)[-1].any()  # its affinities underflow
     calls = count_solvers(monkeypatch)

@@ -16,7 +16,7 @@ from scenevat.stacks import (
     stack_csv,
     stack_svg,
 )
-from scenevat.synth import BlobSpec, gaussian_blobs
+from scenevat.synth import gaussian_blobs
 from scenevat.vat import vat_order
 
 
@@ -68,7 +68,7 @@ def test_contiguous_iff_run_count_equals_distinct():
 def test_blob_orderings_give_pure_runs():
     hits = 0
     for seed in range(100):
-        feats, labels = gaussian_blobs(BlobSpec(3, 20, 8, 10.0, seed=seed))
+        feats, labels = gaussian_blobs(3, 20, 8, 10.0, seed=seed)
         d = euclidean_dissim(feats)
         ordering = vat_order(d)
         st_ = _stack(ordering.order, [f"c{v}" for v in labels])

@@ -4,30 +4,34 @@ import pytest
 from scenevat.cce import cce_count
 from scenevat.errors import InputError
 from scenevat.matrix import DISSIM_LIMIT, check_dissim, euclidean_dissim
-from scenevat.synth import BlobSpec, blob_centers, block_dissim, gaussian_blobs
+from scenevat.synth import block_dissim, gaussian_blobs
 from scenevat.vat import odi_from, vat_order
 
 
 def test_single_cluster_sits_at_its_center():
-    spec = BlobSpec(1, 200, 4, 10.0, seed=3)
-    feats, labels = gaussian_blobs(spec)
+    feats, labels = gaussian_blobs(1, 200, 4, 10.0, seed=3)
     assert set(labels.tolist()) == {0}
-    center = blob_centers(spec)[0]
+    center = np.array([10.0, 0.0, 0.0, 0.0])  # on the first axis at sep*sigma
     assert np.abs(feats.mean(axis=0) - center).max() < 0.5  # loose CLT bound
 
 
 def test_same_seed_reproduces_bitwise():
-    spec = BlobSpec(3, 10, 8, 10.0, seed=17)
-    a, la = gaussian_blobs(spec)
-    b, lb = gaussian_blobs(spec)
+    a, la = gaussian_blobs(3, 10, 8, 10.0, seed=17)
+    b, lb = gaussian_blobs(3, 10, 8, 10.0, seed=17)
     assert np.array_equal(a, b) and np.array_equal(la, lb)
-    c, _ = gaussian_blobs(BlobSpec(3, 10, 8, 10.0, seed=18))
+    c, _ = gaussian_blobs(3, 10, 8, 10.0, seed=18)
     assert not np.array_equal(a, c)
 
 
 def test_centers_sit_on_axes_at_promised_radius():
-    centers = blob_centers(BlobSpec(3, 5, 8, 10.0, sigma=2.0))
+    # The features less the documented draws: Philox keyed by the seed,
+    # normal with scale sigma, one row per point.
+    feats, labels = gaussian_blobs(3, 5, 8, 10.0, sigma=2.0, seed=6)
+    noise = np.random.Generator(np.random.Philox(key=6)).normal(0.0, 2.0, (15, 8))
+    centers = (feats - noise)[::5]
+    assert np.allclose(feats - noise, centers[labels], rtol=0, atol=1e-12)
     assert centers.shape == (3, 8)
+    assert np.allclose(centers, 20.0 * np.eye(3, 8), rtol=0, atol=1e-12)
     norms = np.linalg.norm(centers, axis=1)
     assert np.allclose(norms, 20.0)
     gaps = euclidean_dissim(centers)
@@ -37,7 +41,7 @@ def test_centers_sit_on_axes_at_promised_radius():
 
 def test_blobs_separate_at_default_spacing():
     for seed in range(30):
-        feats, labels = gaussian_blobs(BlobSpec(3, 40, 8, 10.0, seed=seed))
+        feats, labels = gaussian_blobs(3, 40, 8, 10.0, seed=seed)
         d = euclidean_dissim(feats)
         same = labels[:, None] == labels[None, :]
         off = ~np.eye(labels.size, dtype=bool)
@@ -47,29 +51,29 @@ def test_blobs_separate_at_default_spacing():
 
 def test_blob_spec_validation():
     with pytest.raises(InputError, match="dim >= clusters"):
-        gaussian_blobs(BlobSpec(5, 10, 3, 10.0))
+        gaussian_blobs(5, 10, 3, 10.0)
     with pytest.raises(InputError):
-        BlobSpec(0, 10, 3, 10.0)
+        gaussian_blobs(0, 10, 3, 10.0)
     with pytest.raises(InputError):
-        BlobSpec(2, 0, 3, 10.0)
+        gaussian_blobs(2, 0, 3, 10.0)
     with pytest.raises(InputError):
-        BlobSpec(2, 10, 3, -1.0)
+        gaussian_blobs(2, 10, 3, -1.0)
     with pytest.raises(InputError):
-        BlobSpec(2, 10, 3, 10.0, sigma=0.0)
+        gaussian_blobs(2, 10, 3, 10.0, sigma=0.0)
     for sep, sigma in [(np.nan, 1.0), (np.inf, 1.0), (10.0, np.inf), (10.0, np.nan)]:
         with pytest.raises(InputError, match="must be finite"):
-            BlobSpec(2, 10, 3, sep, sigma=sigma)
+            gaussian_blobs(2, 10, 3, sep, sigma=sigma)
     # Finite, but the points' distances would overflow when squared.
     for sep, sigma in [(1e160, 1.0), (1e76, 1e77), (100.0, 1e151)]:
         with pytest.raises(InputError, match="sep \\* sigma must be below 1e\\+152"):
-            BlobSpec(2, 10, 3, sep, sigma=sigma)
+            gaussian_blobs(2, 10, 3, sep, sigma=sigma)
     with pytest.raises(InputError, match="sigma \\* sqrt\\(dim\\) must be below"):
-        BlobSpec(2, 10, 1000, 0.0, sigma=1e151)
-    BlobSpec(2, 10, 3, 9.9e151)  # the largest separations are still taken
+        gaussian_blobs(2, 10, 1000, 0.0, sigma=1e151)
+    gaussian_blobs(2, 10, 3, 9.9e151)  # the largest separations are still taken
 
 
 def test_blobs_finite():
-    feats, _ = gaussian_blobs(BlobSpec(6, 40, 8, 10.0, seed=99))
+    feats, _ = gaussian_blobs(6, 40, 8, 10.0, seed=99)
     assert np.isfinite(feats).all()
     assert feats.shape == (240, 8)
 
