@@ -13,7 +13,8 @@ Other SpecVAT settings are keyword arguments of the library functions.
 
 Exit codes: 0 on success, 2 on bad input, 3 on numeric failure, 4 when
 memory runs out.  A report that analyses no subset exits with the code of
-the first subset it skipped for an overflow, a numeric failure or memory.
+the first subset it skipped for an overflow, a numeric failure or memory,
+or with 2 when every subset was too small to analyse.
 """
 
 from __future__ import annotations

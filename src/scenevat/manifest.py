@@ -69,16 +69,8 @@ class ManifestRecord:
     city: str
 
 
-@dataclass(frozen=True)
-class LabeledManifest:
-    records: tuple
-
-    def __len__(self):
-        return len(self.records)
-
-
-def parse_manifest(data) -> LabeledManifest:
-    """Parse and validate manifest CSV bytes (or text).
+def parse_manifest(data) -> tuple[ManifestRecord, ...]:
+    """Parse and validate manifest CSV bytes (or text) into its records.
 
     Errors carry the 1-based line number: missing/extra columns, unknown
     scene or city labels, and duplicate paths are all rejected.  A leading
@@ -123,7 +115,7 @@ def parse_manifest(data) -> LabeledManifest:
             )
         seen[path] = lineno
         records.append(ManifestRecord(path, scene, city))
-    return LabeledManifest(tuple(records))
+    return tuple(records)
 
 
 def _rows(reader):
@@ -134,7 +126,7 @@ def _rows(reader):
         raise InputError(f"line {reader.line_num}: {exc}") from exc
 
 
-def read_manifest(path) -> LabeledManifest:
+def read_manifest(path) -> tuple[ManifestRecord, ...]:
     return read_file(path, "manifest", parse_manifest)
 
 

@@ -113,15 +113,31 @@ def unpack(p: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def packed_rows(p: np.ndarray, n: int, rows: slice) -> np.ndarray:
-    """A new C-ordered band of the full rows ``rows`` of the symmetric
-    matrix whose packed upper triangle is ``p``: the square matrix's rows,
-    bit for bit."""
-    band = _left_of(p, n, rows, np.empty((rows.stop - rows.start, n)))
-    band[:, rows.start:][_upper(rows.stop - rows.start, n - rows.start)] = p[
-        packed_start(n, rows.start):packed_start(n, rows.stop)]
-    _mirror_block(band, rows)
-    return band
+def full_rows(p: np.ndarray, n: int):
+    """``(rows, band)`` for each band of ``bands(n)``, in order: the full
+    rows ``rows`` of the symmetric matrix whose packed upper triangle is
+    ``p``, the square matrix's rows bit for bit, in one C-ordered buffer
+    that the next band overwrites.
+
+    Column j < ``rows.start`` of a band is a run of packed row j, so the
+    runs are gathered a few columns at a time, an eighth of ``BAND_BYTES``
+    of index and as much of values, then transposed.
+    """
+    height = next(bands(n), slice(0, 0)).stop
+    buf, upper = np.empty(height * n), _upper(height, n)
+    j = np.arange(n)
+    lower = packed_start(n, j) - j  # entry (j, i), j <= i, is p[lower[j] + i]
+    for rows in bands(n):
+        i0, i1 = rows.start, rows.stop
+        band = buf[:(i1 - i0) * n].reshape(i1 - i0, n)
+        step = max(1, BAND_BYTES // (64 * (i1 - i0)))
+        for j0 in range(0, i0, step):
+            j1 = min(j0 + step, i0)
+            band[:, j0:j1] = p[lower[j0:j1, np.newaxis] + j[np.newaxis, rows]].T
+        band[:, i0:][upper[:i1 - i0, :n - i0]] = p[
+            packed_start(n, i0):packed_start(n, i1)]
+        _mirror_block(band, rows)
+        yield rows, band
 
 
 def _mirror_block(band: np.ndarray, rows: slice) -> None:
@@ -129,21 +145,6 @@ def _mirror_block(band: np.ndarray, rows: slice) -> None:
     block = band[:, rows]
     h = rows.stop - rows.start
     np.copyto(block, block.T, where=~_upper(h, h))
-
-
-def _left_of(p: np.ndarray, n: int, rows: slice, band: np.ndarray) -> np.ndarray:
-    # Fills the columns of band, the rows `rows`, left of the band from the
-    # packed p, and returns it.  Column j < rows.start of the band is a run
-    # of packed row j, so the runs are gathered a few columns at a time, an
-    # eighth of BAND_BYTES of index and as much of values, then transposed.
-    i0, i1 = rows.start, rows.stop
-    j = np.arange(i1)
-    lower = packed_start(n, j) - j  # entry (j, i), j <= i, is p[lower[j] + i]
-    step = max(1, BAND_BYTES // (64 * (i1 - i0)))
-    for j0 in range(0, i0, step):
-        j1 = min(j0 + step, i0)
-        band[:, j0:j1] = p[lower[j0:j1, np.newaxis] + j[np.newaxis, i0:]].T
-    return band
 
 
 def as_features(values) -> np.ndarray:
@@ -189,33 +190,26 @@ def euclidean_dissim(features) -> np.ndarray:
     return d
 
 
-def euclidean_packed(features, p: np.ndarray):
-    """Build the packed upper triangle (see ``pack``) of ``euclidean_dissim``
-    into ``p``, n(n+1)/2 floats, band by band.
-
-    Yields each band's ``(rows, full rows)`` once its packed rows are in
-    ``p``: the rows of ``euclidean_dissim(features)``, bit for bit, in one
-    buffer of about ``BAND_BYTES`` that the next band overwrites.  A band
-    whose distances overflow raises DistanceOverflow before it is yielded.
-    """
+def euclidean_packed(features) -> np.ndarray:
+    """The packed upper triangle (see ``pack``) of ``euclidean_dissim``,
+    n(n+1)/2 floats, built band by band with its bits; a band whose
+    distances overflow raises DistanceOverflow."""
     x = as_features(features)
     n = x.shape[0]
-    # The band's rows and the later rows' distances to them, each in one
-    # buffer for every band: new ones each time are fresh pages to fault.
-    size = next(bands(n)).stop * n
-    band_buf, below_buf = np.empty(size), np.empty(size)
+    p = np.empty(packed_start(n, n))
+    # The later rows' distances to the band's rows, in one buffer for every
+    # band: new ones each time are fresh pages to fault.
+    below_buf = np.empty(next(bands(n)).stop * n)
     for rows in bands(n):
-        h = rows.stop - rows.start
-        band = _left_of(p, n, rows, band_buf[:h * n].reshape(h, n))
+        i0, i1 = rows.start, rows.stop
         block, below = _distances(
-            x, rows, below_buf[:(n - rows.stop) * h].reshape(n - rows.stop, h))
-        band[:, rows] = block
-        band[:, rows.stop:] = below.T
-        s = packed_start(n, rows.start)
-        for a, i in enumerate(range(rows.start, rows.stop)):
-            p[s:s + n - i] = band[a, i:]
+            x, rows, below_buf[:(n - i1) * (i1 - i0)].reshape(n - i1, i1 - i0))
+        s = packed_start(n, i0)
+        for a, i in enumerate(range(i0, i1)):  # packed row i is d[i, i:]
+            p[s:s + i1 - i] = block[a, a:]
+            p[s + i1 - i:s + n - i] = below[:, a]
             s += n - i
-        yield rows, band
+    return p
 
 
 def _distances(x: np.ndarray, rows: slice, below=None):

@@ -21,9 +21,9 @@ import numpy as np
 from .audio import CACHE_KEY, N_MELS, extract_features, mel_filterbank
 from .cce import cce_count
 from .errors import DistanceOverflow, InputError, NumericError
-from .manifest import CITIES, CITY_PALETTE, SCENE_PALETTE, SCENES, LabeledManifest
-from .matrix import as_features, euclidean_dissim, euclidean_packed, packed_start
-from .specvat import _analysis, _packed, _scales
+from .manifest import CITIES, CITY_PALETTE, SCENE_PALETTE, SCENES, ManifestRecord
+from .matrix import as_features, euclidean_dissim, euclidean_packed, pack
+from .specvat import _analysis
 from .stacks import label_stack, stack_csv, stack_svg
 from .vat import (
     Analysis,
@@ -47,7 +47,7 @@ _LABELS = {"scene": (SCENES, SCENE_PALETTE), "city": (CITIES, CITY_PALETTE)}
 
 
 def features_for_manifest(
-    manifest: LabeledManifest,
+    manifest: tuple[ManifestRecord, ...],
     *,
     audio_root: Optional[str] = None,
     cache_dir: Optional[str] = None,
@@ -70,7 +70,7 @@ def features_for_manifest(
         raise InputError(f"threads must be at least 1, got {threads}")
     paths = []
     missing = []
-    for rec in manifest.records:
+    for rec in manifest:
         p = rec.path
         if audio_root is not None and not os.path.isabs(p):
             p = os.path.join(audio_root, p)
@@ -114,7 +114,7 @@ def features_for_manifest(
 # Grouping and reporting
 
 
-def _subsets(manifest: LabeledManifest,
+def _subsets(manifest: tuple[ManifestRecord, ...],
              grouping: str) -> list[tuple[str, np.ndarray, tuple]]:
     """(name, record indices, label kinds to stack) per subset.
 
@@ -128,7 +128,7 @@ def _subsets(manifest: LabeledManifest,
             names = (grouping,)
         elif grouping != f"by_{kind}":
             continue
-        labels = np.asarray([getattr(r, kind) for r in manifest.records])
+        labels = np.asarray([getattr(r, kind) for r in manifest])
         others = tuple(k for k in _LABELS if k != kind)
         return [(name, np.flatnonzero(labels == name), others) for name in names]
     raise InputError(f"unknown grouping {grouping!r}; expected one of "
@@ -144,7 +144,7 @@ def _stack_artifacts(kinds, manifest, idx, ordering, subset_dir):
     out = {}
     os.makedirs(subset_dir, exist_ok=True)
     for kind in kinds:
-        labels = [getattr(manifest.records[i], kind) for i in idx]
+        labels = [getattr(manifest[i], kind) for i in idx]
         stack = label_stack(ordering.order, labels, _LABELS[kind][1])
         svg_path = os.path.join(subset_dir, f"stack_{kind}.svg")
         csv_path = os.path.join(subset_dir, f"stack_{kind}.csv")
@@ -196,9 +196,9 @@ def analyze(d: np.ndarray, method: str, k: Optional[int] = None) -> Analysis:
     ``d`` must be a valid, exactly symmetric, C-contiguous float64 matrix
     already: as ``check_dissim`` returned it where it entered, or valid by
     construction (``euclidean_dissim``).  It is not checked again.  VAT
-    only reads ``d``.  SpecVAT reads its local scales from ``d``'s rows,
-    then packs its upper triangle into the first half of ``d``'s buffer
-    and works there: the affinity, its normalization, the scan's condensed
+    only reads ``d``.  SpecVAT packs its upper triangle into the first
+    half of ``d``'s buffer and works there: the local scales are read from
+    it, and the affinity, its normalization, the scan's condensed
     distances and then the image, in its first n * n bytes, overwrite it
     in turn, so ``result.image`` is a view of ``d``'s buffer and the
     distances are gone.  Pass a copy to keep them.  The embedded distances
@@ -211,7 +211,7 @@ def analyze(d: np.ndarray, method: str, k: Optional[int] = None) -> Analysis:
     if method == "vat":
         ordering = _vat_order(d)
         return Analysis(ordering, _odi(d, ordering.order))
-    return _analysis(*_packed(d), k)
+    return _analysis(pack(d), k)
 
 
 def analyze_features(x, method: str, k: Optional[int] = None, *,
@@ -222,11 +222,11 @@ def analyze_features(x, method: str, k: Optional[int] = None, *,
 
     The distances are valid by construction.  VAT builds the square
     matrix and writes it to ``path`` (``dissim.vatf``), when given.
-    SpecVAT builds the packed upper triangle and the local scales, read
-    from each band of square rows as it is built, so no n x n float64
-    array exists; its image is drawn from ``result.embedding``, and a
-    ``path`` with SpecVAT raises InputError.  An overflow raises
-    DistanceOverflow and leaves no file.
+    SpecVAT builds the packed upper triangle and works in it as
+    ``analyze`` works in the packed ``d``, so no n x n float64 array
+    exists; its image is drawn from ``result.embedding``, and a ``path``
+    with SpecVAT raises InputError.  An overflow raises DistanceOverflow
+    and leaves no file.
     """
     _check_method(method, k)
     if method == "vat":
@@ -237,13 +237,7 @@ def analyze_features(x, method: str, k: Optional[int] = None, *,
     if path is not None:
         raise InputError("SpecVAT writes no distance matrix; its image is "
                          "drawn from the embedding")
-    n = len(x)
-    p, sigma = np.empty(packed_start(n, n)), np.empty(n)
-    for rows, band in euclidean_packed(x, p):
-        # Its scales may reorder the band: the next band overwrites it.
-        sigma[rows] = _scales(band)
-    del band  # it views the build's buffer, which the analysis need not hold
-    return _analysis(p, sigma, k)
+    return _analysis(euclidean_packed(x), k)
 
 
 def _write_analysis(result: Analysis, out_dir: str) -> dict:
@@ -283,7 +277,7 @@ def _memory_needed(method: str, n: int) -> str:
 
 
 def run_report(
-    manifest: LabeledManifest,
+    manifest: tuple[ManifestRecord, ...],
     features: np.ndarray,
     grouping: str,
     out_dir: str,
@@ -317,9 +311,9 @@ def run_report(
     skipped with a warning and listed under ``skipped`` with a ``reason``;
     an out-of-memory reason states n and the bytes the method needs.  Any
     other exception ends the run, with no ``report.json``.  When no subset
-    was analysed and one was skipped so, ``report.json`` is written and the
-    first such exception raised, so ``scenevat report`` exits as
-    ``vat``/``specvat`` would on that subset.
+    was analysed, ``report.json`` is written and the first such exception
+    raised, or, when every subset was too small, an InputError naming the
+    first: so ``scenevat report`` never exits 0 having analysed nothing.
     """
     _check_method(method, k)
     min_n = 3 if method == "specvat" else 2
@@ -410,6 +404,8 @@ def run_report(
         os.path.join(out_dir, "report.json"),
         json.dumps(report, sort_keys=True, indent=2) + "\n",
     )
-    if failure is not None and not report["subsets"]:
-        raise failure
+    if not report["subsets"]:  # each skip too small, when none failed
+        first = report["skipped"][0]
+        raise failure or InputError(f"subset {first['subset']!r} has {first['n']} "
+                                    f"record(s); {method} needs at least {min_n}")
     return report

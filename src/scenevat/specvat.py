@@ -23,6 +23,7 @@ candidate.
 from __future__ import annotations
 
 import inspect
+import math
 import warnings
 
 import numpy as np
@@ -33,8 +34,8 @@ from scipy.spatial.distance import cdist, pdist
 
 from .cce import _otsu, _pixel_histogram
 from .errors import DegenerateImageError, InputError, NumericError
-from .matrix import (bands, check_dissim, check_symmetric, chunks, pack,
-                     packed_bands, packed_rows, packed_start, unpack)
+from .matrix import (bands, check_dissim, check_symmetric, chunks, full_rows,
+                     pack, packed_bands, packed_start, unpack)
 from .vat import Analysis, _draw, _prim
 
 SIGN_TOL = 1e-12
@@ -73,8 +74,7 @@ def local_scale_affinity(m, *, knn_scale: int = KNN_SCALE) -> np.ndarray:
     n = d.shape[0]
     if n < 2:
         raise InputError("affinity needs at least 2 points")
-    p, sigma = _packed(d, knn_scale)
-    return unpack(_affinity(p, sigma), d)
+    return unpack(_affinity(*_scaled(pack(d), knn_scale)), d)
 
 
 def _checked_copy(m) -> np.ndarray:
@@ -83,27 +83,20 @@ def _checked_copy(m) -> np.ndarray:
     return np.array(check_dissim(m), order="C")
 
 
-def _packed(d: np.ndarray, knn_scale: int = KNN_SCALE):
-    # The local scales from d's rows, then d's packed triangle in d's own
-    # buffer (d is C-contiguous): the square entry to the private steps,
-    # and so where knn_scale is checked.
+def _scaled(p: np.ndarray, knn_scale: int = KNN_SCALE):
+    # The packed distances p and their local scales: the one entry to the
+    # private steps, and so where knn_scale is checked.  The diagonal is
+    # exactly 0 and no entry is negative, so the kth entry of a sorted full
+    # row is its kth nearest neighbour other than itself.
     if knn_scale < 1:
         raise InputError(f"knn_scale={knn_scale} must be at least 1")
-    n = d.shape[0]
+    n = (math.isqrt(8 * p.size + 1) - 1) // 2
     sigma = np.empty(n)
-    for rows in bands(n):
-        sigma[rows] = _scales(d[rows].copy(), knn_scale)
-    return pack(d), sigma
-
-
-def _scales(band: np.ndarray, knn_scale: int = KNN_SCALE) -> np.ndarray:
-    # The local scales of a band of full rows of d, which this partitions
-    # in place.  The diagonal is exactly 0 and no entry is negative, so the
-    # kth entry of a sorted row is its kth nearest neighbour other than
-    # itself.
-    kth = min(knn_scale, band.shape[1] - 1)
-    band.partition(kth, axis=1)
-    return np.maximum(band[:, kth], SIGMA_FLOOR)
+    kth = min(knn_scale, n - 1)
+    for rows, band in full_rows(p, n):
+        band.partition(kth, axis=1)  # the next band overwrites it
+        sigma[rows] = np.maximum(band[:, kth], SIGMA_FLOOR)
+    return p, sigma
 
 
 def _affinity(p: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -140,8 +133,8 @@ def _normalize(p: np.ndarray, n: int) -> np.ndarray:
     # row sum is taken over the full row, gathered in bands, as
     # x.sum(axis=1) takes it over a C-ordered square: the same bits.
     s = np.empty(n)
-    for rows in bands(n):
-        s[rows] = packed_rows(p, n, rows).sum(axis=1)
+    for rows, band in full_rows(p, n):
+        s[rows] = band.sum(axis=1)
     # Kernel entries lie in [0, 1], so a row sum is non-finite exactly when
     # its row holds a NaN: _affinity's inf / inf once d*d overflows.
     if not np.isfinite(s).all():
@@ -275,7 +268,7 @@ def spectral_embedding(m, k: int, *, knn_scale: int = KNN_SCALE) -> np.ndarray:
     eigenvector coordinates below machine zero) are kept as zero rather
     than normalized, and flagged with a warning.
     """
-    return _embed(*_packed(_checked_copy(m), knn_scale), k)
+    return _embed(*_scaled(pack(_checked_copy(m)), knn_scale), k)
 
 
 def _embed(p: np.ndarray, sigma: np.ndarray, k: int) -> np.ndarray:
@@ -312,14 +305,15 @@ def specvat(m, k: int, *, knn_scale: int = KNN_SCALE) -> Analysis:
     ordered are not kept: they are ``cdist(result.embedding,
     result.embedding)``, bit for bit.
     """
-    p, sigma = _packed(_checked_copy(m), knn_scale)
+    p, sigma = _scaled(pack(_checked_copy(m)), knn_scale)
     return _specvat(_embed(p, sigma, k), p)
 
 
-def _analysis(p: np.ndarray, sigma: np.ndarray, k: int | None) -> Analysis:
-    # SpecVAT of the packed distances p with local scales sigma, at k
+def _analysis(p: np.ndarray, k: int | None) -> Analysis:
+    # SpecVAT of the packed distances p with the default settings, at k
     # eigenvectors or, when k is None, at the scan's pick up to K_MAX.
     # Every step overwrites p, and the image views its buffer.
+    p, sigma = _scaled(p)
     if k is None:
         e, scores = _select_k(p, sigma)
         return _specvat(e, p, scores)
@@ -370,7 +364,7 @@ def a_specvat_select_k(
     Structureless input -- constant distances, or images with a single
     intensity -- scores 0 and falls back to k = 2 with a warning.
     """
-    best_e, scores = _select_k(*_packed(_checked_copy(m), knn_scale), k_max)
+    best_e, scores = _select_k(*_scaled(pack(_checked_copy(m)), knn_scale), k_max)
     return best_e.shape[1], scores
 
 

@@ -13,6 +13,7 @@ order; among equidistant candidates the smallest index wins.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,27 +191,23 @@ def read_pgm(path) -> np.ndarray:
     return read_file(path, "PGM file", parse_pgm)
 
 
+# A header token after any whitespace and '#' comments.  A comment runs to
+# the end of its line: without the lookahead, a shorter match would let a
+# token start inside it.
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?=\n|\Z))*([^\s#]\S*)")
+
+
 def parse_pgm(data: bytes) -> np.ndarray:
-    pos = 0
-    fields = []
     if not data.startswith(b"P5"):
         raise InputError("not a binary PGM (missing P5 magic)")
     pos = 2
-    # Header tokens may be separated by whitespace and '#' comments.
-    while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        tok = b""
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            tok += data[pos : pos + 1]
-            pos += 1
-        if not tok:
+    fields = []
+    for _ in range(3):
+        token = _PGM_TOKEN.match(data, pos)
+        if token is None:
             raise InputError("truncated PGM header")
-        fields.append(tok)
+        fields.append(token[1])
+        pos = token.end()
     if not all(f.isdigit() for f in fields):  # int() takes "-1", "+1", "1_0"
         raise InputError(f"malformed PGM header fields {fields}")
     w, h, maxval = (int(f) for f in fields)

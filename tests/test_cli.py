@@ -908,6 +908,29 @@ def test_report_exits_3_only_when_no_subset_is_analysed(tmp_path, capsys):
         "london", "paris"}
 
 
+@pytest.mark.parametrize("method, n, minimum", [("specvat", 2, 3), ("vat", 1, 2)])
+def test_report_of_only_too_small_subsets_exits_2(tmp_path, capsys, method, n,
+                                                  minimum):
+    # As `specvat --features` refuses 2 records: a report that analyses
+    # nothing does not exit 0.  The skip and its warning are as before.
+    write_vatf(tmp_path / "f.vatf", np.arange(4.0 * n).reshape(n, 4))
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,scene,city\n" + "".join(
+        f"c{i}.wav,airport,paris\n" for i in range(n)))
+    argv = ["report", "--manifest", str(manifest), "--features",
+            str(tmp_path / "f.vatf"), "--group", "all", "--method", method,
+            "--out", str(tmp_path / "o")]
+    with pytest.warns(UserWarning) as rec:
+        assert main(argv) == 2
+    assert [str(w.message) for w in rec] == [
+        f"subset 'all' has {n} record(s); skipping"]
+    assert capsys.readouterr().err == (
+        f"error: subset 'all' has {n} record(s); {method} needs at least "
+        f"{minimum}\n")
+    doc = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert doc["subsets"] == [] and doc["skipped"] == [{"subset": "all", "n": n}]
+
+
 @pytest.mark.filterwarnings("ignore:subset .* has 0 record")
 def test_report_rerun_that_finds_a_subset_degenerate_removes_its_old_files(
         tmp_path):

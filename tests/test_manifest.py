@@ -29,15 +29,15 @@ def test_parse_valid_rows():
     )
     mf = parse_manifest(text)
     assert len(mf) == 2
-    assert [r.path for r in mf.records] == ["a/b.wav", "c.wav"]
-    assert [r.scene for r in mf.records] == ["airport", "tram"]
-    assert [r.city for r in mf.records] == ["barcelona", "london"]
+    assert [r.path for r in mf] == ["a/b.wav", "c.wav"]
+    assert [r.scene for r in mf] == ["airport", "tram"]
+    assert [r.city for r in mf] == ["barcelona", "london"]
 
 
 def test_parse_accepts_bytes_and_padding():
     mf = parse_manifest(b"path,scene,city\n x.wav , park , paris \n")
-    assert mf.records[0].path == "x.wav"
-    assert mf.records[0].scene == "park"
+    assert mf[0].path == "x.wav"
+    assert mf[0].scene == "park"
 
 
 @pytest.mark.parametrize("data", [
@@ -48,7 +48,7 @@ def test_parse_skips_a_utf8_byte_order_mark(data):
     # Spreadsheets' "CSV UTF-8" starts the file with U+FEFF; the header was
     # once read as '\ufeffpath' and rejected.
     mf = parse_manifest(data)
-    assert [(r.path, r.scene, r.city) for r in mf.records] == [
+    assert [(r.path, r.scene, r.city) for r in mf] == [
         ("a.wav", "park", "paris")]
 
 
@@ -56,7 +56,7 @@ def test_read_manifest_with_byte_order_mark(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("path,scene,city\na.wav,bus,vienna\n", encoding="utf-8-sig")
     assert path.read_bytes().startswith(b"\xef\xbb\xbf")
-    assert read_manifest(path).records[0].city == "vienna"
+    assert read_manifest(path)[0].city == "vienna"
 
 
 def test_unknown_scene_names_line():
@@ -115,8 +115,8 @@ def test_large_balanced_manifest():
     mf = parse_manifest("\n".join(lines) + "\n")
     assert len(mf) == 8640
     for scene in SCENES:
-        assert [r.scene for r in mf.records].count(scene) == 864
-    assert len({r.path for r in mf.records}) == 8640
+        assert [r.scene for r in mf].count(scene) == 864
+    assert len({r.path for r in mf}) == 8640
 
 
 def test_read_manifest_wraps_path(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg.blas import dspmv
 from scipy.spatial.distance import cdist, pdist, squareform
 
+import scenevat.matrix as matrix_mod
 from scenevat.errors import DistanceOverflow, InputError
 from scenevat.matrix import (
     BAND_BYTES,
@@ -16,8 +17,8 @@ from scenevat.matrix import (
     chunks,
     euclidean_dissim,
     euclidean_packed,
+    full_rows,
     pack,
-    packed_rows,
     packed_start,
     permute_matrix,
     unpack,
@@ -354,33 +355,43 @@ def test_pack_in_place_needs_a_c_contiguous_matrix():
 
 @pytest.mark.parametrize("n", PACKED_SIZES)
 def test_packed_rows_are_the_square_rows_bitwise(n):
+    # full_rows gathers them from the triangle, in the order of bands(n).
     a = _symmetric(n, seed=n)
     p = pack(a, np.empty(packed_start(n, n)))
-    for rows in bands(n):
-        band = packed_rows(p, n, rows)
+    seen = []
+    for rows, band in full_rows(p, n):
         assert band.flags.c_contiguous and band.tobytes() == a[rows].tobytes()
+        band[:] = np.nan  # the next band overwrites every entry
+        seen.append(rows)
+    assert seen == list(bands(n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 363, 600])
 def test_euclidean_packed_yields_the_square_rows_and_packs_them(n):
+    # The triangle it returns is the square's, and so are its full rows.
     f = np.random.Generator(np.random.Philox(key=n)).normal(size=(n, 23))
     d = euclidean_dissim(f)
-    p = np.full(packed_start(n, n), np.nan)
+    p = euclidean_packed(f)
+    assert p.tobytes() == _packed_reference(d).tobytes()
     seen = []
-    for rows, band in euclidean_packed(f, p):
-        assert band.tobytes() == d[rows].tobytes()  # the next overwrites it
+    for rows, band in full_rows(p, n):
+        assert band.tobytes() == d[rows].tobytes()
         seen.append(rows)
     assert seen == list(bands(n))
-    assert p.tobytes() == _packed_reference(d).tobytes()
 
 
-def test_euclidean_packed_overflow_in_the_last_band_raises_there():
-    f = overflow_in_last_band()
-    p = np.empty(packed_start(600, 600))
-    built = euclidean_packed(f, p)
-    assert [next(built)[0], next(built)[0]] == list(bands(600))[:2]
+def test_euclidean_packed_overflow_in_the_last_band_raises_there(monkeypatch):
+    built = []
+    distances = matrix_mod._distances
+
+    def spy(x, rows, below=None):
+        built.append(rows)
+        return distances(x, rows, below)
+
+    monkeypatch.setattr(matrix_mod, "_distances", spy)
     with pytest.raises(DistanceOverflow, match="^feature distances overflow"):
-        next(built)
+        euclidean_packed(overflow_in_last_band())
+    assert built == list(bands(600))
 
 
 @pytest.mark.parametrize("n", [1, 2, 257, ARPACK_MIN_N + 1])

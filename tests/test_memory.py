@@ -5,18 +5,22 @@ Each n x n pass of ``analyze`` runs in place or in row bands of about
 included: it packs the input's upper triangle into the buffer's first
 half and works there.  So the peak of ``analyze`` plus ``cce_count``
 stays a fixed fraction of the input's 8 n^2 bytes.  At n = 1536, where
-ARPACK solves, that is about 0.24 (VAT: its image is 0.125), 0.07
-(SpecVAT with an explicit k) and 0.07 (SpecVAT with the k scan, which
+ARPACK solves, that is about 0.24 (VAT: its image is 0.125), 0.09
+(SpecVAT with an explicit k) and 0.09 (SpecVAT with the k scan, which
 writes each candidate's condensed distances into the triangle once its
-spectrum is solved) times the input.  Where evr solves (eigsh cannot be
+spectrum is solved) times the input: the peak is the band of full rows
+that the local scales are read from, gathered from the triangle.  It was
+0.07 when they were read from copies of the input's rows.  Where evr solves (eigsh cannot be
 seeded, as in scipy 1.10), it solves a square unpacked from the triangle:
 about 1.03 for SpecVAT.  A whole ``run_report`` subset builds the packed
 triangle from the features, n(n+1)/2 floats, and writes the n x k
-``embedding.vatf``: about 0.63 of one n x n matrix with ARPACK (explicit
-k and scan alike), as when it streamed the triangle's rows into an n x n
-``dissim.vatf`` band by band; ``scenevat specvat --features`` builds the
-same triangle and writes the same file, about 0.64, and ``scenevat
-specvat --dissim`` about 1.16; both peaked the same when they streamed
+``embedding.vatf``: about 0.59 of one n x n matrix with ARPACK (explicit
+k and scan alike), 0.63 when the build also held each band's full rows
+to read the local scales from, and when it streamed the triangle's rows
+into an n x n ``dissim.vatf`` band by band; ``scenevat specvat
+--features`` builds the same triangle and writes the same file, about
+0.60 (0.64 with the full rows), and ``scenevat specvat --dissim`` about
+1.16; both peaked the same when they streamed
 the n x n embedded distances into ``d_prime.vatf`` in bands.  A specvat
 of features that built the square distances, packed them in place and
 built those distances whole peaked at 1.12.
@@ -103,9 +107,8 @@ def test_analysis_peak_within_budget(blobs, method, k, budget):
     (None, 0.65 if ARPACK_SOLVES else 2.25),
 ])
 def test_run_report_specvat_holds_one_matrix(tmp_path, blob_features, k, budget):
-    # One subset of N records: the packed triangle of its distances, whose
-    # local scales are read from each band of rows as it is built, is the
-    # buffer that SpecVAT then works in.  No n x n float64 array exists
+    # One subset of N records: the packed triangle of its distances is the
+    # buffer that SpecVAT then works in, local scales included.  No n x n float64 array exists
     # with ARPACK, and the subset writes the n x k embedding.vatf.
     feats, labels = blob_features
     lines = ["path,scene,city"] + [
@@ -133,8 +136,8 @@ def test_cli_specvat_holds_one_matrix(tmp_path, blobs, budget):
 
 @pytest.mark.parametrize("k", [4, None])
 def test_cli_specvat_features_holds_the_packed_triangle(tmp_path, blob_features, k):
-    # The packed triangle and the local scales, built from the features as
-    # a report subset builds them, and the n x k embedding.vatf.
+    # The packed triangle, built from the features as a report subset
+    # builds it, and the n x k embedding.vatf.
     write_vatf(tmp_path / "f.vatf", blob_features[0])
     argv = ["specvat", "--features", str(tmp_path / "f.vatf"),
             "--out", str(tmp_path / "out")]

@@ -14,7 +14,8 @@ import scenevat
 import scenevat.specvat as specvat_mod
 from scenevat.cce import cce_count, otsu_effectiveness
 from scenevat.errors import DegenerateImageError, InputError, NumericError
-from scenevat.matrix import check_dissim, euclidean_dissim, permute_matrix, unpack
+from scenevat.matrix import (check_dissim, euclidean_dissim, pack, permute_matrix,
+                             unpack)
 from scenevat.manifest import parse_manifest
 from scenevat.report import analyze, run_report
 from scenevat.specvat import (
@@ -38,7 +39,7 @@ from conftest import count_solvers, random_dissim
 def _spectrum(d, k, knn_scale=KNN_SCALE):
     """The private spectrum of the square d, which it overwrites, through
     the packed path every SpecVAT takes."""
-    return specvat_mod._spectrum(*specvat_mod._packed(d, knn_scale), k)
+    return specvat_mod._spectrum(*specvat_mod._scaled(pack(d), knn_scale), k)
 
 
 def line_dissim(points):
@@ -357,7 +358,7 @@ def _analyze_scan(m, scan):
     settings, the steps it runs.  Overwrites m."""
     if scan == DEFAULTS:
         return analyze(m, "specvat")
-    p, sigma = specvat_mod._packed(m, scan["knn_scale"])
+    p, sigma = specvat_mod._scaled(pack(m), scan["knn_scale"])
     e, scores = specvat_mod._select_k(p, sigma, scan["k_max"])
     return specvat_mod._specvat(e, p, scores)
 
@@ -759,7 +760,7 @@ def test_exactly_symmetric_dissim_gives_exactly_symmetric_affinity(n, knn_scale)
     # the reference are the same products, so it is exactly symmetric too.
     d = _blobs(n)
     assert check_dissim(d) is d
-    p, sigma = specvat_mod._packed(d.copy(), knn_scale)
+    p, sigma = specvat_mod._scaled(pack(d.copy()), knn_scale)
     x = specvat_mod._normalize(specvat_mod._affinity(p, sigma), n)
     ref = _normalize_reference(_affinity_reference(d, knn_scale))
     assert np.array_equal(ref, ref.T)
@@ -1063,9 +1064,10 @@ def test_arpack_never_gets_k_of_n_minus_1(monkeypatch, k):
 _DIGEST = """
 import hashlib, sys
 sys.path.insert(0, sys.argv[1])
-from scenevat.specvat import _packed, _spectrum
+from scenevat.matrix import pack
+from scenevat.specvat import _scaled, _spectrum
 from scenevat.synth import block_dissim
-vals, vecs = _spectrum(*_packed(block_dissim([64] * 16, 0.01, 1.0)), 10)
+vals, vecs = _spectrum(*_scaled(pack(block_dissim([64] * 16, 0.01, 1.0))), 10)
 print(hashlib.sha256(vals.tobytes() + vecs.tobytes()).hexdigest())
 """
 

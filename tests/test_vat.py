@@ -261,6 +261,99 @@ def test_pgm_rejects_short_payload():
         parse_pgm(b"P5\n2 2\n255\n\x00\x01")
 
 
+def _parse_pgm_reference(data):
+    """A byte-at-a-time PGM reader: the reference for parse_pgm's header."""
+    pos = 0
+    fields = []
+    if not data.startswith(b"P5"):
+        raise InputError("not a binary PGM (missing P5 magic)")
+    pos = 2
+    # Header tokens may be separated by whitespace and '#' comments.
+    while len(fields) < 3:
+        while pos < len(data) and data[pos : pos + 1].isspace():
+            pos += 1
+        if pos < len(data) and data[pos : pos + 1] == b"#":
+            while pos < len(data) and data[pos : pos + 1] != b"\n":
+                pos += 1
+            continue
+        tok = b""
+        while pos < len(data) and not data[pos : pos + 1].isspace():
+            tok += data[pos : pos + 1]
+            pos += 1
+        if not tok:
+            raise InputError("truncated PGM header")
+        fields.append(tok)
+    if not all(f.isdigit() for f in fields):
+        raise InputError(f"malformed PGM header fields {fields}")
+    w, h, maxval = (int(f) for f in fields)
+    if maxval != 255:
+        raise InputError(f"unsupported PGM maxval {maxval}")
+    pos += 1
+    payload = data[pos:]
+    if len(payload) != w * h:
+        raise InputError(
+            f"PGM payload is {len(payload)} bytes, expected {w * h}"
+        )
+    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w).copy()
+
+
+def _pgm_outcome(parse, data):
+    try:
+        img = parse(data)
+    except Exception as exc:  # noqa: BLE001 -- compared, not handled
+        return type(exc), str(exc)
+    return img.shape, img.tobytes()
+
+
+# Pieces of fuzzed headers: whitespace, comments that end at a newline, at
+# the end of the data or not at all, and tokens good and bad.
+_PGM_SPACES = (b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c")
+_PGM_COMMENTS = (b"#", b"# c\n", b"#x", b"#2 ", b"##\n", b"#\r\n", b"#1\n2")
+_PGM_TOKENS = (b"0", b"1", b"2", b"3", b"255", b"25#5", b"2#", b"-1", b"+2",
+               b"1_0", b"x", b"\xff", b"\x00")
+
+
+def _fuzzed_pgm(rng):
+    """Bytes that start as a PGM: random pieces, or three tokens (most of
+    them a width and height below 4 and maxval 255) between random
+    whitespace and comments, then random bytes, most often one of
+    whitespace and about width times height."""
+    def pieces(choices, most):
+        idx = rng.integers(0, len(choices), size=rng.integers(0, most + 1))
+        return b"".join(choices[i] for i in idx)
+
+    data = b"P5" if rng.random() < 0.97 else b"P6"
+    if rng.random() < 0.2:
+        return data + pieces(_PGM_SPACES + _PGM_COMMENTS + _PGM_TOKENS, 11)
+    w, h = rng.integers(0, 4, size=2)
+    for good in (b"%d" % w, b"%d" % h, b"255"):
+        data += pieces(_PGM_SPACES, 2) or b" "
+        if rng.random() < 0.3:
+            data += pieces(_PGM_COMMENTS, 1) + pieces(_PGM_SPACES, 2)
+        data += good if rng.random() < 0.9 else pieces(_PGM_TOKENS, 2)
+    if rng.random() < 0.6:
+        data += _PGM_SPACES[rng.integers(0, len(_PGM_SPACES))]
+        size = w * h + rng.integers(-1, 2)
+    else:
+        size = rng.integers(0, 13)
+    return data + bytes(rng.integers(0, 256, size=max(size, 0), dtype=np.uint8))
+
+
+def test_parse_pgm_matches_the_byte_at_a_time_reader():
+    # A seeded differential property: the same image, or the same
+    # exception type and message, for bytes and for the bytearray that
+    # read_file passes.
+    rng = np.random.Generator(np.random.Philox(key=58))
+    ok = 0
+    for _ in range(20000):
+        data = _fuzzed_pgm(rng)
+        want = _pgm_outcome(_parse_pgm_reference, data)
+        assert _pgm_outcome(parse_pgm, data) == want, data
+        assert _pgm_outcome(parse_pgm, bytearray(data)) == want, data
+        ok += not isinstance(want[0], type)
+    assert ok > 200  # images read, not only errors
+
+
 # --------------------------------------------------------------------------
 # ordering JSON
 
