@@ -20,6 +20,7 @@ or with 2 when every subset was too small to analyse.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -278,6 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # A full collection would re-scan the ~45k objects numpy and scipy leave
+    # at import: they sit out the command, and go back to the collector after.
+    gc.freeze()
     try:
         return args.func(args)
     except (InputError, OSError) as exc:
@@ -289,6 +293,8 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # numpy's message names the array's size
         print(f"out of memory: {exc}", file=sys.stderr)
         return 4
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

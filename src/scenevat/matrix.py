@@ -8,7 +8,8 @@ index order that every downstream ordering permutes.
 A symmetric matrix can also be held as its packed upper triangle: the rows
 ``d[i, i:]`` back to back, diagonal included, n(n+1)/2 floats.  That is
 BLAS's lower packed layout (``dspmv(..., lower=1)``), since row i of the
-upper triangle is column i of the lower one.
+upper triangle is column i of the lower one.  A pass walks its packed
+rows (``_packed_rows``) or its full rows, gathered in bands (``full_rows``).
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ BAND_BYTES = 1 << 20
 DISSIM_LIMIT = np.finfo(np.float64).max / 255
 
 
-def bands(n: int, nbytes: int = BAND_BYTES):
-    """Row slices that cover ``range(n)`` in order, each ``nbytes`` of
+def bands(n: int):
+    """Row slices that cover ``range(n)`` in order, each ``BAND_BYTES`` of
     float64 rows of length n at most, or one row."""
-    height = max(1, nbytes // (8 * max(n, 1)))
+    height = max(1, BAND_BYTES // (8 * max(n, 1)))
     for i0 in range(0, n, height):
         yield slice(i0, min(i0 + height, n))
 
@@ -51,29 +52,14 @@ def packed_start(n: int, i):
     return i * (2 * n + 1 - i) // 2
 
 
-def packed_bands(n: int):
-    """``(rows, segment, mask)`` for each band of a pass over the packed
-    upper triangle of an n x n matrix, in order.
-
-    ``segment`` is the slice of the triangle that holds the band's packed
-    rows, and ``mask`` marks the entries on or right of the diagonal in the
-    band's rows from column ``rows.start`` on: its True entries, in
-    row-major order, are the segment's.  A pass holds a band's rectangle
-    and a masked copy of it, so the bands are a quarter of ``BAND_BYTES``.
-    The masks are views of the first band's.
-    """
-    upper = None
-    for rows in bands(n, BAND_BYTES // 4):
-        h = rows.stop - rows.start
-        if upper is None:
-            upper = _upper(h, n)
-        yield (rows, slice(packed_start(n, rows.start), packed_start(n, rows.stop)),
-               upper[:h, :n - rows.start])
-
-
-def _upper(h: int, w: int) -> np.ndarray:
-    # The h x w mask of the entries on or right of the diagonal.
-    return np.arange(w) >= np.arange(h)[:, np.newaxis]
+def _packed_rows(p: np.ndarray, n: int):
+    """``(i, row)`` for each row i of the packed upper triangle ``p`` of an
+    n x n matrix, in order: ``row`` is the view of ``p`` that holds
+    ``d[i, i:]``."""
+    start = 0
+    for i in range(n):
+        yield i, p[start:start + n - i]
+        start += n - i
 
 
 def pack(d: np.ndarray, out=None) -> np.ndarray:
@@ -81,16 +67,16 @@ def pack(d: np.ndarray, out=None) -> np.ndarray:
 
     Without ``out`` it is written into the first n(n+1)/2 entries of
     ``d``'s own buffer, which must be C-contiguous, and a view of them is
-    returned: a band's rows move to or before where they were, past no
-    row not yet read.
+    returned: row i moves to or before where it was, past no row not yet
+    read, and numpy buffers a row that overlaps itself.
     """
     n = d.shape[0]
     if out is None:
         if not d.flags.c_contiguous:
             raise ValueError("packing in place needs a C-contiguous matrix")
         out = d.reshape(-1)[:packed_start(n, n)]
-    for rows, segment, mask in packed_bands(n):
-        out[segment] = d[rows, rows.start:][mask]
+    for i, row in _packed_rows(out, n):
+        row[:] = d[i, i:]
     return out
 
 
@@ -98,16 +84,15 @@ def unpack(p: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The square symmetric matrix whose packed upper triangle is ``p``,
     written into the C-contiguous n x n ``out`` and returned.
 
-    ``out`` may be the buffer whose first entries ``p`` views: bands are
+    ``out`` may be the buffer whose first entries ``p`` views: rows are
     placed last first, and each moves to or past where it was, past every
-    band not yet placed.  The lower triangle is then mirrored from the
-    upper.
+    row not yet placed (numpy buffers a row that overlaps itself).  The
+    lower triangle is then mirrored from the upper, band by band.
     """
     n = out.shape[0]
-    for rows, segment, mask in reversed(list(packed_bands(n))):
-        # A copy: in place, a band's rows can overlap its own packed rows.
-        out[rows, rows.start:][mask] = p[segment].copy()
-    for rows in bands(n, BAND_BYTES // 4):
+    for i, row in reversed(list(_packed_rows(p, n))):
+        out[i, i:] = row
+    for rows in bands(n):
         out[rows, :rows.start] = out[:rows.start, rows].T
         _mirror_block(out[rows], rows)
     return out
@@ -124,7 +109,8 @@ def full_rows(p: np.ndarray, n: int):
     of index and as much of values, then transposed.
     """
     height = next(bands(n), slice(0, 0)).stop
-    buf, upper = np.empty(height * n), _upper(height, n)
+    buf = np.empty(height * n)
+    upper = ~np.tri(height, n, -1, dtype=bool)  # on or right of the diagonal
     j = np.arange(n)
     lower = packed_start(n, j) - j  # entry (j, i), j <= i, is p[lower[j] + i]
     for rows in bands(n):
@@ -144,7 +130,7 @@ def _mirror_block(band: np.ndarray, rows: slice) -> None:
     # Below the diagonal of the band's own square block, from above it.
     block = band[:, rows]
     h = rows.stop - rows.start
-    np.copyto(block, block.T, where=~_upper(h, h))
+    np.copyto(block, block.T, where=np.tri(h, k=-1, dtype=bool))
 
 
 def as_features(values) -> np.ndarray:
@@ -197,6 +183,7 @@ def euclidean_packed(features) -> np.ndarray:
     x = as_features(features)
     n = x.shape[0]
     p = np.empty(packed_start(n, n))
+    packed = _packed_rows(p, n)  # packed row i is d[i, i:]
     # The later rows' distances to the band's rows, in one buffer for every
     # band: new ones each time are fresh pages to fault.
     below_buf = np.empty(next(bands(n)).stop * n)
@@ -204,11 +191,10 @@ def euclidean_packed(features) -> np.ndarray:
         i0, i1 = rows.start, rows.stop
         block, below = _distances(
             x, rows, below_buf[:(n - i1) * (i1 - i0)].reshape(n - i1, i1 - i0))
-        s = packed_start(n, i0)
-        for a, i in enumerate(range(i0, i1)):  # packed row i is d[i, i:]
-            p[s:s + i1 - i] = block[a, a:]
-            p[s + i1 - i:s + n - i] = below[:, a]
-            s += n - i
+        # The range first: zip stops there, taking no packed row past the band.
+        for a, (i, row) in zip(range(i1 - i0), packed):
+            row[:i1 - i] = block[a, a:]
+            row[i1 - i:] = below[:, a]
     return p
 
 

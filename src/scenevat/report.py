@@ -37,6 +37,9 @@ from .vatf import atomic_write_text, naming, read_file, read_vatf, write_vatf
 
 GROUPINGS = ("by_scene", "by_city", "all")
 METHODS = ("vat", "specvat")
+# The fewest records each method analyses: VAT orders at least one pair,
+# and SpecVAT embeds in k >= 2 eigenvectors, which needs 3 records.
+_MIN_RECORDS = {"vat": 2, "specvat": 3}
 # Each label kind's names and colours.  ``report --group`` takes a
 # grouping, or one name for a run over that one subset.
 _LABELS = {"scene": (SCENES, SCENE_PALETTE), "city": (CITIES, CITY_PALETTE)}
@@ -196,19 +199,23 @@ def analyze(d: np.ndarray, method: str, k: Optional[int] = None) -> Analysis:
     ``d`` must be a valid, exactly symmetric, C-contiguous float64 matrix
     already: as ``check_dissim`` returned it where it entered, or valid by
     construction (``euclidean_dissim``).  It is not checked again.  VAT
-    only reads ``d``.  SpecVAT packs its upper triangle into the first
-    half of ``d``'s buffer and works there: the local scales are read from
-    it, and the affinity, its normalization, the scan's condensed
-    distances and then the image, in its first n * n bytes, overwrite it
-    in turn, so ``result.image`` is a view of ``d``'s buffer and the
-    distances are gone.  Pass a copy to keep them.  The embedded distances
-    that SpecVAT ordered are ``cdist(result.embedding, result.embedding)``.
+    only reads ``d``, and raises InputError below 2 records.  SpecVAT
+    packs its upper triangle into the first half of ``d``'s buffer and
+    works there: the local scales are read from it, and the affinity, its
+    normalization, the scan's condensed distances and then the image, in
+    its first n * n bytes, overwrite it in turn, so ``result.image`` is a
+    view of ``d``'s buffer and the distances are gone.  Pass a copy to
+    keep them.  The embedded distances that SpecVAT ordered are
+    ``cdist(result.embedding, result.embedding)``.
     SpecVAT runs with the defaults of ``scenevat.specvat`` and uses ``k``
     eigenvectors, or picks k with the scan when ``k`` is None; a ``k`` with
     VAT, or below 2, raises InputError.
     """
     _check_method(method, k)
     if method == "vat":
+        if len(d) < _MIN_RECORDS[method]:  # SpecVAT checks n against its k
+            raise InputError(f"{len(d)} record(s); vat needs at least "
+                             f"{_MIN_RECORDS[method]}")
         ordering = _vat_order(d)
         return Analysis(ordering, _odi(d, ordering.order))
     return _analysis(pack(d), k)
@@ -231,9 +238,10 @@ def analyze_features(x, method: str, k: Optional[int] = None, *,
     _check_method(method, k)
     if method == "vat":
         d = euclidean_dissim(x)
+        result = analyze(d, method)  # which checks n before a file is written
         if path is not None:
             write_vatf(path, d)
-        return analyze(d, method)
+        return result
     if path is not None:
         raise InputError("SpecVAT writes no distance matrix; its image is "
                          "drawn from the embedding")
@@ -316,7 +324,7 @@ def run_report(
     first: so ``scenevat report`` never exits 0 having analysed nothing.
     """
     _check_method(method, k)
-    min_n = 3 if method == "specvat" else 2
+    min_n = _MIN_RECORDS[method]
     features = as_features(features)  # once, so a bad row has its own index
     if features.shape[0] != len(manifest):
         raise InputError(

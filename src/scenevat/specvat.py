@@ -7,11 +7,12 @@ with VAT.  Using the largest eigenvectors of the normalized affinity is
 equivalent to using the smallest eigenvectors of the normalized Laplacian.
 
 Every step works on the matrix's packed upper triangle (see
-``matrix.pack``), n(n+1)/2 floats, in place: distances, affinity,
-normalization, then the scan's condensed distances and the image in its
-first bytes.  ARPACK multiplies by the triangle with BLAS ``dspmv``; evr
-solves a square unpacked from it.  The public functions take and return
-square matrices, and pack a checked copy.
+``matrix.pack``), n(n+1)/2 floats, in place: distances, affinity and
+normalization, one packed row at a time, then the scan's condensed
+distances and the image in its first bytes.  The local scales and row
+sums are read from full rows gathered in bands.  ARPACK multiplies by the
+triangle with BLAS ``dspmv``; evr solves a square unpacked from it.  The
+public functions take and return square matrices, and pack a checked copy.
 
 ``a_specvat_select_k`` scans k and keeps the image that binarizes most
 cleanly, scored by Otsu's normalized between-class variance.  Each
@@ -34,8 +35,8 @@ from scipy.spatial.distance import cdist, pdist
 
 from .cce import _otsu, _pixel_histogram
 from .errors import DegenerateImageError, InputError, NumericError
-from .matrix import (bands, check_dissim, check_symmetric, chunks, full_rows,
-                     pack, packed_bands, packed_start, unpack)
+from .matrix import (_packed_rows, bands, check_dissim, check_symmetric, chunks,
+                     full_rows, pack, packed_start, unpack)
 from .vat import Analysis, _draw, _prim
 
 SIGN_TOL = 1e-12
@@ -100,17 +101,15 @@ def _scaled(p: np.ndarray, knn_scale: int = KNN_SCALE):
 
 
 def _affinity(p: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    # Overwrites the packed distances p with their affinity, band by band,
+    # Overwrites the packed distances p with their affinity, row by row,
     # and returns it.  Entry (i, j) is computed as the square kernel
     # computes it, exp(-(d*d) / (sigma_i*sigma_j)), so it has the same bits.
-    n = sigma.size
-    for rows, segment, mask in packed_bands(n):
-        x = p[segment]
-        np.multiply(x, x, out=x)
+    for i, x in _packed_rows(p, sigma.size):
+        x *= x
         np.negative(x, out=x)
-        x /= np.outer(sigma[rows], sigma[rows.start:])[mask]
+        x /= sigma[i] * sigma[i:]
         np.exp(x, out=x)
-    p[packed_start(n, np.arange(n))] = 0.0  # the diagonal
+        x[0] = 0.0  # the diagonal
     return p
 
 
@@ -129,8 +128,8 @@ def normalized_affinity(a) -> np.ndarray:
 
 
 def _normalize(p: np.ndarray, n: int) -> np.ndarray:
-    # Scales the packed p in place, band by band, and returns it.  Each
-    # row sum is taken over the full row, gathered in bands, as
+    # Scales the packed p in place, row by row, and returns it.
+    # Each row sum is taken over the full row, gathered in bands, as
     # x.sum(axis=1) takes it over a C-ordered square: the same bits.
     s = np.empty(n)
     for rows, band in full_rows(p, n):
@@ -144,8 +143,8 @@ def _normalize(p: np.ndarray, n: int) -> np.ndarray:
             "overflow when squared"
         )
     inv_sqrt = np.where(s > 0, 1.0 / np.sqrt(np.where(s > 0, s, 1.0)), 0.0)
-    for rows, segment, mask in packed_bands(n):
-        p[segment] *= np.outer(inv_sqrt[rows], inv_sqrt[rows.start:])[mask]
+    for i, row in _packed_rows(p, n):
+        row *= inv_sqrt[i] * inv_sqrt[i:]
     return p
 
 

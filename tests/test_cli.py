@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import shutil
@@ -10,10 +11,12 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+import scenevat.cli as cli
 import scenevat.matrix
 import scenevat.report
 import scenevat.specvat
 from scenevat.audio import N_MELS
+from scenevat.errors import InputError
 from scenevat.cli import main
 from scenevat.manifest import scan_dcase_tree
 from scenevat.synth import gaussian_blobs
@@ -772,6 +775,23 @@ def test_usage_error_exits_2():
         main([])
 
 
+@pytest.mark.parametrize("raised, code", [(None, 0), (InputError, 2)])
+def test_main_freezes_the_heap_for_the_command_only(monkeypatch, raised, code):
+    # The objects alive at the start sit out the command's collections, and
+    # go back to the collector when main returns, on success or failure.
+    seen = []
+
+    def command(args):
+        seen.append(gc.get_freeze_count())
+        if raised is not None:
+            raise raised("stubbed")
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_cce", command)
+    assert main(["cce", "--image", "x.pgm", "--out", "o"]) == code
+    assert seen[0] > 0 and gc.get_freeze_count() == 0
+
+
 def test_console_script_installed(tmp_path):
     exe = shutil.which("scenevat")
     if exe is None:
@@ -832,6 +852,18 @@ def test_specvat_k_out_of_range_and_too_few_records_exit_2(tmp_path, capsys):
     assert main(["specvat", "--dissim", two, "--k", "2",
                  "--out", str(tmp_path / "b")]) == 2
     assert "k=2 must satisfy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["--features", "--dissim"])
+def test_vat_of_one_record_exits_2_naming_the_file(tmp_path, capsys, source):
+    # VAT's minimum is a report subset's: both entries refuse one record.
+    path = tmp_path / "one.vatf"
+    write_vatf(path, np.arange(3.0)[np.newaxis] if source == "--features"
+               else np.zeros((1, 1)))
+    assert main(["vat", source, str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: 1 record(s); vat needs at least 2\n")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("source, mode", [("--features", "blobs"),

@@ -9,6 +9,7 @@ import scenevat.matrix as matrix_mod
 from scenevat.errors import DistanceOverflow, InputError
 from scenevat.matrix import (
     BAND_BYTES,
+    _packed_rows,
     as_features,
     bands,
     check_dissim,
@@ -332,6 +333,17 @@ def _symmetric(n, seed=0):
 def _packed_reference(a):
     """The rows a[i, i:] back to back, built with concatenate."""
     return np.concatenate([a[i, i:] for i in range(a.shape[0])])
+
+
+@pytest.mark.parametrize("n", PACKED_SIZES)
+def test_packed_rows_walk_the_triangle_in_order(n):
+    # Row i is a view of n - i entries, and the rows end to end are p.
+    p = np.arange(packed_start(n, n), dtype=np.float64)
+    walked = list(_packed_rows(p, n))
+    assert [i for i, _ in walked] == list(range(n))
+    for i, row in walked:
+        assert row.size == n - i and np.shares_memory(row, p)
+    assert np.concatenate([row for _, row in walked]).tobytes() == p.tobytes()
 
 
 @pytest.mark.parametrize("n", PACKED_SIZES)
