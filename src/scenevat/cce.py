@@ -133,8 +133,6 @@ def _signal(x: np.ndarray, t: int, w: int) -> np.ndarray:
     # signal[i] counts pixels <= t among (i+1, i) .. (i+w, i), for i in
     # [0, n-1-w]; values lie in [0, w].
     n = x.shape[0]
-    if n != x.shape[1]:
-        raise InputError(f"expected a square image, got {x.shape}")
     signal = np.zeros(n - w, dtype=np.int64)
     for u in range(1, w + 1):
         signal += np.diagonal(x, offset=-u)[: n - w] <= t
@@ -154,8 +152,10 @@ def cce_count(img, *, band_width: Optional[int] = None,
               b: Optional[int] = None) -> CceReport:
     """Binarize, extract the sub-diagonal signal, and count runs above b.
 
-    The band is ``band_width`` pixels below the diagonal, max(1, n // 50)
-    when None, and must satisfy 1 <= band_width <= n-1.  The cutoff ``b``
+    The image must be square.  The band is ``band_width`` pixels below
+    the diagonal, max(1, n // 50) when None, and must satisfy
+    1 <= band_width <= n-1.  Both are checked before Otsu, so a malformed
+    image of one intensity raises InputError.  The cutoff ``b``
     is floor(max(signal) / 2) when None; 0 counts every run of nonzero
     signal, and a negative ``b`` raises InputError.  Blocks smaller than
     ``band_width + 1`` records can be missed; the report carries that limit
@@ -163,11 +163,13 @@ def cce_count(img, *, band_width: Optional[int] = None,
     """
     _check_cutoffs(band_width, b)
     x = check_image(img)
-    t = _otsu(_histogram(x))[0]
     n = x.shape[0]
+    if n != x.shape[1]:
+        raise InputError(f"expected a square image, got {x.shape}")
     w = max(1, n // 50) if band_width is None else int(band_width)
     if not 1 <= w <= n - 1:
         raise InputError(f"band width {w} must satisfy 1 <= w <= n-1 (n={n})")
+    t = _otsu(_histogram(x))[0]
     signal = _signal(x, t, w)
     peak = int(signal.max(initial=0))
 

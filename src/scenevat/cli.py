@@ -35,7 +35,6 @@ from .report import (
     _stack_artifacts,
     _subsets,
     _write_analysis,
-    _write_ordering,
     analyze,
     analyze_features,
     features_for_manifest,
@@ -115,11 +114,8 @@ def cmd_matrix(args) -> int:
         print(f"selected k={result.k} ({shown})")
     os.makedirs(args.out, exist_ok=True)
     _write_analysis(result, args.out)
-    ordering, k = result.ordering, result.k
-    del m, result  # the image may view the whole matrix: let both go first
-    _write_ordering(ordering, args.out)
-    with_k = "" if k is None else f" with k={k}"
-    print(f"ordered {len(ordering)} records{with_k} -> {args.out}")
+    with_k = "" if result.k is None else f" with k={result.k}"
+    print(f"ordered {len(result.ordering)} records{with_k} -> {args.out}")
     return 0
 
 

@@ -27,7 +27,6 @@ from .specvat import _analysis
 from .stacks import label_stack, stack_csv, stack_svg
 from .vat import (
     Analysis,
-    VatOrdering,
     _odi,
     _vat_order,
     ordering_to_json,
@@ -249,39 +248,68 @@ def analyze_features(x, method: str, k: Optional[int] = None, *,
 
 
 def _write_analysis(result: Analysis, out_dir: str) -> dict:
-    """Write ``odi.pgm`` and, for SpecVAT, the n x k ``embedding.vatf``
-    into ``out_dir``; return their names by artifact key.
+    """Write ``odi.pgm``, ``ordering.json`` and, for SpecVAT, the n x k
+    ``embedding.vatf`` into ``out_dir``; return their names by artifact
+    key.
 
-    With ``_write_ordering``, the one writer of an analysis: ``run_report``
-    and ``scenevat vat|specvat`` both call the two, so they write the same
-    files for a method.  The caller lets the result go between the two
-    calls: its image may view the whole matrix, which then no longer adds
-    to the peak while the ordering's text is built.
+    The one writer of an analysis: a ``run_report`` subset and ``scenevat
+    vat|specvat`` both call it, so they write the same files for a method.
     """
-    files = {"odi": "odi.pgm"}
+    files = {"odi": "odi.pgm", "ordering": "ordering.json"}
     write_pgm(result.image, os.path.join(out_dir, files["odi"]))
     if result.embedding is not None:
         files["embedding"] = "embedding.vatf"
         write_vatf(os.path.join(out_dir, files["embedding"]), result.embedding)
-    return files
-
-
-def _write_ordering(ordering: VatOrdering, out_dir: str) -> dict:
-    """Write ``ordering.json`` into ``out_dir``; return its name by key."""
-    files = {"ordering": "ordering.json"}
     atomic_write_text(os.path.join(out_dir, files["ordering"]),
-                      ordering_to_json(ordering))
+                      ordering_to_json(result.ordering))
     return files
 
 
 def _memory_needed(method: str, n: int) -> str:
     # What a subset's analysis holds at once: VAT's n x n float64 distances
     # and its n x n uint8 image; SpecVAT's packed upper triangle, in whose
-    # buffer the image is drawn.
+    # buffer the image is drawn, and the n x n float64 square that evr
+    # unpacks from it wherever evr solves.
     if method == "vat":
         return (f"{n} records need {8 * n * n} bytes of distances and "
                 f"{n * n} of image")
-    return f"{n} records need {4 * n * (n + 1)} bytes of packed distances"
+    return (f"{n} records need {4 * n * (n + 1)} bytes of packed distances, "
+            f"and {8 * n * n} more where evr solves its square")
+
+
+def _report_subset(manifest, features, name, idx, stack_kinds, subset_dir,
+                   method, k) -> dict:
+    """Analyse one ``run_report`` subset; return its ``report.json`` entry."""
+    n = int(idx.size)
+    k_run = None if k is None else min(k, n - 1)
+    if k_run != k:
+        warnings.warn(f"subset {name!r} has {n} records; k={k} clamped to "
+                      f"{k_run}", stacklevel=3)
+    os.makedirs(subset_dir, exist_ok=True)
+    # A SpecVAT image is drawn from the embedding, not from the distances.
+    files = {"dissim": "dissim.vatf"} if method == "vat" else {}
+    # A subset of every record reads the features as they are.
+    result = analyze_features(
+        features if n == len(features) else features[idx], method, k_run,
+        path=os.path.join(subset_dir, files["dissim"]) if files else None)
+    cce = cce_count(result.image)
+    files |= _write_analysis(result, subset_dir)
+    entry: dict = {"subset": name, "n": n, "cluster_count": cce.cluster_count,
+                   "otsu_threshold": cce.otsu_threshold, "b": cce.b,
+                   "band_width": cce.band_width}
+    if result.k is not None:
+        entry["k"] = int(result.k)
+    if result.k_scores is not None:
+        entry["k_scores"] = {str(kk): v
+                             for kk, v in sorted(result.k_scores.items())}
+    ordering = result.ordering
+    del result  # the subset's one matrix, which the image may view
+    files["cce"] = "cce.json"
+    atomic_write_text(os.path.join(subset_dir, files["cce"]), cce.to_json())
+    entry["stacks"] = _stack_artifacts(stack_kinds, manifest, idx, ordering,
+                                       subset_dir)
+    entry["artifacts"] = {key: f"{name}/{f}" for key, f in files.items()}
+    return entry
 
 
 def run_report(
@@ -308,20 +336,21 @@ def run_report(
     InputError before any subset.  SpecVAT and each count run with their
     defaults: a study that varies a setting calls ``scenevat.specvat`` and
     ``cce_count`` itself.  The features are checked once, here.  Each
-    subset goes through ``analyze_features``, which writes a VAT subset's
-    ``dissim.vatf``, and lets its matrix go once the image and its count
-    are written.  Subsets with fewer than 2 records, or 3 for SpecVAT, are
-    skipped with a warning.  A subset leaves all its files or none: an
-    earlier run's go first, and one whose analysis or writes raise leaves
-    none of them and no empty directory.  A subset whose distances overflow
-    (DistanceOverflow), whose analysis fails (NumericError, a degenerate
-    image of a single intensity among them) or runs out of memory is
-    skipped with a warning and listed under ``skipped`` with a ``reason``;
-    an out-of-memory reason states n and the bytes the method needs.  Any
-    other exception ends the run, with no ``report.json``.  When no subset
-    was analysed, ``report.json`` is written and the first such exception
-    raised, or, when every subset was too small, an InputError naming the
-    first: so ``scenevat report`` never exits 0 having analysed nothing.
+    subset is one ``_report_subset``: ``analyze_features``, which writes a
+    VAT subset's ``dissim.vatf``, the count and ``_write_analysis``, after
+    which its matrix goes, then ``cce.json`` and the stacks.  Subsets with
+    fewer than 2 records, or 3 for SpecVAT, are skipped with a warning.  A
+    subset leaves all its files or none: an earlier run's go first, and one
+    whose analysis or writes raise leaves none of them and no empty
+    directory.  A subset whose distances overflow (DistanceOverflow), whose
+    analysis fails (NumericError, a degenerate image of a single intensity
+    among them) or runs out of memory is skipped with a warning and listed
+    under ``skipped`` with a ``reason``; an out-of-memory reason states n
+    and the bytes the method needs.  Any other exception ends the run, with
+    no ``report.json``.  When no subset was analysed, ``report.json`` is
+    written and the first such exception raised, or, when every subset was
+    too small, an InputError naming the first: so ``scenevat report`` never
+    exits 0 having analysed nothing.
     """
     _check_method(method, k)
     min_n = _MIN_RECORDS[method]
@@ -335,8 +364,6 @@ def run_report(
     os.makedirs(out_dir, exist_ok=True)
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(out_dir, "report.json"))
-    # A SpecVAT image is drawn from the embedding, not from the distances.
-    dissim = "dissim.vatf" if method == "vat" else None
     report: dict = {
         "group": grouping,
         "method": method,
@@ -354,43 +381,10 @@ def run_report(
                           stacklevel=2)
             report["skipped"].append({"subset": name, "n": n})
             continue
-        k_run = None if k is None else min(k, n - 1)
-        if k_run != k:
-            warnings.warn(
-                f"subset {name!r} has {n} records; k={k} clamped to {k_run}",
-                stacklevel=2,
-            )
         try:
-            os.makedirs(subset_dir, exist_ok=True)
-            # A subset of every record reads the features as they are.
-            result = analyze_features(
-                features if n == len(features) else features[idx],
-                method, k_run,
-                path=None if dissim is None else os.path.join(subset_dir, dissim))
-            cce = cce_count(result.image)
-            files = _write_analysis(result, subset_dir)
-            ordering = result.ordering
-            entry: dict = {"subset": name, "n": n}
-            if result.k is not None:
-                entry["k"] = int(result.k)
-            if result.k_scores is not None:
-                entry["k_scores"] = {
-                    str(kk): v for kk, v in sorted(result.k_scores.items())
-                }
-            del result  # the subset's one matrix, which the image may view
-            files |= _write_ordering(ordering, subset_dir)
-            files["cce"] = "cce.json"
-            atomic_write_text(os.path.join(subset_dir, files["cce"]),
-                              cce.to_json())
-            entry["cluster_count"] = cce.cluster_count
-            entry["otsu_threshold"] = cce.otsu_threshold
-            entry["b"] = cce.b
-            entry["band_width"] = cce.band_width
-            entry["stacks"] = _stack_artifacts(
-                stack_kinds, manifest, idx, ordering, subset_dir
-            )
+            entry = _report_subset(manifest, features, name, idx, stack_kinds,
+                                   subset_dir, method, k)
         except BaseException as exc:  # a subset leaves all its files or none
-            result = None  # the analysis, whose image may view its matrix
             _remove_subset_files(subset_dir)
             if not isinstance(exc, (DistanceOverflow, NumericError, MemoryError)):
                 raise
@@ -402,11 +396,8 @@ def run_report(
                 failure = exc.with_traceback(None)
                 failure.__cause__ = failure.__context__ = None
             continue
-        if dissim is not None:
-            files["dissim"] = dissim
-        entry["artifacts"] = {key: f"{name}/{f}" for key, f in files.items()}
         report["subsets"].append(entry)
-        report["summary"][name] = cce.cluster_count
+        report["summary"][name] = entry["cluster_count"]
 
     atomic_write_text(
         os.path.join(out_dir, "report.json"),

@@ -280,7 +280,7 @@ def test_signal_two_blocks_dips_at_boundary():
 
 def test_signal_band_width_bounds():
     img = np.zeros((5, 5), dtype=np.uint8)
-    img[0, 0] = 255  # two levels, so Otsu passes and the band is checked
+    img[0, 0] = 255  # two levels: the band alone is refused
     with pytest.raises(InputError, match="band width 5"):
         cce_count(img, band_width=5)
 

@@ -385,7 +385,8 @@ def test_out_of_memory_skips_the_subset_and_exits_4(tmp_path):
     needs = {"vat": f"{big} records need {8 * big * big} bytes of distances "
                     f"and {big * big} of image",
              "specvat": f"{big} records need {4 * big * (big + 1)} bytes of "
-                        "packed distances"}
+                        f"packed distances, and {8 * big * big} more where "
+                        "evr solves its square"}
     for (code, err), method in zip(results, ("vat", "specvat")):
         assert code == 0, err
         rep = tmp_path / method
@@ -1219,13 +1220,18 @@ def test_malformed_wav_exits_2_naming_the_file(tmp_path, capsys, wav, message):
     # ValueError: a traceback, exit 1.
     (b"P5\n-1 -1\n255\n\x00", "malformed PGM header fields"),
     (b"P5\n3 2\n255\n" + bytes(range(6)), "expected a square image, got (2, 3)"),
+    # A single intensity once reached Otsu before the shape and the band
+    # were checked: exit 3, and a message without the file.
+    (b"P5\n3 5\n255\n" + bytes(15), "expected a square image, got (5, 3)"),
+    (b"P5\n1 1\n255\n\x00", "band width 1 must satisfy 1 <= w <= n-1 (n=1)"),
 ], ids=["truncated-header", "non-integer-field", "signed-dimension",
-        "non-square"])
+        "non-square", "non-square-one-level", "one-pixel"])
 def test_malformed_pgm_exits_2_naming_the_file(tmp_path, capsys, data, message):
     path = tmp_path / "x.pgm"
     path.write_bytes(data)
     assert main(["cce", "--image", str(path), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+    assert not (tmp_path / "o").exists()
 
 
 def test_non_utf8_manifest_exits_2_naming_the_file(tmp_path, capsys):

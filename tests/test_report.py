@@ -564,12 +564,14 @@ def test_an_interrupted_rerun_leaves_no_report_json(tmp_path, monkeypatch):
 def test_a_subset_interrupted_in_its_stacks_leaves_none_of_its_files(
         tmp_path, monkeypatch):
     # The writes after the analysis once ran outside the clause that cleans
-    # up: an interrupt in its stacks left Paris with 4 of its 6 files.
+    # up: an interrupt in its stacks left Paris with 4 of its 6 files.  An
+    # interrupt in ``_write_analysis``'s ordering.json write, once odi.pgm is
+    # written, leaves none of them either.
     mf, feats = _blob_manifest_and_features()
     run_report(mf, feats, "by_city", str(tmp_path / "fresh"))
-    out = tmp_path / "out"
-    subsets = []
+    subsets, odi_written = [], []
     stack_artifacts = scenevat.report._stack_artifacts
+    write_text = scenevat.report.atomic_write_text
 
     def interrupt_the_second(kinds, manifest, idx, ordering, subset_dir):
         subsets.append(os.path.basename(subset_dir))
@@ -577,12 +579,29 @@ def test_a_subset_interrupted_in_its_stacks_leaves_none_of_its_files(
             raise KeyboardInterrupt
         return stack_artifacts(kinds, manifest, idx, ordering, subset_dir)
 
-    monkeypatch.setattr(scenevat.report, "_stack_artifacts", interrupt_the_second)
-    with pytest.raises(KeyboardInterrupt):
-        run_report(mf, feats, "by_city", str(out))
-    assert subsets == ["london", "paris"]
-    assert sorted(p.name for p in out.iterdir()) == ["london"]
-    assert _tree_bytes(out / "london") == _tree_bytes(tmp_path / "fresh" / "london")
+    def interrupt_the_second_ordering(path, text):
+        subset_dir, fname = os.path.split(path)
+        if fname == "ordering.json":
+            subsets.append(os.path.basename(subset_dir))
+            if len(subsets) == 2:
+                odi_written.append(os.path.isfile(
+                    os.path.join(subset_dir, "odi.pgm")))
+                raise KeyboardInterrupt
+        write_text(path, text)
+
+    for name, interrupt in (("_stack_artifacts", interrupt_the_second),
+                            ("atomic_write_text", interrupt_the_second_ordering)):
+        subsets.clear()
+        out = tmp_path / name
+        with monkeypatch.context() as patch:
+            patch.setattr(scenevat.report, name, interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                run_report(mf, feats, "by_city", str(out))
+        assert subsets == ["london", "paris"]
+        assert sorted(p.name for p in out.iterdir()) == ["london"]
+        assert (_tree_bytes(out / "london")
+                == _tree_bytes(tmp_path / "fresh" / "london"))
+    assert odi_written == [True]
 
 
 @pytest.mark.filterwarnings("ignore:subset .* has 0 record")
@@ -614,6 +633,27 @@ def test_a_failed_eigensolve_skips_only_its_subset(tmp_path, monkeypatch):
     assert json.loads((out / "report.json").read_text()) == report
     assert sorted(p.name for p in out.iterdir()) == ["paris", "report.json"]
     assert (out / "paris" / "embedding.vatf").is_file()
+
+
+def test_an_out_of_memory_square_is_named_in_the_reason(tmp_path, monkeypatch):
+    # Below ARPACK_MIN_N evr solves in the n x n float64 square unpacked
+    # from the triangle, twice the triangle's bytes, yet the reason once
+    # named the triangle alone.
+    mf, feats = _blob_manifest_and_features()
+    n = len(feats)
+
+    def no_memory(p, out):
+        raise MemoryError
+
+    monkeypatch.setattr(scenevat.specvat, "unpack", no_memory)
+    reason = (f"out of memory: {n} records need {4 * n * (n + 1)} bytes of "
+              f"packed distances, and {8 * n * n} more where evr solves its "
+              "square")
+    with pytest.warns(UserWarning, match="'all': out of memory"), \
+            pytest.raises(MemoryError):
+        run_report(mf, feats, "all", str(tmp_path), method="specvat", k=3)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["skipped"] == [{"subset": "all", "n": n, "reason": reason}]
 
 
 @pytest.mark.filterwarnings("ignore:subset .* has 0 record")
